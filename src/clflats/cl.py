@@ -5,11 +5,15 @@ t = 1..nu, kept as an exact rational (integrality is observed, never
 assumed).  The membership test has several equivalent routes: image of
 the transposed incidence matrix, orthogonality to its kernel, spectral
 support in the two trivial eigenspaces, the shifted spectral variant,
-and the two-relation neighbour counts.  All routes are exact.
+the two-relation neighbour counts, and constant intersection with the
+spreads.  All routes are exact.  The kernel basis is made of certified
+spread differences; the image route keeps its own elimination, so the
+two check each other.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass
@@ -43,7 +47,7 @@ from .scheme import (
     relation_matrix,
     scheme_tables,
 )
-from .spreads import enumerate_spreads, list_type_I, list_type_II
+from .spreads import enumerate_spreads, family_members, list_type_I
 
 
 def set_denominator(config: SpaceConfig, levels: int | None = None) -> int:
@@ -88,7 +92,8 @@ class FlatSet:
         return FlatSet(self.config, tuple(sorted(set(range(n)) - set(self.ids))))
 
     def __contains__(self, fid: int) -> bool:
-        return fid in set(self.ids)
+        k = bisect.bisect_left(self.ids, fid)
+        return k < len(self.ids) and self.ids[k] == fid
 
 
 def cl_parameter(flat_set: FlatSet) -> Fraction:
@@ -127,66 +132,95 @@ def _image_solver(config: SpaceConfig) -> exact.EchelonSolver:
 
 @lru_cache(maxsize=None)
 def _kernel_basis(config: SpaceConfig) -> np.ndarray:
-    return exact.nullspace_int(incidence_matrix(config).matrix)
+    """Basis of ker M: differences of constructive-family spreads, int64 in {-1, 0, 1}.
+
+    Certified once: M K^T vanishes exactly and rank_p K = n - rank_p M.
+    A mod-p rank bounds the rational rank from below, so rank_p K <=
+    rank K <= n - rank M <= n - rank_p M are all equal: K spans ker M.
+    """
+    M = incidence_matrix(config).matrix
+    n = M.shape[1]
+    p = exact.MODULAR_PRIMES[0]
+    target = n - exact.modular_rank(M, p)
+    members = family_members(config)
+    stack = np.zeros((members.shape[0], n), dtype=np.int8)
+    np.put_along_axis(stack, members, 1, axis=1)
+    # the family is sorted, so neighbouring spreads share members and their
+    # differences are often dependent; a fixed shuffle meets new ones sooner
+    diffs = stack[1:] - stack[0]
+    diffs = diffs[random.Random(0).sample(range(len(diffs)), len(diffs))]
+    K = diffs[exact.independent_rows(diffs, p, stop_at=target)].astype(np.int64)
+    got = exact.modular_rank(K, p, stop_at=target)
+    if exact.int_matmul(M, K.T).any() or got != target:
+        raise AssertionError(
+            f"spread differences do not certify ker M for {config.key()}: "
+            f"rank_p K = {got}, n - rank_p M = {target}")
+    K.flags.writeable = False
+    return K
 
 
 # ---------------------------------------------------------------------------
 # single-set tests (characterisations of membership)
 
+def test_kernel(flat_set: FlatSet) -> bool:
+    """Orthogonality to the certified spread-difference basis of ker M."""
+    return not exact.int_matmul(_kernel_basis(flat_set.config), flat_set.chi()).any()
+
+
+def test_solvable(flat_set: FlatSet) -> bool:
+    """Solvability of M^T y = chi, by the image solver's own null rows."""
+    return _image_solver(flat_set.config).solvable(flat_set.chi())
+
+
 def test_image(flat_set: FlatSet) -> bool:
     """Solvability route and kernel-orthogonality route; both must agree."""
-    config = flat_set.config
-    chi = flat_set.chi()
-    by_solve = _image_solver(config).solvable([int(c) for c in chi])
-    kernel = _kernel_basis(config)
-    by_kernel = not exact.int_matmul(kernel, chi.reshape(-1, 1)).any() \
-        if kernel.shape[0] else True
-    if by_solve != by_kernel:
+    by_solve = test_solvable(flat_set)
+    if by_solve != test_kernel(flat_set):
         raise AssertionError("image and kernel membership routes disagree")
     return by_solve
 
 
 def image_certificate(flat_set: FlatSet):
     """An exact point weighting y with M^T y = chi, or None."""
-    config = flat_set.config
-    return _image_solver(config).solve([int(c) for c in flat_set.chi()])
+    return _image_solver(flat_set.config).solve(flat_set.chi())
+
+
+def _vanishing_projections(config: SpaceConfig, cols: np.ndarray, keep) -> np.ndarray:
+    """Columns whose projections vanish on every eigenspace outside `keep`."""
+    ok = np.ones(cols.shape[1], dtype=bool)
+    for eig in scheme_tables(config).eigs:
+        if eig in keep:
+            continue
+        _, B = idempotent_int(config, eig)
+        ok &= ~exact.int_matmul(B, cols).any(axis=0)
+        if not ok.any():
+            break
+    return ok
+
+
+def _shifted(config: SpaceConfig, cols: np.ndarray) -> np.ndarray:
+    """q^nu*D*chi - |L|*j for each column chi."""
+    return (set_denominator(config) * config.q**config.nu) * cols - cols.sum(axis=0)
 
 
 def test_spectrum(flat_set: FlatSet) -> bool:
     """Spectral support only on the all-one and parallel-class eigenspaces."""
     config = flat_set.config
     chi = flat_set.chi().reshape(-1, 1)
-    tables = scheme_tables(config)
-    for eig in tables.eigs:
-        if eig in ((0, 0), (0, 1)):
-            continue
-        _, B = idempotent_int(config, eig)
-        if exact.int_matmul(B, chi).any():
-            return False
+    if not _vanishing_projections(config, chi, ((0, 0), (0, 1)))[0]:
+        return False
     # the all-one projection is size/|X| times the all-one vector, always
-    total = int(chi.sum())
     L00, B00 = idempotent_int(config, (0, 0))
     proj = exact.int_matmul(B00, chi)
-    if not (proj * tables.size == L00 * total * np.ones_like(proj)).all():
+    if not (proj * scheme_tables(config).size == L00 * flat_set.size).all():
         raise AssertionError("all-one projection identity violated")
     return True
 
 
 def test_shifted_spectrum(flat_set: FlatSet) -> bool:
     """The shifted vector q^nu*D*chi - |L|*j must lie in the parallel eigenspace."""
-    config = flat_set.config
-    D = set_denominator(config)
-    qnu = config.q**config.nu
-    chi = flat_set.chi()
-    v = (D * qnu) * chi - flat_set.size * np.ones_like(chi)
-    tables = scheme_tables(config)
-    for eig in tables.eigs:
-        if eig == (0, 1):
-            continue
-        _, B = idempotent_int(config, eig)
-        if exact.int_matmul(B, v.reshape(-1, 1)).any():
-            return False
-    return True
+    shifted = _shifted(flat_set.config, flat_set.chi().reshape(-1, 1))
+    return bool(_vanishing_projections(flat_set.config, shifted, ((0, 1),))[0])
 
 
 def _count_coefficients(config: SpaceConfig, i: int) -> tuple[int, int]:
@@ -198,46 +232,41 @@ def _count_coefficients(config: SpaceConfig, i: int) -> tuple[int, int]:
     return a, b
 
 
-def lemma_counts(flat_set: FlatSet, rel) -> bool:
-    """Neighbour-count law for one relation, exact at rational parameter."""
-    config = flat_set.config
+def _count_law(config: SpaceConfig, cols: np.ndarray, rel) -> np.ndarray:
+    """Columns that obey the neighbour-count law for one relation, exactly."""
     i, xi = rel
     a, b = _count_coefficients(config, i)
-    A = adjacency_matrix(config, rel)
-    chi = flat_set.chi()
-    counts = exact.int_matmul(A, chi.reshape(-1, 1)).reshape(-1)
     D = set_denominator(config)
-    size = flat_set.size
-    if xi == 0:
-        expected = D * a * chi + size * b
-    else:
-        expected = size * a - D * a * chi
-    return bool((D * counts == expected).all())
+    sizes = cols.sum(axis=0)
+    got = D * exact.int_matmul(adjacency_matrix(config, rel), cols)
+    want = D * a * cols + b * sizes if xi == 0 else a * sizes - D * a * cols
+    return (got == want).all(axis=0)
 
 
-def test_counts(flat_set: FlatSet) -> bool:
-    """The two-relation neighbour-count characterisation (i = 1 rows).
-
-    At nu = 1 the disjoint row is vacuous (its coefficient vanishes), so
-    only the meeting row constrains.
-    """
-    ok = lemma_counts(flat_set, (1, 0))
-    if flat_set.config.nu >= 2:
-        ok = ok and lemma_counts(flat_set, (1, 1))
+def _counts(config: SpaceConfig, cols: np.ndarray) -> np.ndarray:
+    """Columns that obey the i = 1 laws.  At nu = 1 the disjoint row is
+    vacuous (its coefficient vanishes), so only the meeting row constrains."""
+    ok = _count_law(config, cols, (1, 0))
+    if config.nu >= 2 and ok.any():
+        ok &= _count_law(config, cols, (1, 1))
     return ok
 
 
-def test_all_counts(flat_set: FlatSet) -> bool:
-    """The neighbour-count law across every relation index."""
-    tables = scheme_tables(flat_set.config)
-    return all(lemma_counts(flat_set, rel) for rel in tables.rels if rel != (0, 0))
+def lemma_counts(flat_set: FlatSet, rel) -> bool:
+    """Neighbour-count law for one relation, exact at rational parameter."""
+    return bool(_count_law(flat_set.config, flat_set.chi().reshape(-1, 1), rel)[0])
+
+
+def test_counts(flat_set: FlatSet) -> bool:
+    """The two-relation neighbour-count characterisation (i = 1 rows)."""
+    return bool(_counts(flat_set.config, flat_set.chi().reshape(-1, 1))[0])
 
 
 @dataclass(frozen=True)
 class SpreadTestReport:
     constant: bool            # equal intersection with every family member
     value_matches: bool       # the constant equals the set's parameter
-    conclusive: bool          # family was exhaustive for the scope
+    conclusive: bool          # family certified to decide membership
     family: str
     intersections: tuple[int, ...]
 
@@ -249,43 +278,39 @@ class SpreadTestReport:
 def test_spreads(flat_set: FlatSet, family: str = "auto") -> SpreadTestReport:
     """Intersection counts against a spread family.
 
-    family: 'typeI', 'typeII', 'constructive' (both), 'exhaustive', or
-    'auto' (exhaustive when the point bound allows, else constructive).
-    Necessary-condition mode unless the family is exhaustive.
+    family: 'constructive' (= 'auto': type I, plus type II when nu >= 2),
+    its parts 'typeI' and 'typeII', or 'exhaustive' (small spaces only).
+    The constructive family is conclusive: its differences are certified
+    to span ker M, so constant intersection is membership.
     """
     config = flat_set.config
-    conclusive = False
-    if family == "auto":
-        family = "exhaustive" if config.num_points <= 32 else "constructive"
+    family = "constructive" if family == "auto" else family
+    conclusive = family == "constructive"
     if family == "exhaustive":
         search = enumerate_spreads(config)
-        spreads = search.spreads
+        members = np.array([s.members for s in search.spreads], dtype=np.int64)
         conclusive = search.exhaustive
-    elif family == "typeI":
-        spreads = list_type_I(config)
-    elif family == "typeII":
-        spreads = list_type_II(config)
-    elif family == "constructive":
-        spreads = list_type_I(config) + (list_type_II(config) if config.nu >= 2 else ())
+    elif conclusive or family == "typeI" or (family == "typeII" and config.nu >= 2):
+        split = len(list_type_I(config))
+        rows = {"constructive": slice(None), "typeI": slice(split), "typeII": slice(split, None)}
+        members = family_members(config)[rows[family]]
+        if conclusive:
+            _kernel_basis(config)  # the certificate behind `conclusive`
     else:
-        raise ValueError(f"unknown family {family!r}")
-    member = set(flat_set.ids)
-    inter = tuple(len(member.intersection(s.members)) for s in spreads)
+        raise ValueError(f"unknown family {family!r} for nu = {config.nu}")
+    inter = tuple(int(k) for k in flat_set.chi()[members].sum(axis=1))
     constant = len(set(inter)) <= 1
     value_matches = constant and (not inter or Fraction(inter[0]) == flat_set.x)
     return SpreadTestReport(constant, value_matches, conclusive, family, inter)
 
 
-def switching_pair_balanced(flat_set: FlatSet, first, second) -> bool:
-    """Equal intersection with the two halves of a switching pair."""
-    member = set(flat_set.ids)
-    return len(member.intersection(first)) == len(member.intersection(second))
-
-
 def is_cameron_liebler(flat_set: FlatSet, method: str = "kernel") -> bool:
-    """Membership verdict by the chosen route (kernel is the cheap default)."""
-    if method in ("kernel", "image", "auto"):
-        return test_image(flat_set)
+    """Membership verdict by one route: 'kernel' (and 'auto') uses the
+    certified spread basis, 'image' the solver's own null rows."""
+    if method in ("kernel", "auto"):
+        return test_kernel(flat_set)
+    if method == "image":
+        return test_solvable(flat_set)
     if method == "spectrum":
         return test_spectrum(flat_set)
     if method == "shifted":
@@ -304,13 +329,10 @@ def battery(flat_set: FlatSet) -> dict[str, bool]:
         "spectrum": test_spectrum(flat_set),
         "shifted": test_shifted_spectrum(flat_set),
         "counts": test_counts(flat_set),
+        "spreads": test_spreads(flat_set).passed,
     }
     if len(set(verdicts.values())) != 1:
         raise AssertionError(f"equivalent membership routes disagree: {verdicts}")
-    report = test_spreads(flat_set)
-    verdicts["spreads"] = report.passed
-    if report.conclusive and report.passed != verdicts["image"]:
-        raise AssertionError("exhaustive spread route disagrees with image route")
     return verdicts
 
 
@@ -323,51 +345,13 @@ def batch_verdicts(config: SpaceConfig, chi_matrix: np.ndarray) -> dict[str, np.
     chi_matrix has one subset per column.  Returns boolean arrays for the
     five equivalent routes; all arithmetic stays integral.
     """
-    tables = scheme_tables(config)
-    D = set_denominator(config)
-    qnu = config.q**config.nu
-    sizes = chi_matrix.sum(axis=0).astype(np.int64)
-
-    solver = _image_solver(config)
-    if solver._null_rows is not None and solver._null_rows.size:
-        image = ~exact.int_matmul(solver._null_rows, chi_matrix).any(axis=0)
-    else:
-        image = np.ones(chi_matrix.shape[1], dtype=bool)
-
-    kernel_rows = _kernel_basis(config)
-    if kernel_rows.shape[0]:
-        kernel = ~exact.int_matmul(kernel_rows, chi_matrix).any(axis=0)
-    else:
-        kernel = np.ones(chi_matrix.shape[1], dtype=bool)
-
-    spectrum = np.ones(chi_matrix.shape[1], dtype=bool)
-    for eig in tables.eigs:
-        if eig in ((0, 0), (0, 1)):
-            continue
-        _, B = idempotent_int(config, eig)
-        spectrum &= ~exact.int_matmul(B, chi_matrix).any(axis=0)
-
-    shifted_mat = (D * qnu) * chi_matrix - np.ones_like(chi_matrix) * sizes
-    shifted = np.ones(chi_matrix.shape[1], dtype=bool)
-    for eig in tables.eigs:
-        if eig == (0, 1):
-            continue
-        _, B = idempotent_int(config, eig)
-        shifted &= ~exact.int_matmul(B, shifted_mat).any(axis=0)
-
-    counts = np.ones(chi_matrix.shape[1], dtype=bool)
-    a, b = _count_coefficients(config, 1)
-    for xi in ((0, 1) if config.nu >= 2 else (0,)):
-        A = adjacency_matrix(config, (1, xi))
-        got = D * exact.int_matmul(A, chi_matrix)
-        if xi == 0:
-            want = D * a * chi_matrix + b * np.ones_like(chi_matrix) * sizes
-        else:
-            want = a * np.ones_like(chi_matrix) * sizes - D * a * chi_matrix
-        counts &= (got == want).all(axis=0)
-
-    return {"image": image, "kernel": kernel, "spectrum": spectrum,
-            "shifted": shifted, "counts": counts}
+    return {
+        "image": _image_solver(config).solvable(chi_matrix),
+        "kernel": ~exact.int_matmul(_kernel_basis(config), chi_matrix).any(axis=0),
+        "spectrum": _vanishing_projections(config, chi_matrix, ((0, 0), (0, 1))),
+        "shifted": _vanishing_projections(config, _shifted(config, chi_matrix), ((0, 1),)),
+        "counts": _counts(config, chi_matrix),
+    }
 
 
 def random_subset_matrix(config: SpaceConfig, count: int, seed: int) -> np.ndarray:
@@ -441,7 +425,7 @@ def classify_nu1(config: SpaceConfig) -> list[tuple[FlatSet, Fraction]]:
         ids = tuple(i for i in range(n) if mask >> i & 1)
         chi = np.zeros((n, 1), dtype=np.int64)
         chi[list(ids), 0] = 1
-        if kernel.shape[0] and exact.int_matmul(kernel, chi).any():
+        if exact.int_matmul(kernel, chi).any():
             continue
         fs = FlatSet(config, ids)
         x = fs.x
@@ -514,7 +498,7 @@ def restrict_cl(flat_set: FlatSet, container: Flat) -> Restriction:
     chi_local = np.zeros((len(inc.flats), 1), dtype=np.int64)
     chi_local[[local_of_global[g] for g in members], 0] = 1
     solver = exact.EchelonSolver(np.asarray(inc.matrix).T)
-    in_image = solver.solvable([int(c) for c in chi_local[:, 0]])
+    in_image = solver.solvable(chi_local[:, 0])
     x_f = Fraction(len(members), set_denominator(config, i))
     integral = x_f.denominator == 1
     within = 0 <= x_f <= min(flat_set.x, Fraction(config.q**i))
@@ -528,7 +512,7 @@ def degree_identity(flat_set: FlatSet, base_id: int, i: int) -> bool:
     minus (q^nu - 1)/(q^i - 1) plus 1, exactly.
     """
     config = flat_set.config
-    if base_id not in set(flat_set.ids):
+    if base_id not in flat_set:
         raise ValueError("base flat must belong to the set")
     base = enumerate_flats(config, config.nu)[base_id]
     containers = container_flats(config, base, i)
@@ -563,7 +547,7 @@ class PencilProfile:
 
 def pencil_distribution(flat_set: FlatSet, base_id: int, i: int) -> PencilProfile:
     config = flat_set.config
-    if base_id not in set(flat_set.ids):
+    if base_id not in flat_set:
         raise ValueError("base flat must belong to the set")
     base = enumerate_flats(config, config.nu)[base_id]
     containers = container_flats(config, base, i)

@@ -1,10 +1,12 @@
 """Exact dense linear algebra over big integers and rationals.
 
 Verification paths never touch floating point: ranks come from
-fraction-free (Bareiss) elimination, solvability and nullspaces from an
-integer row-echelon kernel that keeps rows primitive (gcd-reduced), and
-large products go through numpy int64 only when a proven bound rules
-out overflow, falling back to object (big-int) arithmetic otherwise.
+fraction-free (Bareiss) elimination or from GF(p) lower bounds that meet
+a proven upper bound, solvability from the null rows of an integer
+row-echelon kernel that keeps rows primitive (gcd-reduced), one product
+per test, and large products go through numpy int64 only when a proven
+bound rules out overflow, falling back to object (big-int) arithmetic
+otherwise.  The rational nullspace is the reference for tests.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ class RationalMatrix:
     @property
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(tuple(zip(*self.entries))) if self.entries else self
@@ -81,6 +80,16 @@ def _int_rows(matrix) -> list[list[int]]:
     return out
 
 
+def _integral(b) -> np.ndarray:
+    """An integer array (int64 or object) equal to b times the lcm of its denominators."""
+    arr = np.asarray(b)
+    if arr.dtype.kind in "iu":
+        return arr
+    vals = [Fraction(x) for x in arr.flat]
+    scale = lcm(*(x.denominator for x in vals))
+    return np.array([int(x * scale) for x in vals], dtype=object).reshape(arr.shape)
+
+
 def rank(matrix) -> int:
     """Exact rank by fraction-free Bareiss elimination.
 
@@ -117,52 +126,65 @@ def rank(matrix) -> int:
     return r
 
 
-def modular_rank(matrix, p: int) -> int:
-    """Rank over GF(p); a lower bound for (and usually equal to) the Q-rank."""
-    rows = _int_rows(matrix)
-    if not rows or not rows[0]:
+def modular_rank(matrix, p: int, stop_at: int | None = None) -> int:
+    """Rank over GF(p); a lower bound for (and usually equal to) the Q-rank.
+
+    Integer arrays are used as they are, other input is cleared of
+    denominators row by row.  The result is min(rank, stop_at).
+    """
+    A = np.asarray(matrix)
+    if A.dtype.kind not in "iu":
+        A = np.array(_int_rows(matrix), dtype=object)
+    if A.ndim != 2 or not A.size:
         return 0
-    A = np.array(rows, dtype=object) % p
-    A = A.astype(np.int64)
+    A = (A % p).astype(np.int64)
     nrows, ncols = A.shape
+    limit = min(nrows, ncols) if stop_at is None else min(stop_at, nrows, ncols)
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if A[i, c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r] = (A[r] * inv) % p
-        below = A[r + 1:, c] % p
-        mask = below != 0
-        if mask.any():
-            A[r + 1:][mask] = (A[r + 1:][mask] - np.outer(below[mask], A[r])) % p
-        r += 1
-        if r == nrows:
+        if r == limit:
             break
+        nz = np.flatnonzero(A[r:, c])
+        if not nz.size:
+            continue
+        if nz[0]:
+            A[[r, r + nz[0]]] = A[[r + nz[0], r]]
+        A[r, c:] = A[r, c:] * pow(int(A[r, c]), -1, p) % p
+        below = r + 1 + np.flatnonzero(A[r + 1:, c])
+        if below.size:
+            A[below, c:] = (A[below, c:] - np.outer(A[below, c], A[r, c:])) % p
+        r += 1
     return r
 
 
-def rank_certified(matrix, upper_bound: int | None = None) -> int:
-    """Exact rank from modular lower bounds plus a structural upper bound.
+def independent_rows(matrix: np.ndarray, p: int, stop_at: int | None = None) -> list[int]:
+    """First-come indices of rows independent over GF(p) (so over Q), at most stop_at.
 
-    With no upper bound given, min(nrows, ncols) is used; the result is
-    certified exact only when the bounds meet, otherwise a ValueError is
-    raised and the caller should fall back to Bareiss.
+    Each row is reduced by one int64 product against the reduced basis kept
+    so far, under the checked bound max|entry| * p * rank < 2^62.
     """
-    rows = _int_rows(matrix)
-    if not rows or not rows[0]:
-        return 0
-    ub = min(len(rows), len(rows[0])) if upper_bound is None else upper_bound
-    lb = max(modular_rank(rows, p) for p in MODULAR_PRIMES)
-    if lb == ub:
-        return ub
-    raise ValueError(f"rank not certified: modular lower bound {lb} < upper bound {ub}")
+    nrows, ncols = matrix.shape
+    limit = min(nrows, ncols) if stop_at is None else min(stop_at, nrows, ncols)
+    if _max_abs(matrix) * p * max(limit, 1) >= 2**62:
+        raise ValueError("entries too large for the int64 row reduction")
+    basis = np.zeros((limit, ncols), dtype=np.int64)
+    pivots: list[int] = []
+    kept: list[int] = []
+    for i in range(nrows):
+        if len(kept) == limit:
+            break
+        k = len(kept)
+        w = (matrix[i] - matrix[i, pivots] @ basis[:k]) % p
+        nz = np.flatnonzero(w)
+        if not nz.size:
+            continue
+        c = int(nz[0])
+        w = w * pow(int(w[c]), -1, p) % p
+        basis[:k] = (basis[:k] - np.outer(basis[:k, c], w)) % p
+        basis[k] = w
+        pivots.append(c)
+        kept.append(i)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +249,24 @@ class EchelonSolver:
         self.pivots = pivots
         self.rank = len(pivots)
         self.transform = tr  # all nrows rows; rows beyond rank annihilate A
-        self._null_rows = np.array(
-            [tr[i] for i in range(self.rank, self.nrows)], dtype=object
-        ) if self.nrows > self.rank else None
+        null = np.array(tr[self.rank:], dtype=object).reshape(self.nrows - self.rank, self.nrows)
+        self._null_rows = null.astype(np.int64) if _max_abs(null) < 2**63 else null
 
-    def solvable(self, b) -> bool:
-        """Whether A y = b has a solution (b over the rationals)."""
-        b = [Fraction(x) for x in b]
-        if self._null_rows is None:
-            return True
-        return all(
-            sum(t * x for t, x in zip(row, b)) == 0 for row in self._null_rows
-        )
+    def solvable(self, b):
+        """Whether A y = b has a solution, b over the rationals.
+
+        b is one vector (a bool is returned) or a matrix with one
+        right-hand side per column (a bool array is returned).
+        """
+        b = _integral(b)
+        ok = ~int_matmul(self._null_rows, b).any(axis=0)
+        return bool(ok) if b.ndim == 1 else ok
 
     def solve(self, b):
         """Some exact solution of A y = b, or None."""
-        b = [Fraction(x) for x in b]
         if not self.solvable(b):
             return None
+        b = [Fraction(x) for x in b]
         tb = [sum((Fraction(t) * x for t, x in zip(self.transform[i], b)), Fraction(0))
               for i in range(self.rank)]
         y = [Fraction(0)] * self.ncols
@@ -293,14 +315,8 @@ def nullspace(matrix) -> list[tuple[Fraction, ...]]:
 def nullspace_int(matrix) -> np.ndarray:
     """Nullspace basis scaled to integers, as an object-dtype array (rows)."""
     rows = _int_rows(matrix)
-    basis = nullspace(rows)
-    if not basis:
-        return np.zeros((0, len(rows[0]) if rows else 0), dtype=object)
-    out = []
-    for v in basis:
-        mult = lcm(*(x.denominator for x in v))
-        out.append([int(x * mult) for x in v])
-    return np.array(out, dtype=object)
+    basis = [_integral(v) for v in nullspace(rows)]
+    return np.array(basis, dtype=object).reshape(len(basis), len(rows[0]) if rows else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +337,3 @@ def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if bound < 2**62 and a.dtype != object and b.dtype != object:
         return a.astype(np.int64) @ b.astype(np.int64)
     return np.dot(a.astype(object), b.astype(object))
-
-
-def int_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return int_matmul(a, v.reshape(-1, 1)).reshape(-1)

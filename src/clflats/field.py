@@ -215,7 +215,8 @@ def gauss_binomial(n: int, k: int, q: int) -> int:
     for t in range(k):
         num *= q ** (n - t) - 1
         den *= q ** (t + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise AssertionError(f"Gaussian binomial [{n} choose {k}]_{q} is not integral")
     return num // den
 
 

@@ -124,7 +124,8 @@ def flat_meet(config: SpaceConfig, f1: Flat, f2: Flat) -> Flat | None:
     eqs = [list(coord) for coord in zip(*columns)] if columns else []
     if eqs:
         y = solve_field_system(config, eqs, list(diff))
-        assert y is not None
+        if y is None:
+            raise AssertionError("meeting cosets gave an unsolvable coefficient system")
         common = f1.rep
         for coeff, row in zip(y[:len(b1)], b1):
             if coeff:
@@ -242,7 +243,8 @@ def container_flats(config: SpaceConfig, s: Flat, i: int) -> list[Flat]:
         layer = nxt
     out = [flat_make(config, sub, s.rep) for sub in sorted(layer, key=Subspace.flat_key)
            if gram_rank(config, sub) == 2 * i]
-    assert all(flat_contains_flat(config, t, s) for t in out)
+    if not all(flat_contains_flat(config, t, s) for t in out):
+        raise AssertionError("a container flat does not contain the base flat")
     return out
 
 

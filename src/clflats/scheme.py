@@ -265,7 +265,8 @@ def relation_matrix(config: SpaceConfig) -> np.ndarray:
     dirs = enumerate_isotropic(config, config.nu)
     n = len(flats)
     per = config.q**config.nu  # cosets per direction, contiguous in id order
-    assert n == per * len(dirs)
+    if n != per * len(dirs):
+        raise AssertionError(f"{n} flats, expected {per} cosets for each of {len(dirs)} directions")
     fld = config.field
     R = np.zeros((n, n), dtype=np.int8)
     reps = [f.rep for f in flats]

@@ -153,6 +153,21 @@ def list_type_II(config: SpaceConfig) -> tuple[Spread, ...]:
     return tuple(seen[m] for m in sorted(seen))
 
 
+@lru_cache(maxsize=None)
+def family_members(config: SpaceConfig) -> np.ndarray:
+    """Member ids of the constructive family, one spread per row.
+
+    Type-I spreads come first, then the type-II ones when nu >= 2.  Every
+    spread covers each point once, so differences of rows lie in the
+    kernel of the incidence matrix; cl._kernel_basis certifies that they
+    span it.
+    """
+    family = list_type_I(config) + (list_type_II(config) if config.nu >= 2 else ())
+    members = np.array([s.members for s in family], dtype=np.int64)
+    members.flags.writeable = False
+    return members
+
+
 # ---------------------------------------------------------------------------
 # classification
 
@@ -338,9 +353,11 @@ def _stack_rank(config: SpaceConfig, stack: np.ndarray, expected: int,
     """Exact stack rank; Bareiss when small, certified bounds otherwise."""
     if stack.shape[0] * stack.shape[1] <= BARE_RANK_LIMIT:
         return exact.rank(stack), "bareiss"
+    # past a proven upper bound the elimination has nothing left to show
+    stop_at = expected if upper_bound_proven else None
     lb = 0
     for p in exact.MODULAR_PRIMES:
-        lb = max(lb, exact.modular_rank(stack, p))
+        lb = max(lb, exact.modular_rank(stack, p, stop_at=stop_at))
         if lb == expected:
             break
     ub = min(stack.shape) if not upper_bound_proven else expected

@@ -7,6 +7,8 @@ import pytest
 
 from clflats.cl import (
     FlatSet,
+    _image_solver,
+    _kernel_basis,
     apply_isometry,
     batch_verdicts,
     battery,
@@ -27,11 +29,15 @@ from clflats.cl import (
     restrict_cl,
     search_cl,
     set_denominator,
+    test_kernel as kernel_route,
+    test_solvable as solvable_route,
     test_spreads as spread_test,
 )
-from clflats.flats import container_flats, enumerate_flats
+from clflats.exact import int_matmul, nullspace_int
+from clflats.flats import container_flats, enumerate_flats, incidence_matrix, incidence_rank
 from clflats.geometry import all_vectors, random_isometry, space_config, zero_vector
 from clflats.scheme import scheme_tables
+from conftest import MEDIUM_CONFIGS
 
 
 def _pencil(cfg, point=None):
@@ -271,3 +277,84 @@ def test_parameter_range_for_cl_sets(medium_config):
         x = cl_parameter(fs)
         assert 0 <= x <= cfg.q**cfg.nu
         assert cl_parameter(fs.complement()) == cfg.q**cfg.nu - x
+
+
+def _near_miss(cfg):
+    """A pencil with one member swapped for a flat of another parallel class.
+
+    It has a pencil's size but meets two parallel classes (type-I spreads)
+    unequally, so it is not a Cameron-Liebler set.
+    """
+    pencil = _pencil(cfg)
+    maximal = enumerate_flats(cfg, cfg.nu)
+    drop = pencil.ids[0]
+    swap = next(f for f in range(len(maximal))
+                if f not in pencil and maximal[f].direction != maximal[drop].direction)
+    return FlatSet(cfg, pencil.ids[1:] + (swap,))
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 2)])
+def test_every_method_agrees(key):
+    cfg = space_config(*key)
+    methods = ("auto", "image", "kernel", "spectrum", "shifted", "counts", "spreads")
+    for fs, expected in ((_pencil(cfg), True), (_pencil(cfg).complement(), True),
+                         (_near_miss(cfg), False)):
+        assert {m: is_cameron_liebler(fs, m) for m in methods} == dict.fromkeys(methods, expected)
+    with pytest.raises(ValueError):
+        is_cameron_liebler(_pencil(cfg), "bogus")
+
+
+@pytest.mark.parametrize("key", [c for c in MEDIUM_CONFIGS] + [("symplectic", 3, 2)],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_certified_kernel_basis(key):
+    cfg = space_config(*key)
+    K = _kernel_basis(cfg)
+    M = incidence_matrix(cfg).matrix
+    assert K.dtype == np.int64 and set(np.unique(K)) <= {-1, 0, 1}
+    assert not (M @ K.T).any()
+    assert K.shape == (M.shape[1] - incidence_rank(cfg), M.shape[1])
+
+
+def test_kernel_image_and_nullspace_oracle_agree(medium_config):
+    cfg = medium_config
+    oracle = nullspace_int(incidence_matrix(cfg).matrix)
+    chi = np.concatenate([random_subset_matrix(cfg, 20, seed=17),
+                          np.stack([_pencil(cfg).chi(), _pencil(cfg).complement().chi(),
+                                    _near_miss(cfg).chi()], axis=1)], axis=1)
+    by_oracle = ~int_matmul(oracle, chi).any(axis=0)
+    by_kernel = ~int_matmul(_kernel_basis(cfg), chi).any(axis=0)
+    by_image = _image_solver(cfg).solvable(chi)
+    assert (by_oracle == by_kernel).all() and (by_oracle == by_image).all()
+    assert by_oracle[-3:].tolist() == [True, True, False]
+    for col in range(chi.shape[1]):
+        fs = FlatSet(cfg, tuple(int(i) for i in np.flatnonzero(chi[:, col])))
+        assert kernel_route(fs) == solvable_route(fs) == bool(by_oracle[col])
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 2), ("unitary", 4, 1)])
+def test_constructive_spreads_conclusive(key):
+    cfg = space_config(*key)
+    member = spread_test(_pencil(cfg), "constructive")
+    assert member.conclusive and member.passed
+    miss = spread_test(_near_miss(cfg), "constructive")
+    assert miss.conclusive and not miss.passed and not miss.constant
+    assert spread_test(_near_miss(cfg)).conclusive  # auto is the constructive family
+
+
+def test_spread_family_parts(s22, s21):
+    typeI = spread_test(_pencil(s22), "typeI")
+    typeII = spread_test(_pencil(s22), "typeII")
+    assert not typeI.conclusive and not typeII.conclusive
+    assert len(typeI.intersections) == 15 and len(typeII.intersections) == 90
+    assert set(typeI.intersections + typeII.intersections) == {1}
+    with pytest.raises(ValueError):
+        spread_test(_pencil(s21), "typeII")
+    with pytest.raises(ValueError):
+        spread_test(_pencil(s22), "bogus")
+
+
+def test_flat_set_membership(s22):
+    pencil = _pencil(s22)
+    members = set(pencil.ids)
+    assert all((f in pencil) == (f in members) for f in range(-1, 62))
+    assert 0 not in empty_set(s22)

@@ -1,7 +1,14 @@
 """Command-line interface: JSON output, exit codes, determinism."""
 
+import ast
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import clflats
 from clflats.cli import run
 
 BASE = ["--case", "symplectic", "--q", "2", "--nu", "2"]
@@ -157,3 +164,24 @@ def test_out_file(tmp_path, capsys):
     assert run(["space", "info"] + BASE + ["--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert json.loads(target.read_text())["points"] == "16"
+
+
+def test_paper_report_matches_reference_digest():
+    """The report bytes hash to the digest the benchmark checks (read-only here)."""
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "perfbench" / "reference_digests.json") as fh:
+        want = json.load(fh)["symplectic-2-2"]["0"]
+    argv = ["verify", "--suite", "paper", "--case", "symplectic", "--q", "2", "--nu", "2",
+            "--seed", "0"]
+    proc = subprocess.run([sys.executable, "-m", "clflats.cli", *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), cwd=root,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == want
+
+
+def test_no_bare_asserts_in_package():
+    """python -O strips assert statements, so the package raises explicitly."""
+    for path in sorted(Path(clflats.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)], path.name

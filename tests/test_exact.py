@@ -11,6 +11,7 @@ from clflats.exact import (
     EchelonSolver,
     MODULAR_PRIMES,
     RationalMatrix,
+    independent_rows,
     int_matmul,
     modular_rank,
     nullspace,
@@ -106,6 +107,64 @@ def test_echelon_solver_matches_one_shot():
         else:
             assert all(sum(Fraction(c) * v for c, v in zip(row, got)) == rhs
                        for row, rhs in zip(a, b))
+
+
+def test_solvable_vector_fraction_vector_and_block():
+    rng = random.Random(12)
+    a = _random_matrix(rng, 7, 4, -4, 4)
+    solver = EchelonSolver(a)
+    assert solver._null_rows.dtype == np.int64
+    cols = [[rng.randint(-5, 5) for _ in range(7)] for _ in range(20)]
+    # right-hand sides in the image, so both answers occur
+    cols += [[sum(r * y for r, y in zip(row, ys)) for row in a]
+             for ys in ([1, 0, 2, -1], [0, 3, 0, 1])]
+    expected = [solve(a, b) is not None for b in cols]
+    assert [solver.solvable(b) for b in cols] == expected
+    assert [solver.solvable(np.array(b)) for b in cols] == expected
+    assert [solver.solvable([Fraction(x, 6) for x in b]) for b in cols] == expected
+    block = solver.solvable(np.array(cols, dtype=np.int64).T)
+    assert block.dtype == bool and block.tolist() == expected
+    frac_block = np.array([[Fraction(x, 4) for x in b] for b in cols], dtype=object).T
+    assert solver.solvable(frac_block).tolist() == expected
+    assert isinstance(solver.solvable(cols[0]), bool)
+
+
+def test_solvable_full_rank_and_big_null_rows():
+    assert EchelonSolver([[1, 0], [0, 1]]).solvable([5, 7])
+    big = 2**70
+    solver = EchelonSolver([[big], [1]])
+    assert solver._null_rows.dtype == object
+    assert solver.solvable([big, 1]) and not solver.solvable([1, 1])
+
+
+def test_modular_rank_int64_input_and_stop_at():
+    rng = random.Random(13)
+    for _ in range(40):
+        a = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8), -9, 9)
+        r = rank(a)
+        arr = np.array(a, dtype=np.int64)
+        assert modular_rank(arr, MODULAR_PRIMES[0]) == r
+        for stop in range(0, r + 2):
+            assert modular_rank(arr, MODULAR_PRIMES[1], stop_at=stop) == min(r, stop)
+    assert modular_rank(np.zeros((0, 3), dtype=np.int64), MODULAR_PRIMES[0]) == 0
+    assert modular_rank([[3, 6], [1, 2]], 5) == 1
+
+
+def test_independent_rows_first_come():
+    rows = np.array([[1, 1, 0], [0, 0, 0], [2, 2, 0], [0, 1, -1], [1, 0, 1], [0, 0, 1]],
+                    dtype=np.int64)
+    p = MODULAR_PRIMES[0]
+    assert independent_rows(rows, p) == [0, 3, 5]
+    assert independent_rows(rows, p, stop_at=2) == [0, 3]
+    assert rank(rows[[0, 3, 5]].tolist()) == 3
+    rng = random.Random(14)
+    for _ in range(30):
+        a = np.array(_random_matrix(rng, rng.randint(1, 9), rng.randint(1, 6), -1, 1),
+                     dtype=np.int64)
+        kept = independent_rows(a, p)
+        assert len(kept) == rank(a.tolist()) == rank(a[kept].tolist())
+    with pytest.raises(ValueError):
+        independent_rows(np.array([[2**40, 1]], dtype=np.int64), p)
 
 
 def test_int_matmul_fast_path_matches_object_path():
