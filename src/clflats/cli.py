@@ -85,13 +85,15 @@ def spread_blob(config: SpaceConfig, s: spreads.Spread) -> dict:
 def load_flatset(config: SpaceConfig, path: str) -> cl.FlatSet:
     raw = sys.stdin.read() if path == "-" else open(path).read()
     data = json.loads(raw)
+    if not isinstance(data, dict):
+        raise ValueError("set file must hold a JSON object")
     if "config" in data:
         blob = data["config"]
         declared = space_config(blob["case"], int(blob["q"]), int(blob["nu"]))
         if declared is not config:
             raise ValueError("set file configuration disagrees with the flags")
     if "ids" in data:
-        return cl.FlatSet(config, tuple(int(i) for i in data["ids"]))
+        return cl.FlatSet(config, _flat_ids(data["ids"]))
     if "flats" in data:
         from .geometry import canonicalize
         ids = flats.flat_ids(config)
@@ -101,6 +103,36 @@ def load_flatset(config: SpaceConfig, path: str) -> cl.FlatSet:
             members.append(ids[flats.flat_make(config, direction, [int(c) for c in blob["rep"]])])
         return cl.FlatSet(config, tuple(members))
     raise ValueError("set file needs an 'ids' or 'flats' field")
+
+
+def _flat_ids(ids) -> tuple[int, ...]:
+    """A set file's 'ids': a list of integers, as numbers or decimal strings."""
+    if not isinstance(ids, list):
+        raise ValueError(f"set file 'ids' must be a list of integers, got {ids!r}")
+    out = []
+    for i in ids:
+        try:
+            if isinstance(i, bool) or not isinstance(i, (int, str)):
+                raise TypeError
+            out.append(int(i))
+        except (TypeError, ValueError):
+            raise ValueError(f"set file 'ids' entry {i!r} is not an integer") from None
+    return tuple(out)
+
+
+def _parse_point(config: SpaceConfig, text: str) -> tuple[int, ...]:
+    """A point given as comma-separated coordinates, each in 0..q-1."""
+    try:
+        point = tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise ValueError(f"point {text!r} is not a comma-separated list of integers") from None
+    if len(point) != config.dim:
+        raise ValueError(f"point {text!r} has {len(point)} coordinates, "
+                         f"the space needs {config.dim}")
+    for c in point:
+        if not 0 <= c < config.q:
+            raise ValueError(f"point {text!r} has coordinate {c} outside 0..{config.q - 1}")
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +362,7 @@ def _cmd_cl(config: SpaceConfig, args) -> tuple[dict, int]:
         return blob, 0
     if args.action == "construct":
         if args.pencil is not None:
-            point = tuple(int(c) for c in args.pencil.split(","))
-            fs = cl.construct_pencil(config, point)
+            fs = cl.construct_pencil(config, _parse_point(config, args.pencil))
         elif args.complement_of is not None:
             fs = load_flatset(config, args.complement_of).complement()
         elif args.union:
@@ -377,8 +408,9 @@ def _cmd_verify(args) -> tuple[dict, int]:
                 "pass": all(c.passed for c in checks)}
         return blob, 0 if blob["pass"] else 1
     configs = []
-    if args.case or args.q or args.nu:
-        if not (args.case and args.q and args.nu):
+    given = (args.case, args.q, args.nu)
+    if any(v is not None for v in given):
+        if any(v is None for v in given):
             raise ValueError("give all of --case/--q/--nu, or none for the grid")
         configs = [space_config(args.case, args.q, args.nu)]
     else:
@@ -452,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _need_config(args) -> SpaceConfig:
-    if not (args.case and args.q and args.nu):
+    if args.case is None or args.q is None or args.nu is None:
         raise ValueError("this command needs --case, --q, and --nu")
     return space_config(args.case, args.q, args.nu)
 

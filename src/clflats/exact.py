@@ -4,16 +4,18 @@ Verification paths never touch floating point: ranks come from
 fraction-free (Bareiss) elimination or from GF(p) lower bounds that meet
 a proven upper bound, solvability from the null rows of an integer
 row-echelon kernel that keeps rows primitive (gcd-reduced), one product
-per test, and large products go through numpy int64 only when a proven
-bound rules out overflow, falling back to object (big-int) arithmetic
-otherwise.  The rational nullspace is the reference for tests.
+per test.  That elimination runs on numpy int64 arrays while a bound
+checked at each pivot rules out overflow and on object (big-int) arrays
+past it; large products likewise use int64 only under a proven bound,
+falling back to object arithmetic otherwise.  The rational nullspace is
+the reference for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -193,48 +195,48 @@ def independent_rows(matrix: np.ndarray, p: int, stop_at: int | None = None) -> 
 def int_echelon(rows: list[list[int]], track: bool = True):
     """Row echelon of an integer matrix with an optional transform.
 
-    Returns (echelon_rows, transform_rows, pivot_cols): each echelon row
-    is a primitive integer vector, transform @ input == echelon (up to
-    the per-row scalings applied identically to both sides).
+    Returns (echelon_rows, transform_rows, pivot_cols) as lists of Python
+    ints: each echelon row is a primitive integer vector, transform @
+    input == echelon (up to the per-row scalings applied identically to
+    both sides).  The pivot of each column is the first remaining row of
+    smallest nonzero magnitude there.
+
+    [rows | transform] is one array, and each pivot updates every row
+    below it with a nonzero entry in one statement.  The array is int64
+    while the bound |pv| max|W[below]| + max|f| max|W[r]| < 2^62, checked
+    at each pivot, rules out overflow; past it the array becomes object
+    (big-int) for the rest of the run.
     """
     n = len(rows)
-    work = [list(r) for r in rows]
-    tr = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track else None
-    ncols = len(work[0]) if work else 0
+    ncols = len(rows[0]) if n else 0
+    W = _int_array(rows, (n, ncols))
+    if track:
+        W = np.hstack([W, np.eye(n, dtype=W.dtype)])
     r = 0
     pivots = []
     for c in range(ncols):
-        pick = None
-        for i in range(r, n):
-            v = work[i][c]
-            if v and (pick is None or abs(v) < abs(work[pick][c])):
-                pick = i
-        if pick is None:
-            continue
-        work[r], work[pick] = work[pick], work[r]
-        if track:
-            tr[r], tr[pick] = tr[pick], tr[r]
-        pv = work[r][c]
-        for i in range(r + 1, n):
-            f = work[i][c]
-            if f:
-                work[i] = [pv * a - f * b for a, b in zip(work[i], work[r])]
-                if track:
-                    tr[i] = [pv * a - f * b for a, b in zip(tr[i], tr[r])]
-                g = 0
-                for x in work[i]:
-                    g = gcd(g, x)
-                for x in (tr[i] if track else ()):
-                    g = gcd(g, x)
-                if g > 1:
-                    work[i] = [x // g for x in work[i]]
-                    if track:
-                        tr[i] = [x // g for x in tr[i]]
-        pivots.append(c)
-        r += 1
         if r == n:
             break
-    return work[:r], (tr if track else None), pivots
+        nz = r + np.flatnonzero(W[r:, c])
+        if not nz.size:
+            continue
+        pick = int(nz[np.argmin(np.abs(W[nz, c]))])
+        if pick != r:
+            W[[r, pick]] = W[[pick, r]]
+        below = r + 1 + np.flatnonzero(W[r + 1:, c])
+        if below.size:
+            pv, f, block = W[r, c], W[below, c], W[below]
+            if (W.dtype != object and _max_abs(block) * abs(int(pv))
+                    + _max_abs(f) * _max_abs(W[r]) >= 2**62):
+                W, block = W.astype(object), block.astype(object)
+                pv, f = W[r, c], f.astype(object)
+            block = pv * block - f[:, None] * W[r]
+            g = np.gcd.reduce(block, axis=1)
+            W[below] = block // np.where(g > 1, g, 1)[:, None]
+        pivots.append(c)
+        r += 1
+    tr = W[:, ncols:].tolist() if track else None
+    return W[:r, :ncols].tolist(), tr, pivots
 
 
 class EchelonSolver:
@@ -249,8 +251,7 @@ class EchelonSolver:
         self.pivots = pivots
         self.rank = len(pivots)
         self.transform = tr  # all nrows rows; rows beyond rank annihilate A
-        null = np.array(tr[self.rank:], dtype=object).reshape(self.nrows - self.rank, self.nrows)
-        self._null_rows = null.astype(np.int64) if _max_abs(null) < 2**63 else null
+        self._null_rows = _int_array(tr[self.rank:], (self.nrows - self.rank, self.nrows))
 
     def solvable(self, b):
         """Whether A y = b has a solution, b over the rationals.
@@ -321,6 +322,14 @@ def nullspace_int(matrix) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # guarded integer products
+
+def _int_array(rows, shape) -> np.ndarray:
+    """Integer rows as an int64 array when every entry fits, else as an object array."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(shape)
+
 
 def _max_abs(a: np.ndarray) -> int:
     if a.size == 0:

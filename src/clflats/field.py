@@ -188,6 +188,8 @@ def make_field(p: int, k: int) -> FiniteField:
 
 
 def field_of_order(q: int) -> FiniteField:
+    if q < 2:
+        raise ValueError(f"unsupported field order {q}")
     for p in (2, 3, 5, 7):
         k = 0
         n = q

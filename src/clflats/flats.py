@@ -29,6 +29,7 @@ from .geometry import (
     gram_rank,
     intersect_subspace,
     point_graph,
+    point_index,
     reduce_mod,
     span_points,
     sum_subspace,
@@ -283,16 +284,9 @@ def incidence_matrix(config: SpaceConfig) -> IncidenceMatrix:
     M = np.zeros((len(pts), len(flats)), dtype=np.int64)
     for col, f in enumerate(flats):
         for p in flat_points(config, f):
-            M[_point_idx(config, p), col] = 1
+            M[point_index(config, p), col] = 1
     M.flags.writeable = False
     return IncidenceMatrix(tuple(pts), flats, M)
-
-
-def _point_idx(config: SpaceConfig, v: Vector) -> int:
-    idx = 0
-    for c in v:
-        idx = idx * config.q + c
-    return idx
 
 
 def incidence_matrix_in(config: SpaceConfig, big: Flat) -> IncidenceMatrix:

@@ -62,7 +62,7 @@ def space_config(case: str, q: int, nu: int) -> SpaceConfig:
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
     if nu < 1:
-        raise ValueError("nu must be at least 1")
+        raise ValueError(f"nu must be at least 1, got nu={nu}")
     fld = field_of_order(q)
     if case == "unitary" and fld.q0 is None:
         raise ValueError(f"unitary case needs a square field order, got q={q}")
@@ -111,6 +111,7 @@ def all_vectors(config: SpaceConfig) -> list[Vector]:
 
 
 def point_index(config: SpaceConfig, v: Vector) -> int:
+    """The base-q number of v: its position in all_vectors order."""
     idx = 0
     for c in v:
         idx = idx * config.q + c

@@ -25,6 +25,7 @@ from .geometry import (
     SpaceConfig,
     enumerate_isotropic,
     is_totally_isotropic,
+    point_index,
     reduce_mod,
     sum_subspace,
 )
@@ -270,18 +271,17 @@ def relation_matrix(config: SpaceConfig) -> np.ndarray:
     fld = config.field
     R = np.zeros((n, n), dtype=np.int8)
     reps = [f.rep for f in flats]
-    q = config.q
     for a, da in enumerate(dirs):
         for b in range(a, len(dirs)):
             db = dirs[b]
             total = sum_subspace(config, da, db)
             i = config.nu - (2 * config.nu - total.dim)
-            keys_a = np.array([_encode(reduce_mod(fld, total, r), q)
+            keys_a = np.array([point_index(config, reduce_mod(fld, total, r))
                                for r in reps[a * per:(a + 1) * per]])
             if b == a:
                 keys_b = keys_a
             else:
-                keys_b = np.array([_encode(reduce_mod(fld, total, r), q)
+                keys_b = np.array([point_index(config, reduce_mod(fld, total, r))
                                    for r in reps[b * per:(b + 1) * per]])
             eq = np.equal.outer(keys_a, keys_b)
             block = np.where(eq, 2 * i, 2 * i + 1).astype(np.int8)
@@ -290,13 +290,6 @@ def relation_matrix(config: SpaceConfig) -> np.ndarray:
                 R[b * per:(b + 1) * per, a * per:(a + 1) * per] = block.T
     R.flags.writeable = False
     return R
-
-
-def _encode(v, q: int) -> int:
-    n = 0
-    for c in v:
-        n = n * q + c
-    return n
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,10 @@ constructive families exist: type I (all cosets of one maximal totally
 isotropic subspace) and, for nu >= 2, type II (mix the cosets of two
 distinct maximal totally isotropic subspaces inside a common
 type-(nu+1, 2) subspace).  Members are stored as sorted global FlatIds;
-a container scope is recorded alongside.
+a container scope is recorded alongside.  The whole constructive family
+is one int64 array, family_members; its type-II rows are gathered from a
+table of the flat of each direction through each point, and
+list_type_II wraps them as Spreads.
 """
 
 from __future__ import annotations
@@ -34,11 +37,13 @@ from .geometry import (
     all_vectors,
     canonicalize,
     contains_subspace,
-    contains_vector,
     enumerate_isotropic,
     gram_rank,
     is_totally_isotropic,
+    point_index,
+    reduce_mod,
     span_points,
+    vec_add,
 )
 from .scheme import idempotent_int, scheme_tables
 
@@ -69,14 +74,9 @@ def spread_type_I(config: SpaceConfig, direction: Subspace) -> Spread:
     return Spread(tuple(members), None, "I")
 
 
-def spread_type_II(config: SpaceConfig, container: Subspace,
-                   p1: Subspace, p2: Subspace, shift=None) -> Spread:
-    """Cosets of p1 inside a coset of the container, cosets of p2 outside it.
-
-    The base construction uses the container subspace itself; an optional
-    shift translates the split, which is how the affine group moves these
-    spreads around (translates are genuinely new once q > 2).
-    """
+def _check_type_II(config: SpaceConfig, container: Subspace,
+                   p1: Subspace, p2: Subspace) -> None:
+    """The preconditions of a type-II spread; a shift does not affect them."""
     if config.nu < 2:
         raise ValueError("type-II spreads need nu >= 2")
     if container.dim != config.nu + 1 or gram_rank(config, container) != 2:
@@ -88,12 +88,22 @@ def spread_type_II(config: SpaceConfig, container: Subspace,
             raise ValueError("directions must be maximal totally isotropic")
         if not contains_subspace(config.field, container, p):
             raise ValueError("directions must lie inside the container")
+
+
+def spread_type_II(config: SpaceConfig, container: Subspace,
+                   p1: Subspace, p2: Subspace, shift=None) -> Spread:
+    """Cosets of p1 inside a coset of the container, cosets of p2 outside it.
+
+    The base construction uses the container subspace itself; an optional
+    shift translates the split, which is how the affine group moves these
+    spreads around (translates are genuinely new once q > 2).
+    """
+    _check_type_II(config, container, p1, p2)
     fld = config.field
     ids = flat_ids(config)
     if shift is None:
         inside = span_points(config, container)
     else:
-        from .geometry import vec_add
         inside = {vec_add(fld, y, tuple(shift)) for y in span_points(config, container)}
     members = {ids[flat_make(config, p1, y)] for y in inside}
     members |= {ids[flat_make(config, p2, y)] for y in all_vectors(config)
@@ -109,14 +119,16 @@ def list_type_I(config: SpaceConfig) -> tuple[Spread, ...]:
 
 @lru_cache(maxsize=None)
 def type_II_components(config: SpaceConfig) -> tuple[tuple[Subspace, tuple[Subspace, ...]], ...]:
-    """All type-(nu+1,2) subspaces with their interior maximal isotropics."""
+    """All type-(nu+1,2) subspaces with their interior maximal isotropics.
+
+    A container p + <v> depends only on the coset v + p, so each p is
+    extended by its nonzero coset representatives alone.
+    """
     maxes = enumerate_isotropic(config, config.nu)
     fld = config.field
     containers: set[Subspace] = set()
     for p in maxes:
-        for v in all_vectors(config):
-            if not any(v) or contains_vector(fld, p, v):
-                continue
+        for v in coset_representatives(config, p)[1:]:
             q_sub = canonicalize(config, list(p.basis) + [v])
             if gram_rank(config, q_sub) == 2:
                 containers.add(q_sub)
@@ -136,36 +148,69 @@ def list_type_II(config: SpaceConfig) -> tuple[Spread, ...]:
     """Every type-II spread: containers, ordered direction pairs, all shifts.
 
     Shifts range over coset representatives of the container, closing the
-    family under the affine group (needed for the span results).
+    family under the affine group (needed for the span results).  These
+    are the rows of family_members after the type-I ones.
     """
-    from .geometry import reduce_mod
-    fld = config.field
-    seen: dict[tuple[int, ...], Spread] = {}
-    for q_sub, interior in type_II_components(config):
-        shifts = sorted({reduce_mod(fld, q_sub, v) for v in all_vectors(config)})
-        for p1 in interior:
-            for p2 in interior:
-                if p1 == p2:
-                    continue
-                for shift in shifts:
-                    s = spread_type_II(config, q_sub, p1, p2, shift)
-                    seen.setdefault(s.members, s)
-    return tuple(seen[m] for m in sorted(seen))
+    if config.nu < 2:
+        raise ValueError("type-II spreads need nu >= 2")
+    rows = family_members(config)[len(list_type_I(config)):]
+    return tuple(Spread(tuple(row), None, "II") for row in rows.tolist())
 
 
 @lru_cache(maxsize=None)
 def family_members(config: SpaceConfig) -> np.ndarray:
     """Member ids of the constructive family, one spread per row.
 
-    Type-I spreads come first, then the type-II ones when nu >= 2.  Every
-    spread covers each point once, so differences of rows lie in the
-    kernel of the incidence matrix; cl._kernel_basis certifies that they
-    span it.
+    Type-I spreads come first, then the type-II ones when nu >= 2, each
+    part in lexicographic order without repeats.  Every spread covers
+    each point once, so differences of rows lie in the kernel of the
+    incidence matrix; cl._kernel_basis certifies that they span it.
     """
-    family = list_type_I(config) + (list_type_II(config) if config.nu >= 2 else ())
-    members = np.array([s.members for s in family], dtype=np.int64)
+    members = np.array([s.members for s in list_type_I(config)], dtype=np.int64)
+    if config.nu >= 2:
+        members = np.vstack([members, _type_II_members(config)])
     members.flags.writeable = False
     return members
+
+
+def _type_II_members(config: SpaceConfig) -> np.ndarray:
+    """The sorted, distinct member rows of every type-II spread.
+
+    coset_of[d, x] is the flat of direction d through point x.  A spread
+    from container Q, directions (p1, p2) and a shift takes coset_of[p1]
+    on the shift's coset of Q and coset_of[p2] off it; one gather gives
+    the flat through every point for all shifts of a pair at once.  A
+    flat has q^nu points, so a sorted row that lists each of its members
+    exactly q^nu times covers each point exactly once; that is checked.
+    """
+    fld = config.field
+    flats = enumerate_flats(config, config.nu)
+    direction_index = {d: k for k, d in enumerate(enumerate_isotropic(config, config.nu))}
+    points, cols = np.nonzero(incidence_matrix(config).matrix)
+    coset_of = np.full((len(direction_index), config.num_points), -1, dtype=np.int64)
+    coset_of[[direction_index[flats[c].direction] for c in cols], points] = cols
+    per = config.q**config.nu
+    vectors = all_vectors(config)
+    rows = []
+    for q_sub, interior in type_II_components(config):
+        label = np.array([point_index(config, reduce_mod(fld, q_sub, v)) for v in vectors])
+        inside = np.unique(label)[:, None] == label
+        for p1 in interior:
+            for p2 in interior:
+                if p1 == p2:
+                    continue
+                _check_type_II(config, q_sub, p1, p2)
+                spread = np.where(inside, coset_of[direction_index[p1]],
+                                  coset_of[direction_index[p2]])
+                spread.sort(axis=1)
+                groups = spread.reshape(len(inside), per, per)
+                members = groups[:, :, 0]
+                if ((members[:, 0] < 0).any() or (groups != members[:, :, None]).any()
+                        or (np.diff(members, axis=1) <= 0).any()):
+                    raise AssertionError(
+                        f"a type-II spread of {config.key()} does not cover each point once")
+                rows.append(members)
+    return np.unique(np.concatenate(rows), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +231,7 @@ def classify_set(config: SpaceConfig, member_ids, scope: Flat | None = None) -> 
         if cov.max(initial=0) > 1:
             return "neither"
         return "full_spread" if member_ids and cov.min(initial=1) == 1 else "partial_spread"
-    from .flats import _point_idx
-    scope_idx = sorted(_point_idx(config, p) for p in flat_points(config, scope))
+    scope_idx = sorted(point_index(config, p) for p in flat_points(config, scope))
     outside = np.ones(cov.shape[0], dtype=bool)
     outside[scope_idx] = False
     if cov[outside].max(initial=0) > 0:
@@ -226,13 +270,12 @@ def enumerate_spreads(config: SpaceConfig, scope: Flat | None = None) -> SpreadS
     Bounded at 32 scope points; beyond the bound the constructive
     type-I-within-scope family is returned with exhaustive=False.
     """
-    from .flats import _point_idx
     if scope is None:
         scope_points = list(range(config.num_points))
         candidates = list(range(len(enumerate_flats(config, config.nu))))
         tagger = _full_space_tag(config)
     else:
-        scope_points = sorted(_point_idx(config, p) for p in flat_points(config, scope))
+        scope_points = sorted(point_index(config, p) for p in flat_points(config, scope))
         candidates = [flat_ids(config)[f] for f in flats_in(config, scope)]
         tagger = None
     if len(scope_points) > EXHAUSTIVE_POINT_BOUND:

@@ -167,17 +167,59 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_paper_report_matches_reference_digest():
-    """The report bytes hash to the digest the benchmark checks (read-only here)."""
+    """The report bytes hash to the digests the benchmark checks (read-only here).
+
+    orthogonal(3,2) runs the type-II span check, so it also pins the order
+    and content of the type-II spread family.
+    """
     root = Path(__file__).resolve().parent.parent
     with open(root / "perfbench" / "reference_digests.json") as fh:
-        want = json.load(fh)["symplectic-2-2"]["0"]
-    argv = ["verify", "--suite", "paper", "--case", "symplectic", "--q", "2", "--nu", "2",
-            "--seed", "0"]
-    proc = subprocess.run([sys.executable, "-m", "clflats.cli", *argv], capture_output=True,
-                          env=dict(os.environ, PYTHONPATH=str(root / "src")), cwd=root,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert hashlib.sha256(proc.stdout).hexdigest() == want
+        reference = json.load(fh)
+    for case, q, nu in (("symplectic", 2, 2), ("unitary", 4, 1), ("orthogonal", 3, 2)):
+        argv = ["verify", "--suite", "paper", "--case", case, "--q", str(q), "--nu", str(nu),
+                "--seed", "0"]
+        proc = subprocess.run([sys.executable, "-m", "clflats.cli", *argv],
+                              capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=str(root / "src")), cwd=root,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        digest = hashlib.sha256(proc.stdout).hexdigest()
+        assert digest == reference[f"{case}-{q}-{nu}"]["0"], (case, q, nu)
+
+
+def _one_line_error(capsys, argv, *fragments):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert all(f in lines[0] for f in fragments), lines[0]
+
+
+def test_pencil_coordinate_out_of_range_exits_2(capsys):
+    _one_line_error(capsys, ["cl", "construct", "--pencil", "0,0,0,9"] + BASE,
+                    "coordinate 9", "0..1")
+    _one_line_error(capsys, ["cl", "construct", "--pencil", "0,0,0"] + BASE,
+                    "'0,0,0'", "3 coordinates")
+    _one_line_error(capsys, ["cl", "construct", "--pencil", "0,x,0,0"] + BASE, "'0,x,0,0'")
+
+
+def test_set_file_ids_must_be_a_list_of_integers(tmp_path, capsys):
+    setfile = tmp_path / "bad.json"
+    setfile.write_text(json.dumps({"ids": 5}))
+    _one_line_error(capsys, ["cl", "test", "--in", str(setfile)] + BASE, "'ids'", "got 5")
+    setfile.write_text(json.dumps({"ids": ["1", 2.5]}))
+    _one_line_error(capsys, ["cl", "test", "--in", str(setfile)] + BASE, "entry 2.5")
+    setfile.write_text(json.dumps([1, 2]))
+    _one_line_error(capsys, ["cl", "test", "--in", str(setfile)] + BASE, "JSON object")
+
+
+def test_nu_zero_is_named(capsys):
+    _one_line_error(capsys, ["space", "info", "--case", "symplectic", "--q", "2", "--nu", "0"],
+                    "nu=0")
+    _one_line_error(capsys, ["space", "info", "--case", "symplectic", "--q", "0", "--nu", "2"],
+                    "order 0")
+    _one_line_error(capsys, ["verify", "--nu", "0"], "--nu")
 
 
 def test_no_bare_asserts_in_package():

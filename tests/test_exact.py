@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from clflats.exact import (
     MODULAR_PRIMES,
     RationalMatrix,
     independent_rows,
+    int_echelon,
     int_matmul,
     modular_rank,
     nullspace,
@@ -165,6 +167,86 @@ def test_independent_rows_first_come():
         assert len(kept) == rank(a.tolist()) == rank(a[kept].tolist())
     with pytest.raises(ValueError):
         independent_rows(np.array([[2**40, 1]], dtype=np.int64), p)
+
+
+def _echelon_oracle(rows, track=True):
+    """The row-by-row big-integer elimination that int_echelon vectorises."""
+    n = len(rows)
+    work = [list(r) for r in rows]
+    tr = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track else None
+    ncols = len(work[0]) if work else 0
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        pick = None
+        for i in range(r, n):
+            v = work[i][c]
+            if v and (pick is None or abs(v) < abs(work[pick][c])):
+                pick = i
+        if pick is None:
+            continue
+        work[r], work[pick] = work[pick], work[r]
+        if track:
+            tr[r], tr[pick] = tr[pick], tr[r]
+        pv = work[r][c]
+        for i in range(r + 1, n):
+            f = work[i][c]
+            if f:
+                work[i] = [pv * a - f * b for a, b in zip(work[i], work[r])]
+                if track:
+                    tr[i] = [pv * a - f * b for a, b in zip(tr[i], tr[r])]
+                g = 0
+                for x in work[i]:
+                    g = gcd(g, x)
+                for x in (tr[i] if track else ()):
+                    g = gcd(g, x)
+                if g > 1:
+                    work[i] = [x // g for x in work[i]]
+                    if track:
+                        tr[i] = [x // g for x in tr[i]]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return work[:r], (tr if track else None), pivots
+
+
+@pytest.mark.parametrize("track", [True, False])
+def test_int_echelon_matches_oracle(track):
+    rng = random.Random(20261018)
+    cases = [[], [[], []], [[0, 0, 0], [0, 0, 0]],
+             [[0, 2, 0, 4], [0, 3, 0, 1], [0, -6, 0, 5]]]  # all-zero columns
+    for _ in range(120):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        sparse = rng.random() < 0.5
+        cases.append([[rng.randint(-9, 9) if not sparse or rng.random() < 0.3 else 0
+                       for _ in range(n)] for _ in range(m)])
+    for rows in cases:
+        got = int_echelon(rows, track)
+        assert got == _echelon_oracle(rows, track), rows
+        assert all(type(x) is int for part in got[:2] if part for row in part for x in row)
+
+
+@pytest.mark.parametrize("track", [True, False])
+def test_int_echelon_promotes_past_int64(track):
+    rng = random.Random(40)
+    big = 2**40
+    rows = [[rng.randint(-big, big) for _ in range(5)] for _ in range(6)]
+    got = int_echelon(rows, track)
+    assert got == _echelon_oracle(rows, track)
+    assert max(abs(x) for row in got[0] for x in row) >= 2**63  # past int64
+
+
+def test_image_solver_null_rows_stay_int64():
+    from clflats import cl
+    from clflats.flats import enumerate_flats, incidence_rank_closed_form
+    from clflats.geometry import space_config
+
+    cfg = space_config("symplectic", 3, 2)
+    n = len(enumerate_flats(cfg, cfg.nu))
+    null = cl._image_solver(cfg)._null_rows
+    assert null.dtype == np.int64
+    assert null.shape == (n - incidence_rank_closed_form(cfg), n)
 
 
 def test_int_matmul_fast_path_matches_object_path():

@@ -7,8 +7,13 @@ from clflats import exact
 from clflats.field import e_power
 from clflats.flats import enumerate_flats, incidence_matrix
 from clflats.geometry import (
+    all_vectors,
     canonicalize,
+    contains_subspace,
+    contains_vector,
     enumerate_isotropic,
+    gram_rank,
+    reduce_mod,
     space_config,
     unit_vector,
     zero_vector,
@@ -18,8 +23,10 @@ from clflats.spreads import (
     classify_set,
     coverage,
     enumerate_spreads,
+    family_members,
     is_switching_pair,
     list_type_I,
+    list_type_II,
     spread_type_I,
     spread_type_II,
     type_II_components,
@@ -197,3 +204,57 @@ def test_type_II_span_o32(o32):
 def test_type_II_needs_nu2(s21):
     with pytest.raises(ValueError):
         typeII_span_check(s21)
+
+
+over_family_configs = pytest.mark.parametrize(
+    "key", [("symplectic", 2, 2), ("orthogonal", 3, 2), ("symplectic", 3, 2)],
+    ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+
+
+@over_family_configs
+def test_family_members_match_one_spread_at_a_time(key):
+    cfg = space_config(*key)
+    fld = cfg.field
+    seen = set()
+    for q_sub, interior in type_II_components(cfg):
+        shifts = sorted({reduce_mod(fld, q_sub, v) for v in all_vectors(cfg)})
+        for p1 in interior:
+            for p2 in interior:
+                if p1 != p2:
+                    seen |= {spread_type_II(cfg, q_sub, p1, p2, shift).members
+                             for shift in shifts}
+    type_I = [s.members for s in list_type_I(cfg)]
+    want = np.array(type_I + sorted(seen), dtype=np.int64)
+    members = family_members(cfg)
+    assert members.dtype == np.int64 and members.shape == want.shape
+    assert (members == want).all()
+    assert [s.members for s in list_type_II(cfg)] == sorted(seen)
+    assert all(s.tag == "II" and s.scope is None for s in list_type_II(cfg))
+
+
+@over_family_configs
+def test_type_II_components_match_all_vectors_scan(key):
+    cfg = space_config(*key)
+    fld = cfg.field
+    maxes = enumerate_isotropic(cfg, cfg.nu)
+    containers = set()
+    for p in maxes:
+        for v in all_vectors(cfg):
+            if any(v) and not contains_vector(fld, p, v):
+                q_sub = canonicalize(cfg, list(p.basis) + [v])
+                if gram_rank(cfg, q_sub) == 2:
+                    containers.add(q_sub)
+    want = [(q_sub, tuple(p for p in maxes if contains_subspace(fld, q_sub, p)))
+            for q_sub in sorted(containers, key=lambda s: s.flat_key())]
+    assert list(type_II_components(cfg)) == want
+
+
+@over_family_configs
+def test_family_rows_cover_each_point_once(key):
+    cfg = space_config(*key)
+    M = incidence_matrix(cfg).matrix
+    members = family_members(cfg)
+    assert len({tuple(row) for row in members.tolist()}) == members.shape[0]
+    chi = np.zeros((M.shape[1], members.shape[0]), dtype=np.int64)
+    np.put_along_axis(chi, members.T, 1, axis=0)
+    assert (exact.int_matmul(M, chi) == 1).all()
