@@ -298,7 +298,7 @@ def test_spreads(flat_set: FlatSet, family: str = "auto") -> SpreadTestReport:
             _kernel_basis(config)  # the certificate behind `conclusive`
     else:
         raise ValueError(f"unknown family {family!r} for nu = {config.nu}")
-    inter = tuple(int(k) for k in flat_set.chi()[members].sum(axis=1))
+    inter = tuple(flat_set.chi()[members].sum(axis=1).tolist())
     constant = len(set(inter)) <= 1
     value_matches = constant and (not inter or Fraction(inter[0]) == flat_set.x)
     return SpreadTestReport(constant, value_matches, conclusive, family, inter)

@@ -1,20 +1,25 @@
 """Exact dense linear algebra over big integers and rationals.
 
-Verification paths never touch floating point: ranks come from
-fraction-free (Bareiss) elimination or from GF(p) lower bounds that meet
-a proven upper bound, solvability from the null rows of an integer
-row-echelon kernel that keeps rows primitive (gcd-reduced), one product
-per test.  That elimination runs on numpy int64 arrays while a bound
-checked at each pivot rules out overflow and on object (big-int) arrays
-past it; large products likewise use int64 only under a proven bound,
-falling back to object arithmetic otherwise.  The rational nullspace is
-the reference for tests.
+Every integer result is exact.  Ranks come from fraction-free (Bareiss)
+elimination or from GF(p) lower bounds that meet a proven upper bound,
+solvability from the null rows of an integer row-echelon kernel that
+keeps rows primitive (gcd-reduced), one product per test.  That
+elimination runs on numpy int64 arrays while a bound checked at each
+pivot rules out overflow and on object (big-int) arrays past it.
+Products pick the cheapest tier a proven bound on every partial sum
+allows: float64 BLAS below 2^53, where float64 is only a container for
+integers it holds exactly (BLAS pinned to one thread), int64 below 2^62,
+and object arithmetic otherwise.  The rational nullspace is the
+reference for tests.
 """
 
 from __future__ import annotations
 
+import ctypes
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import lcm
 
 import numpy as np
@@ -252,6 +257,7 @@ class EchelonSolver:
         self.rank = len(pivots)
         self.transform = tr  # all nrows rows; rows beyond rank annihilate A
         self._null_rows = _int_array(tr[self.rank:], (self.nrows - self.rank, self.nrows))
+        self._null_rows.flags.writeable = False
 
     def solvable(self, b):
         """Whether A y = b has a solution, b over the rationals.
@@ -324,11 +330,16 @@ def nullspace_int(matrix) -> np.ndarray:
 # guarded integer products
 
 def _int_array(rows, shape) -> np.ndarray:
-    """Integer rows as an int64 array when every entry fits, else as an object array."""
+    """Integer rows as an int64 array when every entry fits, else as an object array.
+
+    The array owns its data unless a reshape is needed, so that freezing
+    it lets `_bound` remember its bound.
+    """
     try:
-        return np.array(rows, dtype=np.int64).reshape(shape)
+        arr = np.array(rows, dtype=np.int64)
     except OverflowError:
-        return np.array(rows, dtype=object).reshape(shape)
+        arr = np.array(rows, dtype=object)
+    return arr if arr.shape == shape else arr.reshape(shape)
 
 
 def _max_abs(a: np.ndarray) -> int:
@@ -336,13 +347,105 @@ def _max_abs(a: np.ndarray) -> int:
         return 0
     if a.dtype == object:
         return max(abs(int(x)) for x in a.flat)
-    return int(np.abs(a).max())
+    return max(abs(int(a.max())), abs(int(a.min())))
+
+
+# id(array) -> (weak reference to it, max|entry|), for arrays nothing can write
+_BOUNDS: dict[int, tuple[weakref.ref, int]] = {}
+
+
+def _read_only_root(a: np.ndarray) -> np.ndarray | None:
+    """The array owning a's data when a and every array it views are read-only."""
+    root = a
+    while not root.flags.writeable and root.dtype == a.dtype:
+        if root.base is None:
+            return root
+        if not isinstance(root.base, np.ndarray):
+            return None
+        root = root.base
+    return None
+
+
+def _forget(key: int, ref: weakref.ref) -> None:
+    if _BOUNDS.get(key, (None,))[0] is ref:
+        del _BOUNDS[key]
+
+
+def _bound(a: np.ndarray) -> int:
+    """An upper bound on max|a|, computed once per read-only array.
+
+    The cached matrices (incidence, kernel basis, null rows, adjacency,
+    idempotents) are read-only, and so are their views, which share the
+    bound of the array that owns the data.  Writeable arrays are scanned
+    on every call.  The bound is keyed by identity and checked through a
+    weak reference, so an array made later at a reused id is scanned anew.
+    """
+    root = _read_only_root(a)
+    if root is None:
+        return _max_abs(a)
+    key = id(root)
+    hit = _BOUNDS.get(key)
+    if hit is None or hit[0]() is not root:
+        hit = (weakref.ref(root, partial(_forget, key)), _max_abs(root))
+        _BOUNDS[key] = hit
+    return hit[1]
+
+
+@lru_cache(maxsize=None)
+def _blas_threads():
+    """OpenBLAS's (get, set) thread-count pair as numpy links it, or None.
+
+    dlsym on numpy's own extension module finds the BLAS it was built
+    against, whichever prefix and suffix that build exports.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            try:
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+                put = getattr(lib, f"{prefix}set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def _float_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b through float64 BLAS on one thread, for a caller that proved
+    max|a| max|b| inner < 2^53: every product and partial sum is then an
+    integer float64 holds exactly, in any summation order, with or without FMA.
+
+    One thread, because OpenBLAS's threads contend on a small host: on a
+    2-vCPU machine a 279x360 @ 360x25 product took about 7.5 ms on two
+    threads at times, against 0.25 ms on one.  The count is process-wide,
+    so the pin assumes one Python thread calls BLAS at a time.
+    """
+    af, bf = a.astype(np.float64), b.astype(np.float64)
+    threads = _blas_threads()
+    if threads is None:
+        return (af @ bf).astype(np.int64)
+    get, put = threads
+    old = get()
+    put(1)
+    try:
+        return (af @ bf).astype(np.int64)
+    finally:
+        put(old)
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer product; int64 fast path under a proven bound."""
-    inner = a.shape[-1]
-    bound = _max_abs(a) * _max_abs(b) * max(inner, 1)
-    if bound < 2**62 and a.dtype != object and b.dtype != object:
-        return a.astype(np.int64) @ b.astype(np.int64)
+    """Exact integer product; the tier is chosen by the proven bound
+    max|a| max|b| inner: float64 BLAS below 2^53, int64 below 2^62,
+    object (big-int) arithmetic otherwise or for object operands."""
+    if a.dtype != object and b.dtype != object:
+        bound = _bound(a) * _bound(b) * max(a.shape[-1], 1)
+        if bound < 2**53:
+            return _float_product(a, b)
+        if bound < 2**62:
+            return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
     return np.dot(a.astype(object), b.astype(object))

@@ -25,11 +25,13 @@ from .geometry import (
     canonicalize,
     contains_subspace,
     contains_vector,
+    count_isotropic,
     enumerate_isotropic,
     gram_rank,
     intersect_subspace,
     point_graph,
     point_index,
+    qh_plus_one,
     reduce_mod,
     span_points,
     sum_subspace,
@@ -164,25 +166,17 @@ def coset_representatives(config: SpaceConfig, direction: Subspace) -> list[Vect
 
 
 def count_flats(config: SpaceConfig, m: int) -> int:
-    """Closed-form size of the set of type-(m,0) flats."""
-    q, nu, e2 = config.q, config.nu, config.e2
-    n = q ** (2 * nu - m) * gauss_binomial(nu, m, q)
-    for t in range(nu - m + 1, nu + 1):
-        n *= _qh_plus_one(config, t)
-    return n
+    """Closed-form size of the set of type-(m,0) flats: q^(2nu-m) cosets per direction."""
+    directions = count_isotropic(config, m)
+    return config.q ** (2 * config.nu - m) * directions
 
 
 def count_flats_through(config: SpaceConfig, i: int, j: int) -> int:
     """Closed-form size of the pencil of type-(j,0) flats over a type-(i,0) flat."""
     n = gauss_binomial(config.nu - i, j - i, config.q)
     for t in range(config.nu - j + 1, config.nu - i + 1):
-        n *= _qh_plus_one(config, t)
+        n *= qh_plus_one(config, t)
     return n
-
-
-def _qh_plus_one(config: SpaceConfig, t: int) -> int:
-    # q^(t+e-1) + 1 with the doubled-exponent convention
-    return e_power(config, 2 * t + config.e2 - 2) + 1
 
 
 @lru_cache(maxsize=None)
@@ -306,8 +300,8 @@ def incidence_matrix_in(config: SpaceConfig, big: Flat) -> IncidenceMatrix:
 @lru_cache(maxsize=None)
 def gram_identity_terms(config: SpaceConfig) -> tuple[int, int]:
     """(point multiplier, neighbour multiplier) of the M M^T decomposition."""
-    a = prod(_qh_plus_one(config, t) for t in range(1, config.nu + 1))
-    b = prod(_qh_plus_one(config, t) for t in range(1, config.nu))
+    a = prod(qh_plus_one(config, t) for t in range(1, config.nu + 1))
+    b = prod(qh_plus_one(config, t) for t in range(1, config.nu))
     return a, b
 
 

@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .field import FiniteField, field_of_order
+from .field import FiniteField, e_power, field_of_order, gauss_binomial
 
 CASES = ("symplectic", "unitary", "orthogonal")
 E2 = {"symplectic": 2, "unitary": 1, "orthogonal": 0}
@@ -301,15 +301,37 @@ def _perp_space(config: SpaceConfig, sub: Subspace) -> Subspace:
     return canonicalize(config, basis)
 
 
+ISOTROPIC_ENUM_BOUND = 10**5
+
+
+def qh_plus_one(config: SpaceConfig, t: int) -> int:
+    """q^(t+e-1) + 1, with e carried doubled."""
+    return e_power(config, 2 * t + config.e2 - 2) + 1
+
+
+def count_isotropic(config: SpaceConfig, m: int) -> int:
+    """Closed-form number of type-(m,0) subspaces: [nu, m]_q prod (q^(t+e-1) + 1)
+    over t = nu-m+1..nu."""
+    if m < 0 or m > config.nu:
+        raise ValueError(f"m={m} out of range 0..{config.nu}")
+    n = gauss_binomial(config.nu, m, config.q)
+    for t in range(config.nu - m + 1, config.nu + 1):
+        n *= qh_plus_one(config, t)
+    return n
+
+
 @lru_cache(maxsize=None)
 def enumerate_isotropic(config: SpaceConfig, m: int) -> tuple[Subspace, ...]:
     """All type-(m,0) subspaces in canonical (lexicographic) order.
 
     Grown one dimension at a time: adjoin isotropic vectors from the
-    perp of the current subspace, canonicalize, deduplicate.
+    perp of the current subspace, canonicalize, deduplicate.  Every level
+    is admitted by its closed-form count before any level grows.
     """
-    if m < 0 or m > config.nu:
-        raise ValueError(f"m={m} out of range 0..{config.nu}")
+    expected = count_isotropic(config, m)
+    if expected > ISOTROPIC_ENUM_BOUND:
+        raise ValueError(f"isotropic subspace enumeration bound exceeded: "
+                         f"{expected} type-({m},0) subspaces > {ISOTROPIC_ENUM_BOUND}")
     if m == 0:
         return (zero_subspace(config),)
     prev = enumerate_isotropic(config, m - 1)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import clflats
 from clflats.cli import run
+from clflats.geometry import ISOTROPIC_ENUM_BOUND
 
 BASE = ["--case", "symplectic", "--q", "2", "--nu", "2"]
 
@@ -220,6 +221,33 @@ def test_nu_zero_is_named(capsys):
     _one_line_error(capsys, ["space", "info", "--case", "symplectic", "--q", "0", "--nu", "2"],
                     "order 0")
     _one_line_error(capsys, ["verify", "--nu", "0"], "--nu")
+
+
+def test_flat_type_out_of_range_is_named(capsys):
+    for m in ("9", "-1"):
+        _one_line_error(capsys, ["enumerate", "flats", "--m", m] + BASE,
+                        f"m={m} out of range 0..2")
+
+
+def test_oversized_isotropic_enumeration_exits_2():
+    """symplectic(9,4) has about 3.9e9 maximal totally isotropic subspaces.
+
+    The child gets an address-space cap and a timeout, so a missing size
+    check ends as a failed test, not as a host out of memory.
+    """
+    root = Path(__file__).resolve().parent.parent
+    cap = ("import resource, sys; from clflats.cli import run; "
+           "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+           "sys.exit(run(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", cap, "space", "info", "--case", "symplectic",
+                           "--q", "9", "--nu", "4"],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), cwd=root)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "enumeration bound exceeded" in lines[0], proc.stderr
+    assert f"> {ISOTROPIC_ENUM_BOUND}" in lines[0]
 
 
 def test_no_bare_asserts_in_package():

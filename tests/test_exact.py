@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clflats import exact
 from clflats.exact import (
     EchelonSolver,
     MODULAR_PRIMES,
@@ -266,6 +267,110 @@ def test_int_matmul_overflow_fallback_is_exact():
     assert out[0, 0] == 2 * big * big  # exceeds int64
     assert out[0, 1] == 0
     assert out[1, 0] == 0 and out[1, 1] == 2
+
+
+def _object_product(a, b):
+    return np.dot(a.astype(object), b.astype(object))
+
+
+def _float_calls(monkeypatch):
+    """Record each product the float tier takes."""
+    calls = []
+    real = exact._float_product
+
+    def spy(a, b):
+        calls.append((a.shape, b.shape))
+        return real(a, b)
+
+    monkeypatch.setattr(exact, "_float_product", spy)
+    return calls
+
+
+def test_int_matmul_float_tier_is_exact_just_under_2_53(monkeypatch):
+    calls = _float_calls(monkeypatch)
+    rng = np.random.default_rng(5)
+    for inner in (1, 3, 64):
+        amax = 2**26
+        bmax = (2**53 - 1) // (amax * inner)
+        for a, b in ((np.full((2, inner), amax), np.full((inner, 3), bmax)),
+                     (rng.integers(-amax, amax, (5, inner), endpoint=True),
+                      rng.integers(-bmax, bmax, (inner, 4), endpoint=True))):
+            a[0, 0], b[0, 0] = -amax, bmax
+            got = int_matmul(a, b)
+            assert got.dtype == np.int64
+            assert (got == _object_product(a, b)).all()
+    assert len(calls) == 6
+
+
+def test_int_matmul_tiers_past_the_float_bound_are_exact(monkeypatch):
+    calls = _float_calls(monkeypatch)
+    odd = 2**27 + 1  # odd**2 needs 55 bits, so float64 would round it
+    for a, b, dtype in (
+            (np.array([[2**26]]), np.array([[2**27]]), np.int64),   # bound exactly 2^53
+            (np.array([[odd]]), np.array([[odd]]), np.int64),
+            (np.array([[odd, odd]]), np.array([[odd], [-1]]), np.int64),
+            (np.array([[2**31]]), np.array([[2**31]]), object),     # bound exactly 2^62
+            (np.array([[2**31, 2**31]]), np.array([[2**31], [2**31]]), object),  # 2^63
+            (np.array([[-2**63]], dtype=np.int64), np.array([[1]]), object)):
+        got = int_matmul(a, b)
+        assert got.dtype == dtype
+        assert (got == _object_product(a, b)).all()
+    assert calls == []
+    assert int_matmul(np.array([[odd]]), np.array([[odd]]))[0, 0] == odd * odd
+
+
+def test_int_matmul_pins_and_restores_blas_threads():
+    threads = exact._blas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS exports no thread-count control")
+    get, put = threads
+    seen = []
+
+    class Spy(np.ndarray):
+        def __matmul__(self, other):
+            seen.append(get())
+            return np.ndarray.__matmul__(self, other)
+
+    old = get()
+    try:
+        put(2)
+        before = get()
+        a = np.arange(12, dtype=np.int64).reshape(3, 4).view(Spy)
+        assert (int_matmul(a, np.ones((4, 2), dtype=np.int64)) == a.sum(axis=1)[:, None]).all()
+        assert seen == [1] and get() == before
+        with pytest.raises(ValueError):
+            int_matmul(a, np.ones((3, 2), dtype=np.int64))
+        assert get() == before
+    finally:
+        put(old)
+
+
+def test_int_matmul_rescans_writeable_operands():
+    odd = 2**27 + 1
+    a = np.ones((3, 4), dtype=np.int64)
+    b = np.ones((4, 2), dtype=np.int64)
+    frozen = a.view()
+    frozen.flags.writeable = False  # its base stays writeable
+    assert (int_matmul(a, b) == 4).all() and (int_matmul(frozen, b) == 4).all()
+    a[0, 0] = b[0, 0] = odd
+    want = _object_product(a, b)
+    assert ((a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) != want).any()
+    assert (int_matmul(a, b) == want).all()
+    assert (int_matmul(frozen, b) == want).all()
+
+
+def test_int_matmul_new_read_only_array_at_a_reused_id():
+    odd = 2**27 + 1
+    b = np.full((4, 1), odd, dtype=np.int64)
+    for _ in range(20):
+        small = np.ones((3, 4), dtype=np.int64)
+        small.flags.writeable = False
+        assert (int_matmul(small, b) == 4 * odd).all()
+        del small
+        big = np.full((3, 4), odd, dtype=np.int64)
+        big.flags.writeable = False
+        assert (int_matmul(big, b) == 4 * odd * odd).all()
+        assert (int_matmul(big.T, b[:3]) == 3 * odd * odd).all()
 
 
 def test_rational_matrix_operations():
