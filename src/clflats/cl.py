@@ -8,7 +8,10 @@ support in the two trivial eigenspaces, the shifted spectral variant,
 the two-relation neighbour counts, and constant intersection with the
 spreads.  All routes are exact.  The kernel basis is made of certified
 spread differences; the image route keeps its own elimination, so the
-two check each other.
+two check each other.  The spectrum, shifted and count routes read one
+relation-count table, A_r [chi | 1] for every relation r, and apply the
+closed-form idempotent coefficients to it; no dense adjacency matrix or
+idempotent is built on the query path.
 """
 
 from __future__ import annotations
@@ -41,13 +44,8 @@ from .geometry import (
     is_isotropic,
     vec_sub,
 )
-from .scheme import (
-    adjacency_matrix,
-    idempotent_int,
-    relation_matrix,
-    scheme_tables,
-)
-from .spreads import enumerate_spreads, family_members, list_type_I
+from .scheme import idempotent_coefficients, relation_matrix, scheme_tables
+from .spreads import enumerate_spreads, family_indicators, family_members, list_type_I
 
 
 def set_denominator(config: SpaceConfig, levels: int | None = None) -> int:
@@ -142,9 +140,7 @@ def _kernel_basis(config: SpaceConfig) -> np.ndarray:
     n = M.shape[1]
     p = exact.MODULAR_PRIMES[0]
     target = n - exact.modular_rank(M, p)
-    members = family_members(config)
-    stack = np.zeros((members.shape[0], n), dtype=np.int8)
-    np.put_along_axis(stack, members, 1, axis=1)
+    stack = family_indicators(config)
     # the family is sorted, so neighbouring spreads share members and their
     # differences are often dependent; a fixed shuffle meets new ones sooner
     diffs = stack[1:] - stack[0]
@@ -185,44 +181,6 @@ def image_certificate(flat_set: FlatSet):
     return _image_solver(flat_set.config).solve(flat_set.chi())
 
 
-def _vanishing_projections(config: SpaceConfig, cols: np.ndarray, keep) -> np.ndarray:
-    """Columns whose projections vanish on every eigenspace outside `keep`."""
-    ok = np.ones(cols.shape[1], dtype=bool)
-    for eig in scheme_tables(config).eigs:
-        if eig in keep:
-            continue
-        _, B = idempotent_int(config, eig)
-        ok &= ~exact.int_matmul(B, cols).any(axis=0)
-        if not ok.any():
-            break
-    return ok
-
-
-def _shifted(config: SpaceConfig, cols: np.ndarray) -> np.ndarray:
-    """q^nu*D*chi - |L|*j for each column chi."""
-    return (set_denominator(config) * config.q**config.nu) * cols - cols.sum(axis=0)
-
-
-def test_spectrum(flat_set: FlatSet) -> bool:
-    """Spectral support only on the all-one and parallel-class eigenspaces."""
-    config = flat_set.config
-    chi = flat_set.chi().reshape(-1, 1)
-    if not _vanishing_projections(config, chi, ((0, 0), (0, 1)))[0]:
-        return False
-    # the all-one projection is size/|X| times the all-one vector, always
-    L00, B00 = idempotent_int(config, (0, 0))
-    proj = exact.int_matmul(B00, chi)
-    if not (proj * scheme_tables(config).size == L00 * flat_set.size).all():
-        raise AssertionError("all-one projection identity violated")
-    return True
-
-
-def test_shifted_spectrum(flat_set: FlatSet) -> bool:
-    """The shifted vector q^nu*D*chi - |L|*j must lie in the parallel eigenspace."""
-    shifted = _shifted(flat_set.config, flat_set.chi().reshape(-1, 1))
-    return bool(_vanishing_projections(flat_set.config, shifted, ((0, 1),))[0])
-
-
 def _count_coefficients(config: SpaceConfig, i: int) -> tuple[int, int]:
     """(fixed term scale a_i, parameter scale b_i) of the neighbour-count law."""
     a = (e_power(config, i * (i + 1) + config.e2 * i)
@@ -232,34 +190,68 @@ def _count_coefficients(config: SpaceConfig, i: int) -> tuple[int, int]:
     return a, b
 
 
-def _count_law(config: SpaceConfig, cols: np.ndarray, rel) -> np.ndarray:
-    """Columns that obey the neighbour-count law for one relation, exactly."""
-    i, xi = rel
-    a, b = _count_coefficients(config, i)
-    D = set_denominator(config)
+def _scheme_routes(config: SpaceConfig, cols: np.ndarray) -> tuple[dict[str, np.ndarray],
+                                                                   np.ndarray]:
+    """Spectrum, shifted and count verdicts for each column chi of cols,
+    plus the neighbour-count law of every relation (rows in code order).
+
+    All three read one relation-count table T[r] = A_r [cols | 1], built
+    from the relation codes (A_(0,0) = I needs no product).  The
+    idempotents are B_e = sum_r C[e, r] A_r, so C T holds every
+    projection B_e chi, and C applied to q^nu*D*T[r] - |S|*T[r]1 every
+    projection of the shifted vector q^nu*D*chi - |S|*j.
+    """
+    R = relation_matrix(config)
+    n, c = cols.shape
+    X = np.hstack([cols, np.ones((n, 1), dtype=np.int64)])
+    T = np.stack([X] + [exact.int_matmul(R == k, X) for k in range(1, 2 * config.nu + 1)])
+    Ls, C = idempotent_coefficients(config)
     sizes = cols.sum(axis=0)
-    got = D * exact.int_matmul(adjacency_matrix(config, rel), cols)
-    want = D * a * cols + b * sizes if xi == 0 else a * sizes - D * a * cols
-    return (got == want).all(axis=0)
+    proj = exact.int_matmul(C, T.reshape(len(T), -1)).reshape(T.shape)[:, :, :c]
+    # the all-one projection is size/|X| times the all-one vector, always
+    if not (proj[0] * n == Ls[0] * sizes).all():
+        raise AssertionError("all-one projection identity violated")
+    D = set_denominator(config)
+    shifted = (config.q**config.nu * D) * T[:, :, :c] - T[:, :, c:] * sizes
+    shifted_proj = exact.int_matmul(C, shifted.reshape(len(T), -1)).reshape(shifted.shape)
+    laws = []
+    for k, (i, xi) in enumerate(scheme_tables(config).rels):
+        a, b = _count_coefficients(config, i)
+        want = D * a * cols + b * sizes if xi == 0 else a * sizes - D * a * cols
+        laws.append((D * T[k, :, :c] == want).all(axis=0))
+    # at nu = 1 there is no disjoint relation at i = 1, so only the meeting row constrains
+    counts = laws[2] & laws[3] if config.nu >= 2 else laws[2]
+    verdicts = {
+        "spectrum": ~proj[2:].any(axis=(0, 1)),
+        "shifted": ~np.delete(shifted_proj, 1, axis=0).any(axis=(0, 1)),
+        "counts": counts,
+    }
+    return verdicts, np.array(laws)
 
 
-def _counts(config: SpaceConfig, cols: np.ndarray) -> np.ndarray:
-    """Columns that obey the i = 1 laws.  At nu = 1 the disjoint row is
-    vacuous (its coefficient vanishes), so only the meeting row constrains."""
-    ok = _count_law(config, cols, (1, 0))
-    if config.nu >= 2 and ok.any():
-        ok &= _count_law(config, cols, (1, 1))
-    return ok
+def _set_routes(flat_set: FlatSet) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    return _scheme_routes(flat_set.config, flat_set.chi().reshape(-1, 1))
+
+
+def test_spectrum(flat_set: FlatSet) -> bool:
+    """Spectral support only on the all-one and parallel-class eigenspaces."""
+    return bool(_set_routes(flat_set)[0]["spectrum"][0])
+
+
+def test_shifted_spectrum(flat_set: FlatSet) -> bool:
+    """The shifted vector q^nu*D*chi - |L|*j must lie in the parallel eigenspace."""
+    return bool(_set_routes(flat_set)[0]["shifted"][0])
 
 
 def lemma_counts(flat_set: FlatSet, rel) -> bool:
     """Neighbour-count law for one relation, exact at rational parameter."""
-    return bool(_count_law(flat_set.config, flat_set.chi().reshape(-1, 1), rel)[0])
+    k = scheme_tables(flat_set.config).rels.index(rel)
+    return bool(_set_routes(flat_set)[1][k, 0])
 
 
 def test_counts(flat_set: FlatSet) -> bool:
     """The two-relation neighbour-count characterisation (i = 1 rows)."""
-    return bool(_counts(flat_set.config, flat_set.chi().reshape(-1, 1))[0])
+    return bool(_set_routes(flat_set)[0]["counts"][0])
 
 
 @dataclass(frozen=True)
@@ -324,11 +316,10 @@ def is_cameron_liebler(flat_set: FlatSet, method: str = "kernel") -> bool:
 
 def battery(flat_set: FlatSet) -> dict[str, bool]:
     """All routes at once; the equivalent ones must agree."""
+    routes, _ = _set_routes(flat_set)
     verdicts = {
         "image": test_image(flat_set),
-        "spectrum": test_spectrum(flat_set),
-        "shifted": test_shifted_spectrum(flat_set),
-        "counts": test_counts(flat_set),
+        **{name: bool(ok[0]) for name, ok in routes.items()},
         "spreads": test_spreads(flat_set).passed,
     }
     if len(set(verdicts.values())) != 1:
@@ -348,9 +339,7 @@ def batch_verdicts(config: SpaceConfig, chi_matrix: np.ndarray) -> dict[str, np.
     return {
         "image": _image_solver(config).solvable(chi_matrix),
         "kernel": ~exact.int_matmul(_kernel_basis(config), chi_matrix).any(axis=0),
-        "spectrum": _vanishing_projections(config, chi_matrix, ((0, 0), (0, 1))),
-        "shifted": _vanishing_projections(config, _shifted(config, chi_matrix), ((0, 1),)),
-        "counts": _counts(config, chi_matrix),
+        **_scheme_routes(config, chi_matrix)[0],
     }
 
 

@@ -83,8 +83,11 @@ def spread_blob(config: SpaceConfig, s: spreads.Spread) -> dict:
 # set input
 
 def load_flatset(config: SpaceConfig, path: str) -> cl.FlatSet:
-    raw = sys.stdin.read() if path == "-" else open(path).read()
-    data = json.loads(raw)
+    if path == "-":
+        data = json.loads(sys.stdin.read())
+    else:
+        with open(path) as fh:
+            data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("set file must hold a JSON object")
     if "config" in data:
@@ -331,7 +334,8 @@ def _cmd_spreads(config: SpaceConfig, args) -> tuple[dict, int]:
         if not args.scope.startswith("flat:"):
             raise ValueError("scope must be 'full' or 'flat:<json-file>'")
         path = args.scope.split(":", 1)[1]
-        blob = json.loads(open(path).read())
+        with open(path) as fh:
+            blob = json.load(fh)
         from .geometry import canonicalize
         direction = canonicalize(config, [[int(c) for c in row] for row in blob["basis"]])
         scope = flats.flat_make(config, direction, [int(c) for c in blob["rep"]])

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import ctypes
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm
@@ -27,60 +26,12 @@ import numpy as np
 MODULAR_PRIMES = (10**9 + 7, 10**9 + 9)
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Immutable dense matrix with exact rational entries."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows) -> "RationalMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.entries))) if self.entries else self
-
-    def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(min(self.nrows, self.ncols))),
-                   Fraction(0))
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = other.transpose().entries
-        return RationalMatrix(tuple(
-            tuple(sum((a * b for a, b in zip(r, c)), Fraction(0)) for c in cols)
-            for r in self.entries
-        ))
-
-    def scaled_integer(self) -> tuple[int, list[list[int]]]:
-        """(denominator L, integer matrix) with self = intmat / L."""
-        L = lcm(*(x.denominator for row in self.entries for x in row)) if self.entries else 1
-        return L, [[int(x * L) for x in row] for row in self.entries]
-
-
 def _int_rows(matrix) -> list[list[int]]:
     """Clear denominators row-wise (rank/solvability-preserving)."""
-    if isinstance(matrix, RationalMatrix):
-        rows = matrix.entries
-    elif isinstance(matrix, np.ndarray):
+    if isinstance(matrix, np.ndarray):
         return [[int(x) for x in row] for row in matrix]
-    else:
-        rows = matrix
     out = []
-    for row in rows:
+    for row in matrix:
         row = [Fraction(x) for x in row]
         mult = lcm(*(x.denominator for x in row)) if row else 1
         out.append([int(x * mult) for x in row])

@@ -3,7 +3,10 @@
 Relations are indexed by (i, xi): i = nu - dim of the direction
 intersection, xi = 0 when the cosets meet and 1 when they are disjoint
 ((nu, 1) never occurs).  Eigenspaces carry the same index family.  All
-eigenvalue, valency, and multiplicity tables come from closed forms;
+eigenvalue, valency, and multiplicity tables come from closed forms,
+and so does the coefficient table C of the idempotents in the
+adjacency basis, E_e = (1/L_e) sum_r C[e, r] A_r.  The membership
+routes apply C to relation counts and never build a dense matrix;
 constructed adjacency matrices and idempotents serve purely as
 verification artifacts, so a disagreement is loud.
 """
@@ -301,27 +304,32 @@ def adjacency_matrix(config: SpaceConfig, rel: RelIndex) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def idempotent_coefficients(config: SpaceConfig) -> tuple[tuple[int, ...], np.ndarray]:
+    """(L, C) with E_e = (1/L[e]) sum_r C[e, r] A_r exactly, both in code order.
+
+    C[e, r] = L_e Q[e, r] / |X|, and L_e is the lcm of the denominators of
+    row e, so C is an integer matrix.
+    """
+    tables = scheme_tables(config)
+    Ls, rows = [], []
+    for e in tables.eigs:
+        coeffs = [tables.Q[e, r] / tables.size for r in tables.rels]
+        L = lcm(*(c.denominator for c in coeffs))
+        Ls.append(L)
+        rows.append([int(c * L) for c in coeffs])
+    C = np.array(rows, dtype=np.int64)
+    C.flags.writeable = False
+    return tuple(Ls), C
+
+
+@lru_cache(maxsize=None)
 def idempotent_int(config: SpaceConfig, eig: RelIndex) -> tuple[int, np.ndarray]:
     """(L, B) with the primitive idempotent equal to B / L exactly."""
-    tables = scheme_tables(config)
-    coeffs = {r: tables.Q[eig, r] / tables.size for r in tables.rels}
-    L = lcm(*(c.denominator for c in coeffs.values()))
-    n = tables.size
-    B = np.zeros((n, n), dtype=np.int64)
-    for r in tables.rels:
-        c = int(coeffs[r] * L)
-        if c:
-            B += c * adjacency_matrix(config, r)
+    Ls, C = idempotent_coefficients(config)
+    k = _code(config.nu, eig)
+    B = C[k][relation_matrix(config)]
     B.flags.writeable = False
-    return L, B
-
-
-def idempotent(config: SpaceConfig, eig: RelIndex) -> exact.RationalMatrix:
-    """The primitive idempotent as an exact rational matrix."""
-    L, B = idempotent_int(config, eig)
-    return exact.RationalMatrix(tuple(
-        tuple(Fraction(int(x), L) for x in row) for row in B
-    ))
+    return Ls[k], B
 
 
 def check_eigen_system(config: SpaceConfig) -> dict[str, bool]:

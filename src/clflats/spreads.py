@@ -173,6 +173,14 @@ def family_members(config: SpaceConfig) -> np.ndarray:
     return members
 
 
+def family_indicators(config: SpaceConfig, rows: slice = slice(None)) -> np.ndarray:
+    """0/1 int8 indicator vectors of the spreads family_members(config)[rows]."""
+    members = family_members(config)[rows]
+    stack = np.zeros((members.shape[0], len(enumerate_flats(config, config.nu))), dtype=np.int8)
+    np.put_along_axis(stack, members, 1, axis=1)
+    return stack
+
+
 def _type_II_members(config: SpaceConfig) -> np.ndarray:
     """The sorted, distinct member rows of every type-II spread.
 
@@ -380,14 +388,6 @@ class SpanReport:
                 and self.nonvanishing_ok)
 
 
-def _stack(config: SpaceConfig, spreads) -> np.ndarray:
-    n = len(enumerate_flats(config, config.nu))
-    S = np.zeros((len(spreads), n), dtype=np.int64)
-    for r, s in enumerate(spreads):
-        S[r, list(s.members)] = 1
-    return S
-
-
 BARE_RANK_LIMIT = 120_000  # rows*cols budget for direct fraction-free rank
 
 
@@ -429,8 +429,7 @@ def _nonzero_projections(config: SpaceConfig, eig, stack: np.ndarray,
 
 def typeI_span_check(config: SpaceConfig) -> SpanReport:
     """Type-I characteristic vectors: independent, orthogonal to every eta=1 space."""
-    spreads = list_type_I(config)
-    stack = _stack(config, spreads)
+    stack = family_indicators(config, slice(len(list_type_I(config)))).astype(np.int64)
     tables = scheme_tables(config)
     vanishing_ok = True
     for j in range(config.nu):
@@ -441,7 +440,7 @@ def typeI_span_check(config: SpaceConfig) -> SpanReport:
                           for j in range(config.nu + 1))
     expected = sum(tables.multiplicities[(j, 0)] for j in range(config.nu + 1))
     rank, method = _stack_rank(config, stack, expected, upper_bound_proven=vanishing_ok)
-    return SpanReport("I", len(spreads), rank, expected, vanishing_ok,
+    return SpanReport("I", len(stack), rank, expected, vanishing_ok,
                       nonvanishing_ok, method)
 
 
@@ -449,8 +448,7 @@ def typeII_span_check(config: SpaceConfig) -> SpanReport:
     """Type-II characteristic vectors: span the parallel-class complement."""
     if config.nu < 2:
         raise ValueError("type-II span check needs nu >= 2")
-    spreads = list_type_II(config)
-    stack = _stack(config, spreads)
+    stack = family_indicators(config, slice(len(list_type_I(config)), None)).astype(np.int64)
     tables = scheme_tables(config)
     vanishing_ok = True
     _, B01 = idempotent_int(config, (0, 1))
@@ -460,5 +458,5 @@ def typeII_span_check(config: SpaceConfig) -> SpanReport:
                           for eig in tables.eigs if eig[0] != 0)
     expected = tables.size - tables.multiplicities[(0, 1)]
     rank, method = _stack_rank(config, stack, expected, upper_bound_proven=vanishing_ok)
-    return SpanReport("II", len(spreads), rank, expected, vanishing_ok,
+    return SpanReport("II", len(stack), rank, expected, vanishing_ok,
                       nonvanishing_ok, method)

@@ -1,5 +1,6 @@
 """Cameron-Liebler sets: batteries, constructions, classification, profiles."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +37,7 @@ from clflats.cl import (
 from clflats.exact import int_matmul, nullspace_int
 from clflats.flats import container_flats, enumerate_flats, incidence_matrix, incidence_rank
 from clflats.geometry import all_vectors, random_isometry, space_config, zero_vector
-from clflats.scheme import scheme_tables
+from clflats.scheme import adjacency_matrix, idempotent_int, scheme_tables
 from conftest import MEDIUM_CONFIGS
 
 
@@ -86,7 +87,6 @@ def test_single_flat_rejected(s21):
 
 
 def test_counts_law_spot_values(s22):
-    from clflats.scheme import adjacency_matrix
     pencil = _pencil(s22)
     chi = pencil.chi()
     in_set = chi.astype(bool)
@@ -259,6 +259,56 @@ def test_batch_verdicts_agree_and_match_serial(medium_config):
             continue
         fs = FlatSet(cfg, ids)
         assert is_cameron_liebler(fs) == bool(verdicts["image"][col])
+
+
+def _seeded_columns(cfg, seed):
+    """Members (seeded pencils and their complements), near misses (one flat
+    of a seeded pencil swapped for a flat of another parallel class) and
+    random subsets, one per column."""
+    rng = random.Random(seed)
+    maximal = enumerate_flats(cfg, cfg.nu)
+    points = all_vectors(cfg)
+    cols = []
+    for _ in range(4):
+        pencil = _pencil(cfg, rng.choice(points))
+        cols += [pencil.chi(), pencil.complement().chi()]
+        drop = rng.choice(pencil.ids)
+        swap = rng.choice([f for f in range(len(maximal)) if f not in pencil
+                           and maximal[f].direction != maximal[drop].direction])
+        miss = np.zeros(len(maximal), dtype=np.int64)
+        miss[[f for f in pencil.ids if f != drop] + [swap]] = 1
+        cols.append(miss)
+    return np.concatenate([np.stack(cols, axis=1),
+                           random_subset_matrix(cfg, 8, seed=seed)], axis=1)
+
+
+@pytest.mark.parametrize("key", [c for c in MEDIUM_CONFIGS] + [("symplectic", 3, 2)],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_batch_scheme_routes_match_dense_idempotents(key):
+    """The relation-count routes give the verdicts of the dense products B_e chi."""
+    cfg = space_config(*key)
+    chi = _seeded_columns(cfg, seed=sum(map(ord, repr(key))))
+    tables = scheme_tables(cfg)
+    shifted = cfg.q**cfg.nu * set_denominator(cfg) * chi - chi.sum(axis=0)
+    proj = {e: idempotent_int(cfg, e)[1] for e in tables.eigs}
+    spectrum = ~np.any([(proj[e] @ chi).any(axis=0) for e in tables.eigs
+                        if e not in ((0, 0), (0, 1))], axis=0)
+    shifted_ok = ~np.any([(proj[e] @ shifted).any(axis=0) for e in tables.eigs
+                          if e != (0, 1)], axis=0)
+    verdicts = batch_verdicts(cfg, chi)
+    assert (verdicts["spectrum"] == spectrum).all()
+    assert (verdicts["shifted"] == shifted_ok).all()
+    assert spectrum[:12].tolist() == [True, True, False] * 4
+
+
+def test_membership_routes_build_no_dense_matrices():
+    cfg = space_config("orthogonal", 3, 2)
+    cached = (idempotent_int, adjacency_matrix)
+    before = [f.cache_info()[:2] for f in cached]
+    battery(_pencil(cfg))
+    battery(_near_miss(cfg))
+    batch_verdicts(cfg, random_subset_matrix(cfg, 5, seed=1))
+    assert [f.cache_info()[:2] for f in cached] == before
 
 
 def test_batch_includes_positives(s22):

@@ -78,6 +78,24 @@ def test_spreads_enumerate(capsys):
     assert code == 0 and data["count"] == "105" and data["exhaustive"] is True
 
 
+def test_spreads_enumerate_in_scope_flat(tmp_path, capsys):
+    scope = {"basis": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "rep": [0, 0, 0, 0]}
+    scopefile = tmp_path / "scope.json"
+    scopefile.write_text(json.dumps(scope))
+    code, data = run_json(capsys, ["spreads", "enumerate", "--scope",
+                                   f"flat:{scopefile}"] + BASE)
+    assert code == 0 and data["count"] == "3" and data["exhaustive"] is True
+    as_strings = {"basis": [[str(c) for c in row] for row in scope["basis"]],
+                  "rep": [str(c) for c in scope["rep"]]}
+    assert all(s["scope"] == as_strings for s in data["spreads"])
+    assert [s["type"] for s in data["spreads"]] == ["I"] * 3
+    # two 4-point flats cover the scope's 8 points; its 6 flats fall into 3 classes
+    assert all(len(s["members"]) == 2 for s in data["spreads"])
+    assert len({m for s in data["spreads"] for m in s["members"]}) == 6
+    assert run(["spreads", "enumerate", "--scope", str(scopefile)] + BASE) == 2
+    capsys.readouterr()
+
+
 def test_cl_roundtrip(tmp_path, capsys):
     code, pencil = run_json(capsys, ["cl", "construct", "--pencil", "0,0,0,0"] + BASE)
     assert code == 0 and pencil["size"] == "15" and pencil["x"] == "1"

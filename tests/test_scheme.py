@@ -28,7 +28,7 @@ from clflats.scheme import (
     dual_polar_multiplicity,
     dual_polar_size,
     dual_polar_valency,
-    idempotent,
+    idempotent_int,
     inner_distribution,
     phi_piecewise,
     q_valuation,
@@ -166,11 +166,24 @@ def test_full_eigen_system_small(case, q, nu):
 
 def test_idempotent_matrix_form(s21):
     tables = scheme_tables(s21)
-    e00 = idempotent(s21, (0, 0))
-    assert all(x == Fraction(1, tables.size) for row in e00.entries for x in row)
-    e01 = idempotent(s21, (0, 1))
-    assert (e01 @ e01).entries == e01.entries
-    assert e01.trace() == tables.multiplicities[(0, 1)]
+    L00, B00 = idempotent_int(s21, (0, 0))
+    assert (B00 * tables.size == L00).all()
+    L01, B01 = idempotent_int(s21, (0, 1))
+    assert (exact.int_matmul(B01, B01) == L01 * B01).all()
+    assert int(np.trace(B01)) == L01 * tables.multiplicities[(0, 1)]
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("unitary", 4, 1)])
+def test_idempotent_gather_matches_adjacency_sum(key):
+    """The gather over relation codes equals sum_r c_r A_r, c_r = L Q[e, r] / |X|."""
+    cfg = space_config(*key)
+    tables = scheme_tables(cfg)
+    for e in tables.eigs:
+        coeffs = {r: tables.Q[e, r] / tables.size for r in tables.rels}
+        L = np.lcm.reduce([c.denominator for c in coeffs.values()])
+        B = sum(int(coeffs[r] * L) * adjacency_matrix(cfg, r) for r in tables.rels)
+        assert idempotent_int(cfg, e)[0] == L
+        assert (idempotent_int(cfg, e)[1] == B).all()
 
 
 def test_inner_distribution_spread_and_pencil(s22):
@@ -207,7 +220,6 @@ def test_inner_distribution_type_II(case, q, nu):
 
 def test_inner_distribution_matches_projections(s22):
     """Zero eigenprojection iff zero transformed inner distribution."""
-    from clflats.scheme import idempotent_int
     rng = random.Random(42)
     n = scheme_tables(s22).size
     for _ in range(50):
