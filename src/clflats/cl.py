@@ -9,9 +9,10 @@ the two-relation neighbour counts, and constant intersection with the
 spreads.  All routes are exact.  The kernel basis is made of certified
 spread differences; the image route keeps its own elimination, so the
 two check each other.  The spectrum, shifted and count routes read one
-relation-count table, A_r [chi | 1] for every relation r, and apply the
-closed-form idempotent coefficients to it; no dense adjacency matrix or
-idempotent is built on the query path.
+relation-count table, A_r [chi | 1] for every relation r, from
+scheme.relation_products, and apply the closed-form idempotent
+coefficients to it; the relation table is the only n x n object they
+read.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .geometry import (
     is_isotropic,
     vec_sub,
 )
-from .scheme import idempotent_coefficients, relation_matrix, scheme_tables
+from .scheme import idempotent_coefficients, relation_matrix, relation_products, scheme_tables
 from .spreads import enumerate_spreads, family_indicators, family_members, list_type_I
 
 
@@ -195,16 +196,15 @@ def _scheme_routes(config: SpaceConfig, cols: np.ndarray) -> tuple[dict[str, np.
     """Spectrum, shifted and count verdicts for each column chi of cols,
     plus the neighbour-count law of every relation (rows in code order).
 
-    All three read one relation-count table T[r] = A_r [cols | 1], built
-    from the relation codes (A_(0,0) = I needs no product).  The
-    idempotents are B_e = sum_r C[e, r] A_r, so C T holds every
-    projection B_e chi, and C applied to q^nu*D*T[r] - |S|*T[r]1 every
-    projection of the shifted vector q^nu*D*chi - |S|*j.
+    All three read one relation-count table T[r] = A_r [cols | 1] from
+    the relation products of the identity table.  The idempotents are
+    B_e = sum_r C[e, r] A_r, so C T holds every projection B_e chi, and
+    C applied to q^nu*D*T[r] - |S|*T[r]1 every projection of the shifted
+    vector q^nu*D*chi - |S|*j.
     """
-    R = relation_matrix(config)
     n, c = cols.shape
     X = np.hstack([cols, np.ones((n, 1), dtype=np.int64)])
-    T = np.stack([X] + [exact.int_matmul(R == k, X) for k in range(1, 2 * config.nu + 1)])
+    T = relation_products(config, np.eye(2 * config.nu + 1, dtype=np.int64), X)
     Ls, C = idempotent_coefficients(config)
     sizes = cols.sum(axis=0)
     proj = exact.int_matmul(C, T.reshape(len(T), -1)).reshape(T.shape)[:, :, :c]

@@ -87,7 +87,8 @@ def rank(matrix) -> int:
 def modular_rank(matrix, p: int, stop_at: int | None = None) -> int:
     """Rank over GF(p); a lower bound for (and usually equal to) the Q-rank.
 
-    Integer arrays are used as they are, other input is cleared of
+    Integer arrays are used as they are, widened to int64 first when
+    narrower (a narrow type cannot hold p); other input is cleared of
     denominators row by row.  The result is min(rank, stop_at).
     """
     A = np.asarray(matrix)
@@ -95,7 +96,9 @@ def modular_rank(matrix, p: int, stop_at: int | None = None) -> int:
         A = np.array(_int_rows(matrix), dtype=object)
     if A.ndim != 2 or not A.size:
         return 0
-    A = (A % p).astype(np.int64)
+    if A.dtype.kind in "iu" and A.dtype.itemsize < 8:
+        A = A.astype(np.int64)
+    A = (A % p).astype(np.int64, copy=False)
     nrows, ncols = A.shape
     limit = min(nrows, ncols) if stop_at is None else min(stop_at, nrows, ncols)
     r = 0
@@ -325,11 +328,12 @@ def _forget(key: int, ref: weakref.ref) -> None:
 def _bound(a: np.ndarray) -> int:
     """An upper bound on max|a|, computed once per read-only array.
 
-    The cached matrices (incidence, kernel basis, null rows, adjacency,
-    idempotents) are read-only, and so are their views, which share the
-    bound of the array that owns the data.  Writeable arrays are scanned
-    on every call.  The bound is keyed by identity and checked through a
-    weak reference, so an array made later at a reused id is scanned anew.
+    The cached matrices (incidence, kernel basis, null rows) and the
+    dense idempotents of scheme.check_eigen_system are read-only, and so
+    are their views, which share the bound of the array that owns the
+    data.  Writeable arrays are scanned on every call.  The bound is keyed
+    by identity and checked through a weak reference, so an array made
+    later at a reused id is scanned anew.
     """
     root = _read_only_root(a)
     if root is None:

@@ -5,10 +5,11 @@ intersection, xi = 0 when the cosets meet and 1 when they are disjoint
 ((nu, 1) never occurs).  Eigenspaces carry the same index family.  All
 eigenvalue, valency, and multiplicity tables come from closed forms,
 and so does the coefficient table C of the idempotents in the
-adjacency basis, E_e = (1/L_e) sum_r C[e, r] A_r.  The membership
-routes apply C to relation counts and never build a dense matrix;
-constructed adjacency matrices and idempotents serve purely as
-verification artifacts, so a disagreement is loud.
+adjacency basis, E_e = (1/L_e) sum_r C[e, r] A_r.  The int8 relation
+table is the only cached n x n object: every product in the Bose-Mesner
+algebra, sum_r W[k, r] A_r X for a small integer table W, is read from
+it by relation_products.  Dense idempotents exist only inside
+check_eigen_system, where they are the object being verified.
 """
 
 from __future__ import annotations
@@ -207,12 +208,6 @@ class SchemeTables:
     P: dict[tuple[RelIndex, RelIndex], int]          # P[rel, eig]
     Q: dict[tuple[RelIndex, RelIndex], Fraction]     # Q[eig, rel]
 
-    def p(self, rel: RelIndex, eig: RelIndex) -> int:
-        return self.P[rel, eig]
-
-    def q_entry(self, eig: RelIndex, rel: RelIndex) -> Fraction:
-        return self.Q[eig, rel]
-
 
 @lru_cache(maxsize=None)
 def scheme_tables(config: SpaceConfig) -> SchemeTables:
@@ -295,12 +290,29 @@ def relation_matrix(config: SpaceConfig) -> np.ndarray:
     return R
 
 
-@lru_cache(maxsize=None)
-def adjacency_matrix(config: SpaceConfig, rel: RelIndex) -> np.ndarray:
-    code = _code(config.nu, rel)
-    A = (relation_matrix(config) == code).astype(np.int64)
-    A.flags.writeable = False
-    return A
+PRODUCT_COLUMNS = 512  # bounds the float64 copies each relation product makes
+
+
+def relation_products(config: SpaceConfig, W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """out[k] = sum_r W[k, r] A_r X exactly, for each row k of the integer matrix W.
+
+    W has one column per relation code, X one row per flat.  Each row is
+    one exact product with a transient matrix read from the relation
+    table: the mask R == r for a unit row at code r (none at code 0,
+    A_(0,0) = I), the gather W[k][R] otherwise.
+    """
+    R = relation_matrix(config)
+    out = np.zeros((len(W),) + X.shape, dtype=object if X.dtype == object else np.int64)
+    for k, w in enumerate(W.tolist()):
+        support = [r for r, c in enumerate(w) if c]
+        unit = len(support) == 1 and w[support[0]] == 1
+        if unit and support[0] == 0:
+            out[k] = X
+            continue
+        G = R == support[0] if unit else W[k][R]
+        for s in range(0, X.shape[1], PRODUCT_COLUMNS):
+            out[k, :, s:s + PRODUCT_COLUMNS] = exact.int_matmul(G, X[:, s:s + PRODUCT_COLUMNS])
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -322,9 +334,8 @@ def idempotent_coefficients(config: SpaceConfig) -> tuple[tuple[int, ...], np.nd
     return tuple(Ls), C
 
 
-@lru_cache(maxsize=None)
 def idempotent_int(config: SpaceConfig, eig: RelIndex) -> tuple[int, np.ndarray]:
-    """(L, B) with the primitive idempotent equal to B / L exactly."""
+    """(L, B) with the primitive idempotent equal to B / L exactly, as a dense gather."""
     Ls, C = idempotent_coefficients(config)
     k = _code(config.nu, eig)
     B = C[k][relation_matrix(config)]
@@ -332,62 +343,52 @@ def idempotent_int(config: SpaceConfig, eig: RelIndex) -> tuple[int, np.ndarray]
     return Ls[k], B
 
 
+def _eigen_checks(config: SpaceConfig, V: np.ndarray, BVs) -> dict[str, bool]:
+    """A_r B_e V = p_r(e) B_e V, B_a B_e V = [a = e] L_e B_e V, trace B_e =
+    L_e m_e and sum_e (L / L_e) B_e V = L V, exactly, for BVs[e] = B_e V.
+
+    The relation products of B_e V are every A_r B_e V, C applied to them
+    every B_a B_e V, and trace B_e = sum_x C[e, R[x, x]].
+    """
+    tables = scheme_tables(config)
+    rels = tables.rels
+    Ls, C = idempotent_coefficients(config)
+    unit = np.eye(len(rels), dtype=np.int64)
+    ok = dict.fromkeys(("eigen", "idempotent", "orthogonal"), True)
+    for k, (e, BV) in enumerate(zip(rels, BVs)):
+        S = relation_products(config, unit, BV)
+        ok["eigen"] &= all(bool((ABV == tables.P[r, e] * BV).all()) for r, ABV in zip(rels, S))
+        BBV = exact.int_matmul(C, S.reshape(len(rels), -1)).reshape(S.shape)
+        ok["idempotent"] &= bool((BBV[k] == Ls[k] * BV).all())
+        ok["orthogonal"] &= not np.delete(BBV.any(axis=(1, 2)), k).any()
+    diagonal = np.diagonal(relation_matrix(config))
+    ok["trace"] = all(int(C[k][diagonal].sum()) == Ls[k] * tables.multiplicities[e]
+                      for k, e in enumerate(rels))
+    Lc = lcm(*Ls)
+    total = sum((Lc // L) * BV.astype(object) for L, BV in zip(Ls, BVs))
+    ok["sum"] = bool((total == Lc * V).all())
+    return ok
+
+
 def check_eigen_system(config: SpaceConfig) -> dict[str, bool]:
     """Full exact verification of A E = p E, E^2 = E, orthogonality, traces, sum."""
     tables = scheme_tables(config)
-    rels = tables.rels
-    Ls, Bs = {}, {}
-    for e in rels:
-        Ls[e], Bs[e] = idempotent_int(config, e)
-    ok_eigen = True
-    for r in rels:
-        A = adjacency_matrix(config, r)
-        for e in rels:
-            lhs = exact.int_matmul(A, Bs[e])
-            if not (lhs == tables.P[r, e] * Bs[e]).all():
-                ok_eigen = False
-    ok_idem = all((exact.int_matmul(Bs[e], Bs[e]) == Ls[e] * Bs[e]).all() for e in rels)
-    ok_orth = True
-    for a in range(len(rels)):
-        for b in range(a + 1, len(rels)):
-            prod = exact.int_matmul(Bs[rels[a]], Bs[rels[b]])
-            if prod.any():
-                ok_orth = False
-    ok_trace = all(int(np.trace(Bs[e])) == Ls[e] * tables.multiplicities[e] for e in rels)
-    Lc = lcm(*Ls.values())
-    total = sum((Lc // Ls[e]) * Bs[e] for e in rels)
-    ok_sum = bool((total == Lc * np.eye(tables.size, dtype=np.int64)).all())
-    return {"eigen": ok_eigen, "idempotent": ok_idem, "orthogonal": ok_orth,
-            "trace": ok_trace, "sum": ok_sum}
+    Bs = [idempotent_int(config, e)[1] for e in tables.rels]
+    return _eigen_checks(config, np.eye(tables.size, dtype=np.int64), Bs)
 
 
 def check_eigen_system_probes(config: SpaceConfig, seed: int = 0,
                               count: int = 100) -> dict[str, bool]:
-    """Probe-based eigen checks (matrix against probe block) for large schemes."""
+    """Eigen checks against a seeded probe block V, B_e V = sum_r C[e, r] A_r V."""
     tables = scheme_tables(config)
-    rels = tables.rels
     rng = random.Random(("eigenprobe", config.key(), seed).__repr__())
-    n = tables.size
-    Ls, Bs = {}, {}
-    for e in rels:
-        Ls[e], Bs[e] = idempotent_int(config, e)
-    V = np.array([[rng.randrange(-4, 5) for _ in range(count)] for _ in range(n)],
+    V = np.array([[rng.randrange(-4, 5) for _ in range(count)] for _ in range(tables.size)],
                  dtype=np.int64)
-    ok_eigen = ok_idem = True
-    Lc = lcm(*Ls.values())
-    acc = np.zeros((n, count), dtype=object)
-    for e in rels:
-        BV = exact.int_matmul(Bs[e], V)
-        for r in rels:
-            lhs = exact.int_matmul(adjacency_matrix(config, r), BV)
-            if not (lhs == tables.P[r, e] * BV).all():
-                ok_eigen = False
-        if not (exact.int_matmul(Bs[e], BV) == Ls[e] * BV).all():
-            ok_idem = False
-        acc = acc + (Lc // Ls[e]) * BV.astype(object)
-    ok_sum = bool((acc == Lc * V).all())
-    ok_trace = all(int(np.trace(Bs[e])) == Ls[e] * tables.multiplicities[e] for e in rels)
-    return {"eigen": ok_eigen, "idempotent": ok_idem, "trace": ok_trace, "sum": ok_sum}
+    T = relation_products(config, np.eye(len(tables.rels), dtype=np.int64), V)
+    BVs = exact.int_matmul(idempotent_coefficients(config)[1],
+                           T.reshape(len(T), -1)).reshape(T.shape)
+    ok = _eigen_checks(config, V, BVs)
+    return {key: ok[key] for key in ("eigen", "idempotent", "trace", "sum")}
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +544,7 @@ def column_uniqueness(config: SpaceConfig, rel: RelIndex) -> UniquenessResult:
 # axiom verification
 
 EXHAUSTIVE_TRIPLE_BOUND = 120
+PAIR_BLOCK = 256  # pairs per offset bincount in verify_scheme
 
 
 @dataclass(frozen=True)
@@ -562,7 +564,11 @@ class SchemeReport:
 
 
 def verify_scheme(config: SpaceConfig, seed: int = 0, samples: int = 10_000) -> SchemeReport:
-    """Brute-force the scheme axioms on the constructed relations."""
+    """Brute-force the scheme axioms on the constructed relations.
+
+    The histograms of (R[x, z], R[z, y]) over z must agree on the pairs
+    (x, y) of one relation; a block of pairs takes one offset bincount.
+    """
     R = relation_matrix(config)
     n = R.shape[0]
     d = 2 * config.nu
@@ -571,27 +577,26 @@ def verify_scheme(config: SpaceConfig, seed: int = 0, samples: int = 10_000) -> 
     symmetry_ok = bool((R == R.T).all())
     diagonal_ok = bool((np.diag(R) == 0).all()) and bool(((R == 0) == np.eye(n, dtype=bool)).all())
 
-    # intersection-number constancy per relation class
-    reference: dict[int, np.ndarray] = {}
-    intersection_ok = True
     if n <= EXHAUSTIVE_TRIPLE_BOUND:
         mode = "exhaustive"
-        pair_iter = ((x, y) for x in range(n) for y in range(n))
-        pairs_checked = n * n
+        xs, ys = np.divmod(np.arange(n * n), n)
     else:
         mode = "sampled"
         rng = random.Random(("scheme-axioms", config.key(), seed).__repr__())
-        pair_iter = ((rng.randrange(n), rng.randrange(n)) for _ in range(samples))
-        pairs_checked = samples
-    width = d + 1
-    for x, y in pair_iter:
-        k = int(R[x, y])
-        hist = np.bincount(R[x, :].astype(np.int64) * width + R[:, y].astype(np.int64),
-                           minlength=width * width)
-        if k in reference:
-            if not (reference[k] == hist).all():
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
+        xs, ys = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    cells = (d + 1) ** 2
+    reference: dict[int, np.ndarray] = {}
+    intersection_ok = True
+    for s in range(0, len(xs), PAIR_BLOCK):
+        x, y = xs[s:s + PAIR_BLOCK], ys[s:s + PAIR_BLOCK]
+        keys = (R[x].astype(np.int64) * (d + 1) + R[:, y].T
+                + cells * np.arange(len(x))[:, None])
+        hists = np.bincount(keys.reshape(-1), minlength=cells * len(x)).reshape(len(x), cells)
+        rel = R[x, y]
+        for k in np.unique(rel):
+            block = hists[rel == k]
+            if not (block == reference.setdefault(int(k), block[0])).all():
                 intersection_ok = False
-        else:
-            reference[k] = hist
     return SchemeReport(partition_ok, symmetry_ok, diagonal_ok, intersection_ok,
-                        pairs_checked, mode, seed)
+                        len(xs), mode, seed)

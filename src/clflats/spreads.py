@@ -45,7 +45,7 @@ from .geometry import (
     span_points,
     vec_add,
 )
-from .scheme import idempotent_int, scheme_tables
+from .scheme import idempotent_coefficients, relation_products, scheme_tables
 
 EXHAUSTIVE_POINT_BOUND = 32
 
@@ -57,11 +57,6 @@ class Spread:
     members: tuple[int, ...]          # sorted global FlatIds
     scope: Flat | None = None         # None = full space
     tag: str = "other"                # "I", "II", or "other"
-
-
-def _member_flats(config: SpaceConfig, spread: Spread) -> list[Flat]:
-    flats = enumerate_flats(config, config.nu)
-    return [flats[i] for i in spread.members]
 
 
 def spread_type_I(config: SpaceConfig, direction: Subspace) -> Spread:
@@ -414,28 +409,24 @@ def _nonzero_projections(config: SpaceConfig, eig, stack: np.ndarray,
     """Whether every stack row has a nonzero projection under the idempotent.
 
     A seeded random functional of the idempotent witnesses nonzeroness in
-    one pass; rows it fails to witness get the exact full-column check.
+    one pass (B_e is symmetric, so r^T B_e s = s . B_e r); rows it fails
+    to witness get the exact full-column check.
     """
-    _, B = idempotent_int(config, eig)
+    w = idempotent_coefficients(config)[1][[scheme_tables(config).eigs.index(eig)]]
     rng = random.Random(("witness", config.key(), eig, seed).__repr__())
-    r = np.array([rng.randrange(1, 64) for _ in range(B.shape[0])], dtype=np.int64)
-    witness = exact.int_matmul(exact.int_matmul(r.reshape(1, -1), B), stack.T)
-    for idx in np.flatnonzero(witness.reshape(-1) == 0):
-        col = exact.int_matmul(B, stack[int(idx)].reshape(-1, 1))
-        if not col.any():
-            return False
-    return True
+    r = np.array([rng.randrange(1, 64) for _ in range(stack.shape[1])], dtype=np.int64)
+    witness = exact.int_matmul(stack, relation_products(config, w, r.reshape(-1, 1))[0])
+    return all(relation_products(config, w, stack[i].reshape(-1, 1)).any()
+               for i in np.flatnonzero(witness[:, 0] == 0))
 
 
 def typeI_span_check(config: SpaceConfig) -> SpanReport:
     """Type-I characteristic vectors: independent, orthogonal to every eta=1 space."""
-    stack = family_indicators(config, slice(len(list_type_I(config)))).astype(np.int64)
+    stack = family_indicators(config, slice(len(list_type_I(config))))
     tables = scheme_tables(config)
-    vanishing_ok = True
-    for j in range(config.nu):
-        _, B = idempotent_int(config, (j, 1))
-        if exact.int_matmul(B, stack.T).any():
-            vanishing_ok = False
+    # the eta = 1 idempotents (j, 1), j < nu, have codes 1, 3, ..., 2 nu - 1
+    eta1 = idempotent_coefficients(config)[1][1:2 * config.nu:2]
+    vanishing_ok = not relation_products(config, eta1, stack.T).any()
     nonvanishing_ok = all(_nonzero_projections(config, (j, 0), stack)
                           for j in range(config.nu + 1))
     expected = sum(tables.multiplicities[(j, 0)] for j in range(config.nu + 1))
@@ -448,12 +439,10 @@ def typeII_span_check(config: SpaceConfig) -> SpanReport:
     """Type-II characteristic vectors: span the parallel-class complement."""
     if config.nu < 2:
         raise ValueError("type-II span check needs nu >= 2")
-    stack = family_indicators(config, slice(len(list_type_I(config)), None)).astype(np.int64)
+    stack = family_indicators(config, slice(len(list_type_I(config)), None))
     tables = scheme_tables(config)
-    vanishing_ok = True
-    _, B01 = idempotent_int(config, (0, 1))
-    if exact.int_matmul(B01, stack.T).any():
-        vanishing_ok = False
+    parallel = idempotent_coefficients(config)[1][1:2]  # the (0, 1) idempotent
+    vanishing_ok = not relation_products(config, parallel, stack.T).any()
     nonvanishing_ok = all(_nonzero_projections(config, eig, stack)
                           for eig in tables.eigs if eig[0] != 0)
     expected = tables.size - tables.multiplicities[(0, 1)]

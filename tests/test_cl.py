@@ -1,11 +1,13 @@
 """Cameron-Liebler sets: batteries, constructions, classification, profiles."""
 
+import gc
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from clflats import cl, exact, scheme, spreads
 from clflats.cl import (
     FlatSet,
     _image_solver,
@@ -37,7 +39,8 @@ from clflats.cl import (
 from clflats.exact import int_matmul, nullspace_int
 from clflats.flats import container_flats, enumerate_flats, incidence_matrix, incidence_rank
 from clflats.geometry import all_vectors, random_isometry, space_config, zero_vector
-from clflats.scheme import adjacency_matrix, idempotent_int, scheme_tables
+from clflats.cli import paper_suite
+from clflats.scheme import idempotent_int, relation_matrix, relation_products, scheme_tables
 from conftest import MEDIUM_CONFIGS
 
 
@@ -90,9 +93,8 @@ def test_counts_law_spot_values(s22):
     pencil = _pencil(s22)
     chi = pencil.chi()
     in_set = chi.astype(bool)
-    c10 = adjacency_matrix(s22, (1, 0)) @ chi
-    c11 = adjacency_matrix(s22, (1, 1)) @ chi
-    c20 = adjacency_matrix(s22, (2, 0)) @ chi
+    T = relation_products(s22, np.eye(5, dtype=np.int64), chi.reshape(-1, 1))[:, :, 0]
+    c10, c11, c20 = T[2], T[3], T[4]  # relation codes 2i + xi
     assert set(c10[in_set]) == {6} and set(c10[~in_set]) == {2}
     assert set(c11[in_set]) == {0} and set(c11[~in_set]) == {4}
     assert set(c20[in_set]) == {8}  # the general-index law at i = 2
@@ -301,14 +303,64 @@ def test_batch_scheme_routes_match_dense_idempotents(key):
     assert spectrum[:12].tolist() == [True, True, False] * 4
 
 
-def test_membership_routes_build_no_dense_matrices():
+def test_membership_routes_build_no_dense_matrices(monkeypatch):
+    """Each route call makes exactly 2 nu n x n products, all with 0/1 relation
+    masks, and builds no dense idempotent."""
     cfg = space_config("orthogonal", 3, 2)
-    cached = (idempotent_int, adjacency_matrix)
-    before = [f.cache_info()[:2] for f in cached]
+    n = relation_matrix(cfg).shape[0]
+    battery(_pencil(cfg))  # set-up outside the count
+    square = []
+
+    def spy(a, b, real=exact.int_matmul):
+        if a.shape == (n, n):
+            square.append(a.dtype)
+        return real(a, b)
+
+    def dense(*args):
+        raise AssertionError("a dense idempotent on the query path")
+
+    monkeypatch.setattr(exact, "int_matmul", spy)
+    monkeypatch.setattr(scheme, "idempotent_int", dense)
+    monkeypatch.setattr(cl, "idempotent_int", dense, raising=False)
     battery(_pencil(cfg))
     battery(_near_miss(cfg))
     batch_verdicts(cfg, random_subset_matrix(cfg, 5, seed=1))
-    assert [f.cache_info()[:2] for f in cached] == before
+    assert square == [np.dtype(bool)] * (3 * 2 * cfg.nu)
+
+
+def _cached_arrays(value, seen):
+    """Every numpy array reachable from a cached value."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        for v in value:
+            yield from _cached_arrays(v, seen)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _cached_arrays(v, seen)
+    elif hasattr(value, "__dict__"):
+        yield from _cached_arrays(vars(value), seen)
+
+
+def test_paper_suite_caches_no_dense_matrix_but_the_relation_table():
+    """After a whole paper suite, the int8 relation table is the only cached n x n array."""
+    cfg = space_config("symplectic", 3, 2)
+    paper_suite(cfg, 0)
+    n = relation_matrix(cfg).shape[0]
+    cached = {fn for module in (scheme, spreads, cl) for fn in vars(module).values()
+              if hasattr(fn, "cache_info")}
+    found = []
+    for fn in sorted(cached, key=lambda f: f.__qualname__):
+        caches = [d for d in gc.get_referents(fn) if isinstance(d, dict)]
+        assert caches, fn.__qualname__
+        seen = set()
+        for cache in caches:
+            found += [(fn.__qualname__, a.dtype) for a in _cached_arrays(cache, seen)
+                      if a.shape == (n, n)]
+    assert found == [("relation_matrix", np.dtype(np.int8))]
 
 
 def test_batch_includes_positives(s22):

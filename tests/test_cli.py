@@ -120,6 +120,23 @@ def test_cl_roundtrip(tmp_path, capsys):
     assert code == 0 and prof["degree_identity"] is True
 
 
+def test_cl_test_shifted_method_exit_codes(tmp_path, capsys):
+    """The shifted route is offered; a member exits 0 and a non-member 1."""
+    code, pencil = run_json(capsys, ["cl", "construct", "--pencil", "0,0,0,0"] + BASE)
+    setfile = tmp_path / "pencil.json"
+    setfile.write_text(json.dumps(pencil))
+    code, verdict = run_json(capsys, ["cl", "test", "--in", str(setfile),
+                                      "--method", "shifted"] + BASE)
+    assert code == 0 and verdict["verdicts"] == {"shifted": True}
+    # a near miss: one pencil member swapped for a flat outside the pencil
+    near = [str(i) for i in range(60) if str(i) not in pencil["ids"]][0]
+    setfile.write_text(json.dumps({"ids": pencil["ids"][1:] + [near]}))
+    for method in ("shifted", "auto"):
+        code, verdict = run_json(capsys, ["cl", "test", "--in", str(setfile),
+                                          "--method", method] + BASE)
+        assert code == 1 and verdict["is_cameron_liebler"] is False
+
+
 def test_cl_set_by_explicit_flats(tmp_path, capsys):
     code, pencil = run_json(capsys, ["cl", "construct", "--pencil", "0,0,0,0"] + BASE)
     code, listing = run_json(capsys, ["enumerate", "flats", "--m", "2",

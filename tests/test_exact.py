@@ -152,6 +152,19 @@ def test_modular_rank_int64_input_and_stop_at():
     assert modular_rank([[3, 6], [1, 2]], 5) == 1
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8])
+def test_modular_rank_narrow_integer_input(dtype):
+    """Narrow integer types cannot hold p; they give the int64 rank."""
+    rng = np.random.default_rng(7)
+    deficient = rng.integers(0, 2, (9, 4)) @ rng.integers(0, 3, (4, 12))  # rank <= 4
+    for a in (np.eye(3, dtype=np.int64), deficient):
+        for p in MODULAR_PRIMES:
+            want = modular_rank(a.astype(np.int64), p)
+            assert modular_rank(a.astype(dtype), p) == want
+            assert modular_rank(a.astype(dtype), p, stop_at=2) == min(want, 2)
+    assert modular_rank(deficient.astype(dtype), MODULAR_PRIMES[0]) == rank(deficient) == 4
+
+
 def test_independent_rows_first_come():
     rows = np.array([[1, 1, 0], [0, 0, 0], [2, 2, 0], [0, 1, -1], [1, 0, 1], [0, 0, 1]],
                     dtype=np.int64)

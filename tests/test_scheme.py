@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from clflats import exact
+from clflats.cli import STANDARD_GRID
 from clflats.field import gauss_binomial
 from clflats.flats import flat_ids, flat_make
 from clflats.geometry import (
@@ -18,7 +19,7 @@ from clflats.geometry import (
 )
 from clflats.scheme import (
     INFINITY,
-    adjacency_matrix,
+    PRODUCT_COLUMNS,
     check_column_sums,
     check_eigen_system,
     check_eigen_system_probes,
@@ -28,12 +29,15 @@ from clflats.scheme import (
     dual_polar_multiplicity,
     dual_polar_size,
     dual_polar_valency,
+    idempotent_coefficients,
     idempotent_int,
     inner_distribution,
     phi_piecewise,
     q_valuation,
     relation_indices,
+    relation_matrix,
     relation_of,
+    relation_products,
     scheme_eigenvalue,
     scheme_multiplicity,
     scheme_tables,
@@ -42,6 +46,7 @@ from clflats.scheme import (
     verify_scheme,
 )
 from clflats.spreads import list_type_I, list_type_II
+from conftest import MEDIUM_CONFIGS
 
 CASES_Q = (("symplectic", 2), ("symplectic", 3), ("symplectic", 5),
            ("unitary", 4), ("unitary", 9),
@@ -69,17 +74,48 @@ def test_relation_of_examples(s22):
         relation_of(s22, f, bad)
 
 
+def _adjacency(cfg):
+    """Every A_r, as the relation products of the identity table with I."""
+    rels = scheme_tables(cfg).rels
+    n = relation_matrix(cfg).shape[0]
+    return relation_products(cfg, np.eye(len(rels), dtype=np.int64), np.eye(n, dtype=np.int64))
+
+
 def test_adjacency_partition_and_valencies(medium_config):
     cfg = medium_config
     tables = scheme_tables(cfg)
-    total = np.zeros((tables.size, tables.size), dtype=np.int64)
-    for rel in tables.rels:
-        A = adjacency_matrix(cfg, rel)
-        assert (A == A.T).all()
-        assert set(A.sum(axis=1).tolist()) == {tables.valencies[rel]}
-        total += A
-    assert (total == 1).all()
-    assert (adjacency_matrix(cfg, (0, 0)) == np.eye(tables.size, dtype=np.int64)).all()
+    A = _adjacency(cfg)
+    for rel, A_r in zip(tables.rels, A):
+        assert (A_r == A_r.T).all()
+        assert set(A_r.sum(axis=1).tolist()) == {tables.valencies[rel]}
+    assert (A.sum(axis=0) == 1).all()
+    assert (A[0] == np.eye(tables.size, dtype=np.int64)).all()
+    valency_rows = relation_products(cfg, np.eye(len(tables.rels), dtype=np.int64),
+                                     np.ones((tables.size, 1), dtype=np.int64))
+    assert [set(row[:, 0].tolist()) for row in valency_rows] == \
+        [{tables.valencies[rel]} for rel in tables.rels]
+
+
+@pytest.mark.parametrize("key", MEDIUM_CONFIGS, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_relation_products_match_dense_masks(key):
+    """out[k] = sum_r W[k, r] ((R == r) @ X), computed densely here."""
+    cfg = space_config(*key)
+    R = relation_matrix(cfg)
+    n, codes = R.shape[0], 2 * cfg.nu + 1
+    rng = np.random.default_rng(sum(map(ord, repr(key))))
+    X = rng.integers(-5, 6, (n, PRODUCT_COLUMNS + 3))  # two column blocks
+    X[:, 1] = 0
+    _, C = idempotent_coefficients(cfg)
+    mixed = rng.integers(-3, 4, (3, codes))
+    for W in (np.eye(codes, dtype=np.int64), C, 2 * np.eye(codes, dtype=np.int64),
+              mixed, np.eye(codes, dtype=np.int64)[[0]]):
+        want = np.array([sum(int(w[r]) * ((R == r).astype(np.int64) @ X) for r in range(codes))
+                         for w in W])
+        got = relation_products(cfg, W, X)
+        assert got.dtype == np.int64 and (got == want).all()
+        assert not got[:, :, 1].any()
+    # the code-0 unit row is X itself, with no product
+    assert (relation_products(cfg, np.eye(codes, dtype=np.int64)[[0]], X)[0] == X).all()
 
 
 def test_dual_polar_spot_values():
@@ -181,7 +217,7 @@ def test_idempotent_gather_matches_adjacency_sum(key):
     for e in tables.eigs:
         coeffs = {r: tables.Q[e, r] / tables.size for r in tables.rels}
         L = np.lcm.reduce([c.denominator for c in coeffs.values()])
-        B = sum(int(coeffs[r] * L) * adjacency_matrix(cfg, r) for r in tables.rels)
+        B = sum(int(coeffs[r] * L) * A_r for r, A_r in zip(tables.rels, _adjacency(cfg)))
         assert idempotent_int(cfg, e)[0] == L
         assert (idempotent_int(cfg, e)[1] == B).all()
 
@@ -348,6 +384,68 @@ def test_scheme_axioms_exhaustive(case, q, nu):
 def test_scheme_axioms_sampled():
     report = verify_scheme(space_config("symplectic", 3, 2), seed=0)
     assert report.ok and report.mode == "sampled" and report.pairs_checked == 10_000
+
+
+def _verify_scheme_loop(R, config, seed=0, samples=10_000):
+    """The per-pair loop verify_scheme replaced: (mode, pairs_checked, intersection_ok)."""
+    n = R.shape[0]
+    width = 2 * config.nu + 1
+    if n <= 120:
+        mode, pairs = "exhaustive", [(x, y) for x in range(n) for y in range(n)]
+    else:
+        rng = random.Random(("scheme-axioms", config.key(), seed).__repr__())
+        mode, pairs = "sampled", [(rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
+    reference, ok = {}, True
+    for x, y in pairs:
+        k = int(R[x, y])
+        hist = np.bincount(R[x, :].astype(np.int64) * width + R[:, y].astype(np.int64),
+                           minlength=width * width)
+        if k in reference:
+            ok &= bool((reference[k] == hist).all())
+        else:
+            reference[k] = hist
+    return mode, len(pairs), ok
+
+
+def _swap_symmetric_pairs(R):
+    """R with the codes of two symmetric off-diagonal pairs exchanged."""
+    T = R.copy()
+    (a, b), (c, d) = (0, 1), (0, int(np.flatnonzero(R[0] != R[0, 1])[-1]))
+    T[a, b], T[b, a], T[c, d], T[d, c] = R[c, d], R[d, c], R[a, b], R[b, a]
+    return T
+
+
+@pytest.mark.parametrize("key", STANDARD_GRID, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_verify_scheme_matches_pair_loop(key, monkeypatch):
+    import clflats.scheme as scheme_module
+    cfg = space_config(*key)
+    R = relation_matrix(cfg)
+    for seed in (0, 3):
+        report = verify_scheme(cfg, seed=seed)
+        assert (report.mode, report.pairs_checked, report.intersection_ok) == \
+            _verify_scheme_loop(R, cfg, seed)
+        assert report.ok
+    broken = _swap_symmetric_pairs(R)
+    monkeypatch.setattr(scheme_module, "relation_matrix", lambda config: broken)
+    report = verify_scheme(cfg)
+    mode, pairs, ok = _verify_scheme_loop(broken, cfg)
+    assert (report.mode, report.pairs_checked, report.intersection_ok) == (mode, pairs, ok)
+    assert report.symmetry_ok and report.diagonal_ok
+    if mode == "exhaustive":
+        assert not report.ok
+
+
+def test_eigen_checks_fail_on_a_mixed_block(s22):
+    """B_1 V replaced by (B_1 + B_2) V breaks the eigen, idempotent and orthogonal identities."""
+    from clflats.scheme import _eigen_checks
+    tables = scheme_tables(s22)
+    V = np.eye(tables.size, dtype=np.int64)
+    Bs = [idempotent_int(s22, e)[1] for e in tables.eigs]
+    assert all(_eigen_checks(s22, V, Bs).values())
+    Bs[1] = Bs[1] + Bs[2]
+    ok = _eigen_checks(s22, V, Bs)
+    assert not (ok["eigen"] or ok["idempotent"] or ok["orthogonal"])
+    assert ok["trace"]
 
 
 def test_probe_checks_match_full(s22):
