@@ -6,9 +6,12 @@ assumed).  The membership test has several equivalent routes: image of
 the transposed incidence matrix, orthogonality to its kernel, spectral
 support in the two trivial eigenspaces, the shifted spectral variant,
 the two-relation neighbour counts, and constant intersection with the
-spreads.  All routes are exact.  The kernel basis is made of certified
-spread differences; the image route keeps its own elimination, so the
-two check each other.  The spectrum, shifted and count routes read one
+spreads.  All routes are exact.  The image route tests chi against the
+certified null basis of M (its RREF over GF(p) rebuilt by rational
+reconstruction, flats.incidence_null_basis), which uses no spread.  The
+kernel basis is made of spread differences, the pivot rows of the GF(p)
+elimination of a fixed shuffle of them, certified once; the two routes
+check each other.  The spectrum, shifted and count routes read one
 relation-count table, A_r [chi | 1] for every relation r, from
 scheme.relation_products, and apply the closed-form idempotent
 coefficients to it; the relation table is the only n x n object they
@@ -36,6 +39,8 @@ from .flats import (
     flat_make,
     incidence_matrix,
     incidence_matrix_in,
+    incidence_null_basis,
+    incidence_rank,
 )
 from .geometry import (
     Isometry,
@@ -125,33 +130,33 @@ def apply_isometry(flat_set: FlatSet, iso: Isometry) -> FlatSet:
 # cached per-configuration machinery
 
 @lru_cache(maxsize=None)
-def _image_solver(config: SpaceConfig) -> exact.EchelonSolver:
-    return exact.EchelonSolver(incidence_matrix(config).matrix.T)
+def _image_solver(config: SpaceConfig) -> np.ndarray:
+    """The certified null basis N of M: M^T y = chi is solvable iff N chi = 0."""
+    return incidence_null_basis(config)
 
 
 @lru_cache(maxsize=None)
 def _kernel_basis(config: SpaceConfig) -> np.ndarray:
     """Basis of ker M: differences of constructive-family spreads, int64 in {-1, 0, 1}.
 
-    Certified once: M K^T vanishes exactly and rank_p K = n - rank_p M.
-    A mod-p rank bounds the rational rank from below, so rank_p K <=
-    rank K <= n - rank M <= n - rank_p M are all equal: K spans ker M.
+    K is the pivot rows of the GF(p) elimination of the differences, which
+    stops at n - rank M rows, and is certified once: M K^T vanishes
+    exactly and the rows are independent over GF(p), so over Q.  Then
+    n - rank M <= rank K <= dim ker M = n - rank M: K spans ker M.
     """
     M = incidence_matrix(config).matrix
-    n = M.shape[1]
-    p = exact.MODULAR_PRIMES[0]
-    target = n - exact.modular_rank(M, p)
+    target = M.shape[1] - incidence_rank(config)
     stack = family_indicators(config)
     # the family is sorted, so neighbouring spreads share members and their
     # differences are often dependent; a fixed shuffle meets new ones sooner
     diffs = stack[1:] - stack[0]
     diffs = diffs[random.Random(0).sample(range(len(diffs)), len(diffs))]
-    K = diffs[exact.independent_rows(diffs, p, stop_at=target)].astype(np.int64)
-    got = exact.modular_rank(K, p, stop_at=target)
-    if exact.int_matmul(M, K.T).any() or got != target:
+    _, _, rows = exact.modular_echelon(diffs, exact.MODULAR_PRIMES[0], stop_at=target)
+    K = diffs[rows].astype(np.int64)
+    if exact.int_matmul(M, K.T).any() or len(rows) != target:
         raise AssertionError(
             f"spread differences do not certify ker M for {config.key()}: "
-            f"rank_p K = {got}, n - rank_p M = {target}")
+            f"rank_p K = {len(rows)}, n - rank M = {target}")
     K.flags.writeable = False
     return K
 
@@ -165,8 +170,8 @@ def test_kernel(flat_set: FlatSet) -> bool:
 
 
 def test_solvable(flat_set: FlatSet) -> bool:
-    """Solvability of M^T y = chi, by the image solver's own null rows."""
-    return _image_solver(flat_set.config).solvable(flat_set.chi())
+    """Solvability of M^T y = chi: orthogonality to the certified null basis of M."""
+    return not exact.int_matmul(_image_solver(flat_set.config), flat_set.chi()).any()
 
 
 def test_image(flat_set: FlatSet) -> bool:
@@ -178,8 +183,8 @@ def test_image(flat_set: FlatSet) -> bool:
 
 
 def image_certificate(flat_set: FlatSet):
-    """An exact point weighting y with M^T y = chi, or None."""
-    return _image_solver(flat_set.config).solve(flat_set.chi())
+    """An exact point weighting y with M^T y = chi, or None; solved on demand."""
+    return exact.solve(incidence_matrix(flat_set.config).matrix.T, flat_set.chi())
 
 
 def _count_coefficients(config: SpaceConfig, i: int) -> tuple[int, int]:
@@ -298,7 +303,7 @@ def test_spreads(flat_set: FlatSet, family: str = "auto") -> SpreadTestReport:
 
 def is_cameron_liebler(flat_set: FlatSet, method: str = "kernel") -> bool:
     """Membership verdict by one route: 'kernel' (and 'auto') uses the
-    certified spread basis, 'image' the solver's own null rows."""
+    certified spread basis, 'image' the certified null basis of M."""
     if method in ("kernel", "auto"):
         return test_kernel(flat_set)
     if method == "image":
@@ -337,7 +342,7 @@ def batch_verdicts(config: SpaceConfig, chi_matrix: np.ndarray) -> dict[str, np.
     five equivalent routes; all arithmetic stays integral.
     """
     return {
-        "image": _image_solver(config).solvable(chi_matrix),
+        "image": ~exact.int_matmul(_image_solver(config), chi_matrix).any(axis=0),
         "kernel": ~exact.int_matmul(_kernel_basis(config), chi_matrix).any(axis=0),
         **_scheme_routes(config, chi_matrix)[0],
     }

@@ -5,7 +5,9 @@ decimal string ("n/d" for non-integral rationals); reports are
 byte-identical across runs with the same arguments and seed.  Exit
 codes: 0 all checks pass, 1 some check failed (report still emitted;
 for `cl test`, the set is not a Cameron-Liebler set), 2 usage or
-configuration error.
+configuration error, 3 internal error (a failed exact certificate, a
+disagreement between equivalent routes, or memory exhausted; one
+`clflats: internal error: ...` line on stderr and no report).
 """
 
 from __future__ import annotations
@@ -516,6 +518,10 @@ def run(argv) -> int:
     except (ValueError, ArithmeticError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except (AssertionError, MemoryError) as exc:
+        detail = " ".join(str(exc).split()) or type(exc).__name__
+        sys.stderr.write(f"clflats: internal error: {detail}\n")
+        return 3
     emit(payload, args.out)
     return code
 

@@ -1,16 +1,19 @@
 """Exact dense linear algebra over big integers and rationals.
 
-Every integer result is exact.  Ranks come from fraction-free (Bareiss)
-elimination or from GF(p) lower bounds that meet a proven upper bound,
-solvability from the null rows of an integer row-echelon kernel that
-keeps rows primitive (gcd-reduced), one product per test.  That
-elimination runs on numpy int64 arrays while a bound checked at each
-pivot rules out overflow and on object (big-int) arrays past it.
-Products pick the cheapest tier a proven bound on every partial sum
-allows: float64 BLAS below 2^53, where float64 is only a container for
-integers it holds exactly (BLAS pinned to one thread), int64 below 2^62,
-and object arithmetic otherwise.  The rational nullspace is the
-reference for tests.
+Every integer result is exact.  One GF(p) elimination, modular_echelon,
+keeps the first-come independent rows of a matrix; its rank is a lower
+bound on the Q-rank that callers prove tight with an upper bound.
+certified_null_basis reduces that echelon form to RREF, rebuilds its
+free columns by rational reconstruction and certifies the integer null
+basis with one exact product, so that solvability of A^T y = b is one
+product with it.  Bareiss elimination gives exact ranks where no bound
+is proven, and an integer row-echelon form that keeps rows primitive
+(gcd-reduced), int64 under a bound checked at each pivot and big
+integers past it, backs exact solves.  Products pick the cheapest tier a
+proven bound on every partial sum allows: float64 BLAS below 2^53, where
+float64 is only a container for integers it holds exactly (BLAS pinned
+to one thread), int64 below 2^62, and object arithmetic otherwise.  The
+rational nullspace is the reference for tests.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import ctypes
 import weakref
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -84,68 +87,133 @@ def rank(matrix) -> int:
     return r
 
 
-def modular_rank(matrix, p: int, stop_at: int | None = None) -> int:
-    """Rank over GF(p); a lower bound for (and usually equal to) the Q-rank.
+ELIMINATION_ROWS = 128  # rows widened to int64 at a time by modular_echelon
 
-    Integer arrays are used as they are, widened to int64 first when
-    narrower (a narrow type cannot hold p); other input is cleared of
-    denominators row by row.  The result is min(rank, stop_at).
+
+def _residues(block, p: int) -> np.ndarray:
+    """An integer block mod p as int64; a narrow type is widened first (it
+    cannot hold p), other input is cleared of denominators row by row."""
+    A = np.asarray(block)
+    if A.dtype.kind not in "iu":
+        A = np.array(_int_rows(block), dtype=object).reshape(A.shape)
+    elif A.dtype.itemsize < 8:
+        A = A.astype(np.int64)
+    return (A % p).astype(np.int64, copy=False)
+
+
+def modular_echelon(matrix, p: int, stop_at: int | None = None):
+    """Row echelon form over GF(p) from the first-come independent rows.
+
+    Returns (E, pivots, rows): E[j] is the reduction of input row rows[j]
+    against the rows before it, scaled to 1 at column pivots[j] and zero
+    at every earlier pivot column.  rows are the indices of the first rows
+    that are independent over GF(p), hence over Q, in input order, and at
+    most stop_at of them.  When the pivots come out in increasing column
+    order (as for any input with no more than ELIMINATION_ROWS rows), E
+    is an ordinary row echelon form.
+
+    The input is widened to int64 residues ELIMINATION_ROWS rows at a
+    time: each block is reduced by the pivot rows found so far, then row
+    by row against itself.  Every update is one elementwise int64 outer
+    product, exact because (p - 1)^2 + p < 2^63.
     """
     A = np.asarray(matrix)
-    if A.dtype.kind not in "iu":
-        A = np.array(_int_rows(matrix), dtype=object)
-    if A.ndim != 2 or not A.size:
-        return 0
-    if A.dtype.kind in "iu" and A.dtype.itemsize < 8:
-        A = A.astype(np.int64)
-    A = (A % p).astype(np.int64, copy=False)
-    nrows, ncols = A.shape
+    nrows, ncols = A.shape if A.ndim == 2 else (0, 0)
     limit = min(nrows, ncols) if stop_at is None else min(stop_at, nrows, ncols)
-    r = 0
-    for c in range(ncols):
-        if r == limit:
-            break
-        nz = np.flatnonzero(A[r:, c])
-        if not nz.size:
-            continue
-        if nz[0]:
-            A[[r, r + nz[0]]] = A[[r + nz[0], r]]
-        A[r, c:] = A[r, c:] * pow(int(A[r, c]), -1, p) % p
-        below = r + 1 + np.flatnonzero(A[r + 1:, c])
-        if below.size:
-            A[below, c:] = (A[below, c:] - np.outer(A[below, c], A[r, c:])) % p
-        r += 1
-    return r
-
-
-def independent_rows(matrix: np.ndarray, p: int, stop_at: int | None = None) -> list[int]:
-    """First-come indices of rows independent over GF(p) (so over Q), at most stop_at.
-
-    Each row is reduced by one int64 product against the reduced basis kept
-    so far, under the checked bound max|entry| * p * rank < 2^62.
-    """
-    nrows, ncols = matrix.shape
-    limit = min(nrows, ncols) if stop_at is None else min(stop_at, nrows, ncols)
-    if _max_abs(matrix) * p * max(limit, 1) >= 2**62:
-        raise ValueError("entries too large for the int64 row reduction")
-    basis = np.zeros((limit, ncols), dtype=np.int64)
+    E = np.zeros((limit, ncols), dtype=np.int64)
     pivots: list[int] = []
-    kept: list[int] = []
-    for i in range(nrows):
-        if len(kept) == limit:
+    rows: list[int] = []
+    for start in range(0, nrows, ELIMINATION_ROWS):
+        if len(pivots) == limit:
             break
-        k = len(kept)
-        w = (matrix[i] - matrix[i, pivots] @ basis[:k]) % p
-        nz = np.flatnonzero(w)
-        if not nz.size:
-            continue
-        c = int(nz[0])
-        w = w * pow(int(w[c]), -1, p) % p
-        basis[:k] = (basis[:k] - np.outer(basis[:k, c], w)) % p
-        basis[k] = w
-        pivots.append(c)
-        kept.append(i)
-    return kept
+        B = _residues(matrix[start:start + ELIMINATION_ROWS], p)
+        for j, c in enumerate(pivots):
+            hit = np.flatnonzero(B[:, c])
+            if hit.size:
+                B[hit] = (B[hit] - np.outer(B[hit, c], E[j])) % p
+        for i in range(len(B)):
+            nz = np.flatnonzero(B[i])
+            if not nz.size:
+                continue
+            c, k = int(nz[0]), len(pivots)
+            E[k] = B[i] * pow(int(B[i, c]), -1, p) % p
+            pivots.append(c)
+            rows.append(start + i)
+            if k + 1 == limit:
+                break
+            below = i + 1 + np.flatnonzero(B[i + 1:, c])
+            if below.size:
+                B[below] = (B[below] - np.outer(B[below, c], E[k])) % p
+    return E[:len(pivots)], pivots, rows
+
+
+def modular_rank(matrix, p: int, stop_at: int | None = None) -> int:
+    """Rank over GF(p), at most stop_at; a lower bound for (and usually
+    equal to) the Q-rank.  The length of modular_echelon's pivot list."""
+    return len(modular_echelon(matrix, p, stop_at)[1])
+
+
+def _rational(u: int, p: int) -> Fraction:
+    """The fraction a/b = u mod p with |a|, b <= sqrt(p/2), by Wang's
+    half-extended Euclid; it is unique when it exists."""
+    bound = isqrt(p // 2)
+    r0, r1, t0, t1 = p, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
+        raise AssertionError(f"{u} has no rational reconstruction mod {p}")
+    return Fraction(r1, t1)
+
+
+def certified_null_basis(matrix) -> np.ndarray:
+    """An integer basis N of the right nullspace, certified exactly.
+
+    The echelon form of the matrix over GF(p), p = MODULAR_PRIMES[0], is
+    reduced to RREF; its free columns hold few distinct values, each
+    rebuilt as a small fraction by rational reconstruction.  Row f of N is
+    the null vector of free column f times the lcm of its denominators, so
+    N[:, free] is diagonal.  check_null_basis then proves that N spans the
+    nullspace, so no verdict rests on the reconstruction.
+    """
+    A = np.asarray(matrix)
+    p = MODULAR_PRIMES[0]
+    E, pivots, _ = modular_echelon(A, p)
+    r, n = len(pivots), A.shape[1]
+    free = np.setdiff1d(np.arange(n), pivots)
+    # E[:, pivots] is unit upper triangular: back-substitute the free part
+    T, F = E[:, pivots], E[:, free]
+    for j in range(r - 1, 0, -1):
+        hit = np.flatnonzero(T[:j, j])
+        if hit.size:
+            F[hit] = (F[hit] - np.outer(T[hit, j], F[j])) % p
+    values, where = np.unique(F, return_inverse=True)
+    fracs = [_rational(int(u), p) for u in values]
+    num = np.array([f.numerator for f in fracs], dtype=np.int64)[where].reshape(F.shape)
+    den = np.array([f.denominator for f in fracs], dtype=np.int64)[where].reshape(F.shape)
+    scale = np.lcm.reduce(den, axis=0) if r else np.ones(len(free), dtype=np.int64)
+    N = np.zeros((len(free), n), dtype=np.int64)
+    N[np.arange(len(free)), free] = scale
+    N[:, pivots] = -(num * (scale // den)).T
+    check_null_basis(A, N, free)
+    return N
+
+
+def check_null_basis(matrix, N: np.ndarray, free) -> None:
+    """Raise AssertionError unless N is a basis of the right nullspace.
+
+    free must be the columns off the GF(p) pivots of the matrix, so that
+    |free| = n - rank_p <= dim ker.  One exact product shows that N lies in
+    the nullspace, and a nonzero diagonal N[:, free] that N has rank
+    |free|, so N spans it (and rank_Q = rank_p).
+    """
+    A = np.asarray(matrix)
+    if N.shape != (len(free), A.shape[1]):
+        raise AssertionError(f"a null basis of shape {N.shape} for {len(free)} free columns")
+    D = N[:, np.asarray(free, dtype=np.int64)]
+    d = np.diagonal(D)
+    if not d.all() or (D != np.diag(d)).any() or int_matmul(A, N.T).any():
+        raise AssertionError("the null basis fails its exact certificate")
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +396,7 @@ def _forget(key: int, ref: weakref.ref) -> None:
 def _bound(a: np.ndarray) -> int:
     """An upper bound on max|a|, computed once per read-only array.
 
-    The cached matrices (incidence, kernel basis, null rows) and the
+    The cached matrices (incidence, kernel basis, image null basis) and the
     dense idempotents of scheme.check_eigen_system are read-only, and so
     are their views, which share the bound of the array that owns the
     data.  Writeable arrays are scanned on every call.  The bound is keyed

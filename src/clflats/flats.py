@@ -4,6 +4,9 @@ A flat is a direction subspace plus the unique coset representative with
 zero coordinates at the direction's pivot columns.  Enumeration of the
 type-(m,0) flats orders them by (direction canonical index, representative
 lexicographic), which fixes the FlatId used by every set type downstream.
+The point-flat incidence matrix M has a certified integer null basis,
+from its RREF over GF(p) rebuilt by rational reconstruction; it gives the
+image route of the membership test and the exact rank of M.
 """
 
 from __future__ import annotations
@@ -316,9 +319,23 @@ def check_gram_identity(config: SpaceConfig) -> bool:
 
 
 @lru_cache(maxsize=None)
+def incidence_null_basis(config: SpaceConfig) -> np.ndarray:
+    """Certified integer basis N of ker M, int64 and read-only.
+
+    From the RREF of M over GF(p), rebuilt over Q by rational
+    reconstruction and checked exactly (exact.certified_null_basis).  A
+    flat set chi is in the image of M^T iff N chi = 0, since the image is
+    the orthogonal complement of ker M; this uses no spread.
+    """
+    N = exact.certified_null_basis(incidence_matrix(config).matrix)
+    N.flags.writeable = False
+    return N
+
+
+@lru_cache(maxsize=None)
 def incidence_rank(config: SpaceConfig) -> int:
-    """Exact rank of the incidence matrix (fraction-free elimination)."""
-    return exact.rank(incidence_matrix(config).matrix)
+    """Exact rank of the incidence matrix, proven by its certified null basis."""
+    return incidence_matrix(config).shape[1] - incidence_null_basis(config).shape[0]
 
 
 def incidence_rank_closed_form(config: SpaceConfig) -> int:

@@ -45,7 +45,7 @@ from .geometry import (
     span_points,
     vec_add,
 )
-from .scheme import idempotent_coefficients, relation_products, scheme_tables
+from .scheme import PRODUCT_COLUMNS, idempotent_coefficients, relation_products, scheme_tables
 
 EXHAUSTIVE_POINT_BOUND = 32
 
@@ -388,20 +388,18 @@ BARE_RANK_LIMIT = 120_000  # rows*cols budget for direct fraction-free rank
 
 def _stack_rank(config: SpaceConfig, stack: np.ndarray, expected: int,
                 upper_bound_proven: bool) -> tuple[int, str]:
-    """Exact stack rank; Bareiss when small, certified bounds otherwise."""
+    """Exact stack rank: a GF(p) lower bound that meets the proven upper
+    bound `expected` is certified; otherwise Bareiss when small, so a
+    failing report shows the exact rank, and the GF(p) bound past that."""
+    p = exact.MODULAR_PRIMES[0]
+    if upper_bound_proven:
+        # neighbouring spreads share members; a fixed shuffle meets independent rows sooner
+        order = random.Random(0).sample(range(len(stack)), len(stack))
+        if exact.modular_rank(stack[order], p, stop_at=expected) == expected:
+            return expected, "certified"
     if stack.shape[0] * stack.shape[1] <= BARE_RANK_LIMIT:
         return exact.rank(stack), "bareiss"
-    # past a proven upper bound the elimination has nothing left to show
-    stop_at = expected if upper_bound_proven else None
-    lb = 0
-    for p in exact.MODULAR_PRIMES:
-        lb = max(lb, exact.modular_rank(stack, p, stop_at=stop_at))
-        if lb == expected:
-            break
-    ub = min(stack.shape) if not upper_bound_proven else expected
-    if lb == ub == expected:
-        return expected, "certified"
-    return lb, "modular-lower-bound-only"
+    return exact.modular_rank(stack, p), "modular-lower-bound-only"
 
 
 def _nonzero_projections(config: SpaceConfig, eig, stack: np.ndarray,
@@ -442,7 +440,10 @@ def typeII_span_check(config: SpaceConfig) -> SpanReport:
     stack = family_indicators(config, slice(len(list_type_I(config)), None))
     tables = scheme_tables(config)
     parallel = idempotent_coefficients(config)[1][1:2]  # the (0, 1) idempotent
-    vanishing_ok = not relation_products(config, parallel, stack.T).any()
+    # one block of spreads at a time, stopping at the first nonzero one
+    vanishing_ok = not any(
+        relation_products(config, parallel, stack[s:s + PRODUCT_COLUMNS].T).any()
+        for s in range(0, len(stack), PRODUCT_COLUMNS))
     nonvanishing_ok = all(_nonzero_projections(config, eig, stack)
                           for eig in tables.eigs if eig[0] != 0)
     expected = tables.size - tables.multiplicities[(0, 1)]

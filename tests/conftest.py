@@ -1,5 +1,8 @@
 """Shared fixtures; the package memoizes heavy artifacts per configuration."""
 
+import math
+
+import numpy as np
 import pytest
 
 from clflats.geometry import space_config
@@ -41,3 +44,13 @@ def small_config(request):
                 scope="session")
 def medium_config(request):
     return space_config(*request.param)
+
+
+def in_row_span(N: np.ndarray, free, V: np.ndarray) -> bool:
+    """Whether every row of V is a rational combination of the rows of N,
+    given that N[:, free] is diagonal: then v = sum_f v[f] / N[f, f] * N[f].
+    Exact: both sides are scaled by the lcm of the diagonal."""
+    d = [int(x) for x in np.diagonal(N[:, free])]
+    scale = math.lcm(*d) if d else 1
+    coeff = V[:, free].astype(object) * np.array([scale // x for x in d], dtype=object)
+    return bool((np.dot(coeff, N.astype(object)) == scale * V.astype(object)).all())

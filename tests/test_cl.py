@@ -37,11 +37,17 @@ from clflats.cl import (
     test_spreads as spread_test,
 )
 from clflats.exact import int_matmul, nullspace_int
-from clflats.flats import container_flats, enumerate_flats, incidence_matrix, incidence_rank
+from clflats.flats import (
+    container_flats,
+    enumerate_flats,
+    incidence_matrix,
+    incidence_rank,
+    incidence_rank_closed_form,
+)
 from clflats.geometry import all_vectors, random_isometry, space_config, zero_vector
 from clflats.cli import paper_suite
 from clflats.scheme import idempotent_int, relation_matrix, relation_products, scheme_tables
-from conftest import MEDIUM_CONFIGS
+from conftest import MEDIUM_CONFIGS, in_row_span
 
 
 def _pencil(cfg, point=None):
@@ -417,6 +423,39 @@ def test_certified_kernel_basis(key):
     assert K.shape == (M.shape[1] - incidence_rank(cfg), M.shape[1])
 
 
+@pytest.mark.parametrize("key", [c for c in MEDIUM_CONFIGS]
+                         + [("symplectic", 3, 2), ("unitary", 4, 2)],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_certified_image_basis(key):
+    cfg = space_config(*key)
+    N = _image_solver(cfg)
+    M = incidence_matrix(cfg).matrix
+    free = np.setdiff1d(np.arange(M.shape[1]),
+                        exact.modular_echelon(M, exact.MODULAR_PRIMES[0])[1])
+    exact.check_null_basis(M, N, free)
+    assert N.dtype == np.int64 and not N.flags.writeable
+    assert N.shape[0] == M.shape[1] - incidence_rank_closed_form(cfg) == len(free)
+    assert incidence_rank(cfg) == incidence_rank_closed_form(cfg)
+    if key != ("unitary", 4, 2):  # the Fraction oracle takes seconds there
+        oracle = nullspace_int(M)
+        assert oracle.shape == N.shape and in_row_span(N, free, oracle)
+
+
+def test_image_and_kernel_products_stay_on_float64_tier(monkeypatch):
+    cfg = space_config("unitary", 4, 2)
+    N, K = _image_solver(cfg), _kernel_basis(cfg)
+    for basis in (N, K):
+        assert exact._bound(basis) * basis.shape[1] < 2**53  # chi is 0/1
+    seen = []
+    real = exact._float_product
+    monkeypatch.setattr(exact, "_float_product", lambda a, b: seen.append(a) or real(a, b))
+    pencil = _pencil(cfg)
+    assert solvable_route(pencil) and kernel_route(pencil)
+    verdicts = batch_verdicts(cfg, random_subset_matrix(cfg, 5, seed=3))
+    assert verdicts["image"].tolist() == verdicts["kernel"].tolist()
+    assert sum(a is N for a in seen) == 2 and sum(a is K for a in seen) == 2
+
+
 def test_kernel_image_and_nullspace_oracle_agree(medium_config):
     cfg = medium_config
     oracle = nullspace_int(incidence_matrix(cfg).matrix)
@@ -425,7 +464,7 @@ def test_kernel_image_and_nullspace_oracle_agree(medium_config):
                                     _near_miss(cfg).chi()], axis=1)], axis=1)
     by_oracle = ~int_matmul(oracle, chi).any(axis=0)
     by_kernel = ~int_matmul(_kernel_basis(cfg), chi).any(axis=0)
-    by_image = _image_solver(cfg).solvable(chi)
+    by_image = ~int_matmul(_image_solver(cfg), chi).any(axis=0)
     assert (by_oracle == by_kernel).all() and (by_oracle == by_image).all()
     assert by_oracle[-3:].tolist() == [True, True, False]
     for col in range(chi.shape[1]):

@@ -285,6 +285,23 @@ def test_oversized_isotropic_enumeration_exits_2():
     assert f"> {ISOTROPIC_ENUM_BOUND}" in lines[0]
 
 
+def test_failed_image_certificate_exits_3():
+    """A broken reconstruction must fail the certificate and exit 3, not 1 or 2."""
+    root = Path(__file__).resolve().parent.parent
+    broken = ("import sys; from clflats import exact; from clflats.cli import run; "
+              "real = exact._rational; "
+              "exact._rational = lambda u, p: real(u, p) + 1; "
+              "sys.exit(run(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", broken, "space", "info"] + BASE,
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), cwd=root)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("clflats: internal error: ") and "certificate" in lines[0]
+
+
 def test_no_bare_asserts_in_package():
     """python -O strips assert statements, so the package raises explicitly."""
     for path in sorted(Path(clflats.__file__).parent.glob("*.py")):

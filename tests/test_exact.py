@@ -10,17 +10,21 @@ from hypothesis import given, settings, strategies as st
 
 from clflats import exact
 from clflats.exact import (
+    ELIMINATION_ROWS,
     EchelonSolver,
     MODULAR_PRIMES,
-    independent_rows,
+    certified_null_basis,
+    check_null_basis,
     int_echelon,
     int_matmul,
+    modular_echelon,
     modular_rank,
     nullspace,
     nullspace_int,
     rank,
     solve,
 )
+from conftest import in_row_span
 
 
 def test_rank_basics():
@@ -165,21 +169,65 @@ def test_modular_rank_narrow_integer_input(dtype):
     assert modular_rank(deficient.astype(dtype), MODULAR_PRIMES[0]) == rank(deficient) == 4
 
 
-def test_independent_rows_first_come():
+def test_modular_echelon_first_come_rows():
     rows = np.array([[1, 1, 0], [0, 0, 0], [2, 2, 0], [0, 1, -1], [1, 0, 1], [0, 0, 1]],
                     dtype=np.int64)
     p = MODULAR_PRIMES[0]
-    assert independent_rows(rows, p) == [0, 3, 5]
-    assert independent_rows(rows, p, stop_at=2) == [0, 3]
-    assert rank(rows[[0, 3, 5]].tolist()) == 3
-    rng = random.Random(14)
-    for _ in range(30):
-        a = np.array(_random_matrix(rng, rng.randint(1, 9), rng.randint(1, 6), -1, 1),
-                     dtype=np.int64)
-        kept = independent_rows(a, p)
-        assert len(kept) == rank(a.tolist()) == rank(a[kept].tolist())
-    with pytest.raises(ValueError):
-        independent_rows(np.array([[2**40, 1]], dtype=np.int64), p)
+    E, pivots, kept = modular_echelon(rows, p)
+    assert kept == [0, 3, 5] and pivots == [0, 1, 2]
+    assert E.tolist() == [[1, 1, 0], [0, 1, p - 1], [0, 0, 1]]
+    assert modular_echelon(rows, p, stop_at=2)[2] == [0, 3]
+
+
+def _check_echelon(a: np.ndarray, p: int) -> None:
+    """modular_echelon agrees with Bareiss and returns a consistent echelon form."""
+    E, pivots, kept = modular_echelon(a, p)
+    r = rank(a.tolist())
+    assert len(pivots) == len(kept) == E.shape[0] == r
+    assert kept == sorted(kept) and rank(a[kept].tolist()) == r  # pivot rows independent
+    assert E.dtype == np.int64 and ((0 <= E) & (E < p)).all()
+    T = E[:, pivots]
+    assert (np.triu(T) == T).all() and (np.diagonal(T) == 1).all()
+    # E spans the same GF(p) row space as the kept rows
+    assert modular_rank(np.vstack([a[kept].astype(np.int64), E]), p) == r
+    # first come: a row left out depends on the kept rows before it
+    for i in range(len(a)):
+        earlier = [k for k in kept if k < i]
+        if i not in kept:
+            assert rank(a[earlier + [i]].tolist()) == len(earlier)
+
+
+def test_modular_echelon_matches_bareiss():
+    rng = np.random.default_rng(20261018)
+    p = MODULAR_PRIMES[0]
+    for _ in range(25):
+        m, n = rng.integers(1, 10, size=2)
+        _check_echelon(rng.integers(-9, 10, (m, n)), p)
+    for _ in range(10):  # rank-deficient
+        k = int(rng.integers(1, 4))
+        _check_echelon(rng.integers(-3, 4, (9, k)) @ rng.integers(-3, 4, (k, 11)), p)
+    zero_cols = rng.integers(-2, 3, (7, 8))
+    zero_cols[:, [0, 3, 7]] = 0
+    _check_echelon(zero_cols, p)
+    _check_echelon(np.zeros((4, 5), dtype=np.int64), p)
+    stack = rng.integers(-1, 2, (ELIMINATION_ROWS + 70, 12)).astype(np.int8)  # two row blocks
+    deficient = (rng.integers(0, 2, (2 * ELIMINATION_ROWS + 5, 5))
+                 @ rng.integers(0, 2, (5, 30))).astype(np.int8)  # three blocks, rank <= 5
+    for a in (stack, deficient, rng.integers(-1, 2, (20, 300)).astype(np.int8)):
+        _check_echelon(a, p)
+        want = rank(a.tolist())
+        assert modular_rank(a, p, stop_at=want - 1) == want - 1
+
+
+def test_modular_echelon_drops_no_row_across_blocks():
+    """Each block is reduced by the pivot rows of the blocks before it."""
+    p = MODULAR_PRIMES[0]
+    base = np.eye(6, dtype=np.int64)
+    a = np.vstack([base[:3], np.zeros((ELIMINATION_ROWS - 3, 6), dtype=np.int64),
+                   base[:3] + base[3:], base[:3]])
+    E, pivots, kept = modular_echelon(a, p)
+    assert kept == [0, 1, 2, ELIMINATION_ROWS, ELIMINATION_ROWS + 1, ELIMINATION_ROWS + 2]
+    assert pivots == [0, 1, 2, 3, 4, 5] and (E == np.eye(6, dtype=np.int64)).all()
 
 
 def _echelon_oracle(rows, track=True):
@@ -257,9 +305,70 @@ def test_image_solver_null_rows_stay_int64():
 
     cfg = space_config("symplectic", 3, 2)
     n = len(enumerate_flats(cfg, cfg.nu))
-    null = cl._image_solver(cfg)._null_rows
-    assert null.dtype == np.int64
+    null = cl._image_solver(cfg)
+    assert null.dtype == np.int64 and not null.flags.writeable
     assert null.shape == (n - incidence_rank_closed_form(cfg), n)
+
+
+def _small_rref_matrix(rng, m, r, n):
+    """An m x n integer matrix of rank r whose RREF has small fractions."""
+    R = np.hstack([np.eye(r, dtype=np.int64), rng.integers(-1, 2, (r, n - r))])
+    R = R[:, rng.permutation(n)]
+    while True:
+        L = rng.integers(-2, 3, (m, r))
+        if rank(L.tolist()) == r:
+            return L @ R
+
+
+def test_certified_null_basis_matches_oracle():
+    rng = np.random.default_rng(5)
+    p = MODULAR_PRIMES[0]
+    cases = [_small_rref_matrix(rng, 6, 3, 9), _small_rref_matrix(rng, 4, 4, 4),
+             _small_rref_matrix(rng, 2 * ELIMINATION_ROWS + 9, 7, 20),  # three row blocks
+             np.zeros((3, 5), dtype=np.int64), np.ones((ELIMINATION_ROWS + 1, 4), dtype=np.int64)]
+    for a in cases:
+        N = certified_null_basis(a)
+        oracle = nullspace_int(a)
+        assert N.dtype == np.int64 and N.shape == oracle.shape
+        assert not int_matmul(a, N.T).any()
+        free = np.setdiff1d(np.arange(a.shape[1]), modular_echelon(a, p)[1])
+        assert in_row_span(N, free, oracle)
+
+
+def test_null_basis_reconstruction_failure_is_an_internal_error():
+    # the RREF is [1, 100019/100003]: no fraction with both parts below sqrt(p/2)
+    with pytest.raises(AssertionError):
+        certified_null_basis(np.array([[100003, 100019]], dtype=np.int64))
+
+
+def test_null_basis_certificate_rejects_any_single_change():
+    from clflats.flats import incidence_matrix
+    from clflats.geometry import space_config
+
+    M = incidence_matrix(space_config("orthogonal", 3, 2)).matrix
+    N = certified_null_basis(M)
+    free = np.setdiff1d(np.arange(M.shape[1]), modular_echelon(M, MODULAR_PRIMES[0])[1])
+    check_null_basis(M, N, free)
+    rng = np.random.default_rng(11)
+    spots = [(0, int(free[0])), (0, int(free[1])), (3, int(free[3]))]
+    spots += [(int(i), int(j)) for i, j in zip(rng.integers(0, N.shape[0], 12),
+                                                rng.integers(0, N.shape[1], 12))]
+    for i, j in spots:
+        for delta in (1, -1, -int(N[i, j])):
+            if delta == 0:
+                continue
+            bad = N.copy()
+            bad[i, j] += delta
+            with pytest.raises(AssertionError):
+                check_null_basis(M, bad, free)
+    with pytest.raises(AssertionError):
+        check_null_basis(M, N[1:], free)
+    # rows in ker M with a nonzero diagonal, but two equal rows: rank too small
+    twin = N.copy()
+    twin[0] = twin[1] = N[0] + N[1]
+    assert not int_matmul(M, twin.T).any() and np.diagonal(twin[:, free]).all()
+    with pytest.raises(AssertionError):
+        check_null_basis(M, twin, free)
 
 
 def test_int_matmul_fast_path_matches_object_path():

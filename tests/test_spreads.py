@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from clflats import exact
+from clflats import exact, spreads
 from clflats.field import e_power
 from clflats.flats import enumerate_flats, incidence_matrix
 from clflats.geometry import (
@@ -18,7 +18,7 @@ from clflats.geometry import (
     unit_vector,
     zero_vector,
 )
-from clflats.scheme import scheme_tables
+from clflats.scheme import PRODUCT_COLUMNS, scheme_tables
 from clflats.spreads import (
     classify_set,
     coverage,
@@ -190,7 +190,7 @@ def test_type_I_span(case, q, nu):
 
 def test_type_II_span_s22(s22):
     report = typeII_span_check(s22)
-    assert report.ok and report.rank == 45 and report.rank_method == "bareiss"
+    assert report.ok and report.rank == 45 and report.rank_method == "certified"
     assert report.count == 90
 
 
@@ -199,6 +199,21 @@ def test_type_II_span_o32(o32):
     tables = scheme_tables(o32)
     assert report.ok
     assert report.rank == tables.size - tables.multiplicities[(0, 1)]
+
+
+def test_type_II_vanishing_check_reads_every_column_block(s22, monkeypatch):
+    """A row with a nonzero (0, 1) projection, a single flat, in a later
+    block of PRODUCT_COLUMNS rows still fails the vanishing check."""
+    typeII = spreads.family_indicators(s22, slice(len(list_type_I(s22)), None))
+    tiled = np.vstack([typeII] * (PRODUCT_COLUMNS // len(typeII) + 1))
+    for extra, vanishing in ((0, True), (1, False)):
+        stack = np.vstack([tiled, np.eye(extra, typeII.shape[1], dtype=np.int8)])
+        assert len(stack) > PRODUCT_COLUMNS
+        monkeypatch.setattr(spreads, "family_indicators", lambda config, rows, s=stack: s)
+        report = typeII_span_check(s22)
+        assert report.vanishing_ok == vanishing and report.ok == vanishing
+        assert report.rank_method == ("certified" if vanishing else "bareiss")
+        assert report.rank == 45 + extra
 
 
 def test_type_II_needs_nu2(s21):
