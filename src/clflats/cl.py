@@ -8,14 +8,16 @@ support in the two trivial eigenspaces, the shifted spectral variant,
 the two-relation neighbour counts, and constant intersection with the
 spreads.  All routes are exact.  The image route tests chi against the
 certified null basis of M (its RREF over GF(p) rebuilt by rational
-reconstruction, flats.incidence_null_basis), which uses no spread.  The
-kernel basis is made of spread differences, the pivot rows of the GF(p)
-elimination of a fixed shuffle of them, certified once; the two routes
-check each other.  The spectrum, shifted and count routes read one
-relation-count table, A_r [chi | 1] for every relation r, from
-scheme.relation_products, and apply the closed-form idempotent
-coefficients to it; the relation table is the only n x n object they
-read.
+reconstruction, flats.incidence_null_basis), which uses no spread; that
+one GF(p) elimination also decides the restrictions to container flats
+and gives the on-demand witness y with M^T y = chi, read off the
+certified null basis of [M^T | -chi].  The kernel basis is made of
+spread differences, the pivot rows of the GF(p) elimination of a fixed
+shuffle of them, certified once; the two routes check each other.  The
+spectrum, shifted and count routes read one relation-count table,
+A_r [chi | 1] for every relation r, from scheme.relation_products, and
+apply the closed-form idempotent coefficients to it; the relation table
+is the only n x n object they read.
 """
 
 from __future__ import annotations
@@ -182,9 +184,21 @@ def test_image(flat_set: FlatSet) -> bool:
     return by_solve
 
 
-def image_certificate(flat_set: FlatSet):
-    """An exact point weighting y with M^T y = chi, or None; solved on demand."""
-    return exact.solve(incidence_matrix(flat_set.config).matrix.T, flat_set.chi())
+def image_certificate(flat_set: FlatSet) -> tuple[Fraction, ...] | None:
+    """An exact point weighting y with M^T y = chi, or None; solved on demand.
+
+    N is the certified null basis of [M^T | -chi], so it spans every
+    (y, t) with M^T y = t chi: a row f with t = N[f, -1] != 0 gives
+    y = N[f, :-1] / t, and if that column of N is zero, chi is not in the
+    image of M^T.
+    """
+    M = incidence_matrix(flat_set.config).matrix
+    N = exact.certified_null_basis(np.hstack([M.T, -flat_set.chi()[:, None]]))
+    rows = np.flatnonzero(N[:, -1])
+    if not rows.size:
+        return None
+    f = N[rows[0]]
+    return tuple(Fraction(int(v), int(f[-1])) for v in f[:-1])
 
 
 def _count_coefficients(config: SpaceConfig, i: int) -> tuple[int, int]:
@@ -482,7 +496,12 @@ class Restriction:
 
 
 def restrict_cl(flat_set: FlatSet, container: Flat) -> Restriction:
-    """Restrict to the members inside a type-(nu+i, 2i) container flat."""
+    """Restrict to the members inside a type-(nu+i, 2i) container flat.
+
+    The restriction is in the image of the container's transposed
+    incidence matrix iff the certified null basis of that matrix
+    annihilates it, as for the whole space.
+    """
     config = flat_set.config
     inc = incidence_matrix_in(config, container)
     i = container.dim - config.nu
@@ -491,8 +510,8 @@ def restrict_cl(flat_set: FlatSet, container: Flat) -> Restriction:
     members = tuple(sorted(set(flat_set.ids) & set(local_of_global)))
     chi_local = np.zeros((len(inc.flats), 1), dtype=np.int64)
     chi_local[[local_of_global[g] for g in members], 0] = 1
-    solver = exact.EchelonSolver(np.asarray(inc.matrix).T)
-    in_image = solver.solvable(chi_local[:, 0])
+    null = exact.certified_null_basis(inc.matrix)
+    in_image = not exact.int_matmul(null, chi_local).any()
     x_f = Fraction(len(members), set_denominator(config, i))
     integral = x_f.denominator == 1
     within = 0 <= x_f <= min(flat_set.x, Fraction(config.q**i))

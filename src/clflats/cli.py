@@ -6,7 +6,8 @@ byte-identical across runs with the same arguments and seed.  Exit
 codes: 0 all checks pass, 1 some check failed (report still emitted;
 for `cl test`, the set is not a Cameron-Liebler set), 2 usage or
 configuration error, 3 internal error (a failed exact certificate, a
-disagreement between equivalent routes, or memory exhausted; one
+disagreement between equivalent routes, a closed-form scheme invariant
+that does not hold, or memory exhausted; one
 `clflats: internal error: ...` line on stderr and no report).
 """
 
@@ -20,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cl, exact, flats, scheme, spreads
-from .geometry import SpaceConfig, enumerate_isotropic, point_graph, space_config
+from .geometry import SpaceConfig, canonicalize, enumerate_isotropic, point_graph, space_config
 
 STANDARD_GRID = (
     ("symplectic", 2, 1), ("symplectic", 3, 1), ("symplectic", 2, 2),
@@ -85,45 +86,62 @@ def spread_blob(config: SpaceConfig, s: spreads.Spread) -> dict:
 # ---------------------------------------------------------------------------
 # set input
 
-def load_flatset(config: SpaceConfig, path: str) -> cl.FlatSet:
-    if path == "-":
-        data = json.loads(sys.stdin.read())
-    else:
+def _read_json(path: str):
+    """A JSON file, or stdin for '-'."""
+    try:
+        if path == "-":
+            return json.loads(sys.stdin.read())
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def load_flatset(config: SpaceConfig, path: str) -> cl.FlatSet:
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ValueError("set file must hold a JSON object")
     if "config" in data:
         blob = data["config"]
-        declared = space_config(blob["case"], int(blob["q"]), int(blob["nu"]))
-        if declared is not config:
+        if not isinstance(blob, dict) or not isinstance(blob.get("case"), str):
+            raise ValueError("set file 'config' must be an object with a 'case' string")
+        q, nu = _integers([blob["q"], blob["nu"]], "set file 'config' q and nu")
+        if space_config(blob["case"], q, nu) is not config:
             raise ValueError("set file configuration disagrees with the flags")
     if "ids" in data:
-        return cl.FlatSet(config, _flat_ids(data["ids"]))
+        return cl.FlatSet(config, _integers(data["ids"], "set file 'ids'"))
     if "flats" in data:
-        from .geometry import canonicalize
+        if not isinstance(data["flats"], list):
+            raise ValueError("set file 'flats' must be a list")
         ids = flats.flat_ids(config)
-        members = []
-        for blob in data["flats"]:
-            direction = canonicalize(config, [[int(c) for c in row] for row in blob["basis"]])
-            members.append(ids[flats.flat_make(config, direction, [int(c) for c in blob["rep"]])])
-        return cl.FlatSet(config, tuple(members))
+        return cl.FlatSet(config, tuple(ids[_flat(config, blob)] for blob in data["flats"]))
     raise ValueError("set file needs an 'ids' or 'flats' field")
 
 
-def _flat_ids(ids) -> tuple[int, ...]:
-    """A set file's 'ids': a list of integers, as numbers or decimal strings."""
-    if not isinstance(ids, list):
-        raise ValueError(f"set file 'ids' must be a list of integers, got {ids!r}")
+def _integers(values, what: str) -> tuple[int, ...]:
+    """A list of integers, given as numbers or decimal strings."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
     out = []
-    for i in ids:
+    for i in values:
         try:
             if isinstance(i, bool) or not isinstance(i, (int, str)):
                 raise TypeError
             out.append(int(i))
         except (TypeError, ValueError):
-            raise ValueError(f"set file 'ids' entry {i!r} is not an integer") from None
+            raise ValueError(f"{what} entry {i!r} is not an integer") from None
     return tuple(out)
+
+
+def _check_point(config: SpaceConfig, point: tuple[int, ...], text: str) -> tuple[int, ...]:
+    """point, if it has config.dim coordinates, each in 0..q-1."""
+    if len(point) != config.dim:
+        raise ValueError(f"point {text} has {len(point)} coordinates, "
+                         f"the space needs {config.dim}")
+    for c in point:
+        if not 0 <= c < config.q:
+            raise ValueError(f"point {text} has coordinate {c} outside 0..{config.q - 1}")
+    return point
 
 
 def _parse_point(config: SpaceConfig, text: str) -> tuple[int, ...]:
@@ -132,13 +150,21 @@ def _parse_point(config: SpaceConfig, text: str) -> tuple[int, ...]:
         point = tuple(int(c) for c in text.split(","))
     except ValueError:
         raise ValueError(f"point {text!r} is not a comma-separated list of integers") from None
-    if len(point) != config.dim:
-        raise ValueError(f"point {text!r} has {len(point)} coordinates, "
-                         f"the space needs {config.dim}")
-    for c in point:
-        if not 0 <= c < config.q:
-            raise ValueError(f"point {text!r} has coordinate {c} outside 0..{config.q - 1}")
-    return point
+    return _check_point(config, point, repr(text))
+
+
+def _file_point(config: SpaceConfig, value) -> tuple[int, ...]:
+    """A point of a set or scope file: a list of coordinates, each in 0..q-1."""
+    return _check_point(config, _integers(value, "a flat's point"), repr(value))
+
+
+def _flat(config: SpaceConfig, blob) -> flats.Flat:
+    """A flat of a set or scope file: {"basis": [point, ...], "rep": point}."""
+    if not isinstance(blob, dict) or not isinstance(blob.get("basis"), list) or "rep" not in blob:
+        raise ValueError(f"a flat must be an object with a 'basis' list and a 'rep', "
+                         f"got {blob!r}")
+    direction = canonicalize(config, [_file_point(config, row) for row in blob["basis"]])
+    return flats.flat_make(config, direction, _file_point(config, blob["rep"]))
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +357,7 @@ def _cmd_spreads(config: SpaceConfig, args) -> tuple[dict, int]:
     if args.scope != "full":
         if not args.scope.startswith("flat:"):
             raise ValueError("scope must be 'full' or 'flat:<json-file>'")
-        path = args.scope.split(":", 1)[1]
-        with open(path) as fh:
-            blob = json.load(fh)
-        from .geometry import canonicalize
-        direction = canonicalize(config, [[int(c) for c in row] for row in blob["basis"]])
-        scope = flats.flat_make(config, direction, [int(c) for c in blob["rep"]])
+        scope = _flat(config, _read_json(args.scope.split(":", 1)[1]))
     if scope is not None:
         search = spreads.enumerate_spreads(config, scope)
         family, exhaustive = search.spreads, search.exhaustive
@@ -376,6 +397,10 @@ def _cmd_cl(config: SpaceConfig, args) -> tuple[dict, int]:
         return flatset_blob(fs), 0
     if args.action == "profile":
         fs = load_flatset(config, args.set)
+        if not cl.is_cameron_liebler(fs):
+            raise ValueError("profile needs a Cameron-Liebler set")
+        if args.base is None and not fs.ids:
+            raise ValueError("profile needs --base or a non-empty set")
         base = args.base if args.base is not None else fs.ids[0]
         prof = cl.pencil_distribution(fs, base, args.i)
         blob = {
@@ -515,6 +540,7 @@ def run(argv) -> int:
             payload, code = _cmd_cl(_need_config(args), args)
         else:
             raise ValueError(f"unknown command {args.command!r}")
+        emit(payload, args.out)
     except (ValueError, ArithmeticError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -522,7 +548,6 @@ def run(argv) -> int:
         detail = " ".join(str(exc).split()) or type(exc).__name__
         sys.stderr.write(f"clflats: internal error: {detail}\n")
         return 3
-    emit(payload, args.out)
     return code
 
 

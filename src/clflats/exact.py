@@ -5,15 +5,14 @@ keeps the first-come independent rows of a matrix; its rank is a lower
 bound on the Q-rank that callers prove tight with an upper bound.
 certified_null_basis reduces that echelon form to RREF, rebuilds its
 free columns by rational reconstruction and certifies the integer null
-basis with one exact product, so that solvability of A^T y = b is one
-product with it.  Bareiss elimination gives exact ranks where no bound
-is proven, and an integer row-echelon form that keeps rows primitive
-(gcd-reduced), int64 under a bound checked at each pivot and big
-integers past it, backs exact solves.  Products pick the cheapest tier a
-proven bound on every partial sum allows: float64 BLAS below 2^53, where
-float64 is only a container for integers it holds exactly (BLAS pinned
-to one thread), int64 below 2^62, and object arithmetic otherwise.  The
-rational nullspace is the reference for tests.
+basis with one exact product.  It is the only exact elimination behind
+solves: A^T y = b is solvable iff N b = 0 for the null basis N of A, and
+a solution is read off the null basis of [A^T | -b].  Bareiss
+elimination gives exact ranks where no bound is proven.  Products pick
+the cheapest tier a proven bound on every partial sum allows: float64
+BLAS below 2^53, where float64 is only a container for integers it holds
+exactly (BLAS pinned to one thread), int64 below 2^62, and object
+arithmetic otherwise.
 """
 
 from __future__ import annotations
@@ -39,16 +38,6 @@ def _int_rows(matrix) -> list[list[int]]:
         mult = lcm(*(x.denominator for x in row)) if row else 1
         out.append([int(x * mult) for x in row])
     return out
-
-
-def _integral(b) -> np.ndarray:
-    """An integer array (int64 or object) equal to b times the lcm of its denominators."""
-    arr = np.asarray(b)
-    if arr.dtype.kind in "iu":
-        return arr
-    vals = [Fraction(x) for x in arr.flat]
-    scale = lcm(*(x.denominator for x in vals))
-    return np.array([int(x * scale) for x in vals], dtype=object).reshape(arr.shape)
 
 
 def rank(matrix) -> int:
@@ -217,152 +206,7 @@ def check_null_basis(matrix, N: np.ndarray, free) -> None:
 
 
 # ---------------------------------------------------------------------------
-# integer echelon kernel (rows kept primitive; exact, denominator-free)
-
-def int_echelon(rows: list[list[int]], track: bool = True):
-    """Row echelon of an integer matrix with an optional transform.
-
-    Returns (echelon_rows, transform_rows, pivot_cols) as lists of Python
-    ints: each echelon row is a primitive integer vector, transform @
-    input == echelon (up to the per-row scalings applied identically to
-    both sides).  The pivot of each column is the first remaining row of
-    smallest nonzero magnitude there.
-
-    [rows | transform] is one array, and each pivot updates every row
-    below it with a nonzero entry in one statement.  The array is int64
-    while the bound |pv| max|W[below]| + max|f| max|W[r]| < 2^62, checked
-    at each pivot, rules out overflow; past it the array becomes object
-    (big-int) for the rest of the run.
-    """
-    n = len(rows)
-    ncols = len(rows[0]) if n else 0
-    W = _int_array(rows, (n, ncols))
-    if track:
-        W = np.hstack([W, np.eye(n, dtype=W.dtype)])
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        if r == n:
-            break
-        nz = r + np.flatnonzero(W[r:, c])
-        if not nz.size:
-            continue
-        pick = int(nz[np.argmin(np.abs(W[nz, c]))])
-        if pick != r:
-            W[[r, pick]] = W[[pick, r]]
-        below = r + 1 + np.flatnonzero(W[r + 1:, c])
-        if below.size:
-            pv, f, block = W[r, c], W[below, c], W[below]
-            if (W.dtype != object and _max_abs(block) * abs(int(pv))
-                    + _max_abs(f) * _max_abs(W[r]) >= 2**62):
-                W, block = W.astype(object), block.astype(object)
-                pv, f = W[r, c], f.astype(object)
-            block = pv * block - f[:, None] * W[r]
-            g = np.gcd.reduce(block, axis=1)
-            W[below] = block // np.where(g > 1, g, 1)[:, None]
-        pivots.append(c)
-        r += 1
-    tr = W[:, ncols:].tolist() if track else None
-    return W[:r, :ncols].tolist(), tr, pivots
-
-
-class EchelonSolver:
-    """Factored echelon form of A for repeated exact solves of A y = b."""
-
-    def __init__(self, matrix):
-        rows = _int_rows(matrix)
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        ech, tr, pivots = int_echelon(rows, track=True)
-        self.echelon = ech
-        self.pivots = pivots
-        self.rank = len(pivots)
-        self.transform = tr  # all nrows rows; rows beyond rank annihilate A
-        self._null_rows = _int_array(tr[self.rank:], (self.nrows - self.rank, self.nrows))
-        self._null_rows.flags.writeable = False
-
-    def solvable(self, b):
-        """Whether A y = b has a solution, b over the rationals.
-
-        b is one vector (a bool is returned) or a matrix with one
-        right-hand side per column (a bool array is returned).
-        """
-        b = _integral(b)
-        ok = ~int_matmul(self._null_rows, b).any(axis=0)
-        return bool(ok) if b.ndim == 1 else ok
-
-    def solve(self, b):
-        """Some exact solution of A y = b, or None."""
-        if not self.solvable(b):
-            return None
-        b = [Fraction(x) for x in b]
-        tb = [sum((Fraction(t) * x for t, x in zip(self.transform[i], b)), Fraction(0))
-              for i in range(self.rank)]
-        y = [Fraction(0)] * self.ncols
-        for i in range(self.rank - 1, -1, -1):
-            c = self.pivots[i]
-            acc = tb[i]
-            row = self.echelon[i]
-            for j in range(i + 1, self.rank):
-                cj = self.pivots[j]
-                if row[cj]:
-                    acc -= row[cj] * y[cj]
-            y[c] = acc / row[c]
-        return tuple(y)
-
-
-def solve(matrix, b):
-    """One-shot exact solve; returns a tuple of Fractions or None."""
-    return EchelonSolver(matrix).solve(b)
-
-
-def nullspace(matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right nullspace (one vector per free column)."""
-    rows = _int_rows(matrix)
-    ncols = len(rows[0]) if rows else 0
-    ech, _, pivots = int_echelon(rows, track=False)
-    # back-substitute to reduced form over Q
-    red = [[Fraction(x) for x in row] for row in ech]
-    for i in range(len(red) - 1, -1, -1):
-        c = pivots[i]
-        red[i] = [x / red[i][c] for x in red[i]]
-        for j in range(i):
-            f = red[j][c]
-            if f:
-                red[j] = [a - f * b for a, b in zip(red[j], red[i])]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def nullspace_int(matrix) -> np.ndarray:
-    """Nullspace basis scaled to integers, as an object-dtype array (rows)."""
-    rows = _int_rows(matrix)
-    basis = [_integral(v) for v in nullspace(rows)]
-    return np.array(basis, dtype=object).reshape(len(basis), len(rows[0]) if rows else 0)
-
-
-# ---------------------------------------------------------------------------
 # guarded integer products
-
-def _int_array(rows, shape) -> np.ndarray:
-    """Integer rows as an int64 array when every entry fits, else as an object array.
-
-    The array owns its data unless a reshape is needed, so that freezing
-    it lets `_bound` remember its bound.
-    """
-    try:
-        arr = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        arr = np.array(rows, dtype=object)
-    return arr if arr.shape == shape else arr.reshape(shape)
-
 
 def _max_abs(a: np.ndarray) -> int:
     if a.size == 0:

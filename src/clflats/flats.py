@@ -36,6 +36,7 @@ from .geometry import (
     point_index,
     qh_plus_one,
     reduce_mod,
+    rref,
     span_points,
     sum_subspace,
     vec_add,
@@ -82,37 +83,15 @@ def flat_contains_flat(config: SpaceConfig, big: Flat, small: Flat) -> bool:
 
 def solve_field_system(config: SpaceConfig, rows: list[list[int]],
                        rhs: list[int]) -> list[int] | None:
-    """Solve rows @ y = rhs over F_q; None when inconsistent."""
-    fld = config.field
-    add, mul, neg, inv = fld.add_table, fld.mul_table, fld.neg_table, fld.inv_table
-    m = len(rows)
+    """Solve rows @ y = rhs over F_q from the RREF of [rows | rhs]; None
+    when inconsistent (the right-hand column holds a pivot)."""
     ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, m) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        piv_inv = inv[aug[r][c]]
-        if piv_inv != 1:
-            mrow = mul[piv_inv]
-            aug[r] = [mrow[a] for a in aug[r]]
-        for i in range(m):
-            f = aug[i][c]
-            if i != r and f:
-                fr = mul[f]
-                aug[i] = [add[a][neg[fr[b]]] for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if any(aug[i][ncols] for i in range(r, m)):
+    reduced, pivots = rref(config.field, [list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
         return None
     y = [0] * ncols
-    for i, pc in enumerate(pivots):
-        y[pc] = aug[i][ncols]
+    for row, pc in zip(reduced, pivots):
+        y[pc] = row[ncols]
     return y
 
 

@@ -154,7 +154,7 @@ def dual_polar_multiplicity(case: str, q: int, nu2: int, j: int) -> int:
         m *= _qpow2_frac(case, q, 2 * nu2 + e2 - 2 * s) + 1
         m /= _qpow2_frac(case, q, 2 * s - e2) + 1
     if m.denominator != 1:
-        raise ArithmeticError(f"non-integral multiplicity {m} at {case} q={q} nu'={nu2} j={j}")
+        raise AssertionError(f"non-integral multiplicity {m} at {case} q={q} nu'={nu2} j={j}")
     return int(m)
 
 
@@ -218,7 +218,7 @@ def scheme_tables(config: SpaceConfig) -> SchemeTables:
     P = {(r, e): scheme_eigenvalue(config, r, e) for r in rels for e in rels}
     Q = {(e, r): Fraction(mults[e] * P[r, e], vals[r]) for e in rels for r in rels}
     if sum(vals.values()) != size or sum(mults.values()) != size:
-        raise ArithmeticError(f"valency/multiplicity totals disagree with |X|={size}")
+        raise AssertionError(f"valency/multiplicity totals disagree with |X|={size}")
     return SchemeTables(config, rels, rels, size, vals, mults, P, Q)
 
 

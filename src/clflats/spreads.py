@@ -69,20 +69,20 @@ def spread_type_I(config: SpaceConfig, direction: Subspace) -> Spread:
     return Spread(tuple(members), None, "I")
 
 
-def _check_type_II(config: SpaceConfig, container: Subspace,
-                   p1: Subspace, p2: Subspace) -> None:
-    """The preconditions of a type-II spread; a shift does not affect them."""
+def _check_container(config: SpaceConfig, container: Subspace) -> None:
+    """The container preconditions of a type-II spread."""
     if config.nu < 2:
         raise ValueError("type-II spreads need nu >= 2")
     if container.dim != config.nu + 1 or gram_rank(config, container) != 2:
         raise ValueError("container must be a type-(nu+1, 2) subspace")
-    if p1 == p2:
-        raise ValueError("the two directions must be distinct")
-    for p in (p1, p2):
-        if p.dim != config.nu or not is_totally_isotropic(config, p):
-            raise ValueError("directions must be maximal totally isotropic")
-        if not contains_subspace(config.field, container, p):
-            raise ValueError("directions must lie inside the container")
+
+
+def _check_direction(config: SpaceConfig, container: Subspace, p: Subspace) -> None:
+    """The preconditions of one direction of a type-II spread in its container."""
+    if p.dim != config.nu or not is_totally_isotropic(config, p):
+        raise ValueError("directions must be maximal totally isotropic")
+    if not contains_subspace(config.field, container, p):
+        raise ValueError("directions must lie inside the container")
 
 
 def spread_type_II(config: SpaceConfig, container: Subspace,
@@ -91,9 +91,14 @@ def spread_type_II(config: SpaceConfig, container: Subspace,
 
     The base construction uses the container subspace itself; an optional
     shift translates the split, which is how the affine group moves these
-    spreads around (translates are genuinely new once q > 2).
+    spreads around (translates are genuinely new once q > 2); a shift does
+    not affect the preconditions.
     """
-    _check_type_II(config, container, p1, p2)
+    _check_container(config, container)
+    if p1 == p2:
+        raise ValueError("the two directions must be distinct")
+    for p in (p1, p2):
+        _check_direction(config, container, p)
     fld = config.field
     ids = flat_ids(config)
     if shift is None:
@@ -196,13 +201,16 @@ def _type_II_members(config: SpaceConfig) -> np.ndarray:
     vectors = all_vectors(config)
     rows = []
     for q_sub, interior in type_II_components(config):
+        # the preconditions of spread_type_II, once per container and direction
+        _check_container(config, q_sub)
+        for p in interior:
+            _check_direction(config, q_sub, p)
         label = np.array([point_index(config, reduce_mod(fld, q_sub, v)) for v in vectors])
         inside = np.unique(label)[:, None] == label
         for p1 in interior:
             for p2 in interior:
                 if p1 == p2:
                     continue
-                _check_type_II(config, q_sub, p1, p2)
                 spread = np.where(inside, coset_of[direction_index[p1]],
                                   coset_of[direction_index[p2]])
                 spread.sort(axis=1)

@@ -1,6 +1,7 @@
 """Shared fixtures; the package memoizes heavy artifacts per configuration."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,3 +55,48 @@ def in_row_span(N: np.ndarray, free, V: np.ndarray) -> bool:
     scale = math.lcm(*d) if d else 1
     coeff = V[:, free].astype(object) * np.array([scale // x for x in d], dtype=object)
     return bool((np.dot(coeff, N.astype(object)) == scale * V.astype(object)).all())
+
+
+def rational_nullspace(matrix) -> list[tuple[Fraction, ...]]:
+    """Basis of the right nullspace over Q, one vector per free column.
+
+    Gauss-Jordan elimination in Fractions on sparse rows ({column: entry});
+    the reference for the package's GF(p) elimination, sharing no code.
+    """
+    rows = [{c: Fraction(int(x)) for c, x in enumerate(row) if x} for row in matrix]
+    ncols = np.asarray(matrix).shape[1]
+    reduced: list[dict] = []   # pivot rows, scaled to 1 at their pivot
+    pivots: list[int] = []
+    for c in range(ncols):
+        pick = next((i for i, row in enumerate(rows) if c in row), None)
+        if pick is None:
+            continue
+        prow = rows.pop(pick)
+        prow = {k: x / prow[c] for k, x in prow.items()}
+        for row in rows + reduced:
+            f = row.get(c)
+            for k, x in (prow.items() if f else ()):
+                v = row.get(k, 0) - f * x
+                if v:
+                    row[k] = v
+                else:
+                    del row[k]
+        reduced.append(prow)
+        pivots.append(c)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row.get(fc, Fraction(0))
+        basis.append(tuple(v))
+    return basis
+
+
+def integer_nullspace(matrix) -> np.ndarray:
+    """rational_nullspace with each vector scaled to integers, as object rows."""
+    basis = []
+    for v in rational_nullspace(matrix):
+        scale = math.lcm(*(x.denominator for x in v))
+        basis.append([int(x * scale) for x in v])
+    return np.array(basis, dtype=object).reshape(len(basis), np.asarray(matrix).shape[1])

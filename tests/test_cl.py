@@ -1,6 +1,7 @@
 """Cameron-Liebler sets: batteries, constructions, classification, profiles."""
 
 import gc
+import math
 import random
 from fractions import Fraction
 
@@ -36,18 +37,21 @@ from clflats.cl import (
     test_solvable as solvable_route,
     test_spreads as spread_test,
 )
-from clflats.exact import int_matmul, nullspace_int
+from clflats.exact import int_matmul
 from clflats.flats import (
     container_flats,
     enumerate_flats,
+    flat_ids,
+    flat_points,
     incidence_matrix,
+    incidence_matrix_in,
     incidence_rank,
     incidence_rank_closed_form,
 )
 from clflats.geometry import all_vectors, random_isometry, space_config, zero_vector
 from clflats.cli import paper_suite
 from clflats.scheme import idempotent_int, relation_matrix, relation_products, scheme_tables
-from conftest import MEDIUM_CONFIGS, in_row_span
+from conftest import MEDIUM_CONFIGS, in_row_span, integer_nullspace
 
 
 def _pencil(cfg, point=None):
@@ -437,7 +441,7 @@ def test_certified_image_basis(key):
     assert N.shape[0] == M.shape[1] - incidence_rank_closed_form(cfg) == len(free)
     assert incidence_rank(cfg) == incidence_rank_closed_form(cfg)
     if key != ("unitary", 4, 2):  # the Fraction oracle takes seconds there
-        oracle = nullspace_int(M)
+        oracle = integer_nullspace(M)
         assert oracle.shape == N.shape and in_row_span(N, free, oracle)
 
 
@@ -458,7 +462,7 @@ def test_image_and_kernel_products_stay_on_float64_tier(monkeypatch):
 
 def test_kernel_image_and_nullspace_oracle_agree(medium_config):
     cfg = medium_config
-    oracle = nullspace_int(incidence_matrix(cfg).matrix)
+    oracle = integer_nullspace(incidence_matrix(cfg).matrix)
     chi = np.concatenate([random_subset_matrix(cfg, 20, seed=17),
                           np.stack([_pencil(cfg).chi(), _pencil(cfg).complement().chi(),
                                     _near_miss(cfg).chi()], axis=1)], axis=1)
@@ -470,6 +474,77 @@ def test_kernel_image_and_nullspace_oracle_agree(medium_config):
     for col in range(chi.shape[1]):
         fs = FlatSet(cfg, tuple(int(i) for i in np.flatnonzero(chi[:, col])))
         assert kernel_route(fs) == solvable_route(fs) == bool(by_oracle[col])
+
+
+def _exact_witness(cfg, fs, y) -> bool:
+    """M^T y = chi, checked in integers after clearing y's denominators."""
+    scale = math.lcm(*(v.denominator for v in y))
+    Y = np.array([int(v * scale) for v in y], dtype=object)
+    MT = incidence_matrix(cfg).matrix.T.astype(object)
+    return bool((np.dot(MT, Y) == scale * fs.chi().astype(object)).all())
+
+
+@pytest.mark.parametrize("key", [c for c in MEDIUM_CONFIGS] + [("symplectic", 3, 2)],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_image_certificate_witness_or_none(key):
+    """A witness exactly for the sets the image route accepts, and M^T y = chi."""
+    cfg = space_config(*key)
+    pencil = _pencil(cfg)
+    sets = [pencil, pencil.complement(), _near_miss(cfg), FlatSet(cfg, pencil.ids[1:])]
+    points = all_vectors(cfg)
+    far = next((pt for pt in points if pencils_disjoint(cfg, points[0], pt)), None)
+    if far is not None:  # symplectic spaces have no disjoint pencils
+        sets.append(combine(_pencil(cfg, points[0]), _pencil(cfg, far), "disjoint_union"))
+    cols = random_subset_matrix(cfg, 4, seed=23)
+    sets += [FlatSet(cfg, tuple(int(i) for i in np.flatnonzero(c))) for c in cols.T]
+    found = []
+    for fs in sets:
+        y = image_certificate(fs)
+        assert (y is not None) == solvable_route(fs), fs.ids
+        if y is not None:
+            assert len(y) == cfg.num_points and all(isinstance(v, Fraction) for v in y)
+            assert _exact_witness(cfg, fs, y)
+        found.append(y is not None)
+    assert found[:4] == [True, True, False, False]
+    if far is not None:
+        assert found[4]
+
+
+def _distinct_containers(cfg):
+    seen = {}
+    for base in enumerate_flats(cfg, cfg.nu):
+        for t in container_flats(cfg, base, 1):
+            seen.setdefault(t, None)
+    return list(seen)
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 2),
+                                 ("symplectic", 3, 2)],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_restriction_image_matches_oracle(key):
+    """in_container_image on every distinct container, against the Fraction
+    nullspace of the container's incidence matrix: seeded random sets, a
+    pencil through a container point (a member) and one interior flat (not)."""
+    cfg = space_config(*key)
+    ids = flat_ids(cfg)
+    cols = random_subset_matrix(cfg, 3, seed=41)
+    randoms = [FlatSet(cfg, tuple(int(i) for i in np.flatnonzero(c))) for c in cols.T]
+    verdicts = []
+    for t in _distinct_containers(cfg):
+        inc = incidence_matrix_in(cfg, t)
+        oracle = integer_nullspace(inc.matrix)
+        local = {ids[f]: col for col, f in enumerate(inc.flats)}
+        member = construct_pencil(cfg, min(flat_points(cfg, t)))
+        single = FlatSet(cfg, (ids[inc.flats[0]],))
+        for fs, expected in [(member, True), (single, False)] + [(r, None) for r in randoms]:
+            r = restrict_cl(fs, t)
+            chi = np.zeros(len(inc.flats), dtype=object)
+            chi[[local[g] for g in r.member_ids]] = 1
+            want = not np.dot(oracle, chi).any()
+            assert r.in_container_image == want, (t, fs.ids)
+            assert expected is None or want == expected
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts
 
 
 @pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 2), ("unitary", 4, 1)])

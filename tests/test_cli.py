@@ -264,20 +264,24 @@ def test_flat_type_out_of_range_is_named(capsys):
                         f"m={m} out of range 0..2")
 
 
+def _child(code: str, argv: list[str], timeout: int = 120) -> subprocess.CompletedProcess:
+    root = Path(__file__).resolve().parent.parent
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          timeout=timeout, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          cwd=root)
+
+
 def test_oversized_isotropic_enumeration_exits_2():
     """symplectic(9,4) has about 3.9e9 maximal totally isotropic subspaces.
 
     The child gets an address-space cap and a timeout, so a missing size
     check ends as a failed test, not as a host out of memory.
     """
-    root = Path(__file__).resolve().parent.parent
     cap = ("import resource, sys; from clflats.cli import run; "
            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
            "sys.exit(run(sys.argv[1:]))")
-    proc = subprocess.run([sys.executable, "-c", cap, "space", "info", "--case", "symplectic",
-                           "--q", "9", "--nu", "4"],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=str(root / "src")), cwd=root)
+    proc = _child(cap, ["space", "info", "--case", "symplectic", "--q", "9", "--nu", "4"],
+                  timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
@@ -287,19 +291,80 @@ def test_oversized_isotropic_enumeration_exits_2():
 
 def test_failed_image_certificate_exits_3():
     """A broken reconstruction must fail the certificate and exit 3, not 1 or 2."""
-    root = Path(__file__).resolve().parent.parent
     broken = ("import sys; from clflats import exact; from clflats.cli import run; "
               "real = exact._rational; "
               "exact._rational = lambda u, p: real(u, p) + 1; "
               "sys.exit(run(sys.argv[1:]))")
-    proc = subprocess.run([sys.executable, "-c", broken, "space", "info"] + BASE,
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=str(root / "src")), cwd=root)
+    proc = _child(broken, ["space", "info"] + BASE)
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("clflats: internal error: ") and "certificate" in lines[0]
+
+
+def test_failed_scheme_invariant_exits_3():
+    """The closed-form totals and integrality checks are internal checks."""
+    broken_valency = ("import sys; from clflats import scheme; from clflats.cli import run; "
+                      "real = scheme.valency; "
+                      "scheme.valency = lambda c, r: real(c, r) + 1; "
+                      "sys.exit(run(sys.argv[1:]))")
+    broken_power = ("import sys; from fractions import Fraction; from clflats import scheme; "
+                    "from clflats.cli import run; real = scheme._qpow2_frac; "
+                    "scheme._qpow2_frac = lambda *a: real(*a) + Fraction(1, 3); "
+                    "sys.exit(run(sys.argv[1:]))")
+    for code, fragment in ((broken_valency, "totals disagree"),
+                           (broken_power, "non-integral multiplicity")):
+        proc = _child(code, ["scheme", "eigenmatrix"] + BASE)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("clflats: internal error: ") and fragment in lines[0]
+
+
+def test_zero_division_and_usage_errors_keep_exit_2(capsys):
+    _one_line_error(capsys, ["cl", "search", "--x", "1/0", "--strategy", "exhaustive"] + BASE,
+                    "Fraction(1, 0)")
+    _one_line_error(capsys, ["space", "info", "--out", "/nonexistent-dir/out"] + BASE,
+                    "/nonexistent-dir/out")
+
+
+def test_malformed_set_and_scope_files_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    for text, fragment in (('{"config": 5, "ids": [1]}', "'config'"),
+                           ('{"config": {"case": "symplectic", "q": [2], "nu": 2}, "ids": [1]}',
+                            "entry [2]"),
+                           ('{"flats": 5}', "'flats' must be a list"),
+                           ('{"flats": [{"basis": [[9, 0, 0, 0]], "rep": [0, 0, 0, 0]}]}',
+                            "coordinate 9"),
+                           ('{"flats": [[1]]}', "'basis' list"),
+                           ("[" * 100000, "nested too deeply")):
+        bad.write_text(text)
+        _one_line_error(capsys, ["cl", "test", "--in", str(bad)] + BASE, fragment)
+    for text, fragment in (("[1]", "'basis' list"), ('{"basis": 5, "rep": 1}', "'basis' list"),
+                           ('{"basis": [[1, 0]], "rep": [0]}', "2 coordinates")):
+        bad.write_text(text)
+        _one_line_error(capsys, ["spreads", "enumerate", "--scope", f"flat:{bad}"] + BASE,
+                        fragment)
+
+
+def test_profile_needs_a_cameron_liebler_set(tmp_path, capsys):
+    setfile = tmp_path / "set.json"
+    setfile.write_text(json.dumps({"ids": [0, 1, 2]}))
+    _one_line_error(capsys, ["cl", "profile", "--set", str(setfile), "--i", "1"] + BASE,
+                    "Cameron-Liebler")
+    setfile.write_text(json.dumps({"ids": []}))
+    _one_line_error(capsys, ["cl", "profile", "--set", str(setfile), "--i", "1"] + BASE,
+                    "non-empty")
+
+
+def test_fuzzed_command_lines_exit_cleanly():
+    """Drawn argv and set files: exit 0-3 and no traceback (tests/cli_fuzz.py,
+    in a child process with its own address-space cap)."""
+    fuzz = Path(__file__).resolve().parent / "cli_fuzz.py"
+    proc = _child(f"import runpy; runpy.run_path({str(fuzz)!r}, run_name='__main__')", [])
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
 def test_no_bare_asserts_in_package():

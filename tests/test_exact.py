@@ -1,8 +1,7 @@
-"""Exact linear algebra: rank, solve, nullspace, guarded products."""
+"""Exact linear algebra: ranks, the certified null basis, guarded products."""
 
 import random
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 import pytest
@@ -11,20 +10,15 @@ from hypothesis import given, settings, strategies as st
 from clflats import exact
 from clflats.exact import (
     ELIMINATION_ROWS,
-    EchelonSolver,
     MODULAR_PRIMES,
     certified_null_basis,
     check_null_basis,
-    int_echelon,
     int_matmul,
     modular_echelon,
     modular_rank,
-    nullspace,
-    nullspace_int,
     rank,
-    solve,
 )
-from conftest import in_row_span
+from conftest import in_row_span, integer_nullspace, rational_nullspace
 
 
 def test_rank_basics():
@@ -56,91 +50,48 @@ def test_rank_transpose_invariance():
         assert rank(a) == rank(list(map(list, zip(*a))))
 
 
-def test_solve_and_certify():
-    a = [[1, 2, 3], [4, 5, 6]]
-    y = solve(a, [1, 1])
-    assert y is not None
-    assert all(sum(Fraction(c) * v for c, v in zip(row, y)) == b
-               for row, b in zip(a, [1, 1]))
-    assert solve([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None
-    assert solve([[1, 1], [2, 2]], [0, 0]) == (0, 0)
-
-
-def test_no_solution_iff_rank_jump():
-    rng = random.Random(99)
-    for _ in range(80):
-        m, n = rng.randint(1, 6), rng.randint(1, 6)
-        a = _random_matrix(rng, m, n, -4, 4)
-        b = [rng.randint(-4, 4) for _ in range(m)]
-        augmented = [row + [rhs] for row, rhs in zip(a, b)]
-        solvable = solve(a, b) is not None
-        assert solvable == (rank(augmented) == rank(a))
-
-
 def test_nullspace_properties():
-    assert nullspace([[1, 0], [0, 1]]) == []
+    """The Fraction oracle of the tests: a basis of the nullspace, by rank."""
+    assert rational_nullspace([[1, 0], [0, 1]]) == []
+    assert rational_nullspace([[0, 0]]) == [(1, 0), (0, 1)]
     rng = random.Random(5)
     for _ in range(60):
         m, n = rng.randint(1, 6), rng.randint(1, 7)
         a = _random_matrix(rng, m, n, -5, 5)
-        basis = nullspace(a)
+        basis = rational_nullspace(a)
         assert len(basis) == n - rank(a)
         for v in basis:
             assert all(sum(Fraction(c) * x for c, x in zip(row, v)) == 0 for row in a)
         if basis:
             assert rank([list(v) for v in basis]) == len(basis)
+        scaled = integer_nullspace(a)
+        assert scaled.shape == (len(basis), n)
+        assert not int_matmul(np.array(a, dtype=np.int64), scaled.T).any()
+        assert all(rank([list(v), list(w)]) == 1 for v, w in zip(basis, scaled.tolist()))
 
 
-def test_nullspace_int_annihilates():
-    rng = random.Random(6)
-    a = _random_matrix(rng, 5, 8, -3, 3)
-    kb = nullspace_int(a)
-    prod = int_matmul(kb, np.array(a, dtype=np.int64).T)
-    assert not prod.any()
+def test_no_solution_iff_rank_jump():
+    """cl.image_certificate finds a witness y with M^T y = chi exactly when
+    appending chi as a column leaves the Bareiss rank of M^T unchanged."""
+    from clflats.cl import FlatSet, construct_pencil, image_certificate, random_subset_matrix
+    from clflats.flats import incidence_matrix
+    from clflats.geometry import space_config, zero_vector
 
-
-def test_echelon_solver_matches_one_shot():
-    rng = random.Random(11)
-    a = _random_matrix(rng, 6, 5, -4, 4)
-    solver = EchelonSolver(a)
-    for _ in range(30):
-        b = [rng.randint(-5, 5) for _ in range(6)]
-        one_shot = solve(a, b)
-        assert solver.solvable(b) == (one_shot is not None)
-        got = solver.solve(b)
-        if one_shot is None:
-            assert got is None
-        else:
-            assert all(sum(Fraction(c) * v for c, v in zip(row, got)) == rhs
-                       for row, rhs in zip(a, b))
-
-
-def test_solvable_vector_fraction_vector_and_block():
-    rng = random.Random(12)
-    a = _random_matrix(rng, 7, 4, -4, 4)
-    solver = EchelonSolver(a)
-    assert solver._null_rows.dtype == np.int64
-    cols = [[rng.randint(-5, 5) for _ in range(7)] for _ in range(20)]
-    # right-hand sides in the image, so both answers occur
-    cols += [[sum(r * y for r, y in zip(row, ys)) for row in a]
-             for ys in ([1, 0, 2, -1], [0, 3, 0, 1])]
-    expected = [solve(a, b) is not None for b in cols]
-    assert [solver.solvable(b) for b in cols] == expected
-    assert [solver.solvable(np.array(b)) for b in cols] == expected
-    assert [solver.solvable([Fraction(x, 6) for x in b]) for b in cols] == expected
-    block = solver.solvable(np.array(cols, dtype=np.int64).T)
-    assert block.dtype == bool and block.tolist() == expected
-    frac_block = np.array([[Fraction(x, 4) for x in b] for b in cols], dtype=object).T
-    assert solver.solvable(frac_block).tolist() == expected
-    assert isinstance(solver.solvable(cols[0]), bool)
-
-
-def test_solvable_full_rank_and_big_null_rows():
-    assert EchelonSolver([[1, 0], [0, 1]]).solvable([5, 7])
-    big = 2**70
-    solver = EchelonSolver([[big], [1]])
-    assert solver._null_rows.dtype == object
-    assert solver.solvable([big, 1]) and not solver.solvable([1, 1])
+    for key in (("symplectic", 2, 1), ("orthogonal", 3, 1), ("unitary", 4, 1),
+                ("symplectic", 2, 2)):
+        cfg = space_config(*key)
+        MT = incidence_matrix(cfg).matrix.T
+        base = rank(MT.tolist())
+        cols = random_subset_matrix(cfg, 6, seed=99)
+        sets = [FlatSet(cfg, tuple(int(i) for i in np.flatnonzero(c))) for c in cols.T]
+        pencil = construct_pencil(cfg, zero_vector(cfg))
+        sets += [pencil, FlatSet(cfg, pencil.ids[1:]), FlatSet(cfg, (0,))]
+        jumps = []
+        for fs in sets:
+            jump = rank(np.hstack([MT, fs.chi()[:, None]]).tolist()) != base
+            assert (image_certificate(fs) is None) == jump, (key, fs.ids)
+            jumps.append(jump)
+        assert not jumps[-3] and jumps[-2] and jumps[-1]
 
 
 def test_modular_rank_int64_input_and_stop_at():
@@ -230,74 +181,6 @@ def test_modular_echelon_drops_no_row_across_blocks():
     assert pivots == [0, 1, 2, 3, 4, 5] and (E == np.eye(6, dtype=np.int64)).all()
 
 
-def _echelon_oracle(rows, track=True):
-    """The row-by-row big-integer elimination that int_echelon vectorises."""
-    n = len(rows)
-    work = [list(r) for r in rows]
-    tr = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track else None
-    ncols = len(work[0]) if work else 0
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        pick = None
-        for i in range(r, n):
-            v = work[i][c]
-            if v and (pick is None or abs(v) < abs(work[pick][c])):
-                pick = i
-        if pick is None:
-            continue
-        work[r], work[pick] = work[pick], work[r]
-        if track:
-            tr[r], tr[pick] = tr[pick], tr[r]
-        pv = work[r][c]
-        for i in range(r + 1, n):
-            f = work[i][c]
-            if f:
-                work[i] = [pv * a - f * b for a, b in zip(work[i], work[r])]
-                if track:
-                    tr[i] = [pv * a - f * b for a, b in zip(tr[i], tr[r])]
-                g = 0
-                for x in work[i]:
-                    g = gcd(g, x)
-                for x in (tr[i] if track else ()):
-                    g = gcd(g, x)
-                if g > 1:
-                    work[i] = [x // g for x in work[i]]
-                    if track:
-                        tr[i] = [x // g for x in tr[i]]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return work[:r], (tr if track else None), pivots
-
-
-@pytest.mark.parametrize("track", [True, False])
-def test_int_echelon_matches_oracle(track):
-    rng = random.Random(20261018)
-    cases = [[], [[], []], [[0, 0, 0], [0, 0, 0]],
-             [[0, 2, 0, 4], [0, 3, 0, 1], [0, -6, 0, 5]]]  # all-zero columns
-    for _ in range(120):
-        m, n = rng.randint(1, 9), rng.randint(1, 9)
-        sparse = rng.random() < 0.5
-        cases.append([[rng.randint(-9, 9) if not sparse or rng.random() < 0.3 else 0
-                       for _ in range(n)] for _ in range(m)])
-    for rows in cases:
-        got = int_echelon(rows, track)
-        assert got == _echelon_oracle(rows, track), rows
-        assert all(type(x) is int for part in got[:2] if part for row in part for x in row)
-
-
-@pytest.mark.parametrize("track", [True, False])
-def test_int_echelon_promotes_past_int64(track):
-    rng = random.Random(40)
-    big = 2**40
-    rows = [[rng.randint(-big, big) for _ in range(5)] for _ in range(6)]
-    got = int_echelon(rows, track)
-    assert got == _echelon_oracle(rows, track)
-    assert max(abs(x) for row in got[0] for x in row) >= 2**63  # past int64
-
-
 def test_image_solver_null_rows_stay_int64():
     from clflats import cl
     from clflats.flats import enumerate_flats, incidence_rank_closed_form
@@ -328,7 +211,7 @@ def test_certified_null_basis_matches_oracle():
              np.zeros((3, 5), dtype=np.int64), np.ones((ELIMINATION_ROWS + 1, 4), dtype=np.int64)]
     for a in cases:
         N = certified_null_basis(a)
-        oracle = nullspace_int(a)
+        oracle = integer_nullspace(a)
         assert N.dtype == np.int64 and N.shape == oracle.shape
         assert not int_matmul(a, N.T).any()
         free = np.setdiff1d(np.arange(a.shape[1]), modular_echelon(a, p)[1])

@@ -13,6 +13,7 @@ from clflats.geometry import (
     contains_vector,
     enumerate_isotropic,
     gram_rank,
+    is_totally_isotropic,
     reduce_mod,
     space_config,
     unit_vector,
@@ -98,6 +99,33 @@ def test_type_II_guards(s22, s21):
         spread_type_II(s21, canonicalize(s21, [unit_vector(s21, 0), unit_vector(s21, 1)]),
                        canonicalize(s21, [unit_vector(s21, 0)]),
                        canonicalize(s21, [unit_vector(s21, 1)]))
+
+
+def _broken_components(cfg, container, interior):
+    """The component (container, interior) with one precondition broken:
+    its last direction replaced, or its container by a direction."""
+    outside = next(p for p in enumerate_isotropic(cfg, cfg.nu)
+                   if not contains_subspace(cfg.field, container, p))
+    points = [v for v in all_vectors(cfg) if any(v) and contains_vector(cfg.field, container, v)]
+    degenerate = next(d for d in (canonicalize(cfg, [v, w]) for v in points for w in points)
+                      if d.dim == cfg.nu and not is_totally_isotropic(cfg, d))
+    short = canonicalize(cfg, [interior[0].basis[0]])
+    head = interior[:-1]
+    return {"outside": ((container, head + (outside,)), "inside the container"),
+            "not isotropic": ((container, head + (degenerate,)), "maximal totally isotropic"),
+            "too small": ((container, head + (short,)), "maximal totally isotropic"),
+            "container": ((interior[0], interior), r"type-\(nu\+1, 2\)")}
+
+
+@pytest.mark.parametrize("bad", ["outside", "not isotropic", "too small", "container"])
+def test_type_II_family_checks_every_container_and_direction(s22, monkeypatch, bad):
+    """The family build checks each container once and each interior
+    direction once: a bad last direction of the last container is named."""
+    comps = list(type_II_components(s22))
+    comps[-1], message = _broken_components(s22, *comps[-1])[bad]
+    monkeypatch.setattr(spreads, "type_II_components", lambda config: tuple(comps))
+    with pytest.raises(ValueError, match=message):
+        spreads._type_II_members(s22)
 
 
 def test_classify_and_switching(s22):
