@@ -612,10 +612,17 @@ def search_cl(config: SpaceConfig, x_target: Fraction | int, strategy: str,
     """Sets with the target parameter passing the full battery.
 
     exhaustive: complete sweep (small flat counts only).
-    pencil_closure: pencils, complements, and disjoint pencil unions.
+    pencil_closure: pencils, complements, and disjoint unions of at most
+    min(x, q^nu) pencils.
     seeded_random: random subsets of the right size (rarely fruitful).
+    A set has at most n = q^nu * D flats, so no parameter lies outside
+    [0, q^nu]; such a target returns [] before any set is built.
     """
+    if strategy not in ("exhaustive", "pencil_closure", "seeded_random"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     x_target = Fraction(x_target)
+    if not 0 <= x_target <= config.q**config.nu:
+        return []
     n = len(enumerate_flats(config, config.nu))
     D = set_denominator(config)
     target_size = x_target * D
@@ -641,17 +648,15 @@ def search_cl(config: SpaceConfig, x_target: Fraction | int, strategy: str,
             consider(p.complement())
         consider(full_set(config))
         consider(empty_set(config))
-        limit = int(x_target) if x_target.denominator == 1 else 0
+        limit = min(int(x_target), config.q**config.nu) if x_target.denominator == 1 else 0
         if limit >= 2:
             _disjoint_unions(config, pencils, limit, consider)
-    elif strategy == "seeded_random":
+    else:
         rng = random.Random(("search", config.key(), seed).__repr__())
-        if target_size.denominator == 1 and 0 <= target_size <= n:
+        if target_size.denominator == 1:
             for _ in range(tries):
                 ids = tuple(sorted(rng.sample(range(n), int(target_size))))
                 consider(FlatSet(config, ids))
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
     return [found[k] for k in sorted(found)]
 
 

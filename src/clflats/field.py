@@ -9,7 +9,11 @@ Fixed moduli per order keep encodings reproducible across runs:
     F8 : t^3 + t + 1
     F9 : t^2 + 1
 
-All arithmetic is table-driven; tables are tiny at these orders.
+All arithmetic is table-driven; tables are tiny at these orders.  The
+add and mul tables also exist as flat int64 arrays, add_flat[a * q + b]
+and mul_flat[a * q + b], for vectorised lookups over whole stacks of
+vectors (geometry.syndrome_keys); they are exact for every order,
+prime or not.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
+
+import numpy as np
 
 SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 
@@ -94,6 +100,10 @@ class FiniteField:
                 for a in range(q)
             ]
             self.mul_table = [[self._poly_mul(a, b) for b in range(q)] for a in range(q)]
+        self.add_flat = np.array(self.add_table, dtype=np.int64).reshape(-1)
+        self.mul_flat = np.array(self.mul_table, dtype=np.int64).reshape(-1)
+        self.add_flat.flags.writeable = False
+        self.mul_flat.flags.writeable = False
         self.neg_table = [next(b for b in range(q) if self.add_table[a][b] == 0) for a in range(q)]
         self.inv_table = [0] + [
             next(b for b in range(1, q) if self.mul_table[a][b] == 1) for a in range(1, q)

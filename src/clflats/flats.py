@@ -4,7 +4,11 @@ A flat is a direction subspace plus the unique coset representative with
 zero coordinates at the direction's pivot columns.  Enumeration of the
 type-(m,0) flats orders them by (direction canonical index, representative
 lexicographic), which fixes the FlatId used by every set type downstream.
-The point-flat incidence matrix M has a certified integer null basis,
+The flat of direction d through a point x has the id d q^nu plus the
+syndrome key of x under the parity check of d (geometry.syndrome_keys),
+so coset_table and the incidence matrix are one syndrome pass over all
+points, and flats_in tests containment by syndromes too.  The
+point-flat incidence matrix M has a certified integer null basis,
 from its RREF over GF(p) rebuilt by rational reconstruction; it gives the
 image route of the membership test and the exact rank of M.
 """
@@ -32,13 +36,16 @@ from .geometry import (
     enumerate_isotropic,
     gram_rank,
     intersect_subspace,
+    point_array,
     point_graph,
-    point_index,
     qh_plus_one,
     reduce_mod,
     rref,
     span_points,
+    subspace_checks,
+    subspaces_contain,
     sum_subspace,
+    syndrome_keys,
     vec_add,
     vec_sub,
 )
@@ -188,10 +195,21 @@ def flats_through(config: SpaceConfig, f: Flat, j: int) -> list[Flat]:
 
 
 def flats_in(config: SpaceConfig, big: Flat) -> list[Flat]:
-    """Members of the maximal-flat family lying inside a container flat."""
+    """Members of the maximal-flat family lying inside a container flat.
+
+    A flat lies inside iff the basis of its direction has syndrome zero
+    under the parity check of the container's direction and its
+    representative has the container representative's syndrome.
+    """
     _check_container(config, big)
-    return [g for g in enumerate_flats(config, config.nu)
-            if flat_contains_flat(config, big, g)]
+    flats = enumerate_flats(config, config.nu)
+    dirs = enumerate_isotropic(config, config.nu)
+    inside = subspaces_contain(config, [big.direction], dirs)[0]
+    check = subspace_checks(config, [big.direction])
+    keys = syndrome_keys(config, check, [f.rep for f in flats] + [big.rep])[0]
+    per = len(flats) // len(dirs)
+    hits = np.repeat(inside, per) & (keys[:-1] == keys[-1])
+    return [flats[k] for k in np.flatnonzero(hits)]
 
 
 def _check_container(config: SpaceConfig, big: Flat) -> int:
@@ -253,14 +271,34 @@ class IncidenceMatrix:
 
 
 @lru_cache(maxsize=None)
+def coset_table(config: SpaceConfig) -> np.ndarray:
+    """coset_of[d, x]: the id of the maximal flat of direction d through point x.
+
+    Flat ids run direction-major with the representatives in
+    coset_representatives order, and the flat of d through x has the
+    representative reduce_mod(d, x), so its id is d q^nu plus the
+    syndrome key of x under the parity check of d.
+    """
+    dirs = enumerate_isotropic(config, config.nu)
+    per = config.q**config.nu
+    if len(enumerate_flats(config, config.nu)) != per * len(dirs):
+        raise AssertionError(f"expected {per} cosets for each of {len(dirs)} directions")
+    table = (syndrome_keys(config, subspace_checks(config, dirs), point_array(config))
+             + per * np.arange(len(dirs), dtype=np.int64)[:, None])
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
 def incidence_matrix(config: SpaceConfig) -> IncidenceMatrix:
-    """Full point vs maximal-flat incidence (rows in point-index order)."""
+    """Full point vs maximal-flat incidence (rows in point-index order).
+
+    Point x lies on one flat of each direction, coset_table(config)[:, x].
+    """
     flats = enumerate_flats(config, config.nu)
     pts = all_vectors(config)
     M = np.zeros((len(pts), len(flats)), dtype=np.int64)
-    for col, f in enumerate(flats):
-        for p in flat_points(config, f):
-            M[point_index(config, p), col] = 1
+    M[np.arange(len(pts)), coset_table(config)] = 1
     M.flags.writeable = False
     return IncidenceMatrix(tuple(pts), flats, M)
 

@@ -10,6 +10,19 @@ Vectors are tuples of field element codes; subspaces carry the unique
 reduced-row-echelon basis of their row space, so equal row spaces give
 equal objects.  The canonical order on subspaces of one dimension is
 lexicographic on the flattened basis entries.
+
+Membership in a subspace is a syndrome test.  The parity check H of a
+subspace, built from its RREF basis, has one column per free (non-pivot)
+column, so v H is reduce_mod(sub, v) read at the free columns and
+v H = 0 iff v lies in the subspace.  syndrome_keys evaluates v H for a
+whole stack of (subspace, vectors) pairs with one table-lookup pass per
+coordinate, exact over every supported field, and encodes each syndrome
+base q as an int64 key; two vectors have equal keys iff they lie in the
+same coset of the subspace, and the keys of the canonical coset
+representatives count 0, 1, ... in coset_representatives order.
+rref_stack reduces a whole stack of matrices the same way, one pass per
+column, so that parity_checks can build the checks of many subspaces
+(say, every sum of two directions) from one elimination.
 """
 
 from __future__ import annotations
@@ -108,6 +121,12 @@ def vec_scale(fld: FiniteField, c: int, v: Vector) -> Vector:
 def all_vectors(config: SpaceConfig) -> list[Vector]:
     """All points of F_q^(2*nu) in lexicographic order."""
     return [tuple(v) for v in product(range(config.q), repeat=config.dim)]
+
+
+def point_array(config: SpaceConfig) -> np.ndarray:
+    """all_vectors(config) as an int64 (q^dim, dim) array, in point-index order."""
+    powers = config.q ** np.arange(config.dim - 1, -1, -1, dtype=np.int64)
+    return np.arange(config.num_points, dtype=np.int64)[:, None] // powers % config.q
 
 
 def point_index(config: SpaceConfig, v: Vector) -> int:
@@ -227,6 +246,96 @@ def reduce_mod(fld: FiniteField, sub: Subspace, v: Vector) -> Vector:
             mr = mul[c]
             out = [sub_(a, mr[b]) for a, b in zip(out, row)]
     return tuple(out)
+
+
+def rref_stack(config: SpaceConfig, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The RREF over F_q of every matrix of a stack (S, r, dim), as rref.
+
+    Returns the reduced stack, zero rows last, and the pivot column of
+    each row (S, r), -1 past the rank.  One pass per column through the
+    field tables clears that column in every matrix at once.
+    """
+    fld, q = config.field, config.q
+    A = np.array(rows, dtype=np.int64)
+    S, r, _ = A.shape
+    inv, neg = np.array(fld.inv_table), np.array(fld.neg_table)
+    pivots = np.full((S, r), -1, dtype=np.int64)
+    rank = np.zeros(S, dtype=np.int64)
+    for c in range(config.dim):
+        found = (A[:, :, c] != 0) & (np.arange(r) >= rank[:, None])
+        s = np.flatnonzero(found.any(axis=1))
+        src, dst = found[s].argmax(axis=1), rank[s]
+        A[s, src], A[s, dst] = A[s, dst], A[s, src]
+        pivot = fld.mul_flat[inv[A[s, dst, c]][:, None] * q + A[s, dst]]
+        factor = A[s, :, c]
+        A[s] = fld.add_flat[A[s] * q + neg[fld.mul_flat[factor[:, :, None] * q + pivot[:, None]]]]
+        A[s, dst] = pivot
+        pivots[s, dst] = c
+        rank[s] += 1
+    return A, pivots
+
+
+def parity_checks(config: SpaceConfig, bases, pivots) -> np.ndarray:
+    """The int64 parity checks (S, dim, m) of a stack of RREF bases (S, k, dim)
+    with their pivot columns (S, k), m = dim - k.
+
+    Column j is the unit vector at the j-th free column f minus B[t, f]
+    at each pivot column p_t, so v H is reduce_mod(sub, v) at the free
+    columns.
+    """
+    piv = np.asarray(pivots, dtype=np.int64)
+    S, k = piv.shape
+    B = np.asarray(bases, dtype=np.int64).reshape(S, k, config.dim)
+    m = config.dim - k
+    is_pivot = np.zeros((S, config.dim), dtype=bool)
+    np.put_along_axis(is_pivot, piv, True, axis=1)
+    free = np.argsort(is_pivot, axis=1, kind="stable")[:, :m]
+    H = np.zeros((S, config.dim, m), dtype=np.int64)
+    stack = np.arange(S)[:, None, None]
+    H[stack[:, 0], free, np.arange(m)] = 1
+    H[stack, piv[:, :, None], np.arange(m)] = np.array(config.field.neg_table)[
+        np.take_along_axis(B, free[:, None, :], axis=2)]
+    return H
+
+
+def subspace_checks(config: SpaceConfig, subs) -> np.ndarray:
+    """parity_checks of a sequence of subspaces of one dimension."""
+    return parity_checks(config, [s.basis for s in subs], [s.pivots for s in subs])
+
+
+def syndrome_keys(config: SpaceConfig, checks: np.ndarray, vectors) -> np.ndarray:
+    """keys[s, v]: the base-q number of the syndrome vectors[s, v] H_s over F_q.
+
+    checks is a stack (S, dim, m) of parity checks of one codimension m;
+    vectors is a stack (S, V, dim), or one (V, dim) block shared by every
+    check.  The syndromes accumulate in one pass per coordinate through
+    the field's add and mul tables; the first syndrome entry is the most
+    significant digit, so keys order like the reduced vectors.
+    """
+    fld, q = config.field, config.q
+    H = np.asarray(checks, dtype=np.int64)
+    X = np.asarray(vectors, dtype=np.int64)
+    if X.ndim == 2:
+        X = X[None]
+    s = np.zeros((), dtype=np.int64)
+    for t in range(config.dim):
+        s = fld.add_flat[s * q + fld.mul_flat[X[:, :, t, None] * q + H[:, None, t, :]]]
+    keys = np.zeros(s.shape[:2], dtype=np.int64)
+    for j in range(H.shape[2]):
+        keys = keys * q + s[:, :, j]
+    return keys
+
+
+def subspaces_contain(config: SpaceConfig, bigs, smalls) -> np.ndarray:
+    """contains[b, s]: whether smalls[s] lies in bigs[b], by syndromes.
+
+    The bigs share one dimension and the smalls another; a small subspace
+    lies in a big one iff every row of its basis has syndrome zero.
+    """
+    k = smalls[0].dim if len(smalls) else 0
+    rows = np.array([s.basis for s in smalls], dtype=np.int64).reshape(-1, config.dim)
+    keys = syndrome_keys(config, subspace_checks(config, bigs), rows)
+    return ~keys.reshape(len(bigs), len(smalls), k).any(axis=2)
 
 
 def contains_vector(fld: FiniteField, sub: Subspace, v: Vector) -> bool:

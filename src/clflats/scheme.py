@@ -6,10 +6,14 @@ intersection, xi = 0 when the cosets meet and 1 when they are disjoint
 eigenvalue, valency, and multiplicity tables come from closed forms,
 and so does the coefficient table C of the idempotents in the
 adjacency basis, E_e = (1/L_e) sum_r C[e, r] A_r.  The int8 relation
-table is the only cached n x n object: every product in the Bose-Mesner
-algebra, sum_r W[k, r] A_r X for a small integer table W, is read from
-it by relation_products.  Dense idempotents exist only inside
-check_eigen_system, where they are the object being verified.
+table is built from syndromes: flats ra + da and rb + db meet iff ra
+and rb have equal syndrome keys under a parity check of da + db
+(geometry.syndrome_keys), and the sums of all direction pairs come from
+stacked RREFs (geometry.rref_stack), so a q^nu x q^nu block is one key
+comparison.  It is the only cached n x n object: every product in the
+Bose-Mesner algebra, sum_r W[k, r] A_r X for a small integer table W,
+is read from it by relation_products.  Dense idempotents exist only
+inside check_eigen_system, where they are the object being verified.
 """
 
 from __future__ import annotations
@@ -29,9 +33,10 @@ from .geometry import (
     SpaceConfig,
     enumerate_isotropic,
     is_totally_isotropic,
-    point_index,
-    reduce_mod,
+    parity_checks,
+    rref_stack,
     sum_subspace,
+    syndrome_keys,
 )
 
 RelIndex = tuple[int, int]
@@ -257,35 +262,53 @@ def relation_of(config: SpaceConfig, f1: Flat, f2: Flat) -> RelIndex:
     return (i, xi)
 
 
+PAIR_CHUNK = 1024  # direction pairs per stacked RREF and syndrome_keys call
+
+
 @lru_cache(maxsize=None)
 def relation_matrix(config: SpaceConfig) -> np.ndarray:
-    """Relation codes (2i + xi) for all ordered pairs of maximal flats."""
+    """Relation codes (2i + xi) for all ordered pairs of maximal flats.
+
+    For directions da, db the sum da + db has dimension nu + i, and the
+    flats ra + da, rb + db meet iff ra - rb lies in da + db, that is iff
+    ra and rb have equal syndrome keys under its parity check.  Each
+    chunk of PAIR_CHUNK direction pairs takes one stacked RREF of the
+    bases [da; db]; its pairs are grouped by the rank of the sum, and
+    each group takes one syndrome_keys call over every representative
+    of every pair, its blocks scattered through the (D, q^nu, D, q^nu)
+    view of the table.  A sum that is the whole space has no syndrome:
+    its block is the constant 2 nu.
+    """
     flats = enumerate_flats(config, config.nu)
     dirs = enumerate_isotropic(config, config.nu)
-    n = len(flats)
+    n, D = len(flats), len(dirs)
     per = config.q**config.nu  # cosets per direction, contiguous in id order
-    if n != per * len(dirs):
-        raise AssertionError(f"{n} flats, expected {per} cosets for each of {len(dirs)} directions")
-    fld = config.field
-    R = np.zeros((n, n), dtype=np.int8)
-    reps = [f.rep for f in flats]
-    for a, da in enumerate(dirs):
-        for b in range(a, len(dirs)):
-            db = dirs[b]
-            total = sum_subspace(config, da, db)
-            i = config.nu - (2 * config.nu - total.dim)
-            keys_a = np.array([point_index(config, reduce_mod(fld, total, r))
-                               for r in reps[a * per:(a + 1) * per]])
-            if b == a:
-                keys_b = keys_a
+    if n != per * D:
+        raise AssertionError(f"{n} flats, expected {per} cosets for each of {D} directions")
+    reps = np.array([f.rep for f in flats], dtype=np.int64).reshape(D, per, config.dim)
+    bases = np.array([d.basis for d in dirs], dtype=np.int64)
+    R = np.full((n, n), -1, dtype=np.int8)
+    blocks_of = R.reshape(D, per, D, per)  # a view: block (a, b) is blocks_of[a, :, b, :]
+    first, second = np.triu_indices(D)
+    for s in range(0, len(first), PAIR_CHUNK):
+        a, b = first[s:s + PAIR_CHUNK], second[s:s + PAIR_CHUNK]
+        sums, pivots = rref_stack(config, np.concatenate([bases[a], bases[b]], axis=1))
+        rank = (pivots >= 0).sum(axis=1)
+        for dim in np.unique(rank).tolist():
+            group = rank == dim
+            i = dim - config.nu
+            if dim == config.dim:
+                blocks = np.full((group.sum(), per, per), 2 * i, dtype=np.int8)
             else:
-                keys_b = np.array([point_index(config, reduce_mod(fld, total, r))
-                                   for r in reps[b * per:(b + 1) * per]])
-            eq = np.equal.outer(keys_a, keys_b)
-            block = np.where(eq, 2 * i, 2 * i + 1).astype(np.int8)
-            R[a * per:(a + 1) * per, b * per:(b + 1) * per] = block
-            if b != a:
-                R[b * per:(b + 1) * per, a * per:(a + 1) * per] = block.T
+                checks = parity_checks(config, sums[group, :dim], pivots[group, :dim])
+                keys = syndrome_keys(config, checks,
+                                     np.concatenate([reps[a[group]], reps[b[group]]], axis=1))
+                meet = keys[:, :per, None] == keys[:, None, per:]
+                blocks = np.where(meet, 2 * i, 2 * i + 1).astype(np.int8)
+            blocks_of[a[group], :, b[group], :] = blocks
+            blocks_of[b[group], :, a[group], :] = blocks.transpose(0, 2, 1)
+    if (R < 0).any():
+        raise AssertionError("a direction pair of the relation table was not filled")
     R.flags.writeable = False
     return R
 

@@ -6,13 +6,17 @@ isotropic subspace) and, for nu >= 2, type II (mix the cosets of two
 distinct maximal totally isotropic subspaces inside a common
 type-(nu+1, 2) subspace).  Members are stored as sorted global FlatIds;
 a container scope is recorded alongside.  The whole constructive family
-is one int64 array, family_members; its type-II rows are gathered from a
-table of the flat of each direction through each point, and
-list_type_II wraps them as Spreads.
+is one int64 array, family_members; its type-II rows are gathered from
+flats.coset_table, the flat of each direction through each point, with
+the cosets of each container told apart by the syndrome keys of the
+points under the container's parity check (geometry.syndrome_keys);
+the interior directions of a container are those whose bases have
+syndrome zero.  list_type_II wraps the rows as Spreads.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,6 +28,7 @@ from .field import e_power
 from .flats import (
     Flat,
     coset_representatives,
+    coset_table,
     enumerate_flats,
     flat_ids,
     flat_make,
@@ -40,9 +45,12 @@ from .geometry import (
     enumerate_isotropic,
     gram_rank,
     is_totally_isotropic,
+    point_array,
     point_index,
-    reduce_mod,
     span_points,
+    subspace_checks,
+    subspaces_contain,
+    syndrome_keys,
     vec_add,
 )
 from .scheme import PRODUCT_COLUMNS, idempotent_coefficients, relation_products, scheme_tables
@@ -77,12 +85,10 @@ def _check_container(config: SpaceConfig, container: Subspace) -> None:
         raise ValueError("container must be a type-(nu+1, 2) subspace")
 
 
-def _check_direction(config: SpaceConfig, container: Subspace, p: Subspace) -> None:
-    """The preconditions of one direction of a type-II spread in its container."""
+def _check_direction(config: SpaceConfig, p: Subspace) -> None:
+    """A direction of a type-II spread must be maximal totally isotropic."""
     if p.dim != config.nu or not is_totally_isotropic(config, p):
         raise ValueError("directions must be maximal totally isotropic")
-    if not contains_subspace(config.field, container, p):
-        raise ValueError("directions must lie inside the container")
 
 
 def spread_type_II(config: SpaceConfig, container: Subspace,
@@ -98,7 +104,9 @@ def spread_type_II(config: SpaceConfig, container: Subspace,
     if p1 == p2:
         raise ValueError("the two directions must be distinct")
     for p in (p1, p2):
-        _check_direction(config, container, p)
+        _check_direction(config, p)
+        if not contains_subspace(config.field, container, p):
+            raise ValueError("directions must lie inside the container")
     fld = config.field
     ids = flat_ids(config)
     if shift is None:
@@ -122,20 +130,26 @@ def type_II_components(config: SpaceConfig) -> tuple[tuple[Subspace, tuple[Subsp
     """All type-(nu+1,2) subspaces with their interior maximal isotropics.
 
     A container p + <v> depends only on the coset v + p, so each p is
-    extended by its nonzero coset representatives alone.
+    extended by its nonzero coset representatives alone, and each new
+    container's Gram rank is checked once.  A maximal isotropic lies in
+    a container iff its basis has syndrome zero under the container's
+    parity check; one syndrome_keys call tests every pair.
     """
     maxes = enumerate_isotropic(config, config.nu)
-    fld = config.field
-    containers: set[Subspace] = set()
+    seen: set[Subspace] = set()
+    containers = []
     for p in maxes:
         for v in coset_representatives(config, p)[1:]:
             q_sub = canonicalize(config, list(p.basis) + [v])
-            if gram_rank(config, q_sub) == 2:
-                containers.add(q_sub)
+            if q_sub not in seen:
+                seen.add(q_sub)
+                if gram_rank(config, q_sub) == 2:
+                    containers.append(q_sub)
+    containers.sort(key=Subspace.flat_key)
     expected_interior = e_power(config, config.e2) + 1
     out = []
-    for q_sub in sorted(containers, key=Subspace.flat_key):
-        interior = tuple(p for p in maxes if contains_subspace(fld, q_sub, p))
+    for q_sub, inside in zip(containers, subspaces_contain(config, containers, maxes)):
+        interior = tuple(p for p, ok in zip(maxes, inside) if ok)
         if len(interior) != expected_interior:
             raise AssertionError(
                 f"container with {len(interior)} interior maximals, expected {expected_interior}")
@@ -184,43 +198,44 @@ def family_indicators(config: SpaceConfig, rows: slice = slice(None)) -> np.ndar
 def _type_II_members(config: SpaceConfig) -> np.ndarray:
     """The sorted, distinct member rows of every type-II spread.
 
-    coset_of[d, x] is the flat of direction d through point x.  A spread
-    from container Q, directions (p1, p2) and a shift takes coset_of[p1]
-    on the shift's coset of Q and coset_of[p2] off it; one gather gives
-    the flat through every point for all shifts of a pair at once.  A
+    coset_of[d, x] is the flat of direction d through point x, and the
+    syndrome key of x under a container's parity check labels the coset
+    of the container through x; one syndrome_keys call labels every
+    point for every container.  A spread from container Q, directions
+    (p1, p2) and a shift takes coset_of[p1] on the shift's coset of Q
+    and coset_of[p2] off it; one np.where gives the flat through every
+    point for every ordered pair and shift of a container at once.  A
     flat has q^nu points, so a sorted row that lists each of its members
     exactly q^nu times covers each point exactly once; that is checked.
     """
-    fld = config.field
-    flats = enumerate_flats(config, config.nu)
     direction_index = {d: k for k, d in enumerate(enumerate_isotropic(config, config.nu))}
-    points, cols = np.nonzero(incidence_matrix(config).matrix)
-    coset_of = np.full((len(direction_index), config.num_points), -1, dtype=np.int64)
-    coset_of[[direction_index[flats[c].direction] for c in cols], points] = cols
+    coset_of = coset_table(config)
     per = config.q**config.nu
-    vectors = all_vectors(config)
-    rows = []
-    for q_sub, interior in type_II_components(config):
-        # the preconditions of spread_type_II, once per container and direction
+    components = type_II_components(config)
+    # the preconditions of spread_type_II, once per container and direction
+    for q_sub, _ in components:
         _check_container(config, q_sub)
-        for p in interior:
-            _check_direction(config, q_sub, p)
-        label = np.array([point_index(config, reduce_mod(fld, q_sub, v)) for v in vectors])
+    for p in dict.fromkeys(p for _, interior in components for p in interior):
+        _check_direction(config, p)
+    checks = subspace_checks(config, [q_sub for q_sub, _ in components])
+    interiors = np.array([[p.basis for p in interior] for _, interior in components])
+    if syndrome_keys(config, checks, interiors.reshape(len(checks), -1, config.dim)).any():
+        raise ValueError("directions must lie inside the container")
+    labels = syndrome_keys(config, checks, point_array(config))
+    rows = []
+    for (_, interior), label in zip(components, labels):
         inside = np.unique(label)[:, None] == label
-        for p1 in interior:
-            for p2 in interior:
-                if p1 == p2:
-                    continue
-                spread = np.where(inside, coset_of[direction_index[p1]],
-                                  coset_of[direction_index[p2]])
-                spread.sort(axis=1)
-                groups = spread.reshape(len(inside), per, per)
-                members = groups[:, :, 0]
-                if ((members[:, 0] < 0).any() or (groups != members[:, :, None]).any()
-                        or (np.diff(members, axis=1) <= 0).any()):
-                    raise AssertionError(
-                        f"a type-II spread of {config.key()} does not cover each point once")
-                rows.append(members)
+        first, second = zip(*itertools.permutations(
+            [direction_index[p] for p in interior], 2))
+        spread = np.where(inside, coset_of[list(first)][:, None], coset_of[list(second)][:, None])
+        spread.sort(axis=2)
+        groups = spread.reshape(-1, per, per)
+        members = groups[:, :, 0]
+        if ((members[:, 0] < 0).any() or (groups != members[:, :, None]).any()
+                or (np.diff(members, axis=1) <= 0).any()):
+            raise AssertionError(
+                f"a type-II spread of {config.key()} does not cover each point once")
+        rows.append(members)
     return np.unique(np.concatenate(rows), axis=0)
 
 

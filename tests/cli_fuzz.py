@@ -97,9 +97,10 @@ def forms(files: list[str]) -> dict[str, list]:
         "cl-profile": ["cl", "profile", "--set", file, "--i", choice(["1", "-1", "0", "2"]),
                        choice([(), ("--base", "0"), ("--base", "5"), ("--base", "-1"),
                                ("--base", str(10**20))])],
-        # a larger x makes pencil_closure search unions of up to x disjoint pencils
+        # pencil_closure searches unions of up to min(x, q^nu) disjoint pencils,
+        # and an x above q^nu returns before any pencil is built
         "cl-search": ["cl", "search", "--x", choice(["0", "1", "1/2", "-1", "abc", "1/0",
-                                                     "3/2", "1e-3"]),
+                                                     "3/2", "1e-3", "1000"]),
                       "--strategy", choice(["exhaustive", "pencil_closure", "seeded_random",
                                             "other"])],
         "verify": ["verify", "--suite", choice(["paper", "other"])],

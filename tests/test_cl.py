@@ -240,6 +240,16 @@ def test_search_pencil_closure(s22):
                                       for pt in all_vectors(s22)}
 
 
+@pytest.mark.parametrize("strategy", ["exhaustive", "pencil_closure", "seeded_random"])
+@pytest.mark.parametrize("x", [1000, -1, Fraction(28, 3)])
+def test_search_outside_parameter_range_builds_nothing(o32, monkeypatch, strategy, x):
+    """No set has a parameter outside [0, q^nu]: no pencil is built for one."""
+    def refuse(config, point):
+        raise AssertionError("construct_pencil called")
+    monkeypatch.setattr(cl, "construct_pencil", refuse)
+    assert search_cl(o32, x, strategy) == []
+
+
 def test_search_seeded_random_finds_nothing(s22):
     assert search_cl(s22, 2, "seeded_random", seed=0, tries=50) == []
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Flats: coset canonicalization, meet/join, enumeration, incidence."""
 
+import numpy as np
 import pytest
 
 from clflats import exact
@@ -27,10 +28,12 @@ from clflats.geometry import (
     canonicalize,
     enumerate_isotropic,
     gram_rank,
+    point_index,
     space_config,
     unit_vector,
     zero_vector,
 )
+from conftest import MEDIUM_CONFIGS
 
 
 def test_flat_make_canonical_representative(s22):
@@ -169,6 +172,42 @@ def test_flats_in_counts(s22, o32):
             assert all(g.dim == cfg.nu and gram_rank(cfg, g.direction) == 0
                        for g in inside)
             assert flat_contains_flat(cfg, t, base)
+
+
+def _all_containers(cfg):
+    """Every type-(nu+i, 2i) flat, 1 <= i < nu, once, in first-seen order."""
+    seen = {}
+    for base in enumerate_flats(cfg, cfg.nu):
+        for i in range(1, cfg.nu):
+            for t in container_flats(cfg, base, i):
+                seen.setdefault(t, None)
+    return list(seen)
+
+
+@pytest.mark.parametrize("key", [k for k in MEDIUM_CONFIGS if k[2] >= 2],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_flats_in_matches_containment_scan(key):
+    cfg = space_config(*key)
+    flats = enumerate_flats(cfg, cfg.nu)
+    containers = _all_containers(cfg)
+    assert containers
+    for t in containers:
+        assert flats_in(cfg, t) == [g for g in flats if flat_contains_flat(cfg, t, g)]
+
+
+@pytest.mark.parametrize("key", MEDIUM_CONFIGS + (("symplectic", 3, 2), ("unitary", 4, 2),
+                                                  ("symplectic", 2, 3)),
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_incidence_matrix_matches_flat_points_loop(key):
+    cfg = space_config(*key)
+    flats = enumerate_flats(cfg, cfg.nu)
+    want = np.zeros((cfg.num_points, len(flats)), dtype=np.int64)
+    for col, f in enumerate(flats):
+        for p in flat_points(cfg, f):
+            want[point_index(cfg, p), col] = 1
+    M = incidence_matrix(cfg).matrix
+    assert M.dtype == np.int64 and not M.flags.writeable
+    assert (M == want).all()
 
 
 def test_container_type_guard(s22):

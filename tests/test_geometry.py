@@ -13,10 +13,17 @@ from clflats.geometry import (
     form_value,
     is_isotropic,
     isotropic_brute_force,
+    point_array,
     point_graph,
     random_isometry,
+    reduce_mod,
+    rref,
+    rref_stack,
     space_config,
+    subspace_checks,
     subspace_type,
+    subspaces_contain,
+    syndrome_keys,
     unit_vector,
     zero_subspace,
 )
@@ -88,6 +95,73 @@ def test_canonicalize_invariant_under_row_operations(q, data):
     scaled[i] = [fld.add(a, fld.mul(c, b)) for a, b in zip(scaled[i], scaled[j])] \
         if i != j else [fld.mul(c, a) for a in scaled[i]]
     assert canonicalize(cfg, scaled) == sub
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), st.integers(1, 2), st.data())
+def test_syndrome_key_encodes_reduce_mod(q, nu, data):
+    """The key of v is the base-q number of reduce_mod(sub, v) read at the
+    free columns, for random subspaces of every dimension; the tables make
+    it exact for q = 4, 8 and 9 as for prime q."""
+    cfg = space_config("symplectic", q, nu)
+    vec = st.lists(st.integers(0, q - 1), min_size=cfg.dim, max_size=cfg.dim)
+    subs = [canonicalize(cfg, data.draw(st.lists(vec, min_size=k, max_size=k)))
+            for k in range(cfg.dim + 1)]
+    vectors = data.draw(st.lists(vec, min_size=1, max_size=6))
+    for sub in subs:
+        free = [j for j in range(cfg.dim) if j not in sub.pivots]
+        want = []
+        for v in vectors:
+            reduced = reduce_mod(cfg.field, sub, tuple(v))
+            key = 0
+            for j in free:
+                key = key * q + reduced[j]
+            want.append(key)
+        got = syndrome_keys(cfg, subspace_checks(cfg, [sub]), vectors)
+        assert got.dtype == np.int64 and got.tolist() == [want]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), st.integers(1, 6), st.data())
+def test_rref_stack_matches_rref(q, r, data):
+    """Every matrix of a stack reduces as rref reduces it alone: the same
+    rows and pivots, then zero rows and -1 pivots; rank-deficient stacks
+    (repeated and zero rows) included."""
+    cfg = space_config("symplectic", q, 2)
+    vec = st.lists(st.integers(0, q - 1), min_size=cfg.dim, max_size=cfg.dim)
+    stack = data.draw(st.lists(st.lists(vec | st.just([0] * cfg.dim), min_size=r, max_size=r),
+                               min_size=1, max_size=8))
+    stack = [rows[:-1] + rows[:1] if r > 1 and data.draw(st.booleans()) else rows
+             for rows in stack]
+    reduced, pivots = rref_stack(cfg, stack)
+    for rows, got, piv in zip(stack, reduced, pivots):
+        want, want_pivots = rref(cfg.field, rows)
+        k = len(want)
+        assert [tuple(row) for row in got[:k].tolist()] == list(want)
+        assert tuple(piv[:k].tolist()) == want_pivots
+        assert not got[k:].any() and (piv[k:] == -1).all()
+
+
+def test_syndrome_keys_stack_and_containment():
+    """A stack of checks against per-check vectors matches one check at a
+    time, the representatives of coset_representatives count 0, 1, ...,
+    and subspaces_contain agrees with contains_vector on every basis row."""
+    from clflats.flats import coset_representatives
+    from clflats.geometry import contains_subspace
+    cfg = space_config("unitary", 4, 2)
+    dirs = enumerate_isotropic(cfg, 2)
+    checks = subspace_checks(cfg, dirs)
+    reps = np.array([coset_representatives(cfg, d) for d in dirs])
+    keys = syndrome_keys(cfg, checks, reps)
+    assert (keys == np.arange(cfg.q**cfg.nu)).all()
+    points = point_array(cfg)
+    assert points.tolist() == [list(v) for v in all_vectors(cfg)]
+    shared = syndrome_keys(cfg, checks[:5], points)
+    assert (shared == [syndrome_keys(cfg, c[None], points)[0] for c in checks[:5]]).all()
+    lines = enumerate_isotropic(cfg, 1)
+    got = subspaces_contain(cfg, dirs, lines)
+    assert (got == [[contains_subspace(cfg.field, d, ln) for ln in lines] for d in dirs]).all()
+    assert got.sum(axis=1).tolist() == [cfg.q + 1] * len(dirs)
 
 
 def test_subspace_types():

@@ -9,7 +9,7 @@ import pytest
 from clflats import exact
 from clflats.cli import STANDARD_GRID
 from clflats.field import gauss_binomial
-from clflats.flats import flat_ids, flat_make
+from clflats.flats import enumerate_flats, flat_ids, flat_make
 from clflats.geometry import (
     canonicalize,
     enumerate_isotropic,
@@ -72,6 +72,32 @@ def test_relation_of_examples(s22):
     bad = flat_make(s22, canonicalize(s22, [e(0), e(2)]), zero_vector(s22))
     with pytest.raises(ValueError):
         relation_of(s22, f, bad)
+
+
+ORACLE_SAMPLED = (("symplectic", 3, 2), ("unitary", 4, 2), ("symplectic", 2, 3))
+
+
+@pytest.mark.parametrize("key", MEDIUM_CONFIGS, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_relation_matrix_matches_relation_of_on_every_pair(key):
+    cfg = space_config(*key)
+    flats = enumerate_flats(cfg, cfg.nu)
+    R = relation_matrix(cfg)
+    assert R.dtype == np.int8 and R.shape == (len(flats),) * 2
+    want = [[2 * i + xi for i, xi in (relation_of(cfg, f, g) for g in flats)] for f in flats]
+    assert R.tolist() == want
+
+
+@pytest.mark.parametrize("key", ORACLE_SAMPLED, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_relation_matrix_matches_relation_of_on_seeded_pairs(key):
+    """unitary(4, 2) takes the syndromes through the GF(4) tables."""
+    cfg = space_config(*key)
+    flats = enumerate_flats(cfg, cfg.nu)
+    R = relation_matrix(cfg)
+    rng = random.Random(repr(("relation-oracle", key)))
+    for _ in range(2000):
+        a, b = rng.randrange(len(flats)), rng.randrange(len(flats))
+        i, xi = relation_of(cfg, flats[a], flats[b])
+        assert R[a, b] == 2 * i + xi, (a, b)
 
 
 def _adjacency(cfg):

@@ -250,7 +250,7 @@ def test_type_II_needs_nu2(s21):
 
 
 over_family_configs = pytest.mark.parametrize(
-    "key", [("symplectic", 2, 2), ("orthogonal", 3, 2), ("symplectic", 3, 2)],
+    "key", [("symplectic", 2, 2), ("orthogonal", 3, 2), ("symplectic", 3, 2), ("unitary", 4, 2)],
     ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
 
 
