@@ -3,21 +3,22 @@
 A set's parameter is its size divided by the product (q^(t+e-1) + 1),
 t = 1..nu, kept as an exact rational (integrality is observed, never
 assumed).  The membership test has several equivalent routes: image of
-the transposed incidence matrix, orthogonality to its kernel, spectral
-support in the two trivial eigenspaces, the shifted spectral variant,
-the two-relation neighbour counts, and constant intersection with the
-spreads.  All routes are exact.  The image route tests chi against the
-certified null basis of M (its RREF over GF(p) rebuilt by rational
-reconstruction, flats.incidence_null_basis), which uses no spread; that
-one GF(p) elimination also decides the restrictions to container flats
-and gives the on-demand witness y with M^T y = chi, read off the
-certified null basis of [M^T | -chi].  The kernel basis is made of
-spread differences, the pivot rows of the GF(p) elimination of a fixed
-shuffle of them, certified once; the two routes check each other.  The
-spectrum, shifted and count routes read one relation-count table,
-A_r [chi | 1] for every relation r, from scheme.relation_products, and
-apply the closed-form idempotent coefficients to it; the relation table
-is the only n x n object they read.
+the transposed incidence matrix (equivalently, orthogonality to its
+kernel), spectral support in the two trivial eigenspaces, the shifted
+spectral variant, the two-relation neighbour counts, and constant
+intersection with the spreads.  All routes are exact.  The one basis
+of ker M is the certified null basis N of M (its RREF over GF(p)
+rebuilt by rational reconstruction, flats.incidence_null_basis), which
+uses no spread.  The certified null basis of a container's incidence matrix
+decides the restrictions to that container, and the on-demand witness
+y with M^T y = chi is read off the certified null basis of
+[M^T | -chi].  The spread route is conclusive because the spanning
+spreads that spreads.spanning_rows keeps number n - rank M + 1, so
+their differences span ker M.  The spectrum, shifted and count routes
+read one relation-count table, A_r [chi | 1] for every relation r, from
+scheme.relation_products, and apply the closed-form idempotent
+coefficients to it; the relation table is the only n x n object they
+read.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .flats import (
     incidence_matrix,
     incidence_matrix_in,
     incidence_null_basis,
+    incidence_null_basis_in,
     incidence_rank,
 )
 from .geometry import (
@@ -53,7 +54,7 @@ from .geometry import (
     vec_sub,
 )
 from .scheme import idempotent_coefficients, relation_matrix, relation_products, scheme_tables
-from .spreads import enumerate_spreads, family_indicators, family_members, list_type_I
+from .spreads import enumerate_spreads, family_members, list_type_I, spanning_rows
 
 
 def set_denominator(config: SpaceConfig, levels: int | None = None) -> int:
@@ -129,59 +130,12 @@ def apply_isometry(flat_set: FlatSet, iso: Isometry) -> FlatSet:
 
 
 # ---------------------------------------------------------------------------
-# cached per-configuration machinery
-
-@lru_cache(maxsize=None)
-def _image_solver(config: SpaceConfig) -> np.ndarray:
-    """The certified null basis N of M: M^T y = chi is solvable iff N chi = 0."""
-    return incidence_null_basis(config)
-
-
-@lru_cache(maxsize=None)
-def _kernel_basis(config: SpaceConfig) -> np.ndarray:
-    """Basis of ker M: differences of constructive-family spreads, int64 in {-1, 0, 1}.
-
-    K is the pivot rows of the GF(p) elimination of the differences, which
-    stops at n - rank M rows, and is certified once: M K^T vanishes
-    exactly and the rows are independent over GF(p), so over Q.  Then
-    n - rank M <= rank K <= dim ker M = n - rank M: K spans ker M.
-    """
-    M = incidence_matrix(config).matrix
-    target = M.shape[1] - incidence_rank(config)
-    stack = family_indicators(config)
-    # the family is sorted, so neighbouring spreads share members and their
-    # differences are often dependent; a fixed shuffle meets new ones sooner
-    diffs = stack[1:] - stack[0]
-    diffs = diffs[random.Random(0).sample(range(len(diffs)), len(diffs))]
-    _, _, rows = exact.modular_echelon(diffs, exact.MODULAR_PRIMES[0], stop_at=target)
-    K = diffs[rows].astype(np.int64)
-    if exact.int_matmul(M, K.T).any() or len(rows) != target:
-        raise AssertionError(
-            f"spread differences do not certify ker M for {config.key()}: "
-            f"rank_p K = {len(rows)}, n - rank M = {target}")
-    K.flags.writeable = False
-    return K
-
-
-# ---------------------------------------------------------------------------
 # single-set tests (characterisations of membership)
 
-def test_kernel(flat_set: FlatSet) -> bool:
-    """Orthogonality to the certified spread-difference basis of ker M."""
-    return not exact.int_matmul(_kernel_basis(flat_set.config), flat_set.chi()).any()
-
-
-def test_solvable(flat_set: FlatSet) -> bool:
-    """Solvability of M^T y = chi: orthogonality to the certified null basis of M."""
-    return not exact.int_matmul(_image_solver(flat_set.config), flat_set.chi()).any()
-
-
 def test_image(flat_set: FlatSet) -> bool:
-    """Solvability route and kernel-orthogonality route; both must agree."""
-    by_solve = test_solvable(flat_set)
-    if by_solve != test_kernel(flat_set):
-        raise AssertionError("image and kernel membership routes disagree")
-    return by_solve
+    """M^T y = chi is solvable, i.e. chi is orthogonal to ker M: N chi = 0
+    for the certified null basis N of M."""
+    return not exact.int_matmul(incidence_null_basis(flat_set.config), flat_set.chi()).any()
 
 
 def image_certificate(flat_set: FlatSet) -> tuple[Fraction, ...] | None:
@@ -291,8 +245,10 @@ def test_spreads(flat_set: FlatSet, family: str = "auto") -> SpreadTestReport:
 
     family: 'constructive' (= 'auto': type I, plus type II when nu >= 2),
     its parts 'typeI' and 'typeII', or 'exhaustive' (small spaces only).
-    The constructive family is conclusive: its differences are certified
-    to span ker M, so constant intersection is membership.
+    The constructive family is conclusive: it holds the spanning rows,
+    whose differences are certified to span ker M (spreads.spanning_rows
+    keeps n - rank M + 1 independent spreads), so constant intersection
+    is membership; a failed certificate raises AssertionError.
     """
     config = flat_set.config
     family = "constructive" if family == "auto" else family
@@ -306,7 +262,12 @@ def test_spreads(flat_set: FlatSet, family: str = "auto") -> SpreadTestReport:
         rows = {"constructive": slice(None), "typeI": slice(split), "typeII": slice(split, None)}
         members = family_members(config)[rows[family]]
         if conclusive:
-            _kernel_basis(config)  # the certificate behind `conclusive`
+            kept = len(spanning_rows(config))
+            target = len(enumerate_flats(config, config.nu)) - incidence_rank(config) + 1
+            if kept != target:
+                raise AssertionError(
+                    f"spread differences do not certify ker M for {config.key()}: "
+                    f"{kept} independent spanning spreads, n - rank M + 1 = {target}")
     else:
         raise ValueError(f"unknown family {family!r} for nu = {config.nu}")
     inter = tuple(flat_set.chi()[members].sum(axis=1).tolist())
@@ -315,13 +276,11 @@ def test_spreads(flat_set: FlatSet, family: str = "auto") -> SpreadTestReport:
     return SpreadTestReport(constant, value_matches, conclusive, family, inter)
 
 
-def is_cameron_liebler(flat_set: FlatSet, method: str = "kernel") -> bool:
-    """Membership verdict by one route: 'kernel' (and 'auto') uses the
-    certified spread basis, 'image' the certified null basis of M."""
-    if method in ("kernel", "auto"):
-        return test_kernel(flat_set)
-    if method == "image":
-        return test_solvable(flat_set)
+def is_cameron_liebler(flat_set: FlatSet, method: str = "auto") -> bool:
+    """Membership verdict by one route: 'image', 'kernel' and 'auto' are
+    the one image route, orthogonality to the certified null basis of M."""
+    if method in ("image", "kernel", "auto"):
+        return test_image(flat_set)
     if method == "spectrum":
         return test_spectrum(flat_set)
     if method == "shifted":
@@ -353,11 +312,11 @@ def batch_verdicts(config: SpaceConfig, chi_matrix: np.ndarray) -> dict[str, np.
     """Vectorised exact verdicts for many characteristic columns at once.
 
     chi_matrix has one subset per column.  Returns boolean arrays for the
-    five equivalent routes; all arithmetic stays integral.
+    image, spectrum, shifted and count routes; all arithmetic stays
+    integral.
     """
     return {
-        "image": ~exact.int_matmul(_image_solver(config), chi_matrix).any(axis=0),
-        "kernel": ~exact.int_matmul(_kernel_basis(config), chi_matrix).any(axis=0),
+        "image": ~exact.int_matmul(incidence_null_basis(config), chi_matrix).any(axis=0),
         **_scheme_routes(config, chi_matrix)[0],
     }
 
@@ -426,14 +385,14 @@ def classify_nu1(config: SpaceConfig) -> list[tuple[FlatSet, Fraction]]:
     n = len(enumerate_flats(config, 1))
     if n > EXHAUSTIVE_SUBSET_BOUND:
         raise ValueError(f"too many flats for exhaustive sweep: {n}")
-    kernel = _kernel_basis(config)
+    null = incidence_null_basis(config)
     spreads = list_type_I(config)
     out = []
     for mask in range(1 << n):
         ids = tuple(i for i in range(n) if mask >> i & 1)
         chi = np.zeros((n, 1), dtype=np.int64)
         chi[list(ids), 0] = 1
-        if exact.int_matmul(kernel, chi).any():
+        if exact.int_matmul(null, chi).any():
             continue
         fs = FlatSet(config, ids)
         x = fs.x
@@ -510,7 +469,7 @@ def restrict_cl(flat_set: FlatSet, container: Flat) -> Restriction:
     members = tuple(sorted(set(flat_set.ids) & set(local_of_global)))
     chi_local = np.zeros((len(inc.flats), 1), dtype=np.int64)
     chi_local[[local_of_global[g] for g in members], 0] = 1
-    null = exact.certified_null_basis(inc.matrix)
+    null = incidence_null_basis_in(config, container)
     in_image = not exact.int_matmul(null, chi_local).any()
     x_f = Fraction(len(members), set_denominator(config, i))
     integral = x_f.denominator == 1

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over big integers and rationals.
+"""Exact dense integer linear algebra: GF(p) elimination, certified null bases, products.
 
 Every integer result is exact.  One GF(p) elimination, modular_echelon,
 keeps the first-come independent rows of a matrix; its rank is a lower
@@ -6,9 +6,9 @@ bound on the Q-rank that callers prove tight with an upper bound.
 certified_null_basis reduces that echelon form to RREF, rebuilds its
 free columns by rational reconstruction and certifies the integer null
 basis with one exact product.  It is the only exact elimination behind
-solves: A^T y = b is solvable iff N b = 0 for the null basis N of A, and
-a solution is read off the null basis of [A^T | -b].  Bareiss
-elimination gives exact ranks where no bound is proven.  Products pick
+solves and exact ranks: A^T y = b is solvable iff N b = 0 for the null
+basis N of A, a solution is read off the null basis of [A^T | -b], and
+rank A is the number of columns minus the rows of N.  Products pick
 the cheapest tier a proven bound on every partial sum allows: float64
 BLAS below 2^53, where float64 is only a container for integers it holds
 exactly (BLAS pinned to one thread), int64 below 2^62, and object
@@ -21,59 +21,11 @@ import ctypes
 import weakref
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import numpy as np
 
 MODULAR_PRIMES = (10**9 + 7, 10**9 + 9)
-
-
-def _int_rows(matrix) -> list[list[int]]:
-    """Clear denominators row-wise (rank/solvability-preserving)."""
-    if isinstance(matrix, np.ndarray):
-        return [[int(x) for x in row] for row in matrix]
-    out = []
-    for row in matrix:
-        row = [Fraction(x) for x in row]
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
-    return out
-
-
-def rank(matrix) -> int:
-    """Exact rank by fraction-free Bareiss elimination.
-
-    Pivots are chosen with smallest nonzero magnitude to limit the growth
-    of the intermediate minors.
-    """
-    rows = _int_rows(matrix)
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pick = None
-        for i in range(r, len(rows)):
-            v = rows[i][c]
-            if v and (pick is None or abs(v) < abs(rows[pick][c])):
-                pick = i
-        if pick is None:
-            continue
-        rows[r], rows[pick] = rows[pick], rows[r]
-        pr = rows[r]
-        pv = pr[c]
-        # Bareiss update applies to every lower row; division by the
-        # previous pivot is exact (entries are minors).
-        for i in range(r + 1, len(rows)):
-            ri = rows[i]
-            f = ri[c]
-            rows[i] = [(pv * a - f * b) // prev for a, b in zip(ri, pr)]
-        prev = pv
-        r += 1
-        if r == len(rows):
-            break
-    return r
 
 
 ELIMINATION_ROWS = 128  # rows widened to int64 at a time by modular_echelon
@@ -81,11 +33,11 @@ ELIMINATION_ROWS = 128  # rows widened to int64 at a time by modular_echelon
 
 def _residues(block, p: int) -> np.ndarray:
     """An integer block mod p as int64; a narrow type is widened first (it
-    cannot hold p), other input is cleared of denominators row by row."""
+    cannot hold p)."""
     A = np.asarray(block)
     if A.dtype.kind not in "iu":
-        A = np.array(_int_rows(block), dtype=object).reshape(A.shape)
-    elif A.dtype.itemsize < 8:
+        raise TypeError(f"GF(p) elimination takes an integer array, not {A.dtype}")
+    if A.dtype.itemsize < 8:
         A = A.astype(np.int64)
     return (A % p).astype(np.int64, copy=False)
 
@@ -240,8 +192,8 @@ def _forget(key: int, ref: weakref.ref) -> None:
 def _bound(a: np.ndarray) -> int:
     """An upper bound on max|a|, computed once per read-only array.
 
-    The cached matrices (incidence, kernel basis, image null basis) and the
-    dense idempotents of scheme.check_eigen_system are read-only, and so
+    The cached matrices (the incidence matrix and its certified null basis)
+    and the dense idempotents of scheme.check_eigen_system are read-only, and so
     are their views, which share the bound of the array that owns the
     data.  Writeable arrays are scanned on every call.  The bound is keyed
     by identity and checked through a weak reference, so an array made

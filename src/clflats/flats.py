@@ -9,8 +9,11 @@ syndrome key of x under the parity check of d (geometry.syndrome_keys),
 so coset_table and the incidence matrix are one syndrome pass over all
 points, and flats_in tests containment by syndromes too.  The
 point-flat incidence matrix M has a certified integer null basis,
-from its RREF over GF(p) rebuilt by rational reconstruction; it gives the
-image route of the membership test and the exact rank of M.
+from its RREF over GF(p) rebuilt by rational reconstruction; it is the
+one basis of ker M, gives the image route of the membership test and
+the exact rank of M.  A container's incidence matrix is a slice of M
+(its points by syndrome key, its flats by flats_in), and its certified
+null basis is cached per container.
 """
 
 from __future__ import annotations
@@ -303,18 +306,36 @@ def incidence_matrix(config: SpaceConfig) -> IncidenceMatrix:
     return IncidenceMatrix(tuple(pts), flats, M)
 
 
+@lru_cache(maxsize=None)
 def incidence_matrix_in(config: SpaceConfig, big: Flat) -> IncidenceMatrix:
-    """Incidence of the container's points against its interior maximal flats."""
-    _check_container(config, big)
+    """Incidence of the container's points against its interior maximal flats.
+
+    A slice of incidence_matrix: the rows are the points whose syndrome
+    key under the parity check of the container's direction is the key
+    of its representative (in point-index order), the columns the ids of
+    flats_in.
+    """
     members = flats_in(config, big)
-    pts = sorted(flat_points(config, big))
-    pt_index = {p: i for i, p in enumerate(pts)}
-    M = np.zeros((len(pts), len(members)), dtype=np.int64)
-    for col, f in enumerate(members):
-        for p in flat_points(config, f):
-            M[pt_index[p], col] = 1
+    check = subspace_checks(config, [big.direction])
+    keys = syndrome_keys(config, check, np.vstack([point_array(config), [big.rep]]))[0]
+    rows = np.flatnonzero(keys[:-1] == keys[-1])
+    ids = flat_ids(config)
+    inc = incidence_matrix(config)
+    M = inc.matrix[np.ix_(rows, [ids[f] for f in members])]
     M.flags.writeable = False
-    return IncidenceMatrix(tuple(pts), tuple(members), M)
+    return IncidenceMatrix(tuple(inc.points[r] for r in rows), tuple(members), M)
+
+
+@lru_cache(maxsize=None)
+def incidence_null_basis_in(config: SpaceConfig, big: Flat) -> np.ndarray:
+    """Certified integer basis of the kernel of incidence_matrix_in, read-only.
+
+    A restriction to the container is in the image of the transposed
+    container incidence matrix iff this basis annihilates it.
+    """
+    N = exact.certified_null_basis(incidence_matrix_in(config, big).matrix)
+    N.flags.writeable = False
+    return N
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,16 @@ the cosets of each container told apart by the syndrome keys of the
 points under the container's parity check (geometry.syndrome_keys);
 the interior directions of a container are those whose bases have
 syndrome zero.  list_type_II wraps the rows as Spreads.
+
+The type-II spreads (type I at nu = 1) span the orthogonal complement
+of the parallel-class eigenspace, of dimension
+n - m_(0,1) = n - rank M + 1.  spanning_rows keeps their first
+independent rows in one GF(p) elimination of a fixed shuffle.  That
+one count is both the rank the span checks report and the certificate
+that the differences of the spreads span ker M, which makes the
+constructive spread route of the membership test conclusive.  A stack
+rank with no proven upper bound is read off the stack's certified null
+basis.
 """
 
 from __future__ import annotations
@@ -178,7 +188,7 @@ def family_members(config: SpaceConfig) -> np.ndarray:
     Type-I spreads come first, then the type-II ones when nu >= 2, each
     part in lexicographic order without repeats.  Every spread covers
     each point once, so differences of rows lie in the kernel of the
-    incidence matrix; cl._kernel_basis certifies that they span it.
+    incidence matrix; spanning_rows certifies that they span it.
     """
     members = np.array([s.members for s in list_type_I(config)], dtype=np.int64)
     if config.nu >= 2:
@@ -187,12 +197,48 @@ def family_members(config: SpaceConfig) -> np.ndarray:
     return members
 
 
-def family_indicators(config: SpaceConfig, rows: slice = slice(None)) -> np.ndarray:
+def family_indicators(config: SpaceConfig, rows=slice(None)) -> np.ndarray:
     """0/1 int8 indicator vectors of the spreads family_members(config)[rows]."""
     members = family_members(config)[rows]
     stack = np.zeros((members.shape[0], len(enumerate_flats(config, config.nu))), dtype=np.int8)
     np.put_along_axis(stack, members, 1, axis=1)
     return stack
+
+
+def _first_independent(stack: np.ndarray, stop_at: int) -> list[int]:
+    """Indices of the first rows of a fixed shuffle of stack that are
+    independent over GF(p), hence over Q; at most stop_at of them.
+
+    Neighbouring spreads of the sorted family share members, so the
+    shuffle meets independent rows sooner.
+    """
+    order = random.Random(0).sample(range(len(stack)), len(stack))
+    kept = exact.modular_echelon(stack[order], exact.MODULAR_PRIMES[0], stop_at=stop_at)[2]
+    return [order[k] for k in kept]
+
+
+@lru_cache(maxsize=None)
+def spanning_rows(config: SpaceConfig) -> tuple[int, ...]:
+    """Rows of family_members(config) that are independent and span the
+    parallel-class complement, found by one GF(p) elimination.
+
+    The spanning rows are the type-II spreads, or the type-I ones at
+    nu = 1.  They span a space of dimension at most n - m_(0,1), so the
+    elimination of their fixed shuffle stops there.  Every kept row s
+    covers each point once, M s^T = 1, checked exactly here.  So k kept
+    rows give k - 1 independent differences in ker M, and
+    k = n - rank M + 1 proves that the differences span ker M.
+    """
+    split = len(list_type_I(config)) if config.nu >= 2 else 0
+    tables = scheme_tables(config)
+    target = tables.size - tables.multiplicities[(0, 1)]
+    kept = [split + k for k in _first_independent(
+        family_indicators(config, slice(split, None)), target)]
+    cover = exact.int_matmul(incidence_matrix(config).matrix, family_indicators(config, kept).T)
+    if (cover != 1).any():
+        raise AssertionError(f"a kept spanning spread of {config.key()} does not cover "
+                             "each point once")
+    return tuple(kept)
 
 
 def _type_II_members(config: SpaceConfig) -> np.ndarray:
@@ -406,23 +452,15 @@ class SpanReport:
                 and self.nonvanishing_ok)
 
 
-BARE_RANK_LIMIT = 120_000  # rows*cols budget for direct fraction-free rank
-
-
-def _stack_rank(config: SpaceConfig, stack: np.ndarray, expected: int,
-                upper_bound_proven: bool) -> tuple[int, str]:
-    """Exact stack rank: a GF(p) lower bound that meets the proven upper
-    bound `expected` is certified; otherwise Bareiss when small, so a
-    failing report shows the exact rank, and the GF(p) bound past that."""
-    p = exact.MODULAR_PRIMES[0]
-    if upper_bound_proven:
-        # neighbouring spreads share members; a fixed shuffle meets independent rows sooner
-        order = random.Random(0).sample(range(len(stack)), len(stack))
-        if exact.modular_rank(stack[order], p, stop_at=expected) == expected:
-            return expected, "certified"
-    if stack.shape[0] * stack.shape[1] <= BARE_RANK_LIMIT:
-        return exact.rank(stack), "bareiss"
-    return exact.modular_rank(stack, p), "modular-lower-bound-only"
+def _stack_rank(stack: np.ndarray, expected: int, kept: int | None) -> tuple[int, str]:
+    """Exact stack rank.  kept is the number of independent rows that a
+    GF(p) elimination stopping at `expected` found, or None when no upper
+    bound `expected` is proven; kept == expected then certifies the rank.
+    Otherwise the rank is read off the stack's certified null basis, so a
+    failing report shows the exact rank (a failed certificate raises)."""
+    if kept == expected:
+        return expected, "certified"
+    return stack.shape[1] - len(exact.certified_null_basis(stack)), "null-basis"
 
 
 def _nonzero_projections(config: SpaceConfig, eig, stack: np.ndarray,
@@ -451,7 +489,10 @@ def typeI_span_check(config: SpaceConfig) -> SpanReport:
     nonvanishing_ok = all(_nonzero_projections(config, (j, 0), stack)
                           for j in range(config.nu + 1))
     expected = sum(tables.multiplicities[(j, 0)] for j in range(config.nu + 1))
-    rank, method = _stack_rank(config, stack, expected, upper_bound_proven=vanishing_ok)
+    kept = None
+    if vanishing_ok:  # at nu = 1 the type-I spreads are the spanning rows
+        kept = len(spanning_rows(config) if config.nu == 1 else _first_independent(stack, expected))
+    rank, method = _stack_rank(stack, expected, kept)
     return SpanReport("I", len(stack), rank, expected, vanishing_ok,
                       nonvanishing_ok, method)
 
@@ -470,6 +511,7 @@ def typeII_span_check(config: SpaceConfig) -> SpanReport:
     nonvanishing_ok = all(_nonzero_projections(config, eig, stack)
                           for eig in tables.eigs if eig[0] != 0)
     expected = tables.size - tables.multiplicities[(0, 1)]
-    rank, method = _stack_rank(config, stack, expected, upper_bound_proven=vanishing_ok)
+    kept = len(spanning_rows(config)) if vanishing_ok else None
+    rank, method = _stack_rank(stack, expected, kept)
     return SpanReport("II", len(stack), rank, expected, vanishing_ok,
                       nonvanishing_ok, method)

@@ -57,15 +57,13 @@ def in_row_span(N: np.ndarray, free, V: np.ndarray) -> bool:
     return bool((np.dot(coeff, N.astype(object)) == scale * V.astype(object)).all())
 
 
-def rational_nullspace(matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right nullspace over Q, one vector per free column.
-
-    Gauss-Jordan elimination in Fractions on sparse rows ({column: entry});
-    the reference for the package's GF(p) elimination, sharing no code.
-    """
+def _rational_rref(matrix) -> tuple[list[dict], list[int], int]:
+    """Gauss-Jordan elimination in Fractions on sparse rows ({column: entry}):
+    the pivot rows, scaled to 1 at their pivot, their pivot columns and the
+    number of columns."""
     rows = [{c: Fraction(int(x)) for c, x in enumerate(row) if x} for row in matrix]
     ncols = np.asarray(matrix).shape[1]
-    reduced: list[dict] = []   # pivot rows, scaled to 1 at their pivot
+    reduced: list[dict] = []
     pivots: list[int] = []
     for c in range(ncols):
         pick = next((i for i, row in enumerate(rows) if c in row), None)
@@ -83,6 +81,13 @@ def rational_nullspace(matrix) -> list[tuple[Fraction, ...]]:
                     del row[k]
         reduced.append(prow)
         pivots.append(c)
+    return reduced, pivots, ncols
+
+
+def rational_nullspace(matrix) -> list[tuple[Fraction, ...]]:
+    """Basis of the right nullspace over Q, one vector per free column;
+    the reference for the package's GF(p) elimination, sharing no code."""
+    reduced, pivots, ncols = _rational_rref(matrix)
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         v = [Fraction(0)] * ncols
@@ -91,6 +96,12 @@ def rational_nullspace(matrix) -> list[tuple[Fraction, ...]]:
             v[pc] = -row.get(fc, Fraction(0))
         basis.append(tuple(v))
     return basis
+
+
+def rational_rank(matrix) -> int:
+    """Rank over Q: the number of columns minus the length of
+    rational_nullspace, i.e. its number of pivots."""
+    return len(_rational_rref(matrix)[1])
 
 
 def integer_nullspace(matrix) -> np.ndarray:

@@ -174,7 +174,7 @@ def test_criterion_09_equivalences():
         positives.append(cl.full_set(cfg))
         chi = np.concatenate([chi] + [p.chi().reshape(-1, 1) for p in positives], axis=1)
         verdicts = cl.batch_verdicts(cfg, chi)
-        for key in ("kernel", "spectrum", "shifted", "counts"):
+        for key in ("spectrum", "shifted", "counts"):
             ok &= bool((verdicts["image"] == verdicts[key]).all())
         ok &= bool(verdicts["image"][-3:].all())
         # spread characterisation where exhaustive enumeration is feasible

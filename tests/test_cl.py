@@ -8,11 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clflats import cl, exact, scheme, spreads
+from clflats import cl, exact, flats, scheme, spreads
 from clflats.cl import (
     FlatSet,
-    _image_solver,
-    _kernel_basis,
     apply_isometry,
     batch_verdicts,
     battery,
@@ -33,8 +31,7 @@ from clflats.cl import (
     restrict_cl,
     search_cl,
     set_denominator,
-    test_kernel as kernel_route,
-    test_solvable as solvable_route,
+    test_image as image_route,
     test_spreads as spread_test,
 )
 from clflats.exact import int_matmul
@@ -45,6 +42,7 @@ from clflats.flats import (
     flat_points,
     incidence_matrix,
     incidence_matrix_in,
+    incidence_null_basis,
     incidence_rank,
     incidence_rank_closed_form,
 )
@@ -273,7 +271,8 @@ def test_batch_verdicts_agree_and_match_serial(medium_config):
     cfg = medium_config
     chi = random_subset_matrix(cfg, 60, seed=3)
     verdicts = batch_verdicts(cfg, chi)
-    for key in ("kernel", "spectrum", "shifted", "counts"):
+    assert set(verdicts) == {"image", "spectrum", "shifted", "counts"}
+    for key in ("spectrum", "shifted", "counts"):
         assert (verdicts["image"] == verdicts[key]).all()
     for col in range(0, 60, 7):
         ids = tuple(int(i) for i in np.flatnonzero(chi[:, col]))
@@ -389,7 +388,7 @@ def test_batch_includes_positives(s22):
                     full_set(s22).chi()], axis=1)
     verdicts = batch_verdicts(s22, chi)
     assert verdicts["image"].all()
-    for key in ("kernel", "spectrum", "shifted", "counts"):
+    for key in ("spectrum", "shifted", "counts"):
         assert verdicts[key].all()
 
 
@@ -429,12 +428,20 @@ def test_every_method_agrees(key):
 @pytest.mark.parametrize("key", [c for c in MEDIUM_CONFIGS] + [("symplectic", 3, 2)],
                          ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_certified_kernel_basis(key):
+    """The kept spanning spreads cover each point once and number
+    n - rank M + 1, and their differences lie in the row span of N, so
+    they span ker M."""
     cfg = space_config(*key)
-    K = _kernel_basis(cfg)
+    kept = spreads.spanning_rows(cfg)
+    S = spreads.family_indicators(cfg, list(kept)).astype(np.int64)
     M = incidence_matrix(cfg).matrix
-    assert K.dtype == np.int64 and set(np.unique(K)) <= {-1, 0, 1}
-    assert not (M @ K.T).any()
-    assert K.shape == (M.shape[1] - incidence_rank(cfg), M.shape[1])
+    n = M.shape[1]
+    assert len(kept) == n - incidence_rank(cfg) + 1 == n - incidence_rank_closed_form(cfg) + 1
+    assert (M @ S.T == 1).all()
+    assert min(kept) >= (len(spreads.list_type_I(cfg)) if cfg.nu >= 2 else 0)
+    N = incidence_null_basis(cfg)
+    free = np.setdiff1d(np.arange(n), exact.modular_echelon(M, exact.MODULAR_PRIMES[0])[1])
+    assert in_row_span(N, free, S[1:] - S[0])
 
 
 @pytest.mark.parametrize("key", [c for c in MEDIUM_CONFIGS]
@@ -442,7 +449,7 @@ def test_certified_kernel_basis(key):
                          ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_certified_image_basis(key):
     cfg = space_config(*key)
-    N = _image_solver(cfg)
+    N = incidence_null_basis(cfg)
     M = incidence_matrix(cfg).matrix
     free = np.setdiff1d(np.arange(M.shape[1]),
                         exact.modular_echelon(M, exact.MODULAR_PRIMES[0])[1])
@@ -455,35 +462,50 @@ def test_certified_image_basis(key):
         assert oracle.shape == N.shape and in_row_span(N, free, oracle)
 
 
-def test_image_and_kernel_products_stay_on_float64_tier(monkeypatch):
+def test_one_kernel_basis_product_per_query(monkeypatch):
+    """battery multiplies by N once per call and batch_verdicts once per
+    block, on the float64 tier, and no other (n - rank M) x n matrix is
+    cached."""
     cfg = space_config("unitary", 4, 2)
-    N, K = _image_solver(cfg), _kernel_basis(cfg)
-    for basis in (N, K):
-        assert exact._bound(basis) * basis.shape[1] < 2**53  # chi is 0/1
+    N = incidence_null_basis(cfg)
+    assert exact._bound(N) * N.shape[1] < 2**53  # chi is 0/1
     seen = []
     real = exact._float_product
     monkeypatch.setattr(exact, "_float_product", lambda a, b: seen.append(a) or real(a, b))
-    pencil = _pencil(cfg)
-    assert solvable_route(pencil) and kernel_route(pencil)
-    verdicts = batch_verdicts(cfg, random_subset_matrix(cfg, 5, seed=3))
-    assert verdicts["image"].tolist() == verdicts["kernel"].tolist()
-    assert sum(a is N for a in seen) == 2 and sum(a is K for a in seen) == 2
+    for fs in (_pencil(cfg), _near_miss(cfg)):
+        battery(fs)
+    assert sum(a is N for a in seen) == 2
+    for seed in (3, 4):
+        batch_verdicts(cfg, random_subset_matrix(cfg, 5, seed=seed))
+    assert sum(a is N for a in seen) == 4
+    assert not [a for a in seen if a.shape == N.shape and a is not N]
+    paper_suite(cfg, 0)
+    cached = {fn for module in (cl, spreads, scheme, exact, flats)
+              for fn in vars(module).values() if hasattr(fn, "cache_info")}
+    found = {}
+    for fn in cached:
+        for cache in (d for d in gc.get_referents(fn) if isinstance(d, dict)):
+            found.update((id(a), a) for a in _cached_arrays(cache, set()) if a.shape == N.shape)
+    assert list(found) == [id(N)]
 
 
 def test_kernel_image_and_nullspace_oracle_agree(medium_config):
+    """N, the image route and the conclusive spread route (whose spread
+    differences span ker M) agree with the Fraction nullspace oracle."""
     cfg = medium_config
     oracle = integer_nullspace(incidence_matrix(cfg).matrix)
     chi = np.concatenate([random_subset_matrix(cfg, 20, seed=17),
                           np.stack([_pencil(cfg).chi(), _pencil(cfg).complement().chi(),
                                     _near_miss(cfg).chi()], axis=1)], axis=1)
     by_oracle = ~int_matmul(oracle, chi).any(axis=0)
-    by_kernel = ~int_matmul(_kernel_basis(cfg), chi).any(axis=0)
-    by_image = ~int_matmul(_image_solver(cfg), chi).any(axis=0)
-    assert (by_oracle == by_kernel).all() and (by_oracle == by_image).all()
+    by_image = ~int_matmul(incidence_null_basis(cfg), chi).any(axis=0)
+    assert (by_oracle == by_image).all()
     assert by_oracle[-3:].tolist() == [True, True, False]
     for col in range(chi.shape[1]):
         fs = FlatSet(cfg, tuple(int(i) for i in np.flatnonzero(chi[:, col])))
-        assert kernel_route(fs) == solvable_route(fs) == bool(by_oracle[col])
+        by_spreads = spread_test(fs, "constructive")
+        assert by_spreads.conclusive
+        assert image_route(fs) == by_spreads.passed == bool(by_oracle[col])
 
 
 def _exact_witness(cfg, fs, y) -> bool:
@@ -510,7 +532,7 @@ def test_image_certificate_witness_or_none(key):
     found = []
     for fs in sets:
         y = image_certificate(fs)
-        assert (y is not None) == solvable_route(fs), fs.ids
+        assert (y is not None) == image_route(fs), fs.ids
         if y is not None:
             assert len(y) == cfg.num_points and all(isinstance(v, Fraction) for v in y)
             assert _exact_witness(cfg, fs, y)

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import clflats
 from clflats.cli import run
 from clflats.geometry import ISOTROPIC_ENUM_BOUND
@@ -202,25 +204,33 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["points"] == "16"
 
 
-def test_paper_report_matches_reference_digest():
-    """The report bytes hash to the digests the benchmark checks (read-only here).
+def test_paper_report_matches_reference_digest(capsys):
+    """The report bytes hash to the digests the benchmark checks (read-only here):
+    every seed of the reference file in process, and seed 0 once more in a
+    child process through `python -m clflats.cli`.
 
     orthogonal(3,2) runs the type-II span check, so it also pins the order
-    and content of the type-II spread family.
+    and content of the type-II spread family; each seed draws its own
+    sampled checks, among them the 100-set equivalence sample.
     """
     root = Path(__file__).resolve().parent.parent
     with open(root / "perfbench" / "reference_digests.json") as fh:
         reference = json.load(fh)
     for case, q, nu in (("symplectic", 2, 2), ("unitary", 4, 1), ("orthogonal", 3, 2)):
-        argv = ["verify", "--suite", "paper", "--case", case, "--q", str(q), "--nu", str(nu),
-                "--seed", "0"]
-        proc = subprocess.run([sys.executable, "-m", "clflats.cli", *argv],
+        argv = ["verify", "--suite", "paper", "--case", case, "--q", str(q), "--nu", str(nu)]
+        digests = reference[f"{case}-{q}-{nu}"]
+        assert len(digests) == 16
+        for seed, want in digests.items():
+            assert run(argv + ["--seed", seed]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want, \
+                (case, q, nu, seed)
+        proc = subprocess.run([sys.executable, "-m", "clflats.cli", *argv, "--seed", "0"],
                               capture_output=True,
                               env=dict(os.environ, PYTHONPATH=str(root / "src")), cwd=root,
                               timeout=300)
         assert proc.returncode == 0, proc.stderr.decode()
         digest = hashlib.sha256(proc.stdout).hexdigest()
-        assert digest == reference[f"{case}-{q}-{nu}"]["0"], (case, q, nu)
+        assert digest == digests["0"], (case, q, nu)
 
 
 def _one_line_error(capsys, argv, *fragments):
@@ -301,6 +311,29 @@ def test_failed_image_certificate_exits_3():
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("clflats: internal error: ") and "certificate" in lines[0]
+
+
+@pytest.mark.parametrize("broken,fragment", [
+    # the first member of every spread replaced by its second: M s^T != 1
+    ("spreads.family_members = lambda c: real(c)[:, [1] + list(range(1, real(c).shape[1]))]",
+     "cover each point once"),
+    # the spanning rows cut to their first ten
+    ("spreads.family_members = lambda c: real(c)[:len(spreads.list_type_I(c)) + 10]",
+     "do not certify ker M"),
+], ids=["swapped-member", "cut-rows"])
+def test_failed_spread_certificate_exits_3(tmp_path, broken, fragment):
+    """cl test --method spreads on a pencil exits 3 when the spread
+    certificate fails, with one internal-error line and no report."""
+    setfile = tmp_path / "pencil.json"
+    assert run(["cl", "construct", "--pencil", "0,0,0,0", "--out", str(setfile)] + BASE) == 0
+    code = ("import sys; from clflats import spreads; from clflats.cli import run; "
+            f"real = spreads.family_members; {broken}; sys.exit(run(sys.argv[1:]))")
+    proc = _child(code, ["cl", "test", "--method", "spreads", "--in", str(setfile)] + BASE)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("clflats: internal error: "), proc.stderr
+    assert fragment in lines[0]
 
 
 def test_failed_scheme_invariant_exits_3():

@@ -1,11 +1,11 @@
-"""Exact linear algebra: ranks, the certified null basis, guarded products."""
+"""Exact linear algebra: GF(p) ranks, the certified null basis, guarded products."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from clflats import exact
 from clflats.exact import (
@@ -16,18 +16,8 @@ from clflats.exact import (
     int_matmul,
     modular_echelon,
     modular_rank,
-    rank,
 )
-from conftest import in_row_span, integer_nullspace, rational_nullspace
-
-
-def test_rank_basics():
-    assert rank([[1, 0], [0, 1]]) == 2
-    assert rank([[0, 0], [0, 0]]) == 0
-    assert rank([[int(i == j) for j in range(5)] for i in range(5)]) == 5
-    assert rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2)]]) == 2
-    assert rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]) == 1
-    assert rank([[1, 2], [2, 4]]) == 1
+from conftest import in_row_span, integer_nullspace, rational_nullspace, rational_rank
 
 
 def _random_matrix(rng, m, n, lo=-9, hi=9):
@@ -39,15 +29,8 @@ def test_rank_against_modular_primes():
     for _ in range(150):
         m, n = rng.randint(1, 9), rng.randint(1, 9)
         a = _random_matrix(rng, m, n)
-        r = rank(a)
+        r = rational_rank(a)
         assert all(modular_rank(a, p) == r for p in MODULAR_PRIMES)
-
-
-def test_rank_transpose_invariance():
-    rng = random.Random(7)
-    for _ in range(60):
-        a = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        assert rank(a) == rank(list(map(list, zip(*a))))
 
 
 def test_nullspace_properties():
@@ -59,20 +42,22 @@ def test_nullspace_properties():
         m, n = rng.randint(1, 6), rng.randint(1, 7)
         a = _random_matrix(rng, m, n, -5, 5)
         basis = rational_nullspace(a)
-        assert len(basis) == n - rank(a)
+        assert all(len(basis) == n - modular_rank(a, p) for p in MODULAR_PRIMES)
         for v in basis:
             assert all(sum(Fraction(c) * x for c, x in zip(row, v)) == 0 for row in a)
-        if basis:
-            assert rank([list(v) for v in basis]) == len(basis)
         scaled = integer_nullspace(a)
         assert scaled.shape == (len(basis), n)
+        if basis:
+            assert modular_rank(scaled.astype(np.int64), MODULAR_PRIMES[0]) == len(basis)
         assert not int_matmul(np.array(a, dtype=np.int64), scaled.T).any()
-        assert all(rank([list(v), list(w)]) == 1 for v, w in zip(basis, scaled.tolist()))
+        for v, w in zip(basis, scaled.tolist()):
+            assert [x * math.lcm(*(y.denominator for y in v)) for x in v] == w
 
 
 def test_no_solution_iff_rank_jump():
     """cl.image_certificate finds a witness y with M^T y = chi exactly when
-    appending chi as a column leaves the Bareiss rank of M^T unchanged."""
+    appending chi as a column leaves the rank of M^T unchanged (ranks from
+    the Fraction nullspace oracle)."""
     from clflats.cl import FlatSet, construct_pencil, image_certificate, random_subset_matrix
     from clflats.flats import incidence_matrix
     from clflats.geometry import space_config, zero_vector
@@ -81,14 +66,14 @@ def test_no_solution_iff_rank_jump():
                 ("symplectic", 2, 2)):
         cfg = space_config(*key)
         MT = incidence_matrix(cfg).matrix.T
-        base = rank(MT.tolist())
+        base = rational_rank(MT)
         cols = random_subset_matrix(cfg, 6, seed=99)
         sets = [FlatSet(cfg, tuple(int(i) for i in np.flatnonzero(c))) for c in cols.T]
         pencil = construct_pencil(cfg, zero_vector(cfg))
         sets += [pencil, FlatSet(cfg, pencil.ids[1:]), FlatSet(cfg, (0,))]
         jumps = []
         for fs in sets:
-            jump = rank(np.hstack([MT, fs.chi()[:, None]]).tolist()) != base
+            jump = rational_rank(np.hstack([MT, fs.chi()[:, None]])) != base
             assert (image_certificate(fs) is None) == jump, (key, fs.ids)
             jumps.append(jump)
         assert not jumps[-3] and jumps[-2] and jumps[-1]
@@ -98,7 +83,7 @@ def test_modular_rank_int64_input_and_stop_at():
     rng = random.Random(13)
     for _ in range(40):
         a = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8), -9, 9)
-        r = rank(a)
+        r = rational_rank(a)
         arr = np.array(a, dtype=np.int64)
         assert modular_rank(arr, MODULAR_PRIMES[0]) == r
         for stop in range(0, r + 2):
@@ -117,7 +102,7 @@ def test_modular_rank_narrow_integer_input(dtype):
             want = modular_rank(a.astype(np.int64), p)
             assert modular_rank(a.astype(dtype), p) == want
             assert modular_rank(a.astype(dtype), p, stop_at=2) == min(want, 2)
-    assert modular_rank(deficient.astype(dtype), MODULAR_PRIMES[0]) == rank(deficient) == 4
+    assert modular_rank(deficient.astype(dtype), MODULAR_PRIMES[0]) == rational_rank(deficient) == 4
 
 
 def test_modular_echelon_first_come_rows():
@@ -131,11 +116,11 @@ def test_modular_echelon_first_come_rows():
 
 
 def _check_echelon(a: np.ndarray, p: int) -> None:
-    """modular_echelon agrees with Bareiss and returns a consistent echelon form."""
+    """modular_echelon agrees with the rational rank and returns a consistent echelon form."""
     E, pivots, kept = modular_echelon(a, p)
-    r = rank(a.tolist())
+    r = rational_rank(a)
     assert len(pivots) == len(kept) == E.shape[0] == r
-    assert kept == sorted(kept) and rank(a[kept].tolist()) == r  # pivot rows independent
+    assert kept == sorted(kept) and rational_rank(a[kept]) == r  # pivot rows independent
     assert E.dtype == np.int64 and ((0 <= E) & (E < p)).all()
     T = E[:, pivots]
     assert (np.triu(T) == T).all() and (np.diagonal(T) == 1).all()
@@ -145,10 +130,10 @@ def _check_echelon(a: np.ndarray, p: int) -> None:
     for i in range(len(a)):
         earlier = [k for k in kept if k < i]
         if i not in kept:
-            assert rank(a[earlier + [i]].tolist()) == len(earlier)
+            assert rational_rank(a[earlier + [i]]) == len(earlier)
 
 
-def test_modular_echelon_matches_bareiss():
+def test_modular_echelon_matches_rational_rank():
     rng = np.random.default_rng(20261018)
     p = MODULAR_PRIMES[0]
     for _ in range(25):
@@ -166,7 +151,7 @@ def test_modular_echelon_matches_bareiss():
                  @ rng.integers(0, 2, (5, 30))).astype(np.int8)  # three blocks, rank <= 5
     for a in (stack, deficient, rng.integers(-1, 2, (20, 300)).astype(np.int8)):
         _check_echelon(a, p)
-        want = rank(a.tolist())
+        want = rational_rank(a)
         assert modular_rank(a, p, stop_at=want - 1) == want - 1
 
 
@@ -182,13 +167,13 @@ def test_modular_echelon_drops_no_row_across_blocks():
 
 
 def test_image_solver_null_rows_stay_int64():
-    from clflats import cl
+    from clflats import flats
     from clflats.flats import enumerate_flats, incidence_rank_closed_form
     from clflats.geometry import space_config
 
     cfg = space_config("symplectic", 3, 2)
     n = len(enumerate_flats(cfg, cfg.nu))
-    null = cl._image_solver(cfg)
+    null = flats.incidence_null_basis(cfg)
     assert null.dtype == np.int64 and not null.flags.writeable
     assert null.shape == (n - incidence_rank_closed_form(cfg), n)
 
@@ -199,7 +184,7 @@ def _small_rref_matrix(rng, m, r, n):
     R = R[:, rng.permutation(n)]
     while True:
         L = rng.integers(-2, 3, (m, r))
-        if rank(L.tolist()) == r:
+        if rational_rank(L) == r:
             return L @ R
 
 
@@ -375,13 +360,3 @@ def test_int_matmul_new_read_only_array_at_a_reused_id():
         big.flags.writeable = False
         assert (int_matmul(big, b) == 4 * odd * odd).all()
         assert (int_matmul(big.T, b[:3]) == 3 * odd * odd).all()
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 10**6))
-def test_rank_bounds_property(m, n, seed):
-    rng = random.Random(seed)
-    a = _random_matrix(rng, m, n, -6, 6)
-    r = rank(a)
-    assert 0 <= r <= min(m, n)
-    assert r == rank([row + row for row in a])  # duplicated columns keep rank

@@ -21,6 +21,7 @@ from clflats.flats import (
     check_gram_identity,
     incidence_matrix,
     incidence_matrix_in,
+    incidence_null_basis_in,
     incidence_rank,
     incidence_rank_closed_form,
 )
@@ -226,6 +227,41 @@ def test_incidence_matrix_in_shape(s22):
     assert inc.shape == (8, 6)
     assert set(inc.matrix.sum(axis=0).tolist()) == {4}
     assert set(inc.matrix.sum(axis=1).tolist()) == {3}
+
+
+def _incidence_by_flat_points(config, big):
+    """The container incidence by a flat_points loop over its interior flats."""
+    members = flats_in(config, big)
+    pts = sorted(flat_points(config, big))
+    pt_index = {p: i for i, p in enumerate(pts)}
+    M = np.zeros((len(pts), len(members)), dtype=np.int64)
+    for col, f in enumerate(members):
+        for p in flat_points(config, f):
+            M[pt_index[p], col] = 1
+    return tuple(pts), tuple(members), M
+
+
+@pytest.mark.parametrize("key,bases", [(("symplectic", 2, 2), None), (("orthogonal", 3, 2), None),
+                                       (("symplectic", 3, 2), None), (("unitary", 4, 2), 6)],
+                         ids=["symp-q2-nu2", "orth-q3-nu2", "symp-q3-nu2", "unit-q4-nu2"])
+def test_incidence_matrix_in_matches_flat_points_loop(key, bases):
+    """The sliced container incidence equals the loop: points, flats and
+    matrix, on every distinct container of the first `bases` base flats
+    (all when None); each container's null basis is cached."""
+    cfg = space_config(*key)
+    containers = {}
+    for base in enumerate_flats(cfg, cfg.nu)[:bases]:
+        containers.update(dict.fromkeys(container_flats(cfg, base, 1)))
+    for t in containers:
+        inc = incidence_matrix_in(cfg, t)
+        points, members, M = _incidence_by_flat_points(cfg, t)
+        assert inc.points == points and inc.flats == members
+        assert inc.matrix.dtype == np.int64 and not inc.matrix.flags.writeable
+        assert (inc.matrix == M).all()
+        N = incidence_null_basis_in(cfg, t)
+        assert N is incidence_null_basis_in(cfg, t) and not N.flags.writeable
+        assert not exact.int_matmul(M, N.T).any()
+        assert N.shape[0] == M.shape[1] - exact.modular_rank(M, exact.MODULAR_PRIMES[0])
 
 
 def test_flat_ids_stable_order(s22):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from clflats import exact, spreads
+from clflats.cl import battery, construct_pencil, test_spreads as spread_test
+from clflats.cli import paper_suite
 from clflats.field import e_power
-from clflats.flats import enumerate_flats, incidence_matrix
+from clflats.flats import enumerate_flats, incidence_matrix, incidence_null_basis, incidence_rank
 from clflats.geometry import (
     all_vectors,
     canonicalize,
@@ -28,12 +30,14 @@ from clflats.spreads import (
     is_switching_pair,
     list_type_I,
     list_type_II,
+    spanning_rows,
     spread_type_I,
     spread_type_II,
     type_II_components,
     typeI_span_check,
     typeII_span_check,
 )
+from conftest import in_row_span, rational_rank
 
 
 def test_type_I_construction(medium_config):
@@ -231,7 +235,9 @@ def test_type_II_span_o32(o32):
 
 def test_type_II_vanishing_check_reads_every_column_block(s22, monkeypatch):
     """A row with a nonzero (0, 1) projection, a single flat, in a later
-    block of PRODUCT_COLUMNS rows still fails the vanishing check."""
+    block of PRODUCT_COLUMNS rows still fails the vanishing check, and the
+    rank is then read off the stack's certified null basis."""
+    spanning_rows(s22)  # the shared elimination, on the real family
     typeII = spreads.family_indicators(s22, slice(len(list_type_I(s22)), None))
     tiled = np.vstack([typeII] * (PRODUCT_COLUMNS // len(typeII) + 1))
     for extra, vanishing in ((0, True), (1, False)):
@@ -240,8 +246,92 @@ def test_type_II_vanishing_check_reads_every_column_block(s22, monkeypatch):
         monkeypatch.setattr(spreads, "family_indicators", lambda config, rows, s=stack: s)
         report = typeII_span_check(s22)
         assert report.vanishing_ok == vanishing and report.ok == vanishing
-        assert report.rank_method == ("certified" if vanishing else "bareiss")
+        assert report.rank_method == ("certified" if vanishing else "null-basis")
         assert report.rank == 45 + extra
+
+
+def test_span_rank_without_a_bound_is_exact():
+    """With no proven upper bound, the rank of every type-I and type-II
+    stack, and of each plus one unit row, is the exact rational rank."""
+    for key in (("symplectic", 2, 2), ("orthogonal", 3, 2), ("unitary", 4, 1)):
+        cfg = space_config(*key)
+        split = len(list_type_I(cfg))
+        for rows in (slice(split), slice(split, None)):
+            stack = spreads.family_indicators(cfg, rows)
+            if not len(stack):
+                continue
+            for extra in (0, 1):
+                tall = np.vstack([stack, np.eye(extra, stack.shape[1], dtype=np.int8)])
+                assert spreads._stack_rank(tall, -1, None) == (rational_rank(tall), "null-basis")
+    # rank 2 over Q, rank 1 mod p: the certificate fails rather than answer 1
+    p = exact.MODULAR_PRIMES[0]
+    with pytest.raises(AssertionError, match="certificate"):
+        spreads._stack_rank(np.array([[1, 1], [1, 1 + p]], dtype=np.int64), 2, None)
+
+
+@pytest.fixture
+def fresh_spanning_rows():
+    spanning_rows.cache_clear()
+    yield
+    spanning_rows.cache_clear()
+
+
+def _patched_family(cfg, monkeypatch, how):
+    """family_members with a kept spanning row's member swapped for a flat
+    outside the row (so M s^T != 1), or with the spanning rows cut to one
+    fewer than n - rank M + 1."""
+    members = family_members(cfg).copy()
+    kept = list(spanning_rows(cfg))
+    spanning_rows.cache_clear()
+    if how == "swap":
+        row = kept[0]
+        members[row, 0] = next(f for f in range(len(enumerate_flats(cfg, cfg.nu)))
+                               if f not in members[row])
+    else:
+        split = len(list_type_I(cfg)) if cfg.nu >= 2 else 0
+        members = np.vstack([members[:split], members[kept[:-1]]])
+    monkeypatch.setattr(spreads, "family_members", lambda config: members)
+
+
+@pytest.mark.parametrize("how", ["swap", "cut"])
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("unitary", 4, 1)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_spread_certificate_can_fail(key, how, monkeypatch, fresh_spanning_rows):
+    cfg = space_config(*key)
+    pencil = construct_pencil(cfg, zero_vector(cfg))
+    assert spread_test(pencil).conclusive
+    _patched_family(cfg, monkeypatch, how)
+    with pytest.raises(AssertionError, match="cover each point once" if how == "swap"
+                       else "do not certify ker M"):
+        spread_test(pencil)
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 2)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_spanning_stack_is_eliminated_once(key, monkeypatch, fresh_spanning_rows):
+    """A pencil's battery and a whole paper suite eliminate the spanning
+    stack once: the spread certificate and the type-II span rank read the
+    same kept rows, n - rank M + 1 of them, whose differences lie in ker M."""
+    cfg = space_config(*key)
+    split = len(list_type_I(cfg))
+    stack = spreads.family_indicators(cfg, slice(split, None))
+    seen = []
+    real = exact.modular_echelon
+    monkeypatch.setattr(exact, "modular_echelon",
+                        lambda matrix, *args, **kw: seen.append(np.asarray(matrix)) or
+                        real(matrix, *args, **kw))
+    assert all(battery(construct_pencil(cfg, zero_vector(cfg))).values())
+    assert all(check.passed for check in paper_suite(cfg, 0))
+    big = [a for a in seen if len(a) >= len(stack)]
+    assert len(big) == 1
+    assert sorted(map(bytes, big[0])) == sorted(map(bytes, stack))
+    M = incidence_matrix(cfg).matrix
+    n = M.shape[1]
+    kept = spreads.family_indicators(cfg, list(spanning_rows(cfg))).astype(np.int64)
+    assert len(kept) == n - incidence_rank(cfg) + 1
+    N = incidence_null_basis(cfg)
+    free = np.setdiff1d(np.arange(n), real(M, exact.MODULAR_PRIMES[0])[1])
+    assert in_row_span(N, free, kept[1:] - kept[0])
 
 
 def test_type_II_needs_nu2(s21):
