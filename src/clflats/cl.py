@@ -36,6 +36,7 @@ from .field import e_power, gauss_binomial
 from .flats import (
     Flat,
     container_flats,
+    coset_table,
     enumerate_flats,
     flat_ids,
     flat_make,
@@ -49,8 +50,8 @@ from .geometry import (
     Isometry,
     SpaceConfig,
     Vector,
-    enumerate_isotropic,
     is_isotropic,
+    point_index,
     vec_sub,
 )
 from .scheme import idempotent_coefficients, relation_matrix, relation_products, scheme_tables
@@ -337,10 +338,13 @@ def random_subset_matrix(config: SpaceConfig, count: int, seed: int) -> np.ndarr
 # constructions and closure algebra
 
 def construct_pencil(config: SpaceConfig, point: Vector) -> FlatSet:
-    """All maximal totally isotropic flats through one point."""
-    ids = flat_ids(config)
-    out = [ids[flat_make(config, p, point)] for p in enumerate_isotropic(config, config.nu)]
-    return FlatSet(config, tuple(sorted(out)))
+    """All maximal totally isotropic flats through one point: its column of
+    the coset table."""
+    if len(point) != config.dim or not all(0 <= c < config.q for c in point):
+        raise ValueError(f"point {tuple(point)} is not a vector of {config.dim} "
+                         f"coordinates in 0..{config.q - 1}")
+    column = coset_table(config)[:, point_index(config, point)]
+    return FlatSet(config, tuple(sorted(column.tolist())))
 
 
 def pencils_disjoint(config: SpaceConfig, a: Vector, b: Vector) -> bool:

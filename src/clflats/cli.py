@@ -31,6 +31,9 @@ STANDARD_GRID = (
 )
 
 FULL_MATRIX_BOUND = 500
+# the valuation grid grows about as nu_max^6: at 20 it takes 0.4 s for
+# unitary q = 9 (2-vCPU host), at 30 2.4 s and at 40 12 s
+VALUATION_NU_MAX = 20
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +431,9 @@ def _cmd_verify(args) -> tuple[dict, int]:
     if args.suite == "valuations":
         if not args.case or not args.q:
             raise ValueError("valuation suite needs --case and --q")
+        space_config(args.case, args.q, 1)  # the case and field rules; builds no geometry
+        if not 2 <= args.nu_max <= VALUATION_NU_MAX:
+            raise ValueError(f"--nu-max must be in 2..{VALUATION_NU_MAX}, got {args.nu_max}")
         checks = valuation_suite(args.case, args.q, args.nu_max)
         blob = {"suite": "valuations", "case": args.case, "q": args.q,
                 "nu_max": args.nu_max,
@@ -510,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common], help="verification suites")
     p_verify.add_argument("--suite", choices=("paper", "valuations"), default="paper")
-    p_verify.add_argument("--nu-max", type=int, default=6)
+    p_verify.add_argument("--nu-max", type=int, default=6,
+                          help=f"largest nu of the valuation grid, 2..{VALUATION_NU_MAX}")
     return parser
 
 

@@ -88,12 +88,6 @@ def modular_echelon(matrix, p: int, stop_at: int | None = None):
     return E[:len(pivots)], pivots, rows
 
 
-def modular_rank(matrix, p: int, stop_at: int | None = None) -> int:
-    """Rank over GF(p), at most stop_at; a lower bound for (and usually
-    equal to) the Q-rank.  The length of modular_echelon's pivot list."""
-    return len(modular_echelon(matrix, p, stop_at)[1])
-
-
 def _rational(u: int, p: int) -> Fraction:
     """The fraction a/b = u mod p with |a|, b <= sqrt(p/2), by Wang's
     half-extended Euclid; it is unique when it exists."""

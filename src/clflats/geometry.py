@@ -20,9 +20,8 @@ coordinate, exact over every supported field, and encodes each syndrome
 base q as an int64 key; two vectors have equal keys iff they lie in the
 same coset of the subspace, and the keys of the canonical coset
 representatives count 0, 1, ... in coset_representatives order.
-rref_stack reduces a whole stack of matrices the same way, one pass per
-column, so that parity_checks can build the checks of many subspaces
-(say, every sum of two directions) from one elimination.
+subspace_checks builds the checks of a whole sequence of subspaces of
+one dimension at once.
 """
 
 from __future__ import annotations
@@ -248,44 +247,17 @@ def reduce_mod(fld: FiniteField, sub: Subspace, v: Vector) -> Vector:
     return tuple(out)
 
 
-def rref_stack(config: SpaceConfig, rows) -> tuple[np.ndarray, np.ndarray]:
-    """The RREF over F_q of every matrix of a stack (S, r, dim), as rref.
-
-    Returns the reduced stack, zero rows last, and the pivot column of
-    each row (S, r), -1 past the rank.  One pass per column through the
-    field tables clears that column in every matrix at once.
-    """
-    fld, q = config.field, config.q
-    A = np.array(rows, dtype=np.int64)
-    S, r, _ = A.shape
-    inv, neg = np.array(fld.inv_table), np.array(fld.neg_table)
-    pivots = np.full((S, r), -1, dtype=np.int64)
-    rank = np.zeros(S, dtype=np.int64)
-    for c in range(config.dim):
-        found = (A[:, :, c] != 0) & (np.arange(r) >= rank[:, None])
-        s = np.flatnonzero(found.any(axis=1))
-        src, dst = found[s].argmax(axis=1), rank[s]
-        A[s, src], A[s, dst] = A[s, dst], A[s, src]
-        pivot = fld.mul_flat[inv[A[s, dst, c]][:, None] * q + A[s, dst]]
-        factor = A[s, :, c]
-        A[s] = fld.add_flat[A[s] * q + neg[fld.mul_flat[factor[:, :, None] * q + pivot[:, None]]]]
-        A[s, dst] = pivot
-        pivots[s, dst] = c
-        rank[s] += 1
-    return A, pivots
-
-
-def parity_checks(config: SpaceConfig, bases, pivots) -> np.ndarray:
-    """The int64 parity checks (S, dim, m) of a stack of RREF bases (S, k, dim)
-    with their pivot columns (S, k), m = dim - k.
+def subspace_checks(config: SpaceConfig, subs) -> np.ndarray:
+    """The int64 parity checks (S, dim, m) of a sequence of subspaces of one
+    dimension k, m = dim - k.
 
     Column j is the unit vector at the j-th free column f minus B[t, f]
-    at each pivot column p_t, so v H is reduce_mod(sub, v) at the free
-    columns.
+    at each pivot column p_t of the RREF basis B, so v H is
+    reduce_mod(sub, v) at the free columns.
     """
-    piv = np.asarray(pivots, dtype=np.int64)
-    S, k = piv.shape
-    B = np.asarray(bases, dtype=np.int64).reshape(S, k, config.dim)
+    S, k = len(subs), subs[0].dim if len(subs) else 0
+    piv = np.array([s.pivots for s in subs], dtype=np.int64).reshape(S, k)
+    B = np.array([s.basis for s in subs], dtype=np.int64).reshape(S, k, config.dim)
     m = config.dim - k
     is_pivot = np.zeros((S, config.dim), dtype=bool)
     np.put_along_axis(is_pivot, piv, True, axis=1)
@@ -296,11 +268,6 @@ def parity_checks(config: SpaceConfig, bases, pivots) -> np.ndarray:
     H[stack, piv[:, :, None], np.arange(m)] = np.array(config.field.neg_table)[
         np.take_along_axis(B, free[:, None, :], axis=2)]
     return H
-
-
-def subspace_checks(config: SpaceConfig, subs) -> np.ndarray:
-    """parity_checks of a sequence of subspaces of one dimension."""
-    return parity_checks(config, [s.basis for s in subs], [s.pivots for s in subs])
 
 
 def syndrome_keys(config: SpaceConfig, checks: np.ndarray, vectors) -> np.ndarray:
@@ -521,12 +488,6 @@ def _check_isometry(config: SpaceConfig, T: tuple[Vector, ...]) -> None:
         for j in range(config.dim):
             if form_value(config, T[i], T[j]) != config.form[i][j]:
                 raise ValueError("matrix does not preserve the form")
-
-
-def make_isometry(config: SpaceConfig, T, v=None) -> Isometry:
-    T = tuple(tuple(r) for r in T)
-    _check_isometry(config, T)
-    return Isometry(T, tuple(v) if v is not None else zero_vector(config))
 
 
 def random_isometry(config: SpaceConfig, seed: int) -> Isometry:

@@ -6,11 +6,10 @@ intersection, xi = 0 when the cosets meet and 1 when they are disjoint
 eigenvalue, valency, and multiplicity tables come from closed forms,
 and so does the coefficient table C of the idempotents in the
 adjacency basis, E_e = (1/L_e) sum_r C[e, r] A_r.  The int8 relation
-table is built from syndromes: flats ra + da and rb + db meet iff ra
-and rb have equal syndrome keys under a parity check of da + db
-(geometry.syndrome_keys), and the sums of all direction pairs come from
-stacked RREFs (geometry.rref_stack), so a q^nu x q^nu block is one key
-comparison.  It is the only cached n x n object: every product in the
+table is read off flats.coset_table, the flat of each direction through
+each point: the flats of two directions through the origin share
+q^(nu - i) points, and two flats meet iff one passes through a point of
+the other.  It is the only cached n x n object: every product in the
 Bose-Mesner algebra, sum_r W[k, r] A_r X for a small integer table W,
 is read from it by relation_products.  Dense idempotents exist only
 inside check_eigen_system, where they are the object being verified.
@@ -28,16 +27,8 @@ import numpy as np
 
 from . import exact
 from .field import binomial2, e_power, e_power_frac, gauss_binomial
-from .flats import Flat, enumerate_flats, flat_meet
-from .geometry import (
-    SpaceConfig,
-    enumerate_isotropic,
-    is_totally_isotropic,
-    parity_checks,
-    rref_stack,
-    sum_subspace,
-    syndrome_keys,
-)
+from .flats import Flat, coset_table, flat_meet
+from .geometry import SpaceConfig, is_totally_isotropic, sum_subspace
 
 RelIndex = tuple[int, int]
 
@@ -262,53 +253,38 @@ def relation_of(config: SpaceConfig, f1: Flat, f2: Flat) -> RelIndex:
     return (i, xi)
 
 
-PAIR_CHUNK = 1024  # direction pairs per stacked RREF and syndrome_keys call
-
-
 @lru_cache(maxsize=None)
 def relation_matrix(config: SpaceConfig) -> np.ndarray:
-    """Relation codes (2i + xi) for all ordered pairs of maximal flats.
+    """Relation codes (2i + xi) for all ordered pairs of maximal flats, read off
+    the coset table.
 
-    For directions da, db the sum da + db has dimension nu + i, and the
-    flats ra + da, rb + db meet iff ra - rb lies in da + db, that is iff
-    ra and rb have equal syndrome keys under its parity check.  Each
-    chunk of PAIR_CHUNK direction pairs takes one stacked RREF of the
-    bases [da; db]; its pairs are grouped by the rank of the sum, and
-    each group takes one syndrome_keys call over every representative
-    of every pair, its blocks scattered through the (D, q^nu, D, q^nu)
-    view of the table.  A sum that is the whole space has no syndrome:
-    its block is the constant 2 nu.
+    coset_of[d, x] is the flat of direction d through point x.  The flats
+    of da and db through the origin share q^(nu - i) points, counted for
+    every direction pair by one exact product of the origin indicators;
+    a count that is no power q^k, k <= nu, is an internal error.  The
+    flats ra + da and rb + db meet iff rb + db passes through a point of
+    ra + da, so one boolean scatter per direction db marks the flats of
+    db through the points of every flat.  Then R = 2i + 1 - meet over
+    the q^nu x q^nu block of each direction pair; R is int8 and read-only.
     """
-    flats = enumerate_flats(config, config.nu)
-    dirs = enumerate_isotropic(config, config.nu)
-    n, D = len(flats), len(dirs)
-    per = config.q**config.nu  # cosets per direction, contiguous in id order
-    if n != per * D:
-        raise AssertionError(f"{n} flats, expected {per} cosets for each of {D} directions")
-    reps = np.array([f.rep for f in flats], dtype=np.int64).reshape(D, per, config.dim)
-    bases = np.array([d.basis for d in dirs], dtype=np.int64)
-    R = np.full((n, n), -1, dtype=np.int8)
-    blocks_of = R.reshape(D, per, D, per)  # a view: block (a, b) is blocks_of[a, :, b, :]
-    first, second = np.triu_indices(D)
-    for s in range(0, len(first), PAIR_CHUNK):
-        a, b = first[s:s + PAIR_CHUNK], second[s:s + PAIR_CHUNK]
-        sums, pivots = rref_stack(config, np.concatenate([bases[a], bases[b]], axis=1))
-        rank = (pivots >= 0).sum(axis=1)
-        for dim in np.unique(rank).tolist():
-            group = rank == dim
-            i = dim - config.nu
-            if dim == config.dim:
-                blocks = np.full((group.sum(), per, per), 2 * i, dtype=np.int8)
-            else:
-                checks = parity_checks(config, sums[group, :dim], pivots[group, :dim])
-                keys = syndrome_keys(config, checks,
-                                     np.concatenate([reps[a[group]], reps[b[group]]], axis=1))
-                meet = keys[:, :per, None] == keys[:, None, per:]
-                blocks = np.where(meet, 2 * i, 2 * i + 1).astype(np.int8)
-            blocks_of[a[group], :, b[group], :] = blocks
-            blocks_of[b[group], :, a[group], :] = blocks.transpose(0, 2, 1)
-    if (R < 0).any():
-        raise AssertionError("a direction pair of the relation table was not filled")
+    coset_of = coset_table(config)
+    nu, per = config.nu, config.q**config.nu
+    n = coset_of.shape[0] * per
+    origin = coset_of == coset_of[:, :1]
+    shared = exact.int_matmul(origin, origin.T)
+    powers = config.q ** np.arange(nu + 1, dtype=np.int64)
+    k = np.minimum(np.searchsorted(powers, shared), nu)
+    if (powers[k] != shared).any():
+        raise AssertionError(f"two directions of {config.key()} share a number of points "
+                             f"that is no power of q up to q^{nu}")
+    # the points of each flat, in flat-id order: flat ids run direction-major
+    points = np.argsort(coset_of, axis=1, kind="stable").reshape(n, per)
+    meet = np.zeros((n, n), dtype=bool)
+    row_start = n * np.arange(n)[:, None]
+    for flats_of in coset_of:  # a scatter through flat indices beats a 2-D one
+        meet.reshape(-1)[row_start + flats_of[points]] = True
+    R = np.repeat(np.repeat((2 * (nu - k) + 1).astype(np.int8), per, axis=0), per, axis=1)
+    R -= meet
     R.flags.writeable = False
     return R
 

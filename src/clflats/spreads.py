@@ -6,12 +6,14 @@ isotropic subspace) and, for nu >= 2, type II (mix the cosets of two
 distinct maximal totally isotropic subspaces inside a common
 type-(nu+1, 2) subspace).  Members are stored as sorted global FlatIds;
 a container scope is recorded alongside.  The whole constructive family
-is one int64 array, family_members; its type-II rows are gathered from
-flats.coset_table, the flat of each direction through each point, with
-the cosets of each container told apart by the syndrome keys of the
-points under the container's parity check (geometry.syndrome_keys);
-the interior directions of a container are those whose bases have
-syndrome zero.  list_type_II wraps the rows as Spreads.
+is one int64 array, family_members.  Its type-I rows are the flat ids
+in blocks of q^nu, since ids run direction-major.  Its type-II rows are
+gathered from flats.coset_table, the flat of each direction through
+each point, with the cosets of each container told apart by the
+syndrome keys of the points under the container's parity check
+(geometry.syndrome_keys); the interior directions of a container are
+those whose bases have syndrome zero.  list_type_I and list_type_II
+wrap the rows as Spreads.
 
 The type-II spreads (type I at nu = 1) span the orthogonal complement
 of the parallel-class eigenspace, of dimension
@@ -129,10 +131,17 @@ def spread_type_II(config: SpaceConfig, container: Subspace,
     return Spread(tuple(sorted(members)), None, "II")
 
 
+def _type_I_members(config: SpaceConfig) -> np.ndarray:
+    """Member ids of the type-I spreads, one row per direction: flat ids run
+    direction-major, q^nu cosets to a direction."""
+    n = len(enumerate_flats(config, config.nu))
+    return np.arange(n, dtype=np.int64).reshape(-1, config.q**config.nu)
+
+
 @lru_cache(maxsize=None)
 def list_type_I(config: SpaceConfig) -> tuple[Spread, ...]:
-    return tuple(spread_type_I(config, d)
-                 for d in enumerate_isotropic(config, config.nu))
+    """The type-I spreads, in direction order: the first rows of family_members."""
+    return tuple(Spread(tuple(row), None, "I") for row in _type_I_members(config).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +199,7 @@ def family_members(config: SpaceConfig) -> np.ndarray:
     each point once, so differences of rows lie in the kernel of the
     incidence matrix; spanning_rows certifies that they span it.
     """
-    members = np.array([s.members for s in list_type_I(config)], dtype=np.int64)
+    members = _type_I_members(config)
     if config.nu >= 2:
         members = np.vstack([members, _type_II_members(config)])
     members.flags.writeable = False

@@ -39,6 +39,7 @@ from clflats.flats import (
     container_flats,
     enumerate_flats,
     flat_ids,
+    flat_make,
     flat_points,
     incidence_matrix,
     incidence_matrix_in,
@@ -46,7 +47,13 @@ from clflats.flats import (
     incidence_rank,
     incidence_rank_closed_form,
 )
-from clflats.geometry import all_vectors, random_isometry, space_config, zero_vector
+from clflats.geometry import (
+    all_vectors,
+    enumerate_isotropic,
+    random_isometry,
+    space_config,
+    zero_vector,
+)
 from clflats.cli import paper_suite
 from clflats.scheme import idempotent_int, relation_matrix, relation_products, scheme_tables
 from conftest import MEDIUM_CONFIGS, in_row_span, integer_nullspace
@@ -63,6 +70,26 @@ def test_parameters(s22):
     assert _pencil(s22).size == set_denominator(s22) == 15
     odd = FlatSet(s22, (0, 1, 2, 3))
     assert cl_parameter(odd) == Fraction(4, 15)  # rational, never rounded
+
+
+def test_pencil_is_the_flats_through_the_point(medium_config):
+    """construct_pencil reads the point's column of the coset table: the ids
+    of the flat of every direction through the point."""
+    cfg = medium_config
+    ids = flat_ids(cfg)
+    rng = random.Random(3)
+    points = [zero_vector(cfg)] + [tuple(rng.randrange(cfg.q) for _ in range(cfg.dim))
+                                   for _ in range(3)]
+    for point in points:
+        want = sorted(ids[flat_make(cfg, d, point)] for d in enumerate_isotropic(cfg, cfg.nu))
+        assert construct_pencil(cfg, point).ids == tuple(want)
+
+
+@pytest.mark.parametrize("point", [(0, 0, 0, 5), (0, 0, 0, -1), (0, 0, 2, 0), (0, 0, 0),
+                                   (0, 0, 0, 0, 0)])
+def test_pencil_point_outside_the_space_raises_value_error(s22, point):
+    with pytest.raises(ValueError, match=r"4 coordinates in 0\.\.1"):
+        construct_pencil(s22, point)
 
 
 def test_pencil_battery_everywhere(medium_config):

@@ -8,11 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import clflats
-from clflats.cli import run
-from clflats.geometry import ISOTROPIC_ENUM_BOUND
+from clflats.cli import VALUATION_NU_MAX, run
+from clflats.geometry import ISOTROPIC_ENUM_BOUND, space_config
 
 BASE = ["--case", "symplectic", "--q", "2", "--nu", "2"]
 
@@ -250,6 +251,24 @@ def test_pencil_coordinate_out_of_range_exits_2(capsys):
     _one_line_error(capsys, ["cl", "construct", "--pencil", "0,x,0,0"] + BASE, "'0,x,0,0'")
 
 
+@pytest.mark.parametrize("flags,fragment", [
+    (["--case", "orthogonal", "--q", "2"], "odd q"),
+    (["--case", "symplectic", "--q", "6"], "order 6"),
+    (["--case", "unitary", "--q", "3"], "square field order"),
+    (["--case", "symplectic", "--q", "2", "--nu-max", "1"], f"2..{VALUATION_NU_MAX}, got 1"),
+    (["--case", "symplectic", "--q", "2", "--nu-max", "0"], "got 0"),
+    (["--case", "symplectic", "--q", "2", "--nu-max", "-3"], "got -3"),
+    (["--case", "unitary", "--q", "9", "--nu-max", str(VALUATION_NU_MAX + 1)],
+     f"got {VALUATION_NU_MAX + 1}"),
+    (["--case", "unitary", "--q", "9", "--nu-max", "60"], "got 60"),
+], ids=["orthogonal-even-q", "no-field", "unitary-nonsquare", "nu-max-1", "nu-max-0",
+        "nu-max-negative", "nu-max-above-cap", "nu-max-60"])
+def test_valuation_suite_input_exits_2(capsys, flags, fragment):
+    """The valuation suite takes case and q by the space_config rules and
+    --nu-max in 2..VALUATION_NU_MAX, like every other command's input."""
+    _one_line_error(capsys, ["verify", "--suite", "valuations"] + flags, fragment)
+
+
 def test_set_file_ids_must_be_a_list_of_integers(tmp_path, capsys):
     setfile = tmp_path / "bad.json"
     setfile.write_text(json.dumps({"ids": 5}))
@@ -354,6 +373,36 @@ def test_failed_scheme_invariant_exits_3():
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("clflats: internal error: ") and fragment in lines[0]
+
+
+def test_corrupt_origin_counts_exit_3(monkeypatch):
+    """Directions whose flats through the origin share a number of points
+    that is no power of q are an internal error: relation_matrix raises
+    AssertionError, never KeyError, and verify exits 3 with one line.
+    The coset table is corrupted by giving the last point, in every
+    direction, the flat through the origin."""
+    from clflats import flats, scheme
+    cfg = space_config("symplectic", 2, 2)
+    broken = np.array(flats.coset_table(cfg))
+    broken[:, -1] = broken[:, 0]
+    monkeypatch.setattr(scheme, "coset_table", lambda c: broken)
+    scheme.relation_matrix.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="no power of q"):
+            scheme.relation_matrix(cfg)
+    finally:
+        scheme.relation_matrix.cache_clear()
+    code = ("import sys; import numpy as np; from clflats import flats, scheme; "
+            "from clflats.cli import run; real = flats.coset_table; "
+            "scheme.coset_table = lambda c: np.where("
+            "np.arange(c.num_points) == c.num_points - 1, real(c)[:, :1], real(c)); "
+            "sys.exit(run(sys.argv[1:]))")
+    proc = _child(code, ["verify", "--suite", "paper"] + BASE)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("clflats: internal error: ") and "no power of q" in lines[0]
 
 
 def test_zero_division_and_usage_errors_keep_exit_2(capsys):

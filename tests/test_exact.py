@@ -15,7 +15,6 @@ from clflats.exact import (
     check_null_basis,
     int_matmul,
     modular_echelon,
-    modular_rank,
 )
 from conftest import in_row_span, integer_nullspace, rational_nullspace, rational_rank
 
@@ -30,7 +29,7 @@ def test_rank_against_modular_primes():
         m, n = rng.randint(1, 9), rng.randint(1, 9)
         a = _random_matrix(rng, m, n)
         r = rational_rank(a)
-        assert all(modular_rank(a, p) == r for p in MODULAR_PRIMES)
+        assert all(len(modular_echelon(a, p)[1]) == r for p in MODULAR_PRIMES)
 
 
 def test_nullspace_properties():
@@ -42,13 +41,14 @@ def test_nullspace_properties():
         m, n = rng.randint(1, 6), rng.randint(1, 7)
         a = _random_matrix(rng, m, n, -5, 5)
         basis = rational_nullspace(a)
-        assert all(len(basis) == n - modular_rank(a, p) for p in MODULAR_PRIMES)
+        assert all(len(basis) == n - len(modular_echelon(a, p)[1]) for p in MODULAR_PRIMES)
         for v in basis:
             assert all(sum(Fraction(c) * x for c, x in zip(row, v)) == 0 for row in a)
         scaled = integer_nullspace(a)
         assert scaled.shape == (len(basis), n)
         if basis:
-            assert modular_rank(scaled.astype(np.int64), MODULAR_PRIMES[0]) == len(basis)
+            pivots = modular_echelon(scaled.astype(np.int64), MODULAR_PRIMES[0])[1]
+            assert len(pivots) == len(basis)
         assert not int_matmul(np.array(a, dtype=np.int64), scaled.T).any()
         for v, w in zip(basis, scaled.tolist()):
             assert [x * math.lcm(*(y.denominator for y in v)) for x in v] == w
@@ -85,11 +85,11 @@ def test_modular_rank_int64_input_and_stop_at():
         a = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8), -9, 9)
         r = rational_rank(a)
         arr = np.array(a, dtype=np.int64)
-        assert modular_rank(arr, MODULAR_PRIMES[0]) == r
+        assert len(modular_echelon(arr, MODULAR_PRIMES[0])[1]) == r
         for stop in range(0, r + 2):
-            assert modular_rank(arr, MODULAR_PRIMES[1], stop_at=stop) == min(r, stop)
-    assert modular_rank(np.zeros((0, 3), dtype=np.int64), MODULAR_PRIMES[0]) == 0
-    assert modular_rank([[3, 6], [1, 2]], 5) == 1
+            assert len(modular_echelon(arr, MODULAR_PRIMES[1], stop_at=stop)[1]) == min(r, stop)
+    assert len(modular_echelon(np.zeros((0, 3), dtype=np.int64), MODULAR_PRIMES[0])[1]) == 0
+    assert len(modular_echelon([[3, 6], [1, 2]], 5)[1]) == 1
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8])
@@ -99,10 +99,11 @@ def test_modular_rank_narrow_integer_input(dtype):
     deficient = rng.integers(0, 2, (9, 4)) @ rng.integers(0, 3, (4, 12))  # rank <= 4
     for a in (np.eye(3, dtype=np.int64), deficient):
         for p in MODULAR_PRIMES:
-            want = modular_rank(a.astype(np.int64), p)
-            assert modular_rank(a.astype(dtype), p) == want
-            assert modular_rank(a.astype(dtype), p, stop_at=2) == min(want, 2)
-    assert modular_rank(deficient.astype(dtype), MODULAR_PRIMES[0]) == rational_rank(deficient) == 4
+            want = len(modular_echelon(a.astype(np.int64), p)[1])
+            assert len(modular_echelon(a.astype(dtype), p)[1]) == want
+            assert len(modular_echelon(a.astype(dtype), p, stop_at=2)[1]) == min(want, 2)
+    pivots = modular_echelon(deficient.astype(dtype), MODULAR_PRIMES[0])[1]
+    assert len(pivots) == rational_rank(deficient) == 4
 
 
 def test_modular_echelon_first_come_rows():
@@ -125,7 +126,7 @@ def _check_echelon(a: np.ndarray, p: int) -> None:
     T = E[:, pivots]
     assert (np.triu(T) == T).all() and (np.diagonal(T) == 1).all()
     # E spans the same GF(p) row space as the kept rows
-    assert modular_rank(np.vstack([a[kept].astype(np.int64), E]), p) == r
+    assert len(modular_echelon(np.vstack([a[kept].astype(np.int64), E]), p)[1]) == r
     # first come: a row left out depends on the kept rows before it
     for i in range(len(a)):
         earlier = [k for k in kept if k < i]
@@ -152,7 +153,7 @@ def test_modular_echelon_matches_rational_rank():
     for a in (stack, deficient, rng.integers(-1, 2, (20, 300)).astype(np.int8)):
         _check_echelon(a, p)
         want = rational_rank(a)
-        assert modular_rank(a, p, stop_at=want - 1) == want - 1
+        assert len(modular_echelon(a, p, stop_at=want - 1)[1]) == want - 1
 
 
 def test_modular_echelon_drops_no_row_across_blocks():

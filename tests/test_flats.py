@@ -153,7 +153,7 @@ def test_incidence_rank_spots(case, q, nu, expected):
     cfg = space_config(case, q, nu)
     assert incidence_rank(cfg) == expected == incidence_rank_closed_form(cfg)
     for p in exact.MODULAR_PRIMES:
-        assert exact.modular_rank(incidence_matrix(cfg).matrix, p) == expected
+        assert len(exact.modular_echelon(incidence_matrix(cfg).matrix, p)[1]) == expected
 
 
 def test_gram_identity(medium_config):
@@ -261,7 +261,7 @@ def test_incidence_matrix_in_matches_flat_points_loop(key, bases):
         N = incidence_null_basis_in(cfg, t)
         assert N is incidence_null_basis_in(cfg, t) and not N.flags.writeable
         assert not exact.int_matmul(M, N.T).any()
-        assert N.shape[0] == M.shape[1] - exact.modular_rank(M, exact.MODULAR_PRIMES[0])
+        assert N.shape[0] == M.shape[1] - len(exact.modular_echelon(M, exact.MODULAR_PRIMES[0])[1])
 
 
 def test_flat_ids_stable_order(s22):

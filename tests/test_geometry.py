@@ -17,8 +17,6 @@ from clflats.geometry import (
     point_graph,
     random_isometry,
     reduce_mod,
-    rref,
-    rref_stack,
     space_config,
     subspace_checks,
     subspace_type,
@@ -119,27 +117,6 @@ def test_syndrome_key_encodes_reduce_mod(q, nu, data):
             want.append(key)
         got = syndrome_keys(cfg, subspace_checks(cfg, [sub]), vectors)
         assert got.dtype == np.int64 and got.tolist() == [want]
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), st.integers(1, 6), st.data())
-def test_rref_stack_matches_rref(q, r, data):
-    """Every matrix of a stack reduces as rref reduces it alone: the same
-    rows and pivots, then zero rows and -1 pivots; rank-deficient stacks
-    (repeated and zero rows) included."""
-    cfg = space_config("symplectic", q, 2)
-    vec = st.lists(st.integers(0, q - 1), min_size=cfg.dim, max_size=cfg.dim)
-    stack = data.draw(st.lists(st.lists(vec | st.just([0] * cfg.dim), min_size=r, max_size=r),
-                               min_size=1, max_size=8))
-    stack = [rows[:-1] + rows[:1] if r > 1 and data.draw(st.booleans()) else rows
-             for rows in stack]
-    reduced, pivots = rref_stack(cfg, stack)
-    for rows, got, piv in zip(stack, reduced, pivots):
-        want, want_pivots = rref(cfg.field, rows)
-        k = len(want)
-        assert [tuple(row) for row in got[:k].tolist()] == list(want)
-        assert tuple(piv[:k].tolist()) == want_pivots
-        assert not got[k:].any() and (piv[k:] == -1).all()
 
 
 def test_syndrome_keys_stack_and_containment():

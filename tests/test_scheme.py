@@ -74,7 +74,8 @@ def test_relation_of_examples(s22):
         relation_of(s22, f, bad)
 
 
-ORACLE_SAMPLED = (("symplectic", 3, 2), ("unitary", 4, 2), ("symplectic", 2, 3))
+ORACLE_SAMPLED = (("symplectic", 3, 2), ("unitary", 4, 2), ("symplectic", 2, 3),
+                  ("symplectic", 4, 2))
 
 
 @pytest.mark.parametrize("key", MEDIUM_CONFIGS, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
@@ -89,7 +90,8 @@ def test_relation_matrix_matches_relation_of_on_every_pair(key):
 
 @pytest.mark.parametrize("key", ORACLE_SAMPLED, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_relation_matrix_matches_relation_of_on_seeded_pairs(key):
-    """unitary(4, 2) takes the syndromes through the GF(4) tables."""
+    """unitary(4, 2) and symplectic(4, 2) take the coset table through the
+    GF(4) tables."""
     cfg = space_config(*key)
     flats = enumerate_flats(cfg, cfg.nu)
     R = relation_matrix(cfg)

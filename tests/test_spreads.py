@@ -56,6 +56,16 @@ def test_type_I_construction(medium_config):
     assert len(seen) == len(enumerate_flats(cfg, cfg.nu))
 
 
+def test_type_I_rows_are_the_spreads_of_each_direction(medium_config):
+    """list_type_I and the first rows of family_members are the flat-id
+    blocks of the directions, as spread_type_I builds them flat by flat."""
+    cfg = medium_config
+    want = [spread_type_I(cfg, d).members for d in enumerate_isotropic(cfg, cfg.nu)]
+    assert [s.members for s in list_type_I(cfg)] == want
+    assert all(s.tag == "I" and s.scope is None for s in list_type_I(cfg))
+    assert family_members(cfg)[:len(want)].tolist() == [list(m) for m in want]
+
+
 def test_type_I_rejects_bad_direction(s22):
     with pytest.raises(ValueError):
         spread_type_I(s22, canonicalize(s22, [unit_vector(s22, 0)]))
