@@ -50,12 +50,14 @@ from .geometry import (
     Isometry,
     SpaceConfig,
     Vector,
+    all_vectors,
+    enumerate_isotropic,
     is_isotropic,
     point_index,
     vec_sub,
 )
 from .scheme import idempotent_coefficients, relation_matrix, relation_products, scheme_tables
-from .spreads import enumerate_spreads, family_members, list_type_I, spanning_rows
+from .spreads import enumerate_spreads, family_members, spanning_rows
 
 
 def set_denominator(config: SpaceConfig, levels: int | None = None) -> int:
@@ -259,7 +261,7 @@ def test_spreads(flat_set: FlatSet, family: str = "auto") -> SpreadTestReport:
         members = np.array([s.members for s in search.spreads], dtype=np.int64)
         conclusive = search.exhaustive
     elif conclusive or family == "typeI" or (family == "typeII" and config.nu >= 2):
-        split = len(list_type_I(config))
+        split = len(enumerate_isotropic(config, config.nu))
         rows = {"constructive": slice(None), "typeI": slice(split), "typeII": slice(split, None)}
         members = family_members(config)[rows[family]]
         if conclusive:
@@ -382,7 +384,8 @@ def classify_nu1(config: SpaceConfig) -> list[tuple[FlatSet, Fraction]]:
 
     Each hit is cross-checked against the spread-selection description:
     constant intersection with the (q^e + 1) parallel classes, and the
-    set is the union of those selections.
+    set is the union of those selections.  The classes are the blocks of
+    q^nu consecutive flat ids, so the intersections are block sums.
     """
     if config.nu != 1:
         raise ValueError("classification sweep is for nu = 1")
@@ -390,7 +393,7 @@ def classify_nu1(config: SpaceConfig) -> list[tuple[FlatSet, Fraction]]:
     if n > EXHAUSTIVE_SUBSET_BOUND:
         raise ValueError(f"too many flats for exhaustive sweep: {n}")
     null = incidence_null_basis(config)
-    spreads = list_type_I(config)
+    classes = len(enumerate_isotropic(config, 1))
     out = []
     for mask in range(1 << n):
         ids = tuple(i for i in range(n) if mask >> i & 1)
@@ -400,8 +403,8 @@ def classify_nu1(config: SpaceConfig) -> list[tuple[FlatSet, Fraction]]:
             continue
         fs = FlatSet(config, ids)
         x = fs.x
-        selections = [len(set(ids) & set(s.members)) for s in spreads]
-        if len(set(selections)) > 1 or (selections and Fraction(selections[0]) != x):
+        selections = chi.reshape(classes, -1).sum(axis=1)
+        if (selections != selections[0]).any() or Fraction(int(selections[0])) != x:
             raise AssertionError("classified set fails the spread-selection description")
         out.append((fs, x))
     return out
@@ -423,7 +426,8 @@ def intersecting_check(flat_set: FlatSet) -> IntersectingReport:
 
     Also verifies, on this configuration, the product-bound instance:
     a pencil (clique) and a type-I spread (coclique) multiply to the
-    total number of flats and meet in exactly one member.
+    total number of flats and meet in exactly one member; the type-I
+    spreads are the blocks of q^nu consecutive flat ids.
     """
     config = flat_set.config
     R = relation_matrix(config)
@@ -432,10 +436,9 @@ def intersecting_check(flat_set: FlatSet) -> IntersectingReport:
     intersecting = bool((sub % 2 == 0).all())  # even codes = meeting cosets
     bound = set_denominator(config)
     pencil = construct_pencil(config, (0,) * config.dim)
-    product_ok = pencil.size * config.q**config.nu == len(enumerate_flats(config, config.nu))
-    for s in list_type_I(config):
-        if len(set(pencil.ids) & set(s.members)) != 1:
-            product_ok = False
+    per_spread = pencil.chi().reshape(len(enumerate_isotropic(config, config.nu)), -1).sum(axis=1)
+    product_ok = (pencil.size * config.q**config.nu == len(enumerate_flats(config, config.nu))
+                  and bool((per_spread == 1).all()))
     return IntersectingReport(intersecting, intersecting and flat_set.size == bound,
                               bound, product_ok)
 
@@ -604,7 +607,6 @@ def search_cl(config: SpaceConfig, x_target: Fraction | int, strategy: str,
         for ids in itertools.combinations(range(n), int(target_size)):
             consider(FlatSet(config, ids))
     elif strategy == "pencil_closure":
-        from .geometry import all_vectors
         pencils = [construct_pencil(config, pt) for pt in all_vectors(config)]
         for p in pencils:
             consider(p)
@@ -624,7 +626,6 @@ def search_cl(config: SpaceConfig, x_target: Fraction | int, strategy: str,
 
 
 def _disjoint_unions(config: SpaceConfig, pencils, limit: int, consider) -> None:
-    from .geometry import all_vectors
     pts = all_vectors(config)
     by_point = dict(zip(pts, pencils))
 
@@ -633,8 +634,7 @@ def _disjoint_unions(config: SpaceConfig, pencils, limit: int, consider) -> None
             union = set()
             for pt in chosen_pts:
                 union |= set(by_point[pt].ids)
-            if len(chosen_pts) <= limit:
-                consider(FlatSet(config, tuple(sorted(union))))
+            consider(FlatSet(config, tuple(sorted(union))))
         if len(chosen_pts) == limit:
             return
         for k in range(start, len(pts)):

@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cl, exact, flats, scheme, spreads
+from .field import e_power
 from .geometry import SpaceConfig, canonicalize, enumerate_isotropic, point_graph, space_config
 
 STANDARD_GRID = (
@@ -263,7 +264,6 @@ def _point_graph_ok(config: SpaceConfig) -> bool:
     n = A.shape[0]
     if config.case == "symplectic":
         return bool((A == 1 - np.eye(n, dtype=np.int64)).all())
-    from .field import e_power
     k = (config.q**config.nu - 1) * (e_power(config, 2 * config.nu + config.e2 - 2) + 1)
     if set(A.sum(axis=1).tolist()) != {k}:
         return False
@@ -274,32 +274,25 @@ def _point_graph_ok(config: SpaceConfig) -> bool:
 
 
 def _srg_lambda(config: SpaceConfig) -> int:
-    from .field import e_power
     q, nu, e2 = config.q, config.nu, config.e2
     return (e_power(config, 4 * (nu - 1) + 2 * e2) + q**nu
             - e_power(config, 2 * (nu - 1) + e2) - 2)
 
 
 def _srg_mu(config: SpaceConfig) -> int:
-    from .field import e_power
     t = e_power(config, 2 * (config.nu - 1) + config.e2)
     return t * (t + 1)
 
 
 def valuation_suite(case: str, q: int, nu_max: int) -> list[Check]:
-    """Grid comparison of the stated piecewise exponents with ground truth."""
-    mismatches = scheme.valuation_report(case, q, nu_max)
-    checks = [Check(f"valuation_piecewise_agreement_numax{nu_max}", 0, len(mismatches))]
-    infinity_ok = True
-    for nu2 in range(2, nu_max + 1):
-        for i in range(2, nu2 + 1):
-            for j in range(2, nu2 + 1):
-                stated = scheme.phi_piecewise(case, nu2, i, j)
-                direct = scheme.q_valuation(case, q, nu2, i, j)
-                if (stated is scheme.INFINITY) != (direct is scheme.INFINITY):
-                    infinity_ok = False
-    checks.append(Check("valuation_infinity_branches", True, infinity_ok))
-    return checks
+    """Grid comparison of the stated piecewise exponents with ground truth;
+    both checks read one pass over the grid."""
+    cells = scheme.valuation_cells(case, q, nu_max)
+    mismatches = scheme.valuation_report(case, q, nu_max, cells)
+    infinity_ok = all((direct is scheme.INFINITY) == (stated is scheme.INFINITY)
+                      for *_, direct, stated in cells)
+    return [Check(f"valuation_piecewise_agreement_numax{nu_max}", 0, len(mismatches)),
+            Check("valuation_infinity_branches", True, infinity_ok)]
 
 
 # ---------------------------------------------------------------------------

@@ -536,22 +536,25 @@ def random_isometry(config: SpaceConfig, seed: int) -> Isometry:
 POINT_GRAPH_BOUND = 2**14
 
 
+@lru_cache(maxsize=None)
 def point_graph(config: SpaceConfig) -> np.ndarray:
-    """Adjacency on F_q^(2*nu): x ~ y iff x - y is nonzero isotropic."""
+    """Adjacency on F_q^(2*nu): x ~ y iff x - y is nonzero isotropic.
+
+    diff[i, j], the point index of x_j - x_i, accumulates base q with one
+    add_flat lookup of x_j + (-x_i) per coordinate; it is below
+    POINT_GRAPH_BOUND, so int16 holds it.
+    """
     n = config.num_points
     if n > POINT_GRAPH_BOUND:
         raise ValueError(f"point graph bound exceeded: {n} > {POINT_GRAPH_BOUND}")
-    pts = all_vectors(config)
-    iso = np.zeros(n, dtype=np.int64)
-    fld = config.field
-    for d in pts:
-        if any(d) and is_isotropic(config, d):
-            iso[point_index(config, d)] = 1
-    A = np.zeros((n, n), dtype=np.int64)
-    for i, x in enumerate(pts):
-        for j in range(i + 1, n):
-            d = vec_sub(fld, pts[j], x)
-            if iso[point_index(config, d)]:
-                A[i, j] = A[j, i] = 1
+    fld, q = config.field, config.q
+    X = point_array(config).astype(np.int16)
+    add = fld.add_flat.astype(np.int16)
+    neg = np.array(fld.neg_table, dtype=np.int16)[X]
+    diff = np.zeros((n, n), dtype=np.int16)
+    for t in range(config.dim):
+        diff = diff * q + add[X[None, :, t] * q + neg[:, None, t]]
+    iso = np.array([any(d) and is_isotropic(config, d) for d in all_vectors(config)])
+    A = iso[diff].astype(np.int64)
     A.flags.writeable = False
     return A

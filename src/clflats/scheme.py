@@ -28,7 +28,7 @@ import numpy as np
 from . import exact
 from .field import binomial2, e_power, e_power_frac, gauss_binomial
 from .flats import Flat, coset_table, flat_meet
-from .geometry import SpaceConfig, is_totally_isotropic, sum_subspace
+from .geometry import E2, SpaceConfig, is_totally_isotropic, sum_subspace
 
 RelIndex = tuple[int, int]
 
@@ -70,7 +70,6 @@ def _code(nu: int, idx: RelIndex) -> int:
 # closed forms: dual polar layer
 
 def _case_e2(case: str) -> int:
-    from .geometry import E2
     if case not in E2:
         raise ValueError(f"unknown case {case!r}")
     return E2[case]
@@ -482,17 +481,24 @@ class ValuationMismatch:
     piecewise: object
 
 
-def valuation_report(case: str, q: int, nu_max: int) -> list[ValuationMismatch]:
-    """Disagreements between the piecewise form and the direct valuation."""
-    out = []
-    for nu2 in range(2, nu_max + 1):
-        for i in range(2, nu2 + 1):
-            for j in range(2, nu2 + 1):
-                direct = q_valuation(case, q, nu2, i, j)
-                stated = phi_piecewise(case, nu2, i, j)
-                if stated is not None and direct != stated:
-                    out.append(ValuationMismatch(case, q, nu2, i, j, direct, stated))
-    return out
+def valuation_cells(case: str, q: int, nu_max: int) -> list[tuple[int, int, int, object, object]]:
+    """(nu2, i, j, direct, piecewise) for every 2 <= i, j <= nu2 <= nu_max,
+    each valuation evaluated once."""
+    return [(nu2, i, j, q_valuation(case, q, nu2, i, j), phi_piecewise(case, nu2, i, j))
+            for nu2 in range(2, nu_max + 1)
+            for i in range(2, nu2 + 1)
+            for j in range(2, nu2 + 1)]
+
+
+def valuation_report(case: str, q: int, nu_max: int,
+                     cells=None) -> list[ValuationMismatch]:
+    """Disagreements between the piecewise form and the direct valuation,
+    filtered from valuation_cells (computed here unless given)."""
+    if cells is None:
+        cells = valuation_cells(case, q, nu_max)
+    return [ValuationMismatch(case, q, nu2, i, j, direct, stated)
+            for nu2, i, j, direct, stated in cells
+            if stated is not None and direct != stated]
 
 
 # ---------------------------------------------------------------------------

@@ -6,24 +6,28 @@ isotropic subspace) and, for nu >= 2, type II (mix the cosets of two
 distinct maximal totally isotropic subspaces inside a common
 type-(nu+1, 2) subspace).  Members are stored as sorted global FlatIds;
 a container scope is recorded alongside.  The whole constructive family
-is one int64 array, family_members.  Its type-I rows are the flat ids
-in blocks of q^nu, since ids run direction-major.  Its type-II rows are
-gathered from flats.coset_table, the flat of each direction through
-each point, with the cosets of each container told apart by the
-syndrome keys of the points under the container's parity check
-(geometry.syndrome_keys); the interior directions of a container are
-those whose bases have syndrome zero.  list_type_I and list_type_II
-wrap the rows as Spreads.
+is one int64 array, family_members.  Flat ids run direction-major, so
+its type-I rows are the ids in blocks of q^nu, one block per maximal
+direction, and every type-I fact is read off that layout: their number
+is the number of directions, a set's intersections with them are block
+sums of its indicator, a spread is type I iff its members share one
+block, and their rank is their number, since their supports are
+disjoint.  The type-II rows are gathered from flats.coset_table, the
+flat of each direction through each point, with the cosets of each
+container told apart by the syndrome keys of the points under the
+container's parity check (geometry.syndrome_keys); the interior
+directions of a container are those whose bases have syndrome zero.
+list_type_I and list_type_II wrap the rows as Spreads for the CLI.
 
 The type-II spreads (type I at nu = 1) span the orthogonal complement
 of the parallel-class eigenspace, of dimension
 n - m_(0,1) = n - rank M + 1.  spanning_rows keeps their first
 independent rows in one GF(p) elimination of a fixed shuffle.  That
-one count is both the rank the span checks report and the certificate
-that the differences of the spreads span ker M, which makes the
-constructive spread route of the membership test conclusive.  A stack
-rank with no proven upper bound is read off the stack's certified null
-basis.
+one count is both the rank the type-II span check reports and the
+certificate that the differences of the spreads span ker M, which
+makes the constructive spread route of the membership test
+conclusive.  A stack rank with no such proof is read off the stack's
+certified null basis.
 """
 
 from __future__ import annotations
@@ -186,7 +190,7 @@ def list_type_II(config: SpaceConfig) -> tuple[Spread, ...]:
     """
     if config.nu < 2:
         raise ValueError("type-II spreads need nu >= 2")
-    rows = family_members(config)[len(list_type_I(config)):]
+    rows = family_members(config)[len(enumerate_isotropic(config, config.nu)):]
     return tuple(Spread(tuple(row), None, "II") for row in rows.tolist())
 
 
@@ -214,18 +218,6 @@ def family_indicators(config: SpaceConfig, rows=slice(None)) -> np.ndarray:
     return stack
 
 
-def _first_independent(stack: np.ndarray, stop_at: int) -> list[int]:
-    """Indices of the first rows of a fixed shuffle of stack that are
-    independent over GF(p), hence over Q; at most stop_at of them.
-
-    Neighbouring spreads of the sorted family share members, so the
-    shuffle meets independent rows sooner.
-    """
-    order = random.Random(0).sample(range(len(stack)), len(stack))
-    kept = exact.modular_echelon(stack[order], exact.MODULAR_PRIMES[0], stop_at=stop_at)[2]
-    return [order[k] for k in kept]
-
-
 @lru_cache(maxsize=None)
 def spanning_rows(config: SpaceConfig) -> tuple[int, ...]:
     """Rows of family_members(config) that are independent and span the
@@ -233,16 +225,20 @@ def spanning_rows(config: SpaceConfig) -> tuple[int, ...]:
 
     The spanning rows are the type-II spreads, or the type-I ones at
     nu = 1.  They span a space of dimension at most n - m_(0,1), so the
-    elimination of their fixed shuffle stops there.  Every kept row s
-    covers each point once, M s^T = 1, checked exactly here.  So k kept
-    rows give k - 1 independent differences in ker M, and
-    k = n - rank M + 1 proves that the differences span ker M.
+    elimination of their fixed shuffle stops there; neighbouring spreads
+    of the sorted family share members, so the shuffle meets independent
+    rows sooner.  Rows independent over GF(p) are independent over Q.
+    Every kept row s covers each point once, M s^T = 1, checked exactly
+    here.  So k kept rows give k - 1 independent differences in ker M,
+    and k = n - rank M + 1 proves that the differences span ker M.
     """
-    split = len(list_type_I(config)) if config.nu >= 2 else 0
+    split = len(enumerate_isotropic(config, config.nu)) if config.nu >= 2 else 0
     tables = scheme_tables(config)
     target = tables.size - tables.multiplicities[(0, 1)]
-    kept = [split + k for k in _first_independent(
-        family_indicators(config, slice(split, None)), target)]
+    stack = family_indicators(config, slice(split, None))
+    order = random.Random(0).sample(range(len(stack)), len(stack))
+    independent = exact.modular_echelon(stack[order], exact.MODULAR_PRIMES[0], stop_at=target)[2]
+    kept = [split + order[k] for k in independent]
     cover = exact.int_matmul(incidence_matrix(config).matrix, family_indicators(config, kept).T)
     if (cover != 1).any():
         raise AssertionError(f"a kept spanning spread of {config.key()} does not cover "
@@ -349,43 +345,31 @@ def enumerate_spreads(config: SpaceConfig, scope: Flat | None = None) -> SpreadS
     """All spreads of the scope by backtracking over the least uncovered point.
 
     Bounded at 32 scope points; beyond the bound the constructive
-    type-I-within-scope family is returned with exhaustive=False.
+    type-I-within-scope family is returned with exhaustive=False.  Each
+    candidate flat is an int64 mask of its scope points, read off the
+    incidence rows of those points.  A spread is tagged "I" when its
+    members lie in one direction block of the ids, "II" when it is a
+    type-II row of family_members, and "other" otherwise.
     """
     if scope is None:
         scope_points = list(range(config.num_points))
         candidates = list(range(len(enumerate_flats(config, config.nu))))
-        tagger = _full_space_tag(config)
     else:
         scope_points = sorted(point_index(config, p) for p in flat_points(config, scope))
         candidates = [flat_ids(config)[f] for f in flats_in(config, scope)]
-        tagger = None
     if len(scope_points) > EXHAUSTIVE_POINT_BOUND:
         if scope is None:
             raise ValueError(
                 f"exhaustive search bound exceeded ({len(scope_points)} points)")
-        return SpreadSearch(_scope_type_I_family(config, scope), exhaustive=False)
+        return SpreadSearch(_scope_type_I_family(config, scope, scope_points, candidates),
+                            exhaustive=False)
 
-    M = incidence_matrix(config).matrix
-    pos = {p: k for k, p in enumerate(scope_points)}
-    flat_masks = {}
-    for fid in candidates:
-        pts = np.flatnonzero(M[:, fid])
-        mask = 0
-        for p in pts:
-            mask |= 1 << pos[int(p)]
-        flat_masks[fid] = mask
+    block = incidence_matrix(config).matrix[np.ix_(scope_points, candidates)]
+    flat_masks = dict(zip(candidates, (1 << np.arange(len(scope_points), dtype=np.int64))
+                          .dot(block).tolist()))
     full_mask = (1 << len(scope_points)) - 1
     # candidates that can cover a given least-uncovered point
-    contains_point: dict[int, list[int]] = {k: [] for k in range(len(scope_points))}
-    for fid in candidates:
-        m = flat_masks[fid]
-        k = 0
-        mm = m
-        while mm:
-            if mm & 1:
-                contains_point[k].append(fid)
-            mm >>= 1
-            k += 1
+    contains_point = [[candidates[c] for c in np.flatnonzero(row)] for row in block]
     solutions: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
@@ -404,42 +388,31 @@ def enumerate_spreads(config: SpaceConfig, scope: Flat | None = None) -> SpreadS
             chosen.pop()
 
     backtrack(0)
-    spreads = tuple(Spread(members, scope, tagger(members) if tagger else _scope_tag(config, members))
-                    for members in sorted(set(solutions)))
+    per = config.q**config.nu
+    # a container scope is too small to hold a type-II spread
+    type_II = set() if scope is not None else {
+        tuple(row) for row in
+        family_members(config)[len(enumerate_isotropic(config, config.nu)):].tolist()}
+    spreads = tuple(
+        Spread(members, scope, "I" if members[0] // per == members[-1] // per
+               else "II" if members in type_II else "other")
+        for members in sorted(set(solutions)))
     return SpreadSearch(spreads, exhaustive=True)
 
 
-def _full_space_tag(config: SpaceConfig):
-    type1 = {s.members for s in list_type_I(config)}
-    type2 = {s.members for s in list_type_II(config)} if config.nu >= 2 else set()
+def _scope_type_I_family(config: SpaceConfig, scope: Flat, scope_points: list[int],
+                         candidates: list[int]) -> tuple[Spread, ...]:
+    """One spread per maximal totally isotropic subspace of the scope direction.
 
-    def tag(members: tuple[int, ...]) -> str:
-        if members in type1:
-            return "I"
-        if members in type2:
-            return "II"
-        return "other"
-
-    return tag
-
-
-def _scope_tag(config: SpaceConfig, members: tuple[int, ...]) -> str:
-    flats = enumerate_flats(config, config.nu)
-    dirs = {flats[i].direction for i in members}
-    return "I" if len(dirs) == 1 else "other"
-
-
-def _scope_type_I_family(config: SpaceConfig, scope: Flat) -> tuple[Spread, ...]:
-    """One spread per maximal totally isotropic subspace of the scope direction."""
-    fld = config.field
-    ids = flat_ids(config)
-    members_sets = []
-    for p in enumerate_isotropic(config, config.nu):
-        if not contains_subspace(fld, scope.direction, p):
-            continue
-        members = sorted({ids[flat_make(config, p, y)] for y in flat_points(config, scope)})
-        members_sets.append(tuple(members))
-    return tuple(Spread(m, scope, "I") for m in sorted(members_sets))
+    Those are the directions of the flats inside the scope, and the
+    flats of such a direction through the scope's points lie inside it,
+    q^nu points to a flat; so the sorted coset-table row at the scope's
+    points repeats each member q^nu times.
+    """
+    per = config.q**config.nu
+    directions = sorted({fid // per for fid in candidates})
+    rows = np.sort(coset_table(config)[np.ix_(directions, scope_points)], axis=1)[:, ::per]
+    return tuple(Spread(tuple(row), scope, "I") for row in rows.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -462,18 +435,19 @@ class SpanReport:
 
 
 def _stack_rank(stack: np.ndarray, expected: int, kept: int | None) -> tuple[int, str]:
-    """Exact stack rank.  kept is the number of independent rows that a
-    GF(p) elimination stopping at `expected` found, or None when no upper
-    bound `expected` is proven; kept == expected then certifies the rank.
-    Otherwise the rank is read off the stack's certified null basis, so a
-    failing report shows the exact rank (a failed certificate raises)."""
+    """Exact stack rank.  kept is a number of stack rows proven
+    independent, where the caller has also proven the rank at most
+    `expected` (the rows lie in a space of that dimension, or there are
+    only that many rows), or None when it has no such proof; kept ==
+    expected then certifies the rank.  Otherwise the rank is read off
+    the stack's certified null basis, so a failing report shows the
+    exact rank (a failed certificate raises)."""
     if kept == expected:
         return expected, "certified"
     return stack.shape[1] - len(exact.certified_null_basis(stack)), "null-basis"
 
 
-def _nonzero_projections(config: SpaceConfig, eig, stack: np.ndarray,
-                         seed: int = 0) -> bool:
+def _nonzero_projections(config: SpaceConfig, eig, stack: np.ndarray) -> bool:
     """Whether every stack row has a nonzero projection under the idempotent.
 
     A seeded random functional of the idempotent witnesses nonzeroness in
@@ -481,7 +455,7 @@ def _nonzero_projections(config: SpaceConfig, eig, stack: np.ndarray,
     to witness get the exact full-column check.
     """
     w = idempotent_coefficients(config)[1][[scheme_tables(config).eigs.index(eig)]]
-    rng = random.Random(("witness", config.key(), eig, seed).__repr__())
+    rng = random.Random(("witness", config.key(), eig, 0).__repr__())
     r = np.array([rng.randrange(1, 64) for _ in range(stack.shape[1])], dtype=np.int64)
     witness = exact.int_matmul(stack, relation_products(config, w, r.reshape(-1, 1))[0])
     return all(relation_products(config, w, stack[i].reshape(-1, 1)).any()
@@ -489,8 +463,13 @@ def _nonzero_projections(config: SpaceConfig, eig, stack: np.ndarray,
 
 
 def typeI_span_check(config: SpaceConfig) -> SpanReport:
-    """Type-I characteristic vectors: independent, orthogonal to every eta=1 space."""
-    stack = family_indicators(config, slice(len(list_type_I(config))))
+    """Type-I characteristic vectors: independent, orthogonal to every eta=1 space.
+
+    Each flat lies in exactly one type-I spread, and rows with disjoint,
+    nonempty supports are independent over every field, so their rank is
+    their number; only a stack whose supports overlap is eliminated.
+    """
+    stack = family_indicators(config, slice(len(enumerate_isotropic(config, config.nu))))
     tables = scheme_tables(config)
     # the eta = 1 idempotents (j, 1), j < nu, have codes 1, 3, ..., 2 nu - 1
     eta1 = idempotent_coefficients(config)[1][1:2 * config.nu:2]
@@ -498,10 +477,8 @@ def typeI_span_check(config: SpaceConfig) -> SpanReport:
     nonvanishing_ok = all(_nonzero_projections(config, (j, 0), stack)
                           for j in range(config.nu + 1))
     expected = sum(tables.multiplicities[(j, 0)] for j in range(config.nu + 1))
-    kept = None
-    if vanishing_ok:  # at nu = 1 the type-I spreads are the spanning rows
-        kept = len(spanning_rows(config) if config.nu == 1 else _first_independent(stack, expected))
-    rank, method = _stack_rank(stack, expected, kept)
+    disjoint = (stack.sum(axis=0) <= 1).all() and stack.any(axis=1).all()
+    rank, method = _stack_rank(stack, expected, len(stack) if disjoint else None)
     return SpanReport("I", len(stack), rank, expected, vanishing_ok,
                       nonvanishing_ok, method)
 
@@ -510,7 +487,7 @@ def typeII_span_check(config: SpaceConfig) -> SpanReport:
     """Type-II characteristic vectors: span the parallel-class complement."""
     if config.nu < 2:
         raise ValueError("type-II span check needs nu >= 2")
-    stack = family_indicators(config, slice(len(list_type_I(config)), None))
+    stack = family_indicators(config, slice(len(enumerate_isotropic(config, config.nu)), None))
     tables = scheme_tables(config)
     parallel = idempotent_coefficients(config)[1][1:2]  # the (0, 1) idempotent
     # one block of spreads at a time, stopping at the first nonzero one

@@ -191,6 +191,30 @@ def test_verify_valuations_reports_erratum(capsys):
     assert code == 0 and data["pass"] is True
 
 
+def test_valuation_suite_evaluates_each_cell_once(monkeypatch):
+    """Both valuation checks read one pass over the grid: q_valuation runs
+    once per (nu, i, j) cell."""
+    from clflats import cli, scheme
+    calls = []
+    real = scheme.q_valuation
+    monkeypatch.setattr(scheme, "q_valuation", lambda *args: calls.append(args[2:]) or real(*args))
+    checks = cli.valuation_suite("orthogonal", 7, 9)
+    assert calls == [(nu, i, j) for nu in range(2, 10)
+                     for i in range(2, nu + 1) for j in range(2, nu + 1)]
+    assert [c.name for c in checks] == ["valuation_piecewise_agreement_numax9",
+                                        "valuation_infinity_branches"]
+
+
+def test_paper_suite_builds_the_point_graph_once():
+    """The Gram identity and the point-graph check share one cached graph."""
+    from clflats import cli, geometry
+    cfg = space_config("unitary", 4, 1)
+    geometry.point_graph.cache_clear()
+    assert all(c.passed for c in cli.paper_suite(cfg, 0))
+    info = geometry.point_graph.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_verify_determinism(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["verify", "--suite", "paper"] + BASE + ["--out", str(out1)]) == 0

@@ -15,6 +15,7 @@ from clflats.geometry import (
     isotropic_brute_force,
     point_array,
     point_graph,
+    point_index,
     random_isometry,
     reduce_mod,
     space_config,
@@ -23,6 +24,7 @@ from clflats.geometry import (
     subspaces_contain,
     syndrome_keys,
     unit_vector,
+    vec_sub,
     zero_subspace,
 )
 
@@ -247,6 +249,31 @@ def test_point_graph_degree_closed_form():
         else:
             expected = (q**nu - 1) * (e_power(cfg, 2 * nu + cfg.e2 - 2) + 1)
         assert set(A.sum(axis=1).tolist()) == {expected}
+
+
+def pairwise_point_graph(cfg):
+    """The definition, one pair at a time: x_i ~ x_j iff x_j - x_i is
+    nonzero isotropic."""
+    n = cfg.num_points
+    pts = all_vectors(cfg)
+    iso = np.zeros(n, dtype=np.int64)
+    for d in pts:
+        if any(d) and is_isotropic(cfg, d):
+            iso[point_index(cfg, d)] = 1
+    A = np.zeros((n, n), dtype=np.int64)
+    for i, x in enumerate(pts):
+        for j in range(i + 1, n):
+            if iso[point_index(cfg, vec_sub(cfg.field, pts[j], x))]:
+                A[i, j] = A[j, i] = 1
+    return A
+
+
+@pytest.mark.parametrize("key", GRID, ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_point_graph_matches_pairwise_definition(key):
+    cfg = space_config(*key)
+    A = point_graph(cfg)
+    assert A.dtype == np.int64 and not A.flags.writeable
+    assert np.array_equal(A, pairwise_point_graph(cfg))
 
 
 def test_point_graph_bound():

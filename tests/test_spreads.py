@@ -169,8 +169,9 @@ def test_switching_pairs_from_full_spreads(s22):
 
 
 @pytest.mark.parametrize("case,q,nu,count", [
-    ("symplectic", 2, 1, 3), ("symplectic", 3, 1, 4),
-    ("orthogonal", 3, 1, 2), ("orthogonal", 5, 1, 2), ("unitary", 4, 1, 3)])
+    ("symplectic", 2, 1, 3), ("symplectic", 3, 1, 4), ("symplectic", 4, 1, 5),
+    ("symplectic", 5, 1, 6), ("orthogonal", 3, 1, 2), ("orthogonal", 5, 1, 2),
+    ("unitary", 4, 1, 3)])
 def test_exhaustive_nu1_all_type_I(case, q, nu, count):
     cfg = space_config(case, q, nu)
     search = enumerate_spreads(cfg)
@@ -207,6 +208,25 @@ def test_container_scope_spreads(s22):
         assert classify_set(s22, s.members, scope) == "full_spread"
 
 
+@pytest.mark.parametrize("key", [("unitary", 4, 2), ("symplectic", 4, 2)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_scope_type_I_family_beyond_the_bound(key):
+    """Past 32 scope points the search returns, for each maximal totally
+    isotropic subspace of the scope direction, its cosets inside the scope."""
+    from clflats.flats import container_flats, flat_ids, flat_make, flat_points
+    cfg = space_config(*key)
+    ids = flat_ids(cfg)
+    base = enumerate_flats(cfg, cfg.nu)[7]
+    for scope in container_flats(cfg, base, 1)[:3]:
+        search = enumerate_spreads(cfg, scope)
+        assert not search.exhaustive
+        want = sorted(tuple(sorted({ids[flat_make(cfg, p, y)] for y in flat_points(cfg, scope)}))
+                      for p in enumerate_isotropic(cfg, cfg.nu)
+                      if contains_subspace(cfg.field, scope.direction, p))
+        assert [s.members for s in search.spreads] == want
+        assert all(s.tag == "I" and s.scope == scope for s in search.spreads)
+
+
 def test_spread_differences_in_kernel(s22):
     M = incidence_matrix(s22).matrix
     spreads = enumerate_spreads(s22).spreads[:20]
@@ -228,6 +248,33 @@ def test_type_I_span(case, q, nu):
     assert report.expected_rank == sum(tables.multiplicities[(j, 0)]
                                        for j in range(nu + 1))
     assert report.count == report.expected_rank
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 1), ("symplectic", 2, 2),
+                                 ("orthogonal", 3, 2), ("unitary", 4, 2)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_type_I_rank_needs_no_elimination(key, monkeypatch, fresh_spanning_rows):
+    """The type-I supports are disjoint, so the span check eliminates nothing."""
+    calls = []
+    real = exact.modular_echelon
+    monkeypatch.setattr(exact, "modular_echelon",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    report = typeI_span_check(space_config(*key))
+    assert report.ok and report.rank_method == "certified" and not calls
+
+
+def test_type_I_rank_of_overlapping_rows_is_exact(s22, monkeypatch):
+    """A stack whose supports overlap, or with an empty row, gets its exact
+    rank from the certified null basis."""
+    typeI = spreads.family_indicators(s22, slice(len(enumerate_isotropic(s22, 2))))
+    union = typeI[0] | typeI[1]
+    unit = np.eye(1, typeI.shape[1], 1, dtype=np.int8)[0]
+    for extra, rank in ((union, 15), (np.zeros_like(union), 15), (unit, 16)):
+        stack = np.vstack([typeI, extra])
+        monkeypatch.setattr(spreads, "family_indicators", lambda config, rows, s=stack: s)
+        report = typeI_span_check(s22)
+        assert report.rank_method == "null-basis"
+        assert report.rank == rank == rational_rank(stack)
 
 
 def test_type_II_span_s22(s22):
