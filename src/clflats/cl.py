@@ -8,17 +8,20 @@ kernel), spectral support in the two trivial eigenspaces, the shifted
 spectral variant, the two-relation neighbour counts, and constant
 intersection with the spreads.  All routes are exact.  The one basis
 of ker M is the certified null basis N of M (its RREF over GF(p)
-rebuilt by rational reconstruction, flats.incidence_null_basis), which
-uses no spread.  The certified null basis of a container's incidence matrix
-decides the restrictions to that container, and the on-demand witness
-y with M^T y = chi is read off the certified null basis of
-[M^T | -chi].  The spread route is conclusive because the spanning
+rebuilt by rational reconstruction, flats.incidence_kernel), which
+uses no spread; N is diagonal on its free columns, so the image route
+computes N chi = s * chi_free + N[:, pivots] chi_pivots from the
+certified diagonal s and the cached pivot block.  The certified null
+basis of a container's incidence matrix decides the restrictions to
+that container, and the on-demand witness y with M^T y = chi is read
+off the certified null basis of [M^T | -chi].  The spread route is conclusive because the spanning
 spreads that spreads.spanning_rows keeps number n - rank M + 1, so
 their differences span ker M.  The spectrum, shifted and count routes
-read one relation-count table, A_r [chi | 1] for every relation r, from
-scheme.relation_products, and apply the closed-form idempotent
-coefficients to it; the relation table is the only n x n object they
-read.
+read one relation-count table, A_r chi for every relation r, from
+scheme.relation_products, which reads the direction-pair factorisation
+of the relations and builds no n x n array for a few columns; A_r 1 is
+the valency k_r, from the closed forms.  They apply the closed-form
+idempotent coefficients to that table.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ from .flats import (
     enumerate_flats,
     flat_ids,
     flat_make,
+    incidence_kernel,
     incidence_matrix,
     incidence_matrix_in,
-    incidence_null_basis,
     incidence_null_basis_in,
     incidence_rank,
 )
@@ -137,8 +140,8 @@ def apply_isometry(flat_set: FlatSet, iso: Isometry) -> FlatSet:
 
 def test_image(flat_set: FlatSet) -> bool:
     """M^T y = chi is solvable, i.e. chi is orthogonal to ker M: N chi = 0
-    for the certified null basis N of M."""
-    return not exact.int_matmul(incidence_null_basis(flat_set.config), flat_set.chi()).any()
+    for the certified null basis N of M, through its pivot block."""
+    return not incidence_kernel(flat_set.config).product(flat_set.chi()).any()
 
 
 def image_certificate(flat_set: FlatSet) -> tuple[Fraction, ...] | None:
@@ -172,29 +175,30 @@ def _scheme_routes(config: SpaceConfig, cols: np.ndarray) -> tuple[dict[str, np.
     """Spectrum, shifted and count verdicts for each column chi of cols,
     plus the neighbour-count law of every relation (rows in code order).
 
-    All three read one relation-count table T[r] = A_r [cols | 1] from
-    the relation products of the identity table.  The idempotents are
+    All three read one relation-count table T[r] = A_r cols from the
+    relation products of the identity table.  The idempotents are
     B_e = sum_r C[e, r] A_r, so C T holds every projection B_e chi, and
-    C applied to q^nu*D*T[r] - |S|*T[r]1 every projection of the shifted
-    vector q^nu*D*chi - |S|*j.
+    C applied to q^nu*D*T[r] - |S|*k_r every projection of the shifted
+    vector q^nu*D*chi - |S|*j, since A_r j = k_r j.
     """
-    n, c = cols.shape
-    X = np.hstack([cols, np.ones((n, 1), dtype=np.int64)])
-    T = relation_products(config, np.eye(2 * config.nu + 1, dtype=np.int64), X)
+    n = cols.shape[0]
+    tables = scheme_tables(config)
+    T = relation_products(config, np.eye(2 * config.nu + 1, dtype=np.int64), cols)
     Ls, C = idempotent_coefficients(config)
     sizes = cols.sum(axis=0)
-    proj = exact.int_matmul(C, T.reshape(len(T), -1)).reshape(T.shape)[:, :, :c]
+    proj = exact.int_matmul(C, T.reshape(len(T), -1)).reshape(T.shape)
     # the all-one projection is size/|X| times the all-one vector, always
     if not (proj[0] * n == Ls[0] * sizes).all():
         raise AssertionError("all-one projection identity violated")
     D = set_denominator(config)
-    shifted = (config.q**config.nu * D) * T[:, :, :c] - T[:, :, c:] * sizes
+    valencies = np.array([tables.valencies[r] for r in tables.rels], dtype=np.int64)
+    shifted = (config.q**config.nu * D) * T - valencies[:, None, None] * sizes
     shifted_proj = exact.int_matmul(C, shifted.reshape(len(T), -1)).reshape(shifted.shape)
     laws = []
-    for k, (i, xi) in enumerate(scheme_tables(config).rels):
+    for k, (i, xi) in enumerate(tables.rels):
         a, b = _count_coefficients(config, i)
         want = D * a * cols + b * sizes if xi == 0 else a * sizes - D * a * cols
-        laws.append((D * T[k, :, :c] == want).all(axis=0))
+        laws.append((D * T[k] == want).all(axis=0))
     # at nu = 1 there is no disjoint relation at i = 1, so only the meeting row constrains
     counts = laws[2] & laws[3] if config.nu >= 2 else laws[2]
     verdicts = {
@@ -273,7 +277,8 @@ def test_spreads(flat_set: FlatSet, family: str = "auto") -> SpreadTestReport:
                     f"{kept} independent spanning spreads, n - rank M + 1 = {target}")
     else:
         raise ValueError(f"unknown family {family!r} for nu = {config.nu}")
-    inter = tuple(flat_set.chi()[members].sum(axis=1).tolist())
+    # a bool gather: the family has about n rows of q^nu members
+    inter = tuple(flat_set.chi().astype(bool)[members].sum(axis=1).tolist())
     constant = len(set(inter)) <= 1
     value_matches = constant and (not inter or Fraction(inter[0]) == flat_set.x)
     return SpreadTestReport(constant, value_matches, conclusive, family, inter)
@@ -319,7 +324,7 @@ def batch_verdicts(config: SpaceConfig, chi_matrix: np.ndarray) -> dict[str, np.
     integral.
     """
     return {
-        "image": ~exact.int_matmul(incidence_null_basis(config), chi_matrix).any(axis=0),
+        "image": ~incidence_kernel(config).product(chi_matrix).any(axis=0),
         **_scheme_routes(config, chi_matrix)[0],
     }
 
@@ -392,14 +397,14 @@ def classify_nu1(config: SpaceConfig) -> list[tuple[FlatSet, Fraction]]:
     n = len(enumerate_flats(config, 1))
     if n > EXHAUSTIVE_SUBSET_BOUND:
         raise ValueError(f"too many flats for exhaustive sweep: {n}")
-    null = incidence_null_basis(config)
+    kernel = incidence_kernel(config)
     classes = len(enumerate_isotropic(config, 1))
     out = []
     for mask in range(1 << n):
         ids = tuple(i for i in range(n) if mask >> i & 1)
         chi = np.zeros((n, 1), dtype=np.int64)
         chi[list(ids), 0] = 1
-        if exact.int_matmul(null, chi).any():
+        if kernel.product(chi).any():
             continue
         fs = FlatSet(config, ids)
         x = fs.x

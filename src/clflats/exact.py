@@ -102,7 +102,40 @@ def _rational(u: int, p: int) -> Fraction:
 
 
 def certified_null_basis(matrix) -> np.ndarray:
-    """An integer basis N of the right nullspace, certified exactly.
+    """An integer basis N of the right nullspace, certified exactly
+    (certified_null_split without the free columns)."""
+    return certified_null_split(matrix)[0]
+
+
+def _distinct(ordered: np.ndarray) -> np.ndarray:
+    """Where each entry of a sorted 1-D array differs from the one before."""
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    return new
+
+
+def _unique_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(a, return_inverse=True) for the flattened array, by one
+    stable sort: under numpy 2, np.unique imports numpy.ma on first use,
+    which costs a cold process about 14 ms."""
+    flat = a.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    new = _distinct(ordered)
+    where = np.empty(len(ordered), dtype=np.int64)
+    where[order] = np.cumsum(new) - 1
+    return ordered[new], where
+
+
+def sorted_unique(a) -> np.ndarray:
+    """np.unique(a): the sorted distinct entries, by one sort (see _unique_inverse)."""
+    ordered = np.sort(np.asarray(a), axis=None)
+    return ordered[_distinct(ordered)]
+
+
+def certified_null_split(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(N, free): an integer basis N of the right nullspace, certified
+    exactly, and the free columns, where N is diagonal.
 
     The echelon form of the matrix over GF(p), p = MODULAR_PRIMES[0], is
     reduced to RREF; its free columns hold few distinct values, each
@@ -115,14 +148,16 @@ def certified_null_basis(matrix) -> np.ndarray:
     p = MODULAR_PRIMES[0]
     E, pivots, _ = modular_echelon(A, p)
     r, n = len(pivots), A.shape[1]
-    free = np.setdiff1d(np.arange(n), pivots)
+    off_pivot = np.ones(n, dtype=bool)
+    off_pivot[pivots] = False
+    free = np.flatnonzero(off_pivot)
     # E[:, pivots] is unit upper triangular: back-substitute the free part
     T, F = E[:, pivots], E[:, free]
     for j in range(r - 1, 0, -1):
         hit = np.flatnonzero(T[:j, j])
         if hit.size:
             F[hit] = (F[hit] - np.outer(T[hit, j], F[j])) % p
-    values, where = np.unique(F, return_inverse=True)
+    values, where = _unique_inverse(F)
     fracs = [_rational(int(u), p) for u in values]
     num = np.array([f.numerator for f in fracs], dtype=np.int64)[where].reshape(F.shape)
     den = np.array([f.denominator for f in fracs], dtype=np.int64)[where].reshape(F.shape)
@@ -131,7 +166,7 @@ def certified_null_basis(matrix) -> np.ndarray:
     N[np.arange(len(free)), free] = scale
     N[:, pivots] = -(num * (scale // den)).T
     check_null_basis(A, N, free)
-    return N
+    return N, free
 
 
 def check_null_basis(matrix, N: np.ndarray, free) -> None:
@@ -238,7 +273,7 @@ def _float_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     threads at times, against 0.25 ms on one.  The count is process-wide,
     so the pin assumes one Python thread calls BLAS at a time.
     """
-    af, bf = a.astype(np.float64), b.astype(np.float64)
+    af, bf = a.astype(np.float64, copy=False), b.astype(np.float64)
     threads = _blas_threads()
     if threads is None:
         return (af @ bf).astype(np.int64)
@@ -251,14 +286,15 @@ def _float_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         put(old)
 
 
-def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def int_matmul(a: np.ndarray, b: np.ndarray, a_float: np.ndarray | None = None) -> np.ndarray:
     """Exact integer product; the tier is chosen by the proven bound
     max|a| max|b| inner: float64 BLAS below 2^53, int64 below 2^62,
-    object (big-int) arithmetic otherwise or for object operands."""
+    object (big-int) arithmetic otherwise or for object operands.
+    a_float, a cached float64 copy of a, spares the float tier converting a."""
     if a.dtype != object and b.dtype != object:
         bound = _bound(a) * _bound(b) * max(a.shape[-1], 1)
         if bound < 2**53:
-            return _float_product(a, b)
+            return _float_product(a if a_float is None else a_float, b)
         if bound < 2**62:
             return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
     return np.dot(a.astype(object), b.astype(object))

@@ -8,12 +8,13 @@ The flat of direction d through a point x has the id d q^nu plus the
 syndrome key of x under the parity check of d (geometry.syndrome_keys),
 so coset_table and the incidence matrix are one syndrome pass over all
 points, and flats_in tests containment by syndromes too.  The
-point-flat incidence matrix M has a certified integer null basis,
+point-flat incidence matrix M has a certified integer null basis N,
 from its RREF over GF(p) rebuilt by rational reconstruction; it is the
 one basis of ker M, gives the image route of the membership test and
-the exact rank of M.  A container's incidence matrix is a slice of M
-(its points by syndrome key, its flats by flats_in), and its certified
-null basis is cached per container.
+the exact rank of M.  N is diagonal on the free columns, so the image
+route multiplies only by its pivot block.  A container's incidence
+matrix is a slice of M (its points by syndrome key, its flats by
+flats_in), and its certified null basis is cached per container.
 """
 
 from __future__ import annotations
@@ -356,24 +357,74 @@ def check_gram_identity(config: SpaceConfig) -> bool:
     return bool((N == expected).all())
 
 
-@lru_cache(maxsize=None)
-def incidence_null_basis(config: SpaceConfig) -> np.ndarray:
-    """Certified integer basis N of ker M, int64 and read-only.
+@dataclass(frozen=True)
+class KernelBasis:
+    """The certified null basis N of M, split at its free columns.
 
-    From the RREF of M over GF(p), rebuilt over Q by rational
-    reconstruction and checked exactly (exact.certified_null_basis).  A
+    N[:, free] = diag(scale), which exact.check_null_basis certifies, and
+    block = N[:, pivots] is (n - rank M) x rank M, so N X = scale X[free]
+    + block X[pivots] needs no product with the diagonal part.  Only the
+    split is kept: block in the narrowest integer type and as float64,
+    for the BLAS tier of exact.int_matmul; every array is read-only.
+    """
+
+    free: np.ndarray
+    pivots: np.ndarray
+    scale: np.ndarray
+    block: np.ndarray
+    block_float: np.ndarray
+
+    def null_basis(self) -> np.ndarray:
+        """N itself, int64 and read-only, assembled from the split on each call."""
+        N = np.zeros((len(self.free), len(self.free) + len(self.pivots)), dtype=np.int64)
+        N[np.arange(len(self.free)), self.free] = self.scale
+        N[:, self.pivots] = self.block
+        N.flags.writeable = False
+        return N
+
+    def product(self, X: np.ndarray) -> np.ndarray:
+        """N X exactly, for an integer X with one row per flat."""
+        head = X[self.free]
+        if head.dtype != object and head.size and \
+                int(self.scale.max()) * max(-int(head.min()), int(head.max())) >= 2**62:
+            head = head.astype(object)
+        scale = self.scale.reshape((-1,) + (1,) * (X.ndim - 1))
+        return scale * head + exact.int_matmul(self.block, X[self.pivots],
+                                               a_float=self.block_float)
+
+
+@lru_cache(maxsize=None)
+def incidence_kernel(config: SpaceConfig) -> KernelBasis:
+    """The certified integer basis N of ker M, as its split at the free columns.
+
+    N is built from the RREF of M over GF(p), rebuilt over Q by rational
+    reconstruction and checked exactly (exact.certified_null_split).  A
     flat set chi is in the image of M^T iff N chi = 0, since the image is
     the orthogonal complement of ker M; this uses no spread.
     """
-    N = exact.certified_null_basis(incidence_matrix(config).matrix)
-    N.flags.writeable = False
-    return N
+    N, free = exact.certified_null_split(incidence_matrix(config).matrix)
+    on_pivot = np.ones(N.shape[1], dtype=bool)
+    on_pivot[free] = False
+    pivots = np.flatnonzero(on_pivot)
+    block = N[:, pivots]
+    narrow = np.min_scalar_type(-int(np.abs(block).max(initial=0)) - 1)
+    arrays = (free, pivots, N[np.arange(len(free)), free], block.astype(narrow),
+              block.astype(np.float64))
+    for a in arrays:
+        a.flags.writeable = False
+    return KernelBasis(*arrays)
+
+
+def incidence_null_basis(config: SpaceConfig) -> np.ndarray:
+    """Certified integer basis N of ker M, int64 and read-only, assembled
+    from incidence_kernel on each call."""
+    return incidence_kernel(config).null_basis()
 
 
 @lru_cache(maxsize=None)
 def incidence_rank(config: SpaceConfig) -> int:
     """Exact rank of the incidence matrix, proven by its certified null basis."""
-    return incidence_matrix(config).shape[1] - incidence_null_basis(config).shape[0]
+    return len(incidence_kernel(config).pivots)
 
 
 def incidence_rank_closed_form(config: SpaceConfig) -> int:

@@ -5,14 +5,19 @@ intersection, xi = 0 when the cosets meet and 1 when they are disjoint
 ((nu, 1) never occurs).  Eigenspaces carry the same index family.  All
 eigenvalue, valency, and multiplicity tables come from closed forms,
 and so does the coefficient table C of the idempotents in the
-adjacency basis, E_e = (1/L_e) sum_r C[e, r] A_r.  The int8 relation
-table is read off flats.coset_table, the flat of each direction through
-each point: the flats of two directions through the origin share
-q^(nu - i) points, and two flats meet iff one passes through a point of
-the other.  It is the only cached n x n object: every product in the
-Bose-Mesner algebra, sum_r W[k, r] A_r X for a small integer table W,
-is read from it by relation_products.  Dense idempotents exist only
-inside check_eigen_system, where they are the object being verified.
+adjacency basis, E_e = (1/L_e) sum_r C[e, r] A_r.  The relations are
+factored by direction pairs (pair_factors), read off
+flats.coset_table: the D x D table rd of i, from the points that the
+flats of two directions through the origin share, and, for 0 < i < nu,
+the cosets of da + db that group the meeting flats of each pair.  Every
+product in the Bose-Mesner algebra, sum_r W[k, r] A_r X for a small
+integer table W, is read from it by relation_products: A_(0,0) and
+A_(0,1) and A_(nu,0) need only X and its parallel-class totals, and
+A_(i,0) X for 0 < i < nu is a sum over cosets, or one 0/1 mask product
+for many columns.  relation_matrix, the int8 n x n table, is the
+expansion of the factorisation; only the checks that read its entries
+build it.  Dense idempotents exist only inside check_eigen_system,
+where they are the object being verified.
 """
 
 from __future__ import annotations
@@ -252,65 +257,254 @@ def relation_of(config: SpaceConfig, f1: Flat, f2: Flat) -> RelIndex:
     return (i, xi)
 
 
+@dataclass(frozen=True)
+class PairFactors:
+    """The relation table factored by direction pairs; every array read-only.
+
+    rd[da, db] = i, with q^(nu - i) points shared by the flats of da and
+    db through the origin.  For 0 < i < nu, every direction da has the
+    same number v of partners db with rd = i (v is the dual polar
+    valency), in db order, and every pair (da, db) splits the flats of
+    both into the q^(nu - i) cosets of da + db; the pair's cosets are
+    numbered from (da v + j) q^(nu - i) for its j-th partner.
+    keys[i - 1][j, a] is the number of the coset that holds flat a for
+    the j-th partner of its direction, and members[i - 1][:, kappa] are
+    the q^i flats of the partner in coset kappa: the flats of db that meet
+    a flat of da are those of its coset.
+    """
+
+    per: int
+    rd: np.ndarray
+    keys: tuple[np.ndarray, ...]
+    members: tuple[np.ndarray, ...]
+
+
+PAIR_ELEMENTS = 2**18  # bounds the (directions, partners, q^nu, q^nu) gathers of pair_factors
+
+
 @lru_cache(maxsize=None)
-def relation_matrix(config: SpaceConfig) -> np.ndarray:
-    """Relation codes (2i + xi) for all ordered pairs of maximal flats, read off
-    the coset table.
+def pair_factors(config: SpaceConfig) -> PairFactors:
+    """The direction-pair factorisation of the relations, read off the coset table.
 
     coset_of[d, x] is the flat of direction d through point x.  The flats
     of da and db through the origin share q^(nu - i) points, counted for
-    every direction pair by one exact product of the origin indicators;
-    a count that is no power q^k, k <= nu, is an internal error.  The
-    flats ra + da and rb + db meet iff rb + db passes through a point of
-    ra + da, so one boolean scatter per direction db marks the flats of
-    db through the points of every flat.  Then R = 2i + 1 - meet over
-    the q^nu x q^nu block of each direction pair; R is int8 and read-only.
+    every direction pair by one exact product of the origin indicators; a
+    count that is no power q^k, k <= nu, is an internal error.  For
+    0 < i < nu, the flats of db through the points of a flat of da are
+    the q^i flats of db that meet it, each met in q^(nu - i) points, and
+    the flats of da with the same least such flat form one coset of
+    da + db.  Any other pattern is an internal error too.  The gathers
+    hold PAIR_ELEMENTS entries at a time; nothing has n^2 entries.
     """
     coset_of = coset_table(config)
-    nu, per = config.nu, config.q**config.nu
-    n = coset_of.shape[0] * per
+    nu, q, per = config.nu, config.q, config.q**config.nu
+    dirs = coset_of.shape[0]
     origin = coset_of == coset_of[:, :1]
     shared = exact.int_matmul(origin, origin.T)
-    powers = config.q ** np.arange(nu + 1, dtype=np.int64)
+    powers = q ** np.arange(nu + 1, dtype=np.int64)
     k = np.minimum(np.searchsorted(powers, shared), nu)
     if (powers[k] != shared).any():
         raise AssertionError(f"two directions of {config.key()} share a number of points "
                              f"that is no power of q up to q^{nu}")
+    rd = (nu - k).astype(np.int8)
     # the points of each flat, in flat-id order: flat ids run direction-major
-    points = np.argsort(coset_of, axis=1, kind="stable").reshape(n, per)
-    meet = np.zeros((n, n), dtype=bool)
-    row_start = n * np.arange(n)[:, None]
-    for flats_of in coset_of:  # a scatter through flat indices beats a 2-D one
-        meet.reshape(-1)[row_start + flats_of[points]] = True
-    R = np.repeat(np.repeat((2 * (nu - k) + 1).astype(np.int8), per, axis=0), per, axis=1)
-    R -= meet
+    points = np.argsort(coset_of, axis=1, kind="stable").reshape(dirs, per, per)
+    keys, members = [], []
+    for i in range(1, nu):
+        cosets = q ** (nu - i)
+        da, db = np.nonzero(rd == i)
+        v = len(db) // dirs
+        if (np.bincount(da, minlength=dirs) != v).any():
+            raise AssertionError(f"the directions of {config.key()} have unequal numbers "
+                                 f"of partners at i = {i}")
+        partners = db.reshape(dirs, v)
+        key = np.empty((dirs, v, per), dtype=np.int64)
+        member = np.empty((dirs, v, cosets, q**i), dtype=np.int64)
+        step = max(1, PAIR_ELEMENTS // (v * per * per))
+        for s in range(0, dirs, step):
+            part = partners[s:s + step]
+            through = np.sort(coset_of[part[:, :, None, None], points[s:s + step, None]], axis=3)
+            split = _coset_split(through, per * part[:, :, None], cosets)
+            if split is None:
+                raise AssertionError(f"the meeting flats of two directions of {config.key()} "
+                                     f"do not split into the cosets of their sum")
+            local, member[s:s + step] = split
+            key[s:s + step] = local + cosets * np.arange(s * v, (s + len(part)) * v
+                                                         ).reshape(-1, v, 1)
+        keys.append(key.transpose(1, 0, 2).reshape(v, dirs * per)
+                    .astype(np.min_scalar_type(dirs * v * cosets - 1)))
+        members.append(member.reshape(-1, q**i).T.astype(np.min_scalar_type(dirs * per - 1)))
+    for a in [rd] + keys + members:
+        a.flags.writeable = False
+    return PairFactors(per, rd, tuple(keys), tuple(members))
+
+
+def _coset_split(through: np.ndarray, offset: np.ndarray, cosets: int):
+    """(local, member) for a chunk of direction pairs, or None if their
+    meeting flats do not split into cosets.
+
+    through[p, a] lists, sorted, the flats of db through the q^nu points
+    of flat a of da, and the flats of db have the ids offset[p] + 0..q^nu-1.
+    Each of the q^nu / cosets flats met must appear cosets times in a row;
+    a coset is named by the least flat it meets, local[p, a] numbers the
+    coset of a among the pair's cosets and member[p, kappa] lists the
+    flats of db in coset kappa, which must partition them.
+    """
+    c, v, per, _ = through.shape
+    runs = through.reshape(c, v, per, per // cosets, cosets)
+    met = runs[..., 0]  # the flats of db meeting each flat of da, ascending
+    first = met[..., 0] - offset
+    if ((runs != met[..., None]).any() or (np.diff(met, axis=3) <= 0).any()
+            or (first < 0).any() or (met[..., -1] - offset >= per).any()):
+        return None
+    found = np.zeros((c, v, per), dtype=bool)
+    np.put_along_axis(found, first, True, axis=2)
+    if (found.sum(axis=2) != cosets).any():
+        return None
+    local = np.take_along_axis(np.cumsum(found, axis=2) - 1, first, axis=2)
+    member = np.empty((c, v, cosets, per // cosets), dtype=met.dtype)
+    member[np.arange(c)[:, None, None], np.arange(v)[:, None], local] = met
+    if ((np.take_along_axis(member, local[..., None], axis=2) != met).any()
+            or (np.sort(member.reshape(c, v, per), axis=2) != offset + np.arange(per)).any()):
+        return None
+    return local, member
+
+
+def _meeting_neighbours(factors: PairFactors, i: int) -> np.ndarray:
+    """(n, k) ids of the flats in relation (i, 0) with each flat, 0 < i < nu."""
+    met = np.take(factors.members[i - 1], factors.keys[i - 1], axis=1)  # (q^i, v, n)
+    return met.reshape(-1, met.shape[2]).T
+
+
+@lru_cache(maxsize=None)
+def relation_matrix(config: SpaceConfig) -> np.ndarray:
+    """Relation codes (2i + xi) for all ordered pairs of maximal flats: the
+    expansion of pair_factors, int8 and read-only.
+
+    Each direction pair's q^nu x q^nu block holds 2i + 1 (disjoint), less
+    one where the flats meet: only on the diagonal at i = 0, everywhere at
+    i = nu, and at the meeting neighbours for 0 < i < nu.  Only the checks
+    that read entries build it.
+    """
+    factors = pair_factors(config)
+    nu, per = config.nu, factors.per
+    codes = np.where(factors.rd == nu, 2 * nu, 2 * factors.rd + 1).astype(np.int8)
+    R = np.repeat(np.repeat(codes, per, axis=0), per, axis=1)
+    n = R.shape[0]
+    R[np.arange(n), np.arange(n)] = 0
+    for i in range(1, nu):
+        R[np.arange(n)[:, None], _meeting_neighbours(factors, i)] = 2 * i
     R.flags.writeable = False
     return R
 
 
-PRODUCT_COLUMNS = 512  # bounds the float64 copies each relation product makes
+PRODUCT_COLUMNS = 512  # bounds the float64 copies each mask product makes
+MASK_COLUMNS = 32  # above this many columns, the meeting relations take mask products
+
+
+def _meeting_sums(factors: PairFactors, i: int, X: np.ndarray) -> np.ndarray:
+    """A_(i,0) X for 0 < i < nu, by coset sums: X summed over the members
+    of every coset, read back at the coset of each flat for each partner
+    direction and summed over the partners."""
+    # np.take copies whole rows; X[index] is several times slower for c > 1
+    sums = np.take(X, factors.members[i - 1], axis=0).sum(axis=0)
+    return np.take(sums, factors.keys[i - 1], axis=0).sum(axis=0)
+
+
+def _mask_product(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    return np.hstack([exact.int_matmul(G, X[:, s:s + PRODUCT_COLUMNS])
+                      for s in range(0, X.shape[1], PRODUCT_COLUMNS)])
+
+
+def _add_multiple(target: np.ndarray, c: int, Y: np.ndarray) -> None:
+    """target += c Y in place, with no temporary for c = 0, 1 or -1."""
+    if c == 1:
+        target += Y
+    elif c == -1:
+        target -= Y
+    elif c:
+        target += c * Y
+
+
+def _add_meeting_products(factors: PairFactors, A: np.ndarray, X: np.ndarray,
+                          out: np.ndarray) -> None:
+    """out[k] += sum_{0 < i < nu} A[k, i - 1] A_(i,0) X for every row of A.
+
+    Up to MASK_COLUMNS columns, each A_(i,0) X a row uses comes from
+    coset sums.  Beyond, from exact products with n x n matrices: one 0/1
+    mask per such i or, where that takes fewer products, one weighted
+    mask sum_i a_i [relation (i, 0)] per distinct row a (up to sign).
+    Every path gives the same integers.
+    """
+    n, c = X.shape
+    used = [i for i in range(1, A.shape[1] + 1) if A[:, i - 1].any()]
+    shapes: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for k, a in enumerate(A.tolist() if c > MASK_COLUMNS else []):
+        if any(a):
+            sign = 1 if next(x for x in a if x) > 0 else -1
+            shapes.setdefault(tuple(sign * x for x in a), []).append((k, sign))
+    if shapes and len(shapes) < len(used):
+        codes = np.zeros((n, n), dtype=np.int8)
+        for i in used:
+            codes[np.arange(n)[:, None], _meeting_neighbours(factors, i)] = i
+        for a, rows in shapes.items():
+            weights = np.array((0,) + a, dtype=np.min_scalar_type(-max(map(abs, a)) - 1))
+            P = _mask_product(weights[codes], X)
+            for k, sign in rows:
+                _add_multiple(out[k], sign, P)
+        return
+    for i in used:
+        if c > MASK_COLUMNS:
+            mask = np.zeros((n, n), dtype=bool)
+            mask[np.arange(n)[:, None], _meeting_neighbours(factors, i)] = True
+            P = _mask_product(mask, X)
+        else:
+            P = _meeting_sums(factors, i, X)
+        for k in np.flatnonzero(A[:, i - 1]):
+            _add_multiple(out[k], A[k, i - 1], P)
 
 
 def relation_products(config: SpaceConfig, W: np.ndarray, X: np.ndarray) -> np.ndarray:
     """out[k] = sum_r W[k, r] A_r X exactly, for each row k of the integer matrix W.
 
-    W has one column per relation code, X one row per flat.  Each row is
-    one exact product with a transient matrix read from the relation
-    table: the mask R == r for a unit row at code r (none at code 0,
-    A_(0,0) = I), the gather W[k][R] otherwise.
+    W has one column per relation code, X one row per flat; every term is
+    read off the direction-pair factorisation.  With S the class totals of
+    X (the sums over each direction's q^nu cosets): A_(0,0) X = X,
+    A_(0,1) X = S - X over each class, A_(nu,0) X = (rd = nu) S spread
+    over each class, and A_(i,1) X = (rd = i) S - A_(i,0) X for
+    0 < i < nu.  So row w is (w_(0,0) - w_(0,1)) X, plus
+    sum_i u_i (rd = i) S spread over each class, with u_0 = w_(0,1),
+    u_i = w_(i,1) for 0 < i < nu and u_nu = w_(nu,0), plus
+    sum_i (w_(i,0) - w_(i,1)) A_(i,0) X (_add_meeting_products).  No n x n
+    array is built up to MASK_COLUMNS columns.  Sums run in int64 while
+    8 nu max|W| max|X| n < 2^62 proves that they and the bounds of every
+    int_matmul tier fit, and in object arithmetic otherwise.
     """
-    R = relation_matrix(config)
-    out = np.zeros((len(W),) + X.shape, dtype=object if X.dtype == object else np.int64)
-    for k, w in enumerate(W.tolist()):
-        support = [r for r, c in enumerate(w) if c]
-        unit = len(support) == 1 and w[support[0]] == 1
-        if unit and support[0] == 0:
-            out[k] = X
-            continue
-        G = R == support[0] if unit else W[k][R]
-        for s in range(0, X.shape[1], PRODUCT_COLUMNS):
-            out[k, :, s:s + PRODUCT_COLUMNS] = exact.int_matmul(G, X[:, s:s + PRODUCT_COLUMNS])
-    return out
+    factors = pair_factors(config)
+    nu, per = config.nu, factors.per
+    rows = W.tolist()
+    weight = 8 * nu * max((abs(c) for w in rows for c in w), default=0)
+    wide = X.dtype == object or (X.size and weight * X.shape[0]
+                                 * max(-int(X.min()), int(X.max())) >= 2**62)
+    Xw = X.astype(object if wide else np.int64, copy=False)
+    dirs, c = len(factors.rd), X.shape[1]
+    out = np.zeros((len(W),) + X.shape, dtype=Xw.dtype)
+    for k, w in enumerate(rows):
+        _add_multiple(out[k], w[0] - w[1], Xw)
+    U = np.array([[w[1]] + [w[2 * i + 1] for i in range(1, nu)] + [w[2 * nu]] for w in rows],
+                 dtype=np.int64)
+    if U.any():
+        # (rd = i) S for every distance i in one product, then weighted by U in another
+        totals = Xw.reshape(dirs, per, c).sum(axis=1)
+        by_distance = exact.int_matmul(
+            (factors.rd == np.arange(nu + 1)[:, None, None]).reshape(-1, dirs), totals)
+        classes = exact.int_matmul(U, by_distance.reshape(nu + 1, -1))
+        blocks = out.reshape(len(W), dirs, per, c)
+        blocks += classes.reshape(len(W), dirs, 1, c)
+    A = np.array([[w[2 * i] - w[2 * i + 1] for i in range(1, nu)] for w in rows],
+                 dtype=np.int64).reshape(len(W), nu - 1)
+    _add_meeting_products(factors, A, Xw, out)
+    return out if X.dtype == object else out.astype(np.int64, copy=False)
 
 
 @lru_cache(maxsize=None)
@@ -359,7 +553,9 @@ def _eigen_checks(config: SpaceConfig, V: np.ndarray, BVs) -> dict[str, bool]:
         BBV = exact.int_matmul(C, S.reshape(len(rels), -1)).reshape(S.shape)
         ok["idempotent"] &= bool((BBV[k] == Ls[k] * BV).all())
         ok["orthogonal"] &= not np.delete(BBV.any(axis=(1, 2)), k).any()
-    diagonal = np.diagonal(relation_matrix(config))
+    # every flat meets itself, in relation (0, 0)
+    factors = pair_factors(config)
+    diagonal = np.repeat(2 * np.diagonal(factors.rd), factors.per)
     ok["trace"] = all(int(C[k][diagonal].sum()) == Ls[k] * tables.multiplicities[e]
                       for k, e in enumerate(rels))
     Lc = lcm(*Ls)
@@ -577,7 +773,7 @@ def verify_scheme(config: SpaceConfig, seed: int = 0, samples: int = 10_000) -> 
     R = relation_matrix(config)
     n = R.shape[0]
     d = 2 * config.nu
-    codes = np.unique(R)
+    codes = exact.sorted_unique(R)
     partition_ok = codes.min() >= 0 and codes.max() <= d and len(codes) == d + 1
     symmetry_ok = bool((R == R.T).all())
     diagonal_ok = bool((np.diag(R) == 0).all()) and bool(((R == 0) == np.eye(n, dtype=bool)).all())
@@ -599,7 +795,7 @@ def verify_scheme(config: SpaceConfig, seed: int = 0, samples: int = 10_000) -> 
                 + cells * np.arange(len(x))[:, None])
         hists = np.bincount(keys.reshape(-1), minlength=cells * len(x)).reshape(len(x), cells)
         rel = R[x, y]
-        for k in np.unique(rel):
+        for k in exact.sorted_unique(rel):
             block = hists[rel == k]
             if not (block == reference.setdefault(int(k), block[0])).all():
                 intersection_ok = False

@@ -275,7 +275,7 @@ def _type_II_members(config: SpaceConfig) -> np.ndarray:
     labels = syndrome_keys(config, checks, point_array(config))
     rows = []
     for (_, interior), label in zip(components, labels):
-        inside = np.unique(label)[:, None] == label
+        inside = exact.sorted_unique(label)[:, None] == label
         first, second = zip(*itertools.permutations(
             [direction_index[p] for p in interior], 2))
         spread = np.where(inside, coset_of[list(first)][:, None], coset_of[list(second)][:, None])
@@ -287,7 +287,16 @@ def _type_II_members(config: SpaceConfig) -> np.ndarray:
             raise AssertionError(
                 f"a type-II spread of {config.key()} does not cover each point once")
         rows.append(members)
-    return np.unique(np.concatenate(rows), axis=0)
+    return _unique_rows(np.concatenate(rows))
+
+
+def _unique_rows(a: np.ndarray) -> np.ndarray:
+    """np.unique(a, axis=0) for an integer matrix, by one lexicographic sort
+    (np.unique imports numpy.ma on first use under numpy 2)."""
+    ordered = a[np.lexsort(a.T[::-1])]
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return ordered[new]
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +466,10 @@ def _nonzero_projections(config: SpaceConfig, eig, stack: np.ndarray) -> bool:
     w = idempotent_coefficients(config)[1][[scheme_tables(config).eigs.index(eig)]]
     rng = random.Random(("witness", config.key(), eig, 0).__repr__())
     r = np.array([rng.randrange(1, 64) for _ in range(stack.shape[1])], dtype=np.int64)
-    witness = exact.int_matmul(stack, relation_products(config, w, r.reshape(-1, 1))[0])
+    projected = relation_products(config, w, r.reshape(-1, 1))[0]
+    # PRODUCT_COLUMNS rows at a time, so no float64 copy of the whole stack is made
+    witness = np.concatenate([exact.int_matmul(stack[s:s + PRODUCT_COLUMNS], projected)
+                              for s in range(0, len(stack), PRODUCT_COLUMNS)])
     return all(relation_products(config, w, stack[i].reshape(-1, 1)).any()
                for i in np.flatnonzero(witness[:, 0] == 0))
 

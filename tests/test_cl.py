@@ -3,6 +3,7 @@
 import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +42,7 @@ from clflats.flats import (
     flat_ids,
     flat_make,
     flat_points,
+    incidence_kernel,
     incidence_matrix,
     incidence_matrix_in,
     incidence_null_basis,
@@ -349,18 +351,19 @@ def test_batch_scheme_routes_match_dense_idempotents(key):
     assert spectrum[:12].tolist() == [True, True, False] * 4
 
 
-def test_membership_routes_build_no_dense_matrices(monkeypatch):
-    """Each route call makes exactly 2 nu n x n products, all with 0/1 relation
-    masks, and builds no dense idempotent."""
+def test_membership_routes_build_no_square_arrays(monkeypatch):
+    """A query multiplies by no n x n matrix and builds no dense idempotent:
+    the relation products read the direction-pair factorisation, and a
+    block of up to MASK_COLUMNS columns takes no mask product."""
     cfg = space_config("orthogonal", 3, 2)
     n = relation_matrix(cfg).shape[0]
     battery(_pencil(cfg))  # set-up outside the count
     square = []
 
-    def spy(a, b, real=exact.int_matmul):
+    def spy(a, b, real=exact.int_matmul, **kwargs):
         if a.shape == (n, n):
             square.append(a.dtype)
-        return real(a, b)
+        return real(a, b, **kwargs)
 
     def dense(*args):
         raise AssertionError("a dense idempotent on the query path")
@@ -370,8 +373,45 @@ def test_membership_routes_build_no_dense_matrices(monkeypatch):
     monkeypatch.setattr(cl, "idempotent_int", dense, raising=False)
     battery(_pencil(cfg))
     battery(_near_miss(cfg))
-    batch_verdicts(cfg, random_subset_matrix(cfg, 5, seed=1))
-    assert square == [np.dtype(bool)] * (3 * 2 * cfg.nu)
+    batch_verdicts(cfg, random_subset_matrix(cfg, scheme.MASK_COLUMNS, seed=1))
+    assert square == []
+    # a wider block takes one mask product for the one middle relation at nu = 2
+    batch_verdicts(cfg, random_subset_matrix(cfg, scheme.MASK_COLUMNS + 1, seed=1))
+    assert square == [np.dtype(bool)]
+
+
+@pytest.mark.parametrize("key", [("symplectic", 3, 2), ("unitary", 4, 2), ("orthogonal", 3, 2)],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_queries_never_build_the_relation_table(key):
+    """battery and batch_verdicts, set-up included, never call relation_matrix."""
+    cfg = space_config(key[0], key[1], key[2])
+    scheme.relation_matrix.cache_clear()
+    scheme.pair_factors.cache_clear()
+    battery(_pencil(cfg))
+    battery(_near_miss(cfg))
+    batch_verdicts(cfg, random_subset_matrix(cfg, 25, seed=2))
+    batch_verdicts(cfg, random_subset_matrix(cfg, scheme.MASK_COLUMNS + 1, seed=2))
+    info = scheme.relation_matrix.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    assert scheme.pair_factors.cache_info().misses == 1
+
+
+def test_warm_battery_allocates_less_than_n_squared_bytes():
+    """No n x n temporary is left on the query path: at its peak, one warm
+    battery call on unitary(4,2) holds less than n^2 bytes."""
+    cfg = space_config("unitary", 4, 2)
+    n = len(enumerate_flats(cfg, cfg.nu))
+    sets = [_pencil(cfg), _near_miss(cfg),
+            FlatSet(cfg, tuple(np.flatnonzero(random_subset_matrix(cfg, 1, seed=5)[:, 0])))]
+    for fs in sets:
+        battery(fs)  # warm
+        tracemalloc.start()
+        try:
+            battery(fs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n, (fs.size, peak)
 
 
 def _cached_arrays(value, seen):
@@ -490,10 +530,12 @@ def test_certified_image_basis(key):
 
 
 def test_one_kernel_basis_product_per_query(monkeypatch):
-    """battery multiplies by N once per call and batch_verdicts once per
-    block, on the float64 tier, and no other (n - rank M) x n matrix is
-    cached."""
+    """battery multiplies by N's pivot block once per call and
+    batch_verdicts once per block, on the float64 tier from its cached
+    float64 copy, never by N itself; and no (n - rank M) x n matrix is
+    cached: N is assembled from the split only on request."""
     cfg = space_config("unitary", 4, 2)
+    kernel = incidence_kernel(cfg)
     N = incidence_null_basis(cfg)
     assert exact._bound(N) * N.shape[1] < 2**53  # chi is 0/1
     seen = []
@@ -501,11 +543,11 @@ def test_one_kernel_basis_product_per_query(monkeypatch):
     monkeypatch.setattr(exact, "_float_product", lambda a, b: seen.append(a) or real(a, b))
     for fs in (_pencil(cfg), _near_miss(cfg)):
         battery(fs)
-    assert sum(a is N for a in seen) == 2
+    assert sum(a is kernel.block_float for a in seen) == 2
     for seed in (3, 4):
         batch_verdicts(cfg, random_subset_matrix(cfg, 5, seed=seed))
-    assert sum(a is N for a in seen) == 4
-    assert not [a for a in seen if a.shape == N.shape and a is not N]
+    assert sum(a is kernel.block_float for a in seen) == 4
+    assert not [a for a in seen if a.shape == N.shape]
     paper_suite(cfg, 0)
     cached = {fn for module in (cl, spreads, scheme, exact, flats)
               for fn in vars(module).values() if hasattr(fn, "cache_info")}
@@ -513,7 +555,39 @@ def test_one_kernel_basis_product_per_query(monkeypatch):
     for fn in cached:
         for cache in (d for d in gc.get_referents(fn) if isinstance(d, dict)):
             found.update((id(a), a) for a in _cached_arrays(cache, set()) if a.shape == N.shape)
-    assert list(found) == [id(N)]
+    assert not found
+
+
+KERNEL_KEYS = MEDIUM_CONFIGS + (("symplectic", 3, 2), ("unitary", 4, 2), ("symplectic", 2, 3))
+
+
+@pytest.mark.parametrize("key", KERNEL_KEYS, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_pivot_block_product_matches_the_null_basis(key):
+    """The split is N: N[:, free] = diag(scale), N[:, pivots] = block, and
+    N X = scale * X[free] + block X[pivots] equals int_matmul(N, X) for 0/1
+    and signed columns, one and 25 of them, a 1-D chi, and object entries
+    past the int64 range."""
+    cfg = space_config(*key)
+    kernel = incidence_kernel(cfg)
+    M = incidence_matrix(cfg).matrix
+    N = incidence_null_basis(cfg)
+    assert N.dtype == np.int64 and (N == exact.certified_null_basis(M)).all()
+    n = N.shape[1]
+    rank = incidence_rank_closed_form(cfg)
+    assert kernel.block.shape == (n - rank, rank) and (kernel.block == N[:, kernel.pivots]).all()
+    assert kernel.block.dtype == np.int8  # max|N| <= 10 here
+    assert (N[:, kernel.free] == np.diag(kernel.scale)).all()
+    assert (kernel.block_float == kernel.block).all() and kernel.block_float.dtype == np.float64
+    assert not any(a.flags.writeable for a in (kernel.block, kernel.block_float,
+                                                kernel.scale, kernel.free, kernel.pivots, N))
+    rng = np.random.default_rng(sum(map(ord, repr(key))))
+    for X in (random_subset_matrix(cfg, 1, seed=9), random_subset_matrix(cfg, 25, seed=9),
+              rng.integers(-7, 8, (n, 25)), _pencil(cfg).chi()):
+        got = kernel.product(X)
+        assert got.dtype == np.int64 and got.shape == (N.shape[0],) + X.shape[1:]
+        assert (got == int_matmul(N, X)).all()
+    big = rng.integers(-7, 8, (n, 2)).astype(object) * 2**80
+    assert (kernel.product(big) == int_matmul(N, big)).all()
 
 
 def test_kernel_image_and_nullspace_oracle_agree(medium_config):

@@ -404,18 +404,21 @@ def test_corrupt_origin_counts_exit_3(monkeypatch):
     that is no power of q are an internal error: relation_matrix raises
     AssertionError, never KeyError, and verify exits 3 with one line.
     The coset table is corrupted by giving the last point, in every
-    direction, the flat through the origin."""
+    direction, the flat through the origin.  relation_matrix expands the
+    cached pair factorisation, so both caches are cleared."""
     from clflats import flats, scheme
     cfg = space_config("symplectic", 2, 2)
     broken = np.array(flats.coset_table(cfg))
     broken[:, -1] = broken[:, 0]
     monkeypatch.setattr(scheme, "coset_table", lambda c: broken)
     scheme.relation_matrix.cache_clear()
+    scheme.pair_factors.cache_clear()
     try:
         with pytest.raises(AssertionError, match="no power of q"):
             scheme.relation_matrix(cfg)
     finally:
         scheme.relation_matrix.cache_clear()
+        scheme.pair_factors.cache_clear()
     code = ("import sys; import numpy as np; from clflats import flats, scheme; "
             "from clflats.cli import run; real = flats.coset_table; "
             "scheme.coset_table = lambda c: np.where("
@@ -478,3 +481,19 @@ def test_no_bare_asserts_in_package():
     for path in sorted(Path(clflats.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)], path.name
+
+
+def test_cold_verify_imports_no_numpy_ma():
+    """A cold paper verify never imports numpy.ma (under numpy 2, the first
+    np.unique or np.setdiff1d does, at about 14 ms).  Skipped where a bare
+    `import numpy` already loads it, as numpy 1.24 does."""
+    bare = _child("import sys, numpy; print('numpy.ma' in sys.modules)", [])
+    if bare.stdout.strip() == "True":
+        pytest.skip("import numpy already loads numpy.ma")
+    code = ("import sys; from clflats.cli import run; status = run(sys.argv[1:]); "
+            "print('numpy.ma' in sys.modules, status, file=sys.stderr)")
+    proc = _child(code, ["verify", "--suite", "paper"] + BASE)
+    assert proc.stderr.strip() == "False 0", proc.stderr
+    digests = Path(__file__).resolve().parent.parent / "perfbench" / "reference_digests.json"
+    want = json.loads(digests.read_text())["symplectic-2-2"]["0"]
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == want

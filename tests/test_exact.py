@@ -361,3 +361,24 @@ def test_int_matmul_new_read_only_array_at_a_reused_id():
         big.flags.writeable = False
         assert (int_matmul(big, b) == 4 * odd * odd).all()
         assert (int_matmul(big.T, b[:3]) == 3 * odd * odd).all()
+
+
+def test_sort_based_unique_matches_np_unique():
+    """sorted_unique and the inverse behind certified_null_split give
+    np.unique's values, order and inverse; the null basis's free columns
+    are the columns off the GF(p) pivots."""
+    rng = np.random.default_rng(11)
+    arrays = [np.array([], dtype=np.int64), np.array([[7]]), rng.integers(-4, 5, (6, 9)),
+              rng.integers(0, 10**9, 40), rng.integers(-3, 3, (5, 4)).astype(np.int8)]
+    for a in arrays:
+        values, where = exact._unique_inverse(a)
+        want, want_where = np.unique(a, return_inverse=True)
+        assert values.dtype == want.dtype and (values == want).all()
+        assert (where == want_where.reshape(-1)).all()
+        assert (exact.sorted_unique(a) == want).all()
+    for _ in range(20):
+        M = rng.integers(-2, 3, (rng.integers(1, 6), rng.integers(1, 8)))
+        N, free = exact.certified_null_split(M)
+        pivots = modular_echelon(M, MODULAR_PRIMES[0])[1]
+        assert (free == np.setdiff1d(np.arange(M.shape[1]), pivots)).all()
+        assert (N == certified_null_basis(M)).all()

@@ -19,6 +19,7 @@ from clflats.geometry import (
 )
 from clflats.scheme import (
     INFINITY,
+    MASK_COLUMNS,
     PRODUCT_COLUMNS,
     check_column_sums,
     check_eigen_system,
@@ -32,6 +33,7 @@ from clflats.scheme import (
     idempotent_coefficients,
     idempotent_int,
     inner_distribution,
+    pair_factors,
     phi_piecewise,
     q_valuation,
     relation_indices,
@@ -144,6 +146,94 @@ def test_relation_products_match_dense_masks(key):
         assert not got[:, :, 1].any()
     # the code-0 unit row is X itself, with no product
     assert (relation_products(cfg, np.eye(codes, dtype=np.int64)[[0]], X)[0] == X).all()
+
+
+FACTORED_KEYS = MEDIUM_CONFIGS + (("symplectic", 3, 2), ("unitary", 4, 2), ("symplectic", 2, 3))
+
+
+def _table_terms(R: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Every A_r X from the n x n relation table, the oracle of the
+    factored products; float64 holds these small integers exactly."""
+    Xf = X.astype(np.float64)
+    return np.stack([((R == r).astype(np.float64) @ Xf).astype(np.int64)
+                     for r in range(int(R.max()) + 1)])
+
+
+@pytest.mark.parametrize("key", FACTORED_KEYS, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_factored_relation_products_match_the_table(key):
+    """relation_products, read off the pair factorisation, equals the
+    table product for unit, identity, idempotent and general integer W
+    rows, on both sides of MASK_COLUMNS."""
+    cfg = space_config(*key)
+    R = relation_matrix(cfg)
+    n, codes = R.shape[0], 2 * cfg.nu + 1
+    rng = np.random.default_rng(sum(map(ord, repr(key))))
+    _, C = idempotent_coefficients(cfg)
+    eye = np.eye(codes, dtype=np.int64)
+    tables = [eye, C, C[1:2], C[1:2 * cfg.nu:2], np.vstack([C[-1], -C[-1]]),
+              rng.integers(-3, 4, (3, codes)), eye[[codes - 1, 1]], 2 * eye[[1]],
+              np.zeros((1, codes), dtype=np.int64)]
+    for c in sorted({1, 2, 25, MASK_COLUMNS - 1, MASK_COLUMNS, MASK_COLUMNS + 1}):
+        X = rng.integers(-5, 6, (n, c))
+        terms = _table_terms(R, X)
+        for W in tables:
+            got = relation_products(cfg, W, X)
+            assert got.dtype == np.int64 and got.shape == (len(W), n, c)
+            assert (got == np.einsum("kr,rnc->knc", W, terms)).all(), (c, W.tolist())
+
+
+def test_factored_relation_products_are_exact_past_int64(s22):
+    """Object columns, and int64 columns whose sums could leave int64, are
+    summed in object arithmetic."""
+    R = relation_matrix(s22)
+    n = R.shape[0]
+    _, C = idempotent_coefficients(s22)
+    X = np.random.default_rng(3).integers(-5, 6, (n, 3))
+    want = np.einsum("kr,rnc->knc", C.astype(object), _table_terms(R, X).astype(object))
+    got = relation_products(s22, C, X.astype(object) * 2**80)
+    assert got.dtype == object and (got == want * 2**80).all()
+    m = 2**62 // n + 1  # max|X| n >= 2^62 takes the object path
+    X = np.zeros((n, 1), dtype=np.int64)
+    X[0, 0] = m
+    got = relation_products(s22, np.eye(5, dtype=np.int64), X)
+    assert got.dtype == np.int64 and (got[:, :, 0] == m * (R[:, 0] == np.arange(5)[:, None])).all()
+
+
+def test_pair_factors_reject_a_coset_table_whose_meetings_do_not_split(monkeypatch):
+    """Two points swapped between two flats of one direction, off its flat
+    through the origin: every origin count still is a power of q, but the
+    meeting flats of that direction no longer group into cosets."""
+    import clflats.scheme as scheme_module
+    from clflats.flats import coset_table
+    cfg = space_config("symplectic", 2, 2)
+    broken = np.array(coset_table(cfg))
+    others = [f for f in dict.fromkeys(broken[0].tolist()) if f != broken[0, 0]]
+    x, y = (int(np.flatnonzero(broken[0] == f)[0]) for f in others[:2])
+    broken[0, [x, y]] = broken[0, [y, x]]
+    monkeypatch.setattr(scheme_module, "coset_table", lambda c: broken)
+    pair_factors.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="do not split into the cosets"):
+            pair_factors(cfg)
+    finally:
+        pair_factors.cache_clear()
+
+
+@pytest.mark.parametrize("key", list(STANDARD_GRID) + [("symplectic", 4, 2)],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_pair_factors_are_no_larger_than_the_table(key):
+    """The factorisation takes no more bytes than the int8 n x n table
+    (n^2 bytes), in the narrowest integer types, and is read-only."""
+    cfg = space_config(*key)
+    factors = pair_factors(cfg)
+    n = len(enumerate_flats(cfg, cfg.nu))
+    arrays = (factors.rd,) + factors.keys + factors.members
+    assert sum(a.nbytes for a in arrays) <= n * n
+    assert factors.rd.dtype == np.int8
+    for key_i, member_i in zip(factors.keys, factors.members):
+        assert key_i.dtype == np.min_scalar_type(int(key_i.max()))
+        assert member_i.dtype == np.min_scalar_type(n - 1)
+    assert len(factors.keys) == cfg.nu - 1 and not any(a.flags.writeable for a in arrays)
 
 
 def test_dual_polar_spot_values():

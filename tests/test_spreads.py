@@ -448,3 +448,15 @@ def test_family_rows_cover_each_point_once(key):
     chi = np.zeros((M.shape[1], members.shape[0]), dtype=np.int64)
     np.put_along_axis(chi, members.T, 1, axis=0)
     assert (exact.int_matmul(M, chi) == 1).all()
+
+
+def test_unique_rows_matches_np_unique():
+    """_unique_rows gives np.unique(axis=0): the distinct rows in
+    lexicographic order, negative entries included."""
+    rng = np.random.default_rng(4)
+    for shape in ((1, 3), (30, 4), (200, 2)):
+        a = rng.integers(-3, 4, shape)
+        a = np.vstack([a, a[::2]])
+        want = np.unique(a, axis=0)
+        got = spreads._unique_rows(a)
+        assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all()
