@@ -19,9 +19,13 @@ spreads that spreads.spanning_rows keeps number n - rank M + 1, so
 their differences span ker M.  The spectrum, shifted and count routes
 read one relation-count table, A_r chi for every relation r, from
 scheme.relation_products, which reads the direction-pair factorisation
-of the relations and builds no n x n array for a few columns; A_r 1 is
-the valency k_r, from the closed forms.  They apply the closed-form
-idempotent coefficients to that table.
+of the relations and builds no n x n array for a few columns.  Every
+chi-independent quantity they need is in one cached route plan per
+configuration: the stacked idempotent coefficients [C; q^nu D C], C k
+for the valencies k, and the coefficients of every neighbour-count law.
+One exact product with the stack gives every projection B_e chi and,
+by linearity, every projection of the shifted vector:
+C (q^nu D T - k |S|) = q^nu D C T - (C k) |S|.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,12 +97,16 @@ class FlatSet:
 
     @property
     def x(self) -> Fraction:
-        return Fraction(self.size, set_denominator(self.config))
+        return Fraction(self.size, route_plan(self.config).D)
 
     def chi(self) -> np.ndarray:
-        n = len(enumerate_flats(self.config, self.config.nu))
-        v = np.zeros(n, dtype=np.int64)
-        v[list(self.ids)] = 1
+        """The 0/1 indicator over all flats, built on first use; read-only."""
+        v = self.__dict__.get("_chi")
+        if v is None:
+            v = np.zeros(len(enumerate_flats(self.config, self.config.nu)), dtype=np.int64)
+            v[list(self.ids)] = 1
+            v.flags.writeable = False
+            object.__setattr__(self, "_chi", v)
         return v
 
     def complement(self) -> "FlatSet":
@@ -170,6 +179,61 @@ def _count_coefficients(config: SpaceConfig, i: int) -> tuple[int, int]:
     return a, b
 
 
+def _read_only(values) -> np.ndarray:
+    a = np.array(values, dtype=np.int64)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class RoutePlan:
+    """The chi-independent part of the spectrum, shifted and count routes
+    for one configuration; every array is read-only, in code order.
+
+    n = |X| = q^nu D flats; with T[r] = A_r chi, stack = [C; q^nu D C]
+    gives every projection C T and q^nu D C T in one product, and the
+    shifted projections are q^nu D C T - ck |S| with ck = C k for the
+    valencies k.  Relation r's neighbour-count law reads
+    D T[r] = law_chi[r] chi + law_size[r] |S|.  While
+    bound * max|chi| < 2^62, every term the routes form stays below 2^62
+    and every sum of two below 2^63, so int64 holds them exactly.
+    """
+
+    n: int
+    L0: int
+    D: int
+    identity: np.ndarray
+    stack: np.ndarray
+    ck: np.ndarray
+    law_chi: np.ndarray
+    law_size: np.ndarray
+    bound: int
+
+
+@lru_cache(maxsize=None)
+def route_plan(config: SpaceConfig) -> RoutePlan:
+    """The route plan of one configuration, from the closed forms once."""
+    tables = scheme_tables(config)
+    Ls, C = idempotent_coefficients(config)
+    n, D = tables.size, set_denominator(config)
+    rows = C.tolist()
+    k = [tables.valencies[r] for r in tables.rels]
+    ck = [sum(c * v for c, v in zip(row, k)) for row in rows]
+    laws = []
+    for i, xi in tables.rels:
+        a, b = _count_coefficients(config, i)
+        # xi = 0: D T = D a chi + b |S|;  xi = 1: D T = a |S| - D a chi
+        laws.append((D * a, b) if xi == 0 else (-D * a, a))
+    law_chi, law_size = zip(*laws)
+    widest = max(abs(c) for row in rows for c in row)
+    bound = n * max(len(k) * widest * n, Ls[0], D, max(map(abs, ck)),
+                    max(map(abs, law_chi)) + max(map(abs, law_size)))
+    stack = _read_only([[c * scale for c in row] for scale in (1, config.q**config.nu * D)
+                        for row in rows])
+    return RoutePlan(n, Ls[0], D, _read_only(np.eye(len(k))), stack, _read_only(ck),
+                     _read_only(law_chi), _read_only(law_size), bound)
+
+
 def _scheme_routes(config: SpaceConfig, cols: np.ndarray) -> tuple[dict[str, np.ndarray],
                                                                    np.ndarray]:
     """Spectrum, shifted and count verdicts for each column chi of cols,
@@ -178,35 +242,38 @@ def _scheme_routes(config: SpaceConfig, cols: np.ndarray) -> tuple[dict[str, np.
     All three read one relation-count table T[r] = A_r cols from the
     relation products of the identity table.  The idempotents are
     B_e = sum_r C[e, r] A_r, so C T holds every projection B_e chi, and
-    C applied to q^nu*D*T[r] - |S|*k_r every projection of the shifted
-    vector q^nu*D*chi - |S|*j, since A_r j = k_r j.
+    C (q^nu D T - k |S|) = q^nu D C T - (C k) |S| every projection of the
+    shifted vector q^nu D chi - |S| j, since A_r j = k_r j: one product
+    with the plan's stack gives both.  The laws are one comparison
+    D T = law_chi chi + law_size |S| over every relation.
     """
-    n = cols.shape[0]
-    tables = scheme_tables(config)
-    T = relation_products(config, np.eye(2 * config.nu + 1, dtype=np.int64), cols)
-    Ls, C = idempotent_coefficients(config)
+    plan = route_plan(config)
+    if cols.dtype != object and cols.size and plan.bound * max(
+            -int(cols.min()), int(cols.max())) >= 2**62:
+        cols = cols.astype(object)
+    T = relation_products(config, plan.identity, cols)
+    r = len(T)
+    both = exact.int_matmul(plan.stack, T.reshape(r, -1)).reshape((2,) + T.shape)
+    proj = both[0]
     sizes = cols.sum(axis=0)
-    proj = exact.int_matmul(C, T.reshape(len(T), -1)).reshape(T.shape)
     # the all-one projection is size/|X| times the all-one vector, always
-    if not (proj[0] * n == Ls[0] * sizes).all():
+    if not (proj[0] * plan.n == plan.L0 * sizes).all():
         raise AssertionError("all-one projection identity violated")
-    D = set_denominator(config)
-    valencies = np.array([tables.valencies[r] for r in tables.rels], dtype=np.int64)
-    shifted = (config.q**config.nu * D) * T - valencies[:, None, None] * sizes
-    shifted_proj = exact.int_matmul(C, shifted.reshape(len(T), -1)).reshape(shifted.shape)
-    laws = []
-    for k, (i, xi) in enumerate(tables.rels):
-        a, b = _count_coefficients(config, i)
-        want = D * a * cols + b * sizes if xi == 0 else a * sizes - D * a * cols
-        laws.append((D * T[k] == want).all(axis=0))
+    shifted_proj = both[1]
+    shifted_proj -= plan.ck[:, None, None] * sizes
+    # in place: one (2 nu + 1, n, c) temporary fewer, which on 25-column blocks
+    # cost fresh page faults (and batch-sweep time) on every call
+    rhs = plan.law_chi[:, None, None] * cols
+    rhs += plan.law_size[:, None, None] * sizes
+    laws = (plan.D * T == rhs).all(axis=1)
     # at nu = 1 there is no disjoint relation at i = 1, so only the meeting row constrains
     counts = laws[2] & laws[3] if config.nu >= 2 else laws[2]
     verdicts = {
         "spectrum": ~proj[2:].any(axis=(0, 1)),
-        "shifted": ~np.delete(shifted_proj, 1, axis=0).any(axis=(0, 1)),
+        "shifted": ~(shifted_proj[0].any(axis=0) | shifted_proj[2:].any(axis=(0, 1))),
         "counts": counts,
     }
-    return verdicts, np.array(laws)
+    return verdicts, laws
 
 
 def _set_routes(flat_set: FlatSet) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -278,8 +345,9 @@ def test_spreads(flat_set: FlatSet, family: str = "auto") -> SpreadTestReport:
     else:
         raise ValueError(f"unknown family {family!r} for nu = {config.nu}")
     # a bool gather: the family has about n rows of q^nu members
-    inter = tuple(flat_set.chi().astype(bool)[members].sum(axis=1).tolist())
-    constant = len(set(inter)) <= 1
+    counts = flat_set.chi().astype(bool)[members].sum(axis=1)
+    constant = not counts.size or bool((counts == counts[0]).all())
+    inter = tuple(counts.tolist())
     value_matches = constant and (not inter or Fraction(inter[0]) == flat_set.x)
     return SpreadTestReport(constant, value_matches, conclusive, family, inter)
 

@@ -348,7 +348,8 @@ def _coset_split(through: np.ndarray, offset: np.ndarray, cosets: int):
     Each of the q^nu / cosets flats met must appear cosets times in a row;
     a coset is named by the least flat it meets, local[p, a] numbers the
     coset of a among the pair's cosets and member[p, kappa] lists the
-    flats of db in coset kappa, which must partition them.
+    flats of db in coset kappa, which must partition them: a count per
+    pair of every flat of db over the member lists must read one.
     """
     c, v, per, _ = through.shape
     runs = through.reshape(c, v, per, per // cosets, cosets)
@@ -357,17 +358,24 @@ def _coset_split(through: np.ndarray, offset: np.ndarray, cosets: int):
     if ((runs != met[..., None]).any() or (np.diff(met, axis=3) <= 0).any()
             or (first < 0).any() or (met[..., -1] - offset >= per).any()):
         return None
-    found = np.zeros((c, v, per), dtype=bool)
-    np.put_along_axis(found, first, True, axis=2)
+    pair = np.arange(c * v).reshape(c, v, 1)
+    found = np.zeros(c * v * per, dtype=bool)
+    found[pair * per + first] = True
+    found = found.reshape(c, v, per)
     if (found.sum(axis=2) != cosets).any():
         return None
-    local = np.take_along_axis(np.cumsum(found, axis=2) - 1, first, axis=2)
-    member = np.empty((c, v, cosets, per // cosets), dtype=met.dtype)
-    member[np.arange(c)[:, None, None], np.arange(v)[:, None], local] = met
-    if ((np.take_along_axis(member, local[..., None], axis=2) != met).any()
-            or (np.sort(member.reshape(c, v, per), axis=2) != offset + np.arange(per)).any()):
+    local = (np.cumsum(found, axis=2) - 1).reshape(-1)[pair * per + first]
+    # entry j of the member list of a's coset, flat: whole-row fancy indexing is slower
+    cells = (pair * cosets + local)[..., None] * (per // cosets) + np.arange(per // cosets)
+    member = np.empty(c * v * per, dtype=met.dtype)
+    member[cells] = met
+    if (member[cells] != met).any():
         return None
-    return local, member
+    # a partition: each flat of db is in exactly one coset of its pair
+    slot = member.reshape(c, v, per) - offset + pair * per
+    if (np.bincount(slot.ravel(), minlength=c * v * per) != 1).any():
+        return None
+    return local, member.reshape(c, v, cosets, per // cosets)
 
 
 def _meeting_neighbours(factors: PairFactors, i: int) -> np.ndarray:
@@ -396,6 +404,18 @@ def relation_matrix(config: SpaceConfig) -> np.ndarray:
         R[np.arange(n)[:, None], _meeting_neighbours(factors, i)] = 2 * i
     R.flags.writeable = False
     return R
+
+
+@lru_cache(maxsize=None)
+def distance_masks(config: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The 0/1 masks (rd = i), i = 0..nu, stacked into one ((nu + 1) d, d)
+    matrix for the d directions, and its float64 copy; both read-only."""
+    rd = pair_factors(config).rd
+    # a copy that owns its data, so that exact._bound caches its bound
+    masks = (rd == np.arange(config.nu + 1)[:, None, None]).reshape(-1, len(rd)).copy()
+    masks_float = masks.astype(np.float64)
+    masks.flags.writeable = masks_float.flags.writeable = False
+    return masks, masks_float
 
 
 PRODUCT_COLUMNS = 512  # bounds the float64 copies each mask product makes
@@ -496,8 +516,8 @@ def relation_products(config: SpaceConfig, W: np.ndarray, X: np.ndarray) -> np.n
     if U.any():
         # (rd = i) S for every distance i in one product, then weighted by U in another
         totals = Xw.reshape(dirs, per, c).sum(axis=1)
-        by_distance = exact.int_matmul(
-            (factors.rd == np.arange(nu + 1)[:, None, None]).reshape(-1, dirs), totals)
+        masks, masks_float = distance_masks(config)
+        by_distance = exact.int_matmul(masks, totals, a_float=masks_float)
         classes = exact.int_matmul(U, by_distance.reshape(nu + 1, -1))
         blocks = out.reshape(len(W), dirs, per, c)
         blocks += classes.reshape(len(W), dirs, 1, c)

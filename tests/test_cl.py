@@ -56,7 +56,7 @@ from clflats.geometry import (
     space_config,
     zero_vector,
 )
-from clflats.cli import paper_suite
+from clflats.cli import STANDARD_GRID, paper_suite
 from clflats.scheme import idempotent_int, relation_matrix, relation_products, scheme_tables
 from conftest import MEDIUM_CONFIGS, in_row_span, integer_nullspace
 
@@ -351,6 +351,157 @@ def test_batch_scheme_routes_match_dense_idempotents(key):
     assert spectrum[:12].tolist() == [True, True, False] * 4
 
 
+def _two_product_routes(config, cols):
+    """The spectrum, shifted and count routes with nothing cached: the
+    relation-count table T, then C T, then C (q^nu D T - k |S|), then each
+    relation's law against its closed-form coefficients."""
+    n = cols.shape[0]
+    tables = scheme_tables(config)
+    T = relation_products(config, np.eye(2 * config.nu + 1, dtype=np.int64), cols)
+    Ls, C = scheme.idempotent_coefficients(config)
+    sizes = cols.sum(axis=0)
+    proj = int_matmul(C, T.reshape(len(T), -1)).reshape(T.shape)
+    assert (proj[0] * n == Ls[0] * sizes).all()
+    D = set_denominator(config)
+    valencies = np.array([tables.valencies[r] for r in tables.rels], dtype=np.int64)
+    shifted = (config.q**config.nu * D) * T - valencies[:, None, None] * sizes
+    shifted_proj = int_matmul(C, shifted.reshape(len(T), -1)).reshape(shifted.shape)
+    laws = []
+    for k, (i, xi) in enumerate(tables.rels):
+        a, b = cl._count_coefficients(config, i)
+        want = D * a * cols + b * sizes if xi == 0 else a * sizes - D * a * cols
+        laws.append((D * T[k] == want).all(axis=0))
+    counts = laws[2] & laws[3] if config.nu >= 2 else laws[2]
+    verdicts = {
+        "spectrum": ~proj[2:].any(axis=(0, 1)),
+        "shifted": ~np.delete(shifted_proj, 1, axis=0).any(axis=(0, 1)),
+        "counts": counts,
+    }
+    return verdicts, np.array(laws)
+
+
+KERNEL_KEYS = MEDIUM_CONFIGS + (("symplectic", 3, 2), ("unitary", 4, 2), ("symplectic", 2, 3))
+
+
+@pytest.mark.parametrize("key", KERNEL_KEYS, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_route_plan_matches_the_two_product_routes(key):
+    """One product with the cached stack [C; q^nu D C] and one vectorised
+    law comparison give the verdicts and laws of the uncached routes, for
+    0/1 and signed columns (1, 25 and 33 of them), an int64 column that
+    takes relation_products' object path and object entries past int64."""
+    cfg = space_config(*key)
+    n = len(enumerate_flats(cfg, cfg.nu))
+    rng = np.random.default_rng(sum(map(ord, repr(key))))
+    edge = np.zeros((n, 1), dtype=np.int64)
+    edge[rng.integers(n), 0] = 2**62 // (8 * cfg.nu * n) + 1
+    huge = rng.integers(-3, 4, (n, 2)).astype(object) * 2**70
+    inputs = [edge, huge, _pencil(cfg).chi().reshape(-1, 1)]
+    for c in (1, 25, 33):
+        inputs += [rng.integers(0, 2, (n, c)), rng.integers(-5, 6, (n, c))]
+    for cols in inputs:
+        want, want_laws = _two_product_routes(cfg, cols)
+        got, laws = cl._scheme_routes(cfg, cols)
+        assert set(got) == set(want)
+        for name in want:
+            assert got[name].dtype == np.dtype(bool)
+            assert got[name].tolist() == want[name].tolist(), (name, cols.shape, cols.dtype)
+        assert laws.dtype == np.dtype(bool) and laws.tolist() == want_laws.tolist()
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("unitary", 4, 2)],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_scheme_routes_are_exact_past_int64(key):
+    """Every route is linear and homogeneous in chi, so columns scaled by m
+    keep their verdicts and laws.  At the largest m that relation_products
+    still sums in int64, m |S| n passes 2^63 for a pencil's complement:
+    the routes then take object arithmetic instead of wrapping (the
+    uncached routes raised a spurious all-one projection AssertionError
+    there)."""
+    cfg = space_config(*key)
+    n = len(enumerate_flats(cfg, cfg.nu))
+    pencil = _pencil(cfg)
+    cols = np.stack([pencil.chi(), pencil.complement().chi(), _near_miss(cfg).chi()], axis=1)
+    m = (2**62 - 1) // (8 * cfg.nu * n)
+    assert m * int(cols.sum(axis=0).max()) * n >= 2**63
+    want, want_laws = cl._scheme_routes(cfg, cols)
+    got, laws = cl._scheme_routes(cfg, m * cols)
+    assert {k: v.tolist() for k, v in got.items()} == {k: v.tolist() for k, v in want.items()}
+    assert laws.tolist() == want_laws.tolist()
+    assert batch_verdicts(cfg, m * cols)["spectrum"].tolist() == [True, True, False]
+
+
+@pytest.mark.parametrize("key", STANDARD_GRID + (("symplectic", 4, 2), ("orthogonal", 3, 3)),
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_route_plan_closed_forms(key):
+    """The closed forms behind the shifted projection, in object arithmetic:
+    (C k)[(0,0)] = L_(0,0), (C k)[e] = 0 for every other e, q^nu D = n;
+    and the plan holds C k, [C; q^nu D C] and the law coefficients."""
+    cfg = space_config(*key)
+    tables = scheme_tables(cfg)
+    Ls, C = scheme.idempotent_coefficients(cfg)
+    k = np.array([tables.valencies[r] for r in tables.rels], dtype=object)
+    ck = np.dot(C.astype(object), k).tolist()
+    D = set_denominator(cfg)
+    assert ck == [Ls[0]] + [0] * (len(k) - 1)
+    assert cfg.q**cfg.nu * D == tables.size
+    plan = cl.route_plan(cfg)
+    assert (plan.n, plan.L0, plan.D) == (tables.size, Ls[0], D)
+    assert plan.ck.tolist() == ck
+    assert plan.stack.tolist() == C.tolist() + [[tables.size * c for c in row]
+                                                for row in C.tolist()]
+    for r, (i, xi) in enumerate(tables.rels):
+        a, b = cl._count_coefficients(cfg, i)
+        assert (plan.law_chi[r], plan.law_size[r]) == ((D * a, b) if xi == 0 else (-D * a, a))
+    arrays = (plan.identity, plan.stack, plan.ck, plan.law_chi, plan.law_size)
+    assert not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("key", [("orthogonal", 3, 2), ("unitary", 4, 2)],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_warm_battery_evaluates_no_closed_form(monkeypatch, key):
+    """After one warm-up query on the configuration, a battery calls no
+    closed form (e_power, gauss_binomial, set_denominator or the count-law
+    coefficients), makes four exact products (the pivot block, the two
+    class-total products and the route plan's stack) and builds the set's
+    indicator once, read-only."""
+    from clflats import field, geometry
+    cfg = space_config(*key)
+    battery(_pencil(cfg))  # warm-up
+    fs = _near_miss(cfg)
+    calls = []
+
+    def refuse(name):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} on a warm query")
+        return spy
+
+    for module in (cl, field, scheme, flats, geometry, spreads):
+        for name in ("e_power", "gauss_binomial", "set_denominator", "_count_coefficients"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse(name))
+    products = []
+
+    def count(a, b, real=exact.int_matmul, **kwargs):
+        products.append(a.shape)
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(exact, "int_matmul", count)
+    indicators = []
+
+    def chi(self, real=FlatSet.chi):
+        indicators.append(real(self))
+        return indicators[-1]
+
+    monkeypatch.setattr(FlatSet, "chi", chi)
+    assert "_chi" not in vars(fs)
+    assert not any(battery(fs).values())
+    assert calls == []
+    assert len(products) == 4
+    assert indicators and all(v is vars(fs)["_chi"] for v in indicators)
+    assert not indicators[0].flags.writeable
+
+
 def test_membership_routes_build_no_square_arrays(monkeypatch):
     """A query multiplies by no n x n matrix and builds no dense idempotent:
     the relation products read the direction-pair factorisation, and a
@@ -556,9 +707,6 @@ def test_one_kernel_basis_product_per_query(monkeypatch):
         for cache in (d for d in gc.get_referents(fn) if isinstance(d, dict)):
             found.update((id(a), a) for a in _cached_arrays(cache, set()) if a.shape == N.shape)
     assert not found
-
-
-KERNEL_KEYS = MEDIUM_CONFIGS + (("symplectic", 3, 2), ("unitary", 4, 2), ("symplectic", 2, 3))
 
 
 @pytest.mark.parametrize("key", KERNEL_KEYS, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")

@@ -219,6 +219,24 @@ def test_pair_factors_reject_a_coset_table_whose_meetings_do_not_split(monkeypat
         pair_factors.cache_clear()
 
 
+def test_coset_split_requires_a_partition():
+    """Four flats of da meet two flats each of db (ids 10..13), each in two
+    points.  Split into the cosets {10, 11} and {12, 13} it passes; when a
+    flat met is shared by both cosets and another is in none, the runs,
+    the least flats and the member lists are all consistent, and only the
+    count of each flat of db over the member lists rejects it."""
+    from clflats.scheme import _coset_split
+    offset = np.full((1, 1, 1), 10)
+
+    def through(*met):
+        return np.repeat(np.array(met), 2, axis=1).reshape(1, 1, 4, 4) + 10
+
+    local, member = _coset_split(through([0, 1], [2, 3], [0, 1], [2, 3]), offset, 2)
+    assert local.tolist() == [[[0, 1, 0, 1]]]
+    assert member.tolist() == [[[[10, 11], [12, 13]]]]
+    assert _coset_split(through([0, 1], [1, 2], [0, 1], [1, 2]), offset, 2) is None
+
+
 @pytest.mark.parametrize("key", list(STANDARD_GRID) + [("symplectic", 4, 2)],
                          ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_pair_factors_are_no_larger_than_the_table(key):
