@@ -9,22 +9,25 @@ spectral variant, the two-relation neighbour counts, and constant
 intersection with the spreads.  All routes are exact.  The one basis
 of ker M is the certified null basis N of M (its RREF over GF(p)
 rebuilt by rational reconstruction, flats.incidence_kernel), which
-uses no spread; N is diagonal on its free columns, so the image route
-computes N chi = s * chi_free + N[:, pivots] chi_pivots from the
-certified diagonal s and the cached pivot block.  The certified null
-basis of a container's incidence matrix decides the restrictions to
-that container, and the on-demand witness y with M^T y = chi is read
-off the certified null basis of [M^T | -chi].  The spread route is conclusive because the spanning
-spreads that spreads.spanning_rows keeps number n - rank M + 1, so
-their differences span ker M.  The spectrum, shifted and count routes
-read one relation-count table, A_r chi for every relation r, from
-scheme.relation_products, which reads the direction-pair factorisation
-of the relations and builds no n x n array for a few columns.  Every
-chi-independent quantity they need is in one cached route plan per
-configuration: the stacked idempotent coefficients [C; q^nu D C], C k
-for the valencies k, and the coefficients of every neighbour-count law.
-One exact product with the stack gives every projection B_e chi and,
-by linearity, every projection of the shifted vector:
+uses no spread.  Every null basis here is one exact.NullBasis, split at
+its free columns, where N is diagonal: the image route computes
+N chi = s * chi_free + N[:, pivots] chi_pivots (NullBasis.product) from
+the certified diagonal s and the cached pivot block.  The same product
+with the null basis of a container's incidence matrix decides the
+restrictions to that container, from chi gathered at the container's
+flat ids, and the on-demand witness y with M^T y = chi is read off the
+null basis of [M^T | -chi] (NullBasis.matrix).  The spread route is
+conclusive because the spanning spreads that spreads.spanning_rows
+keeps number n - rank M + 1, so their differences span ker M.  The
+spectrum, shifted and count routes read one relation-count table,
+A_r chi for every relation r, from scheme.relation_products, which
+reads the direction-pair factorisation of the relations and builds no
+n x n array for a few columns.  Every chi-independent quantity they
+need is in one cached route plan per configuration: the stacked
+idempotent coefficients [C; q^nu D C], C k for the valencies k, and
+the coefficients of every neighbour-count law.  One exact product with
+the stack gives every projection B_e chi and, by linearity, every
+projection of the shifted vector:
 C (q^nu D T - k |S|) = q^nu D C T - (C k) |S|.
 """
 
@@ -162,7 +165,7 @@ def image_certificate(flat_set: FlatSet) -> tuple[Fraction, ...] | None:
     image of M^T.
     """
     M = incidence_matrix(flat_set.config).matrix
-    N = exact.certified_null_basis(np.hstack([M.T, -flat_set.chi()[:, None]]))
+    N = exact.certified_null_basis(np.hstack([M.T, -flat_set.chi()[:, None]])).matrix()
     rows = np.flatnonzero(N[:, -1])
     if not rows.size:
         return None
@@ -542,15 +545,11 @@ def restrict_cl(flat_set: FlatSet, container: Flat) -> Restriction:
     annihilates it, as for the whole space.
     """
     config = flat_set.config
-    inc = incidence_matrix_in(config, container)
+    ids = incidence_matrix_in(config, container).ids
     i = container.dim - config.nu
-    ids = flat_ids(config)
-    local_of_global = {ids[f]: col for col, f in enumerate(inc.flats)}
-    members = tuple(sorted(set(flat_set.ids) & set(local_of_global)))
-    chi_local = np.zeros((len(inc.flats), 1), dtype=np.int64)
-    chi_local[[local_of_global[g] for g in members], 0] = 1
-    null = incidence_null_basis_in(config, container)
-    in_image = not exact.int_matmul(null, chi_local).any()
+    chi_local = flat_set.chi()[ids]
+    members = tuple(ids[chi_local != 0].tolist())
+    in_image = not incidence_null_basis_in(config, container).product(chi_local).any()
     x_f = Fraction(len(members), set_denominator(config, i))
     integral = x_f.denominator == 1
     within = 0 <= x_f <= min(flat_set.x, Fraction(config.q**i))

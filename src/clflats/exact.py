@@ -5,22 +5,26 @@ keeps the first-come independent rows of a matrix; its rank is a lower
 bound on the Q-rank that callers prove tight with an upper bound.
 certified_null_basis reduces that echelon form to RREF, rebuilds its
 free columns by rational reconstruction and certifies the integer null
-basis with one exact product.  It is the only exact elimination behind
+basis N with one exact product.  It returns N as one NullBasis, its
+split at the free columns: the certified diagonal and the pivot block,
+in the narrowest integer type and as float64.  It is the only code that
+builds or splits a null basis, and the only exact elimination behind
 solves and exact ranks: A^T y = b is solvable iff N b = 0 for the null
-basis N of A, a solution is read off the null basis of [A^T | -b], and
-rank A is the number of columns minus the rows of N.  Products pick
-the cheapest tier a proven bound on every partial sum allows: float64
-BLAS below 2^53, where float64 is only a container for integers it holds
-exactly (BLAS pinned to one thread), int64 below 2^62, and object
-arithmetic otherwise.
+basis N of A (NullBasis.product), a solution is read off the null basis
+of [A^T | -b] (NullBasis.matrix), and rank A is the number of pivots.
+Products pick the cheapest tier a proven bound on every partial sum
+allows: float64 BLAS below 2^53, where float64 is only a container for
+integers it holds exactly (BLAS pinned to one thread), int64 below 2^62,
+and object arithmetic otherwise.
 """
 
 from __future__ import annotations
 
 import ctypes
 import weakref
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from math import gcd, isqrt
 
 import numpy as np
@@ -101,12 +105,6 @@ def _rational(u: int, p: int) -> Fraction:
     return Fraction(r1, t1)
 
 
-def certified_null_basis(matrix) -> np.ndarray:
-    """An integer basis N of the right nullspace, certified exactly
-    (certified_null_split without the free columns)."""
-    return certified_null_split(matrix)[0]
-
-
 def _distinct(ordered: np.ndarray) -> np.ndarray:
     """Where each entry of a sorted 1-D array differs from the one before."""
     new = np.ones(len(ordered), dtype=bool)
@@ -133,16 +131,62 @@ def sorted_unique(a) -> np.ndarray:
     return ordered[_distinct(ordered)]
 
 
-def certified_null_split(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """(N, free): an integer basis N of the right nullspace, certified
-    exactly, and the free columns, where N is diagonal.
+@dataclass(frozen=True)
+class NullBasis:
+    """A certified integer basis N of a right nullspace, split at its free columns.
+
+    free are the columns off the GF(p) pivots, N[:, free] = diag(scale)
+    and block = N[:, pivots] is |free| x |pivots|, so
+    N X = scale X[free] + block X[pivots] needs no product with the
+    diagonal part.  Only the split is kept: block in the narrowest integer
+    type and as float64 (block_float, for the BLAS tier of int_matmul);
+    every array is read-only.  block_float is made on first use, after
+    the certificate's product has freed its temporaries: made before,
+    it stayed resident below them, and a warm process kept about 1.3 MB
+    more.
+    """
+
+    free: np.ndarray
+    pivots: np.ndarray
+    scale: np.ndarray
+    block: np.ndarray
+
+    @cached_property
+    def block_float(self) -> np.ndarray:
+        """block as float64, read-only, made once."""
+        a = self.block.astype(np.float64)
+        a.flags.writeable = False
+        return a
+
+    def matrix(self) -> np.ndarray:
+        """N itself, int64 and read-only, assembled from the split on each call."""
+        N = np.zeros((len(self.free), len(self.free) + len(self.pivots)), dtype=np.int64)
+        N[np.arange(len(self.free)), self.free] = self.scale
+        N[:, self.pivots] = self.block
+        N.flags.writeable = False
+        return N
+
+    def product(self, X: np.ndarray) -> np.ndarray:
+        """N X exactly, for an integer X with one row per column of the matrix."""
+        head = X[self.free]
+        if head.dtype != object and head.size and \
+                int(self.scale.max()) * max(-int(head.min()), int(head.max())) >= 2**62:
+            head = head.astype(object)
+        scale = self.scale.reshape((-1,) + (1,) * (X.ndim - 1))
+        return scale * head + int_matmul(self.block, X[self.pivots], a_float=self.block_float)
+
+
+def certified_null_basis(matrix) -> NullBasis:
+    """An integer basis N of the right nullspace, certified exactly, as its
+    split at the free columns.
 
     The echelon form of the matrix over GF(p), p = MODULAR_PRIMES[0], is
     reduced to RREF; its free columns hold few distinct values, each
     rebuilt as a small fraction by rational reconstruction.  Row f of N is
     the null vector of free column f times the lcm of its denominators, so
-    N[:, free] is diagonal.  check_null_basis then proves that N spans the
-    nullspace, so no verdict rests on the reconstruction.
+    N[:, free] is diagonal.  check_null_basis then proves that the N the
+    split stands for spans the nullspace, so no verdict rests on the
+    reconstruction.
     """
     A = np.asarray(matrix)
     p = MODULAR_PRIMES[0]
@@ -162,11 +206,17 @@ def certified_null_split(matrix) -> tuple[np.ndarray, np.ndarray]:
     num = np.array([f.numerator for f in fracs], dtype=np.int64)[where].reshape(F.shape)
     den = np.array([f.denominator for f in fracs], dtype=np.int64)[where].reshape(F.shape)
     scale = np.lcm.reduce(den, axis=0) if r else np.ones(len(free), dtype=np.int64)
-    N = np.zeros((len(free), n), dtype=np.int64)
-    N[np.arange(len(free)), free] = scale
-    N[:, pivots] = -(num * (scale // den)).T
-    check_null_basis(A, N, free)
-    return N, free
+    # the echelon rows come in pivot order, which is not always column order
+    block = -(num * (scale // den)).T[:, np.argsort(pivots)]
+    narrow = np.min_scalar_type(-int(np.abs(block).max(initial=0)) - 1)
+    arrays = (free, np.flatnonzero(~off_pivot), scale, block.astype(narrow))
+    # freed before the certificate's product, which sets the peak memory
+    del E, T, F, where, num, den, block
+    for a in arrays:
+        a.flags.writeable = False
+    basis = NullBasis(*arrays)
+    check_null_basis(A, basis.matrix(), free)
+    return basis
 
 
 def check_null_basis(matrix, N: np.ndarray, free) -> None:
@@ -221,12 +271,12 @@ def _forget(key: int, ref: weakref.ref) -> None:
 def _bound(a: np.ndarray) -> int:
     """An upper bound on max|a|, computed once per read-only array.
 
-    The cached matrices (the incidence matrix and its certified null basis)
-    and the dense idempotents of scheme.check_eigen_system are read-only, and so
-    are their views, which share the bound of the array that owns the
-    data.  Writeable arrays are scanned on every call.  The bound is keyed
-    by identity and checked through a weak reference, so an array made
-    later at a reused id is scanned anew.
+    The cached matrices (the incidence matrix and the pivot blocks of
+    every NullBasis) and the dense idempotents of scheme.check_eigen_system
+    are read-only, and so are their views, which share the bound of the
+    array that owns the data.  Writeable arrays are scanned on every
+    call.  The bound is keyed by identity and checked through a weak
+    reference, so an array made later at a reused id is scanned anew.
     """
     root = _read_only_root(a)
     if root is None:

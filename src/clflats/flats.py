@@ -11,10 +11,11 @@ points, and flats_in tests containment by syndromes too.  The
 point-flat incidence matrix M has a certified integer null basis N,
 from its RREF over GF(p) rebuilt by rational reconstruction; it is the
 one basis of ker M, gives the image route of the membership test and
-the exact rank of M.  N is diagonal on the free columns, so the image
-route multiplies only by its pivot block.  A container's incidence
-matrix is a slice of M (its points by syndrome key, its flats by
-flats_in), and its certified null basis is cached per container.
+the exact rank of M.  It is an exact.NullBasis, kept as its split at
+the free columns, so the image route multiplies only by its pivot
+block.  A container's incidence matrix is a slice of M (its points by
+syndrome key, its flats by flats_in, whose ids it keeps), and its
+certified null basis, the same NullBasis type, is cached per container.
 """
 
 from __future__ import annotations
@@ -268,6 +269,7 @@ class IncidenceMatrix:
     points: tuple[Vector, ...]
     flats: tuple[Flat, ...]
     matrix: np.ndarray  # int64, read-only
+    ids: np.ndarray     # the flats' ids, ascending, read-only
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -303,8 +305,9 @@ def incidence_matrix(config: SpaceConfig) -> IncidenceMatrix:
     pts = all_vectors(config)
     M = np.zeros((len(pts), len(flats)), dtype=np.int64)
     M[np.arange(len(pts)), coset_table(config)] = 1
-    M.flags.writeable = False
-    return IncidenceMatrix(tuple(pts), flats, M)
+    ids = np.arange(len(flats))
+    M.flags.writeable = ids.flags.writeable = False
+    return IncidenceMatrix(tuple(pts), flats, M, ids)
 
 
 @lru_cache(maxsize=None)
@@ -320,23 +323,21 @@ def incidence_matrix_in(config: SpaceConfig, big: Flat) -> IncidenceMatrix:
     check = subspace_checks(config, [big.direction])
     keys = syndrome_keys(config, check, np.vstack([point_array(config), [big.rep]]))[0]
     rows = np.flatnonzero(keys[:-1] == keys[-1])
-    ids = flat_ids(config)
+    ids = np.array([flat_ids(config)[f] for f in members], dtype=np.int64)
     inc = incidence_matrix(config)
-    M = inc.matrix[np.ix_(rows, [ids[f] for f in members])]
-    M.flags.writeable = False
-    return IncidenceMatrix(tuple(inc.points[r] for r in rows), tuple(members), M)
+    M = inc.matrix[np.ix_(rows, ids)]
+    M.flags.writeable = ids.flags.writeable = False
+    return IncidenceMatrix(tuple(inc.points[r] for r in rows), tuple(members), M, ids)
 
 
 @lru_cache(maxsize=None)
-def incidence_null_basis_in(config: SpaceConfig, big: Flat) -> np.ndarray:
-    """Certified integer basis of the kernel of incidence_matrix_in, read-only.
+def incidence_null_basis_in(config: SpaceConfig, big: Flat) -> exact.NullBasis:
+    """The certified integer basis of the kernel of incidence_matrix_in.
 
     A restriction to the container is in the image of the transposed
     container incidence matrix iff this basis annihilates it.
     """
-    N = exact.certified_null_basis(incidence_matrix_in(config, big).matrix)
-    N.flags.writeable = False
-    return N
+    return exact.certified_null_basis(incidence_matrix_in(config, big).matrix)
 
 
 @lru_cache(maxsize=None)
@@ -357,68 +358,16 @@ def check_gram_identity(config: SpaceConfig) -> bool:
     return bool((N == expected).all())
 
 
-@dataclass(frozen=True)
-class KernelBasis:
-    """The certified null basis N of M, split at its free columns.
-
-    N[:, free] = diag(scale), which exact.check_null_basis certifies, and
-    block = N[:, pivots] is (n - rank M) x rank M, so N X = scale X[free]
-    + block X[pivots] needs no product with the diagonal part.  Only the
-    split is kept: block in the narrowest integer type and as float64,
-    for the BLAS tier of exact.int_matmul; every array is read-only.
-    """
-
-    free: np.ndarray
-    pivots: np.ndarray
-    scale: np.ndarray
-    block: np.ndarray
-    block_float: np.ndarray
-
-    def null_basis(self) -> np.ndarray:
-        """N itself, int64 and read-only, assembled from the split on each call."""
-        N = np.zeros((len(self.free), len(self.free) + len(self.pivots)), dtype=np.int64)
-        N[np.arange(len(self.free)), self.free] = self.scale
-        N[:, self.pivots] = self.block
-        N.flags.writeable = False
-        return N
-
-    def product(self, X: np.ndarray) -> np.ndarray:
-        """N X exactly, for an integer X with one row per flat."""
-        head = X[self.free]
-        if head.dtype != object and head.size and \
-                int(self.scale.max()) * max(-int(head.min()), int(head.max())) >= 2**62:
-            head = head.astype(object)
-        scale = self.scale.reshape((-1,) + (1,) * (X.ndim - 1))
-        return scale * head + exact.int_matmul(self.block, X[self.pivots],
-                                               a_float=self.block_float)
-
-
 @lru_cache(maxsize=None)
-def incidence_kernel(config: SpaceConfig) -> KernelBasis:
-    """The certified integer basis N of ker M, as its split at the free columns.
+def incidence_kernel(config: SpaceConfig) -> exact.NullBasis:
+    """The certified integer basis N of ker M.
 
     N is built from the RREF of M over GF(p), rebuilt over Q by rational
-    reconstruction and checked exactly (exact.certified_null_split).  A
+    reconstruction and checked exactly (exact.certified_null_basis).  A
     flat set chi is in the image of M^T iff N chi = 0, since the image is
     the orthogonal complement of ker M; this uses no spread.
     """
-    N, free = exact.certified_null_split(incidence_matrix(config).matrix)
-    on_pivot = np.ones(N.shape[1], dtype=bool)
-    on_pivot[free] = False
-    pivots = np.flatnonzero(on_pivot)
-    block = N[:, pivots]
-    narrow = np.min_scalar_type(-int(np.abs(block).max(initial=0)) - 1)
-    arrays = (free, pivots, N[np.arange(len(free)), free], block.astype(narrow),
-              block.astype(np.float64))
-    for a in arrays:
-        a.flags.writeable = False
-    return KernelBasis(*arrays)
-
-
-def incidence_null_basis(config: SpaceConfig) -> np.ndarray:
-    """Certified integer basis N of ker M, int64 and read-only, assembled
-    from incidence_kernel on each call."""
-    return incidence_kernel(config).null_basis()
+    return exact.certified_null_basis(incidence_matrix(config).matrix)
 
 
 @lru_cache(maxsize=None)

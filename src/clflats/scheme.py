@@ -595,9 +595,8 @@ def check_eigen_system_probes(config: SpaceConfig, seed: int = 0,
                               count: int = 100) -> dict[str, bool]:
     """Eigen checks against a seeded probe block V, B_e V = sum_r C[e, r] A_r V."""
     tables = scheme_tables(config)
-    rng = random.Random(("eigenprobe", config.key(), seed).__repr__())
-    V = np.array([[rng.randrange(-4, 5) for _ in range(count)] for _ in range(tables.size)],
-                 dtype=np.int64)
+    rng = np.random.default_rng(list(repr(("eigenprobe", config.key(), seed)).encode()))
+    V = rng.integers(-4, 5, (tables.size, count))
     T = relation_products(config, np.eye(len(tables.rels), dtype=np.int64), V)
     BVs = exact.int_matmul(idempotent_coefficients(config)[1],
                            T.reshape(len(T), -1)).reshape(T.shape)

@@ -448,12 +448,12 @@ def _stack_rank(stack: np.ndarray, expected: int, kept: int | None) -> tuple[int
     independent, where the caller has also proven the rank at most
     `expected` (the rows lie in a space of that dimension, or there are
     only that many rows), or None when it has no such proof; kept ==
-    expected then certifies the rank.  Otherwise the rank is read off
-    the stack's certified null basis, so a failing report shows the
-    exact rank (a failed certificate raises)."""
+    expected then certifies the rank.  Otherwise the rank is the pivot
+    count of the stack's certified null basis, so a failing report shows
+    the exact rank (a failed certificate raises)."""
     if kept == expected:
         return expected, "certified"
-    return stack.shape[1] - len(exact.certified_null_basis(stack)), "null-basis"
+    return len(exact.certified_null_basis(stack).pivots), "null-basis"
 
 
 def _nonzero_projections(config: SpaceConfig, eig, stack: np.ndarray) -> bool:

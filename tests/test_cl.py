@@ -45,7 +45,6 @@ from clflats.flats import (
     incidence_kernel,
     incidence_matrix,
     incidence_matrix_in,
-    incidence_null_basis,
     incidence_rank,
     incidence_rank_closed_form,
 )
@@ -657,7 +656,7 @@ def test_certified_kernel_basis(key):
     assert len(kept) == n - incidence_rank(cfg) + 1 == n - incidence_rank_closed_form(cfg) + 1
     assert (M @ S.T == 1).all()
     assert min(kept) >= (len(spreads.list_type_I(cfg)) if cfg.nu >= 2 else 0)
-    N = incidence_null_basis(cfg)
+    N = incidence_kernel(cfg).matrix()
     free = np.setdiff1d(np.arange(n), exact.modular_echelon(M, exact.MODULAR_PRIMES[0])[1])
     assert in_row_span(N, free, S[1:] - S[0])
 
@@ -667,7 +666,7 @@ def test_certified_kernel_basis(key):
                          ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_certified_image_basis(key):
     cfg = space_config(*key)
-    N = incidence_null_basis(cfg)
+    N = incidence_kernel(cfg).matrix()
     M = incidence_matrix(cfg).matrix
     free = np.setdiff1d(np.arange(M.shape[1]),
                         exact.modular_echelon(M, exact.MODULAR_PRIMES[0])[1])
@@ -687,7 +686,7 @@ def test_one_kernel_basis_product_per_query(monkeypatch):
     cached: N is assembled from the split only on request."""
     cfg = space_config("unitary", 4, 2)
     kernel = incidence_kernel(cfg)
-    N = incidence_null_basis(cfg)
+    N = incidence_kernel(cfg).matrix()
     assert exact._bound(N) * N.shape[1] < 2**53  # chi is 0/1
     seen = []
     real = exact._float_product
@@ -718,8 +717,8 @@ def test_pivot_block_product_matches_the_null_basis(key):
     cfg = space_config(*key)
     kernel = incidence_kernel(cfg)
     M = incidence_matrix(cfg).matrix
-    N = incidence_null_basis(cfg)
-    assert N.dtype == np.int64 and (N == exact.certified_null_basis(M)).all()
+    N = incidence_kernel(cfg).matrix()
+    assert N.dtype == np.int64 and (N == exact.certified_null_basis(M).matrix()).all()
     n = N.shape[1]
     rank = incidence_rank_closed_form(cfg)
     assert kernel.block.shape == (n - rank, rank) and (kernel.block == N[:, kernel.pivots]).all()
@@ -747,7 +746,7 @@ def test_kernel_image_and_nullspace_oracle_agree(medium_config):
                           np.stack([_pencil(cfg).chi(), _pencil(cfg).complement().chi(),
                                     _near_miss(cfg).chi()], axis=1)], axis=1)
     by_oracle = ~int_matmul(oracle, chi).any(axis=0)
-    by_image = ~int_matmul(incidence_null_basis(cfg), chi).any(axis=0)
+    by_image = ~int_matmul(incidence_kernel(cfg).matrix(), chi).any(axis=0)
     assert (by_oracle == by_image).all()
     assert by_oracle[-3:].tolist() == [True, True, False]
     for col in range(chi.shape[1]):
@@ -826,6 +825,49 @@ def test_restriction_image_matches_oracle(key):
             assert expected is None or want == expected
             verdicts.append(want)
     assert True in verdicts and False in verdicts
+
+
+def _restriction_by_dicts(flat_set, container):
+    """restrict_cl by a Flat -> id dict, two set intersections and N itself."""
+    config = flat_set.config
+    inc = incidence_matrix_in(config, container)
+    i = container.dim - config.nu
+    ids = flat_ids(config)
+    local_of_global = {ids[f]: col for col, f in enumerate(inc.flats)}
+    members = tuple(sorted(set(flat_set.ids) & set(local_of_global)))
+    chi_local = np.zeros((len(inc.flats), 1), dtype=np.int64)
+    chi_local[[local_of_global[g] for g in members], 0] = 1
+    null = flats.incidence_null_basis_in(config, container).matrix()
+    in_image = not int_matmul(null, chi_local).any()
+    x_f = Fraction(len(members), set_denominator(config, i))
+    integral = x_f.denominator == 1
+    within = 0 <= x_f <= min(flat_set.x, Fraction(config.q**i))
+    return cl.Restriction(container, i, members, x_f, in_image, integral, within)
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 2), ("symplectic", 2, 3)],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_restriction_gather_matches_the_dict_oracle(key):
+    """restrict_cl, which gathers chi at the container's cached flat ids,
+    equals the dict-based restriction for a pencil, its complement and a
+    near miss: on every distinct container at nu = 2, and on the i = 1
+    and i = 2 containers of two pencil members at nu = 3."""
+    cfg = space_config(*key)
+    pencil = _pencil(cfg)
+    if cfg.nu == 2:
+        containers = _distinct_containers(cfg)
+    else:
+        maximal = enumerate_flats(cfg, cfg.nu)
+        containers = [t for base in pencil.ids[:2] for i in (1, 2)
+                      for t in container_flats(cfg, maximal[base], i)]
+    verdicts = set()
+    for fs in (pencil, pencil.complement(), _near_miss(cfg)):
+        for t in containers:
+            got = restrict_cl(fs, t)
+            assert got == _restriction_by_dicts(fs, t), (t, fs.ids)
+            assert all(type(g) is int for g in got.member_ids)
+            verdicts.add(got.in_container_image)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 2), ("unitary", 4, 1)])

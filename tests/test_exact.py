@@ -1,5 +1,6 @@
 """Exact linear algebra: GF(p) ranks, the certified null basis, guarded products."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -174,7 +175,7 @@ def test_image_solver_null_rows_stay_int64():
 
     cfg = space_config("symplectic", 3, 2)
     n = len(enumerate_flats(cfg, cfg.nu))
-    null = flats.incidence_null_basis(cfg)
+    null = flats.incidence_kernel(cfg).matrix()
     assert null.dtype == np.int64 and not null.flags.writeable
     assert null.shape == (n - incidence_rank_closed_form(cfg), n)
 
@@ -196,12 +197,43 @@ def test_certified_null_basis_matches_oracle():
              _small_rref_matrix(rng, 2 * ELIMINATION_ROWS + 9, 7, 20),  # three row blocks
              np.zeros((3, 5), dtype=np.int64), np.ones((ELIMINATION_ROWS + 1, 4), dtype=np.int64)]
     for a in cases:
-        N = certified_null_basis(a)
+        N = certified_null_basis(a).matrix()
         oracle = integer_nullspace(a)
         assert N.dtype == np.int64 and N.shape == oracle.shape
         assert not int_matmul(a, N.T).any()
         free = np.setdiff1d(np.arange(a.shape[1]), modular_echelon(a, p)[1])
         assert in_row_span(N, free, oracle)
+
+
+def test_null_basis_split_is_read_only_and_round_trips():
+    """Every NullBasis array is read-only and the basis is frozen; free and
+    the pivots, ascending, partition the columns, and matrix() is the
+    split: N[:, free] = diag(scale), N[:, pivots] = block = block_float.
+    The last case's GF(p) pivots come out as [1, 0], not in column order."""
+    rng = np.random.default_rng(7)
+    late_pivot = np.array([[0, 1, 1]] * ELIMINATION_ROWS + [[1, 0, 2]], dtype=np.int64)
+    cases = [_small_rref_matrix(rng, 6, 3, 9), _small_rref_matrix(rng, 2 * ELIMINATION_ROWS + 9, 7, 20),
+             np.zeros((3, 5), dtype=np.int64), np.eye(4, dtype=np.int64), late_pivot]
+    assert modular_echelon(late_pivot, MODULAR_PRIMES[0])[1] == [1, 0]
+    for a in cases:
+        basis = certified_null_basis(a)
+        N = basis.matrix()
+        arrays = (basis.free, basis.pivots, basis.scale, basis.block, basis.block_float, N)
+        assert not any(x.flags.writeable for x in arrays)
+        with pytest.raises(ValueError):
+            basis.block[...] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            basis.block = basis.block_float
+        pivots = modular_echelon(a, MODULAR_PRIMES[0])[1]
+        assert basis.pivots.tolist() == sorted(pivots)
+        assert sorted(basis.free.tolist() + pivots) == list(range(a.shape[1]))
+        assert N.dtype == np.int64 and N.shape == (len(basis.free), a.shape[1])
+        assert (N[:, basis.free] == np.diag(basis.scale)).all()
+        assert (N[:, basis.pivots] == basis.block).all()
+        assert basis.block_float.dtype == np.float64 and (basis.block_float == basis.block).all()
+        assert N.shape == integer_nullspace(a).shape
+        assert in_row_span(N, basis.free, integer_nullspace(a))
+    assert certified_null_basis(late_pivot).matrix().tolist() == [[-2, -1, 1]]
 
 
 def test_null_basis_reconstruction_failure_is_an_internal_error():
@@ -215,7 +247,7 @@ def test_null_basis_certificate_rejects_any_single_change():
     from clflats.geometry import space_config
 
     M = incidence_matrix(space_config("orthogonal", 3, 2)).matrix
-    N = certified_null_basis(M)
+    N = certified_null_basis(M).matrix()
     free = np.setdiff1d(np.arange(M.shape[1]), modular_echelon(M, MODULAR_PRIMES[0])[1])
     check_null_basis(M, N, free)
     rng = np.random.default_rng(11)
@@ -364,7 +396,7 @@ def test_int_matmul_new_read_only_array_at_a_reused_id():
 
 
 def test_sort_based_unique_matches_np_unique():
-    """sorted_unique and the inverse behind certified_null_split give
+    """sorted_unique and the inverse behind certified_null_basis give
     np.unique's values, order and inverse; the null basis's free columns
     are the columns off the GF(p) pivots."""
     rng = np.random.default_rng(11)
@@ -378,7 +410,8 @@ def test_sort_based_unique_matches_np_unique():
         assert (exact.sorted_unique(a) == want).all()
     for _ in range(20):
         M = rng.integers(-2, 3, (rng.integers(1, 6), rng.integers(1, 8)))
-        N, free = exact.certified_null_split(M)
+        basis = certified_null_basis(M)
+        N, free = basis.matrix(), basis.free
         pivots = modular_echelon(M, MODULAR_PRIMES[0])[1]
         assert (free == np.setdiff1d(np.arange(M.shape[1]), pivots)).all()
-        assert (N == certified_null_basis(M)).all()
+        assert (N == certified_null_basis(M).matrix()).all()

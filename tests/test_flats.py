@@ -34,7 +34,7 @@ from clflats.geometry import (
     unit_vector,
     zero_vector,
 )
-from conftest import MEDIUM_CONFIGS
+from conftest import MEDIUM_CONFIGS, in_row_span, integer_nullspace
 
 
 def test_flat_make_canonical_representative(s22):
@@ -259,9 +259,39 @@ def test_incidence_matrix_in_matches_flat_points_loop(key, bases):
         assert inc.matrix.dtype == np.int64 and not inc.matrix.flags.writeable
         assert (inc.matrix == M).all()
         N = incidence_null_basis_in(cfg, t)
-        assert N is incidence_null_basis_in(cfg, t) and not N.flags.writeable
+        assert N is incidence_null_basis_in(cfg, t) and not N.block.flags.writeable
+        N = N.matrix()
         assert not exact.int_matmul(M, N.T).any()
         assert N.shape[0] == M.shape[1] - len(exact.modular_echelon(M, exact.MODULAR_PRIMES[0])[1])
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 2), ("symplectic", 3, 2)],
+                         ids=["symp-q2-nu2", "orth-q3-nu2", "symp-q3-nu2"])
+def test_container_null_bases_match_the_oracle(key):
+    """Every distinct container's null basis spans the Fraction nullspace
+    of its incidence matrix (the same dimension, the oracle in its row
+    span), its product equals int_matmul with N for 0/1, signed and object
+    columns, and the container keeps the ids of its flats, ascending."""
+    cfg = space_config(*key)
+    ids = flat_ids(cfg)
+    rng = np.random.default_rng(sum(map(ord, repr(key))))
+    containers = {}
+    for base in enumerate_flats(cfg, cfg.nu):
+        containers.update(dict.fromkeys(container_flats(cfg, base, 1)))
+    for t in containers:
+        inc = incidence_matrix_in(cfg, t)
+        assert inc.ids.tolist() == sorted(ids[f] for f in inc.flats)
+        assert inc.ids.tolist() == [ids[f] for f in inc.flats] and not inc.ids.flags.writeable
+        basis = incidence_null_basis_in(cfg, t)
+        N = basis.matrix()
+        oracle = integer_nullspace(inc.matrix)
+        assert oracle.shape == N.shape and in_row_span(N, basis.free, oracle)
+        n = inc.matrix.shape[1]
+        for X in (rng.integers(0, 2, (n, 3)), rng.integers(-7, 8, (n, 3)),
+                  rng.integers(0, 2, n), rng.integers(-7, 8, (n, 2)).astype(object) * 2**80):
+            got = basis.product(X)
+            assert got.shape == (len(N),) + X.shape[1:]
+            assert (got == exact.int_matmul(N, X)).all()
 
 
 def test_flat_ids_stable_order(s22):

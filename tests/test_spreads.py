@@ -7,7 +7,7 @@ from clflats import exact, spreads
 from clflats.cl import battery, construct_pencil, test_spreads as spread_test
 from clflats.cli import paper_suite
 from clflats.field import e_power
-from clflats.flats import enumerate_flats, incidence_matrix, incidence_null_basis, incidence_rank
+from clflats.flats import enumerate_flats, incidence_kernel, incidence_matrix, incidence_rank
 from clflats.geometry import (
     all_vectors,
     canonicalize,
@@ -386,7 +386,7 @@ def test_spanning_stack_is_eliminated_once(key, monkeypatch, fresh_spanning_rows
     n = M.shape[1]
     kept = spreads.family_indicators(cfg, list(spanning_rows(cfg))).astype(np.int64)
     assert len(kept) == n - incidence_rank(cfg) + 1
-    N = incidence_null_basis(cfg)
+    N = incidence_kernel(cfg).matrix()
     free = np.setdiff1d(np.arange(n), real(M, exact.MODULAR_PRIMES[0])[1])
     assert in_row_span(N, free, kept[1:] - kept[0])
 
