@@ -17,8 +17,9 @@ with the null basis of a container's incidence matrix decides the
 restrictions to that container, from chi gathered at the container's
 flat ids, and the on-demand witness y with M^T y = chi is read off the
 null basis of [M^T | -chi] (NullBasis.matrix).  The spread route is
-conclusive because the spanning spreads that spreads.spanning_rows
-keeps number n - rank M + 1, so their differences span ker M.  The
+conclusive because the differences of the constructive family span
+ker M, which spreads.character_plan certifies from the translation
+characters with no elimination.  The
 spectrum, shifted and count routes read one relation-count table,
 A_r chi for every relation r, from scheme.relation_products, which
 reads the direction-pair factorisation of the relations and builds no
@@ -55,7 +56,6 @@ from .flats import (
     incidence_matrix,
     incidence_matrix_in,
     incidence_null_basis_in,
-    incidence_rank,
 )
 from .geometry import (
     Isometry,
@@ -68,7 +68,7 @@ from .geometry import (
     vec_sub,
 )
 from .scheme import idempotent_coefficients, relation_matrix, relation_products, scheme_tables
-from .spreads import enumerate_spreads, family_members, spanning_rows
+from .spreads import character_plan, enumerate_spreads, family_members
 
 
 def set_denominator(config: SpaceConfig, levels: int | None = None) -> int:
@@ -322,10 +322,12 @@ def test_spreads(flat_set: FlatSet, family: str = "auto") -> SpreadTestReport:
 
     family: 'constructive' (= 'auto': type I, plus type II when nu >= 2),
     its parts 'typeI' and 'typeII', or 'exhaustive' (small spaces only).
-    The constructive family is conclusive: it holds the spanning rows,
-    whose differences are certified to span ker M (spreads.spanning_rows
-    keeps n - rank M + 1 independent spreads), so constant intersection
-    is membership; a failed certificate raises AssertionError.
+    The constructive family is conclusive: its differences are certified
+    to span ker M by the translation characters (spreads.character_plan:
+    the type-II direction pairs are the rd = 1 pairs, the rows are closed
+    under translation, and the rd = 1 graph on the directions in each
+    character's kernel is connected), so constant intersection is
+    membership; a failed certificate raises AssertionError.
     """
     config = flat_set.config
     family = "constructive" if family == "auto" else family
@@ -338,13 +340,10 @@ def test_spreads(flat_set: FlatSet, family: str = "auto") -> SpreadTestReport:
         split = len(enumerate_isotropic(config, config.nu))
         rows = {"constructive": slice(None), "typeI": slice(split), "typeII": slice(split, None)}
         members = family_members(config)[rows[family]]
-        if conclusive:
-            kept = len(spanning_rows(config))
-            target = len(enumerate_flats(config, config.nu)) - incidence_rank(config) + 1
-            if kept != target:
-                raise AssertionError(
-                    f"spread differences do not certify ker M for {config.key()}: "
-                    f"{kept} independent spanning spreads, n - rank M + 1 = {target}")
+        failure = conclusive and character_plan(config).failure
+        if failure:
+            raise AssertionError(
+                f"spread differences do not certify ker M for {config.key()}: {failure}")
     else:
         raise ValueError(f"unknown family {family!r} for nu = {config.nu}")
     # a bool gather: the family has about n rows of q^nu members

@@ -46,16 +46,15 @@ def _residues(block, p: int) -> np.ndarray:
     return (A % p).astype(np.int64, copy=False)
 
 
-def modular_echelon(matrix, p: int, stop_at: int | None = None):
+def modular_echelon(matrix, p: int):
     """Row echelon form over GF(p) from the first-come independent rows.
 
     Returns (E, pivots, rows): E[j] is the reduction of input row rows[j]
     against the rows before it, scaled to 1 at column pivots[j] and zero
     at every earlier pivot column.  rows are the indices of the first rows
-    that are independent over GF(p), hence over Q, in input order, and at
-    most stop_at of them.  When the pivots come out in increasing column
-    order (as for any input with no more than ELIMINATION_ROWS rows), E
-    is an ordinary row echelon form.
+    that are independent over GF(p), hence over Q, in input order.  When
+    the pivots come out in increasing column order (as for any input with
+    no more than ELIMINATION_ROWS rows), E is an ordinary row echelon form.
 
     The input is widened to int64 residues ELIMINATION_ROWS rows at a
     time: each block is reduced by the pivot rows found so far, then row
@@ -64,7 +63,7 @@ def modular_echelon(matrix, p: int, stop_at: int | None = None):
     """
     A = np.asarray(matrix)
     nrows, ncols = A.shape if A.ndim == 2 else (0, 0)
-    limit = min(nrows, ncols) if stop_at is None else min(stop_at, nrows, ncols)
+    limit = min(nrows, ncols)
     E = np.zeros((limit, ncols), dtype=np.int64)
     pivots: list[int] = []
     rows: list[int] = []

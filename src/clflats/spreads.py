@@ -19,15 +19,43 @@ container's parity check (geometry.syndrome_keys); the interior
 directions of a container are those whose bases have syndrome zero.
 list_type_I and list_type_II wrap the rows as Spreads for the CLI.
 
-The type-II spreads (type I at nu = 1) span the orthogonal complement
-of the parallel-class eigenspace, of dimension
-n - m_(0,1) = n - rank M + 1.  spanning_rows keeps their first
-independent rows in one GF(p) elimination of a fixed shuffle.  That
-one count is both the rank the type-II span check reports and the
-certificate that the differences of the spreads span ker M, which
-makes the constructive spread route of the membership test
-conclusive.  A stack rank with no such proof is read off the stack's
-certified null basis.
+The translation characters decide what the family spans
+(character_plan).  Field codes add digit-wise mod p, so the points form
+G = F_p^(2 nu k), q = p^k, whose characters are psi_a(x) = w^(a . x),
+w = e^(2 pi i/p).  T_psi is the set of maximal directions d inside
+ker psi, and u_d^psi = sum of psi(f) e_f over the flats f of direction d,
+where psi(f) is psi at any point of f, which is well defined since psi
+is 1 on d.  Three facts carry the plan:
+- Translations fix every relation, and they commute with M.  So
+  R^n = (+)_psi V_psi, with V_psi spanned by the u_d^psi for d in T_psi:
+  e_f = q^(-nu) sum of conj psi(f) u_d^psi over the psi with d in T_psi.
+  M maps each u_d^psi to psi itself, read on the points, since each
+  point lies on one flat of d.  The psi are independent, so ker M is the
+  sum of {sum c_d u_d^psi : sum c_d = 0}, and
+  dim ker M = (D - 1) + sum over psi != 1 of max(|T_psi| - 1, 0).
+- For psi != 1, the psi component of a type-II spread, p1 on the coset
+  s + Q of Q = p1 + p2 and p2 off it, is q^(1 - nu) psi(-s) (u_p1 - u_p2)
+  when p1, p2 lie in ker psi, and 0 otherwise: the conj psi(f) of the
+  flats of p1 in s + Q sum to q psi(-s), or to 0 when psi is not 1 on Q,
+  and those of the flats of p2 off s + Q to minus that.
+  A row of flats of two directions with rd = 1, q in one, that covers
+  each point once is such a spread: its flats of p1 cover a union of
+  cosets of p1 and of p2, hence of Q, with q^(nu + 1) points.
+- The span of a translation-closed family is the sum of its psi
+  components, since the projection onto V_psi is a combination of
+  translations and maps the span into itself.
+So, for translation-closed type-II rows whose direction pairs are the
+rd = 1 pairs, the span's psi component is spanned by u_p1 - u_p2 over the
+rd = 1 edges inside T_psi, of dimension |T_psi| minus the components of
+that graph, and its trivial component by the rows' direction-block
+sums: that is the exact type-II rank.  The type-I rows are the u_d^1,
+whose differences span the trivial part of ker M.  So the differences
+of the family span ker M iff the rd = 1 graph on every T_psi is
+connected.  That certificate makes the constructive spread route of the
+membership test conclusive.  At nu = 1 there are no type-II rows, and
+every |T_psi| <= 1, since two maximal directions span the space.  A
+stack rank with no such proof is read off the stack's certified null
+basis.
 """
 
 from __future__ import annotations
@@ -69,7 +97,13 @@ from .geometry import (
     syndrome_keys,
     vec_add,
 )
-from .scheme import PRODUCT_COLUMNS, idempotent_coefficients, relation_products, scheme_tables
+from .scheme import (
+    PRODUCT_COLUMNS,
+    idempotent_coefficients,
+    pair_factors,
+    relation_products,
+    scheme_tables,
+)
 
 EXHAUSTIVE_POINT_BOUND = 32
 
@@ -201,7 +235,7 @@ def family_members(config: SpaceConfig) -> np.ndarray:
     Type-I spreads come first, then the type-II ones when nu >= 2, each
     part in lexicographic order without repeats.  Every spread covers
     each point once, so differences of rows lie in the kernel of the
-    incidence matrix; spanning_rows certifies that they span it.
+    incidence matrix; character_plan certifies that they span it.
     """
     members = _type_I_members(config)
     if config.nu >= 2:
@@ -216,34 +250,6 @@ def family_indicators(config: SpaceConfig, rows=slice(None)) -> np.ndarray:
     stack = np.zeros((members.shape[0], len(enumerate_flats(config, config.nu))), dtype=np.int8)
     np.put_along_axis(stack, members, 1, axis=1)
     return stack
-
-
-@lru_cache(maxsize=None)
-def spanning_rows(config: SpaceConfig) -> tuple[int, ...]:
-    """Rows of family_members(config) that are independent and span the
-    parallel-class complement, found by one GF(p) elimination.
-
-    The spanning rows are the type-II spreads, or the type-I ones at
-    nu = 1.  They span a space of dimension at most n - m_(0,1), so the
-    elimination of their fixed shuffle stops there; neighbouring spreads
-    of the sorted family share members, so the shuffle meets independent
-    rows sooner.  Rows independent over GF(p) are independent over Q.
-    Every kept row s covers each point once, M s^T = 1, checked exactly
-    here.  So k kept rows give k - 1 independent differences in ker M,
-    and k = n - rank M + 1 proves that the differences span ker M.
-    """
-    split = len(enumerate_isotropic(config, config.nu)) if config.nu >= 2 else 0
-    tables = scheme_tables(config)
-    target = tables.size - tables.multiplicities[(0, 1)]
-    stack = family_indicators(config, slice(split, None))
-    order = random.Random(0).sample(range(len(stack)), len(stack))
-    independent = exact.modular_echelon(stack[order], exact.MODULAR_PRIMES[0], stop_at=target)[2]
-    kept = [split + order[k] for k in independent]
-    cover = exact.int_matmul(incidence_matrix(config).matrix, family_indicators(config, kept).T)
-    if (cover != 1).any():
-        raise AssertionError(f"a kept spanning spread of {config.key()} does not cover "
-                             "each point once")
-    return tuple(kept)
 
 
 def _type_II_members(config: SpaceConfig) -> np.ndarray:
@@ -297,6 +303,201 @@ def _unique_rows(a: np.ndarray) -> np.ndarray:
     new = np.ones(len(ordered), dtype=bool)
     new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     return ordered[new]
+
+
+def _sorted_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of an integer matrix in one canonical order, flattened: each
+    row is sorted as one opaque byte string, so two matrices give equal
+    results iff they hold the same rows, counted with multiplicity."""
+    a = np.ascontiguousarray(a)
+    return np.sort(a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()).view(a.dtype)
+
+
+# ---------------------------------------------------------------------------
+# the translation characters
+
+CHARACTER_ELEMENTS = 2**20  # bounds the (characters, directions, partners) labels of _components
+
+
+@dataclass(frozen=True)
+class CharacterPlan:
+    """What the translation characters prove about ker M and the family.
+
+    kernel_dimension is dim ker M.  The certificate that the differences
+    of family_members span ker M is three checks:
+    - edges_ok: type-I row d is the direction block d, and each type-II
+      row lies in two directions, q of its members in one, whose pairs
+      are exactly the pairs with rd = 1 (checked at nu >= 2);
+    - closed: the type-II rows are closed under the unit translations;
+    - connected: for every nontrivial character a, the graph on T_a with
+      the type-II pairs as edges is connected.
+    rank is the exact rank of the type-II rows, or None when there are
+    none (nu = 1) or when edges_ok or closed fails.
+    """
+
+    kernel_dimension: int
+    edges_ok: bool
+    closed: bool
+    connected: bool
+    rank: int | None
+
+    @property
+    def failure(self) -> str | None:
+        """Why the certificate fails, or None when it holds."""
+        if not self.edges_ok:
+            return "the spreads' directions are not the direction blocks and the rd = 1 pairs"
+        if not self.closed:
+            return "the type-II spreads are not closed under translation"
+        if not self.connected:
+            return "the rd = 1 graph on the directions in a character's kernel is disconnected"
+        return None
+
+
+def character_kernels(config: SpaceConfig) -> np.ndarray:
+    """T[a, d]: whether maximal direction d lies in the kernel of the
+    character a, for one nontrivial character of each F_p-line; bool,
+    (lines, directions).
+
+    A vector of field codes is the F_p vector of their base-p digits; F_q
+    adds digit-wise mod p, so this is additive.  The characters whose
+    first nonzero digit is 1 stand for the lines: c a has the kernel of a.
+    d lies in ker psi_a iff a kills the digits of the F_p basis t^j b of
+    d, for the basis vectors b of d and the codes p^j of t^j, j < k.
+    """
+    fld = config.field
+    m = config.dim * fld.k
+    chars = np.arange(1, fld.p**m)[:, None] // fld.p ** np.arange(m) % fld.p
+    chars = chars[chars[np.arange(len(chars)), (chars != 0).argmax(axis=1)] == 1]
+    basis = np.array([d.basis for d in enumerate_isotropic(config, config.nu)], dtype=np.int64)
+    scaled = fld.mul_flat[fld.p ** np.arange(fld.k)[:, None, None, None] * fld.q + basis]
+    digits = scaled[..., None] // fld.p ** np.arange(fld.k) % fld.p  # (k, D, nu, dim, k)
+    fp_basis = digits.transpose(1, 0, 2, 3, 4).reshape(-1, m)
+    values = exact.int_matmul(chars, fp_basis.T) % fld.p
+    return ~values.reshape(len(chars), len(basis), -1).any(axis=2)
+
+
+def _unit_translations(config: SpaceConfig) -> np.ndarray:
+    """(dim k, n): the flat to which each unit translation, the code p^j
+    added to coordinate i, moves each flat; these generate F_q^(2 nu).
+
+    A flat is moved through one of its points, read off coset_table."""
+    fld, coset_of = config.field, coset_table(config)
+    per, points = config.q**config.nu, coset_of.shape[1]
+    on = np.empty(len(coset_of) * per, dtype=np.int64)
+    on[coset_of] = np.arange(points)
+    coords = point_array(config)[:, :, None]
+    weights = config.q ** np.arange(config.dim - 1, -1, -1, dtype=np.int64)[:, None]
+    moved = fld.add_flat[coords * fld.q + fld.p ** np.arange(fld.k)]
+    target = (np.arange(points)[:, None, None] + (moved - coords) * weights).reshape(points, -1)
+    return coset_of[np.arange(len(on)) // per, target.T[:, on]]
+
+
+def _components(kernels: np.ndarray, partners: np.ndarray) -> np.ndarray:
+    """The number of components of the graph on each row's directions whose
+    edges join each direction d to partners[d]; (rows,) int64.
+
+    Every direction takes the least label among itself and its partners
+    in the row until nothing changes, so each component ends with the
+    label of its least direction, and the roots count the components.
+    """
+    rows, dirs = kernels.shape
+    own = np.arange(dirs)
+    out = np.empty(rows, dtype=np.int64)
+    step = max(1, CHARACTER_ELEMENTS // max(1, dirs * partners.shape[1]))
+    for s in range(0, rows, step):
+        inside = kernels[s:s + step]
+        labels = np.where(inside, own, dirs)
+        while True:
+            near = labels[:, partners].min(axis=2, initial=dirs)
+            following = np.where(inside, np.minimum(labels, near), dirs)
+            if (following == labels).all():
+                break
+            labels = following
+        out[s:s + step] = (labels == own).sum(axis=1)
+    return out
+
+
+def _check_cover(config: SpaceConfig, members: np.ndarray) -> None:
+    """Raise AssertionError unless every row covers each point once.
+
+    A row of q^nu flats of q^nu points covers each point once iff it hits
+    every point; PRODUCT_COLUMNS rows are gathered at a time."""
+    coset_of = coset_table(config)
+    per = config.q**config.nu
+    points_of = np.argsort(coset_of, axis=1, kind="stable").reshape(-1, per)
+    ok = members.shape[1] == per
+    for s in range(0, len(members), PRODUCT_COLUMNS):
+        points = points_of[members[s:s + PRODUCT_COLUMNS]].reshape(-1, per * per)
+        hit = np.zeros(points.size, dtype=bool)
+        hit[(points + per * per * np.arange(len(points))[:, None]).ravel()] = True
+        ok = ok and bool(hit.all())
+    if not ok:
+        raise AssertionError(f"a spread of {config.key()} does not cover each point once")
+
+
+def _type_II_edges(config: SpaceConfig, rows: np.ndarray) -> tuple[bool, np.ndarray | None]:
+    """Whether each type-II row lies in two directions, q members in one,
+    whose pairs are exactly the rd = 1 pairs; and the rows' distinct
+    direction-block sums when they do.
+
+    Members are sorted and ids run direction-major, so a row's
+    directions are its first and last members' blocks."""
+    q, per = config.q, config.q**config.nu
+    rd = pair_factors(config).rd
+    direction = rows // per
+    first, last = direction[:, 0], direction[:, -1]
+    count = (direction == first[:, None]).sum(axis=1)
+    elsewhere = (direction != first[:, None]) & (direction != last[:, None])
+    if elsewhere.any() or (first == last).any() or ((count != q) & (count != per - q)).any():
+        return False, None
+    a, b = np.nonzero(np.triu(rd == 1))
+    if not np.array_equal(exact.sorted_unique(first * len(rd) + last), a * len(rd) + b):
+        return False, None
+    distinct = exact.sorted_unique((first * len(rd) + last) * per + count)
+    pair, held = np.divmod(distinct, per)
+    sums = np.zeros((len(distinct), len(rd)), dtype=np.int64)
+    sums[np.arange(len(distinct)), pair // len(rd)] = held
+    sums[np.arange(len(distinct)), pair % len(rd)] = per - held
+    return True, sums
+
+
+@lru_cache(maxsize=None)
+def character_plan(config: SpaceConfig) -> CharacterPlan:
+    """kernel_dimension, the spread certificate and the type-II rank, from
+    the translation characters (see the module docstring for the proofs).
+
+    kernel_dimension = (D - 1) + sum over the nontrivial characters of
+    max(|T_a| - 1, 0); the p - 1 characters of a line share T_a.  The
+    type-II rank is the exact rank of the rows' direction-block sums plus
+    the sum of |T_a| minus the components of the rd = 1 graph on T_a.
+    Raises AssertionError if a row of family_members does not cover each
+    point once, which every proof here assumes.
+    """
+    members = family_members(config)
+    _check_cover(config, members)
+    dirs = len(enumerate_isotropic(config, config.nu))
+    kernels = character_kernels(config)
+    sizes = kernels.sum(axis=1)
+    conjugates = config.field.p - 1
+    kernel_dimension = dirs - 1 + conjugates * int(np.maximum(sizes - 1, 0).sum())
+    rows = members[dirs:]
+    edges_ok = np.array_equal(members[:dirs], _type_I_members(config))
+    if config.nu >= 2:
+        pairs_ok, sums = _type_II_edges(config, rows)
+        edges_ok = edges_ok and pairs_ok
+        partners = np.nonzero(pair_factors(config).rd == 1)[1].reshape(dirs, -1)
+    else:
+        edges_ok = edges_ok and not len(rows)
+        sums, partners = None, np.empty((dirs, 0), dtype=np.int64)
+    want = _sorted_rows(rows)
+    closed = all(np.array_equal(_sorted_rows(np.sort(shift[rows], axis=1)), want)
+                 for shift in _unit_translations(config))
+    components = _components(kernels, partners)
+    rank = None
+    if edges_ok and closed and sums is not None:
+        rank = (len(exact.certified_null_basis(sums).pivots)
+                + conjugates * int((sizes - components).sum()))
+    return CharacterPlan(kernel_dimension, edges_ok, closed, bool((components <= 1).all()), rank)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +710,9 @@ def typeII_span_check(config: SpaceConfig) -> SpanReport:
     nonvanishing_ok = all(_nonzero_projections(config, eig, stack)
                           for eig in tables.eigs if eig[0] != 0)
     expected = tables.size - tables.multiplicities[(0, 1)]
-    kept = len(spanning_rows(config)) if vanishing_ok else None
+    # the plan's rank is that of family_members' rows; a stack failing its
+    # vanishing check reads its own exact rank
+    kept = character_plan(config).rank if vanishing_ok else None
     rank, method = _stack_rank(stack, expected, kept)
     return SpanReport("II", len(stack), rank, expected, vanishing_ok,
                       nonvanishing_ok, method)

@@ -1,12 +1,15 @@
 """Shared fixtures; the package memoizes heavy artifacts per configuration."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from clflats.geometry import space_config
+from clflats import exact, spreads
+from clflats.geometry import enumerate_isotropic, space_config
+from clflats.scheme import scheme_tables
 
 SMALL_CONFIGS = (
     ("symplectic", 2, 1), ("symplectic", 3, 1),
@@ -111,3 +114,33 @@ def integer_nullspace(matrix) -> np.ndarray:
         scale = math.lcm(*(x.denominator for x in v))
         basis.append([int(x * scale) for x in v])
     return np.array(basis, dtype=object).reshape(len(basis), np.asarray(matrix).shape[1])
+
+
+def spanning_rows_oracle(config) -> list[int]:
+    """The rows of family_members kept by a GF(p) elimination of the type-II
+    stack (type I at nu = 1) in the fixed random.Random(0) shuffle: the
+    certificate the package computed before the translation characters.
+
+    The stack lies in the complement of the parallel-class eigenspace, of
+    dimension n - m_(0,1), so the elimination stops once it keeps that many
+    rows; the count is then the rank over GF(p), a lower bound on the rank
+    over Q.  It runs ELIMINATION_ROWS new rows at a time after the echelon
+    rows kept so far: those are independent, so they are kept again at
+    little cost, and the first-come rows of a prefix of the shuffle are
+    those of the whole shuffle that lie in it.
+    """
+    split = len(enumerate_isotropic(config, config.nu)) if config.nu >= 2 else 0
+    tables = scheme_tables(config)
+    target = tables.size - tables.multiplicities[(0, 1)]
+    stack = spreads.family_indicators(config, slice(split, None))
+    order = random.Random(0).sample(range(len(stack)), len(stack))
+    echelon = np.zeros((0, stack.shape[1]), dtype=np.int64)
+    kept: list[int] = []
+    for start in range(0, len(stack), exact.ELIMINATION_ROWS):
+        block = order[start:start + exact.ELIMINATION_ROWS]
+        echelon, _, rows = exact.modular_echelon(np.vstack([echelon, stack[block]]),
+                                                 exact.MODULAR_PRIMES[0])
+        kept += [split + block[r - len(kept)] for r in rows[len(kept):]]
+        if len(kept) >= target:
+            break
+    return kept[:target]

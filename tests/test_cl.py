@@ -57,7 +57,7 @@ from clflats.geometry import (
 )
 from clflats.cli import STANDARD_GRID, paper_suite
 from clflats.scheme import idempotent_int, relation_matrix, relation_products, scheme_tables
-from conftest import MEDIUM_CONFIGS, in_row_span, integer_nullspace
+from conftest import MEDIUM_CONFIGS, in_row_span, integer_nullspace, spanning_rows_oracle
 
 
 def _pencil(cfg, point=None):
@@ -645,12 +645,13 @@ def test_every_method_agrees(key):
 @pytest.mark.parametrize("key", [c for c in MEDIUM_CONFIGS] + [("symplectic", 3, 2)],
                          ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_certified_kernel_basis(key):
-    """The kept spanning spreads cover each point once and number
-    n - rank M + 1, and their differences lie in the row span of N, so
-    they span ker M."""
+    """The certificate holds, and the spreads the oracle elimination keeps
+    cover each point once and number n - rank M + 1, and their differences
+    lie in the row span of N, so they span ker M."""
     cfg = space_config(*key)
-    kept = spreads.spanning_rows(cfg)
-    S = spreads.family_indicators(cfg, list(kept)).astype(np.int64)
+    assert spreads.character_plan(cfg).failure is None
+    kept = spanning_rows_oracle(cfg)
+    S = spreads.family_indicators(cfg, kept).astype(np.int64)
     M = incidence_matrix(cfg).matrix
     n = M.shape[1]
     assert len(kept) == n - incidence_rank(cfg) + 1 == n - incidence_rank_closed_form(cfg) + 1

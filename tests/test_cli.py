@@ -379,6 +379,41 @@ def test_failed_spread_certificate_exits_3(tmp_path, broken, fragment):
     assert fragment in lines[0]
 
 
+# the certificate's own checks: the rd = 1 edges of the kernel with the most
+# directions removed, so its graph falls apart; one type-II row dropped, so
+# every pair keeps a row but the rows are not closed under translation
+CERTIFICATE_TAMPERS = {
+    "removed-edges": ("real = spreads._components\n"
+                      "def tampered(kernels, partners):\n"
+                      "    out = real(kernels, partners)\n"
+                      "    k = int(kernels.sum(axis=1).argmax())\n"
+                      "    out[k] = real(kernels[k:k + 1], partners[:, :0])[0]\n"
+                      "    return out\n"
+                      "spreads._components = tampered\n",
+                      "is disconnected"),
+    "dropped-row": ("real = spreads.family_members\n"
+                    "spreads.family_members = lambda c: real(c)[:-1]\n",
+                    "not closed under translation"),
+}
+
+
+@pytest.mark.parametrize("how", sorted(CERTIFICATE_TAMPERS))
+def test_failed_character_certificate_exits_3(tmp_path, how):
+    """cl test --method spreads exits 3, never 0 or 1, with one
+    internal-error line when a check of the character certificate fails."""
+    tamper, fragment = CERTIFICATE_TAMPERS[how]
+    setfile = tmp_path / "pencil.json"
+    assert run(["cl", "construct", "--pencil", "0,0,0,0", "--out", str(setfile)] + BASE) == 0
+    code = ("import sys\nfrom clflats import spreads\nfrom clflats.cli import run\n"
+            f"{tamper}sys.exit(run(sys.argv[1:]))\n")
+    proc = _child(code, ["cl", "test", "--method", "spreads", "--in", str(setfile)] + BASE)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("clflats: internal error: "), proc.stderr
+    assert "do not certify ker M" in lines[0] and fragment in lines[0]
+
+
 def test_failed_scheme_invariant_exits_3():
     """The closed-form totals and integrality checks are internal checks."""
     broken_valency = ("import sys; from clflats import scheme; from clflats.cli import run; "

@@ -80,15 +80,19 @@ def test_no_solution_iff_rank_jump():
         assert not jumps[-3] and jumps[-2] and jumps[-1]
 
 
-def test_modular_rank_int64_input_and_stop_at():
+def test_modular_rank_int64_input():
     rng = random.Random(13)
     for _ in range(40):
         a = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8), -9, 9)
         r = rational_rank(a)
         arr = np.array(a, dtype=np.int64)
-        assert len(modular_echelon(arr, MODULAR_PRIMES[0])[1]) == r
-        for stop in range(0, r + 2):
-            assert len(modular_echelon(arr, MODULAR_PRIMES[1], stop_at=stop)[1]) == min(r, stop)
+        for p in MODULAR_PRIMES:
+            assert len(modular_echelon(arr, p)[1]) == r
+        # a prefix of the rows keeps the kept rows that lie in it
+        kept = modular_echelon(arr, MODULAR_PRIMES[1])[2]
+        for stop in range(len(a) + 1):
+            assert modular_echelon(arr[:stop], MODULAR_PRIMES[1])[2] == [k for k in kept
+                                                                         if k < stop]
     assert len(modular_echelon(np.zeros((0, 3), dtype=np.int64), MODULAR_PRIMES[0])[1]) == 0
     assert len(modular_echelon([[3, 6], [1, 2]], 5)[1]) == 1
 
@@ -102,7 +106,8 @@ def test_modular_rank_narrow_integer_input(dtype):
         for p in MODULAR_PRIMES:
             want = len(modular_echelon(a.astype(np.int64), p)[1])
             assert len(modular_echelon(a.astype(dtype), p)[1]) == want
-            assert len(modular_echelon(a.astype(dtype), p, stop_at=2)[1]) == min(want, 2)
+            head = modular_echelon(a[:2].astype(np.int64), p)[2]
+            assert modular_echelon(a[:2].astype(dtype), p)[2] == head
     pivots = modular_echelon(deficient.astype(dtype), MODULAR_PRIMES[0])[1]
     assert len(pivots) == rational_rank(deficient) == 4
 
@@ -114,7 +119,7 @@ def test_modular_echelon_first_come_rows():
     E, pivots, kept = modular_echelon(rows, p)
     assert kept == [0, 3, 5] and pivots == [0, 1, 2]
     assert E.tolist() == [[1, 1, 0], [0, 1, p - 1], [0, 0, 1]]
-    assert modular_echelon(rows, p, stop_at=2)[2] == [0, 3]
+    assert modular_echelon(rows[:4], p)[2] == [0, 3]
 
 
 def _check_echelon(a: np.ndarray, p: int) -> None:
@@ -153,8 +158,9 @@ def test_modular_echelon_matches_rational_rank():
                  @ rng.integers(0, 2, (5, 30))).astype(np.int8)  # three blocks, rank <= 5
     for a in (stack, deficient, rng.integers(-1, 2, (20, 300)).astype(np.int8)):
         _check_echelon(a, p)
-        want = rational_rank(a)
-        assert len(modular_echelon(a, p, stop_at=want - 1)[1]) == want - 1
+        # the kept rows come first-come: the kept rows alone keep all of themselves
+        kept = modular_echelon(a, p)[2]
+        assert modular_echelon(a[kept], p)[2] == list(range(len(kept)))
 
 
 def test_modular_echelon_drops_no_row_across_blocks():

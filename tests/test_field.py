@@ -33,6 +33,28 @@ def test_field_axioms_exhaustive(q):
                 assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
 
 
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_addition_is_digit_wise_mod_p(q):
+    """add_table adds the base-p digits of the codes mod p, so the codes
+    p^j, j < k, generate (F_q, +), and the unit translations of the
+    spreads' character plan generate F_q^(2 nu)."""
+    fld = field_of_order(q)
+    p, k = fld.p, fld.k
+    assert p**k == q
+
+    def digits(a):
+        return [a // p**j % p for j in range(k)]
+
+    for a in range(q):
+        for b in range(q):
+            assert digits(fld.add_table[a][b]) == [(x + y) % p
+                                                   for x, y in zip(digits(a), digits(b))]
+    reached = {0}
+    for _ in range(k * (p - 1)):
+        reached |= {fld.add_table[a][p**j] for a in reached for j in range(k)}
+    assert reached == set(range(q))
+
+
 def test_f4_modulus_spot():
     f4 = make_field(2, 2)
     t, t_plus_1 = 2, 3  # encodings of t and t+1

@@ -5,9 +5,16 @@ import pytest
 
 from clflats import exact, spreads
 from clflats.cl import battery, construct_pencil, test_spreads as spread_test
-from clflats.cli import paper_suite
+from clflats.cli import STANDARD_GRID, paper_suite
 from clflats.field import e_power
-from clflats.flats import enumerate_flats, incidence_kernel, incidence_matrix, incidence_rank
+from clflats.flats import (
+    enumerate_flats,
+    flat_ids,
+    flat_make,
+    incidence_matrix,
+    incidence_rank,
+    incidence_rank_closed_form,
+)
 from clflats.geometry import (
     all_vectors,
     canonicalize,
@@ -18,11 +25,14 @@ from clflats.geometry import (
     is_totally_isotropic,
     reduce_mod,
     space_config,
+    span_points,
     unit_vector,
+    vec_add,
     zero_vector,
 )
 from clflats.scheme import PRODUCT_COLUMNS, scheme_tables
 from clflats.spreads import (
+    character_plan,
     classify_set,
     coverage,
     enumerate_spreads,
@@ -30,14 +40,13 @@ from clflats.spreads import (
     is_switching_pair,
     list_type_I,
     list_type_II,
-    spanning_rows,
     spread_type_I,
     spread_type_II,
     type_II_components,
     typeI_span_check,
     typeII_span_check,
 )
-from conftest import in_row_span, rational_rank
+from conftest import rational_rank, spanning_rows_oracle
 
 
 def test_type_I_construction(medium_config):
@@ -253,7 +262,7 @@ def test_type_I_span(case, q, nu):
 @pytest.mark.parametrize("key", [("symplectic", 2, 1), ("symplectic", 2, 2),
                                  ("orthogonal", 3, 2), ("unitary", 4, 2)],
                          ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
-def test_type_I_rank_needs_no_elimination(key, monkeypatch, fresh_spanning_rows):
+def test_type_I_rank_needs_no_elimination(key, monkeypatch):
     """The type-I supports are disjoint, so the span check eliminates nothing."""
     calls = []
     real = exact.modular_echelon
@@ -294,7 +303,7 @@ def test_type_II_vanishing_check_reads_every_column_block(s22, monkeypatch):
     """A row with a nonzero (0, 1) projection, a single flat, in a later
     block of PRODUCT_COLUMNS rows still fails the vanishing check, and the
     rank is then read off the stack's certified null basis."""
-    spanning_rows(s22)  # the shared elimination, on the real family
+    character_plan(s22)  # the certificate, on the real family
     typeII = spreads.family_indicators(s22, slice(len(list_type_I(s22)), None))
     tiled = np.vstack([typeII] * (PRODUCT_COLUMNS // len(typeII) + 1))
     for extra, vanishing in ((0, True), (1, False)):
@@ -327,68 +336,129 @@ def test_span_rank_without_a_bound_is_exact():
 
 
 @pytest.fixture
-def fresh_spanning_rows():
-    spanning_rows.cache_clear()
+def fresh_plan():
+    character_plan.cache_clear()
     yield
-    spanning_rows.cache_clear()
+    character_plan.cache_clear()
 
 
 def _patched_family(cfg, monkeypatch, how):
-    """family_members with a kept spanning row's member swapped for a flat
-    outside the row (so M s^T != 1), or with the spanning rows cut to one
-    fewer than n - rank M + 1."""
+    """family_members with one member of its first spanning row (type II,
+    or type I at nu = 1) swapped for a flat outside the row, so the row no
+    longer covers each point once; or with that row cut, so the type-II
+    rows are no longer closed under translation (at nu = 1, the type-I
+    rows no longer hold every direction block)."""
     members = family_members(cfg).copy()
-    kept = list(spanning_rows(cfg))
-    spanning_rows.cache_clear()
+    row = len(list_type_I(cfg)) if cfg.nu >= 2 else 0
     if how == "swap":
-        row = kept[0]
         members[row, 0] = next(f for f in range(len(enumerate_flats(cfg, cfg.nu)))
                                if f not in members[row])
     else:
-        split = len(list_type_I(cfg)) if cfg.nu >= 2 else 0
-        members = np.vstack([members[:split], members[kept[:-1]]])
+        members = np.delete(members, row, axis=0)
     monkeypatch.setattr(spreads, "family_members", lambda config: members)
 
 
 @pytest.mark.parametrize("how", ["swap", "cut"])
 @pytest.mark.parametrize("key", [("symplectic", 2, 2), ("unitary", 4, 1)],
                          ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
-def test_spread_certificate_can_fail(key, how, monkeypatch, fresh_spanning_rows):
+def test_spread_certificate_can_fail(key, how, monkeypatch, fresh_plan):
     cfg = space_config(*key)
     pencil = construct_pencil(cfg, zero_vector(cfg))
     assert spread_test(pencil).conclusive
+    character_plan.cache_clear()
     _patched_family(cfg, monkeypatch, how)
     with pytest.raises(AssertionError, match="cover each point once" if how == "swap"
                        else "do not certify ker M"):
         spread_test(pencil)
 
 
+def _without_edges_of_largest_kernel(real):
+    """_components with the rd = 1 edges of the kernel holding the most
+    directions removed, so that its graph falls apart into single directions."""
+    def tampered(kernels, partners):
+        out = real(kernels, partners)
+        k = int(kernels.sum(axis=1).argmax())
+        out[k] = real(kernels[k:k + 1], partners[:, :0])[0]
+        return out
+    return tampered
+
+
 @pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 2)],
                          ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
-def test_spanning_stack_is_eliminated_once(key, monkeypatch, fresh_spanning_rows):
-    """A pencil's battery and a whole paper suite eliminate the spanning
-    stack once: the spread certificate and the type-II span rank read the
-    same kept rows, n - rank M + 1 of them, whose differences lie in ker M."""
+def test_removed_edges_fail_the_certificate(key, monkeypatch, fresh_plan):
+    """With the rd = 1 edges of one kernel removed, the certificate fails
+    and the spread route raises; the span check's rank is then read off
+    the stack's certified null basis, and stays exact."""
     cfg = space_config(*key)
-    split = len(list_type_I(cfg))
+    monkeypatch.setattr(spreads, "_components", _without_edges_of_largest_kernel(
+        spreads._components))
+    plan = character_plan(cfg)
+    assert plan.edges_ok and plan.closed and not plan.connected
+    assert "disconnected" in plan.failure
+    with pytest.raises(AssertionError, match="do not certify ker M.*disconnected"):
+        spread_test(construct_pencil(cfg, zero_vector(cfg)))
+    tables = scheme_tables(cfg)
+    expected = tables.size - tables.multiplicities[(0, 1)]
+    assert plan.rank < expected
+    report = typeII_span_check(cfg)
+    assert report.rank_method == "null-basis" and report.rank == expected
+
+
+def test_dropped_row_fails_the_closure(s22, monkeypatch, fresh_plan):
+    """One type-II row dropped: every rd = 1 pair keeps a row, so the edge
+    check holds, but the rows are not closed under translation.  There is
+    no character rank then, and the span check reads the exact rank of the
+    stack it checks off its certified null basis."""
+    members = family_members(s22)[:-1]
+    monkeypatch.setattr(spreads, "family_members", lambda config: members)
+    plan = character_plan(s22)
+    assert plan.edges_ok and not plan.closed and plan.rank is None
+    assert "closed under translation" in plan.failure
+    report = typeII_span_check(s22)
+    stack = spreads.family_indicators(s22, slice(len(list_type_I(s22)), None))
+    assert report.rank_method == "null-basis" and report.rank == rational_rank(stack)
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 2)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_dropped_direction_pair_fails_the_edge_check(key, monkeypatch, fresh_plan):
+    """Every row of one rd = 1 direction pair dropped: translations keep a
+    row's directions, so the rest stays closed, but the pairs are no longer
+    the rd = 1 pairs, and the span check falls back to the null basis."""
+    cfg = space_config(*key)
+    split, per = len(list_type_I(cfg)), cfg.q**cfg.nu
+    members = family_members(cfg)
+    pairs = np.sort(members[split:][:, [0, -1]] // per, axis=1)
+    keep = np.concatenate([np.ones(split, dtype=bool), (pairs != pairs[0]).any(axis=1)])
+    monkeypatch.setattr(spreads, "family_members", lambda config: members[keep])
+    plan = character_plan(cfg)
+    assert not plan.edges_ok and plan.closed and plan.rank is None
+    assert "rd = 1 pairs" in plan.failure
+    with pytest.raises(AssertionError, match="do not certify ker M"):
+        spread_test(construct_pencil(cfg, zero_vector(cfg)))
     stack = spreads.family_indicators(cfg, slice(split, None))
+    report = typeII_span_check(cfg)
+    assert report.rank_method == "null-basis" and report.rank == rational_rank(stack)
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 2)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_spread_stack_is_never_eliminated(key, monkeypatch, fresh_plan):
+    """A pencil's battery and a whole paper suite eliminate no matrix as
+    tall as the type-II stack: the spread certificate and the type-II span
+    rank read the character plan, whose rank is the oracle elimination's
+    count."""
+    cfg = space_config(*key)
+    stack = spreads.family_indicators(cfg, slice(len(list_type_I(cfg)), None))
     seen = []
     real = exact.modular_echelon
     monkeypatch.setattr(exact, "modular_echelon",
-                        lambda matrix, *args, **kw: seen.append(np.asarray(matrix)) or
-                        real(matrix, *args, **kw))
+                        lambda matrix, *args: seen.append(len(matrix)) or real(matrix, *args))
     assert all(battery(construct_pencil(cfg, zero_vector(cfg))).values())
     assert all(check.passed for check in paper_suite(cfg, 0))
-    big = [a for a in seen if len(a) >= len(stack)]
-    assert len(big) == 1
-    assert sorted(map(bytes, big[0])) == sorted(map(bytes, stack))
-    M = incidence_matrix(cfg).matrix
-    n = M.shape[1]
-    kept = spreads.family_indicators(cfg, list(spanning_rows(cfg))).astype(np.int64)
-    assert len(kept) == n - incidence_rank(cfg) + 1
-    N = incidence_kernel(cfg).matrix()
-    free = np.setdiff1d(np.arange(n), real(M, exact.MODULAR_PRIMES[0])[1])
-    assert in_row_span(N, free, kept[1:] - kept[0])
+    assert seen and max(seen) < len(stack)
+    monkeypatch.undo()
+    assert character_plan(cfg).rank == len(spanning_rows_oracle(cfg))
 
 
 def test_type_II_needs_nu2(s21):
@@ -460,3 +530,117 @@ def test_unique_rows_matches_np_unique():
         want = np.unique(a, axis=0)
         got = spreads._unique_rows(a)
         assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all()
+
+
+# ---------------------------------------------------------------------------
+# the translation characters against their oracles
+
+@pytest.mark.parametrize("key", [k for k in STANDARD_GRID if k[2] >= 2],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_type_II_rank_matches_the_oracle_elimination(key):
+    """The character rank of the type-II rows is the count of the GF(p)
+    elimination of their shuffled stack, and the certificate holds."""
+    cfg = space_config(*key)
+    plan = character_plan(cfg)
+    assert plan.failure is None
+    assert plan.rank == len(spanning_rows_oracle(cfg))
+
+
+@pytest.mark.parametrize("key", STANDARD_GRID, ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_kernel_dimension_is_n_minus_incidence_rank(key):
+    cfg = space_config(*key)
+    plan = character_plan(cfg)
+    assert plan.kernel_dimension == len(enumerate_flats(cfg, cfg.nu)) - incidence_rank(cfg)
+    assert plan.failure is None
+
+
+@pytest.mark.parametrize("key", [("symplectic", 4, 2), ("orthogonal", 3, 3)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_kernel_dimension_matches_the_closed_form_at_scale(key):
+    """Beyond the grid the plan meets the closed-form rank of M, and the
+    certified type-II rank is n - rank M + 1."""
+    cfg = space_config(*key)
+    plan = character_plan(cfg)
+    dimension = len(enumerate_flats(cfg, cfg.nu)) - incidence_rank_closed_form(cfg)
+    assert plan.kernel_dimension == dimension
+    assert plan.failure is None and plan.rank == dimension + 1
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 2),
+                                 ("unitary", 4, 2), ("symplectic", 4, 2)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_character_kernels_match_the_points_of_each_direction(key):
+    """T[a, d] holds iff a . digits(x) = 0 mod p at every point x of d, and
+    each direction lies in the kernels of the q^nu - 1 nontrivial
+    characters of the quotient by it, p - 1 to a line."""
+    cfg = space_config(*key)
+    p, k = cfg.field.p, cfg.field.k
+    kernels = spreads.character_kernels(cfg)
+    assert len(kernels) * (p - 1) == cfg.num_points - 1
+    assert ((p - 1) * kernels.sum(axis=0) == cfg.q**cfg.nu - 1).all()
+    m = cfg.dim * k
+    chars = np.arange(1, p**m)[:, None] // p ** np.arange(m) % p
+    chars = chars[chars[np.arange(len(chars)), (chars != 0).argmax(axis=1)] == 1]
+    for d, direction in enumerate(enumerate_isotropic(cfg, cfg.nu)):
+        points = np.array(sorted(span_points(cfg, direction)), dtype=np.int64)
+        digits = (points[:, :, None] // p ** np.arange(k) % p).reshape(len(points), m)
+        assert (kernels[:, d] == ~((chars @ digits.T) % p).any(axis=1)).all()
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("unitary", 4, 2), ("symplectic", 4, 2),
+                                 ("orthogonal", 3, 2)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_unit_translations_move_each_flat_by_its_unit_vector(key):
+    """Unit translation (i, j) moves the flat d + x to d + (x + p^j e_i),
+    read off the flats' own representatives."""
+    cfg = space_config(*key)
+    shifts = spreads._unit_translations(cfg)
+    assert shifts.shape == (cfg.dim * cfg.field.k, len(enumerate_flats(cfg, cfg.nu)))
+    ids = flat_ids(cfg)
+    for fid, f in list(enumerate(enumerate_flats(cfg, cfg.nu)))[::7]:
+        for t, (i, j) in enumerate((i, j) for i in range(cfg.dim) for j in range(cfg.field.k)):
+            moved = flat_make(cfg, f.direction, vec_add(cfg.field, f.rep,
+                                                        unit_vector(cfg, i, cfg.field.p**j)))
+            assert shifts[t, fid] == ids[moved]
+
+
+def test_components_count_the_components_of_each_row():
+    """Against a depth-first search on random undirected graphs, with the
+    partner lists padded by each direction itself."""
+    rng = np.random.default_rng(5)
+    dirs = 14
+    for _ in range(20):
+        adjacent = np.triu(rng.random((dirs, dirs)) < 0.15, 1)
+        adjacent |= adjacent.T
+        width = max(1, int(adjacent.sum(axis=1).max()))
+        partners = np.array([list(np.flatnonzero(row)) + [d] * (width - row.sum())
+                             for d, row in enumerate(adjacent)], dtype=np.int64)
+        kernels = rng.random((6, dirs)) < 0.6
+        for row, count in zip(kernels, spreads._components(kernels, partners)):
+            seen, components = set(), 0
+            for start in np.flatnonzero(row):
+                if start in seen:
+                    continue
+                components += 1
+                stack = [start]
+                while stack:
+                    d = stack.pop()
+                    if d not in seen:
+                        seen.add(d)
+                        stack.extend(e for e in np.flatnonzero(adjacent[d]) if row[e])
+            assert count == components
+
+
+def test_trivial_part_is_eliminated_not_assumed(s22, monkeypatch, fresh_plan):
+    """At q^nu = 2q the rows' direction-block sums are 2 (u_p1 + u_p2),
+    whose rank the plan eliminates exactly: it is D here, and with only
+    one of those sums it is 1, so the rank falls by D - 1."""
+    rows = family_members(s22)[len(list_type_I(s22)):]
+    ok, sums = spreads._type_II_edges(s22, rows)
+    assert ok and sorted(set(sums.ravel().tolist())) == [0, 2]
+    dirs = len(list_type_I(s22))
+    assert rational_rank(sums) == dirs
+    full = character_plan(s22).rank
+    character_plan.cache_clear()
+    monkeypatch.setattr(spreads, "_type_II_edges", lambda config, r: (True, sums[:1]))
+    assert character_plan(s22).rank == full - dirs + 1
