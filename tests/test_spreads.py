@@ -343,11 +343,11 @@ def fresh_plan():
 
 
 def _patched_family(cfg, monkeypatch, how):
-    """family_members with one member of its first spanning row (type II,
-    or type I at nu = 1) swapped for a flat outside the row, so the row no
-    longer covers each point once; or with that row cut, so the type-II
-    rows are no longer closed under translation (at nu = 1, the type-I
-    rows no longer hold every direction block)."""
+    """family_members with one member of its first type-II row (its first
+    row at nu = 1) swapped for a flat outside the row, so the row no longer
+    covers each point once; or with that row cut, so the type-II rows are
+    no longer closed under translation (at nu = 1, the type-I rows no
+    longer hold every direction block)."""
     members = family_members(cfg).copy()
     row = len(list_type_I(cfg)) if cfg.nu >= 2 else 0
     if how == "swap":
