@@ -645,8 +645,9 @@ class SpanReport:
 
 
 def _stack_rank(stack: np.ndarray, expected: int, kept: int | None) -> tuple[int, str]:
-    """Exact stack rank.  kept is a number of stack rows proven
-    independent, where the caller has also proven the rank at most
+    """Exact stack rank.  kept is a lower bound on the rank that the
+    caller has proven (rows with disjoint supports, or the character
+    plan's exact rank), where it has also proven the rank at most
     `expected` (the rows lie in a space of that dimension, or there are
     only that many rows), or None when it has no such proof; kept ==
     expected then certifies the rank.  Otherwise the rank is the pivot
