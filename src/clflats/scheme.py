@@ -450,30 +450,15 @@ def _add_meeting_products(factors: PairFactors, A: np.ndarray, X: np.ndarray,
                           out: np.ndarray) -> None:
     """out[k] += sum_{0 < i < nu} A[k, i - 1] A_(i,0) X for every row of A.
 
-    Up to MASK_COLUMNS columns, each A_(i,0) X a row uses comes from
-    coset sums.  Beyond, from exact products with n x n matrices: one 0/1
-    mask per such i or, where that takes fewer products, one weighted
-    mask sum_i a_i [relation (i, 0)] per distinct row a (up to sign).
-    Every path gives the same integers.
+    Each A_(i,0) X a row uses is computed once: up to MASK_COLUMNS
+    columns from coset sums, beyond from one exact product with the 0/1
+    mask of relation (i, 0), which is faster there.  Both give the same
+    integers.
     """
     n, c = X.shape
-    used = [i for i in range(1, A.shape[1] + 1) if A[:, i - 1].any()]
-    shapes: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for k, a in enumerate(A.tolist() if c > MASK_COLUMNS else []):
-        if any(a):
-            sign = 1 if next(x for x in a if x) > 0 else -1
-            shapes.setdefault(tuple(sign * x for x in a), []).append((k, sign))
-    if shapes and len(shapes) < len(used):
-        codes = np.zeros((n, n), dtype=np.int8)
-        for i in used:
-            codes[np.arange(n)[:, None], _meeting_neighbours(factors, i)] = i
-        for a, rows in shapes.items():
-            weights = np.array((0,) + a, dtype=np.min_scalar_type(-max(map(abs, a)) - 1))
-            P = _mask_product(weights[codes], X)
-            for k, sign in rows:
-                _add_multiple(out[k], sign, P)
-        return
-    for i in used:
+    for i in range(1, A.shape[1] + 1):
+        if not A[:, i - 1].any():
+            continue
         if c > MASK_COLUMNS:
             mask = np.zeros((n, n), dtype=bool)
             mask[np.arange(n)[:, None], _meeting_neighbours(factors, i)] = True

@@ -56,6 +56,15 @@ membership test conclusive.  At nu = 1 there are no type-II rows, and
 every |T_psi| <= 1, since two maximal directions span the space.  A
 stack rank with no such proof is read off the stack's certified null
 basis.
+
+The span checks decide which eigenspace projections of the family
+vanish from the scheme's own equivalences, with no idempotent product:
+a row has no eta = 1 component iff it is constant on each direction
+block (typeI_span_check), and no (0, 1) component iff M maps it to a
+constant vector (typeII_span_check).  Each check's docstring gives the
+proof and the suite checks it rests on.  The projections that must stay
+nonzero are still witnessed through the idempotents, by one seeded
+functional (_nonzero_projections).
 """
 
 from __future__ import annotations
@@ -679,15 +688,23 @@ def _nonzero_projections(config: SpaceConfig, eig, stack: np.ndarray) -> bool:
 def typeI_span_check(config: SpaceConfig) -> SpanReport:
     """Type-I characteristic vectors: independent, orthogonal to every eta=1 space.
 
+    A row has no eta = 1 component iff it is constant on each direction
+    block.  Relation (0, 0) is equality and (0, 1) joins the other flats
+    of one direction, so A_(0,0) + A_(0,1) is the block all-ones matrix J.
+    By complete_graph_eigenvalue its eigenvalue p_(0,0) + p_(0,1) is
+    1 + (q^nu - 1) = q^nu on every V_(j,0) and 1 - 1 = 0 on every V_(j,1),
+    so the image of J, the vectors constant on each block, is exactly the
+    sum of the V_(j,0).  That rests on the idempotents being the closed
+    forms' eigenspaces, which the eigen_system (or eigen_system_probes)
+    check verifies.
     Each flat lies in exactly one type-I spread, and rows with disjoint,
     nonempty supports are independent over every field, so their rank is
     their number; only a stack whose supports overlap is eliminated.
     """
     stack = family_indicators(config, slice(len(enumerate_isotropic(config, config.nu))))
     tables = scheme_tables(config)
-    # the eta = 1 idempotents (j, 1), j < nu, have codes 1, 3, ..., 2 nu - 1
-    eta1 = idempotent_coefficients(config)[1][1:2 * config.nu:2]
-    vanishing_ok = not relation_products(config, eta1, stack.T).any()
+    blocks = stack.reshape(len(stack), -1, config.q**config.nu)
+    vanishing_ok = bool((blocks == blocks[:, :, :1]).all())
     nonvanishing_ok = all(_nonzero_projections(config, (j, 0), stack)
                           for j in range(config.nu + 1))
     expected = sum(tables.multiplicities[(j, 0)] for j in range(config.nu + 1))
@@ -698,16 +715,30 @@ def typeI_span_check(config: SpaceConfig) -> SpanReport:
 
 
 def typeII_span_check(config: SpaceConfig) -> SpanReport:
-    """Type-II characteristic vectors: span the parallel-class complement."""
+    """Type-II characteristic vectors: span the parallel-class complement.
+
+    A row s has no (0, 1) component iff M s is a constant vector.  The
+    rows of M are the pencils, translates of the pencil at the origin;
+    translations fix every relation, so they commute with every
+    idempotent, and the pencil_battery check puts the pencil in
+    V_(0,0) + V_(0,1), where the eigen_system (or eigen_system_probes)
+    check makes the idempotents the closed forms' eigenspaces.  The
+    incidence_rank check gives rank M = 1 + m_(0,1), so the row space of M
+    is V_(0,0) + V_(0,1) and ker M is the sum of the other eigenspaces.
+    M sends the all-ones vector, which spans V_(0,0), to D times the
+    all-ones vector on the points, so M s is constant iff s lies in
+    V_(0,0) + ker M.  The products take PRODUCT_COLUMNS rows at a time, so
+    no float64 copy of the whole stack is made.
+    """
     if config.nu < 2:
         raise ValueError("type-II span check needs nu >= 2")
     stack = family_indicators(config, slice(len(enumerate_isotropic(config, config.nu)), None))
     tables = scheme_tables(config)
-    parallel = idempotent_coefficients(config)[1][1:2]  # the (0, 1) idempotent
-    # one block of spreads at a time, stopping at the first nonzero one
-    vanishing_ok = not any(
-        relation_products(config, parallel, stack[s:s + PRODUCT_COLUMNS].T).any()
-        for s in range(0, len(stack), PRODUCT_COLUMNS))
+    M = incidence_matrix(config).matrix
+    # one block of spreads at a time, stopping at the first failing one
+    covers = (exact.int_matmul(M, stack[s:s + PRODUCT_COLUMNS].T)
+              for s in range(0, len(stack), PRODUCT_COLUMNS))
+    vanishing_ok = all((cover == cover[:1]).all() for cover in covers)
     nonvanishing_ok = all(_nonzero_projections(config, eig, stack)
                           for eig in tables.eigs if eig[0] != 0)
     expected = tables.size - tables.multiplicities[(0, 1)]

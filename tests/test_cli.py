@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import clflats
+from clflats import spreads
 from clflats.cli import VALUATION_NU_MAX, run
-from clflats.geometry import ISOTROPIC_ENUM_BOUND, space_config
+from clflats.geometry import ISOTROPIC_ENUM_BOUND, enumerate_isotropic, space_config
 
 BASE = ["--case", "symplectic", "--q", "2", "--nu", "2"]
 
@@ -176,6 +177,53 @@ def test_verify_paper_single_config(capsys):
     assert code == 0 and data["pass"] is True
     names = [c["name"] for c in data["reports"][0]["checks"]]
     assert "incidence_rank" in names and "typeII_span_rank" in names
+
+
+def _swap_one_flat(stack):
+    """Type-II row 0 with its first member swapped for its first
+    non-member, so that it no longer covers each point once."""
+    member, other = np.flatnonzero(stack[0])[0], np.flatnonzero(stack[0] == 0)[0]
+    stack[0, member], stack[0, other] = 0, 1
+
+
+def _move_within_block(stack):
+    """Type-I row 0 with one unit moved from its first flat to its second,
+    of the same direction block: the block sum stays, constancy goes."""
+    stack[0, 0] -= 1
+    stack[0, 1] += 1
+
+
+def _union_of_two_blocks(stack):
+    """Type-I row 0 replaced by the union of direction blocks 0 and 1."""
+    stack[0] |= stack[1]
+
+
+@pytest.mark.parametrize("part,tamper,failing", [
+    # the swapped row leaves the span too, so the rank rises to 46
+    ("II", _swap_one_flat, ["typeII_span_rank", "typeII_projectors"]),
+    ("I", _move_within_block, ["typeI_projectors"]),
+    ("I", _union_of_two_blocks, []),
+], ids=["typeII-swap", "typeI-move", "typeI-union"])
+def test_tampered_span_rows_fail_their_projector_check(capsys, monkeypatch, part, tamper,
+                                                       failing):
+    """A corrupted spread row fails its span check's vanishing condition,
+    and verify reports it with exit 1, never a crash or exit 2 or 3; a
+    row that stays constant on each direction block passes."""
+    dirs = len(enumerate_isotropic(space_config("symplectic", 2, 2), 2))
+    target = slice(dirs, None) if part == "II" else slice(dirs)
+    real = spreads.family_indicators
+
+    def tampered(config, rows=slice(None)):
+        stack = real(config, rows)
+        if rows == target:
+            tamper(stack)
+        return stack
+
+    monkeypatch.setattr(spreads, "family_indicators", tampered)
+    code, data = run_json(capsys, ["verify", "--suite", "paper"] + BASE)
+    assert code == (1 if failing else 0) and data["pass"] is not failing
+    checks = data["reports"][0]["checks"]
+    assert [c["name"] for c in checks if not c["pass"]] == failing
 
 
 def test_verify_valuations_reports_erratum(capsys):

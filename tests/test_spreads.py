@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from clflats import exact, spreads
+from clflats import exact, scheme, spreads
 from clflats.cl import battery, construct_pencil, test_spreads as spread_test
 from clflats.cli import STANDARD_GRID, paper_suite
 from clflats.field import e_power
@@ -46,7 +46,13 @@ from clflats.spreads import (
     typeI_span_check,
     typeII_span_check,
 )
-from conftest import rational_rank, spanning_rows_oracle
+from conftest import (
+    MEDIUM_CONFIGS,
+    eta1_vanishing_oracle,
+    parallel_vanishing_oracle,
+    rational_rank,
+    spanning_rows_oracle,
+)
 
 
 def test_type_I_construction(medium_config):
@@ -459,6 +465,76 @@ def test_spread_stack_is_never_eliminated(key, monkeypatch, fresh_plan):
     assert seen and max(seen) < len(stack)
     monkeypatch.undo()
     assert character_plan(cfg).rank == len(spanning_rows_oracle(cfg))
+
+
+def _vanishing_rows(cfg, seed: int) -> np.ndarray:
+    """A seeded mix of 42 integer rows for the vanishing checks: family
+    rows, differences of two (half of them plus a random 0/1 row), random
+    0/1 rows, block-constant integer rows with and without one bumped
+    entry, 2 s - s' for family rows s and s', and a unit row.  Half of the
+    family rows drawn are type I."""
+    rng = np.random.default_rng(seed)
+    family = spreads.family_indicators(cfg)
+    n, per = family.shape[1], cfg.q**cfg.nu
+    split = len(list_type_I(cfg))
+
+    def pick(k):
+        return family[np.concatenate([rng.integers(split, size=k // 2),
+                                      rng.integers(len(family), size=k - k // 2)])]
+
+    noise = rng.integers(0, 2, (10, n)) * (np.arange(10) % 2)[:, None]
+    constant = np.repeat(rng.integers(-3, 4, (12, n // per)), per, axis=1)
+    constant[np.arange(6, 12), rng.integers(n, size=6)] += 1
+    rows = [pick(8), pick(10) - pick(10) + noise, rng.integers(0, 2, (6, n)), constant,
+            2 * pick(5) - pick(5), np.eye(1, n, int(rng.integers(n)), dtype=np.int64)]
+    return np.vstack(rows).astype(np.int8)
+
+
+@pytest.mark.parametrize("key", MEDIUM_CONFIGS + (("symplectic", 3, 2), ("unitary", 4, 2),
+                                                  ("symplectic", 2, 3)),
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_vanishing_checks_match_the_idempotent_oracle(key, monkeypatch):
+    """Block constancy decides the eta = 1 projections and a constant
+    cover M s the (0, 1) projection: each span check's vanishing_ok on
+    every row of a seeded mix, fed in as a one-row stack, equals the
+    relation-product oracle's, and the mix holds rows of both verdicts."""
+    cfg = space_config(*key)
+    rows = _vanishing_rows(cfg, seed=sum(map(ord, repr(key))))
+    checks = [(typeI_span_check, eta1_vanishing_oracle)]
+    if cfg.nu >= 2:
+        checks.append((typeII_span_check, parallel_vanishing_oracle))
+    for check, oracle in checks:
+        verdicts = []
+        for row in rows:
+            stack = row.reshape(1, -1)
+            monkeypatch.setattr(spreads, "family_indicators", lambda config, r, s=stack: s)
+            verdicts.append(check(cfg).vanishing_ok)
+            assert verdicts[-1] == oracle(cfg, stack), (check.__name__, row)
+        assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("key", [("symplectic", 3, 2), ("symplectic", 2, 3)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_span_checks_take_no_n_by_n_product(key, monkeypatch):
+    """Neither span check multiplies by an n x n matrix: no operand of an
+    exact product or of a relation mask product is n x n."""
+    cfg = space_config(*key)
+    n = len(enumerate_flats(cfg, cfg.nu))
+    shapes = []
+    real_matmul, real_mask = exact.int_matmul, scheme._mask_product
+
+    def spy_matmul(a, b, a_float=None):
+        shapes.extend(x.shape for x in (a, b, a_float) if x is not None)
+        return real_matmul(a, b, a_float)
+
+    def spy_mask(G, X):
+        shapes.extend((G.shape, X.shape))
+        return real_mask(G, X)
+
+    monkeypatch.setattr(exact, "int_matmul", spy_matmul)
+    monkeypatch.setattr(scheme, "_mask_product", spy_mask)
+    assert typeI_span_check(cfg).ok and typeII_span_check(cfg).ok
+    assert shapes and (n, n) not in shapes
 
 
 def test_type_II_needs_nu2(s21):
