@@ -221,7 +221,7 @@ def test_tampered_span_rows_fail_their_projector_check(capsys, monkeypatch, part
 
     monkeypatch.setattr(spreads, "family_indicators", tampered)
     code, data = run_json(capsys, ["verify", "--suite", "paper"] + BASE)
-    assert code == (1 if failing else 0) and data["pass"] is not failing
+    assert code == (1 if failing else 0) and data["pass"] is (not failing)
     checks = data["reports"][0]["checks"]
     assert [c["name"] for c in checks if not c["pass"]] == failing
 
