@@ -24,12 +24,11 @@ spectrum, shifted and count routes read one relation-count table,
 A_r chi for every relation r, from scheme.relation_products, which
 reads the direction-pair factorisation of the relations and builds no
 n x n array for a few columns.  Every chi-independent quantity they
-need is in one cached route plan per configuration: the stacked
-idempotent coefficients [C; q^nu D C], C k for the valencies k, and
-the coefficients of every neighbour-count law.  One exact product with
-the stack gives every projection B_e chi and, by linearity, every
-projection of the shifted vector:
-C (q^nu D T - k |S|) = q^nu D C T - (C k) |S|.
+need is in one cached route plan per configuration: the idempotent
+coefficients C, C k for the valencies k, and the coefficients of every
+neighbour-count law.  One exact product P = C T gives every projection
+B_e chi and, by linearity, every projection of the shifted vector:
+C (q^nu D T - k |S|) = n P - (C k) |S|, with n = q^nu D.
 """
 
 from __future__ import annotations
@@ -193,10 +192,9 @@ class RoutePlan:
     """The chi-independent part of the spectrum, shifted and count routes
     for one configuration; every array is read-only, in code order.
 
-    n = |X| = q^nu D flats; with T[r] = A_r chi, stack = [C; q^nu D C]
-    gives every projection C T and q^nu D C T in one product, and the
-    shifted projections are q^nu D C T - ck |S| with ck = C k for the
-    valencies k.  Relation r's neighbour-count law reads
+    n = |X| = q^nu D flats; with T[r] = A_r chi, P = C T holds every
+    projection, and the shifted projections are n P - ck |S| with ck = C k
+    for the valencies k.  Relation r's neighbour-count law reads
     D T[r] = law_chi[r] chi + law_size[r] |S|.  While
     bound * max|chi| < 2^62, every term the routes form stays below 2^62
     and every sum of two below 2^63, so int64 holds them exactly.
@@ -206,7 +204,7 @@ class RoutePlan:
     L0: int
     D: int
     identity: np.ndarray
-    stack: np.ndarray
+    C: np.ndarray
     ck: np.ndarray
     law_chi: np.ndarray
     law_size: np.ndarray
@@ -231,10 +229,21 @@ def route_plan(config: SpaceConfig) -> RoutePlan:
     widest = max(abs(c) for row in rows for c in row)
     bound = n * max(len(k) * widest * n, Ls[0], D, max(map(abs, ck)),
                     max(map(abs, law_chi)) + max(map(abs, law_size)))
-    stack = _read_only([[c * scale for c in row] for scale in (1, config.q**config.nu * D)
-                        for row in rows])
-    return RoutePlan(n, Ls[0], D, _read_only(np.eye(len(k))), stack, _read_only(ck),
+    return RoutePlan(n, Ls[0], D, _read_only(np.eye(len(k))), _read_only(rows), _read_only(ck),
                      _read_only(law_chi), _read_only(law_size), bound)
+
+
+LAW_ELEMENTS = 2**14  # bounds the (2 nu + 1, n, columns) temporaries of one law panel
+
+
+def _block(cols: np.ndarray, n: int) -> np.ndarray:
+    """cols as a block the routes take, or ValueError (see batch_verdicts)."""
+    if cols.ndim != 2 or cols.shape[0] != n or cols.dtype.kind not in "biuO":
+        raise ValueError(f"a block of characteristic columns is a 2-D integer array with "
+                         f"{n} rows; got dtype {cols.dtype}, shape {cols.shape}")
+    if cols.dtype.kind in "bu":
+        return cols.astype(np.int64 if cols.dtype.itemsize < 8 else object)
+    return cols
 
 
 def _scheme_routes(config: SpaceConfig, cols: np.ndarray) -> tuple[dict[str, np.ndarray],
@@ -244,39 +253,38 @@ def _scheme_routes(config: SpaceConfig, cols: np.ndarray) -> tuple[dict[str, np.
 
     All three read one relation-count table T[r] = A_r cols from the
     relation products of the identity table.  The idempotents are
-    B_e = sum_r C[e, r] A_r, so C T holds every projection B_e chi, and
-    C (q^nu D T - k |S|) = q^nu D C T - (C k) |S| every projection of the
-    shifted vector q^nu D chi - |S| j, since A_r j = k_r j: one product
-    with the plan's stack gives both.  The laws are one comparison
-    D T = law_chi chi + law_size |S| over every relation.
+    B_e = sum_r C[e, r] A_r, so P = C T holds every projection B_e chi,
+    and n P - (C k) |S| = C (q^nu D T - k |S|), formed in P in place, every
+    projection of the shifted vector q^nu D chi - |S| j, as A_r j = k_r j.
+    The laws D T = law_chi chi + law_size |S| are compared LAW_ELEMENTS
+    entries of T at a time: a whole-table comparison, three more arrays
+    of T's size, made every 25-column call fault in fresh pages.
     """
     plan = route_plan(config)
+    cols = _block(cols, plan.n)
     if cols.dtype != object and cols.size and plan.bound * max(
             -int(cols.min()), int(cols.max())) >= 2**62:
         cols = cols.astype(object)
     T = relation_products(config, plan.identity, cols)
-    r = len(T)
-    both = exact.int_matmul(plan.stack, T.reshape(r, -1)).reshape((2,) + T.shape)
-    proj = both[0]
+    r, n, c = T.shape
+    P = exact.int_matmul(plan.C, T.reshape(r, -1)).reshape(T.shape)
     sizes = cols.sum(axis=0)
     # the all-one projection is size/|X| times the all-one vector, always
-    if not (proj[0] * plan.n == plan.L0 * sizes).all():
+    if not (P[0] * plan.n == plan.L0 * sizes).all():
         raise AssertionError("all-one projection identity violated")
-    shifted_proj = both[1]
-    shifted_proj -= plan.ck[:, None, None] * sizes
-    # in place: one (2 nu + 1, n, c) temporary fewer, which on 25-column blocks
-    # cost fresh page faults (and batch-sweep time) on every call
-    rhs = plan.law_chi[:, None, None] * cols
-    rhs += plan.law_size[:, None, None] * sizes
-    laws = (plan.D * T == rhs).all(axis=1)
+    spectrum = ~P[2:].any(axis=(0, 1))
+    P *= plan.n
+    P -= plan.ck[:, None, None] * sizes
+    shifted = ~(P[0].any(axis=0) | P[2:].any(axis=(0, 1)))
+    laws = np.empty((r, c), dtype=bool)
+    step = max(1, LAW_ELEMENTS // (r * n))
+    for s in range(0, c, step):
+        rhs = plan.law_chi[:, None, None] * cols[:, s:s + step]
+        rhs += plan.law_size[:, None, None] * sizes[s:s + step]
+        laws[:, s:s + step] = (plan.D * T[:, :, s:s + step] == rhs).all(axis=1)
     # at nu = 1 there is no disjoint relation at i = 1, so only the meeting row constrains
     counts = laws[2] & laws[3] if config.nu >= 2 else laws[2]
-    verdicts = {
-        "spectrum": ~proj[2:].any(axis=(0, 1)),
-        "shifted": ~(shifted_proj[0].any(axis=0) | shifted_proj[2:].any(axis=(0, 1))),
-        "counts": counts,
-    }
-    return verdicts, laws
+    return {"spectrum": spectrum, "shifted": shifted, "counts": counts}, laws
 
 
 def _set_routes(flat_set: FlatSet) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -357,17 +365,12 @@ def test_spreads(flat_set: FlatSet, family: str = "auto") -> SpreadTestReport:
 def is_cameron_liebler(flat_set: FlatSet, method: str = "auto") -> bool:
     """Membership verdict by one route: 'image', 'kernel' and 'auto' are
     the one image route, orthogonality to the certified null basis of M."""
-    if method in ("image", "kernel", "auto"):
-        return test_image(flat_set)
-    if method == "spectrum":
-        return test_spectrum(flat_set)
-    if method == "shifted":
-        return test_shifted_spectrum(flat_set)
-    if method == "counts":
-        return test_counts(flat_set)
-    if method == "spreads":
-        return test_spreads(flat_set).passed
-    raise ValueError(f"unknown method {method!r}")
+    routes = {"image": test_image, "kernel": test_image, "auto": test_image,
+              "spectrum": test_spectrum, "shifted": test_shifted_spectrum,
+              "counts": test_counts, "spreads": lambda fs: test_spreads(fs).passed}
+    if method not in routes:
+        raise ValueError(f"unknown method {method!r}")
+    return routes[method](flat_set)
 
 
 def battery(flat_set: FlatSet) -> dict[str, bool]:
@@ -389,14 +392,14 @@ def battery(flat_set: FlatSet) -> dict[str, bool]:
 def batch_verdicts(config: SpaceConfig, chi_matrix: np.ndarray) -> dict[str, np.ndarray]:
     """Vectorised exact verdicts for many characteristic columns at once.
 
-    chi_matrix has one subset per column.  Returns boolean arrays for the
-    image, spectrum, shifted and count routes; all arithmetic stays
-    integral.
+    chi_matrix is an integer or object array, one row per flat and one
+    subset per column; bool and unsigned blocks are widened to int64 (uint64,
+    which may pass int64, to object), and any other raises ValueError first.
+    Returns boolean arrays for the image, spectrum, shifted and count routes.
     """
-    return {
-        "image": ~incidence_kernel(config).product(chi_matrix).any(axis=0),
-        **_scheme_routes(config, chi_matrix)[0],
-    }
+    cols = _block(chi_matrix, route_plan(config).n)
+    image = ~incidence_kernel(config).product(cols).any(axis=0)
+    return {"image": image, **_scheme_routes(config, cols)[0]}
 
 
 def random_subset_matrix(config: SpaceConfig, count: int, seed: int) -> np.ndarray:

@@ -487,17 +487,15 @@ def relation_products(config: SpaceConfig, W: np.ndarray, X: np.ndarray) -> np.n
     """
     factors = pair_factors(config)
     nu, per = config.nu, factors.per
-    rows = W.tolist()
-    weight = 8 * nu * max((abs(c) for w in rows for c in w), default=0)
+    weight = 8 * nu * (max(-int(W.min()), int(W.max())) if W.size else 0)
     wide = X.dtype == object or (X.size and weight * X.shape[0]
                                  * max(-int(X.min()), int(X.max())) >= 2**62)
     Xw = X.astype(object if wide else np.int64, copy=False)
     dirs, c = len(factors.rd), X.shape[1]
     out = np.zeros((len(W),) + X.shape, dtype=Xw.dtype)
-    for k, w in enumerate(rows):
-        _add_multiple(out[k], w[0] - w[1], Xw)
-    U = np.array([[w[1]] + [w[2 * i + 1] for i in range(1, nu)] + [w[2 * nu]] for w in rows],
-                 dtype=np.int64)
+    for k, d in enumerate((W[:, 0] - W[:, 1]).tolist()):
+        _add_multiple(out[k], d, Xw)
+    U = W[:, list(range(1, 2 * nu, 2)) + [2 * nu]]
     if U.any():
         # (rd = i) S for every distance i in one product, then weighted by U in another
         totals = Xw.reshape(dirs, per, c).sum(axis=1)
@@ -506,9 +504,7 @@ def relation_products(config: SpaceConfig, W: np.ndarray, X: np.ndarray) -> np.n
         classes = exact.int_matmul(U, by_distance.reshape(nu + 1, -1))
         blocks = out.reshape(len(W), dirs, per, c)
         blocks += classes.reshape(len(W), dirs, 1, c)
-    A = np.array([[w[2 * i] - w[2 * i + 1] for i in range(1, nu)] for w in rows],
-                 dtype=np.int64).reshape(len(W), nu - 1)
-    _add_meeting_products(factors, A, Xw, out)
+    _add_meeting_products(factors, W[:, 2:2 * nu:2] - W[:, 3:2 * nu:2], Xw, out)
     return out if X.dtype == object else out.astype(np.int64, copy=False)
 
 

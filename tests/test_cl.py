@@ -384,21 +384,27 @@ KERNEL_KEYS = MEDIUM_CONFIGS + (("symplectic", 3, 2), ("unitary", 4, 2), ("sympl
 
 @pytest.mark.parametrize("key", KERNEL_KEYS, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_route_plan_matches_the_two_product_routes(key):
-    """One product with the cached stack [C; q^nu D C] and one vectorised
-    law comparison give the verdicts and laws of the uncached routes, for
-    0/1 and signed columns (1, 25 and 33 of them), an int64 column that
-    takes relation_products' object path and object entries past int64."""
+    """One product P = C T, the shifted projections formed in P in place
+    and the law comparison in column panels give the verdicts and laws of
+    the uncached routes, for 0/1 and signed columns (1, 25, 33 and 100 of
+    them, and one fewer, exactly and one more than a law panel holds), a
+    uint8 block, an int64 column that takes relation_products' object
+    path and object entries past int64."""
     cfg = space_config(*key)
     n = len(enumerate_flats(cfg, cfg.nu))
     rng = np.random.default_rng(sum(map(ord, repr(key))))
     edge = np.zeros((n, 1), dtype=np.int64)
     edge[rng.integers(n), 0] = 2**62 // (8 * cfg.nu * n) + 1
     huge = rng.integers(-3, 4, (n, 2)).astype(object) * 2**70
-    inputs = [edge, huge, _pencil(cfg).chi().reshape(-1, 1)]
-    for c in (1, 25, 33):
+    inputs = [edge, huge, _pencil(cfg).chi().reshape(-1, 1),
+              rng.integers(0, 2, (n, 25)).astype(np.uint8)]
+    step = max(1, cl.LAW_ELEMENTS // ((2 * cfg.nu + 1) * n))
+    for c in sorted({1, 25, 33, 100, max(1, step - 1), step, step + 1}):
         inputs += [rng.integers(0, 2, (n, c)), rng.integers(-5, 6, (n, c))]
     for cols in inputs:
-        want, want_laws = _two_product_routes(cfg, cols)
+        # the oracle takes the uint8 block widened, as batch_verdicts does on entry
+        oracle = cols if cols.dtype == object else cols.astype(np.int64)
+        want, want_laws = _two_product_routes(cfg, oracle)
         got, laws = cl._scheme_routes(cfg, cols)
         assert set(got) == set(want)
         for name in want:
@@ -434,7 +440,7 @@ def test_scheme_routes_are_exact_past_int64(key):
 def test_route_plan_closed_forms(key):
     """The closed forms behind the shifted projection, in object arithmetic:
     (C k)[(0,0)] = L_(0,0), (C k)[e] = 0 for every other e, q^nu D = n;
-    and the plan holds C k, [C; q^nu D C] and the law coefficients."""
+    and the plan holds C k, C and the law coefficients."""
     cfg = space_config(*key)
     tables = scheme_tables(cfg)
     Ls, C = scheme.idempotent_coefficients(cfg)
@@ -446,12 +452,11 @@ def test_route_plan_closed_forms(key):
     plan = cl.route_plan(cfg)
     assert (plan.n, plan.L0, plan.D) == (tables.size, Ls[0], D)
     assert plan.ck.tolist() == ck
-    assert plan.stack.tolist() == C.tolist() + [[tables.size * c for c in row]
-                                                for row in C.tolist()]
+    assert plan.C.tolist() == C.tolist()
     for r, (i, xi) in enumerate(tables.rels):
         a, b = cl._count_coefficients(cfg, i)
         assert (plan.law_chi[r], plan.law_size[r]) == ((D * a, b) if xi == 0 else (-D * a, a))
-    arrays = (plan.identity, plan.stack, plan.ck, plan.law_chi, plan.law_size)
+    arrays = (plan.identity, plan.C, plan.ck, plan.law_chi, plan.law_size)
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -461,7 +466,7 @@ def test_warm_battery_evaluates_no_closed_form(monkeypatch, key):
     """After one warm-up query on the configuration, a battery calls no
     closed form (e_power, gauss_binomial, set_denominator or the count-law
     coefficients), makes four exact products (the pivot block, the two
-    class-total products and the route plan's stack) and builds the set's
+    class-total products and the route plan's C T) and builds the set's
     indicator once, read-only."""
     from clflats import field, geometry
     cfg = space_config(*key)
@@ -562,6 +567,74 @@ def test_warm_battery_allocates_less_than_n_squared_bytes():
         finally:
             tracemalloc.stop()
         assert peak < n * n, (fs.size, peak)
+
+
+@pytest.mark.parametrize("key", [("symplectic", 3, 2), ("unitary", 4, 2)],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_warm_batch_peaks_below_five_relation_tables(key, monkeypatch):
+    """After a warm-up call, one 25-column batch_verdicts call peaks below
+    five int64 (2 nu + 1, n, 25) tables: C T is one product, where the
+    product with the stack [C; q^nu D C] peaked at six.  Past C T, which
+    is the last product, the call grows over what it then holds by less
+    than four panels of LAW_ELEMENTS int64 entries (512 KiB): a law panel
+    makes two such temporaries and a bool one, where the whole-table
+    comparison grew by two tables (750 and 900 KiB)."""
+    cfg = space_config(*key)
+    table = (2 * cfg.nu + 1) * len(enumerate_flats(cfg, cfg.nu)) * 25 * 8
+    block = random_subset_matrix(cfg, 25, seed=7)
+    batch_verdicts(cfg, block)  # warm
+    held = []
+
+    def product(a, b, real=exact.int_matmul, **kwargs):
+        out = real(a, b, **kwargs)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return out
+
+    tracemalloc.start()
+    try:
+        batch_verdicts(cfg, block)
+        peak = tracemalloc.get_traced_memory()[1]
+        monkeypatch.setattr(exact, "int_matmul", product)
+        batch_verdicts(cfg, block)
+        growth = tracemalloc.get_traced_memory()[1] - held[-1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * table, (peak, table)
+    assert growth < 4 * cl.LAW_ELEMENTS * 8, (growth, table)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint16, np.uint32, np.uint64])
+def test_batch_verdicts_widen_bool_and_unsigned_blocks(s22, dtype):
+    """A 0/1 block of any bool or unsigned dtype (a pencil's indicator, say)
+    gets the verdicts of its int64 copy; uint64 goes to object arithmetic,
+    so entries past int64 keep their value."""
+    pencil = _pencil(s22)
+    cols = np.stack([pencil.chi(), pencil.complement().chi(), _near_miss(s22).chi()], axis=1)
+    want = {k: v.tolist() for k, v in batch_verdicts(s22, cols).items()}
+    assert want["image"] == [True, True, False]
+    got = batch_verdicts(s22, cols.astype(dtype))
+    assert {k: v.tolist() for k, v in got.items()} == want
+    if dtype is np.uint64:
+        got = batch_verdicts(s22, cols.astype(np.uint64) * np.uint64(2**63))
+        assert {k: v.tolist() for k, v in got.items()} == want
+
+
+def test_batch_verdicts_refuse_other_blocks(s22, monkeypatch):
+    """Float, complex, string, non-2-D and wrong-row-count blocks raise one
+    ValueError naming the dtype and shape, before any product."""
+    n = len(enumerate_flats(s22, s22.nu))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product before the block was checked")
+
+    monkeypatch.setattr(exact, "int_matmul", refuse)
+    monkeypatch.setattr(cl, "relation_products", refuse)
+    for bad in (np.ones((n, 2)), np.ones((n, 2), dtype=np.float32), np.ones((n, 2), dtype=complex),
+                np.full((n, 2), "1"), np.ones(n, dtype=np.int64), np.ones((n, 2, 1), dtype=np.int64),
+                np.ones((n - 1, 2), dtype=np.int64), np.ones((n + 1, 2), dtype=np.uint8)):
+        with pytest.raises(ValueError, match=rf"dtype {bad.dtype}, shape \({bad.shape[0]},"):
+            batch_verdicts(s22, bad)
 
 
 def _cached_arrays(value, seen):
