@@ -573,12 +573,11 @@ def test_warm_battery_allocates_less_than_n_squared_bytes():
                          ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_warm_batch_peaks_below_five_relation_tables(key, monkeypatch):
     """After a warm-up call, one 25-column batch_verdicts call peaks below
-    five int64 (2 nu + 1, n, 25) tables: C T is one product, where the
-    product with the stack [C; q^nu D C] peaked at six.  Past C T, which
-    is the last product, the call grows over what it then holds by less
-    than four panels of LAW_ELEMENTS int64 entries (512 KiB): a law panel
-    makes two such temporaries and a bool one, where the whole-table
-    comparison grew by two tables (750 and 900 KiB)."""
+    five int64 (2 nu + 1, n, 25) tables, and past C T, its last product,
+    it grows over what it then holds by less than four panels of
+    LAW_ELEMENTS int64 entries (512 KiB): a law panel makes two such
+    temporaries and a bool one, where a whole-table law comparison would
+    grow by two tables (750 and 900 KiB)."""
     cfg = space_config(*key)
     table = (2 * cfg.nu + 1) * len(enumerate_flats(cfg, cfg.nu)) * 25 * 8
     block = random_subset_matrix(cfg, 25, seed=7)
