@@ -20,15 +20,16 @@ null basis of [M^T | -chi] (NullBasis.matrix).  The spread route is
 conclusive because the differences of the constructive family span
 ker M, which spreads.character_plan certifies from the translation
 characters with no elimination.  The
-spectrum, shifted and count routes read one relation-count table,
-A_r chi for every relation r, from scheme.relation_products, which
-reads the direction-pair factorisation of the relations and builds no
-n x n array for a few columns.  Every chi-independent quantity they
-need is in one cached route plan per configuration: the idempotent
-coefficients C, C k for the valencies k, and the coefficients of every
-neighbour-count law.  One exact product P = C T gives every projection
-B_e chi and, by linearity, every projection of the shifted vector:
-C (q^nu D T - k |S|) = n P - (C k) |S|, with n = q^nu D.
+spectrum, shifted and count routes read one relation-count table T,
+T[r] = A_r chi for every relation r, from scheme.relation_products,
+which reads the direction-pair factorisation of the relations and
+builds no n x n array for a few columns.  One exact product,
+scheme.projections, gives P = C T for the scheme's cached idempotent
+coefficients C: every projection B_e chi and, by linearity, every
+projection of the shifted vector, C (q^nu D T - k |S|) = n P - (C k) |S|,
+with n = q^nu D.  Every other chi-independent quantity they need is in
+one cached route plan per configuration: C k for the valencies k, and
+the coefficients of every neighbour-count law.
 """
 
 from __future__ import annotations
@@ -66,7 +67,13 @@ from .geometry import (
     point_index,
     vec_sub,
 )
-from .scheme import idempotent_coefficients, relation_matrix, relation_products, scheme_tables
+from .scheme import (
+    idempotent_coefficients,
+    projections,
+    relation_matrix,
+    relation_products,
+    scheme_tables,
+)
 from .spreads import character_plan, enumerate_spreads, family_members
 
 
@@ -192,9 +199,10 @@ class RoutePlan:
     """The chi-independent part of the spectrum, shifted and count routes
     for one configuration; every array is read-only, in code order.
 
-    n = |X| = q^nu D flats; with T[r] = A_r chi, P = C T holds every
-    projection, and the shifted projections are n P - ck |S| with ck = C k
-    for the valencies k.  Relation r's neighbour-count law reads
+    n = |X| = q^nu D flats; with T[r] = A_r chi and C the idempotent
+    coefficients, P = C T (scheme.projections) holds every projection, and
+    the shifted projections are n P - ck |S| with ck = C k for the
+    valencies k.  Relation r's neighbour-count law reads
     D T[r] = law_chi[r] chi + law_size[r] |S|.  While
     bound * max|chi| < 2^62, every term the routes form stays below 2^62
     and every sum of two below 2^63, so int64 holds them exactly.
@@ -203,8 +211,6 @@ class RoutePlan:
     n: int
     L0: int
     D: int
-    identity: np.ndarray
-    C: np.ndarray
     ck: np.ndarray
     law_chi: np.ndarray
     law_size: np.ndarray
@@ -229,20 +235,28 @@ def route_plan(config: SpaceConfig) -> RoutePlan:
     widest = max(abs(c) for row in rows for c in row)
     bound = n * max(len(k) * widest * n, Ls[0], D, max(map(abs, ck)),
                     max(map(abs, law_chi)) + max(map(abs, law_size)))
-    return RoutePlan(n, Ls[0], D, _read_only(np.eye(len(k))), _read_only(rows), _read_only(ck),
-                     _read_only(law_chi), _read_only(law_size), bound)
+    return RoutePlan(n, Ls[0], D, _read_only(ck), _read_only(law_chi), _read_only(law_size),
+                     bound)
 
 
 LAW_ELEMENTS = 2**14  # bounds the (2 nu + 1, n, columns) temporaries of one law panel
 
 
 def _block(cols: np.ndarray, n: int) -> np.ndarray:
-    """cols as a block the routes take, or ValueError (see batch_verdicts)."""
-    if cols.ndim != 2 or cols.shape[0] != n or cols.dtype.kind not in "biuO":
+    """cols as a block the routes take, or ValueError (see batch_verdicts).
+
+    An object block must hold Python or numpy integers only; its entries
+    are returned as Python ints, since a numpy integer scalar wraps where
+    object arithmetic must not."""
+    if cols.ndim != 2 or cols.shape[0] != n or cols.dtype.kind not in "biuO" or (
+            cols.dtype == object and not all(isinstance(v, (int, np.integer))
+                                             for v in cols.flat)):
         raise ValueError(f"a block of characteristic columns is a 2-D integer array with "
                          f"{n} rows; got dtype {cols.dtype}, shape {cols.shape}")
     if cols.dtype.kind in "bu":
         return cols.astype(np.int64 if cols.dtype.itemsize < 8 else object)
+    if cols.dtype == object:
+        return np.array([int(v) for v in cols.flat], dtype=object).reshape(cols.shape)
     return cols
 
 
@@ -251,11 +265,12 @@ def _scheme_routes(config: SpaceConfig, cols: np.ndarray) -> tuple[dict[str, np.
     """Spectrum, shifted and count verdicts for each column chi of cols,
     plus the neighbour-count law of every relation (rows in code order).
 
-    All three read one relation-count table T[r] = A_r cols from the
-    relation products of the identity table.  The idempotents are
-    B_e = sum_r C[e, r] A_r, so P = C T holds every projection B_e chi,
-    and n P - (C k) |S| = C (q^nu D T - k |S|), formed in P in place, every
-    projection of the shifted vector q^nu D chi - |S| j, as A_r j = k_r j.
+    All three read one relation-count table T[r] = A_r cols
+    (scheme.relation_products).  The idempotents are
+    B_e = sum_r C[e, r] A_r, so P = C T (scheme.projections) holds every
+    projection B_e chi, and n P - (C k) |S| = C (q^nu D T - k |S|), formed
+    in P in place, every projection of the shifted vector
+    q^nu D chi - |S| j, as A_r j = k_r j.
     The laws D T = law_chi chi + law_size |S| are compared LAW_ELEMENTS
     entries of T at a time: a whole-table comparison, three more arrays
     of T's size, made every 25-column call fault in fresh pages.
@@ -265,9 +280,9 @@ def _scheme_routes(config: SpaceConfig, cols: np.ndarray) -> tuple[dict[str, np.
     if cols.dtype != object and cols.size and plan.bound * max(
             -int(cols.min()), int(cols.max())) >= 2**62:
         cols = cols.astype(object)
-    T = relation_products(config, plan.identity, cols)
+    T = relation_products(config, cols)
     r, n, c = T.shape
-    P = exact.int_matmul(plan.C, T.reshape(r, -1)).reshape(T.shape)
+    P = projections(config, T)
     sizes = cols.sum(axis=0)
     # the all-one projection is size/|X| times the all-one vector, always
     if not (P[0] * plan.n == plan.L0 * sizes).all():
@@ -392,9 +407,11 @@ def battery(flat_set: FlatSet) -> dict[str, bool]:
 def batch_verdicts(config: SpaceConfig, chi_matrix: np.ndarray) -> dict[str, np.ndarray]:
     """Vectorised exact verdicts for many characteristic columns at once.
 
-    chi_matrix is an integer or object array, one row per flat and one
-    subset per column; bool and unsigned blocks are widened to int64 (uint64,
-    which may pass int64, to object), and any other raises ValueError first.
+    chi_matrix is an integer array, or an object array of Python or numpy
+    integers, one row per flat and one subset per column; bool and
+    unsigned blocks are widened to int64 (uint64, which may pass int64, to
+    object), and any other block (float, complex, string, or an object
+    entry that is no integer) raises ValueError first.
     Returns boolean arrays for the image, spectrum, shifted and count routes.
     """
     cols = _block(chi_matrix, route_plan(config).n)

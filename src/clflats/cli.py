@@ -7,8 +7,9 @@ codes: 0 all checks pass, 1 some check failed (report still emitted;
 for `cl test`, the set is not a Cameron-Liebler set), 2 usage or
 configuration error, 3 internal error (a failed exact certificate, a
 disagreement between equivalent routes, a closed-form scheme invariant
-that does not hold, or memory exhausted; one
-`clflats: internal error: ...` line on stderr and no report).
+that does not hold, memory exhausted, or, from the console script, any
+other exception, a bug, as `clflats: internal error: <Type>: <message>`;
+one `clflats: internal error: ...` line on stderr and no report).
 """
 
 from __future__ import annotations
@@ -213,8 +214,7 @@ def paper_suite(config: SpaceConfig, seed: int) -> list[Check]:
     tables = scheme.scheme_tables(config)
     checks.append(Check("pq_identity", True, scheme.check_pq_identity(tables)))
     checks.append(Check("eigenmatrix_column_sums", True, scheme.check_column_sums(tables)))
-    valency_rows = scheme.relation_products(config, np.eye(len(tables.rels), dtype=np.int64),
-                                            np.ones((size, 1), dtype=np.int64))
+    valency_rows = scheme.relation_products(config, np.ones((size, 1), dtype=np.int64))
     checks.append(Check("valency_row_sums", True,
                         all(set(row[:, 0].tolist()) == {tables.valencies[rel]}
                             for rel, row in zip(tables.rels, valency_rows))))
@@ -553,7 +553,17 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The console script: run's exit code, or 3 for an exception that run
+    does not map to a code (a bug), which must not read as "check failed".
+    run itself lets such an exception through, so a caller in the same
+    process (tests/cli_fuzz.py) sees the bug."""
+    try:
+        code = run(sys.argv[1:])
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        sys.stderr.write(f"clflats: internal error: {type(exc).__name__}: {detail}\n")
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -320,19 +320,21 @@ def _float_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     One thread, because OpenBLAS's threads contend on a small host: on a
     2-vCPU machine a 279x360 @ 360x25 product took about 7.5 ms on two
     threads at times, against 0.25 ms on one.  The count is process-wide,
-    so the pin assumes one Python thread calls BLAS at a time.
+    so the pin assumes one Python thread calls BLAS at a time.  The float64
+    copy of b is freed before the product is converted, so beyond its
+    inputs the tier holds two arrays at a time (that copy and the product,
+    then the product and its int64 conversion), never all three.
     """
     af, bf = a.astype(np.float64, copy=False), b.astype(np.float64)
-    threads = _blas_threads()
-    if threads is None:
-        return (af @ bf).astype(np.int64)
-    get, put = threads
+    get, put = _blas_threads() or (lambda: None, lambda count: None)
     old = get()
     put(1)
     try:
-        return (af @ bf).astype(np.int64)
+        product = af @ bf
     finally:
         put(old)
+    del bf
+    return product.astype(np.int64)
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray, a_float: np.ndarray | None = None) -> np.ndarray:

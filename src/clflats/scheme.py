@@ -9,15 +9,17 @@ adjacency basis, E_e = (1/L_e) sum_r C[e, r] A_r.  The relations are
 factored by direction pairs (pair_factors), read off
 flats.coset_table: the D x D table rd of i, from the points that the
 flats of two directions through the origin share, and, for 0 < i < nu,
-the cosets of da + db that group the meeting flats of each pair.  Every
-product in the Bose-Mesner algebra, sum_r W[k, r] A_r X for a small
-integer table W, is read from it by relation_products: A_(0,0) and
-A_(0,1) and A_(nu,0) need only X and its parallel-class totals, and
-A_(i,0) X for 0 < i < nu is a sum over cosets, or one 0/1 mask product
-for many columns.  relation_matrix, the int8 n x n table, is the
-expansion of the factorisation; only the checks that read its entries
-build it.  Dense idempotents exist only inside check_eigen_system,
-where they are the object being verified.
+the cosets of da + db that group the meeting flats of each pair.  The
+one product the rest of the package needs, the relation-count table
+T[r] = A_r X for every relation r, is read from it by
+relation_products: A_(0,0), A_(0,1) and A_(nu,0) need only X and its
+parallel-class totals, A_(i,0) X for 0 < i < nu is a sum over cosets,
+or one 0/1 mask product for many columns, and A_(i,1) X is the
+parallel-class part less A_(i,0) X.  Every idempotent projection is
+then one exact product C T (projections).  relation_matrix, the int8
+n x n table, is the expansion of the factorisation; only the checks
+that read its entries build it.  Dense idempotents exist only inside
+check_eigen_system, where they are the object being verified.
 """
 
 from __future__ import annotations
@@ -436,75 +438,49 @@ def _mask_product(G: np.ndarray, X: np.ndarray) -> np.ndarray:
                       for s in range(0, X.shape[1], PRODUCT_COLUMNS)])
 
 
-def _add_multiple(target: np.ndarray, c: int, Y: np.ndarray) -> None:
-    """target += c Y in place, with no temporary for c = 0, 1 or -1."""
-    if c == 1:
-        target += Y
-    elif c == -1:
-        target -= Y
-    elif c:
-        target += c * Y
+def relation_products(config: SpaceConfig, X: np.ndarray) -> np.ndarray:
+    """The relation-count table T, T[r] = A_r X exactly for every relation
+    code r, (2 nu + 1) x n x c for the n x c integer matrix X.
 
+    Every term is read off the direction-pair factorisation.  With S the
+    class totals of X (the sums over each direction's q^nu cosets), the
+    class part (rd = i) S spread over each class is A_(i,0) X + A_(i,1) X
+    for i < nu and A_(nu,0) X for i = nu, all from one product with the
+    stacked distance masks.  The meeting part is A_(0,0) X = X and, for
+    0 < i < nu, A_(i,0) X: up to MASK_COLUMNS columns from coset sums,
+    beyond from one exact product with the 0/1 mask of relation (i, 0),
+    which is faster there; both give the same integers.  T[2i + 1] is the
+    class part less T[2i].  No n x n array is built up to MASK_COLUMNS
+    columns.
 
-def _add_meeting_products(factors: PairFactors, A: np.ndarray, X: np.ndarray,
-                          out: np.ndarray) -> None:
-    """out[k] += sum_{0 < i < nu} A[k, i - 1] A_(i,0) X for every row of A.
-
-    Each A_(i,0) X a row uses is computed once: up to MASK_COLUMNS
-    columns from coset sums, beyond from one exact product with the 0/1
-    mask of relation (i, 0), which is faster there.  Both give the same
-    integers.
-    """
-    n, c = X.shape
-    for i in range(1, A.shape[1] + 1):
-        if not A[:, i - 1].any():
-            continue
-        if c > MASK_COLUMNS:
-            mask = np.zeros((n, n), dtype=bool)
-            mask[np.arange(n)[:, None], _meeting_neighbours(factors, i)] = True
-            P = _mask_product(mask, X)
-        else:
-            P = _meeting_sums(factors, i, X)
-        for k in np.flatnonzero(A[:, i - 1]):
-            _add_multiple(out[k], A[k, i - 1], P)
-
-
-def relation_products(config: SpaceConfig, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """out[k] = sum_r W[k, r] A_r X exactly, for each row k of the integer matrix W.
-
-    W has one column per relation code, X one row per flat; every term is
-    read off the direction-pair factorisation.  With S the class totals of
-    X (the sums over each direction's q^nu cosets): A_(0,0) X = X,
-    A_(0,1) X = S - X over each class, A_(nu,0) X = (rd = nu) S spread
-    over each class, and A_(i,1) X = (rd = i) S - A_(i,0) X for
-    0 < i < nu.  So row w is (w_(0,0) - w_(0,1)) X, plus
-    sum_i u_i (rd = i) S spread over each class, with u_0 = w_(0,1),
-    u_i = w_(i,1) for 0 < i < nu and u_nu = w_(nu,0), plus
-    sum_i (w_(i,0) - w_(i,1)) A_(i,0) X (_add_meeting_products).  No n x n
-    array is built up to MASK_COLUMNS columns.  Sums run in int64 while
-    8 nu max|W| max|X| n < 2^62 proves that they and the bounds of every
-    int_matmul tier fit, and in object arithmetic otherwise.
+    Sums run in int64 while 8 nu n max|X| < 2^62, and in object arithmetic
+    otherwise.  That bound holds every sum: each class total, distance
+    product, coset sum and entry of T is at most n max|X| in size, each
+    difference at most 2 n max|X|, and each int_matmul bound n max|X|.
     """
     factors = pair_factors(config)
     nu, per = config.nu, factors.per
-    weight = 8 * nu * (max(-int(W.min()), int(W.max())) if W.size else 0)
-    wide = X.dtype == object or (X.size and weight * X.shape[0]
+    n, c = X.shape
+    wide = X.dtype == object or (X.size and 8 * nu * n
                                  * max(-int(X.min()), int(X.max())) >= 2**62)
     Xw = X.astype(object if wide else np.int64, copy=False)
-    dirs, c = len(factors.rd), X.shape[1]
-    out = np.zeros((len(W),) + X.shape, dtype=Xw.dtype)
-    for k, d in enumerate((W[:, 0] - W[:, 1]).tolist()):
-        _add_multiple(out[k], d, Xw)
-    U = W[:, list(range(1, 2 * nu, 2)) + [2 * nu]]
-    if U.any():
-        # (rd = i) S for every distance i in one product, then weighted by U in another
-        totals = Xw.reshape(dirs, per, c).sum(axis=1)
-        masks, masks_float = distance_masks(config)
-        by_distance = exact.int_matmul(masks, totals, a_float=masks_float)
-        classes = exact.int_matmul(U, by_distance.reshape(nu + 1, -1))
-        blocks = out.reshape(len(W), dirs, per, c)
-        blocks += classes.reshape(len(W), dirs, 1, c)
-    _add_meeting_products(factors, W[:, 2:2 * nu:2] - W[:, 3:2 * nu:2], Xw, out)
+    dirs = len(factors.rd)
+    out = np.empty((2 * nu + 1, n, c), dtype=Xw.dtype)
+    # (rd = i) S for every distance i in one product, spread over each class
+    # into rows 2i + 1 for i < nu and row 2 nu
+    totals = Xw.reshape(dirs, per, c).sum(axis=1)
+    masks, masks_float = distance_masks(config)
+    classes = exact.int_matmul(masks, totals, a_float=masks_float).reshape(nu + 1, dirs, 1, c)
+    out.reshape(2 * nu + 1, dirs, per, c)[[*range(1, 2 * nu, 2), 2 * nu]] = classes
+    out[0] = Xw
+    for i in range(1, nu):
+        if c > MASK_COLUMNS:
+            mask = np.zeros((n, n), dtype=bool)
+            mask[np.arange(n)[:, None], _meeting_neighbours(factors, i)] = True
+            out[2 * i] = _mask_product(mask, Xw)
+        else:
+            out[2 * i] = _meeting_sums(factors, i, Xw)
+    out[1:2 * nu:2] -= out[0:2 * nu:2]
     return out if X.dtype == object else out.astype(np.int64, copy=False)
 
 
@@ -527,6 +503,14 @@ def idempotent_coefficients(config: SpaceConfig) -> tuple[tuple[int, ...], np.nd
     return tuple(Ls), C
 
 
+def projections(config: SpaceConfig, T: np.ndarray) -> np.ndarray:
+    """P = C T for the relation-count table T of X: P[e] = L_e E_e X =
+    sum_r C[e, r] A_r X, every idempotent projection of X, in one exact
+    product."""
+    C = idempotent_coefficients(config)[1]
+    return exact.int_matmul(C, T.reshape(len(T), -1)).reshape(T.shape)
+
+
 def idempotent_int(config: SpaceConfig, eig: RelIndex) -> tuple[int, np.ndarray]:
     """(L, B) with the primitive idempotent equal to B / L exactly, as a dense gather."""
     Ls, C = idempotent_coefficients(config)
@@ -546,12 +530,11 @@ def _eigen_checks(config: SpaceConfig, V: np.ndarray, BVs) -> dict[str, bool]:
     tables = scheme_tables(config)
     rels = tables.rels
     Ls, C = idempotent_coefficients(config)
-    unit = np.eye(len(rels), dtype=np.int64)
     ok = dict.fromkeys(("eigen", "idempotent", "orthogonal"), True)
     for k, (e, BV) in enumerate(zip(rels, BVs)):
-        S = relation_products(config, unit, BV)
+        S = relation_products(config, BV)
         ok["eigen"] &= all(bool((ABV == tables.P[r, e] * BV).all()) for r, ABV in zip(rels, S))
-        BBV = exact.int_matmul(C, S.reshape(len(rels), -1)).reshape(S.shape)
+        BBV = projections(config, S)
         ok["idempotent"] &= bool((BBV[k] == Ls[k] * BV).all())
         ok["orthogonal"] &= not np.delete(BBV.any(axis=(1, 2)), k).any()
     # every flat meets itself, in relation (0, 0)
@@ -578,10 +561,7 @@ def check_eigen_system_probes(config: SpaceConfig, seed: int = 0,
     tables = scheme_tables(config)
     rng = np.random.default_rng(list(repr(("eigenprobe", config.key(), seed)).encode()))
     V = rng.integers(-4, 5, (tables.size, count))
-    T = relation_products(config, np.eye(len(tables.rels), dtype=np.int64), V)
-    BVs = exact.int_matmul(idempotent_coefficients(config)[1],
-                           T.reshape(len(T), -1)).reshape(T.shape)
-    ok = _eigen_checks(config, V, BVs)
+    ok = _eigen_checks(config, V, projections(config, relation_products(config, V)))
     return {key: ok[key] for key in ("eigen", "idempotent", "trace", "sum")}
 
 

@@ -108,8 +108,8 @@ from .geometry import (
 )
 from .scheme import (
     PRODUCT_COLUMNS,
-    idempotent_coefficients,
     pair_factors,
+    projections,
     relation_products,
     scheme_tables,
 )
@@ -674,14 +674,14 @@ def _nonzero_projections(config: SpaceConfig, eig, stack: np.ndarray) -> bool:
     one pass (B_e is symmetric, so r^T B_e s = s . B_e r); rows it fails
     to witness get the exact full-column check.
     """
-    w = idempotent_coefficients(config)[1][[scheme_tables(config).eigs.index(eig)]]
+    k = scheme_tables(config).eigs.index(eig)
     rng = random.Random(("witness", config.key(), eig, 0).__repr__())
     r = np.array([rng.randrange(1, 64) for _ in range(stack.shape[1])], dtype=np.int64)
-    projected = relation_products(config, w, r.reshape(-1, 1))[0]
+    projected = projections(config, relation_products(config, r.reshape(-1, 1)))[k]
     # PRODUCT_COLUMNS rows at a time, so no float64 copy of the whole stack is made
     witness = np.concatenate([exact.int_matmul(stack[s:s + PRODUCT_COLUMNS], projected)
                               for s in range(0, len(stack), PRODUCT_COLUMNS)])
-    return all(relation_products(config, w, stack[i].reshape(-1, 1)).any()
+    return all(projections(config, relation_products(config, stack[i].reshape(-1, 1)))[k].any()
                for i in np.flatnonzero(witness[:, 0] == 0))
 
 

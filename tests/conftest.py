@@ -11,7 +11,7 @@ from clflats import exact, spreads
 from clflats.geometry import enumerate_isotropic, space_config
 from clflats.scheme import (
     PRODUCT_COLUMNS,
-    idempotent_coefficients,
+    projections,
     relation_products,
     scheme_tables,
 )
@@ -153,19 +153,17 @@ def spanning_rows_oracle(config) -> list[int]:
 
 def eta1_vanishing_oracle(config, stack) -> bool:
     """Whether every eta = 1 projection of every row of the stack vanishes,
-    by relation products with the integer idempotents (j, 1), j < nu,
-    whose codes are 1, 3, ..., 2 nu - 1: the type-I vanishing check the
+    by the rows of C T for the integer idempotents (j, 1), j < nu, whose
+    codes are 1, 3, ..., 2 nu - 1: the type-I vanishing check the
     package computed before it read block constancy."""
-    eta1 = idempotent_coefficients(config)[1][1:2 * config.nu:2]
-    return not relation_products(config, eta1, stack.T).any()
+    return not projections(config, relation_products(config, stack.T))[1:2 * config.nu:2].any()
 
 
 def parallel_vanishing_oracle(config, stack) -> bool:
     """Whether the (0, 1) projection of every row of the stack vanishes, by
-    relation products with the integer (0, 1) idempotent, PRODUCT_COLUMNS
-    rows at a time: the type-II vanishing check the package computed
+    the row of C T for the integer (0, 1) idempotent, PRODUCT_COLUMNS rows
+    at a time: the type-II vanishing check the package computed
     before it read whether M maps each row to a constant vector."""
-    parallel = idempotent_coefficients(config)[1][1:2]
     return not any(
-        relation_products(config, parallel, stack[s:s + PRODUCT_COLUMNS].T).any()
+        projections(config, relation_products(config, stack[s:s + PRODUCT_COLUMNS].T))[1].any()
         for s in range(0, len(stack), PRODUCT_COLUMNS))

@@ -129,7 +129,7 @@ def test_counts_law_spot_values(s22):
     pencil = _pencil(s22)
     chi = pencil.chi()
     in_set = chi.astype(bool)
-    T = relation_products(s22, np.eye(5, dtype=np.int64), chi.reshape(-1, 1))[:, :, 0]
+    T = relation_products(s22, chi.reshape(-1, 1))[:, :, 0]
     c10, c11, c20 = T[2], T[3], T[4]  # relation codes 2i + xi
     assert set(c10[in_set]) == {6} and set(c10[~in_set]) == {2}
     assert set(c11[in_set]) == {0} and set(c11[~in_set]) == {4}
@@ -356,7 +356,7 @@ def _two_product_routes(config, cols):
     relation's law against its closed-form coefficients."""
     n = cols.shape[0]
     tables = scheme_tables(config)
-    T = relation_products(config, np.eye(2 * config.nu + 1, dtype=np.int64), cols)
+    T = relation_products(config, cols)
     Ls, C = scheme.idempotent_coefficients(config)
     sizes = cols.sum(axis=0)
     proj = int_matmul(C, T.reshape(len(T), -1)).reshape(T.shape)
@@ -440,7 +440,7 @@ def test_scheme_routes_are_exact_past_int64(key):
 def test_route_plan_closed_forms(key):
     """The closed forms behind the shifted projection, in object arithmetic:
     (C k)[(0,0)] = L_(0,0), (C k)[e] = 0 for every other e, q^nu D = n;
-    and the plan holds C k, C and the law coefficients."""
+    and the plan holds C k and the law coefficients."""
     cfg = space_config(*key)
     tables = scheme_tables(cfg)
     Ls, C = scheme.idempotent_coefficients(cfg)
@@ -452,11 +452,10 @@ def test_route_plan_closed_forms(key):
     plan = cl.route_plan(cfg)
     assert (plan.n, plan.L0, plan.D) == (tables.size, Ls[0], D)
     assert plan.ck.tolist() == ck
-    assert plan.C.tolist() == C.tolist()
     for r, (i, xi) in enumerate(tables.rels):
         a, b = cl._count_coefficients(cfg, i)
         assert (plan.law_chi[r], plan.law_size[r]) == ((D * a, b) if xi == 0 else (-D * a, a))
-    arrays = (plan.identity, plan.C, plan.ck, plan.law_chi, plan.law_size)
+    arrays = (plan.ck, plan.law_chi, plan.law_size)
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -465,9 +464,9 @@ def test_route_plan_closed_forms(key):
 def test_warm_battery_evaluates_no_closed_form(monkeypatch, key):
     """After one warm-up query on the configuration, a battery calls no
     closed form (e_power, gauss_binomial, set_denominator or the count-law
-    coefficients), makes four exact products (the pivot block, the two
-    class-total products and the route plan's C T) and builds the set's
-    indicator once, read-only."""
+    coefficients), makes three exact products (the pivot block, the
+    class-total product and C T) and builds the set's indicator once,
+    read-only."""
     from clflats import field, geometry
     cfg = space_config(*key)
     battery(_pencil(cfg))  # warm-up
@@ -501,7 +500,7 @@ def test_warm_battery_evaluates_no_closed_form(monkeypatch, key):
     assert "_chi" not in vars(fs)
     assert not any(battery(fs).values())
     assert calls == []
-    assert len(products) == 4
+    assert len(products) == 3
     assert indicators and all(v is vars(fs)["_chi"] for v in indicators)
     assert not indicators[0].flags.writeable
 
@@ -620,9 +619,15 @@ def test_batch_verdicts_widen_bool_and_unsigned_blocks(s22, dtype):
 
 
 def test_batch_verdicts_refuse_other_blocks(s22, monkeypatch):
-    """Float, complex, string, non-2-D and wrong-row-count blocks raise one
-    ValueError naming the dtype and shape, before any product."""
+    """Float, complex, string, non-2-D and wrong-row-count blocks, and object
+    blocks holding a float, a Fraction or a string, raise one ValueError
+    naming the dtype and shape, before any product."""
     n = len(enumerate_flats(s22, s22.nu))
+    pencil = list(_pencil(s22).ids)
+    half = np.zeros((n, 1), dtype=object)
+    half[pencil, 0] = 0.5
+    third = np.zeros((n, 1), dtype=object)
+    third[pencil, 0] = Fraction(1, 3)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a product before the block was checked")
@@ -631,9 +636,25 @@ def test_batch_verdicts_refuse_other_blocks(s22, monkeypatch):
     monkeypatch.setattr(cl, "relation_products", refuse)
     for bad in (np.ones((n, 2)), np.ones((n, 2), dtype=np.float32), np.ones((n, 2), dtype=complex),
                 np.full((n, 2), "1"), np.ones(n, dtype=np.int64), np.ones((n, 2, 1), dtype=np.int64),
-                np.ones((n - 1, 2), dtype=np.int64), np.ones((n + 1, 2), dtype=np.uint8)):
+                np.ones((n - 1, 2), dtype=np.int64), np.ones((n + 1, 2), dtype=np.uint8),
+                half, third, np.full((n, 2), "1", dtype=object)):
         with pytest.raises(ValueError, match=rf"dtype {bad.dtype}, shape \({bad.shape[0]},"):
             batch_verdicts(s22, bad)
+
+
+def test_batch_verdicts_take_numpy_integers_in_object_blocks_exactly(s22):
+    """An object block of numpy int64 scalars gets the verdicts of the same
+    Python ints: scaled by 2^62, the scalars' own arithmetic wraps, and a
+    near miss read as passing the shifted route."""
+    cols = np.stack([_pencil(s22).chi(), _pencil(s22).complement().chi(),
+                     _near_miss(s22).chi()], axis=1)
+    want = {k: v.tolist() for k, v in batch_verdicts(s22, cols).items()}
+    assert want["image"] == [True, True, False]
+    scalars = np.empty(cols.shape, dtype=object)
+    for index, v in np.ndenumerate(cols):
+        scalars[index] = np.int64(v) * np.int64(2**62)
+    got = batch_verdicts(s22, scalars)
+    assert {k: v.tolist() for k, v in got.items()} == want
 
 
 def _cached_arrays(value, seen):

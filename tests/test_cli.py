@@ -515,6 +515,28 @@ def test_corrupt_origin_counts_exit_3(monkeypatch):
     assert lines[0].startswith("clflats: internal error: ") and "no power of q" in lines[0]
 
 
+@pytest.mark.parametrize("exc", ["IndexError('index 7 is out of bounds')",
+                                 "TypeError('unsupported operand')"])
+def test_unexpected_exception_exits_3_from_the_console_script(exc, monkeypatch):
+    """An exception run maps to no exit code is a bug: the console script
+    exits 3 with one `clflats: internal error: <Type>: <message>` line and
+    no report, never 1 ("a check failed").  run itself lets it through, so
+    the in-process fuzz still sees it."""
+    code = ("import sys; from clflats import flats; from clflats.cli import main; "
+            f"flats.count_flats = lambda *a: (_ for _ in ()).throw({exc}); main()")
+    argv = ["verify", "--suite", "paper", "--case", "symplectic", "--q", "2", "--nu", "1"]
+    proc = _child(code, argv)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    name, message = exc.split("(")[0], exc.split("'")[1]
+    assert lines == [f"clflats: internal error: {name}: {message}"], proc.stderr
+    from clflats import flats
+    monkeypatch.setattr(flats, "count_flats", lambda *a: [][1])
+    with pytest.raises(IndexError):
+        run(argv)
+
+
 def test_zero_division_and_usage_errors_keep_exit_2(capsys):
     _one_line_error(capsys, ["cl", "search", "--x", "1/0", "--strategy", "exhaustive"] + BASE,
                     "Fraction(1, 0)")

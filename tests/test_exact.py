@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -371,6 +372,25 @@ def test_int_matmul_pins_and_restores_blas_threads():
         assert get() == before
     finally:
         put(old)
+
+
+def test_int_matmul_float_tier_holds_two_products_beyond_its_inputs():
+    """The float64 tier frees its float64 copy of b before it converts the
+    product: past its inputs it peaks at two arrays of the product's size
+    (the float64 product and its int64 conversion), not three."""
+    import tracemalloc
+    a = np.ones((5, 5), dtype=np.int64)
+    b = np.ones((5, 100_000), dtype=np.int64)
+    exact.int_matmul(a, b)  # the BLAS thread pair, found once
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = exact.int_matmul(a, b)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == np.int64 and (out == 5).all()
+    assert peak < 2.5 * b.nbytes, peak / b.nbytes
 
 
 def test_int_matmul_rescans_writeable_operands():

@@ -35,6 +35,7 @@ from clflats.scheme import (
     inner_distribution,
     pair_factors,
     phi_piecewise,
+    projections,
     q_valuation,
     relation_indices,
     relation_matrix,
@@ -105,10 +106,9 @@ def test_relation_matrix_matches_relation_of_on_seeded_pairs(key):
 
 
 def _adjacency(cfg):
-    """Every A_r, as the relation products of the identity table with I."""
-    rels = scheme_tables(cfg).rels
+    """Every A_r, as the relation-count table of I."""
     n = relation_matrix(cfg).shape[0]
-    return relation_products(cfg, np.eye(len(rels), dtype=np.int64), np.eye(n, dtype=np.int64))
+    return relation_products(cfg, np.eye(n, dtype=np.int64))
 
 
 def test_adjacency_partition_and_valencies(medium_config):
@@ -120,15 +120,15 @@ def test_adjacency_partition_and_valencies(medium_config):
         assert set(A_r.sum(axis=1).tolist()) == {tables.valencies[rel]}
     assert (A.sum(axis=0) == 1).all()
     assert (A[0] == np.eye(tables.size, dtype=np.int64)).all()
-    valency_rows = relation_products(cfg, np.eye(len(tables.rels), dtype=np.int64),
-                                     np.ones((tables.size, 1), dtype=np.int64))
+    valency_rows = relation_products(cfg, np.ones((tables.size, 1), dtype=np.int64))
     assert [set(row[:, 0].tolist()) for row in valency_rows] == \
         [{tables.valencies[rel]} for rel in tables.rels]
 
 
 @pytest.mark.parametrize("key", MEDIUM_CONFIGS, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_relation_products_match_dense_masks(key):
-    """out[k] = sum_r W[k, r] ((R == r) @ X), computed densely here."""
+    """T[r] = (R == r) @ X, and so sum_r W[k, r] T[r] = sum_r W[k, r] ((R == r) @ X),
+    computed densely here."""
     cfg = space_config(*key)
     R = relation_matrix(cfg)
     n, codes = R.shape[0], 2 * cfg.nu + 1
@@ -137,15 +137,16 @@ def test_relation_products_match_dense_masks(key):
     X[:, 1] = 0
     _, C = idempotent_coefficients(cfg)
     mixed = rng.integers(-3, 4, (3, codes))
+    T = relation_products(cfg, X)
+    assert T.dtype == np.int64 and T.shape == (codes, n, X.shape[1])
+    assert not T[:, :, 1].any()
     for W in (np.eye(codes, dtype=np.int64), C, 2 * np.eye(codes, dtype=np.int64),
               mixed, np.eye(codes, dtype=np.int64)[[0]]):
         want = np.array([sum(int(w[r]) * ((R == r).astype(np.int64) @ X) for r in range(codes))
                          for w in W])
-        got = relation_products(cfg, W, X)
-        assert got.dtype == np.int64 and (got == want).all()
-        assert not got[:, :, 1].any()
-    # the code-0 unit row is X itself, with no product
-    assert (relation_products(cfg, np.eye(codes, dtype=np.int64)[[0]], X)[0] == X).all()
+        assert (np.einsum("kr,rnc->knc", W, T) == want).all()
+    # the code-0 row is X itself
+    assert (T[0] == X).all()
 
 
 FACTORED_KEYS = MEDIUM_CONFIGS + (("symplectic", 3, 2), ("unitary", 4, 2), ("symplectic", 2, 3))
@@ -161,9 +162,12 @@ def _table_terms(R: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("key", FACTORED_KEYS, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_factored_relation_products_match_the_table(key):
-    """relation_products, read off the pair factorisation, equals the
-    table product for unit, identity, idempotent and general integer W
-    rows, on both sides of MASK_COLUMNS."""
+    """The relation-count table, read off the pair factorisation, equals
+    the table product T[r] = (R == r) @ X for every relation of every grid
+    configuration, on both sides of MASK_COLUMNS, for 0/1, signed and
+    object columns past 2^62; so do its combinations W T for unit,
+    identity, idempotent and general integer W rows, and C T is
+    projections."""
     cfg = space_config(*key)
     R = relation_matrix(cfg)
     n, codes = R.shape[0], 2 * cfg.nu + 1
@@ -173,13 +177,21 @@ def test_factored_relation_products_match_the_table(key):
     tables = [eye, C, C[1:2], C[1:2 * cfg.nu:2], np.vstack([C[-1], -C[-1]]),
               rng.integers(-3, 4, (3, codes)), eye[[codes - 1, 1]], 2 * eye[[1]],
               np.zeros((1, codes), dtype=np.int64)]
-    for c in sorted({1, 2, 25, MASK_COLUMNS - 1, MASK_COLUMNS, MASK_COLUMNS + 1}):
-        X = rng.integers(-5, 6, (n, c))
-        terms = _table_terms(R, X)
-        for W in tables:
-            got = relation_products(cfg, W, X)
-            assert got.dtype == np.int64 and got.shape == (len(W), n, c)
-            assert (got == np.einsum("kr,rnc->knc", W, terms)).all(), (c, W.tolist())
+    for c in sorted({1, 2, 25, MASK_COLUMNS - 1, MASK_COLUMNS, MASK_COLUMNS + 1, 100}):
+        for X in (rng.integers(0, 2, (n, c)), rng.integers(-5, 6, (n, c))):
+            terms = _table_terms(R, X)
+            T = relation_products(cfg, X)
+            assert T.dtype == np.int64 and T.shape == (codes, n, c)
+            assert (T == terms).all(), c
+            for W in tables:
+                assert (np.einsum("kr,rnc->knc", W, T)
+                        == np.einsum("kr,rnc->knc", W, terms)).all(), (c, W.tolist())
+            assert (projections(cfg, T) == np.einsum("kr,rnc->knc", C, terms)).all()
+        # object columns: 2^70 times one signed block plus another, past 2^62
+        high, low = rng.integers(-3, 4, (n, c)), rng.integers(-5, 6, (n, c))
+        T = relation_products(cfg, high.astype(object) * 2**70 + low)
+        assert T.dtype == object
+        assert (T == _table_terms(R, high).astype(object) * 2**70 + _table_terms(R, low)).all()
 
 
 def test_factored_relation_products_are_exact_past_int64(s22):
@@ -190,12 +202,13 @@ def test_factored_relation_products_are_exact_past_int64(s22):
     _, C = idempotent_coefficients(s22)
     X = np.random.default_rng(3).integers(-5, 6, (n, 3))
     want = np.einsum("kr,rnc->knc", C.astype(object), _table_terms(R, X).astype(object))
-    got = relation_products(s22, C, X.astype(object) * 2**80)
-    assert got.dtype == object and (got == want * 2**80).all()
+    T = relation_products(s22, X.astype(object) * 2**80)
+    got = np.einsum("kr,rnc->knc", C.astype(object), T)
+    assert T.dtype == object and (got == want * 2**80).all()
     m = 2**62 // n + 1  # max|X| n >= 2^62 takes the object path
     X = np.zeros((n, 1), dtype=np.int64)
     X[0, 0] = m
-    got = relation_products(s22, np.eye(5, dtype=np.int64), X)
+    got = relation_products(s22, X)
     assert got.dtype == np.int64 and (got[:, :, 0] == m * (R[:, 0] == np.arange(5)[:, None])).all()
 
 

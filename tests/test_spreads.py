@@ -1,5 +1,7 @@
 """Spread constructions, exhaustive searches, switching sets, span results."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -535,6 +537,47 @@ def test_span_checks_take_no_n_by_n_product(key, monkeypatch):
     monkeypatch.setattr(scheme, "_mask_product", spy_mask)
     assert typeI_span_check(cfg).ok and typeII_span_check(cfg).ok
     assert shapes and (n, n) not in shapes
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("symplectic", 2, 3)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_nonzero_projections_of_the_family_stacks(key, monkeypatch):
+    """_nonzero_projections is True on the type-I stack under every (j, 0)
+    idempotent and on the type-II stack under every (j, eta) with j > 0,
+    the calls of the span checks, and False once one row is zero.  With
+    the witness functional patched to read 0 on every row, so that every
+    row takes the exact per-row check (on every row at symplectic(2,2),
+    on 24 seeded rows of each stack and the zero row at symplectic(2,3)),
+    the verdicts are the same."""
+    cfg = space_config(*key)
+    split = len(enumerate_isotropic(cfg, cfg.nu))
+    eigs = scheme_tables(cfg).eigs
+    cases = [(spreads.family_indicators(cfg, slice(split)), [(j, 0) for j in range(cfg.nu + 1)]),
+             (spreads.family_indicators(cfg, slice(split, None)), [e for e in eigs if e[0] != 0])]
+    if cfg.nu == 3:
+        rng = np.random.default_rng(5)
+        cases = [(stack[np.sort(rng.choice(len(stack), 24, replace=False))], e)
+                 for stack, e in cases]
+
+    def verdicts():
+        out = []
+        for stack, on in cases:
+            zeroed = np.insert(stack, len(stack) // 2, 0, axis=0)
+            out += [(spreads._nonzero_projections(cfg, e, stack),
+                     spreads._nonzero_projections(cfg, e, zeroed)) for e in on]
+        return out
+
+    want = verdicts()
+    assert want == [(True, False)] * len(want)
+    witnesses = []
+
+    def zero_functional(a, b):
+        witnesses.append(len(a))
+        return np.zeros((len(a), b.shape[1]), dtype=np.int64)
+
+    monkeypatch.setattr(spreads, "exact", SimpleNamespace(int_matmul=zero_functional))
+    assert verdicts() == want
+    assert witnesses
 
 
 def test_type_II_needs_nu2(s21):
