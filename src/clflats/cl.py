@@ -25,11 +25,12 @@ T[r] = A_r chi for every relation r, from scheme.relation_products,
 which reads the direction-pair factorisation of the relations and
 builds no n x n array for a few columns.  One exact product,
 scheme.projections, gives P = C T for the scheme's cached idempotent
-coefficients C: every projection B_e chi and, by linearity, every
-projection of the shifted vector, C (q^nu D T - k |S|) = n P - (C k) |S|,
-with n = q^nu D.  Every other chi-independent quantity they need is in
-one cached route plan per configuration: C k for the valencies k, and
-the coefficients of every neighbour-count law.
+coefficients C: every projection B_e chi.  The shifted verdict is read
+off the same zero rows as the spectrum verdict: by linearity the
+projections of the shifted vector are n P - (C k) |S|, with n = q^nu D,
+and the route plan certifies C k = (L_0, 0, ..., 0) for the valencies k
+once per configuration.  The count verdict compares the laws of the
+i = 1 relations only, with the coefficients in the same cached plan.
 """
 
 from __future__ import annotations
@@ -201,8 +202,7 @@ class RoutePlan:
 
     n = |X| = q^nu D flats; with T[r] = A_r chi and C the idempotent
     coefficients, P = C T (scheme.projections) holds every projection, and
-    the shifted projections are n P - ck |S| with ck = C k for the
-    valencies k.  Relation r's neighbour-count law reads
+    n P[0] = L0 |S|.  Relation r's neighbour-count law reads
     D T[r] = law_chi[r] chi + law_size[r] |S|.  While
     bound * max|chi| < 2^62, every term the routes form stays below 2^62
     and every sum of two below 2^63, so int64 holds them exactly.
@@ -211,7 +211,6 @@ class RoutePlan:
     n: int
     L0: int
     D: int
-    ck: np.ndarray
     law_chi: np.ndarray
     law_size: np.ndarray
     bound: int
@@ -219,13 +218,20 @@ class RoutePlan:
 
 @lru_cache(maxsize=None)
 def route_plan(config: SpaceConfig) -> RoutePlan:
-    """The route plan of one configuration, from the closed forms once."""
+    """The route plan of one configuration, from the closed forms once.
+
+    Raises AssertionError unless C k = (L_0, 0, ..., 0) for the valencies
+    k, the closed form that lets the shifted route read the spectrum's
+    zero rows (see _scheme_routes)."""
     tables = scheme_tables(config)
     Ls, C = idempotent_coefficients(config)
     n, D = tables.size, set_denominator(config)
     rows = C.tolist()
     k = [tables.valencies[r] for r in tables.rels]
     ck = [sum(c * v for c, v in zip(row, k)) for row in rows]
+    if ck != [Ls[0]] + [0] * (len(ck) - 1):
+        raise AssertionError(f"C k = {ck} is not (L_0, 0, ..., 0) = ({Ls[0]}, 0, ..., 0) "
+                             f"for {config.key()}")
     laws = []
     for i, xi in tables.rels:
         a, b = _count_coefficients(config, i)
@@ -235,11 +241,10 @@ def route_plan(config: SpaceConfig) -> RoutePlan:
     widest = max(abs(c) for row in rows for c in row)
     bound = n * max(len(k) * widest * n, Ls[0], D, max(map(abs, ck)),
                     max(map(abs, law_chi)) + max(map(abs, law_size)))
-    return RoutePlan(n, Ls[0], D, _read_only(ck), _read_only(law_chi), _read_only(law_size),
-                     bound)
+    return RoutePlan(n, Ls[0], D, _read_only(law_chi), _read_only(law_size), bound)
 
 
-LAW_ELEMENTS = 2**14  # bounds the (2 nu + 1, n, columns) temporaries of one law panel
+LAW_ELEMENTS = 2**14  # bounds the (rows, n, columns) temporaries of one law panel
 
 
 def _block(cols: np.ndarray, n: int) -> np.ndarray:
@@ -260,71 +265,97 @@ def _block(cols: np.ndarray, n: int) -> np.ndarray:
     return cols
 
 
-def _scheme_routes(config: SpaceConfig, cols: np.ndarray) -> tuple[dict[str, np.ndarray],
-                                                                   np.ndarray]:
+def _relation_table(config: SpaceConfig, cols: np.ndarray) -> tuple[RoutePlan, np.ndarray,
+                                                                    np.ndarray]:
+    """(plan, cols, T) for a block that _block returned: cols moved to
+    object arithmetic once plan.bound * max|cols| reaches 2^62, and its
+    relation-count table T = scheme.relation_products(config, cols)."""
+    plan = route_plan(config)
+    if cols.dtype != object and cols.size and plan.bound * max(
+            -int(cols.min()), int(cols.max())) >= 2**62:
+        cols = cols.astype(object)
+    return plan, cols, relation_products(config, cols)
+
+
+def _count_laws(plan: RoutePlan, cols: np.ndarray, sizes: np.ndarray, T: np.ndarray,
+                rows: slice) -> np.ndarray:
+    """For the relation rows `rows` of the table T of cols, with column
+    sums sizes, whether D T[r] = law_chi[r] chi + law_size[r] |S| holds:
+    one bool row per relation, one column per chi.
+
+    The laws are compared in panels of LAW_ELEMENTS // (rows n) columns:
+    a whole-table comparison, three more arrays of T's size, made every
+    25-column call fault in fresh pages."""
+    law_chi, law_size = plan.law_chi[rows, None, None], plan.law_size[rows, None, None]
+    n, c = cols.shape
+    laws = np.empty((len(law_chi), c), dtype=bool)
+    step = max(1, LAW_ELEMENTS // (len(law_chi) * n))
+    for s in range(0, c, step):
+        panel = slice(s, s + step)
+        rhs = law_chi * cols[:, panel]
+        rhs += law_size * sizes[panel]
+        laws[:, panel] = (plan.D * T[rows, :, panel] == rhs).all(axis=1)
+    return laws
+
+
+def _scheme_routes(config: SpaceConfig, cols: np.ndarray) -> dict[str, np.ndarray]:
     """Spectrum, shifted and count verdicts for each column chi of cols,
-    plus the neighbour-count law of every relation (rows in code order).
+    a block that _block returned.
 
     All three read one relation-count table T[r] = A_r cols
     (scheme.relation_products).  The idempotents are
     B_e = sum_r C[e, r] A_r, so P = C T (scheme.projections) holds every
-    projection B_e chi, and n P - (C k) |S| = C (q^nu D T - k |S|), formed
-    in P in place, every projection of the shifted vector
-    q^nu D chi - |S| j, as A_r j = k_r j.
-    The laws D T = law_chi chi + law_size |S| are compared LAW_ELEMENTS
-    entries of T at a time: a whole-table comparison, three more arrays
-    of T's size, made every 25-column call fault in fresh pages.
+    projection B_e chi, and chi passes the spectrum route when P[e] = 0
+    for every e >= 2.  The shifted vector q^nu D chi - |S| j has the
+    projections C (n T - k |S|) = n P - (C k) |S|, as A_r j = k_r j, and
+    route_plan certifies C k = (L_0, 0, ..., 0).  Row 0 is then
+    n P[0] - L_0 |S|, zero by the all-one identity, which raises if it
+    fails; row e >= 2 is n P[e], zero exactly when P[e] is.  So the
+    shifted verdict is the spectrum verdict, and neither n P nor its
+    shift is formed.  The count verdict compares only the laws of the
+    i = 1 relations, rows 2 and 3 (row 2 alone at nu = 1).
     """
-    plan = route_plan(config)
-    cols = _block(cols, plan.n)
-    if cols.dtype != object and cols.size and plan.bound * max(
-            -int(cols.min()), int(cols.max())) >= 2**62:
-        cols = cols.astype(object)
-    T = relation_products(config, cols)
-    r, n, c = T.shape
+    plan, cols, T = _relation_table(config, cols)
     P = projections(config, T)
     sizes = cols.sum(axis=0)
     # the all-one projection is size/|X| times the all-one vector, always
     if not (P[0] * plan.n == plan.L0 * sizes).all():
         raise AssertionError("all-one projection identity violated")
     spectrum = ~P[2:].any(axis=(0, 1))
-    P *= plan.n
-    P -= plan.ck[:, None, None] * sizes
-    shifted = ~(P[0].any(axis=0) | P[2:].any(axis=(0, 1)))
-    laws = np.empty((r, c), dtype=bool)
-    step = max(1, LAW_ELEMENTS // (r * n))
-    for s in range(0, c, step):
-        rhs = plan.law_chi[:, None, None] * cols[:, s:s + step]
-        rhs += plan.law_size[:, None, None] * sizes[s:s + step]
-        laws[:, s:s + step] = (plan.D * T[:, :, s:s + step] == rhs).all(axis=1)
     # at nu = 1 there is no disjoint relation at i = 1, so only the meeting row constrains
-    counts = laws[2] & laws[3] if config.nu >= 2 else laws[2]
-    return {"spectrum": spectrum, "shifted": shifted, "counts": counts}, laws
+    counts = _count_laws(plan, cols, sizes, T, slice(2, 4 if config.nu >= 2 else 3)).all(axis=0)
+    return {"spectrum": spectrum, "shifted": spectrum.copy(), "counts": counts}
 
 
-def _set_routes(flat_set: FlatSet) -> tuple[dict[str, np.ndarray], np.ndarray]:
+def _set_routes(flat_set: FlatSet) -> dict[str, np.ndarray]:
     return _scheme_routes(flat_set.config, flat_set.chi().reshape(-1, 1))
 
 
 def test_spectrum(flat_set: FlatSet) -> bool:
     """Spectral support only on the all-one and parallel-class eigenspaces."""
-    return bool(_set_routes(flat_set)[0]["spectrum"][0])
+    return bool(_set_routes(flat_set)["spectrum"][0])
 
 
 def test_shifted_spectrum(flat_set: FlatSet) -> bool:
     """The shifted vector q^nu*D*chi - |L|*j must lie in the parallel eigenspace."""
-    return bool(_set_routes(flat_set)[0]["shifted"][0])
+    return bool(_set_routes(flat_set)["shifted"][0])
 
 
 def lemma_counts(flat_set: FlatSet, rel) -> bool:
     """Neighbour-count law for one relation, exact at rational parameter."""
-    k = scheme_tables(flat_set.config).rels.index(rel)
-    return bool(_set_routes(flat_set)[1][k, 0])
+    config = flat_set.config
+    rels = scheme_tables(config).rels
+    if rel not in rels:
+        raise ValueError(f"unknown relation {rel!r}; the relations of {config.key()} "
+                         f"are {', '.join(map(str, rels))}")
+    r = rels.index(rel)
+    plan, chi, T = _relation_table(config, flat_set.chi().reshape(-1, 1))
+    return bool(_count_laws(plan, chi, chi.sum(axis=0), T, slice(r, r + 1))[0, 0])
 
 
 def test_counts(flat_set: FlatSet) -> bool:
     """The two-relation neighbour-count characterisation (i = 1 rows)."""
-    return bool(_set_routes(flat_set)[0]["counts"][0])
+    return bool(_set_routes(flat_set)["counts"][0])
 
 
 @dataclass(frozen=True)
@@ -390,7 +421,7 @@ def is_cameron_liebler(flat_set: FlatSet, method: str = "auto") -> bool:
 
 def battery(flat_set: FlatSet) -> dict[str, bool]:
     """All routes at once; the equivalent ones must agree."""
-    routes, _ = _set_routes(flat_set)
+    routes = _set_routes(flat_set)
     verdicts = {
         "image": test_image(flat_set),
         **{name: bool(ok[0]) for name, ok in routes.items()},
@@ -416,7 +447,7 @@ def batch_verdicts(config: SpaceConfig, chi_matrix: np.ndarray) -> dict[str, np.
     """
     cols = _block(chi_matrix, route_plan(config).n)
     image = ~incidence_kernel(config).product(cols).any(axis=0)
-    return {"image": image, **_scheme_routes(config, cols)[0]}
+    return {"image": image, **_scheme_routes(config, cols)}
 
 
 def random_subset_matrix(config: SpaceConfig, count: int, seed: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Cameron-Liebler sets: batteries, constructions, classification, profiles."""
 
+import dataclasses
 import gc
 import math
 import random
@@ -141,11 +142,18 @@ def test_counts_law_spot_values(s22):
 
 
 def test_counts_law_all_constructions(medium_config):
+    """Every relation's law holds on a pencil, its complement and the full
+    set; on a near miss, lemma_counts gives each relation's law of the
+    uncached routes, which hold on (0, 0) and fail on (0, 1)."""
     cfg = medium_config
     rels = [r for r in scheme_tables(cfg).rels if r != (0, 0)]
     for fs in (_pencil(cfg), _pencil(cfg).complement(), full_set(cfg)):
         for rel in rels:
             assert lemma_counts(fs, rel)
+    miss = _near_miss(cfg)
+    want = _two_product_routes(cfg, miss.chi().reshape(-1, 1))[1][:, 0].tolist()
+    assert want[:2] == [True, False]
+    assert [lemma_counts(miss, rel) for rel in scheme_tables(cfg).rels] == want
 
 
 def test_combine_modes(s22):
@@ -382,14 +390,21 @@ def _two_product_routes(config, cols):
 KERNEL_KEYS = MEDIUM_CONFIGS + (("symplectic", 3, 2), ("unitary", 4, 2), ("symplectic", 2, 3))
 
 
+def _every_law(config, block):
+    """Every relation's neighbour-count law for a block _block returned."""
+    plan, cols, T = cl._relation_table(config, block)
+    return cl._count_laws(plan, cols, cols.sum(axis=0), T, slice(None))
+
+
 @pytest.mark.parametrize("key", KERNEL_KEYS, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_route_plan_matches_the_two_product_routes(key):
-    """One product P = C T, the shifted projections formed in P in place
-    and the law comparison in column panels give the verdicts and laws of
-    the uncached routes, for 0/1 and signed columns (1, 25, 33 and 100 of
-    them, and one fewer, exactly and one more than a law panel holds), a
-    uint8 block, an int64 column that takes relation_products' object
-    path and object entries past int64."""
+    """One product P = C T, the shifted verdict read off its zero rows and
+    the count laws compared in column panels give the verdicts of the
+    uncached routes, and the panelled comparison over every relation gives
+    their laws, for 0/1 and signed columns (1, 25, 33 and 100 of them, and
+    one fewer, exactly and one more than a law panel of the count rows or
+    of every row holds), a uint8 block, an int64 column that takes
+    relation_products' object path and object entries past int64."""
     cfg = space_config(*key)
     n = len(enumerate_flats(cfg, cfg.nu))
     rng = np.random.default_rng(sum(map(ord, repr(key))))
@@ -398,18 +413,22 @@ def test_route_plan_matches_the_two_product_routes(key):
     huge = rng.integers(-3, 4, (n, 2)).astype(object) * 2**70
     inputs = [edge, huge, _pencil(cfg).chi().reshape(-1, 1),
               rng.integers(0, 2, (n, 25)).astype(np.uint8)]
-    step = max(1, cl.LAW_ELEMENTS // ((2 * cfg.nu + 1) * n))
-    for c in sorted({1, 25, 33, 100, max(1, step - 1), step, step + 1}):
+    widths = {1, 25, 33, 100}
+    for rows in (2 if cfg.nu >= 2 else 1, 2 * cfg.nu + 1):
+        step = max(1, cl.LAW_ELEMENTS // (rows * n))
+        widths |= {max(1, step - 1), step, step + 1}
+    for c in sorted(widths):
         inputs += [rng.integers(0, 2, (n, c)), rng.integers(-5, 6, (n, c))]
     for cols in inputs:
-        # the oracle takes the uint8 block widened, as batch_verdicts does on entry
-        oracle = cols if cols.dtype == object else cols.astype(np.int64)
-        want, want_laws = _two_product_routes(cfg, oracle)
-        got, laws = cl._scheme_routes(cfg, cols)
+        # the routes and the oracle take the block as batch_verdicts passes it on
+        block = cl._block(cols, n)
+        want, want_laws = _two_product_routes(cfg, block)
+        got = cl._scheme_routes(cfg, block)
         assert set(got) == set(want)
         for name in want:
             assert got[name].dtype == np.dtype(bool)
             assert got[name].tolist() == want[name].tolist(), (name, cols.shape, cols.dtype)
+        laws = _every_law(cfg, block)
         assert laws.dtype == np.dtype(bool) and laws.tolist() == want_laws.tolist()
 
 
@@ -428,8 +447,8 @@ def test_scheme_routes_are_exact_past_int64(key):
     cols = np.stack([pencil.chi(), pencil.complement().chi(), _near_miss(cfg).chi()], axis=1)
     m = (2**62 - 1) // (8 * cfg.nu * n)
     assert m * int(cols.sum(axis=0).max()) * n >= 2**63
-    want, want_laws = cl._scheme_routes(cfg, cols)
-    got, laws = cl._scheme_routes(cfg, m * cols)
+    want, want_laws = cl._scheme_routes(cfg, cols), _every_law(cfg, cols)
+    got, laws = cl._scheme_routes(cfg, m * cols), _every_law(cfg, m * cols)
     assert {k: v.tolist() for k, v in got.items()} == {k: v.tolist() for k, v in want.items()}
     assert laws.tolist() == want_laws.tolist()
     assert batch_verdicts(cfg, m * cols)["spectrum"].tolist() == [True, True, False]
@@ -438,9 +457,9 @@ def test_scheme_routes_are_exact_past_int64(key):
 @pytest.mark.parametrize("key", STANDARD_GRID + (("symplectic", 4, 2), ("orthogonal", 3, 3)),
                          ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_route_plan_closed_forms(key):
-    """The closed forms behind the shifted projection, in object arithmetic:
+    """The closed forms behind the shifted verdict, in object arithmetic:
     (C k)[(0,0)] = L_(0,0), (C k)[e] = 0 for every other e, q^nu D = n;
-    and the plan holds C k and the law coefficients."""
+    and the plan holds the law coefficients."""
     cfg = space_config(*key)
     tables = scheme_tables(cfg)
     Ls, C = scheme.idempotent_coefficients(cfg)
@@ -451,12 +470,43 @@ def test_route_plan_closed_forms(key):
     assert cfg.q**cfg.nu * D == tables.size
     plan = cl.route_plan(cfg)
     assert (plan.n, plan.L0, plan.D) == (tables.size, Ls[0], D)
-    assert plan.ck.tolist() == ck
     for r, (i, xi) in enumerate(tables.rels):
         a, b = cl._count_coefficients(cfg, i)
         assert (plan.law_chi[r], plan.law_size[r]) == ((D * a, b) if xi == 0 else (-D * a, a))
-    arrays = (plan.ck, plan.law_chi, plan.law_size)
+    arrays = (plan.law_chi, plan.law_size)
     assert not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("corrupt", ["coefficients", "valencies"])
+def test_route_plan_refuses_a_corrupted_ck(s22, monkeypatch, corrupt):
+    """The shifted verdict reads the spectrum's zero rows only because
+    C k = (L_0, 0, ..., 0): a plan built from a C or from valencies that
+    break it raises AssertionError naming that closed form."""
+    tables = scheme_tables(s22)
+    Ls, C = scheme.idempotent_coefficients(s22)
+    if corrupt == "coefficients":
+        bad = C.copy()
+        bad[2, 0] += 1
+        monkeypatch.setattr(cl, "idempotent_coefficients", lambda config: (Ls, bad))
+    else:
+        valencies = {**tables.valencies, (1, 0): tables.valencies[(1, 0)] + 1}
+        monkeypatch.setattr(cl, "scheme_tables",
+                            lambda config: dataclasses.replace(tables, valencies=valencies))
+    with pytest.raises(AssertionError, match=r"is not \(L_0, 0, \.\.\., 0\)"):
+        cl.route_plan.__wrapped__(s22)
+    monkeypatch.undo()
+    assert cl.route_plan.__wrapped__(s22).bound == cl.route_plan(s22).bound
+
+
+def test_lemma_counts_names_an_unknown_relation(s22):
+    """An unknown relation raises a ValueError that names it and lists the
+    scheme's relations."""
+    with pytest.raises(ValueError, match=r"unknown relation \(3, 0\); the relations of .* "
+                                         r"are \(0, 0\), \(0, 1\), \(1, 0\), \(1, 1\), "
+                                         r"\(2, 0\)$"):
+        lemma_counts(_pencil(s22), (3, 0))
+    with pytest.raises(ValueError, match=r"unknown relation \[1, 0\]"):
+        lemma_counts(_pencil(s22), [1, 0])
 
 
 @pytest.mark.parametrize("key", [("orthogonal", 3, 2), ("unitary", 4, 2)],
