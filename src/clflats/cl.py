@@ -75,7 +75,7 @@ from .scheme import (
     relation_products,
     scheme_tables,
 )
-from .spreads import character_plan, enumerate_spreads, family_members
+from .spreads import character_plan, enumerate_spreads, family_member_columns
 
 
 def set_denominator(config: SpaceConfig, levels: int | None = None) -> int:
@@ -388,20 +388,21 @@ def test_spreads(flat_set: FlatSet, family: str = "auto") -> SpreadTestReport:
     conclusive = family == "constructive"
     if family == "exhaustive":
         search = enumerate_spreads(config)
-        members = np.array([s.members for s in search.spreads], dtype=np.int64)
+        members = np.array([s.members for s in search.spreads], dtype=np.int64).reshape(
+            len(search.spreads), config.q**config.nu).T
         conclusive = search.exhaustive
     elif conclusive or family == "typeI" or (family == "typeII" and config.nu >= 2):
         split = len(enumerate_isotropic(config, config.nu))
         rows = {"constructive": slice(None), "typeI": slice(split), "typeII": slice(split, None)}
-        members = family_members(config)[rows[family]]
+        members = family_member_columns(config)[:, rows[family]]
         failure = conclusive and character_plan(config).failure
         if failure:
             raise AssertionError(
                 f"spread differences do not certify ker M for {config.key()}: {failure}")
     else:
         raise ValueError(f"unknown family {family!r} for nu = {config.nu}")
-    # a bool gather: the family has about n rows of q^nu members
-    counts = flat_set.chi().astype(bool)[members].sum(axis=1)
+    # members holds one spread per column: the family has about n spreads of q^nu members
+    counts = flat_set.chi()[members].sum(axis=0)
     constant = not counts.size or bool((counts == counts[0]).all())
     inter = tuple(counts.tolist())
     value_matches = constant and (not inter or Fraction(inter[0]) == flat_set.x)

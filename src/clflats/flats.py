@@ -7,7 +7,7 @@ lexicographic), which fixes the FlatId used by every set type downstream.
 The flat of direction d through a point x has the id d q^nu plus the
 syndrome key of x under the parity check of d (geometry.syndrome_keys),
 so coset_table and the incidence matrix are one syndrome pass over all
-points, and flats_in tests containment by syndromes too.  The
+points, and flats_in and flats_through test containment by syndromes too.  The
 point-flat incidence matrix M has a certified integer null basis N,
 from its RREF over GF(p) rebuilt by rational reconstruction; it is the
 one basis of ker M, gives the image route of the membership test and
@@ -193,10 +193,22 @@ def flat_ids(config: SpaceConfig) -> dict[Flat, int]:
 
 
 def flats_through(config: SpaceConfig, f: Flat, j: int) -> list[Flat]:
-    """All type-(j,0) flats containing f (f of smaller or equal type)."""
+    """All type-(j,0) flats containing f (f of smaller or equal type).
+
+    A direction d holds at most one of them: f's direction must lie in d,
+    and then the flat of d through f.rep, whose id within d's block is the
+    syndrome key of f.rep under the parity check of d (the keys of
+    coset_representatives count 0, 1, ...).
+    """
     if j < f.dim:
         raise ValueError("pencil dimension below the base flat's")
-    return [g for g in enumerate_flats(config, j) if flat_contains_flat(config, g, f)]
+    flats = enumerate_flats(config, j)
+    dirs = enumerate_isotropic(config, j)
+    inside = np.flatnonzero(subspaces_contain(config, dirs, [f.direction])[:, 0])
+    checks = subspace_checks(config, [dirs[d] for d in inside])
+    keys = syndrome_keys(config, checks, [f.rep])[:, 0]
+    per = len(flats) // len(dirs)
+    return [flats[k] for k in (inside * per + keys).tolist()]
 
 
 def flats_in(config: SpaceConfig, big: Flat) -> list[Flat]:

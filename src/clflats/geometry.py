@@ -22,6 +22,25 @@ same coset of the subspace, and the keys of the canonical coset
 representatives count 0, 1, ... in coset_representatives order.
 subspace_checks builds the checks of a whole sequence of subspaces of
 one dimension at once.
+
+The totally isotropic subspaces are enumerated by orderly generation
+with the RREF as the canonical form (R. C. Read, "Every one a winner",
+1978; B. D. McKay, "Isomorph-free exhaustive generation", 1998): each
+comes out once, from its RREF, with no canonicalization and no set.
+Level m + 1 is built from level m, all at once with numpy:
+
+    U of dimension m + 1 is totally isotropic iff its RREF is [S; v], where
+    S is a totally isotropic m-space in RREF, v = e_c + (entries beyond c)
+    with c past every pivot of S and S zero at column c, and v is
+    isotropic and perpendicular to every row of S.
+
+Proof.  The first m rows of U's RREF are the RREF of a subspace S of U,
+so S is totally isotropic, and its last row has that shape; conversely
+such a [S; v] is in RREF, and its rows are pairwise perpendicular and
+isotropic, so it spans a totally isotropic (m + 1)-space.  Each U thus
+comes from exactly one (S, v).  The forms of whole stacks of vectors come
+from form_values, one add_flat/mul_flat pass per coordinate, and one
+np.lexsort of the flattened bases puts a level in Subspace.flat_key order.
 """
 
 from __future__ import annotations
@@ -96,12 +115,6 @@ def zero_vector(config: SpaceConfig) -> Vector:
     return (0,) * config.dim
 
 
-def unit_vector(config: SpaceConfig, j: int, scale: int = 1) -> Vector:
-    v = [0] * config.dim
-    v[j] = scale
-    return tuple(v)
-
-
 def vec_add(fld: FiniteField, u: Vector, v: Vector) -> Vector:
     add = fld.add_table
     return tuple(add[a][b] for a, b in zip(u, v))
@@ -122,10 +135,15 @@ def all_vectors(config: SpaceConfig) -> list[Vector]:
     return [tuple(v) for v in product(range(config.q), repeat=config.dim)]
 
 
+def _digit_rows(q: int, k: int) -> np.ndarray:
+    """All of F_q^k as an int64 (q^k, k) array of base-q digits, in lexicographic order."""
+    powers = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return np.arange(q**k, dtype=np.int64)[:, None] // powers % q
+
+
 def point_array(config: SpaceConfig) -> np.ndarray:
     """all_vectors(config) as an int64 (q^dim, dim) array, in point-index order."""
-    powers = config.q ** np.arange(config.dim - 1, -1, -1, dtype=np.int64)
-    return np.arange(config.num_points, dtype=np.int64)[:, None] // powers % config.q
+    return _digit_rows(config.q, config.dim)
 
 
 def point_index(config: SpaceConfig, v: Vector) -> int:
@@ -158,6 +176,29 @@ def form_value(config: SpaceConfig, x: Vector, y: Vector) -> int:
 
 def is_isotropic(config: SpaceConfig, v: Vector) -> bool:
     return form_value(config, v, v) == 0
+
+
+def form_values(config: SpaceConfig, X, Y) -> np.ndarray:
+    """form_value over stacks: the int64 form of X[...] with Y[...], for
+    int64 (..., dim) arrays of field codes that broadcast against each other.
+
+    y's partner, conj(y) with its halves swapped and (symplectic case) the
+    half moved last negated, pairs with x coordinate by coordinate, so the
+    form is one mul_flat lookup and one add_flat pass per coordinate.
+    """
+    fld, q, nu = config.field, config.q, config.nu
+    Y = np.asarray(Y, dtype=np.int64)
+    if config.case == "unitary":
+        Y = np.array(fld.conj_table, dtype=np.int64)[Y]
+    low = Y[..., :nu]
+    if config.case == "symplectic":
+        low = np.array(fld.neg_table, dtype=np.int64)[low]
+    prods = fld.mul_flat[np.asarray(X, dtype=np.int64) * q
+                         + np.concatenate([Y[..., nu:], low], axis=-1)]
+    s = np.zeros(prods.shape[:-1], dtype=np.int64)
+    for t in range(config.dim):
+        s = fld.add_flat[s * q + prods[..., t]]
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +253,6 @@ def canonicalize(config: SpaceConfig, rows) -> Subspace:
     """Canonical Subspace for the row space of the given rows."""
     basis, pivots = rref(config.field, [list(r) for r in rows])
     return Subspace(basis, pivots)
-
-
-def zero_subspace(config: SpaceConfig) -> Subspace:
-    return Subspace((), ())
 
 
 @lru_cache(maxsize=None)
@@ -348,36 +385,10 @@ def is_totally_isotropic(config: SpaceConfig, sub: Subspace) -> bool:
 # ---------------------------------------------------------------------------
 # enumeration of totally isotropic subspaces
 
-def _perp_space(config: SpaceConfig, sub: Subspace) -> Subspace:
-    """Solution space of form(b, v) = 0 for every basis row b."""
-    fld = config.field
-    n = config.dim
-    if sub.dim == 0:
-        return canonicalize(config, [unit_vector(config, j) for j in range(n)])
-    rows = []
-    for b in sub.basis:
-        w = [0] * n
-        for j in range(n):
-            s = 0
-            for t in range(n):
-                s = fld.add(s, fld.mul(b[t], config.form[t][j]))
-            w[j] = s
-        if config.case == "unitary":
-            w = [fld.conj_table[c] for c in w]
-        rows.append(w)
-    ech, pivots = rref(fld, rows)
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [0] * n
-        v[j] = 1
-        for row, pc in zip(ech, pivots):
-            v[pc] = fld.neg(row[j])
-        basis.append(v)
-    return canonicalize(config, basis)
-
-
 ISOTROPIC_ENUM_BOUND = 10**5
+
+# the most (subspace, tail) pairs whose forms one pass of the generator evaluates
+GENERATION_PAIRS = 1 << 16
 
 
 def qh_plus_one(config: SpaceConfig, t: int) -> int:
@@ -400,52 +411,65 @@ def count_isotropic(config: SpaceConfig, m: int) -> int:
 def enumerate_isotropic(config: SpaceConfig, m: int) -> tuple[Subspace, ...]:
     """All type-(m,0) subspaces in canonical (lexicographic) order.
 
-    Grown one dimension at a time: adjoin isotropic vectors from the
-    perp of the current subspace, canonicalize, deduplicate.  Every level
-    is admitted by its closed-form count before any level grows.
+    Orderly generation from the level below, each subspace once from its
+    RREF: U is totally isotropic of dimension m iff its RREF is [S; v] with
+    S totally isotropic of dimension m - 1, v = e_c + (entries beyond c),
+    c past S's pivots and S zero at column c, v isotropic and perpendicular
+    to S.  Proof: S, the RREF of U's first m - 1 rows, spans a subspace of
+    U; conversely, such a [S; v] is in RREF with pairwise perpendicular
+    isotropic rows.  Level m and every level below it are admitted by
+    their closed-form counts before any level is generated.
     """
-    expected = count_isotropic(config, m)
-    if expected > ISOTROPIC_ENUM_BOUND:
-        raise ValueError(f"isotropic subspace enumeration bound exceeded: "
-                         f"{expected} type-({m},0) subspaces > {ISOTROPIC_ENUM_BOUND}")
-    if m == 0:
-        return (zero_subspace(config),)
-    prev = enumerate_isotropic(config, m - 1)
-    fld = config.field
-    out = set()
-    for sub in prev:
-        perp = _perp_space(config, sub)
-        for v in span_points(config, perp):
-            if not any(v) or not is_isotropic(config, v):
-                continue
-            if contains_vector(fld, sub, v):
-                continue
-            out.add(canonicalize(config, list(sub.basis) + [v]))
-    return tuple(sorted(out, key=Subspace.flat_key))
+    for k in (m, *range(m - 1, 0, -1)):
+        expected = count_isotropic(config, k)
+        if expected > ISOTROPIC_ENUM_BOUND:
+            raise ValueError(f"isotropic subspace enumeration bound exceeded: "
+                             f"{expected} type-({k},0) subspaces > {ISOTROPIC_ENUM_BOUND}")
+    bases, pivots = _isotropic_rref(config, m)
+    return tuple(Subspace(tuple(map(tuple, b)), tuple(p))
+                 for b, p in zip(bases.tolist(), pivots.tolist()))
 
 
-def isotropic_brute_force(config: SpaceConfig, m: int) -> tuple[Subspace, ...]:
-    """Independent oracle for small m: scan all m-subsets of vectors."""
+@lru_cache(maxsize=None)
+def _isotropic_rref(config: SpaceConfig, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The RREF bases (S, m, dim) and pivot columns (S, m) of the type-(m,0)
+    subspaces in Subspace.flat_key order, as read-only int64 arrays.
+
+    For each column c, the level-(m-1) bases whose pivots all lie before c
+    and whose rows are zero at c are paired with every last row e_c +
+    (tail beyond c) that is isotropic, and the pairs whose forms vanish
+    are kept, GENERATION_PAIRS pairs at a time; one lexsort orders them.
+    """
+    n, q = config.dim, config.q
     if m == 0:
-        return (zero_subspace(config),)
-    vectors = [v for v in all_vectors(config) if any(v)]
-    out = set()
-    if m == 1:
-        for v in vectors:
-            if is_isotropic(config, v):
-                out.add(canonicalize(config, [v]))
-        return tuple(sorted(out, key=Subspace.flat_key))
-    if m != 2:
-        raise ValueError("brute-force oracle supports m <= 2 only")
-    iso = [v for v in vectors if is_isotropic(config, v)]
-    for i, u in enumerate(iso):
-        for v in iso[i + 1:]:
-            if form_value(config, u, v) != 0 or form_value(config, v, u) != 0:
+        bases, pivots = np.zeros((1, 0, n), dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
+    else:
+        prev, prev_pivots = _isotropic_rref(config, m - 1)
+        last = prev_pivots[:, -1] if m > 1 else np.full(len(prev), -1)
+        parts = []
+        for c in range(n):
+            keep = np.flatnonzero((last < c) & ~prev[:, :, c].any(axis=1))
+            if not keep.size:
                 continue
-            sub = canonicalize(config, [u, v])
-            if sub.dim == 2:
-                out.add(sub)
-    return tuple(sorted(out, key=Subspace.flat_key))
+            rows = np.zeros((q ** (n - 1 - c), n), dtype=np.int64)
+            rows[:, c] = 1
+            rows[:, c + 1:] = _digit_rows(q, n - 1 - c)
+            rows = rows[form_values(config, rows, rows) == 0]
+            step = max(1, GENERATION_PAIRS // len(rows))
+            for start in range(0, keep.size, step):
+                subs = keep[start:start + step]
+                perp = np.ones((subs.size, len(rows)), dtype=bool)
+                for r in range(m - 1):
+                    perp &= form_values(config, prev[subs, r, None, :], rows) == 0
+                s, v = np.nonzero(perp)
+                parts.append((np.concatenate([prev[subs[s]], rows[v, None, :]], axis=1),
+                              np.column_stack([prev_pivots[subs[s]], np.full(s.size, c)])))
+        bases = np.concatenate([b for b, _ in parts])
+        pivots = np.concatenate([p for _, p in parts])
+        order = np.lexsort(bases.reshape(len(bases), -1).T[::-1])
+        bases, pivots = bases[order], pivots[order]
+    bases.flags.writeable = pivots.flags.writeable = False
+    return bases, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -542,19 +566,21 @@ def point_graph(config: SpaceConfig) -> np.ndarray:
 
     diff[i, j], the point index of x_j - x_i, accumulates base q with one
     add_flat lookup of x_j + (-x_i) per coordinate; it is below
-    POINT_GRAPH_BOUND, so int16 holds it.
+    POINT_GRAPH_BOUND, so int16 holds it.  The isotropic points are one
+    form_values call over point_array.
     """
     n = config.num_points
     if n > POINT_GRAPH_BOUND:
         raise ValueError(f"point graph bound exceeded: {n} > {POINT_GRAPH_BOUND}")
     fld, q = config.field, config.q
-    X = point_array(config).astype(np.int16)
+    P = point_array(config)
+    X = P.astype(np.int16)
     add = fld.add_flat.astype(np.int16)
     neg = np.array(fld.neg_table, dtype=np.int16)[X]
     diff = np.zeros((n, n), dtype=np.int16)
     for t in range(config.dim):
         diff = diff * q + add[X[None, :, t] * q + neg[:, None, t]]
-    iso = np.array([any(d) and is_isotropic(config, d) for d in all_vectors(config)])
+    iso = P.any(axis=1) & (form_values(config, P, P) == 0)
     A = iso[diff].astype(np.int64)
     A.flags.writeable = False
     return A

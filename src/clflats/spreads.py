@@ -237,7 +237,6 @@ def list_type_II(config: SpaceConfig) -> tuple[Spread, ...]:
     return tuple(Spread(tuple(row), None, "II") for row in rows.tolist())
 
 
-@lru_cache(maxsize=None)
 def family_members(config: SpaceConfig) -> np.ndarray:
     """Member ids of the constructive family, one spread per row.
 
@@ -246,11 +245,26 @@ def family_members(config: SpaceConfig) -> np.ndarray:
     each point once, so differences of rows lie in the kernel of the
     incidence matrix; character_plan certifies that they span it.
     """
+    return _family(config)[0]
+
+
+def family_member_columns(config: SpaceConfig) -> np.ndarray:
+    """family_members(config) transposed into a C-contiguous, read-only
+    (q^nu, rows) array: a set's intersection with every spread is one
+    gather of its indicator through it and a sum over axis 0, which reads
+    memory in order where the rows of q^nu members would each be a short
+    reduction."""
+    return _family(config)[1]
+
+
+@lru_cache(maxsize=None)
+def _family(config: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
     members = _type_I_members(config)
     if config.nu >= 2:
         members = np.vstack([members, _type_II_members(config)])
-    members.flags.writeable = False
-    return members
+    columns = np.ascontiguousarray(members.T)
+    members.flags.writeable = columns.flags.writeable = False
+    return members, columns
 
 
 def family_indicators(config: SpaceConfig, rows=slice(None)) -> np.ndarray:

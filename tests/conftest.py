@@ -3,12 +3,24 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from clflats import exact, spreads
-from clflats.geometry import enumerate_isotropic, space_config
+from clflats.geometry import (
+    Subspace,
+    all_vectors,
+    canonicalize,
+    contains_vector,
+    enumerate_isotropic,
+    form_value,
+    is_isotropic,
+    rref,
+    space_config,
+    span_points,
+)
 from clflats.scheme import (
     PRODUCT_COLUMNS,
     projections,
@@ -53,6 +65,84 @@ def small_config(request):
                 scope="session")
 def medium_config(request):
     return space_config(*request.param)
+
+
+def unit_vector(config, j: int, scale: int = 1) -> tuple[int, ...]:
+    v = [0] * config.dim
+    v[j] = scale
+    return tuple(v)
+
+
+def _perp_space(config, sub: Subspace) -> Subspace:
+    """Solution space of form(b, v) = 0 for every basis row b."""
+    fld = config.field
+    n = config.dim
+    if sub.dim == 0:
+        return canonicalize(config, [unit_vector(config, j) for j in range(n)])
+    rows = []
+    for b in sub.basis:
+        w = [0] * n
+        for j in range(n):
+            s = 0
+            for t in range(n):
+                s = fld.add(s, fld.mul(b[t], config.form[t][j]))
+            w[j] = s
+        if config.case == "unitary":
+            w = [fld.conj_table[c] for c in w]
+        rows.append(w)
+    ech, pivots = rref(fld, rows)
+    free = [j for j in range(n) if j not in pivots]
+    basis = []
+    for j in free:
+        v = [0] * n
+        v[j] = 1
+        for row, pc in zip(ech, pivots):
+            v[pc] = fld.neg(row[j])
+        basis.append(v)
+    return canonicalize(config, basis)
+
+
+@lru_cache(maxsize=None)
+def isotropic_oracle(config, m: int) -> tuple[Subspace, ...]:
+    """The type-(m,0) subspaces in canonical order, grown one dimension at a
+    time: adjoin isotropic vectors from the perp of each subspace of the
+    level below, canonicalize, deduplicate.  The generator the package
+    used before its batched orderly generation."""
+    if m == 0:
+        return (Subspace((), ()),)
+    out = set()
+    for sub in isotropic_oracle(config, m - 1):
+        for v in span_points(config, _perp_space(config, sub)):
+            if not any(v) or not is_isotropic(config, v):
+                continue
+            if contains_vector(config.field, sub, v):
+                continue
+            out.add(canonicalize(config, list(sub.basis) + [v]))
+    return tuple(sorted(out, key=Subspace.flat_key))
+
+
+def isotropic_brute_force(config, m: int) -> tuple[Subspace, ...]:
+    """Independent oracle for small m: scan all m-subsets of vectors."""
+    if m == 0:
+        return (Subspace((), ()),)
+    vectors = [v for v in all_vectors(config) if any(v)]
+    out = set()
+    if m == 1:
+        for v in vectors:
+            if is_isotropic(config, v):
+                out.add(canonicalize(config, [v]))
+        return tuple(sorted(out, key=Subspace.flat_key))
+    if m != 2:
+        raise ValueError("brute-force oracle supports m <= 2 only")
+    iso = [v for v in vectors if is_isotropic(config, v)]
+    for i, u in enumerate(iso):
+        for v in iso[i + 1:]:
+            if form_value(config, u, v) != 0 or form_value(config, v, u) != 0:
+                continue
+            sub = canonicalize(config, [u, v])
+            if sub.dim == 2:
+                out.add(sub)
+    return tuple(sorted(out, key=Subspace.flat_key))
 
 
 def in_row_span(N: np.ndarray, free, V: np.ndarray) -> bool:

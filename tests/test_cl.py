@@ -1036,6 +1036,31 @@ def test_spread_family_parts(s22, s21):
         spread_test(_pencil(s22), "bogus")
 
 
+@pytest.mark.parametrize("key", STANDARD_GRID, ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_spread_intersections_match_a_row_scan(key):
+    """The intersections gathered through family_member_columns are, row by
+    row of family_members, the number of the set's ids among the row's
+    members, for every family part, on a pencil, a near miss and a random
+    set; the column array is family_members transposed, C-contiguous and
+    read-only."""
+    cfg = space_config(*key)
+    members = spreads.family_members(cfg)
+    columns = spreads.family_member_columns(cfg)
+    assert np.array_equal(columns, members.T)
+    assert columns.flags.c_contiguous and not columns.flags.writeable
+    split = len(enumerate_isotropic(cfg, cfg.nu))
+    parts = {"constructive": members, "typeI": members[:split], "typeII": members[split:]}
+    rng = random.Random(f"{key}")
+    n = len(enumerate_flats(cfg, cfg.nu))
+    for fs in (_pencil(cfg), _near_miss(cfg), FlatSet(cfg, tuple(rng.sample(range(n), n // 3)))):
+        ids = set(fs.ids)
+        for family, rows in parts.items():
+            if family == "typeII" and cfg.nu < 2:
+                continue
+            want = tuple(len(ids.intersection(row)) for row in rows.tolist())
+            assert spread_test(fs, family).intersections == want
+
+
 def test_flat_set_membership(s22):
     pencil = _pencil(s22)
     members = set(pencil.ids)

@@ -1,12 +1,17 @@
 """Flats: coset canonicalization, meet/join, enumeration, incidence."""
 
+import random
+
 import numpy as np
 import pytest
 
-from clflats import exact
+from clflats import exact, flats
 from clflats.field import e_power, gauss_binomial
 from clflats.flats import (
+    Flat,
     container_flats,
+    coset_representatives,
+    coset_table,
     count_flats,
     count_flats_through,
     enumerate_flats,
@@ -27,14 +32,12 @@ from clflats.flats import (
 )
 from clflats.geometry import (
     canonicalize,
-    enumerate_isotropic,
     gram_rank,
     point_index,
     space_config,
-    unit_vector,
     zero_vector,
 )
-from conftest import MEDIUM_CONFIGS, in_row_span, integer_nullspace
+from conftest import MEDIUM_CONFIGS, in_row_span, integer_nullspace, isotropic_oracle, unit_vector
 
 
 def test_flat_make_canonical_representative(s22):
@@ -135,6 +138,38 @@ def test_pencil_counts_closed_form(case, q, nu):
             assert all(flat_contains_flat(cfg, g, base) for g in got)
     with pytest.raises(ValueError):
         flats_through(cfg, enumerate_flats(cfg, 1)[0], 0)
+
+
+@pytest.mark.parametrize("key", GRID, ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_flats_through_matches_containment_loop(key):
+    """The syndrome pencil equals the flat_contains_flat scan over every
+    type-j flat, in enumerate_flats order, for seeded base flats of every
+    type i <= j."""
+    cfg = space_config(*key)
+    rng = random.Random(f"{key}")
+    for j in range(cfg.nu + 1):
+        for i in range(j + 1):
+            level = enumerate_flats(cfg, i)
+            for base in rng.sample(level, min(3, len(level))):
+                want = [g for g in enumerate_flats(cfg, j) if flat_contains_flat(cfg, g, base)]
+                assert flats_through(cfg, base, j) == want
+
+
+@pytest.mark.parametrize("key", [("symplectic", 3, 2), ("unitary", 4, 2),
+                                 ("symplectic", 2, 3), ("orthogonal", 3, 3)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_flat_ids_match_the_oracle_directions(key, monkeypatch):
+    """enumerate_flats at every level, flat_ids and the coset_table bytes
+    equal those built from the oracle's directions, so no flat id moved."""
+    cfg = space_config(*key)
+    for m in range(cfg.nu + 1):
+        want = [Flat(d, rep) for d in isotropic_oracle(cfg, m)
+                for rep in coset_representatives(cfg, d)]
+        assert list(enumerate_flats(cfg, m)) == want
+    assert flat_ids(cfg) == {f: k for k, f in enumerate(want)}
+    got = coset_table(cfg)
+    monkeypatch.setattr(flats, "enumerate_isotropic", isotropic_oracle)
+    assert got.tobytes() == flats.coset_table.__wrapped__(cfg).tobytes()
 
 
 def test_incidence_structure(medium_config):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clflats import geometry
 from clflats.field import e_power
 from clflats.geometry import (
     POINT_GRAPH_BOUND,
@@ -11,8 +12,8 @@ from clflats.geometry import (
     canonicalize,
     enumerate_isotropic,
     form_value,
+    form_values,
     is_isotropic,
-    isotropic_brute_force,
     point_array,
     point_graph,
     point_index,
@@ -23,10 +24,9 @@ from clflats.geometry import (
     subspace_type,
     subspaces_contain,
     syndrome_keys,
-    unit_vector,
     vec_sub,
-    zero_subspace,
 )
+from conftest import isotropic_brute_force, isotropic_oracle, unit_vector
 
 GRID = (("symplectic", 2, 1), ("symplectic", 3, 1), ("symplectic", 2, 2),
         ("symplectic", 3, 2), ("symplectic", 2, 3),
@@ -66,6 +66,22 @@ def test_unitary_form_conjugates_right_argument():
     y = (0, omega)
     # x H conj(y)^T = omega * conj(omega) = omega^3 = 1
     assert form_value(u, x, y) == fld.mul(omega, fld.conj(omega)) == 1
+
+
+@pytest.mark.parametrize("key", GRID + (("symplectic", 4, 2), ("orthogonal", 3, 3)),
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_form_values_match_form_value(key):
+    """form_values over stacks equals form_value pair by pair, on random
+    pairs and on every pair of unit vectors (the form's own entries)."""
+    cfg = space_config(*key)
+    rng = np.random.default_rng(7)
+    X, Y = rng.integers(0, cfg.q, size=(2, 200, cfg.dim))
+    got = form_values(cfg, X, Y)
+    assert got.dtype == np.int64
+    assert got.tolist() == [form_value(cfg, tuple(x), tuple(y))
+                            for x, y in zip(X.tolist(), Y.tolist())]
+    eye = np.eye(cfg.dim, dtype=np.int64)
+    assert form_values(cfg, eye[:, None, :], eye[None]).tolist() == [list(r) for r in cfg.form]
 
 
 def test_canonicalize_row_space_invariance():
@@ -145,7 +161,7 @@ def test_syndrome_keys_stack_and_containment():
 
 def test_subspace_types():
     cfg = space_config("symplectic", 2, 2)
-    assert subspace_type(cfg, zero_subspace(cfg)) == (0, 0)
+    assert subspace_type(cfg, canonicalize(cfg, [])) == (0, 0)
     e = lambda j: unit_vector(cfg, j)
     assert subspace_type(cfg, canonicalize(cfg, [e(0), e(1)])) == (2, 0)
     assert subspace_type(cfg, canonicalize(cfg, [e(0), e(2)])) == (2, 2)
@@ -172,6 +188,51 @@ def test_enumeration_matches_bruteforce(case, q, nu):
         if m > nu:
             continue
         assert enumerate_isotropic(cfg, m) == isotropic_brute_force(cfg, m)
+
+
+@pytest.mark.parametrize("key", GRID + (("symplectic", 4, 2), ("orthogonal", 3, 3)),
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_orderly_generation_matches_oracle(key):
+    """Every level, basis and pivots, element for element, equals the
+    perp-and-deduplicate generator the orderly generation replaced."""
+    cfg = space_config(*key)
+    for m in range(cfg.nu + 1):
+        got = enumerate_isotropic(cfg, m)
+        want = isotropic_oracle(cfg, m)
+        assert [(s.basis, s.pivots) for s in got] == [(s.basis, s.pivots) for s in want]
+        assert all(type(c) is int for s in got[:3] for row in s.basis for c in row)
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 3), ("unitary", 4, 2), ("orthogonal", 3, 3)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_generation_in_small_passes_is_the_same(key, monkeypatch):
+    """Pairing the bases with the last rows a few pairs at a time builds
+    the same arrays as the default passes, at every level."""
+    cfg = space_config(*key)
+    want = [geometry._isotropic_rref(cfg, m) for m in range(cfg.nu + 1)]
+    monkeypatch.setattr(geometry, "GENERATION_PAIRS", 7)
+    for m, (bases, pivots) in enumerate(want):
+        got_bases, got_pivots = geometry._isotropic_rref.__wrapped__(cfg, m)
+        assert np.array_equal(got_bases, bases) and np.array_equal(got_pivots, pivots)
+        assert not (got_bases.flags.writeable or got_pivots.flags.writeable)
+
+
+def test_admission_precedes_generation(monkeypatch):
+    """With the bound below one level's closed-form count, enumeration
+    raises before the generator builds any level: at the top level, and
+    at a lower level whose count is larger than the top's."""
+    cfg = space_config("symplectic", 2, 3)  # 63, 315 and 135 subspaces at m = 1, 2, 3
+
+    def generator(config, m):
+        raise AssertionError("a level was generated before admission")
+
+    monkeypatch.setattr(geometry, "_isotropic_rref", generator)
+    for bound, m, count in ((100, 3, 135), (200, 2, 315)):
+        monkeypatch.setattr(geometry, "ISOTROPIC_ENUM_BOUND", bound)
+        with pytest.raises(ValueError, match=rf"^isotropic subspace enumeration bound "
+                                             rf"exceeded: {count} type-\({m},0\) "
+                                             rf"subspaces > {bound}$"):
+            enumerate_isotropic.__wrapped__(cfg, 3)
 
 
 def test_unitary_isotropic_lines():

@@ -14,7 +14,6 @@ from clflats.geometry import (
     canonicalize,
     enumerate_isotropic,
     space_config,
-    unit_vector,
     zero_vector,
 )
 from clflats.scheme import (
@@ -49,7 +48,7 @@ from clflats.scheme import (
     verify_scheme,
 )
 from clflats.spreads import list_type_I, list_type_II
-from conftest import MEDIUM_CONFIGS
+from conftest import MEDIUM_CONFIGS, unit_vector
 
 CASES_Q = (("symplectic", 2), ("symplectic", 3), ("symplectic", 5),
            ("unitary", 4), ("unitary", 9),

@@ -28,7 +28,6 @@ from clflats.geometry import (
     reduce_mod,
     space_config,
     span_points,
-    unit_vector,
     vec_add,
     zero_vector,
 )
@@ -54,6 +53,7 @@ from conftest import (
     parallel_vanishing_oracle,
     rational_rank,
     spanning_rows_oracle,
+    unit_vector,
 )
 
 
