@@ -6,21 +6,27 @@ assumed).  The membership test has several equivalent routes: image of
 the transposed incidence matrix (equivalently, orthogonality to its
 kernel), spectral support in the two trivial eigenspaces, the shifted
 spectral variant, the two-relation neighbour counts, and constant
-intersection with the spreads.  All routes are exact.  The one basis
-of ker M is the certified null basis N of M (its RREF over GF(p)
-rebuilt by rational reconstruction, flats.incidence_kernel), which
-uses no spread.  Every null basis here is one exact.NullBasis, split at
-its free columns, where N is diagonal: the image route computes
-N chi = s * chi_free + N[:, pivots] chi_pivots (NullBasis.product) from
-the certified diagonal s and the cached pivot block.  The same product
-with the null basis of a container's incidence matrix decides the
-restrictions to that container, from chi gathered at the container's
-flat ids, and the on-demand witness y with M^T y = chi is read off the
-null basis of [M^T | -chi] (NullBasis.matrix).  The spread route is
-conclusive because the differences of the constructive family span
-ker M, which spreads.character_plan certifies from the translation
-characters with no elimination.  The
-spectrum, shifted and count routes read one relation-count table T,
+intersection with the spreads.  All routes are exact.  A single set
+takes the image route through the basis K of ker M with entries in
+{-1, 0, 1} that the translation characters give
+(spreads.membership_plan): chi is in the image iff K chi = 0, which is a
+comparison of chi's sums over value groups of flats, with no elimination
+of M.  The certified null basis N of M (its RREF over GF(p) rebuilt by
+rational reconstruction, flats.incidence_kernel) backs the batches, the
+nu = 1 classification and the rank of M.  Every null basis here is one
+exact.NullBasis, split at its free columns, where N is diagonal:
+batch_verdicts computes N chi = s * chi_free + N[:, pivots] chi_pivots
+(NullBasis.product) from the certified diagonal s and the cached pivot
+block, which beats K's gathers at 25 columns.  The same product with the
+null basis of a container's incidence matrix decides the restrictions
+to that container, from chi gathered at the container's flat ids, and
+the on-demand witness y with M^T y = chi is read off the null basis of
+[M^T | -chi] (NullBasis.matrix).  The spread route is conclusive
+because the differences of the constructive family span ker M, which
+spreads.character_plan certifies from the translation characters with
+no elimination.
+
+The spectrum, shifted and count routes read one relation-count table T,
 T[r] = A_r chi for every relation r, from scheme.relation_products,
 which reads the direction-pair factorisation of the relations and
 builds no n x n array for a few columns.  One exact product,
@@ -75,7 +81,12 @@ from .scheme import (
     relation_products,
     scheme_tables,
 )
-from .spreads import character_plan, enumerate_spreads, family_member_columns
+from .spreads import (
+    character_plan,
+    enumerate_spreads,
+    family_member_columns,
+    membership_plan,
+)
 
 
 def set_denominator(config: SpaceConfig, levels: int | None = None) -> int:
@@ -158,9 +169,14 @@ def apply_isometry(flat_set: FlatSet, iso: Isometry) -> FlatSet:
 # single-set tests (characterisations of membership)
 
 def test_image(flat_set: FlatSet) -> bool:
-    """M^T y = chi is solvable, i.e. chi is orthogonal to ker M: N chi = 0
-    for the certified null basis N of M, through its pivot block."""
-    return not incidence_kernel(flat_set.config).product(flat_set.chi()).any()
+    """M^T y = chi is solvable, i.e. chi is orthogonal to ker M: K chi = 0
+    for the basis K of ker M with entries in {-1, 0, 1} that the
+    translation characters give (spreads.membership_plan, whose docstring
+    proves it a basis), with no elimination of M.  K chi = 0 iff every
+    direction block has the same sum and, for each character a and each
+    direction d in T_a, the sums of chi over the flats of d at each
+    nonzero value of a equal those of the first direction of T_a."""
+    return membership_plan(flat_set.config).annihilates(flat_set.chi())
 
 
 def image_certificate(flat_set: FlatSet) -> tuple[Fraction, ...] | None:
@@ -411,7 +427,8 @@ def test_spreads(flat_set: FlatSet, family: str = "auto") -> SpreadTestReport:
 
 def is_cameron_liebler(flat_set: FlatSet, method: str = "auto") -> bool:
     """Membership verdict by one route: 'image', 'kernel' and 'auto' are
-    the one image route, orthogonality to the certified null basis of M."""
+    the one image route, orthogonality to ker M, decided by K chi = 0
+    (test_image)."""
     routes = {"image": test_image, "kernel": test_image, "auto": test_image,
               "spectrum": test_spectrum, "shifted": test_shifted_spectrum,
               "counts": test_counts, "spreads": lambda fs: test_spreads(fs).passed}

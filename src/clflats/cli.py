@@ -492,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("auto", "image", "kernel", "spectrum", "shifted", "counts",
                                  "spreads"),
                         help="one route; 'auto' runs the full battery ('image' and 'kernel' "
-                             "are the one route orthogonal to the certified basis of ker M, "
+                             "are the one route orthogonal to ker M, by its translation-"
+                             "character basis, "
                              "which is also the library's is_cameron_liebler 'auto')")
     p_con = cl_sub.add_parser("construct", parents=[common])
     p_con.add_argument("--pencil")

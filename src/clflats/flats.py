@@ -9,13 +9,15 @@ syndrome key of x under the parity check of d (geometry.syndrome_keys),
 so coset_table and the incidence matrix are one syndrome pass over all
 points, and flats_in and flats_through test containment by syndromes too.  The
 point-flat incidence matrix M has a certified integer null basis N,
-from its RREF over GF(p) rebuilt by rational reconstruction; it is the
-one basis of ker M, gives the image route of the membership test and
-the exact rank of M.  It is an exact.NullBasis, kept as its split at
-the free columns, so the image route multiplies only by its pivot
-block.  A container's incidence matrix is a slice of M (its points by
-syndrome key, its flats by flats_in, whose ids it keeps), and its
-certified null basis, the same NullBasis type, is cached per container.
+from its RREF over GF(p) rebuilt by rational reconstruction; it gives
+the exact rank of M and the image route of batches of sets
+(cl.batch_verdicts), while a single set takes the image route through
+the translation-character basis of ker M (spreads.membership_plan),
+with no elimination.  N is an exact.NullBasis, kept as its split at
+the free columns, so a batch multiplies only by its pivot block.  A
+container's incidence matrix is a slice of M (its points by syndrome
+key, its flats by flats_in, whose ids it keeps), and its certified null
+basis, the same NullBasis type, is cached per container.
 """
 
 from __future__ import annotations
@@ -377,7 +379,8 @@ def incidence_kernel(config: SpaceConfig) -> exact.NullBasis:
     N is built from the RREF of M over GF(p), rebuilt over Q by rational
     reconstruction and checked exactly (exact.certified_null_basis).  A
     flat set chi is in the image of M^T iff N chi = 0, since the image is
-    the orthogonal complement of ker M; this uses no spread.
+    the orthogonal complement of ker M; this uses no spread.  Single sets
+    are decided without N (spreads.membership_plan).
     """
     return exact.certified_null_basis(incidence_matrix(config).matrix)
 

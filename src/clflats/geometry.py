@@ -508,46 +508,37 @@ class Isometry:
 
 
 def _check_isometry(config: SpaceConfig, T: tuple[Vector, ...]) -> None:
-    for i in range(config.dim):
-        for j in range(config.dim):
-            if form_value(config, T[i], T[j]) != config.form[i][j]:
-                raise ValueError("matrix does not preserve the form")
+    rows = np.array(T, dtype=np.int64)
+    if (form_values(config, rows[:, None], rows[None]) != np.array(config.form)).any():
+        raise ValueError("matrix does not preserve the form")
 
 
 def random_isometry(config: SpaceConfig, seed: int) -> Isometry:
-    """Seeded isometry by greedy completion of hyperbolic pairs."""
-    rng = random.Random(("isometry", config.key(), seed).__repr__())
-    fld = config.field
-    nu = config.nu
+    """Seeded isometry by greedy completion of hyperbolic pairs.
 
+    Each step draws u from the isotropic points perpendicular to the pairs
+    chosen so far (both ways round) and off their span, and then w from
+    the isotropic points perpendicular to them with form(u, w) = 1, both in
+    point-index order.  Each filter is a form_values pass over point_array;
+    a point lies off the span iff its syndrome under the span's parity
+    check is nonzero, so the zero point is never drawn.
+    """
+    rng = random.Random(("isometry", config.key(), seed).__repr__())
+    P = point_array(config)
+    isotropic = form_values(config, P, P) == 0
+    chosen = np.zeros((0, config.dim), dtype=np.int64)
     us: list[Vector] = []
     ws: list[Vector] = []
-
-    def orthogonal_to_chosen(v: Vector) -> bool:
-        return all(form_value(config, b, v) == 0 and form_value(config, v, b) == 0
-                   for b in us + ws)
-
-    for _ in range(nu):
-        chosen = canonicalize(config, [list(r) for r in us + ws])
-        candidates = [
-            v for v in all_vectors(config)
-            if any(v) and is_isotropic(config, v)
-            and orthogonal_to_chosen(v) and not contains_vector(fld, chosen, v)
-        ]
-        u = rng.choice(sorted(candidates))
-        partners = []
-        for w in all_vectors(config):
-            if not is_isotropic(config, w):
-                continue
-            if form_value(config, u, w) != 1:
-                continue
-            if all(form_value(config, b, w) == 0 and form_value(config, w, b) == 0
-                   for b in us + ws):
-                partners.append(w)
-        w = rng.choice(sorted(partners))
-        us.append(u)
-        ws.append(w)
-
+    for _ in range(config.nu):
+        perp = isotropic & ~((form_values(config, chosen[:, None], P) != 0)
+                             | (form_values(config, P, chosen[:, None]) != 0)).any(axis=0)
+        span = subspace_checks(config, [canonicalize(config, chosen.tolist())])
+        off = syndrome_keys(config, span, P)[0] != 0
+        u = P[rng.choice(np.flatnonzero(perp & off))]
+        w = P[rng.choice(np.flatnonzero(perp & (form_values(config, u, P) == 1)))]
+        us.append(tuple(u.tolist()))
+        ws.append(tuple(w.tolist()))
+        chosen = np.vstack([chosen, u, w])
     T = tuple(us + ws)
     _check_isometry(config, T)
     v = tuple(rng.randrange(config.q) for _ in range(config.dim))

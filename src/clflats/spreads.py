@@ -55,7 +55,9 @@ connected.  That certificate makes the constructive spread route of the
 membership test conclusive.  At nu = 1 there are no type-II rows, and
 every |T_psi| <= 1, since two maximal directions span the space.  A
 stack rank with no such proof is read off the stack's certified null
-basis.
+basis.  The same decomposition gives ker M a basis K with entries in
+{-1, 0, 1}, read off the flats' character values (membership_plan); the
+image route of a single set decides by K chi = 0, with no elimination.
 
 The span checks decide which eigenspace projections of the family
 vanish from the scheme's own equivalences, with no idempotent product:
@@ -339,7 +341,9 @@ def _sorted_rows(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the translation characters
 
-CHARACTER_ELEMENTS = 2**20  # bounds the (characters, directions, partners) labels of _components
+# bounds the (characters, directions, partners) labels of _components and the
+# (pairs, points) values that _check_groups gathers at a time
+CHARACTER_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -376,27 +380,52 @@ class CharacterPlan:
         return None
 
 
-def character_kernels(config: SpaceConfig) -> np.ndarray:
-    """T[a, d]: whether maximal direction d lies in the kernel of the
-    character a, for one nontrivial character of each F_p-line; bool,
-    (lines, directions).
-
-    A vector of field codes is the F_p vector of their base-p digits; F_q
-    adds digit-wise mod p, so this is additive.  The characters whose
-    first nonzero digit is 1 stand for the lines: c a has the kernel of a.
-    d lies in ker psi_a iff a kills the digits of the F_p basis t^j b of
-    d, for the basis vectors b of d and the codes p^j of t^j, j < k.
-    """
+def _line_characters(config: SpaceConfig) -> np.ndarray:
+    """One nontrivial character for each F_p-line of F_p^(dim k), as the
+    int64 digits (lines, dim k) of the characters whose first nonzero
+    digit is 1: c a has the kernel of a.  Digit i k + j pairs with the p^j
+    digit of coordinate i."""
     fld = config.field
     m = config.dim * fld.k
     chars = np.arange(1, fld.p**m)[:, None] // fld.p ** np.arange(m) % fld.p
-    chars = chars[chars[np.arange(len(chars)), (chars != 0).argmax(axis=1)] == 1]
+    return chars[chars[np.arange(len(chars)), (chars != 0).argmax(axis=1)] == 1]
+
+
+@lru_cache(maxsize=None)
+def character_kernels(config: SpaceConfig) -> np.ndarray:
+    """T[a, d]: whether maximal direction d lies in the kernel of the
+    character a, for one nontrivial character of each F_p-line; bool,
+    (lines, directions), read-only.
+
+    A vector of field codes is the F_p vector of their base-p digits; F_q
+    adds digit-wise mod p, so this is additive.  d lies in ker psi_a iff
+    a kills the digits of the F_p basis t^j b of d, for the basis vectors
+    b of d and the codes p^j of t^j, j < k.
+    """
+    fld = config.field
+    chars = _line_characters(config)
     basis = np.array([d.basis for d in enumerate_isotropic(config, config.nu)], dtype=np.int64)
     scaled = fld.mul_flat[fld.p ** np.arange(fld.k)[:, None, None, None] * fld.q + basis]
     digits = scaled[..., None] // fld.p ** np.arange(fld.k) % fld.p  # (k, D, nu, dim, k)
-    fp_basis = digits.transpose(1, 0, 2, 3, 4).reshape(-1, m)
+    fp_basis = digits.transpose(1, 0, 2, 3, 4).reshape(-1, chars.shape[1])
     values = exact.int_matmul(chars, fp_basis.T) % fld.p
-    return ~values.reshape(len(chars), len(basis), -1).any(axis=2)
+    kernels = ~values.reshape(len(chars), len(basis), -1).any(axis=2)
+    kernels.flags.writeable = False
+    return kernels
+
+
+def _point_values(config: SpaceConfig) -> np.ndarray:
+    """a . x mod p for every line character a and point x, on the base-p
+    digits of x; int64, (lines, points)."""
+    fld = config.field
+    digits = point_array(config)[:, :, None] // fld.p ** np.arange(fld.k) % fld.p
+    digits = digits.reshape(config.num_points, -1)
+    return exact.int_matmul(_line_characters(config), digits.T) % fld.p
+
+
+def _points_of(config: SpaceConfig) -> np.ndarray:
+    """The points of every maximal flat, in id order; int64, (n, q^nu)."""
+    return np.argsort(coset_table(config), axis=1, kind="stable").reshape(-1, config.q**config.nu)
 
 
 def _unit_translations(config: SpaceConfig) -> np.ndarray:
@@ -445,9 +474,8 @@ def _check_cover(config: SpaceConfig, members: np.ndarray) -> None:
 
     A row of q^nu flats of q^nu points covers each point once iff it hits
     every point; PRODUCT_COLUMNS rows are gathered at a time."""
-    coset_of = coset_table(config)
     per = config.q**config.nu
-    points_of = np.argsort(coset_of, axis=1, kind="stable").reshape(-1, per)
+    points_of = _points_of(config)
     ok = members.shape[1] == per
     for s in range(0, len(members), PRODUCT_COLUMNS):
         points = points_of[members[s:s + PRODUCT_COLUMNS]].reshape(-1, per * per)
@@ -521,6 +549,109 @@ def character_plan(config: SpaceConfig) -> CharacterPlan:
         rank = (len(exact.certified_null_basis(sums).pivots)
                 + conjugates * int((sizes - components).sum()))
     return CharacterPlan(kernel_dimension, edges_ok, closed, bool((components <= 1).all()), rank)
+
+
+@dataclass(frozen=True)
+class MembershipPlan:
+    """A basis K of ker M with entries in {-1, 0, 1}, read off the
+    translation characters, in gather form; every array is read-only.
+
+    val_a(f) is a . x mod p at any point x of f; it is well defined when
+    the direction d of f lies in T_a, since a kills d.  The pairs (a, d)
+    with d in T_a and |T_a| >= 2 are listed line by line, d ascending;
+    line[i] is the character of pair i, groups[i, v] the q^nu/p flats f
+    of its direction with val_a(f) = v, and base[i] the pair of d_a, the
+    first direction of T_a.  Write 1(d, v) for the indicator of
+    groups[i, v].  K has D - 1 trivial rows, block d minus block d_0 for
+    each direction d != d_0, and, for each pair of a direction d != d_a
+    and each v = 1..p-1, the row
+    1(d, v) - 1(d, 0) - (1(d_a, v) - 1(d_a, 0)).
+
+    Proof that K is a basis of ker M (the decomposition is the one of the
+    module docstring).  M maps 1(d, v) to the indicator of the points with
+    a . x = v, since each point lies on one flat of d, and a block to the
+    all-one vector; so every row lies in ker M.  1(d, v) - 1(d, 0) has no
+    trivial component and no component in V_psi for a psi off the line of
+    a (psi is not constant on a coset of ker a, so its sum there is 0);
+    its psi_(c a) component is q^(-nu) (q^nu/p) (w^(-c v) - 1) u_d.  The
+    rows of distinct lines, and the trivial rows, thus lie in independent
+    sums of components.  Within a line, the u_d of distinct d have
+    disjoint supports, so a vanishing combination sum lambda_(d,v) of the
+    rows of d has sum_v lambda_(d,v) (w^(-c v) - 1) = 0 for every c != 0;
+    with lambda_(d,0) = -sum_v lambda_(d,v), the discrete Fourier
+    transform of (lambda_(d,v))_v vanishes, so every lambda is 0.  The
+    trivial rows have disjoint supports past block d_0.  That is
+    (D - 1) + (p - 1) sum_a max(|T_a| - 1, 0) independent rows of ker M,
+    CharacterPlan.kernel_dimension = dim ker M of them.
+    """
+
+    per: int             # q^nu, the flats of a direction block
+    line: np.ndarray     # (pairs,) the character of each pair
+    groups: np.ndarray   # (pairs, p, q^nu/p) flat ids, by value
+    base: np.ndarray     # (pairs,) the pair of d_a
+    gather: np.ndarray   # (q^nu/p, pairs (p-1)): groups[i, v, j] at [j, i (p-1) + v - 1], v >= 1
+    match: np.ndarray    # (pairs (p-1),): the column of groups[base[i], v] for that of groups[i, v]
+
+    def annihilates(self, chi: np.ndarray) -> bool:
+        """K chi = 0, for an integer vector chi over the flats (int64 with
+        |entries| q^nu < 2^63, or Python ints in an object array): chi lies
+        in the image of M^T, the orthogonal complement of ker M.
+
+        The trivial rows vanish iff every block has one sum S.  Then, with
+        H[i, v] the sum of chi over groups[i, v], the rows of pair i vanish
+        iff H[i, v] = H[base[i], v] for v = 1..p-1: if the differences
+        H[i, v] - H[i, 0] agree with those of the base for every v, the
+        rows' difference delta is the same for every v, and summing over v
+        gives p delta = S - S.  A set that fails on its block sums is
+        rejected before any gather; H is one gather through `gather`,
+        summed over its contiguous leading axis."""
+        blocks = chi.reshape(-1, self.per).sum(axis=1)
+        if (blocks != blocks[0]).any():
+            return False
+        H = chi[self.gather].sum(axis=0)
+        return bool((H == H[self.match]).all())
+
+
+@lru_cache(maxsize=None)
+def membership_plan(config: SpaceConfig) -> MembershipPlan:
+    """The MembershipPlan of one configuration, with no elimination.
+
+    The point values a . x mod p are one int_matmul of the line
+    characters by the points' digits; each flat takes the value at its
+    first point, and each pair's block is sorted by value.  _check_groups
+    then checks exactly that a . x = v at every point of every flat of
+    groups[i, v], which puts every row of K in ker M; it raises
+    AssertionError otherwise.
+    """
+    p, per = config.field.p, config.q**config.nu
+    kernels = character_kernels(config)
+    line, direction = np.nonzero(kernels & (kernels.sum(axis=1) >= 2)[:, None])
+    values = _point_values(config)
+    ids = direction[:, None] * per + np.arange(per)
+    order = np.argsort(values[line[:, None], _points_of(config)[ids, 0]], axis=1, kind="stable")
+    groups = np.take_along_axis(ids, order, axis=1).reshape(len(line), p, per // p)
+    base = np.searchsorted(line, line)
+    gather = np.ascontiguousarray(groups[:, 1:].transpose(2, 0, 1).reshape(per // p, -1))
+    match = (base[:, None] * (p - 1) + np.arange(p - 1)).ravel()
+    for a in (line, groups, base, gather, match):
+        a.flags.writeable = False
+    plan = MembershipPlan(per, line, groups, base, gather, match)
+    _check_groups(config, plan)
+    return plan
+
+
+def _check_groups(config: SpaceConfig, plan: MembershipPlan) -> None:
+    """Raise AssertionError unless a . x = v at every point x of every flat
+    of plan.groups[i, v], a = plan.line[i]; CHARACTER_ELEMENTS points are
+    gathered at a time."""
+    values, points_of = _point_values(config), _points_of(config)
+    want = np.arange(config.field.p)[:, None, None]
+    step = max(1, CHARACTER_ELEMENTS // config.num_points)
+    for s in range(0, len(plan.line), step):
+        seen = values[plan.line[s:s + step, None, None, None], points_of[plan.groups[s:s + step]]]
+        if (seen != want).any():
+            raise AssertionError(f"a character of {config.key()} is not v at every point of "
+                                 f"its value group v")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ import pytest
 
 from clflats import exact, spreads
 from clflats.geometry import (
+    Isometry,
+    SpaceConfig,
     Subspace,
+    Vector,
     all_vectors,
     canonicalize,
     contains_vector,
@@ -143,6 +146,73 @@ def isotropic_brute_force(config, m: int) -> tuple[Subspace, ...]:
             if sub.dim == 2:
                 out.add(sub)
     return tuple(sorted(out, key=Subspace.flat_key))
+
+
+def random_isometry_oracle(config: SpaceConfig, seed: int) -> Isometry:
+    """Seeded isometry by greedy completion of hyperbolic pairs, one
+    form_value call per vector and pair: the scan geometry.random_isometry
+    made before it filtered the points with form_values."""
+    rng = random.Random(("isometry", config.key(), seed).__repr__())
+    fld = config.field
+    nu = config.nu
+
+    us: list[Vector] = []
+    ws: list[Vector] = []
+
+    def orthogonal_to_chosen(v: Vector) -> bool:
+        return all(form_value(config, b, v) == 0 and form_value(config, v, b) == 0
+                   for b in us + ws)
+
+    for _ in range(nu):
+        chosen = canonicalize(config, [list(r) for r in us + ws])
+        candidates = [
+            v for v in all_vectors(config)
+            if any(v) and is_isotropic(config, v)
+            and orthogonal_to_chosen(v) and not contains_vector(fld, chosen, v)
+        ]
+        u = rng.choice(sorted(candidates))
+        partners = []
+        for w in all_vectors(config):
+            if not is_isotropic(config, w):
+                continue
+            if form_value(config, u, w) != 1:
+                continue
+            if all(form_value(config, b, w) == 0 and form_value(config, w, b) == 0
+                   for b in us + ws):
+                partners.append(w)
+        w = rng.choice(sorted(partners))
+        us.append(u)
+        ws.append(w)
+
+    T = tuple(us + ws)
+    for i in range(config.dim):
+        for j in range(config.dim):
+            if form_value(config, T[i], T[j]) != config.form[i][j]:
+                raise ValueError("matrix does not preserve the form")
+    v = tuple(rng.randrange(config.q) for _ in range(config.dim))
+    return Isometry(T, v)
+
+
+def membership_rows(plan: spreads.MembershipPlan, n: int) -> np.ndarray:
+    """The basis K of ker M that a spreads.MembershipPlan stands for, as a
+    dense int64 (rows, n) matrix: block d minus block 0 for each direction
+    d > 0, then, pair by pair and v = 1..p-1, the row
+    1(d, v) - 1(d, 0) - (1(d_a, v) - 1(d_a, 0)) of each pair that is not
+    its line's base."""
+    per = plan.per
+    trivial = np.zeros((n // per - 1, n), dtype=np.int64)
+    for d in range(1, n // per):
+        trivial[d - 1, d * per:(d + 1) * per] = 1
+        trivial[d - 1, :per] -= 1
+    rows = []
+    for i, b in enumerate(plan.base.tolist()):
+        for v in range(1, plan.groups.shape[1]) if b != i else ():
+            row = np.zeros(n, dtype=np.int64)
+            for pair, sign in ((i, 1), (b, -1)):
+                np.add.at(row, plan.groups[pair, v], sign)
+                np.add.at(row, plan.groups[pair, 0], -sign)
+            rows.append(row)
+    return np.vstack([trivial] + rows)
 
 
 def in_row_span(N: np.ndarray, free, V: np.ndarray) -> bool:

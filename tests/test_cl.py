@@ -514,9 +514,9 @@ def test_lemma_counts_names_an_unknown_relation(s22):
 def test_warm_battery_evaluates_no_closed_form(monkeypatch, key):
     """After one warm-up query on the configuration, a battery calls no
     closed form (e_power, gauss_binomial, set_denominator or the count-law
-    coefficients), makes three exact products (the pivot block, the
-    class-total product and C T) and builds the set's indicator once,
-    read-only."""
+    coefficients), makes two exact products (the class-total product and
+    C T; the image route gathers through the membership plan) and builds
+    the set's indicator once, read-only."""
     from clflats import field, geometry
     cfg = space_config(*key)
     battery(_pencil(cfg))  # warm-up
@@ -550,7 +550,7 @@ def test_warm_battery_evaluates_no_closed_form(monkeypatch, key):
     assert "_chi" not in vars(fs)
     assert not any(battery(fs).values())
     assert calls == []
-    assert len(products) == 3
+    assert len(products) == 2
     assert indicators and all(v is vars(fs)["_chi"] for v in indicators)
     assert not indicators[0].flags.writeable
 
@@ -824,10 +824,11 @@ def test_certified_image_basis(key):
 
 
 def test_one_kernel_basis_product_per_query(monkeypatch):
-    """battery multiplies by N's pivot block once per call and
-    batch_verdicts once per block, on the float64 tier from its cached
-    float64 copy, never by N itself; and no (n - rank M) x n matrix is
-    cached: N is assembled from the split only on request."""
+    """battery never multiplies by N (the image route reads the membership
+    plan), and batch_verdicts multiplies by N's pivot block once per
+    block, on the float64 tier from its cached float64 copy, never by N
+    itself; and no (n - rank M) x n matrix is cached: N is assembled from
+    the split only on request."""
     cfg = space_config("unitary", 4, 2)
     kernel = incidence_kernel(cfg)
     N = incidence_kernel(cfg).matrix()
@@ -837,10 +838,10 @@ def test_one_kernel_basis_product_per_query(monkeypatch):
     monkeypatch.setattr(exact, "_float_product", lambda a, b: seen.append(a) or real(a, b))
     for fs in (_pencil(cfg), _near_miss(cfg)):
         battery(fs)
-    assert sum(a is kernel.block_float for a in seen) == 2
+    assert sum(a is kernel.block_float for a in seen) == 0
     for seed in (3, 4):
         batch_verdicts(cfg, random_subset_matrix(cfg, 5, seed=seed))
-    assert sum(a is kernel.block_float for a in seen) == 4
+    assert sum(a is kernel.block_float for a in seen) == 2
     assert not [a for a in seen if a.shape == N.shape]
     paper_suite(cfg, 0)
     cached = {fn for module in (cl, spreads, scheme, exact, flats)

@@ -427,6 +427,24 @@ def test_failed_spread_certificate_exits_3(tmp_path, broken, fragment):
     assert fragment in lines[0]
 
 
+def test_failed_membership_plan_exits_3(tmp_path):
+    """cl test --method image on a pencil exits 3 when the membership plan's
+    build-time check fails (one point's character values off by one), with
+    one internal-error line and no report."""
+    setfile = tmp_path / "pencil.json"
+    assert run(["cl", "construct", "--pencil", "0,0,0,0", "--out", str(setfile)] + BASE) == 0
+    code = ("import sys; import numpy as np; from clflats import spreads; "
+            "from clflats.cli import run; real = spreads._point_values; "
+            "spreads._point_values = lambda c: (real(c) + (np.arange(c.num_points) == 5)) "
+            "% c.field.p; sys.exit(run(sys.argv[1:]))")
+    proc = _child(code, ["cl", "test", "--method", "image", "--in", str(setfile)] + BASE)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("clflats: internal error: "), proc.stderr
+    assert "value group" in lines[0]
+
+
 # the certificate's own checks: the rd = 1 edges of the kernel with the most
 # directions removed, so its graph falls apart; one type-II row dropped, so
 # every pair keeps a row but the rows are not closed under translation

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clflats import geometry
+from clflats.cli import STANDARD_GRID
 from clflats.field import e_power
 from clflats.geometry import (
     POINT_GRAPH_BOUND,
@@ -26,7 +27,12 @@ from clflats.geometry import (
     syndrome_keys,
     vec_sub,
 )
-from conftest import isotropic_brute_force, isotropic_oracle, unit_vector
+from conftest import (
+    isotropic_brute_force,
+    isotropic_oracle,
+    random_isometry_oracle,
+    unit_vector,
+)
 
 GRID = (("symplectic", 2, 1), ("symplectic", 3, 1), ("symplectic", 2, 2),
         ("symplectic", 3, 2), ("symplectic", 2, 3),
@@ -263,6 +269,17 @@ def test_random_isometry_properties(case, q, nu):
                 assert form_value(cfg, iso.T[i], iso.T[j]) == cfg.form[i][j]
         images = {iso.apply_subspace(cfg, s) for s in maxes}
         assert images == index  # induced permutation of the maximal isotropics
+
+
+@pytest.mark.parametrize("key", STANDARD_GRID, ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_random_isometry_matches_the_oracle(key):
+    """The form_values filters draw the same T and v as the per-vector
+    scan, for seeds 0-7."""
+    cfg = space_config(*key)
+    for seed in range(8):
+        iso, want = random_isometry(cfg, seed), random_isometry_oracle(cfg, seed)
+        assert (iso.T, iso.v) == (want.T, want.v)
+        assert all(type(c) is int for row in iso.T + (iso.v,) for c in row)
 
 
 def test_isometry_preserves_type_many_seeds(s22):

@@ -1,18 +1,28 @@
 """Spread constructions, exhaustive searches, switching sets, span results."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from clflats import exact, scheme, spreads
-from clflats.cl import battery, construct_pencil, test_spreads as spread_test
+from clflats import cl, exact, scheme, spreads
+from clflats.cl import (
+    FlatSet,
+    battery,
+    construct_pencil,
+    is_cameron_liebler,
+    random_subset_matrix,
+    test_image as image_route,
+    test_spreads as spread_test,
+)
 from clflats.cli import STANDARD_GRID, paper_suite
 from clflats.field import e_power
 from clflats.flats import (
     enumerate_flats,
     flat_ids,
     flat_make,
+    incidence_kernel,
     incidence_matrix,
     incidence_rank,
     incidence_rank_closed_form,
@@ -39,6 +49,7 @@ from clflats.spreads import (
     enumerate_spreads,
     family_members,
     is_switching_pair,
+    membership_plan,
     list_type_I,
     list_type_II,
     spread_type_I,
@@ -50,6 +61,7 @@ from clflats.spreads import (
 from conftest import (
     MEDIUM_CONFIGS,
     eta1_vanishing_oracle,
+    membership_rows,
     parallel_vanishing_oracle,
     rational_rank,
     spanning_rows_oracle,
@@ -763,3 +775,131 @@ def test_trivial_part_is_eliminated_not_assumed(s22, monkeypatch, fresh_plan):
     character_plan.cache_clear()
     monkeypatch.setattr(spreads, "_type_II_edges", lambda config, r: (True, sums[:1]))
     assert character_plan(s22).rank == full - dirs + 1
+
+
+# ---------------------------------------------------------------------------
+# the translation-character basis K of ker M
+
+@pytest.mark.parametrize("key", list(STANDARD_GRID) + [("symplectic", 4, 2), ("orthogonal", 3, 3)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_membership_plan_is_a_basis_of_ker_M(key):
+    """M K^T = 0 exactly, K has kernel_dimension = n - rank M rows, and its
+    GF(p) pivot count, a lower bound on its rank over Q, is its number of
+    rows; every entry is -1, 0 or 1."""
+    cfg = space_config(*key)
+    plan = membership_plan(cfg)
+    n = len(enumerate_flats(cfg, cfg.nu))
+    K = membership_rows(plan, n)
+    assert set(np.unique(K).tolist()) <= {-1, 0, 1}
+    assert not exact.int_matmul(incidence_matrix(cfg).matrix, K.T).any()
+    assert len(K) == character_plan(cfg).kernel_dimension == n - incidence_rank(cfg)
+    assert len(exact.modular_echelon(K, exact.MODULAR_PRIMES[0])[1]) == len(K)
+    assert not any(a.flags.writeable for a in (plan.line, plan.groups, plan.base,
+                                                plan.gather, plan.match))
+    assert not spreads.character_kernels(cfg).flags.writeable
+    assert spreads.character_kernels(cfg) is spreads.character_kernels(cfg)
+
+
+def _moved(plan, pair: int):
+    """The plan with the first flat of value group 0 of one pair moved to
+    value group 1 and the first flat of group 1 to group 0."""
+    groups = plan.groups.copy()
+    groups[pair, 0, 0], groups[pair, 1, 0] = plan.groups[pair, 1, 0], plan.groups[pair, 0, 0]
+    return dataclasses.replace(plan, groups=groups)
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("symplectic", 3, 2), ("unitary", 4, 2),
+                                 ("orthogonal", 3, 2)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_a_moved_flat_fails_both_checks(key):
+    """One flat moved to another value group, in a base pair and in one
+    that is not: M K^T = 0 fails, and so does the build-time check."""
+    cfg = space_config(*key)
+    plan = membership_plan(cfg)
+    n = len(enumerate_flats(cfg, cfg.nu))
+    M = incidence_matrix(cfg).matrix
+    spreads._check_groups(cfg, plan)
+    for pair in (0, 1):
+        moved = _moved(plan, pair)
+        assert exact.int_matmul(M, membership_rows(moved, n).T).any()
+        with pytest.raises(AssertionError, match="value group"):
+            spreads._check_groups(cfg, moved)
+
+
+def test_membership_plan_refuses_wrong_point_values(monkeypatch):
+    """A point value off by one makes the build raise AssertionError."""
+    cfg = space_config("symplectic", 3, 2)
+    real = spreads._point_values
+    monkeypatch.setattr(spreads, "_point_values",
+                        lambda c: (real(c) + (np.arange(c.num_points) == 5)) % c.field.p)
+    with pytest.raises(AssertionError, match="value group"):
+        membership_plan.__wrapped__(cfg)
+
+
+def _membership_columns(cfg, seed: int) -> np.ndarray:
+    """Seeded integer columns: pencils P, P', P'', their complements,
+    2P - P' + P'', P + P', each of those with one entry bumped and with
+    two unequal entries swapped, and random 0/1 sets."""
+    rng = np.random.default_rng(seed)
+    points = rng.choice(cfg.num_points, 3, replace=False)
+    P, P1, P2 = (construct_pencil(cfg, tuple(all_vectors(cfg)[i])).chi() for i in points)
+    base = [P, P1, P2, 1 - P, 1 - P1, 2 * P - P1 + P2, P + P1]
+    bumped, swapped = [], []
+    for col in base:
+        b = col.copy()
+        b[rng.integers(len(b))] += 1
+        bumped.append(b)
+        i = int(rng.choice(np.flatnonzero(col == col.max())))
+        j = int(rng.choice(np.flatnonzero(col != col.max())))
+        w = col.copy()
+        w[[i, j]] = w[[j, i]]
+        swapped.append(w)
+    return np.column_stack(base + bumped + swapped + [random_subset_matrix(cfg, 6, seed)])
+
+
+@pytest.mark.parametrize("key", STANDARD_GRID, ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_membership_plan_verdict_matches_the_null_basis(key):
+    """K chi = 0 exactly when N chi = 0, on seeded integer columns and on
+    the same columns times 2^70 in object arithmetic; for the 0/1 columns
+    test_image and is_cameron_liebler's image routes agree with both."""
+    cfg = space_config(*key)
+    plan = membership_plan(cfg)
+    kernel = incidence_kernel(cfg)
+    for seed in (1, 2):
+        cols = _membership_columns(cfg, seed)
+        by_n = ~kernel.product(cols).any(axis=0)
+        assert by_n[:7].all() and not by_n[7:14].any()  # members, and their bumps
+        assert [plan.annihilates(c) for c in cols.T] == by_n.tolist()
+        big = cols.astype(object) * 2**70
+        assert [plan.annihilates(c) for c in big.T] == by_n.tolist()
+        for c, expected in zip(cols.T, by_n):
+            if set(np.unique(c).tolist()) <= {0, 1}:
+                fs = FlatSet(cfg, tuple(np.flatnonzero(c).tolist()))
+                assert image_route(fs) == expected
+                assert {m: is_cameron_liebler(fs, m) for m in ("image", "kernel")} == \
+                    dict.fromkeys(("image", "kernel"), bool(expected))
+
+
+@pytest.mark.parametrize("key", [("symplectic", 3, 2), ("orthogonal", 3, 2)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_single_set_queries_eliminate_no_incidence_matrix(key, monkeypatch):
+    """battery and is_cameron_liebler with 'image', 'kernel' and 'auto',
+    from a cold plan, read no null basis of M and make no GF(p)
+    elimination with n columns."""
+    cfg = space_config(*key)
+    n = len(enumerate_flats(cfg, cfg.nu))
+    membership_plan.cache_clear()
+    seen = []
+    real = exact.modular_echelon
+    monkeypatch.setattr(exact, "modular_echelon",
+                        lambda matrix, *args: seen.append(np.shape(matrix)) or real(matrix, *args))
+
+    def refuse(config):
+        raise AssertionError("the null basis of M on a single-set query")
+
+    monkeypatch.setattr(cl, "incidence_kernel", refuse)
+    pencil = construct_pencil(cfg, zero_vector(cfg))
+    for fs in (pencil, pencil.complement()):
+        assert all(battery(fs).values())
+        assert all(is_cameron_liebler(fs, m) for m in ("image", "kernel", "auto"))
+    assert not [shape for shape in seen if shape[1] == n]
