@@ -6,18 +6,15 @@ assumed).  The membership test has several equivalent routes: image of
 the transposed incidence matrix (equivalently, orthogonality to its
 kernel), spectral support in the two trivial eigenspaces, the shifted
 spectral variant, the two-relation neighbour counts, and constant
-intersection with the spreads.  All routes are exact.  A single set
-takes the image route through the basis K of ker M with entries in
-{-1, 0, 1} that the translation characters give
-(spreads.membership_plan): chi is in the image iff K chi = 0, which is a
-comparison of chi's sums over value groups of flats, with no elimination
-of M.  The certified null basis N of M (its RREF over GF(p) rebuilt by
-rational reconstruction, flats.incidence_kernel) backs the batches, the
-nu = 1 classification and the rank of M.  Every null basis here is one
-exact.NullBasis, split at its free columns, where N is diagonal:
-batch_verdicts computes N chi = s * chi_free + N[:, pivots] chi_pivots
-(NullBasis.product) from the certified diagonal s and the cached pivot
-block, which beats K's gathers at 25 columns.  The same product with the
+intersection with the spreads.  All routes are exact.  The image route
+of a single set, of a batch (batch_verdicts) and of the nu = 1
+classification reads the basis K of ker M with entries in {-1, 0, 1}
+that the translation characters give (spreads.membership_plan): chi is
+in the image iff K chi = 0, which is a comparison of chi's sums over
+value groups of flats, with no elimination of M; a block of columns
+takes one gather for all of them.  No route reads the certified null
+basis N of M (flats.incidence_kernel), which gives the rank of M.  The
+null bases read here are exact.NullBasis values: the product with the
 null basis of a container's incidence matrix decides the restrictions
 to that container, from chi gathered at the container's flat ids, and
 the on-demand witness y with M^T y = chi is read off the null basis of
@@ -59,7 +56,6 @@ from .flats import (
     enumerate_flats,
     flat_ids,
     flat_make,
-    incidence_kernel,
     incidence_matrix,
     incidence_matrix_in,
     incidence_null_basis_in,
@@ -176,7 +172,7 @@ def test_image(flat_set: FlatSet) -> bool:
     direction block has the same sum and, for each character a and each
     direction d in T_a, the sums of chi over the flats of d at each
     nonzero value of a equal those of the first direction of T_a."""
-    return membership_plan(flat_set.config).annihilates(flat_set.chi())
+    return bool(membership_plan(flat_set.config).annihilates(flat_set.chi()))
 
 
 def image_certificate(flat_set: FlatSet) -> tuple[Fraction, ...] | None:
@@ -281,15 +277,22 @@ def _block(cols: np.ndarray, n: int) -> np.ndarray:
     return cols
 
 
+def _widened(cols: np.ndarray, bound: int, limit: int) -> np.ndarray:
+    """cols, a block that _block returned, moved to object arithmetic once
+    bound * max|cols| reaches limit."""
+    if cols.dtype != object and cols.size and bound * max(
+            -int(cols.min()), int(cols.max())) >= limit:
+        return cols.astype(object)
+    return cols
+
+
 def _relation_table(config: SpaceConfig, cols: np.ndarray) -> tuple[RoutePlan, np.ndarray,
                                                                     np.ndarray]:
     """(plan, cols, T) for a block that _block returned: cols moved to
     object arithmetic once plan.bound * max|cols| reaches 2^62, and its
     relation-count table T = scheme.relation_products(config, cols)."""
     plan = route_plan(config)
-    if cols.dtype != object and cols.size and plan.bound * max(
-            -int(cols.min()), int(cols.max())) >= 2**62:
-        cols = cols.astype(object)
+    cols = _widened(cols, plan.bound, 2**62)
     return plan, cols, relation_products(config, cols)
 
 
@@ -462,9 +465,16 @@ def batch_verdicts(config: SpaceConfig, chi_matrix: np.ndarray) -> dict[str, np.
     object), and any other block (float, complex, string, or an object
     entry that is no integer) raises ValueError first.
     Returns boolean arrays for the image, spectrum, shifted and count routes.
+
+    The image route decides K chi = 0 for every column at once, through
+    the translation-character basis K of ker M (spreads.membership_plan),
+    so no batch eliminates M; its sums are of q^nu entries, so the block
+    is widened to object arithmetic once q^nu max|chi| reaches 2^63, as
+    the scheme routes widen theirs at 2^62 (_relation_table).
     """
     cols = _block(chi_matrix, route_plan(config).n)
-    image = ~incidence_kernel(config).product(cols).any(axis=0)
+    plan = membership_plan(config)
+    image = plan.annihilates(_widened(cols, plan.per, 2**63))
     return {"image": image, **_scheme_routes(config, cols)}
 
 
@@ -536,14 +546,14 @@ def classify_nu1(config: SpaceConfig) -> list[tuple[FlatSet, Fraction]]:
     n = len(enumerate_flats(config, 1))
     if n > EXHAUSTIVE_SUBSET_BOUND:
         raise ValueError(f"too many flats for exhaustive sweep: {n}")
-    kernel = incidence_kernel(config)
+    plan = membership_plan(config)
     classes = len(enumerate_isotropic(config, 1))
     out = []
     for mask in range(1 << n):
         ids = tuple(i for i in range(n) if mask >> i & 1)
-        chi = np.zeros((n, 1), dtype=np.int64)
-        chi[list(ids), 0] = 1
-        if kernel.product(chi).any():
+        chi = np.zeros(n, dtype=np.int64)
+        chi[list(ids)] = 1
+        if not plan.annihilates(chi):
             continue
         fs = FlatSet(config, ids)
         x = fs.x

@@ -10,11 +10,10 @@ so coset_table and the incidence matrix are one syndrome pass over all
 points, and flats_in and flats_through test containment by syndromes too.  The
 point-flat incidence matrix M has a certified integer null basis N,
 from its RREF over GF(p) rebuilt by rational reconstruction; it gives
-the exact rank of M and the image route of batches of sets
-(cl.batch_verdicts), while a single set takes the image route through
-the translation-character basis of ker M (spreads.membership_plan),
-with no elimination.  N is an exact.NullBasis, kept as its split at
-the free columns, so a batch multiplies only by its pivot block.  A
+the exact rank of M.  The image route, of single sets and of batches
+alike, reads the translation-character basis of ker M
+(spreads.membership_plan) instead, with no elimination.  N is an
+exact.NullBasis, kept as its split at the free columns.  A
 container's incidence matrix is a slice of M (its points by syndrome
 key, its flats by flats_in, whose ids it keeps), and its certified null
 basis, the same NullBasis type, is cached per container.
@@ -379,8 +378,10 @@ def incidence_kernel(config: SpaceConfig) -> exact.NullBasis:
     N is built from the RREF of M over GF(p), rebuilt over Q by rational
     reconstruction and checked exactly (exact.certified_null_basis).  A
     flat set chi is in the image of M^T iff N chi = 0, since the image is
-    the orthogonal complement of ker M; this uses no spread.  Single sets
-    are decided without N (spreads.membership_plan).
+    the orthogonal complement of ker M; this uses no spread.  N backs
+    incidence_rank; the membership routes, single sets and batches,
+    decide by the translation-character basis instead
+    (spreads.membership_plan), and N is their test oracle.
     """
     return exact.certified_null_basis(incidence_matrix(config).matrix)
 

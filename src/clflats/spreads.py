@@ -57,7 +57,8 @@ every |T_psi| <= 1, since two maximal directions span the space.  A
 stack rank with no such proof is read off the stack's certified null
 basis.  The same decomposition gives ker M a basis K with entries in
 {-1, 0, 1}, read off the flats' character values (membership_plan); the
-image route of a single set decides by K chi = 0, with no elimination.
+image route of a single set or a block of sets decides by K chi = 0,
+with no elimination.
 
 The span checks decide which eigenspace projections of the family
 vanish from the scheme's own equivalences, with no idempotent product:
@@ -592,24 +593,31 @@ class MembershipPlan:
     gather: np.ndarray   # (q^nu/p, pairs (p-1)): groups[i, v, j] at [j, i (p-1) + v - 1], v >= 1
     match: np.ndarray    # (pairs (p-1),): the column of groups[base[i], v] for that of groups[i, v]
 
-    def annihilates(self, chi: np.ndarray) -> bool:
-        """K chi = 0, for an integer vector chi over the flats (int64 with
-        |entries| q^nu < 2^63, or Python ints in an object array): chi lies
-        in the image of M^T, the orthogonal complement of ker M.
+    def annihilates(self, chi: np.ndarray) -> np.ndarray:
+        """K chi = 0 for each column of chi: whether it lies in the image of
+        M^T, the orthogonal complement of ker M.  chi is an integer vector
+        over the flats, shape (n,), or a block of columns, shape (n, c);
+        the verdict is a bool scalar or a (c,) bool array.
+
+        Every sum here has at most q^nu entries of chi, so it is exact
+        while max|chi| q^nu < 2^63 in int64, and always for Python ints
+        in an object array.  No bound is checked here: a 0/1 chi always
+        meets it, and cl.batch_verdicts widens a block that does not.
 
         The trivial rows vanish iff every block has one sum S.  Then, with
         H[i, v] the sum of chi over groups[i, v], the rows of pair i vanish
         iff H[i, v] = H[base[i], v] for v = 1..p-1: if the differences
         H[i, v] - H[i, 0] agree with those of the base for every v, the
         rows' difference delta is the same for every v, and summing over v
-        gives p delta = S - S.  A set that fails on its block sums is
-        rejected before any gather; H is one gather through `gather`,
-        summed over its contiguous leading axis."""
-        blocks = chi.reshape(-1, self.per).sum(axis=1)
-        if (blocks != blocks[0]).any():
-            return False
+        gives p delta = S - S.  When no column passes its block sums, the
+        verdict is returned before any gather; H is one gather through
+        `gather`, summed over its contiguous leading axis."""
+        blocks = chi.reshape((len(chi) // self.per, self.per) + chi.shape[1:]).sum(axis=1)
+        ok = (blocks == blocks[0]).all(axis=0)
+        if not any(ok.flat):  # a tenth of ok.any() on a bool scalar
+            return ok
         H = chi[self.gather].sum(axis=0)
-        return bool((H == H[self.match]).all())
+        return ok & (H == H[self.match]).all(axis=0)
 
 
 @lru_cache(maxsize=None)

@@ -707,6 +707,45 @@ def test_batch_verdicts_take_numpy_integers_in_object_blocks_exactly(s22):
     assert {k: v.tolist() for k, v in got.items()} == want
 
 
+def test_batch_verdicts_of_an_empty_block_are_empty(s22):
+    n = len(enumerate_flats(s22, s22.nu))
+    for dtype in (np.int64, object):
+        verdicts = batch_verdicts(s22, np.zeros((n, 0), dtype=dtype))
+        assert set(verdicts) == {"image", "spectrum", "shifted", "counts"}
+        assert all(v.shape == (0,) and v.dtype == np.dtype(bool) for v in verdicts.values())
+
+
+def test_batch_image_route_widens_blocks_whose_sums_would_wrap(s22):
+    """K's sums have q^nu = 4 entries on symplectic(2,2), so int64 entries of
+    2^61 and 2^62 can wrap them.  Whole direction blocks of alternating sign
+    times 2^62 (or 2 * 2^61) are not in the image, yet every block sum and
+    value-group sum wraps to the same int64; the block is widened instead.
+    For int64 blocks near the bound, object blocks of 2^70 and uint64 blocks
+    of 2^63, the image verdict equals N's and that of the block as Python
+    ints."""
+    n = len(enumerate_flats(s22, s22.nu))
+    per = s22.q**s22.nu
+    pencil = _pencil(s22)
+    cols = np.stack([pencil.chi(), pencil.complement().chi(), _near_miss(s22).chi(),
+                     full_set(s22).chi()], axis=1)
+    signs = np.repeat(np.where(np.arange(n // per) % 2, -1, 1), per)
+    rng = np.random.default_rng(61)
+    wide = np.column_stack([2**62 * signs, 2 * 2**61 * signs, 2**61 * signs,
+                            3 * 2**61 * cols[:, 0], 2**61 * (cols[:, 1] - cols[:, 0]),
+                            2**61 * rng.choice([-1, 1], n), 2**61 * cols[:, 2]])
+    assert wide.dtype == np.int64
+    assert spreads.membership_plan(s22).annihilates(wide[:, 0])  # wrapped: unwidened, it passes
+    blocks = [wide, cols.astype(object) * 2**70, cols.astype(np.uint64) * np.uint64(2**63)]
+    for block in blocks:
+        exact_block = np.array([int(v) for v in block.flat], dtype=object).reshape(block.shape)
+        oracle = ~incidence_kernel(s22).product(exact_block).any(axis=0)
+        got = batch_verdicts(s22, block)["image"]
+        assert got.tolist() == oracle.tolist() == \
+            batch_verdicts(s22, exact_block)["image"].tolist(), block.dtype
+    assert batch_verdicts(s22, wide)["image"].tolist() == \
+        [False, False, False, True, True, False, False]
+
+
 def _cached_arrays(value, seen):
     """Every numpy array reachable from a cached value."""
     if id(value) in seen:
@@ -823,26 +862,25 @@ def test_certified_image_basis(key):
         assert oracle.shape == N.shape and in_row_span(N, free, oracle)
 
 
-def test_one_kernel_basis_product_per_query(monkeypatch):
-    """battery never multiplies by N (the image route reads the membership
-    plan), and batch_verdicts multiplies by N's pivot block once per
-    block, on the float64 tier from its cached float64 copy, never by N
-    itself; and no (n - rank M) x n matrix is cached: N is assembled from
-    the split only on request."""
+def test_queries_and_batches_never_build_or_multiply_by_the_null_basis(monkeypatch):
+    """battery and batch_verdicts never multiply by N or by its pivot block,
+    and never ask for N (the image route reads the membership plan, for a
+    single set and for a block alike); and no (n - rank M) x n matrix is
+    cached: N is assembled from the split only on request."""
     cfg = space_config("unitary", 4, 2)
     kernel = incidence_kernel(cfg)
     N = incidence_kernel(cfg).matrix()
-    assert exact._bound(N) * N.shape[1] < 2**53  # chi is 0/1
+    assert exact._bound(N) * N.shape[1] < 2**53  # chi is 0/1: N would take the float64 tier
+    calls = incidence_kernel.cache_info()
     seen = []
     real = exact._float_product
     monkeypatch.setattr(exact, "_float_product", lambda a, b: seen.append(a) or real(a, b))
     for fs in (_pencil(cfg), _near_miss(cfg)):
         battery(fs)
-    assert sum(a is kernel.block_float for a in seen) == 0
     for seed in (3, 4):
         batch_verdicts(cfg, random_subset_matrix(cfg, 5, seed=seed))
-    assert sum(a is kernel.block_float for a in seen) == 2
-    assert not [a for a in seen if a.shape == N.shape]
+    assert incidence_kernel.cache_info() == calls
+    assert not [a for a in seen if a is kernel.block_float or a.shape == N.shape]
     paper_suite(cfg, 0)
     cached = {fn for module in (cl, spreads, scheme, exact, flats)
               for fn in vars(module).values() if hasattr(fn, "cache_info")}

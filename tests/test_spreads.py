@@ -6,9 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from clflats import cl, exact, scheme, spreads
+from clflats import exact, flats, scheme, spreads
 from clflats.cl import (
     FlatSet,
+    batch_verdicts,
     battery,
     construct_pencil,
     is_cameron_liebler,
@@ -837,9 +838,9 @@ def test_membership_plan_refuses_wrong_point_values(monkeypatch):
 
 
 def _membership_columns(cfg, seed: int) -> np.ndarray:
-    """Seeded integer columns: pencils P, P', P'', their complements,
-    2P - P' + P'', P + P', each of those with one entry bumped and with
-    two unequal entries swapped, and random 0/1 sets."""
+    """A seeded 25-column integer block: pencils P, P', P'', their
+    complements, 2P - P' + P'', P + P', each of those with one entry bumped
+    and with two unequal entries swapped, and four random 0/1 sets."""
     rng = np.random.default_rng(seed)
     points = rng.choice(cfg.num_points, 3, replace=False)
     P, P1, P2 = (construct_pencil(cfg, tuple(all_vectors(cfg)[i])).chi() for i in points)
@@ -854,24 +855,31 @@ def _membership_columns(cfg, seed: int) -> np.ndarray:
         w = col.copy()
         w[[i, j]] = w[[j, i]]
         swapped.append(w)
-    return np.column_stack(base + bumped + swapped + [random_subset_matrix(cfg, 6, seed)])
+    return np.column_stack(base + bumped + swapped + [random_subset_matrix(cfg, 4, seed)])
 
 
-@pytest.mark.parametrize("key", STANDARD_GRID, ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+@pytest.mark.parametrize("key", list(STANDARD_GRID) + [("symplectic", 4, 2), ("orthogonal", 3, 3)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
 def test_membership_plan_verdict_matches_the_null_basis(key):
-    """K chi = 0 exactly when N chi = 0, on seeded integer columns and on
-    the same columns times 2^70 in object arithmetic; for the 0/1 columns
-    test_image and is_cameron_liebler's image routes agree with both."""
+    """K chi = 0 exactly when N chi = 0, on seeded 25-column blocks and on
+    the same blocks times 2^70 in object arithmetic, column by column and
+    for the whole block at once, as batch_verdicts decides it; for the 0/1
+    columns test_image and is_cameron_liebler's image routes agree with
+    both."""
     cfg = space_config(*key)
     plan = membership_plan(cfg)
     kernel = incidence_kernel(cfg)
     for seed in (1, 2):
         cols = _membership_columns(cfg, seed)
+        assert cols.shape[1] == 25
         by_n = ~kernel.product(cols).any(axis=0)
         assert by_n[:7].all() and not by_n[7:14].any()  # members, and their bumps
         assert [plan.annihilates(c) for c in cols.T] == by_n.tolist()
+        assert plan.annihilates(cols).tolist() == by_n.tolist()
+        assert batch_verdicts(cfg, cols)["image"].tolist() == by_n.tolist()
         big = cols.astype(object) * 2**70
         assert [plan.annihilates(c) for c in big.T] == by_n.tolist()
+        assert plan.annihilates(big).tolist() == by_n.tolist()
         for c, expected in zip(cols.T, by_n):
             if set(np.unique(c).tolist()) <= {0, 1}:
                 fs = FlatSet(cfg, tuple(np.flatnonzero(c).tolist()))
@@ -897,7 +905,7 @@ def test_single_set_queries_eliminate_no_incidence_matrix(key, monkeypatch):
     def refuse(config):
         raise AssertionError("the null basis of M on a single-set query")
 
-    monkeypatch.setattr(cl, "incidence_kernel", refuse)
+    monkeypatch.setattr(flats, "incidence_kernel", refuse)
     pencil = construct_pencil(cfg, zero_vector(cfg))
     for fs in (pencil, pencil.complement()):
         assert all(battery(fs).values())
