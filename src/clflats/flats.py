@@ -309,6 +309,17 @@ def coset_table(config: SpaceConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def flat_point_table(config: SpaceConfig) -> np.ndarray:
+    """points_of[f]: the point indices of maximal flat f, ascending, in id
+    order; int64 (n, q^nu), read-only.  Flat ids run direction-major, so
+    the stable argsort of each coset_table row lists the points of its
+    direction's flats one flat after another."""
+    table = np.argsort(coset_table(config), axis=1, kind="stable").reshape(-1, config.q**config.nu)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
 def incidence_matrix(config: SpaceConfig) -> IncidenceMatrix:
     """Full point vs maximal-flat incidence (rows in point-index order).
 

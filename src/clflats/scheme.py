@@ -34,7 +34,7 @@ import numpy as np
 
 from . import exact
 from .field import binomial2, e_power, e_power_frac, gauss_binomial
-from .flats import Flat, coset_table, flat_meet
+from .flats import Flat, coset_table, flat_meet, flat_point_table
 from .geometry import E2, SpaceConfig, is_totally_isotropic, sum_subspace
 
 RelIndex = tuple[int, int]
@@ -309,8 +309,7 @@ def pair_factors(config: SpaceConfig) -> PairFactors:
         raise AssertionError(f"two directions of {config.key()} share a number of points "
                              f"that is no power of q up to q^{nu}")
     rd = (nu - k).astype(np.int8)
-    # the points of each flat, in flat-id order: flat ids run direction-major
-    points = np.argsort(coset_of, axis=1, kind="stable").reshape(dirs, per, per)
+    points = flat_point_table(config).reshape(dirs, per, per)
     keys, members = [], []
     for i in range(1, nu):
         cosets = q ** (nu - i)

@@ -12,11 +12,19 @@ direction, and every type-I fact is read off that layout: their number
 is the number of directions, a set's intersections with them are block
 sums of its indicator, a spread is type I iff its members share one
 block, and their rank is their number, since their supports are
-disjoint.  The type-II rows are gathered from flats.coset_table, the
-flat of each direction through each point, with the cosets of each
-container told apart by the syndrome keys of the points under the
-container's parity check (geometry.syndrome_keys); the interior
-directions of a container are those whose bases have syndrome zero.
+disjoint.  The containers are the Gram-rank-2 results of one stacked
+F_q reduction (geometry.rref_stack) of every maximal direction extended
+by each of its nonzero coset representatives, and the interior
+directions of a container are those whose bases have syndrome zero
+under its parity check (geometry.syndrome_keys).  The type-II rows are
+read off the flats of the interior directions, each labelled by the
+coset of its container that holds it.  Proof that the labels are exact:
+a direction d inside a container Q puts the flat d + x inside the coset
+x + Q, so every point of the flat has the syndrome key of its first
+point, and each of the q^(nu-1) cosets of Q, q^(nu+1) points, holds q
+flats of d.  The spread of Q, directions (p1, p2) and coset s is the q
+flats of p1 labelled s, which cover s + Q, and the q^nu - q flats of p2
+labelled otherwise, which cover the rest of the space once.
 list_type_I and list_type_II wrap the rows as Spreads for the CLI.
 
 The translation characters decide what the family spans
@@ -72,7 +80,6 @@ functional (_nonzero_projections).
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -88,6 +95,7 @@ from .flats import (
     enumerate_flats,
     flat_ids,
     flat_make,
+    flat_point_table,
     flat_points,
     flats_in,
     incidence_matrix,
@@ -96,13 +104,14 @@ from .geometry import (
     SpaceConfig,
     Subspace,
     all_vectors,
-    canonicalize,
     contains_subspace,
     enumerate_isotropic,
-    gram_rank,
+    gram_matrices,
+    gram_ranks,
     is_totally_isotropic,
     point_array,
     point_index,
+    rref_stack,
     span_points,
     subspace_checks,
     subspaces_contain,
@@ -139,18 +148,27 @@ def spread_type_I(config: SpaceConfig, direction: Subspace) -> Spread:
     return Spread(tuple(members), None, "I")
 
 
-def _check_container(config: SpaceConfig, container: Subspace) -> None:
-    """The container preconditions of a type-II spread."""
+def _check_containers(config: SpaceConfig, containers) -> None:
+    """The container preconditions of a type-II spread, for a sequence of
+    containers: nu >= 2, and each of type (nu+1, 2), by one gram_ranks."""
     if config.nu < 2:
         raise ValueError("type-II spreads need nu >= 2")
-    if container.dim != config.nu + 1 or gram_rank(config, container) != 2:
+    if (any(c.dim != config.nu + 1 for c in containers)
+            or (gram_ranks(config, _bases(config, containers, config.nu + 1)) != 2).any()):
         raise ValueError("container must be a type-(nu+1, 2) subspace")
 
 
-def _check_direction(config: SpaceConfig, p: Subspace) -> None:
-    """A direction of a type-II spread must be maximal totally isotropic."""
-    if p.dim != config.nu or not is_totally_isotropic(config, p):
+def _check_directions(config: SpaceConfig, directions) -> None:
+    """The directions of type-II spreads must be maximal totally isotropic:
+    of dimension nu, with zero Gram matrices."""
+    if (any(p.dim != config.nu for p in directions)
+            or gram_matrices(config, _bases(config, directions, config.nu)).any()):
         raise ValueError("directions must be maximal totally isotropic")
+
+
+def _bases(config: SpaceConfig, subs, k: int) -> np.ndarray:
+    """The bases of a sequence of k-dimensional subspaces, int64 (S, k, dim)."""
+    return np.array([s.basis for s in subs], dtype=np.int64).reshape(len(subs), k, config.dim)
 
 
 def spread_type_II(config: SpaceConfig, container: Subspace,
@@ -162,11 +180,11 @@ def spread_type_II(config: SpaceConfig, container: Subspace,
     spreads around (translates are genuinely new once q > 2); a shift does
     not affect the preconditions.
     """
-    _check_container(config, container)
+    _check_containers(config, [container])
     if p1 == p2:
         raise ValueError("the two directions must be distinct")
     for p in (p1, p2):
-        _check_direction(config, p)
+        _check_directions(config, [p])
         if not contains_subspace(config.field, container, p):
             raise ValueError("directions must lie inside the container")
     fld = config.field
@@ -199,31 +217,45 @@ def type_II_components(config: SpaceConfig) -> tuple[tuple[Subspace, tuple[Subsp
     """All type-(nu+1,2) subspaces with their interior maximal isotropics.
 
     A container p + <v> depends only on the coset v + p, so each p is
-    extended by its nonzero coset representatives alone, and each new
-    container's Gram rank is checked once.  A maximal isotropic lies in
-    a container iff its basis has syndrome zero under the container's
-    parity check; one syndrome_keys call tests every pair.
+    extended by its nonzero coset representatives alone (the vectors zero
+    at its pivot columns).  Every [basis of p; v] is reduced by one
+    rref_stack, CHARACTER_ELEMENTS stack entries at a time, and gram_ranks
+    keeps the Gram-rank-2 results; _unique_rows (one lexsort of the
+    flattened bases) dedupes them in Subspace.flat_key order, and each
+    basis row's pivot is its first nonzero column.  A maximal isotropic
+    lies in a container iff its basis has syndrome zero under the
+    container's parity check; one subspaces_contain call tests every pair.
     """
-    maxes = enumerate_isotropic(config, config.nu)
-    seen: set[Subspace] = set()
-    containers = []
-    for p in maxes:
-        for v in coset_representatives(config, p)[1:]:
-            q_sub = canonicalize(config, list(p.basis) + [v])
-            if q_sub not in seen:
-                seen.add(q_sub)
-                if gram_rank(config, q_sub) == 2:
-                    containers.append(q_sub)
-    containers.sort(key=Subspace.flat_key)
+    nu, dim, q = config.nu, config.dim, config.q
+    maxes = enumerate_isotropic(config, nu)
+    bases = _bases(config, maxes, nu)
+    pivots = np.array([p.pivots for p in maxes], dtype=np.int64).reshape(len(maxes), nu)
+    # the free columns of each direction, and the base-q digits of 1..q^nu - 1
+    is_pivot = (np.arange(dim) == pivots[:, :, None]).any(axis=1)
+    free = np.argsort(is_pivot, axis=1, kind="stable")[:, :nu]
+    digits = np.arange(1, q**nu)[:, None] // q ** np.arange(nu - 1, -1, -1) % q
+    step = max(1, CHARACTER_ELEMENTS // (len(digits) * (nu + 1) * dim))
+    found = []
+    for s in range(0, len(maxes), step):
+        block = bases[s:s + step]
+        stack = np.zeros((len(block), len(digits), nu + 1, dim), dtype=np.int64)
+        stack[:, :, :nu] = block[:, None]
+        stack[np.arange(len(block))[:, None, None], np.arange(len(digits))[:, None], nu,
+              free[s:s + step, None]] = digits
+        reduced = rref_stack(config.field, stack.reshape(-1, nu + 1, dim))[0]
+        found.append(reduced[gram_ranks(config, reduced) == 2].reshape(-1, (nu + 1) * dim))
+    found = _unique_rows(np.concatenate(found)).reshape(-1, nu + 1, dim)
+    containers = [Subspace(tuple(map(tuple, b)), tuple(p))
+                  for b, p in zip(found.tolist(), (found != 0).argmax(axis=2).tolist())]
+    inside = subspaces_contain(config, containers, maxes)
     expected_interior = e_power(config, config.e2) + 1
-    out = []
-    for q_sub, inside in zip(containers, subspaces_contain(config, containers, maxes)):
-        interior = tuple(p for p, ok in zip(maxes, inside) if ok)
-        if len(interior) != expected_interior:
-            raise AssertionError(
-                f"container with {len(interior)} interior maximals, expected {expected_interior}")
-        out.append((q_sub, interior))
-    return tuple(out)
+    counts = inside.sum(axis=1)
+    if (counts != expected_interior).any():
+        raise AssertionError(f"container with {counts[counts != expected_interior][0]} interior "
+                             f"maximals, expected {expected_interior}")
+    interior = np.nonzero(inside)[1].reshape(len(containers), expected_interior)
+    return tuple((q_sub, tuple(maxes[i] for i in row))
+                 for q_sub, row in zip(containers, interior.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -281,44 +313,56 @@ def family_indicators(config: SpaceConfig, rows=slice(None)) -> np.ndarray:
 def _type_II_members(config: SpaceConfig) -> np.ndarray:
     """The sorted, distinct member rows of every type-II spread.
 
-    coset_of[d, x] is the flat of direction d through point x, and the
-    syndrome key of x under a container's parity check labels the coset
-    of the container through x; one syndrome_keys call labels every
-    point for every container.  A spread from container Q, directions
-    (p1, p2) and a shift takes coset_of[p1] on the shift's coset of Q
-    and coset_of[p2] off it; one np.where gives the flat through every
-    point for every ordered pair and shift of a container at once.  A
-    flat has q^nu points, so a sorted row that lists each of its members
-    exactly q^nu times covers each point exactly once; that is checked.
+    The preconditions of spread_type_II are checked once for all
+    containers (_check_containers) and once for all distinct interior
+    directions (_check_directions), and d inside Q by one syndrome_keys
+    call on every interior basis.  Then each flat of an interior
+    direction d of container Q is labelled by the coset of Q that holds
+    it: the syndrome key of the flat's first point under Q's parity
+    check.  That label is exact because d lies in Q: the flat d + x lies
+    inside x + Q, so all its points share the key.  A coset of Q has
+    q^(nu+1) points, so it holds q flats of d.  The spread from Q,
+    directions (p1, p2) and the shift coset s is the q flats of p1
+    labelled s and the q^nu - q flats of p2 labelled otherwise; flat ids
+    run direction-major, so the row is sorted when the part of the lesser
+    direction comes first.  CHARACTER_ELEMENTS label entries are made at
+    a time; character_plan checks that every row covers each point once.
     """
-    direction_index = {d: k for k, d in enumerate(enumerate_isotropic(config, config.nu))}
-    coset_of = coset_table(config)
-    per = config.q**config.nu
+    nu, q, per = config.nu, config.q, config.q**config.nu
     components = type_II_components(config)
-    # the preconditions of spread_type_II, once per container and direction
-    for q_sub, _ in components:
-        _check_container(config, q_sub)
-    for p in dict.fromkeys(p for _, interior in components for p in interior):
-        _check_direction(config, p)
-    checks = subspace_checks(config, [q_sub for q_sub, _ in components])
+    containers = [q_sub for q_sub, _ in components]
+    _check_containers(config, containers)
+    _check_directions(config, list(dict.fromkeys(p for _, inner in components for p in inner)))
+    checks = subspace_checks(config, containers)
     interiors = np.array([[p.basis for p in interior] for _, interior in components])
     if syndrome_keys(config, checks, interiors.reshape(len(checks), -1, config.dim)).any():
         raise ValueError("directions must lie inside the container")
-    labels = syndrome_keys(config, checks, point_array(config))
+    direction_index = {d: k for k, d in enumerate(enumerate_isotropic(config, nu))}
+    interior = np.sort([[direction_index[p] for p in inner] for _, inner in components], axis=1)
+    inner, cosets = interior.shape[1], q ** (nu - 1)
+    firsts = flat_point_table(config)[:, 0].reshape(-1, per)  # by direction
+    powers = q ** np.arange(config.dim - 1, -1, -1)
+    a, b = np.nonzero(~np.eye(inner, dtype=bool))  # the ordered pairs of interior positions
+    lesser = a < b
+    step = max(1, CHARACTER_ELEMENTS // (inner * per * max(config.dim, inner * cosets)))
     rows = []
-    for (_, interior), label in zip(components, labels):
-        inside = exact.sorted_unique(label)[:, None] == label
-        first, second = zip(*itertools.permutations(
-            [direction_index[p] for p in interior], 2))
-        spread = np.where(inside, coset_of[list(first)][:, None], coset_of[list(second)][:, None])
-        spread.sort(axis=2)
-        groups = spread.reshape(-1, per, per)
-        members = groups[:, :, 0]
-        if ((members[:, 0] < 0).any() or (groups != members[:, :, None]).any()
-                or (np.diff(members, axis=1) <= 0).any()):
-            raise AssertionError(
-                f"a type-II spread of {config.key()} does not cover each point once")
-        rows.append(members)
+    for s in range(0, len(interior), step):
+        held = interior[s:s + step]
+        coords = firsts[held].reshape(len(held), -1, 1) // powers % q
+        labels = syndrome_keys(config, checks[s:s + step], coords).reshape(len(held), inner, per)
+        order = np.argsort(labels, axis=2, kind="stable")
+        if (np.take_along_axis(labels, order, axis=2) != np.arange(per) // q).any():
+            raise AssertionError(f"a type-II container of {config.key()} does not hold "
+                                 f"q flats of each interior direction in each coset")
+        offset = per * held[:, :, None, None]
+        inside = order.reshape(len(held), inner, cosets, q) + offset
+        off = np.nonzero(labels[:, :, None] != np.arange(cosets)[:, None])[3]
+        off = off.reshape(len(held), inner, cosets, per - q) + offset
+        first, second = inside[:, a], off[:, b]
+        # flat ids run direction-major, so the part of the lesser direction comes first
+        for head, tail in ((first[:, lesser], second[:, lesser]),
+                           (second[:, ~lesser], first[:, ~lesser])):
+            rows.append(np.concatenate([head, tail], axis=3).reshape(-1, per))
     return _unique_rows(np.concatenate(rows))
 
 
@@ -342,8 +386,9 @@ def _sorted_rows(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the translation characters
 
-# bounds the (characters, directions, partners) labels of _components and the
-# (pairs, points) values that _check_groups gathers at a time
+# bounds the (characters, directions, partners) labels of _components, the
+# (pairs, points) values that _check_groups gathers, and the container stacks
+# and coset labels of the type-II family, at a time
 CHARACTER_ELEMENTS = 2**20
 
 
@@ -415,18 +460,16 @@ def character_kernels(config: SpaceConfig) -> np.ndarray:
     return kernels
 
 
+@lru_cache(maxsize=None)
 def _point_values(config: SpaceConfig) -> np.ndarray:
     """a . x mod p for every line character a and point x, on the base-p
-    digits of x; int64, (lines, points)."""
+    digits of x; int64, (lines, points), read-only."""
     fld = config.field
     digits = point_array(config)[:, :, None] // fld.p ** np.arange(fld.k) % fld.p
     digits = digits.reshape(config.num_points, -1)
-    return exact.int_matmul(_line_characters(config), digits.T) % fld.p
-
-
-def _points_of(config: SpaceConfig) -> np.ndarray:
-    """The points of every maximal flat, in id order; int64, (n, q^nu)."""
-    return np.argsort(coset_table(config), axis=1, kind="stable").reshape(-1, config.q**config.nu)
+    values = exact.int_matmul(_line_characters(config), digits.T) % fld.p
+    values.flags.writeable = False
+    return values
 
 
 def _unit_translations(config: SpaceConfig) -> np.ndarray:
@@ -476,7 +519,7 @@ def _check_cover(config: SpaceConfig, members: np.ndarray) -> None:
     A row of q^nu flats of q^nu points covers each point once iff it hits
     every point; PRODUCT_COLUMNS rows are gathered at a time."""
     per = config.q**config.nu
-    points_of = _points_of(config)
+    points_of = flat_point_table(config)
     ok = members.shape[1] == per
     for s in range(0, len(members), PRODUCT_COLUMNS):
         points = points_of[members[s:s + PRODUCT_COLUMNS]].reshape(-1, per * per)
@@ -616,7 +659,9 @@ class MembershipPlan:
         ok = (blocks == blocks[0]).all(axis=0)
         if not any(ok.flat):  # a tenth of ok.any() on a bool scalar
             return ok
-        H = chi[self.gather].sum(axis=0)
+        # np.take gathers a block's rows faster than fancy indexing, a
+        # single vector slower
+        H = (np.take(chi, self.gather, axis=0) if chi.ndim == 2 else chi[self.gather]).sum(axis=0)
         return ok & (H == H[self.match]).all(axis=0)
 
 
@@ -636,7 +681,8 @@ def membership_plan(config: SpaceConfig) -> MembershipPlan:
     line, direction = np.nonzero(kernels & (kernels.sum(axis=1) >= 2)[:, None])
     values = _point_values(config)
     ids = direction[:, None] * per + np.arange(per)
-    order = np.argsort(values[line[:, None], _points_of(config)[ids, 0]], axis=1, kind="stable")
+    order = np.argsort(values[line[:, None], flat_point_table(config)[ids, 0]], axis=1,
+                       kind="stable")
     groups = np.take_along_axis(ids, order, axis=1).reshape(len(line), p, per // p)
     base = np.searchsorted(line, line)
     gather = np.ascontiguousarray(groups[:, 1:].transpose(2, 0, 1).reshape(per // p, -1))
@@ -652,7 +698,7 @@ def _check_groups(config: SpaceConfig, plan: MembershipPlan) -> None:
     """Raise AssertionError unless a . x = v at every point x of every flat
     of plan.groups[i, v], a = plan.line[i]; CHARACTER_ELEMENTS points are
     gathered at a time."""
-    values, points_of = _point_values(config), _points_of(config)
+    values, points_of = _point_values(config), flat_point_table(config)
     want = np.arange(config.field.p)[:, None, None]
     step = max(1, CHARACTER_ELEMENTS // config.num_points)
     for s in range(0, len(plan.line), step):

@@ -1,5 +1,6 @@
 """Shared fixtures; the package memoizes heavy artifacts per configuration."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from clflats import exact, spreads
+from clflats.flats import coset_representatives, coset_table
 from clflats.geometry import (
     Isometry,
     SpaceConfig,
@@ -19,10 +21,15 @@ from clflats.geometry import (
     contains_vector,
     enumerate_isotropic,
     form_value,
+    gram_rank,
     is_isotropic,
+    point_array,
     rref,
     space_config,
     span_points,
+    subspace_checks,
+    subspaces_contain,
+    syndrome_keys,
 )
 from clflats.scheme import (
     PRODUCT_COLUMNS,
@@ -191,6 +198,52 @@ def random_isometry_oracle(config: SpaceConfig, seed: int) -> Isometry:
                 raise ValueError("matrix does not preserve the form")
     v = tuple(rng.randrange(config.q) for _ in range(config.dim))
     return Isometry(T, v)
+
+
+def type_II_components_oracle(config) -> tuple[tuple[Subspace, tuple[Subspace, ...]], ...]:
+    """The type-(nu+1, 2) subspaces with their interior maximal isotropics,
+    one canonicalize per (direction, nonzero coset representative) and one
+    gram_rank per new container: the loop spreads.type_II_components made
+    before it reduced the whole stack with geometry.rref_stack."""
+    maxes = enumerate_isotropic(config, config.nu)
+    seen: set[Subspace] = set()
+    containers = []
+    for p in maxes:
+        for v in coset_representatives(config, p)[1:]:
+            q_sub = canonicalize(config, list(p.basis) + [v])
+            if q_sub not in seen:
+                seen.add(q_sub)
+                if gram_rank(config, q_sub) == 2:
+                    containers.append(q_sub)
+    containers.sort(key=Subspace.flat_key)
+    contains = subspaces_contain(config, containers, maxes)
+    return tuple((q_sub, tuple(p for p, ok in zip(maxes, inside) if ok))
+                 for q_sub, inside in zip(containers, contains))
+
+
+def type_II_members_oracle(config) -> np.ndarray:
+    """The sorted, distinct type-II member rows, by the point-wise gather
+    spreads._type_II_members made before it labelled flats by coset: the
+    syndrome key of every point under a container's parity check labels
+    its coset, one np.where takes the flat of p1 through each point of the
+    shift's coset and of p2 through each point off it, and a sorted row
+    lists each member q^nu times."""
+    direction_index = {d: k for k, d in enumerate(enumerate_isotropic(config, config.nu))}
+    coset_of = coset_table(config)
+    per = config.q**config.nu
+    components = type_II_components_oracle(config)
+    checks = subspace_checks(config, [q_sub for q_sub, _ in components])
+    labels = syndrome_keys(config, checks, point_array(config))
+    rows = []
+    for (_, interior), label in zip(components, labels):
+        inside = np.unique(label)[:, None] == label
+        first, second = zip(*itertools.permutations([direction_index[p] for p in interior], 2))
+        spread = np.where(inside, coset_of[list(first)][:, None], coset_of[list(second)][:, None])
+        spread.sort(axis=2)
+        groups = spread.reshape(-1, per, per)
+        assert (groups == groups[:, :, :1]).all(), "a row does not cover each point once"
+        rows.append(groups[:, :, 0])
+    return np.unique(np.concatenate(rows), axis=0)
 
 
 def membership_rows(plan: spreads.MembershipPlan, n: int) -> np.ndarray:

@@ -14,12 +14,16 @@ from clflats.geometry import (
     enumerate_isotropic,
     form_value,
     form_values,
+    gram_rank,
+    gram_ranks,
     is_isotropic,
     point_array,
     point_graph,
     point_index,
     random_isometry,
     reduce_mod,
+    rref,
+    rref_stack,
     space_config,
     subspace_checks,
     subspace_type,
@@ -163,6 +167,57 @@ def test_syndrome_keys_stack_and_containment():
     got = subspaces_contain(cfg, dirs, lines)
     assert (got == [[contains_subspace(cfg.field, d, ln) for ln in lines] for d in dirs]).all()
     assert got.sum(axis=1).tolist() == [cfg.q + 1] * len(dirs)
+
+
+def _seeded_stack(fld, rng, count: int, r: int, c: int) -> np.ndarray:
+    """count (r, c) matrices over the field: a third random, a third of
+    rank below r (random combinations of fewer rows), a third with zero
+    and repeated rows; plus the zero matrix."""
+    q = fld.q
+    stack = rng.integers(0, q, (count, r, c))
+    third = count // 3
+    for s in range(third, 2 * third):
+        k = int(rng.integers(0, r))
+        coeffs, rows = rng.integers(0, q, (r, k)), rng.integers(0, q, (k, c))
+        combo = np.zeros((r, c), dtype=np.int64)
+        for t in range(k):
+            combo = fld.add_flat[combo * q + fld.mul_flat[coeffs[:, t, None] * q + rows[t]]]
+        stack[s] = combo
+    for s in range(2 * third, count):
+        stack[s, rng.integers(0, r)] = 0
+        stack[s, rng.integers(0, r)] = stack[s, rng.integers(0, r)]
+    return np.concatenate([stack, np.zeros((1, r, c), dtype=np.int64)])
+
+
+@pytest.mark.parametrize("q", sorted({key[1] for key in STANDARD_GRID}))
+def test_rref_stack_matches_rref(q):
+    """Each matrix of a seeded stack reduces to rref's rows, with zero rows
+    past its rank."""
+    fld = space_config("symplectic", q, 1).field
+    rng = np.random.default_rng(q)
+    for r, c in ((1, 3), (3, 6), (4, 4), (5, 3), (4, 8)):
+        stack = _seeded_stack(fld, rng, 30, r, c)
+        reduced, ranks = rref_stack(fld, stack)
+        assert reduced.shape == stack.shape and ranks.shape == (len(stack),)
+        for matrix, got, rank in zip(stack.tolist(), reduced, ranks):
+            rows, _ = rref(fld, matrix)
+            assert rank == len(rows)
+            assert got[:rank].tolist() == [list(row) for row in rows] and not got[rank:].any()
+        assert set(ranks.tolist()) >= {0, min(r, c)}
+
+
+@pytest.mark.parametrize("key", STANDARD_GRID, ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_gram_ranks_match_gram_rank(key):
+    """The batched Gram rank of each basis of a seeded stack is the rank of
+    its form_value Gram matrix, which is gram_rank of the subspace it spans."""
+    cfg = space_config(*key)
+    rng = np.random.default_rng(len(GRID) * cfg.q + cfg.nu)
+    for k in range(1, cfg.dim + 1):
+        stack = _seeded_stack(cfg.field, rng, 12, k, cfg.dim)
+        got = gram_ranks(cfg, stack)
+        for rows, rank in zip(stack.tolist(), got):
+            gram = [[form_value(cfg, x, y) for y in rows] for x in rows]
+            assert rank == len(rref(cfg.field, gram)[0]) == gram_rank(cfg, canonicalize(cfg, rows))
 
 
 def test_subspace_types():

@@ -66,6 +66,8 @@ from conftest import (
     parallel_vanishing_oracle,
     rational_rank,
     spanning_rows_oracle,
+    type_II_components_oracle,
+    type_II_members_oracle,
     unit_vector,
 )
 
@@ -170,6 +172,84 @@ def test_type_II_family_checks_every_container_and_direction(s22, monkeypatch, b
     monkeypatch.setattr(spreads, "type_II_components", lambda config: tuple(comps))
     with pytest.raises(ValueError, match=message):
         spreads._type_II_members(s22)
+
+
+@pytest.mark.parametrize("key", [("orthogonal", 3, 2), ("unitary", 4, 2)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_type_II_family_checks_the_gram_rank_of_every_container(key, monkeypatch):
+    """A (nu+1)-dimensional container whose Gram rank is not 2, in place of
+    the last one, is refused by its rank alone, as spread_type_II refuses it."""
+    cfg = space_config(*key)
+    comps = list(type_II_components(cfg))
+    interior = comps[-1][1]
+    # a maximal direction plus any vector has Gram rank 2, so extend a hyperbolic pair
+    pair = [unit_vector(cfg, 0), unit_vector(cfg, cfg.nu)]
+    wrong = next(c for c in (canonicalize(cfg, pair + [v]) for v in all_vectors(cfg))
+                 if c.dim == cfg.nu + 1 and gram_rank(cfg, c) != 2)
+    comps[-1] = (wrong, interior)
+    monkeypatch.setattr(spreads, "type_II_components", lambda config: tuple(comps))
+    with pytest.raises(ValueError, match=r"type-\(nu\+1, 2\)"):
+        spreads._type_II_members(cfg)
+    with pytest.raises(ValueError, match=r"type-\(nu\+1, 2\)"):
+        spread_type_II(cfg, wrong, *interior[:2])
+
+
+@pytest.mark.parametrize("key", [k for k in STANDARD_GRID if k[2] >= 2]
+                         + [("symplectic", 4, 2), ("orthogonal", 3, 3)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_type_II_family_matches_the_oracles(key):
+    """The stacked containers and the coset-labelled member rows equal the
+    per-vector canonicalize loop and the point-wise gather, byte for byte."""
+    cfg = space_config(*key)
+    assert type_II_components(cfg) == type_II_components_oracle(cfg)
+    want = np.vstack([spreads._type_I_members(cfg), type_II_members_oracle(cfg)])
+    members = family_members(cfg)
+    assert members.dtype == want.dtype and members.shape == want.shape
+    assert members.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 3), ("unitary", 4, 2)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_type_II_family_in_small_chunks_is_the_same(key, monkeypatch):
+    """With CHARACTER_ELEMENTS at 1, one direction's stack and one
+    container's labels at a time, the components and rows do not change."""
+    cfg = space_config(*key)
+    comps, rows = type_II_components(cfg), spreads._type_II_members(cfg)
+    monkeypatch.setattr(spreads, "CHARACTER_ELEMENTS", 1)
+    assert spreads.type_II_components.__wrapped__(cfg) == comps
+    assert spreads._type_II_members(cfg).tobytes() == rows.tobytes()
+
+
+def test_type_II_labels_are_checked(s22, monkeypatch):
+    """Flats whose first points do not spread over a container's cosets,
+    q to a coset, make the family build raise AssertionError."""
+    real = flats.flat_point_table
+    monkeypatch.setattr(spreads, "flat_point_table", lambda config: np.zeros_like(real(config)))
+    with pytest.raises(AssertionError, match="q flats of each interior direction"):
+        spreads._type_II_members(s22)
+
+
+def test_shared_point_tables_are_built_once():
+    """The points of every flat and the characters' point values are
+    cached and read-only, and a membership plan, the spread certificate
+    and the pair factors built afresh read them from the cache."""
+    cfg = space_config("unitary", 4, 2)
+    points_of = flats.flat_point_table(cfg)
+    per = cfg.q**cfg.nu
+    ids = np.arange(len(points_of))[:, None]
+    assert points_of.shape == (len(enumerate_flats(cfg, cfg.nu)), per)
+    assert (flats.coset_table(cfg)[ids // per, points_of] == ids).all()
+    assert (np.diff(points_of, axis=1) > 0).all()
+    values = spreads._point_values(cfg)
+    assert not points_of.flags.writeable and not values.flags.writeable
+    built = flats.flat_point_table.cache_info().misses, spreads._point_values.cache_info().misses
+    for cached in (membership_plan, character_plan, scheme.pair_factors):
+        cached.cache_clear()
+    membership_plan(cfg)
+    character_plan(cfg)
+    scheme.pair_factors(cfg)
+    assert (flats.flat_point_table.cache_info().misses,
+            spreads._point_values.cache_info().misses) == built
 
 
 def test_classify_and_switching(s22):
