@@ -12,16 +12,16 @@ classification reads the basis K of ker M with entries in {-1, 0, 1}
 that the translation characters give (spreads.membership_plan): chi is
 in the image iff K chi = 0, which is a comparison of chi's sums over
 value groups of flats, with no elimination of M; a block of columns
-takes one gather for all of them.  No route reads the certified null
-basis N of M (flats.incidence_kernel), which gives the rank of M.  The
-null bases read here are exact.NullBasis values: the product with the
-null basis of a container's incidence matrix decides the restrictions
-to that container, from chi gathered at the container's flat ids, and
-the on-demand witness y with M^T y = chi is read off the null basis of
-[M^T | -chi] (NullBasis.matrix).  The spread route is conclusive
-because the differences of the constructive family span ker M, which
-spreads.character_plan certifies from the translation characters with
-no elimination.
+takes one gather for all of them.  The restriction to a container flat
+is decided the same way, by the basis of the kernel of the container's
+own incidence matrix that the characters of the container's direction
+give, from chi gathered at the container's flat ids.  No route reads the
+certified null basis N of M (flats.incidence_kernel), which gives the
+rank of M; the on-demand witness y with M^T y = chi is read off the
+certified null basis of [M^T | -chi] (NullBasis.matrix).  The spread
+route is conclusive because the differences of the constructive family
+span ker M, which spreads.character_plan certifies from the translation
+characters with no elimination.
 
 The spectrum, shifted and count routes read one relation-count table T,
 T[r] = A_r chi for every relation r, from scheme.relation_products,
@@ -57,8 +57,6 @@ from .flats import (
     flat_ids,
     flat_make,
     incidence_matrix,
-    incidence_matrix_in,
-    incidence_null_basis_in,
 )
 from .geometry import (
     Isometry,
@@ -619,43 +617,48 @@ def restrict_cl(flat_set: FlatSet, container: Flat) -> Restriction:
     """Restrict to the members inside a type-(nu+i, 2i) container flat.
 
     The restriction is in the image of the container's transposed
-    incidence matrix iff the certified null basis of that matrix
-    annihilates it, as for the whole space.
+    incidence matrix iff the container's translation-character basis
+    (spreads.membership_plan with the container) annihilates it, as for
+    the whole space.  Raises ValueError for a flat of another type.
     """
     config = flat_set.config
-    ids = incidence_matrix_in(config, container).ids
+    plan = membership_plan(config, container)
     i = container.dim - config.nu
-    chi_local = flat_set.chi()[ids]
-    members = tuple(ids[chi_local != 0].tolist())
-    in_image = not incidence_null_basis_in(config, container).product(chi_local).any()
+    chi_local = flat_set.chi()[plan.ids]
+    members = tuple(plan.ids[chi_local != 0].tolist())
+    in_image = bool(plan.annihilates(chi_local))
     x_f = Fraction(len(members), set_denominator(config, i))
     integral = x_f.denominator == 1
     within = 0 <= x_f <= min(flat_set.x, Fraction(config.q**i))
     return Restriction(container, i, members, x_f, in_image, integral, within)
 
 
-def degree_identity(flat_set: FlatSet, base_id: int, i: int) -> bool:
-    """The container-sum identity for a member of the set.
-
-    x equals (sum of container parameters) / [nu-1 choose nu-i]_q
-    minus (q^nu - 1)/(q^i - 1) plus 1, exactly.
-    """
+def _container_parameters(flat_set: FlatSet, base_id: int, i: int) -> tuple[Fraction, ...]:
+    """The restricted parameter x_F of every type-(nu+i, 2i) container of a member."""
     config = flat_set.config
     if base_id not in flat_set:
         raise ValueError("base flat must belong to the set")
     base = enumerate_flats(config, config.nu)[base_id]
-    containers = container_flats(config, base, i)
-    expected_count = gauss_binomial(config.nu, config.nu - i, config.q)
-    if len(containers) != expected_count:
-        raise AssertionError(f"container count {len(containers)} != {expected_count}")
-    total = Fraction(0)
-    for t in containers:
-        total += restrict_cl(flat_set, t).x_f
+    return tuple(restrict_cl(flat_set, t).x_f for t in container_flats(config, base, i))
+
+
+def degree_identity_holds(config: SpaceConfig, i: int, x: Fraction, parameters) -> bool:
+    """x equals (sum of the container parameters) / [nu-1 choose nu-i]_q
+    minus (q^nu - 1)/(q^i - 1) plus 1, exactly."""
     q = config.q
-    lhs = flat_set.x
-    rhs = (total / gauss_binomial(config.nu - 1, config.nu - i, q)
+    rhs = (sum(parameters, Fraction(0)) / gauss_binomial(config.nu - 1, config.nu - i, q)
            - Fraction(q**config.nu - 1, q**i - 1) + 1)
-    return lhs == rhs
+    return x == rhs
+
+
+def degree_identity(flat_set: FlatSet, base_id: int, i: int) -> bool:
+    """The container-sum identity (degree_identity_holds) for a member of the set."""
+    config = flat_set.config
+    params = _container_parameters(flat_set, base_id, i)
+    expected_count = gauss_binomial(config.nu, config.nu - i, config.q)
+    if len(params) != expected_count:
+        raise AssertionError(f"container count {len(params)} != {expected_count}")
+    return degree_identity_holds(config, i, flat_set.x, params)
 
 
 @dataclass(frozen=True)
@@ -676,11 +679,7 @@ class PencilProfile:
 
 def pencil_distribution(flat_set: FlatSet, base_id: int, i: int) -> PencilProfile:
     config = flat_set.config
-    if base_id not in flat_set:
-        raise ValueError("base flat must belong to the set")
-    base = enumerate_flats(config, config.nu)[base_id]
-    containers = container_flats(config, base, i)
-    params = tuple(restrict_cl(flat_set, t).x_f for t in containers)
+    params = _container_parameters(flat_set, base_id, i)
     q = config.q
     x = flat_set.x
     cap = min(x, Fraction(q**i))

@@ -406,7 +406,8 @@ def _cmd_cl(config: SpaceConfig, args) -> tuple[dict, int]:
             "weighted_identity": prof.weighted_identity_ok,
             "bound": prof.bound_ok, "case": prof.case,
             "case_detail": prof.case_detail_ok,
-            "degree_identity": cl.degree_identity(fs, base, args.i),
+            "degree_identity": cl.degree_identity_holds(config, args.i, prof.x,
+                                                        prof.container_parameters),
         }
         ok = all([prof.count_identity_ok, prof.weighted_identity_ok, prof.bound_ok,
                   prof.case_detail_ok])

@@ -7,11 +7,10 @@ certified_null_basis reduces that echelon form to RREF, rebuilds its
 free columns by rational reconstruction and certifies the integer null
 basis N with one exact product.  It returns N as one NullBasis, its
 split at the free columns: the certified diagonal and the pivot block,
-in the narrowest integer type and as float64.  It is the only code that
-builds or splits a null basis, and the only exact elimination behind
-solves and exact ranks: A^T y = b is solvable iff N b = 0 for the null
-basis N of A (NullBasis.product), a solution is read off the null basis
-of [A^T | -b] (NullBasis.matrix), and rank A is the number of pivots.
+in the narrowest integer type.  It is the only code that builds or
+splits a null basis, and the only exact elimination behind solves and
+exact ranks: a solution of A^T y = b is read off the null basis of
+[A^T | -b] (NullBasis.matrix), and rank A is the number of pivots.
 Products pick the cheapest tier a proven bound on every partial sum
 allows: float64 BLAS below 2^53, where float64 is only a container for
 integers it holds exactly (BLAS pinned to one thread), int64 below 2^62,
@@ -24,7 +23,7 @@ import ctypes
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from math import gcd, isqrt
 
 import numpy as np
@@ -135,27 +134,14 @@ class NullBasis:
     """A certified integer basis N of a right nullspace, split at its free columns.
 
     free are the columns off the GF(p) pivots, N[:, free] = diag(scale)
-    and block = N[:, pivots] is |free| x |pivots|, so
-    N X = scale X[free] + block X[pivots] needs no product with the
-    diagonal part.  Only the split is kept: block in the narrowest integer
-    type and as float64 (block_float, for the BLAS tier of int_matmul);
-    every array is read-only.  block_float is made on first use, after
-    the certificate's product has freed its temporaries: made before,
-    it stayed resident below them, and a warm process kept about 1.3 MB
-    more.
+    and block = N[:, pivots] is |free| x |pivots|.  Only the split is
+    kept, block in the narrowest integer type; every array is read-only.
     """
 
     free: np.ndarray
     pivots: np.ndarray
     scale: np.ndarray
     block: np.ndarray
-
-    @cached_property
-    def block_float(self) -> np.ndarray:
-        """block as float64, read-only, made once."""
-        a = self.block.astype(np.float64)
-        a.flags.writeable = False
-        return a
 
     def matrix(self) -> np.ndarray:
         """N itself, int64 and read-only, assembled from the split on each call."""
@@ -164,15 +150,6 @@ class NullBasis:
         N[:, self.pivots] = self.block
         N.flags.writeable = False
         return N
-
-    def product(self, X: np.ndarray) -> np.ndarray:
-        """N X exactly, for an integer X with one row per column of the matrix."""
-        head = X[self.free]
-        if head.dtype != object and head.size and \
-                int(self.scale.max()) * max(-int(head.min()), int(head.max())) >= 2**62:
-            head = head.astype(object)
-        scale = self.scale.reshape((-1,) + (1,) * (X.ndim - 1))
-        return scale * head + int_matmul(self.block, X[self.pivots], a_float=self.block_float)
 
 
 def certified_null_basis(matrix) -> NullBasis:
@@ -270,9 +247,9 @@ def _forget(key: int, ref: weakref.ref) -> None:
 def _bound(a: np.ndarray) -> int:
     """An upper bound on max|a|, computed once per read-only array.
 
-    The cached matrices (the incidence matrix and the pivot blocks of
-    every NullBasis) and the dense idempotents of scheme.check_eigen_system
-    are read-only, and so are their views, which share the bound of the
+    The cached matrices (the incidence matrix and the stacked masks of
+    scheme.relation_products), every NullBasis.matrix() and the dense
+    idempotents of scheme.check_eigen_system are read-only, and so are their views, which share the bound of the
     array that owns the data.  Writeable arrays are scanned on every
     call.  The bound is keyed by identity and checked through a weak
     reference, so an array made later at a reused id is scanned anew.

@@ -7,16 +7,13 @@ lexicographic), which fixes the FlatId used by every set type downstream.
 The flat of direction d through a point x has the id d q^nu plus the
 syndrome key of x under the parity check of d (geometry.syndrome_keys),
 so coset_table and the incidence matrix are one syndrome pass over all
-points, and flats_in and flats_through test containment by syndromes too.  The
-point-flat incidence matrix M has a certified integer null basis N,
-from its RREF over GF(p) rebuilt by rational reconstruction; it gives
-the exact rank of M.  The image route, of single sets and of batches
-alike, reads the translation-character basis of ker M
-(spreads.membership_plan) instead, with no elimination.  N is an
-exact.NullBasis, kept as its split at the free columns.  A
-container's incidence matrix is a slice of M (its points by syndrome
-key, its flats by flats_in, whose ids it keeps), and its certified null
-basis, the same NullBasis type, is cached per container.
+points, and point_mask, flat_ids_in and flats_through test containment
+by syndromes too.  The point-flat incidence matrix M has a certified
+integer null basis N, from its RREF over GF(p) rebuilt by rational
+reconstruction; it gives the exact rank of M.  The image route, of single
+sets and of batches alike, and the restrictions to container flats read
+the translation-character bases of ker M and of each container's
+incidence (spreads.membership_plan) instead, with no elimination.
 """
 
 from __future__ import annotations
@@ -212,22 +209,38 @@ def flats_through(config: SpaceConfig, f: Flat, j: int) -> list[Flat]:
     return [flats[k] for k in (inside * per + keys).tolist()]
 
 
-def flats_in(config: SpaceConfig, big: Flat) -> list[Flat]:
-    """Members of the maximal-flat family lying inside a container flat.
+def point_mask(config: SpaceConfig, f: Flat) -> np.ndarray:
+    """Whether each point, in point-index order, lies on the flat f; bool.
+
+    x lies on f iff x - f.rep lies in f's direction, iff x has the
+    syndrome key of f.rep under the direction's parity check.
+    """
+    check = subspace_checks(config, [f.direction])
+    keys = syndrome_keys(config, check, np.vstack([point_array(config), [f.rep]]))[0]
+    return keys[:-1] == keys[-1]
+
+
+def flat_ids_in(config: SpaceConfig, big: Flat) -> np.ndarray:
+    """The ids of the maximal flats inside a container flat, ascending; int64.
 
     A flat lies inside iff the basis of its direction has syndrome zero
-    under the parity check of the container's direction and its
-    representative has the container representative's syndrome.
+    under the parity check of the container's direction and its first
+    point lies on the container (point_mask).  Ids run direction-major, so
+    each interior direction holds q^i consecutive ids.  Raises ValueError
+    unless the container has type (nu+i, 2i), 1 <= i < nu.
     """
     _check_container(config, big)
-    flats = enumerate_flats(config, config.nu)
     dirs = enumerate_isotropic(config, config.nu)
-    inside = subspaces_contain(config, [big.direction], dirs)[0]
-    check = subspace_checks(config, [big.direction])
-    keys = syndrome_keys(config, check, [f.rep for f in flats] + [big.rep])[0]
-    per = len(flats) // len(dirs)
-    hits = np.repeat(inside, per) & (keys[:-1] == keys[-1])
-    return [flats[k] for k in np.flatnonzero(hits)]
+    inside = np.flatnonzero(subspaces_contain(config, [big.direction], dirs)[0])
+    per = config.q**config.nu
+    ids = (inside[:, None] * per + np.arange(per)).ravel()
+    return ids[point_mask(config, big)[flat_point_table(config)[ids, 0]]]
+
+
+def flats_in(config: SpaceConfig, big: Flat) -> list[Flat]:
+    """Members of the maximal-flat family lying inside a container flat, by id."""
+    flats = enumerate_flats(config, config.nu)
+    return [flats[k] for k in flat_ids_in(config, big).tolist()]
 
 
 def _check_container(config: SpaceConfig, big: Flat) -> int:
@@ -282,7 +295,6 @@ class IncidenceMatrix:
     points: tuple[Vector, ...]
     flats: tuple[Flat, ...]
     matrix: np.ndarray  # int64, read-only
-    ids: np.ndarray     # the flats' ids, ascending, read-only
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -329,39 +341,8 @@ def incidence_matrix(config: SpaceConfig) -> IncidenceMatrix:
     pts = all_vectors(config)
     M = np.zeros((len(pts), len(flats)), dtype=np.int64)
     M[np.arange(len(pts)), coset_table(config)] = 1
-    ids = np.arange(len(flats))
-    M.flags.writeable = ids.flags.writeable = False
-    return IncidenceMatrix(tuple(pts), flats, M, ids)
-
-
-@lru_cache(maxsize=None)
-def incidence_matrix_in(config: SpaceConfig, big: Flat) -> IncidenceMatrix:
-    """Incidence of the container's points against its interior maximal flats.
-
-    A slice of incidence_matrix: the rows are the points whose syndrome
-    key under the parity check of the container's direction is the key
-    of its representative (in point-index order), the columns the ids of
-    flats_in.
-    """
-    members = flats_in(config, big)
-    check = subspace_checks(config, [big.direction])
-    keys = syndrome_keys(config, check, np.vstack([point_array(config), [big.rep]]))[0]
-    rows = np.flatnonzero(keys[:-1] == keys[-1])
-    ids = np.array([flat_ids(config)[f] for f in members], dtype=np.int64)
-    inc = incidence_matrix(config)
-    M = inc.matrix[np.ix_(rows, ids)]
-    M.flags.writeable = ids.flags.writeable = False
-    return IncidenceMatrix(tuple(inc.points[r] for r in rows), tuple(members), M, ids)
-
-
-@lru_cache(maxsize=None)
-def incidence_null_basis_in(config: SpaceConfig, big: Flat) -> exact.NullBasis:
-    """The certified integer basis of the kernel of incidence_matrix_in.
-
-    A restriction to the container is in the image of the transposed
-    container incidence matrix iff this basis annihilates it.
-    """
-    return exact.certified_null_basis(incidence_matrix_in(config, big).matrix)
+    M.flags.writeable = False
+    return IncidenceMatrix(tuple(pts), flats, M)
 
 
 @lru_cache(maxsize=None)

@@ -66,7 +66,9 @@ stack rank with no such proof is read off the stack's certified null
 basis.  The same decomposition gives ker M a basis K with entries in
 {-1, 0, 1}, read off the flats' character values (membership_plan); the
 image route of a single set or a block of sets decides by K chi = 0,
-with no elimination.
+with no elimination.  The flats inside a container flat s + Q get the
+same basis of the kernel of their own incidence matrix from the
+characters of Q, which are the restrictions of those of G.
 
 The span checks decide which eigenspace projections of the family
 vanish from the scheme's own equivalences, with no idempotent product:
@@ -94,11 +96,11 @@ from .flats import (
     coset_table,
     enumerate_flats,
     flat_ids,
+    flat_ids_in,
     flat_make,
     flat_point_table,
-    flat_points,
-    flats_in,
     incidence_matrix,
+    point_mask,
 )
 from .geometry import (
     SpaceConfig,
@@ -110,7 +112,6 @@ from .geometry import (
     gram_ranks,
     is_totally_isotropic,
     point_array,
-    point_index,
     rref_stack,
     span_points,
     subspace_checks,
@@ -437,27 +438,60 @@ def _line_characters(config: SpaceConfig) -> np.ndarray:
     return chars[chars[np.arange(len(chars)), (chars != 0).argmax(axis=1)] == 1]
 
 
+def _fp_basis(config: SpaceConfig, bases: np.ndarray) -> np.ndarray:
+    """The base-p digits of the F_p basis t^j b of the F_q span of each
+    stack of rows b of bases, (spans, rows, dim), for the codes p^j of
+    t^j, j < k; int64 (spans, k rows, dim k), in the digit order of
+    _line_characters.
+
+    A vector of field codes is the F_p vector of their base-p digits; F_q
+    adds digit-wise mod p, so this is additive, and a character a is
+    trivial on a span iff a kills the digits of its F_p basis.
+    """
+    fld = config.field
+    scaled = fld.mul_flat[fld.p ** np.arange(fld.k)[:, None, None] * fld.q + bases[:, None]]
+    digits = scaled[..., None] // fld.p ** np.arange(fld.k) % fld.p  # (spans, k, rows, dim, k)
+    return digits.reshape(len(bases), -1, config.dim * fld.k)
+
+
 @lru_cache(maxsize=None)
 def character_kernels(config: SpaceConfig) -> np.ndarray:
     """T[a, d]: whether maximal direction d lies in the kernel of the
     character a, for one nontrivial character of each F_p-line; bool,
-    (lines, directions), read-only.
-
-    A vector of field codes is the F_p vector of their base-p digits; F_q
-    adds digit-wise mod p, so this is additive.  d lies in ker psi_a iff
-    a kills the digits of the F_p basis t^j b of d, for the basis vectors
-    b of d and the codes p^j of t^j, j < k.
+    (lines, directions), read-only.  d lies in ker psi_a iff a kills the
+    digits of the F_p basis of d (_fp_basis).
     """
-    fld = config.field
     chars = _line_characters(config)
     basis = np.array([d.basis for d in enumerate_isotropic(config, config.nu)], dtype=np.int64)
-    scaled = fld.mul_flat[fld.p ** np.arange(fld.k)[:, None, None, None] * fld.q + basis]
-    digits = scaled[..., None] // fld.p ** np.arange(fld.k) % fld.p  # (k, D, nu, dim, k)
-    fp_basis = digits.transpose(1, 0, 2, 3, 4).reshape(-1, chars.shape[1])
-    values = exact.int_matmul(chars, fp_basis.T) % fld.p
+    fp_basis = _fp_basis(config, basis).reshape(-1, chars.shape[1])
+    values = exact.int_matmul(chars, fp_basis.T) % config.field.p
     kernels = ~values.reshape(len(chars), len(basis), -1).any(axis=2)
     kernels.flags.writeable = False
     return kernels
+
+
+def _restricted_lines(config: SpaceConfig, direction: Subspace) -> np.ndarray:
+    """The line characters that stand for the F_p-lines of nontrivial
+    characters of the subspace Q = direction; ascending indices into
+    _line_characters.
+
+    a restricts to Q as its values on the F_p basis of Q (_fp_basis).
+    The lines with a|Q = 0 are dropped, and of the lines whose
+    restrictions agree once scaled to a first nonzero digit 1, the first
+    is kept.  Every character of Q is a restriction, since the characters
+    of G restrict onto those of its subgroup Q.
+    """
+    p = config.field.p
+    basis = _fp_basis(config, np.array([direction.basis], dtype=np.int64))[0]
+    restricted = exact.int_matmul(_line_characters(config), basis.T) % p
+    lead = restricted[np.arange(len(restricted)), (restricted != 0).argmax(axis=1)]
+    inverse = np.array([0] + [pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
+    codes = (restricted * inverse[lead][:, None] % p) @ p ** np.arange(len(basis), dtype=np.int64)
+    lines = np.flatnonzero(lead)
+    lines = lines[np.argsort(codes[lines], kind="stable")]
+    first = np.ones(len(lines), dtype=bool)
+    first[1:] = codes[lines[1:]] != codes[lines[:-1]]
+    return np.sort(lines[first])
 
 
 @lru_cache(maxsize=None)
@@ -627,20 +661,35 @@ class MembershipPlan:
     trivial rows have disjoint supports past block d_0.  That is
     (D - 1) + (p - 1) sum_a max(|T_a| - 1, 0) independent rows of ker M,
     CharacterPlan.kernel_dimension = dim ker M of them.
+
+    The plan of a container flat F = s + Q of type (nu+i, 2i) is the same
+    basis for the incidence matrix M_F of F's points against the maximal
+    flats inside F.  ids are those flats' ids, ascending, q^i to each
+    interior direction, and every flat index of the plan (groups, gather,
+    the blocks of per = q^i) is a position in ids.  The characters are
+    those of Q: a line character a with a|Q != 0 for each F_p-line of
+    nontrivial characters of Q, and T_a^Q is T_a on the directions inside
+    Q.  Every character of Q restricts from one of G, so the proof above
+    goes through with Q in place of G: M_F maps 1(d, v) to the points of
+    F with a . x = v, and the flats of d inside F, the cosets of d in Q
+    shifted by s, split into p value groups of q^i/p flats each.  ids is
+    None for the whole space.
     """
 
-    per: int             # q^nu, the flats of a direction block
+    per: int             # the flats of a direction block: q^nu, or q^i in a container
     line: np.ndarray     # (pairs,) the character of each pair
-    groups: np.ndarray   # (pairs, p, q^nu/p) flat ids, by value
+    groups: np.ndarray   # (pairs, p, per/p) flat ids, by value
     base: np.ndarray     # (pairs,) the pair of d_a
-    gather: np.ndarray   # (q^nu/p, pairs (p-1)): groups[i, v, j] at [j, i (p-1) + v - 1], v >= 1
+    gather: np.ndarray   # (per/p, pairs (p-1)): groups[i, v, j] at [j, i (p-1) + v - 1], v >= 1
     match: np.ndarray    # (pairs (p-1),): the column of groups[base[i], v] for that of groups[i, v]
+    ids: np.ndarray | None = None  # a container's flat ids, ascending; None for the whole space
 
     def annihilates(self, chi: np.ndarray) -> np.ndarray:
         """K chi = 0 for each column of chi: whether it lies in the image of
         M^T, the orthogonal complement of ker M.  chi is an integer vector
-        over the flats, shape (n,), or a block of columns, shape (n, c);
-        the verdict is a bool scalar or a (c,) bool array.
+        over the flats (over ids for a container), shape (n,), or a block
+        of columns, shape (n, c); the verdict is a bool scalar or a (c,)
+        bool array.
 
         Every sum here has at most q^nu entries of chi, so it is exact
         while max|chi| q^nu < 2^63 in int64, and always for Python ints
@@ -666,30 +715,42 @@ class MembershipPlan:
 
 
 @lru_cache(maxsize=None)
-def membership_plan(config: SpaceConfig) -> MembershipPlan:
-    """The MembershipPlan of one configuration, with no elimination.
+def membership_plan(config: SpaceConfig, container: Flat | None = None) -> MembershipPlan:
+    """The MembershipPlan of one configuration, or of the flats inside one
+    container flat, with no elimination.
 
     The point values a . x mod p are one int_matmul of the line
     characters by the points' digits; each flat takes the value at its
     first point, and each pair's block is sorted by value.  _check_groups
     then checks exactly that a . x = v at every point of every flat of
-    groups[i, v], which puts every row of K in ker M; it raises
-    AssertionError otherwise.
+    groups[i, v], which puts every row of K in the kernel; it raises
+    AssertionError otherwise.  A container is validated first
+    (flats.flat_ids_in raises ValueError), and its characters are the
+    _restricted_lines.
     """
-    p, per = config.field.p, config.q**config.nu
-    kernels = character_kernels(config)
+    p = config.field.p
+    if container is None:
+        per, ids, chars = config.q**config.nu, None, None
+        kernels = character_kernels(config)
+    else:
+        ids = flat_ids_in(config, container)
+        ids.flags.writeable = False
+        per = config.q**(container.dim - config.nu)
+        chars = _restricted_lines(config, container.direction)
+        kernels = character_kernels(config)[chars[:, None], ids[::per] // config.q**config.nu]
     line, direction = np.nonzero(kernels & (kernels.sum(axis=1) >= 2)[:, None])
-    values = _point_values(config)
-    ids = direction[:, None] * per + np.arange(per)
-    order = np.argsort(values[line[:, None], flat_point_table(config)[ids, 0]], axis=1,
-                       kind="stable")
-    groups = np.take_along_axis(ids, order, axis=1).reshape(len(line), p, per // p)
+    if chars is not None:
+        line = chars[line]
+    local = direction[:, None] * per + np.arange(per)
+    first = flat_point_table(config)[local if ids is None else ids[local], 0]
+    order = np.argsort(_point_values(config)[line[:, None], first], axis=1, kind="stable")
+    groups = np.take_along_axis(local, order, axis=1).reshape(len(line), p, per // p)
     base = np.searchsorted(line, line)
     gather = np.ascontiguousarray(groups[:, 1:].transpose(2, 0, 1).reshape(per // p, -1))
     match = (base[:, None] * (p - 1) + np.arange(p - 1)).ravel()
     for a in (line, groups, base, gather, match):
         a.flags.writeable = False
-    plan = MembershipPlan(per, line, groups, base, gather, match)
+    plan = MembershipPlan(per, line, groups, base, gather, match, ids)
     _check_groups(config, plan)
     return plan
 
@@ -702,7 +763,10 @@ def _check_groups(config: SpaceConfig, plan: MembershipPlan) -> None:
     want = np.arange(config.field.p)[:, None, None]
     step = max(1, CHARACTER_ELEMENTS // config.num_points)
     for s in range(0, len(plan.line), step):
-        seen = values[plan.line[s:s + step, None, None, None], points_of[plan.groups[s:s + step]]]
+        flats = plan.groups[s:s + step]
+        if plan.ids is not None:
+            flats = plan.ids[flats]
+        seen = values[plan.line[s:s + step, None, None, None], points_of[flats]]
         if (seen != want).any():
             raise AssertionError(f"a character of {config.key()} is not v at every point of "
                                  f"its value group v")
@@ -712,11 +776,9 @@ def _check_groups(config: SpaceConfig, plan: MembershipPlan) -> None:
 # classification
 
 def coverage(config: SpaceConfig, member_ids) -> np.ndarray:
-    M = incidence_matrix(config).matrix
-    ids = sorted(member_ids)
-    if not ids:
-        return np.zeros(M.shape[0], dtype=np.int64)
-    return M[:, ids].sum(axis=1)
+    """How many of the member flats hold each point; int64, (points,)."""
+    ids = np.fromiter(member_ids, dtype=np.int64)
+    return np.bincount(flat_point_table(config)[ids].ravel(), minlength=config.num_points)
 
 
 def classify_set(config: SpaceConfig, member_ids, scope: Flat | None = None) -> str:
@@ -726,12 +788,10 @@ def classify_set(config: SpaceConfig, member_ids, scope: Flat | None = None) -> 
         if cov.max(initial=0) > 1:
             return "neither"
         return "full_spread" if member_ids and cov.min(initial=1) == 1 else "partial_spread"
-    scope_idx = sorted(point_index(config, p) for p in flat_points(config, scope))
-    outside = np.ones(cov.shape[0], dtype=bool)
-    outside[scope_idx] = False
-    if cov[outside].max(initial=0) > 0:
+    on = point_mask(config, scope)
+    if cov[~on].max(initial=0) > 0:
         return "neither"
-    inside = cov[scope_idx]
+    inside = cov[on]
     if inside.max(initial=0) > 1:
         return "neither"
     return "full_spread" if member_ids and inside.min(initial=1) == 1 else "partial_spread"
@@ -773,8 +833,8 @@ def enumerate_spreads(config: SpaceConfig, scope: Flat | None = None) -> SpreadS
         scope_points = list(range(config.num_points))
         candidates = list(range(len(enumerate_flats(config, config.nu))))
     else:
-        scope_points = sorted(point_index(config, p) for p in flat_points(config, scope))
-        candidates = [flat_ids(config)[f] for f in flats_in(config, scope)]
+        scope_points = np.flatnonzero(point_mask(config, scope)).tolist()
+        candidates = flat_ids_in(config, scope).tolist()
     if len(scope_points) > EXHAUSTIVE_POINT_BOUND:
         if scope is None:
             raise ValueError(

@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 from clflats import exact, spreads
-from clflats.flats import coset_representatives, coset_table
+from clflats.flats import (
+    container_flats,
+    coset_representatives,
+    coset_table,
+    enumerate_flats,
+    flat_make,
+    flat_points,
+    flats_in,
+)
 from clflats.geometry import (
     Isometry,
     SpaceConfig,
@@ -266,6 +274,37 @@ def membership_rows(plan: spreads.MembershipPlan, n: int) -> np.ndarray:
                 np.add.at(row, plan.groups[pair, 0], -sign)
             rows.append(row)
     return np.vstack([trivial] + rows)
+
+
+def distinct_containers(config, levels=None, bases=None) -> list:
+    """Every type-(nu+i, 2i) container flat for each i in levels (default
+    1..nu-1) over the first `bases` maximal directions (all when None),
+    once, in first-seen order: every coset of each container direction
+    through the direction's first flat, which has representative 0.  With
+    every direction, that is every container, since each holds a maximal
+    flat."""
+    per = config.q**config.nu
+    seen = {}
+    for base in enumerate_flats(config, config.nu)[::per][:bases]:
+        for i in levels or range(1, config.nu):
+            for t in container_flats(config, base, i):
+                for rep in coset_representatives(config, t.direction):
+                    seen.setdefault(flat_make(config, t.direction, rep), None)
+    return list(seen)
+
+
+def incidence_by_flat_points(config, big):
+    """The incidence of a container's points against the maximal flats
+    inside it, by a flat_points loop over its interior flats: the points
+    sorted, the flats in flats_in order and the int64 0/1 matrix."""
+    members = flats_in(config, big)
+    pts = sorted(flat_points(config, big))
+    pt_index = {p: i for i, p in enumerate(pts)}
+    M = np.zeros((len(pts), len(members)), dtype=np.int64)
+    for col, f in enumerate(members):
+        for p in flat_points(config, f):
+            M[pt_index[p], col] = 1
+    return tuple(pts), tuple(members), M
 
 
 def in_row_span(N: np.ndarray, free, V: np.ndarray) -> bool:

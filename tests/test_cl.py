@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import math
 import random
 import tracemalloc
@@ -45,20 +46,28 @@ from clflats.flats import (
     flat_points,
     incidence_kernel,
     incidence_matrix,
-    incidence_matrix_in,
     incidence_rank,
     incidence_rank_closed_form,
 )
 from clflats.geometry import (
     all_vectors,
+    canonicalize,
     enumerate_isotropic,
+    gram_rank,
     random_isometry,
     space_config,
     zero_vector,
 )
 from clflats.cli import STANDARD_GRID, paper_suite
 from clflats.scheme import idempotent_int, relation_matrix, relation_products, scheme_tables
-from conftest import MEDIUM_CONFIGS, in_row_span, integer_nullspace, spanning_rows_oracle
+from conftest import (
+    MEDIUM_CONFIGS,
+    distinct_containers,
+    in_row_span,
+    incidence_by_flat_points,
+    integer_nullspace,
+    spanning_rows_oracle,
+)
 
 
 def _pencil(cfg, point=None):
@@ -738,7 +747,7 @@ def test_batch_image_route_widens_blocks_whose_sums_would_wrap(s22):
     blocks = [wide, cols.astype(object) * 2**70, cols.astype(np.uint64) * np.uint64(2**63)]
     for block in blocks:
         exact_block = np.array([int(v) for v in block.flat], dtype=object).reshape(block.shape)
-        oracle = ~incidence_kernel(s22).product(exact_block).any(axis=0)
+        oracle = ~int_matmul(incidence_kernel(s22).matrix(), exact_block).any(axis=0)
         got = batch_verdicts(s22, block)["image"]
         assert got.tolist() == oracle.tolist() == \
             batch_verdicts(s22, exact_block)["image"].tolist(), block.dtype
@@ -880,7 +889,7 @@ def test_queries_and_batches_never_build_or_multiply_by_the_null_basis(monkeypat
     for seed in (3, 4):
         batch_verdicts(cfg, random_subset_matrix(cfg, 5, seed=seed))
     assert incidence_kernel.cache_info() == calls
-    assert not [a for a in seen if a is kernel.block_float or a.shape == N.shape]
+    assert not [a for a in seen if a.shape in (N.shape, kernel.block.shape)]
     paper_suite(cfg, 0)
     cached = {fn for module in (cl, spreads, scheme, exact, flats)
               for fn in vars(module).values() if hasattr(fn, "cache_info")}
@@ -893,10 +902,8 @@ def test_queries_and_batches_never_build_or_multiply_by_the_null_basis(monkeypat
 
 @pytest.mark.parametrize("key", KERNEL_KEYS, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_pivot_block_product_matches_the_null_basis(key):
-    """The split is N: N[:, free] = diag(scale), N[:, pivots] = block, and
-    N X = scale * X[free] + block X[pivots] equals int_matmul(N, X) for 0/1
-    and signed columns, one and 25 of them, a 1-D chi, and object entries
-    past the int64 range."""
+    """The split is N: N[:, free] = diag(scale), N[:, pivots] = block, with
+    block in the narrowest integer type, and every array read-only."""
     cfg = space_config(*key)
     kernel = incidence_kernel(cfg)
     M = incidence_matrix(cfg).matrix
@@ -907,17 +914,8 @@ def test_pivot_block_product_matches_the_null_basis(key):
     assert kernel.block.shape == (n - rank, rank) and (kernel.block == N[:, kernel.pivots]).all()
     assert kernel.block.dtype == np.int8  # max|N| <= 10 here
     assert (N[:, kernel.free] == np.diag(kernel.scale)).all()
-    assert (kernel.block_float == kernel.block).all() and kernel.block_float.dtype == np.float64
-    assert not any(a.flags.writeable for a in (kernel.block, kernel.block_float,
-                                                kernel.scale, kernel.free, kernel.pivots, N))
-    rng = np.random.default_rng(sum(map(ord, repr(key))))
-    for X in (random_subset_matrix(cfg, 1, seed=9), random_subset_matrix(cfg, 25, seed=9),
-              rng.integers(-7, 8, (n, 25)), _pencil(cfg).chi()):
-        got = kernel.product(X)
-        assert got.dtype == np.int64 and got.shape == (N.shape[0],) + X.shape[1:]
-        assert (got == int_matmul(N, X)).all()
-    big = rng.integers(-7, 8, (n, 2)).astype(object) * 2**80
-    assert (kernel.product(big) == int_matmul(N, big)).all()
+    assert not any(a.flags.writeable for a in (kernel.block, kernel.scale, kernel.free,
+                                                kernel.pivots, N))
 
 
 def test_kernel_image_and_nullspace_oracle_agree(medium_config):
@@ -973,14 +971,6 @@ def test_image_certificate_witness_or_none(key):
         assert found[4]
 
 
-def _distinct_containers(cfg):
-    seen = {}
-    for base in enumerate_flats(cfg, cfg.nu):
-        for t in container_flats(cfg, base, 1):
-            seen.setdefault(t, None)
-    return list(seen)
-
-
 @pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 2),
                                  ("symplectic", 3, 2)],
                          ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
@@ -993,15 +983,15 @@ def test_restriction_image_matches_oracle(key):
     cols = random_subset_matrix(cfg, 3, seed=41)
     randoms = [FlatSet(cfg, tuple(int(i) for i in np.flatnonzero(c))) for c in cols.T]
     verdicts = []
-    for t in _distinct_containers(cfg):
-        inc = incidence_matrix_in(cfg, t)
-        oracle = integer_nullspace(inc.matrix)
-        local = {ids[f]: col for col, f in enumerate(inc.flats)}
+    for t in distinct_containers(cfg):
+        _, members, M = incidence_by_flat_points(cfg, t)
+        oracle = integer_nullspace(M)
+        local = {ids[f]: col for col, f in enumerate(members)}
         member = construct_pencil(cfg, min(flat_points(cfg, t)))
-        single = FlatSet(cfg, (ids[inc.flats[0]],))
+        single = FlatSet(cfg, (ids[members[0]],))
         for fs, expected in [(member, True), (single, False)] + [(r, None) for r in randoms]:
             r = restrict_cl(fs, t)
-            chi = np.zeros(len(inc.flats), dtype=object)
+            chi = np.zeros(len(members), dtype=object)
             chi[[local[g] for g in r.member_ids]] = 1
             want = not np.dot(oracle, chi).any()
             assert r.in_container_image == want, (t, fs.ids)
@@ -1011,16 +1001,17 @@ def test_restriction_image_matches_oracle(key):
 
 
 def _restriction_by_dicts(flat_set, container):
-    """restrict_cl by a Flat -> id dict, two set intersections and N itself."""
+    """restrict_cl by a Flat -> id dict, two set intersections and the
+    certified null basis of the flat_points incidence of the container."""
     config = flat_set.config
-    inc = incidence_matrix_in(config, container)
+    _, inside, M = incidence_by_flat_points(config, container)
     i = container.dim - config.nu
     ids = flat_ids(config)
-    local_of_global = {ids[f]: col for col, f in enumerate(inc.flats)}
+    local_of_global = {ids[f]: col for col, f in enumerate(inside)}
     members = tuple(sorted(set(flat_set.ids) & set(local_of_global)))
-    chi_local = np.zeros((len(inc.flats), 1), dtype=np.int64)
+    chi_local = np.zeros((len(inside), 1), dtype=np.int64)
     chi_local[[local_of_global[g] for g in members], 0] = 1
-    null = flats.incidence_null_basis_in(config, container).matrix()
+    null = exact.certified_null_basis(M).matrix()
     in_image = not int_matmul(null, chi_local).any()
     x_f = Fraction(len(members), set_denominator(config, i))
     integral = x_f.denominator == 1
@@ -1031,14 +1022,14 @@ def _restriction_by_dicts(flat_set, container):
 @pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 2), ("symplectic", 2, 3)],
                          ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_restriction_gather_matches_the_dict_oracle(key):
-    """restrict_cl, which gathers chi at the container's cached flat ids,
+    """restrict_cl, which gathers chi at the container plan's flat ids,
     equals the dict-based restriction for a pencil, its complement and a
     near miss: on every distinct container at nu = 2, and on the i = 1
     and i = 2 containers of two pencil members at nu = 3."""
     cfg = space_config(*key)
     pencil = _pencil(cfg)
     if cfg.nu == 2:
-        containers = _distinct_containers(cfg)
+        containers = distinct_containers(cfg)
     else:
         maximal = enumerate_flats(cfg, cfg.nu)
         containers = [t for base in pencil.ids[:2] for i in (1, 2)
@@ -1051,6 +1042,54 @@ def test_restriction_gather_matches_the_dict_oracle(key):
             assert all(type(g) is int for g in got.member_ids)
             verdicts.add(got.in_container_image)
     assert verdicts == {True, False}
+
+
+def test_restriction_refuses_a_bad_container_before_any_plan(monkeypatch):
+    """restrict_cl raises ValueError for a flat of Gram rank other than 2i
+    and for dimensions nu and 2 nu, outside nu+1..2nu-1, before it reads a
+    character or builds and caches a membership plan."""
+    cfg = space_config("symplectic", 2, 3)
+    pencil = _pencil(cfg)
+    units = [tuple(int(j == k) for j in range(cfg.dim)) for k in range(cfg.dim)]
+    subspaces = [canonicalize(cfg, list(rows)) for rows in itertools.combinations(units, 4)]
+    nondegenerate = next(d for d in subspaces if gram_rank(cfg, d) == 4)
+    origin = zero_vector(cfg)
+    bad = [flat_make(cfg, nondegenerate, origin),
+           enumerate_flats(cfg, cfg.nu)[pencil.ids[0]],
+           flat_make(cfg, canonicalize(cfg, units), origin)]
+    assert [t.dim for t in bad] == [4, 3, 6]
+
+    def refuse(*args):
+        raise AssertionError("a membership plan was started")
+
+    for name in ("character_kernels", "_restricted_lines", "_point_values", "_check_groups"):
+        monkeypatch.setattr(spreads, name, refuse)
+    cached = spreads.membership_plan.cache_info().currsize
+    for t in bad:
+        with pytest.raises(ValueError, match="container"):
+            restrict_cl(pencil, t)
+    assert spreads.membership_plan.cache_info().currsize == cached
+
+
+def test_container_profiles_need_no_certified_null_basis(monkeypatch):
+    """pencil_distribution and degree_identity on a pencil of
+    symplectic(2,3) and its complement, at i = 1 and 2, from cold container
+    plans, with certified_null_basis replaced by a function that raises."""
+    cfg = space_config("symplectic", 2, 3)
+    pencil = _pencil(cfg)
+    spreads.membership_plan.cache_clear()
+
+    def refuse(matrix):
+        raise AssertionError("a certified null basis on a container restriction")
+
+    monkeypatch.setattr(exact, "certified_null_basis", refuse)
+    for fs in (pencil, pencil.complement()):
+        for i in (1, 2):
+            prof = pencil_distribution(fs, fs.ids[0], i)
+            assert prof.count_identity_ok and prof.weighted_identity_ok
+            assert prof.bound_ok and prof.case_detail_ok
+            assert degree_identity(fs, fs.ids[0], i)
+            assert cl.degree_identity_holds(cfg, i, fs.x, prof.container_parameters)
 
 
 @pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 2), ("unitary", 4, 1)])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import clflats
-from clflats import spreads
+from clflats import cl, spreads
 from clflats.cli import VALUATION_NU_MAX, run
 from clflats.geometry import ISOTROPIC_ENUM_BOUND, enumerate_isotropic, space_config
 
@@ -589,6 +589,27 @@ def test_profile_needs_a_cameron_liebler_set(tmp_path, capsys):
     setfile.write_text(json.dumps({"ids": []}))
     _one_line_error(capsys, ["cl", "profile", "--set", str(setfile), "--i", "1"] + BASE,
                     "non-empty")
+
+
+def test_profile_restricts_to_each_container_once(tmp_path, capsys, monkeypatch):
+    """cl profile builds the base flat's containers once and restricts the
+    set to each of them once: the degree identity is read off the
+    profile's container parameters."""
+    calls = {"container_flats": 0, "restrict_cl": 0}
+    for name in calls:
+        real = getattr(cl, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cl, name, counted)
+    code, pencil = run_json(capsys, ["cl", "construct", "--pencil", "0,0,0,0"] + BASE)
+    setfile = tmp_path / "pencil.json"
+    setfile.write_text(json.dumps(pencil))
+    code, prof = run_json(capsys, ["cl", "profile", "--set", str(setfile), "--i", "1"] + BASE)
+    assert code == 0 and prof["degree_identity"] is True
+    assert calls == {"container_flats": 1, "restrict_cl": 3}
 
 
 def test_fuzzed_command_lines_exit_cleanly():

@@ -215,7 +215,7 @@ def test_certified_null_basis_matches_oracle():
 def test_null_basis_split_is_read_only_and_round_trips():
     """Every NullBasis array is read-only and the basis is frozen; free and
     the pivots, ascending, partition the columns, and matrix() is the
-    split: N[:, free] = diag(scale), N[:, pivots] = block = block_float.
+    split: N[:, free] = diag(scale), N[:, pivots] = block.
     The last case's GF(p) pivots come out as [1, 0], not in column order."""
     rng = np.random.default_rng(7)
     late_pivot = np.array([[0, 1, 1]] * ELIMINATION_ROWS + [[1, 0, 2]], dtype=np.int64)
@@ -225,19 +225,18 @@ def test_null_basis_split_is_read_only_and_round_trips():
     for a in cases:
         basis = certified_null_basis(a)
         N = basis.matrix()
-        arrays = (basis.free, basis.pivots, basis.scale, basis.block, basis.block_float, N)
+        arrays = (basis.free, basis.pivots, basis.scale, basis.block, N)
         assert not any(x.flags.writeable for x in arrays)
         with pytest.raises(ValueError):
             basis.block[...] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            basis.block = basis.block_float
+            basis.block = basis.scale
         pivots = modular_echelon(a, MODULAR_PRIMES[0])[1]
         assert basis.pivots.tolist() == sorted(pivots)
         assert sorted(basis.free.tolist() + pivots) == list(range(a.shape[1]))
         assert N.dtype == np.int64 and N.shape == (len(basis.free), a.shape[1])
         assert (N[:, basis.free] == np.diag(basis.scale)).all()
         assert (N[:, basis.pivots] == basis.block).all()
-        assert basis.block_float.dtype == np.float64 and (basis.block_float == basis.block).all()
         assert N.shape == integer_nullspace(a).shape
         assert in_row_span(N, basis.free, integer_nullspace(a))
     assert certified_null_basis(late_pivot).matrix().tolist() == [[-2, -1, 1]]

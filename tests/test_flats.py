@@ -1,11 +1,13 @@
 """Flats: coset canonicalization, meet/join, enumeration, incidence."""
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
-from clflats import exact, flats
+from clflats import exact, flats, spreads
+from clflats.cl import set_denominator
 from clflats.field import e_power, gauss_binomial
 from clflats.flats import (
     Flat,
@@ -17,6 +19,7 @@ from clflats.flats import (
     enumerate_flats,
     flat_contains_flat,
     flat_ids,
+    flat_ids_in,
     flat_join,
     flat_make,
     flat_meet,
@@ -25,10 +28,9 @@ from clflats.flats import (
     flats_through,
     check_gram_identity,
     incidence_matrix,
-    incidence_matrix_in,
-    incidence_null_basis_in,
     incidence_rank,
     incidence_rank_closed_form,
+    point_mask,
 )
 from clflats.geometry import (
     canonicalize,
@@ -37,7 +39,14 @@ from clflats.geometry import (
     space_config,
     zero_vector,
 )
-from conftest import MEDIUM_CONFIGS, in_row_span, integer_nullspace, isotropic_oracle, unit_vector
+from conftest import (
+    MEDIUM_CONFIGS,
+    distinct_containers,
+    incidence_by_flat_points,
+    isotropic_oracle,
+    membership_rows,
+    unit_vector,
+)
 
 
 def test_flat_make_canonical_representative(s22):
@@ -210,22 +219,12 @@ def test_flats_in_counts(s22, o32):
             assert flat_contains_flat(cfg, t, base)
 
 
-def _all_containers(cfg):
-    """Every type-(nu+i, 2i) flat, 1 <= i < nu, once, in first-seen order."""
-    seen = {}
-    for base in enumerate_flats(cfg, cfg.nu):
-        for i in range(1, cfg.nu):
-            for t in container_flats(cfg, base, i):
-                seen.setdefault(t, None)
-    return list(seen)
-
-
 @pytest.mark.parametrize("key", [k for k in MEDIUM_CONFIGS if k[2] >= 2],
                          ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_flats_in_matches_containment_scan(key):
     cfg = space_config(*key)
     flats = enumerate_flats(cfg, cfg.nu)
-    containers = _all_containers(cfg)
+    containers = distinct_containers(cfg)
     assert containers
     for t in containers:
         assert flats_in(cfg, t) == [g for g in flats if flat_contains_flat(cfg, t, g)]
@@ -255,78 +254,82 @@ def test_container_type_guard(s22):
         container_flats(s22, base, 2)
 
 
-def test_incidence_matrix_in_shape(s22):
-    base = enumerate_flats(s22, 2)[0]
-    t = container_flats(s22, base, 1)[0]
-    inc = incidence_matrix_in(s22, t)
-    assert inc.shape == (8, 6)
-    assert set(inc.matrix.sum(axis=0).tolist()) == {4}
-    assert set(inc.matrix.sum(axis=1).tolist()) == {3}
-
-
-def _incidence_by_flat_points(config, big):
-    """The container incidence by a flat_points loop over its interior flats."""
-    members = flats_in(config, big)
-    pts = sorted(flat_points(config, big))
-    pt_index = {p: i for i, p in enumerate(pts)}
-    M = np.zeros((len(pts), len(members)), dtype=np.int64)
-    for col, f in enumerate(members):
-        for p in flat_points(config, f):
-            M[pt_index[p], col] = 1
-    return tuple(pts), tuple(members), M
+@pytest.mark.parametrize("key,bases", [(("symplectic", 2, 2), None), (("orthogonal", 3, 2), None),
+                                       (("symplectic", 3, 2), None), (("unitary", 4, 2), 2)],
+                         ids=["symp-q2-nu2", "orth-q3-nu2", "symp-q3-nu2", "unit-q4-nu2"])
+def test_container_ids_match_flat_points_loop(key, bases):
+    """The points of point_mask and the ids of flat_ids_in, which a
+    container's membership plan keeps, are those of the flat_points loop,
+    on every distinct container of the first `bases` directions (all when
+    None); each point lies on one flat of each of the D_Q = set_denominator
+    interior directions, and each flat has q^nu points (on symplectic(2,2)
+    8 points and 6 flats, 3 to a point)."""
+    cfg = space_config(*key)
+    ids = flat_ids(cfg)
+    for t in distinct_containers(cfg, bases=bases):
+        points, members, M = incidence_by_flat_points(cfg, t)
+        mask = point_mask(cfg, t)
+        assert mask.dtype == bool
+        assert np.flatnonzero(mask).tolist() == [point_index(cfg, p) for p in points]
+        got = flat_ids_in(cfg, t)
+        assert got.dtype == np.int64 and got.tolist() == [ids[f] for f in members]
+        assert spreads.membership_plan(cfg, t).ids.tolist() == got.tolist()
+        i = t.dim - cfg.nu
+        assert M.shape == (cfg.q**(cfg.nu + i), cfg.q**i * set_denominator(cfg, i))
+        assert set(M.sum(axis=0).tolist()) == {cfg.q**cfg.nu}
+        assert set(M.sum(axis=1).tolist()) == {set_denominator(cfg, i)}
+        if key == ("symplectic", 2, 2):
+            assert M.shape == (8, 6) and set(M.sum(axis=1).tolist()) == {3}
 
 
 @pytest.mark.parametrize("key,bases", [(("symplectic", 2, 2), None), (("orthogonal", 3, 2), None),
-                                       (("symplectic", 3, 2), None), (("unitary", 4, 2), 6)],
-                         ids=["symp-q2-nu2", "orth-q3-nu2", "symp-q3-nu2", "unit-q4-nu2"])
-def test_incidence_matrix_in_matches_flat_points_loop(key, bases):
-    """The sliced container incidence equals the loop: points, flats and
-    matrix, on every distinct container of the first `bases` base flats
-    (all when None); each container's null basis is cached."""
+                                       (("symplectic", 3, 2), None), (("unitary", 4, 2), None),
+                                       (("symplectic", 2, 3), None), (("symplectic", 4, 2), None),
+                                       (("orthogonal", 3, 3), 2)],
+                         ids=["symp-q2-nu2", "orth-q3-nu2", "symp-q3-nu2", "unit-q4-nu2",
+                              "symp-q2-nu3", "symp-q4-nu2", "orth-q3-nu3"])
+def test_container_null_bases_match_the_oracle(key, bases):
+    """Every distinct container's translation-character basis K_F
+    (spreads.membership_plan with the container), on every container of
+    the grid and symplectic(4,2) and on those of two directions of
+    orthogonal(3,3), i = 1 and 2: M_F K_F^T = 0 exactly for the
+    flat_points incidence M_F; K_F has the nullity of the certified null
+    basis N_F of M_F and of the closed form q^i D_Q - rank, and full GF(p)
+    rank, so it spans ker M_F; one flat moved to another value group makes
+    the build-time check raise; and K_F chi = 0 exactly when N_F chi = 0,
+    for 0/1, signed and object 2^80 columns.  A container has value
+    groups iff i >= 2: at i = 1 its geometry is that of nu = 1, where no
+    character kernel holds two directions."""
     cfg = space_config(*key)
-    containers = {}
-    for base in enumerate_flats(cfg, cfg.nu)[:bases]:
-        containers.update(dict.fromkeys(container_flats(cfg, base, 1)))
-    for t in containers:
-        inc = incidence_matrix_in(cfg, t)
-        points, members, M = _incidence_by_flat_points(cfg, t)
-        assert inc.points == points and inc.flats == members
-        assert inc.matrix.dtype == np.int64 and not inc.matrix.flags.writeable
-        assert (inc.matrix == M).all()
-        N = incidence_null_basis_in(cfg, t)
-        assert N is incidence_null_basis_in(cfg, t) and not N.block.flags.writeable
-        N = N.matrix()
-        assert not exact.int_matmul(M, N.T).any()
-        assert N.shape[0] == M.shape[1] - len(exact.modular_echelon(M, exact.MODULAR_PRIMES[0])[1])
-
-
-@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 2), ("symplectic", 3, 2)],
-                         ids=["symp-q2-nu2", "orth-q3-nu2", "symp-q3-nu2"])
-def test_container_null_bases_match_the_oracle(key):
-    """Every distinct container's null basis spans the Fraction nullspace
-    of its incidence matrix (the same dimension, the oracle in its row
-    span), its product equals int_matmul with N for 0/1, signed and object
-    columns, and the container keeps the ids of its flats, ascending."""
-    cfg = space_config(*key)
-    ids = flat_ids(cfg)
     rng = np.random.default_rng(sum(map(ord, repr(key))))
-    containers = {}
-    for base in enumerate_flats(cfg, cfg.nu):
-        containers.update(dict.fromkeys(container_flats(cfg, base, 1)))
-    for t in containers:
-        inc = incidence_matrix_in(cfg, t)
-        assert inc.ids.tolist() == sorted(ids[f] for f in inc.flats)
-        assert inc.ids.tolist() == [ids[f] for f in inc.flats] and not inc.ids.flags.writeable
-        basis = incidence_null_basis_in(cfg, t)
-        N = basis.matrix()
-        oracle = integer_nullspace(inc.matrix)
-        assert oracle.shape == N.shape and in_row_span(N, basis.free, oracle)
-        n = inc.matrix.shape[1]
-        for X in (rng.integers(0, 2, (n, 3)), rng.integers(-7, 8, (n, 3)),
-                  rng.integers(0, 2, n), rng.integers(-7, 8, (n, 2)).astype(object) * 2**80):
-            got = basis.product(X)
-            assert got.shape == (len(N),) + X.shape[1:]
-            assert (got == exact.int_matmul(N, X)).all()
+    moved = 0
+    for t in distinct_containers(cfg, bases=bases):
+        i = t.dim - cfg.nu
+        plan = spreads.membership_plan(cfg, t)
+        assert plan is spreads.membership_plan(cfg, t)
+        assert not any(a.flags.writeable for a in (plan.ids, plan.line, plan.groups, plan.gather))
+        _, _, M = incidence_by_flat_points(cfg, t)
+        n = M.shape[1]
+        K = membership_rows(plan, n)
+        assert set(np.unique(K).tolist()) <= {-1, 0, 1}
+        assert not exact.int_matmul(M, K.T).any()
+        N = exact.certified_null_basis(M).matrix()
+        closed = n - incidence_rank_closed_form(space_config(cfg.case, cfg.q, i))
+        assert n == cfg.q**i * set_denominator(cfg, i)
+        assert len(K) == len(N) == closed
+        assert len(exact.modular_echelon(K, exact.MODULAR_PRIMES[0])[1]) == len(K)
+        assert bool(len(plan.line)) == (i >= 2)
+        if len(plan.line):
+            groups = plan.groups.copy()
+            groups[0, 0, 0], groups[0, 1, 0] = plan.groups[0, 1, 0], plan.groups[0, 0, 0]
+            with pytest.raises(AssertionError, match="value group"):
+                spreads._check_groups(cfg, dataclasses.replace(plan, groups=groups))
+            moved += 1
+        for X in (rng.integers(0, 2, (n, 3)), rng.integers(-7, 8, (n, 3)), rng.integers(0, 2, n),
+                  rng.integers(-7, 8, (n, 2)).astype(object) * 2**80):
+            want = ~exact.int_matmul(N, X).any(axis=0)
+            assert np.array_equal(plan.annihilates(X), want)
+    assert bool(moved) == (cfg.nu >= 3)
 
 
 def test_flat_ids_stable_order(s22):

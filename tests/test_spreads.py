@@ -265,6 +265,10 @@ def test_classify_and_switching(s22):
     assert is_switching_pair(s22, a, b)
     assert not is_switching_pair(s22, a, a)
     assert not is_switching_pair(s22, pencil.ids[:2], pencil.ids[2:4])
+    M = incidence_matrix(s22).matrix
+    for ids in ((), (5,), pencil.ids, a, list(pencil.ids[:3]) * 2):
+        got = coverage(s22, ids)
+        assert got.dtype == np.int64 and (got == M[:, sorted(ids)].sum(axis=1)).all()
 
 
 def test_switching_pairs_from_full_spreads(s22):
@@ -952,7 +956,7 @@ def test_membership_plan_verdict_matches_the_null_basis(key):
     for seed in (1, 2):
         cols = _membership_columns(cfg, seed)
         assert cols.shape[1] == 25
-        by_n = ~kernel.product(cols).any(axis=0)
+        by_n = ~exact.int_matmul(kernel.matrix(), cols).any(axis=0)
         assert by_n[:7].all() and not by_n[7:14].any()  # members, and their bumps
         assert [plan.annihilates(c) for c in cols.T] == by_n.tolist()
         assert plan.annihilates(cols).tolist() == by_n.tolist()
