@@ -254,6 +254,35 @@ def test_container_type_guard(s22):
         container_flats(s22, base, 2)
 
 
+def _incidence_in(config, big):
+    """A container's incidence read off the global one: the rows of its
+    points (point_mask) and the columns of its flats (flat_ids_in)."""
+    M = incidence_matrix(config).matrix
+    return M[point_mask(config, big)][:, flat_ids_in(config, big)]
+
+
+def test_incidence_matrix_in_shape(s22):
+    base = enumerate_flats(s22, 2)[0]
+    t = container_flats(s22, base, 1)[0]
+    inc = _incidence_in(s22, t)
+    assert inc.shape == (8, 6)
+    assert set(inc.sum(axis=0).tolist()) == {4}
+    assert set(inc.sum(axis=1).tolist()) == {3}
+
+
+@pytest.mark.parametrize("key,bases", [(("symplectic", 2, 2), None), (("symplectic", 2, 3), 2)],
+                         ids=["symp-q2-nu2", "symp-q2-nu3"])
+def test_incidence_matrix_in_matches_flat_points_loop(key, bases):
+    """The global incidence sliced to a container's points and flats equals
+    the flat_points loop, on every distinct container of the first `bases`
+    directions (all when None; i = 1 and 2 at nu = 3)."""
+    cfg = space_config(*key)
+    for t in distinct_containers(cfg, bases=bases):
+        _, _, M = incidence_by_flat_points(cfg, t)
+        inc = _incidence_in(cfg, t)
+        assert inc.dtype == np.int64 and (inc == M).all()
+
+
 @pytest.mark.parametrize("key,bases", [(("symplectic", 2, 2), None), (("orthogonal", 3, 2), None),
                                        (("symplectic", 3, 2), None), (("unitary", 4, 2), 2)],
                          ids=["symp-q2-nu2", "orth-q3-nu2", "symp-q3-nu2", "unit-q4-nu2"])
