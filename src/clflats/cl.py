@@ -23,17 +23,23 @@ route is conclusive because the differences of the constructive family
 span ker M, which spreads.character_plan certifies from the translation
 characters with no elimination.
 
-The spectrum, shifted and count routes read one relation-count table T,
-T[r] = A_r chi for every relation r, from scheme.relation_products,
-which reads the direction-pair factorisation of the relations and
-builds no n x n array for a few columns.  One exact product,
-scheme.projections, gives P = C T for the scheme's cached idempotent
-coefficients C: every projection B_e chi.  The shifted verdict is read
-off the same zero rows as the spectrum verdict: by linearity the
-projections of the shifted vector are n P - (C k) |S|, with n = q^nu D,
-and the route plan certifies C k = (L_0, 0, ..., 0) for the valencies k
-once per configuration.  The count verdict compares the laws of the
-i = 1 relations only, with the coefficients in the same cached plan.
+The spectrum, shifted and count routes read two factor terms of chi:
+the D parallel-class totals S and the meeting sums A_(i,0) chi,
+0 < i < nu (scheme.meeting_product).  Every (j, 0) idempotent gives
+(i, 0) and (i, 1) the same coefficient, so its projection of chi is a
+function of S alone; the cached route plan reads those class rows off
+C, folds their coefficients into the distance masks once per
+configuration, and one exact product of that fold with S gives every
+such projection, the all-one identity, the class part of the few (j, 1)
+rows and the rd = 1 class sums.  The (j, 1) rows add chi and the
+meeting sums on (D, q^nu, c) views, and the two i = 1 count laws read
+the same terms.  No relation-count table
+T[r] = A_r chi and no product C T is formed; scheme.relation_products
+and scheme.projections serve the checks.  The shifted verdict is read
+off the spectrum verdict: by linearity the projections of the shifted
+vector are n B_e chi - (C k)[e] |S| j, with n = q^nu D, and the route
+plan certifies C k = (L_0, 0, ..., 0) for the valencies k once per
+configuration.
 """
 
 from __future__ import annotations
@@ -69,10 +75,11 @@ from .geometry import (
     vec_sub,
 )
 from .scheme import (
+    distance_masks,
     idempotent_coefficients,
-    projections,
+    meeting_product,
+    pair_factors,
     relation_matrix,
-    relation_products,
     scheme_tables,
 )
 from .spreads import (
@@ -210,17 +217,37 @@ class RoutePlan:
     """The chi-independent part of the spectrum, shifted and count routes
     for one configuration; every array is read-only, in code order.
 
-    n = |X| = q^nu D flats; with T[r] = A_r chi and C the idempotent
-    coefficients, P = C T (scheme.projections) holds every projection, and
-    n P[0] = L0 |S|.  Relation r's neighbour-count law reads
-    D T[r] = law_chi[r] chi + law_size[r] |S|.  While
-    bound * max|chi| < 2^62, every term the routes form stays below 2^62
-    and every sum of two below 2^63, so int64 holds them exactly.
+    n = |X| = q^nu D flats in D parallel classes of q^nu.  The
+    idempotents are B_e = sum_r C[e, r] A_r, and with M_i = A_(i,0) chi
+    (M_0 = chi) and the class sums (rd = i) S of the class totals S,
+    B_e chi = sum_(i < nu) (C[e, 2i] - C[e, 2i + 1]) M_i plus the class
+    part sum_i C[e, 2i + 1] (rd = i) S, with C[e, 2 nu] at i = nu, spread
+    over each class.  A class row is one whose (i, 0) and (i, 1)
+    coefficients agree for every i < nu: its projection is its class part
+    alone.  fold stacks, for the D x c class totals S, the row of
+    directions that gives B_(0,0) chi's value |S|, then one D x D block
+    sum_i c_i (rd = i) per class row e >= 2 (classes of them), per other
+    row e >= 2 and for the rd = 1 class sums the count laws read.
+    flat[k] holds the other rows' coefficients C[e, 2i] - C[e, 2i + 1] on
+    M_0 .. M_(nu - 1).  Relation r's neighbour-count law reads
+    D T[r] = law_chi[r] chi + law_size[r] |S| for T[r] = A_r chi.
+
+    Every term the routes form, for m = max|chi|, is at most bound m:
+    |S| and every class total, class sum and M_i is at most n m, n |S| at
+    most n^2 m and L0 |S| at most L0 n m, each partial sum of a row off
+    the class rows at most (2 nu + 1) max|C| n m, a law's D T[r] at most
+    2 D n m and its right side (|law_chi| + |law_size|) n m.  So while
+    bound m < 2^62 int64 holds every term and every sum of two exactly;
+    the product by fold picks its own tier (exact.int_matmul).
     """
 
     n: int
     L0: int
     D: int
+    fold: np.ndarray
+    fold_float: np.ndarray
+    classes: int
+    flat: np.ndarray
     law_chi: np.ndarray
     law_size: np.ndarray
     bound: int
@@ -230,18 +257,29 @@ class RoutePlan:
 def route_plan(config: SpaceConfig) -> RoutePlan:
     """The route plan of one configuration, from the closed forms once.
 
-    Raises AssertionError unless C k = (L_0, 0, ..., 0) for the valencies
-    k, the closed form that lets the shifted route read the spectrum's
-    zero rows (see _scheme_routes)."""
+    Each fold block is the idempotent coefficients folded into the stacked
+    distance masks, sum_i c_i (rd = i) = c[rd], one gather of the D x D
+    distance table.  Raises AssertionError unless C k = (L_0, 0, ..., 0)
+    for the valencies k, the closed form that lets the shifted route read
+    the spectrum's zero rows (see _scheme_routes)."""
     tables = scheme_tables(config)
     Ls, C = idempotent_coefficients(config)
-    n, D = tables.size, set_denominator(config)
+    n, D, nu = tables.size, set_denominator(config), config.nu
     rows = C.tolist()
     k = [tables.valencies[r] for r in tables.rels]
     ck = [sum(c * v for c, v in zip(row, k)) for row in rows]
     if ck != [Ls[0]] + [0] * (len(ck) - 1):
         raise AssertionError(f"C k = {ck} is not (L_0, 0, ..., 0) = ({Ls[0]}, 0, ..., 0) "
                              f"for {config.key()}")
+    disjoint = C[:, [*range(1, 2 * nu, 2), 2 * nu]]
+    flat = C[:, 0:2 * nu:2] - disjoint[:, :nu]
+    on_flats = flat[2:].any(axis=1)
+    class_rows, flat_rows = 2 + np.flatnonzero(~on_flats), 2 + np.flatnonzero(on_flats)
+    distance_one = (np.arange(nu + 1) == 1).astype(np.int64)
+    blocks = np.vstack([disjoint[class_rows], disjoint[flat_rows], distance_one])
+    rd = pair_factors(config).rd
+    # a copy that owns its data, so that exact._bound caches its bound
+    fold = np.vstack([disjoint[0][rd[0]], blocks[:, rd].reshape(-1, D)])
     laws = []
     for i, xi in tables.rels:
         a, b = _count_coefficients(config, i)
@@ -249,12 +287,14 @@ def route_plan(config: SpaceConfig) -> RoutePlan:
         laws.append((D * a, b) if xi == 0 else (-D * a, a))
     law_chi, law_size = zip(*laws)
     widest = max(abs(c) for row in rows for c in row)
-    bound = n * max(len(k) * widest * n, Ls[0], D, max(map(abs, ck)),
+    bound = n * max(n, Ls[0], (2 * nu + 1) * widest, 2 * D,
                     max(map(abs, law_chi)) + max(map(abs, law_size)))
-    return RoutePlan(n, Ls[0], D, _read_only(law_chi), _read_only(law_size), bound)
-
-
-LAW_ELEMENTS = 2**14  # bounds the (rows, n, columns) temporaries of one law panel
+    flat = flat[flat_rows]
+    fold_float = fold.astype(np.float64)
+    for a in (fold, fold_float, flat):
+        a.flags.writeable = False
+    return RoutePlan(n, Ls[0], D, fold, fold_float, len(class_rows), flat,
+                     _read_only(law_chi), _read_only(law_size), bound)
 
 
 def _block(cols: np.ndarray, n: int) -> np.ndarray:
@@ -284,63 +324,97 @@ def _widened(cols: np.ndarray, bound: int, limit: int) -> np.ndarray:
     return cols
 
 
-def _relation_table(config: SpaceConfig, cols: np.ndarray) -> tuple[RoutePlan, np.ndarray,
-                                                                    np.ndarray]:
-    """(plan, cols, T) for a block that _block returned: cols moved to
-    object arithmetic once plan.bound * max|cols| reaches 2^62, and its
-    relation-count table T = scheme.relation_products(config, cols)."""
+def _law_holds(plan: RoutePlan, cols: np.ndarray, sizes: np.ndarray, r: int,
+               meet: np.ndarray | None, classes: np.ndarray | None) -> np.ndarray:
+    """Whether relation r = (i, xi)'s law D T[r] = law_chi[r] chi +
+    law_size[r] |S| holds, one bool per column of cols (column sums
+    sizes), from the factor terms of distance i: meet = A_(i,0) cols
+    (cols itself at i = 0; unused at i = nu) and classes = (rd = i) S, the
+    D x c class sums (unused for xi = 0 at i < nu).  T[2i] = meet,
+    T[2i + 1] = classes - meet and T[2 nu] = classes, each read on
+    (D, q^nu, c) views."""
+    view = (plan.D, plan.n // plan.D, cols.shape[1])
+    if r == len(plan.law_chi) - 1:
+        T = classes[:, None]
+    elif r % 2:
+        T = classes[:, None] - meet.reshape(view)
+    else:
+        T = meet.reshape(view)
+    rhs = plan.law_chi[r] * cols.reshape(view)
+    rhs += plan.law_size[r] * sizes
+    return (plan.D * T == rhs).all(axis=(0, 1))
+
+
+def _relation_law(config: SpaceConfig, cols: np.ndarray, r: int) -> np.ndarray:
+    """Relation r's neighbour-count law for each column of a block that
+    _block returned, from its factor terms alone (_law_holds): no other
+    relation's term is formed."""
     plan = route_plan(config)
     cols = _widened(cols, plan.bound, 2**62)
-    return plan, cols, relation_products(config, cols)
-
-
-def _count_laws(plan: RoutePlan, cols: np.ndarray, sizes: np.ndarray, T: np.ndarray,
-                rows: slice) -> np.ndarray:
-    """For the relation rows `rows` of the table T of cols, with column
-    sums sizes, whether D T[r] = law_chi[r] chi + law_size[r] |S| holds:
-    one bool row per relation, one column per chi.
-
-    The laws are compared in panels of LAW_ELEMENTS // (rows n) columns:
-    a whole-table comparison, three more arrays of T's size, made every
-    25-column call fault in fresh pages."""
-    law_chi, law_size = plan.law_chi[rows, None, None], plan.law_size[rows, None, None]
-    n, c = cols.shape
-    laws = np.empty((len(law_chi), c), dtype=bool)
-    step = max(1, LAW_ELEMENTS // (len(law_chi) * n))
-    for s in range(0, c, step):
-        panel = slice(s, s + step)
-        rhs = law_chi * cols[:, panel]
-        rhs += law_size * sizes[panel]
-        laws[:, panel] = (plan.D * T[rows, :, panel] == rhs).all(axis=1)
-    return laws
+    i = r // 2
+    meet = cols if i == 0 else meeting_product(config, i, cols) if i < config.nu else None
+    S = cols.reshape(plan.D, plan.n // plan.D, cols.shape[1]).sum(axis=1)
+    masks, masks_float = distance_masks(config)
+    rows = slice(i * plan.D, (i + 1) * plan.D)
+    classes = exact.int_matmul(masks[rows], S, a_float=masks_float[rows])
+    return _law_holds(plan, cols, S.sum(axis=0), r, meet, classes)
 
 
 def _scheme_routes(config: SpaceConfig, cols: np.ndarray) -> dict[str, np.ndarray]:
     """Spectrum, shifted and count verdicts for each column chi of cols,
     a block that _block returned.
 
-    All three read one relation-count table T[r] = A_r cols
-    (scheme.relation_products).  The idempotents are
-    B_e = sum_r C[e, r] A_r, so P = C T (scheme.projections) holds every
-    projection B_e chi, and chi passes the spectrum route when P[e] = 0
-    for every e >= 2.  The shifted vector q^nu D chi - |S| j has the
-    projections C (n T - k |S|) = n P - (C k) |S|, as A_r j = k_r j, and
-    route_plan certifies C k = (L_0, 0, ..., 0).  Row 0 is then
-    n P[0] - L_0 |S|, zero by the all-one identity, which raises if it
-    fails; row e >= 2 is n P[e], zero exactly when P[e] is.  So the
-    shifted verdict is the spectrum verdict, and neither n P nor its
-    shift is formed.  The count verdict compares only the laws of the
-    i = 1 relations, rows 2 and 3 (row 2 alone at nu = 1).
+    With S the D x c class totals, one exact product fold S
+    (route_plan) gives B_(0,0) chi's value, every class row's projection,
+    the class part of every other row e >= 2 and the rd = 1 class sums;
+    the meeting sums M_i = A_(i,0) chi, 0 < i < nu, come from
+    scheme.meeting_product.  The all-one projection n B_(0,0) chi =
+    L_0 |S| j holds always, so a violation raises.  chi passes the
+    spectrum route when B_e chi = 0 for every e >= 2: a class row on S
+    alone, and the few other rows, (j, 1) for 0 < j < nu, together on
+    (D, q^nu, c) views as their class part plus their coefficients
+    (RoutePlan.flat) times chi and the M_i.  No relation-count table
+    T[r] = A_r chi and no product C T is formed.
+
+    The shifted vector q^nu D chi - |S| j has the projections
+    n B_e chi - (C k)[e] |S| j, as A_r j = k_r j, and route_plan certifies
+    C k = (L_0, 0, ..., 0): row 0 is zero by the all-one identity and row
+    e >= 2 is n B_e chi, zero exactly when B_e chi is.  So the shifted
+    verdict is the spectrum verdict.
+
+    The count verdict compares the laws of the two i = 1 relations
+    (_law_holds on M_1 and the rd = 1 class sums; at nu = 1 the one
+    relation (1, 0) = (nu, 0)).  Either law alone decides membership:
+    projected onto an eigenspace e off the two trivial ones, the (1, 0)
+    law reads p_(1,0)(e) E_e chi = a_1 E_e chi and the (1, 1) law
+    p_(1,1)(e) E_e chi = -a_1 E_e chi, and on every configuration tested
+    no p_(1,0)(e) there equals a_1 and no p_(1,1)(e) equals -a_1.  Both
+    stay compared, as the paper's two-relation statement.
     """
-    plan, cols, T = _relation_table(config, cols)
-    P = projections(config, T)
-    sizes = cols.sum(axis=0)
+    plan = route_plan(config)
+    cols = _widened(cols, plan.bound, 2**62)
+    D, c = plan.D, cols.shape[1]
+    view = (D, plan.n // D, c)
+    S = cols.reshape(view).sum(axis=1)
+    sizes = S.sum(axis=0)
+    folded = exact.int_matmul(plan.fold, S, a_float=plan.fold_float)
     # the all-one projection is size/|X| times the all-one vector, always
-    if not (P[0] * plan.n == plan.L0 * sizes).all():
+    if not (plan.n * folded[0] == plan.L0 * sizes).all():
         raise AssertionError("all-one projection identity violated")
-    spectrum = ~P[2:].any(axis=(0, 1))
-    # at nu = 1 there is no disjoint relation at i = 1, so only the meeting row constrains
-    counts = _count_laws(plan, cols, sizes, T, slice(2, 4 if config.nu >= 2 else 3)).all(axis=0)
+    split = plan.classes + len(plan.flat)
+    blocks = folded[1:].reshape(split + 1, D, c)
+    spectrum = ~blocks[:plan.classes].any(axis=(0, 1))
+    meets = [meeting_product(config, i, cols) for i in range(1, config.nu)]
+    if len(plan.flat):
+        rows = blocks[plan.classes:split, :, None] + plan.flat[:, 0, None, None, None] * \
+            cols.reshape(view)
+        for w, meet in zip(plan.flat.T[1:], meets):
+            rows += w[:, None, None, None] * meet.reshape(view)
+        spectrum &= ~rows.any(axis=(0, 1, 2))
+    meet, distance_one = meets[0] if meets else None, blocks[split]
+    counts = _law_holds(plan, cols, sizes, 2, meet, distance_one)
+    if meets:
+        counts &= _law_holds(plan, cols, sizes, 3, meet, distance_one)
     return {"spectrum": spectrum, "shifted": spectrum.copy(), "counts": counts}
 
 
@@ -365,9 +439,7 @@ def lemma_counts(flat_set: FlatSet, rel) -> bool:
     if rel not in rels:
         raise ValueError(f"unknown relation {rel!r}; the relations of {config.key()} "
                          f"are {', '.join(map(str, rels))}")
-    r = rels.index(rel)
-    plan, chi, T = _relation_table(config, flat_set.chi().reshape(-1, 1))
-    return bool(_count_laws(plan, chi, chi.sum(axis=0), T, slice(r, r + 1))[0, 0])
+    return bool(_relation_law(config, flat_set.chi().reshape(-1, 1), rels.index(rel))[0])
 
 
 def test_counts(flat_set: FlatSet) -> bool:
@@ -468,9 +540,9 @@ def batch_verdicts(config: SpaceConfig, chi_matrix: np.ndarray) -> dict[str, np.
     the translation-character basis K of ker M (spreads.membership_plan),
     so no batch eliminates M; its sums are of q^nu entries, so the block
     is widened to object arithmetic once q^nu max|chi| reaches 2^63, as
-    the scheme routes widen theirs at 2^62 (_relation_table).
+    the scheme routes widen theirs at 2^62 (_scheme_routes).
     """
-    cols = _block(chi_matrix, route_plan(config).n)
+    cols = _block(chi_matrix, scheme_tables(config).size)
     plan = membership_plan(config)
     image = plan.annihilates(_widened(cols, plan.per, 2**63))
     return {"image": image, **_scheme_routes(config, cols)}

@@ -247,12 +247,14 @@ def _forget(key: int, ref: weakref.ref) -> None:
 def _bound(a: np.ndarray) -> int:
     """An upper bound on max|a|, computed once per read-only array.
 
-    The cached matrices (the incidence matrix and the stacked masks of
-    scheme.relation_products), every NullBasis.matrix() and the dense
-    idempotents of scheme.check_eigen_system are read-only, and so are their views, which share the bound of the
-    array that owns the data.  Writeable arrays are scanned on every
-    call.  The bound is keyed by identity and checked through a weak
-    reference, so an array made later at a reused id is scanned anew.
+    The cached matrices (the incidence matrix, the stacked masks of
+    scheme.relation_products and the fold of cl.route_plan), every
+    NullBasis.matrix() and the dense idempotents of
+    scheme.check_eigen_system are read-only, and so are their views, which
+    share the bound of the array that owns the data.  Writeable arrays are
+    scanned on every call.  The bound is keyed by identity and checked
+    through a weak reference, so an array made later at a reused id is
+    scanned anew.
     """
     root = _read_only_root(a)
     if root is None:

@@ -10,16 +10,17 @@ factored by direction pairs (pair_factors), read off
 flats.coset_table: the D x D table rd of i, from the points that the
 flats of two directions through the origin share, and, for 0 < i < nu,
 the cosets of da + db that group the meeting flats of each pair.  The
-one product the rest of the package needs, the relation-count table
-T[r] = A_r X for every relation r, is read from it by
-relation_products: A_(0,0), A_(0,1) and A_(nu,0) need only X and its
-parallel-class totals, A_(i,0) X for 0 < i < nu is a sum over cosets,
-or one 0/1 mask product for many columns, and A_(i,1) X is the
-parallel-class part less A_(i,0) X.  Every idempotent projection is
-then one exact product C T (projections).  relation_matrix, the int8
-n x n table, is the expansion of the factorisation; only the checks
-that read its entries build it.  Dense idempotents exist only inside
-check_eigen_system, where they are the object being verified.
+checks' one product, the relation-count table T[r] = A_r X for every
+relation r, is read from it by relation_products: A_(0,0), A_(0,1) and
+A_(nu,0) need only X and its parallel-class totals, A_(i,0) X for
+0 < i < nu is a sum over cosets, or one 0/1 mask product for many
+columns (meeting_product, which the membership routes read too), and
+A_(i,1) X is the parallel-class part less A_(i,0) X.  Every idempotent
+projection is then one exact product C T (projections), which the
+checks read.  relation_matrix, the int8 n x n table, is the expansion of
+the factorisation; only the checks that read its entries build it.
+Dense idempotents exist only inside check_eigen_system, where they are
+the object being verified.
 """
 
 from __future__ import annotations
@@ -437,6 +438,21 @@ def _mask_product(G: np.ndarray, X: np.ndarray) -> np.ndarray:
                       for s in range(0, X.shape[1], PRODUCT_COLUMNS)])
 
 
+def meeting_product(config: SpaceConfig, i: int, X: np.ndarray) -> np.ndarray:
+    """A_(i,0) X for 0 < i < nu and an n x c matrix X in int64 or object
+    arithmetic: up to MASK_COLUMNS columns from coset sums, beyond from one
+    exact product with the 0/1 mask of relation (i, 0), which is faster
+    there; both give the same integers, each at most n max|X| in size.  No
+    n x n array is built up to MASK_COLUMNS columns."""
+    factors = pair_factors(config)
+    if X.shape[1] <= MASK_COLUMNS:
+        return _meeting_sums(factors, i, X)
+    n = X.shape[0]
+    mask = np.zeros((n, n), dtype=bool)
+    mask[np.arange(n)[:, None], _meeting_neighbours(factors, i)] = True
+    return _mask_product(mask, X)
+
+
 def relation_products(config: SpaceConfig, X: np.ndarray) -> np.ndarray:
     """The relation-count table T, T[r] = A_r X exactly for every relation
     code r, (2 nu + 1) x n x c for the n x c integer matrix X.
@@ -446,11 +462,8 @@ def relation_products(config: SpaceConfig, X: np.ndarray) -> np.ndarray:
     class part (rd = i) S spread over each class is A_(i,0) X + A_(i,1) X
     for i < nu and A_(nu,0) X for i = nu, all from one product with the
     stacked distance masks.  The meeting part is A_(0,0) X = X and, for
-    0 < i < nu, A_(i,0) X: up to MASK_COLUMNS columns from coset sums,
-    beyond from one exact product with the 0/1 mask of relation (i, 0),
-    which is faster there; both give the same integers.  T[2i + 1] is the
-    class part less T[2i].  No n x n array is built up to MASK_COLUMNS
-    columns.
+    0 < i < nu, A_(i,0) X from meeting_product.  T[2i + 1] is the class
+    part less T[2i].  No n x n array is built up to MASK_COLUMNS columns.
 
     Sums run in int64 while 8 nu n max|X| < 2^62, and in object arithmetic
     otherwise.  That bound holds every sum: each class total, distance
@@ -473,12 +486,7 @@ def relation_products(config: SpaceConfig, X: np.ndarray) -> np.ndarray:
     out.reshape(2 * nu + 1, dirs, per, c)[[*range(1, 2 * nu, 2), 2 * nu]] = classes
     out[0] = Xw
     for i in range(1, nu):
-        if c > MASK_COLUMNS:
-            mask = np.zeros((n, n), dtype=bool)
-            mask[np.arange(n)[:, None], _meeting_neighbours(factors, i)] = True
-            out[2 * i] = _mask_product(mask, Xw)
-        else:
-            out[2 * i] = _meeting_sums(factors, i, Xw)
+        out[2 * i] = meeting_product(config, i, Xw)
     out[1:2 * nu:2] -= out[0:2 * nu:2]
     return out if X.dtype == object else out.astype(np.int64, copy=False)
 

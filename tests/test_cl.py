@@ -401,19 +401,21 @@ KERNEL_KEYS = MEDIUM_CONFIGS + (("symplectic", 3, 2), ("unitary", 4, 2), ("sympl
 
 def _every_law(config, block):
     """Every relation's neighbour-count law for a block _block returned."""
-    plan, cols, T = cl._relation_table(config, block)
-    return cl._count_laws(plan, cols, cols.sum(axis=0), T, slice(None))
+    return np.array([cl._relation_law(config, block, r)
+                     for r in range(2 * config.nu + 1)]).reshape(-1, block.shape[1])
 
 
 @pytest.mark.parametrize("key", KERNEL_KEYS, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_route_plan_matches_the_two_product_routes(key):
-    """One product P = C T, the shifted verdict read off its zero rows and
-    the count laws compared in column panels give the verdicts of the
-    uncached routes, and the panelled comparison over every relation gives
-    their laws, for 0/1 and signed columns (1, 25, 33 and 100 of them, and
-    one fewer, exactly and one more than a law panel of the count rows or
-    of every row holds), a uint8 block, an int64 column that takes
-    relation_products' object path and object entries past int64."""
+    """The routes read off the class totals and meeting sums (one product
+    by the plan's fold, the shifted verdict read off the spectrum's zero
+    rows, the i = 1 laws on the factor terms) give the verdicts of the
+    uncached routes, and each relation's law read off its factor terms
+    gives their laws, for 0/1 and signed columns (1, 25, 33 and 100 of
+    them, and one fewer, exactly and one more than MASK_COLUMNS, where the
+    meeting sums switch to a mask product), a uint8 block, an int64 column
+    that takes relation_products' object path and object entries past
+    int64."""
     cfg = space_config(*key)
     n = len(enumerate_flats(cfg, cfg.nu))
     rng = np.random.default_rng(sum(map(ord, repr(key))))
@@ -422,10 +424,8 @@ def test_route_plan_matches_the_two_product_routes(key):
     huge = rng.integers(-3, 4, (n, 2)).astype(object) * 2**70
     inputs = [edge, huge, _pencil(cfg).chi().reshape(-1, 1),
               rng.integers(0, 2, (n, 25)).astype(np.uint8)]
-    widths = {1, 25, 33, 100}
-    for rows in (2 if cfg.nu >= 2 else 1, 2 * cfg.nu + 1):
-        step = max(1, cl.LAW_ELEMENTS // (rows * n))
-        widths |= {max(1, step - 1), step, step + 1}
+    widths = {1, 25, 33, 100, scheme.MASK_COLUMNS - 1, scheme.MASK_COLUMNS,
+              scheme.MASK_COLUMNS + 1}
     for c in sorted(widths):
         inputs += [rng.integers(0, 2, (n, c)), rng.integers(-5, 6, (n, c))]
     for cols in inputs:
@@ -507,6 +507,104 @@ def test_route_plan_refuses_a_corrupted_ck(s22, monkeypatch, corrupt):
     assert cl.route_plan.__wrapped__(s22).bound == cl.route_plan(s22).bound
 
 
+@pytest.mark.parametrize("key", STANDARD_GRID + (("symplectic", 4, 2), ("orthogonal", 3, 3)),
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_route_plan_folds_the_coefficients_into_the_distance_masks(key):
+    """fold's first row is B_(0,0)'s row of ones; then come one block
+    sum_i c_i (rd = i) per class row e >= 2 (the rows of C whose (i, 0) and
+    (i, 1) coefficients agree for every i < nu), one per other row e >= 2
+    with flat holding its coefficients C[e, 2i] - C[e, 2i + 1] on M_i, and
+    the rd = 1 mask; the class rows are exactly the (j, 0) rows."""
+    cfg = space_config(*key)
+    nu = cfg.nu
+    C = scheme.idempotent_coefficients(cfg)[1]
+    plan = cl.route_plan(cfg)
+    masks = scheme.distance_masks(cfg)[0].reshape(nu + 1, plan.D, plan.D).astype(np.int64)
+    part = [[C[e, 2 * i + 1] for i in range(nu)] + [C[e, 2 * nu]] for e in range(len(C))]
+    agree = [e for e in range(2, len(C))
+             if all(C[e, 2 * i] == C[e, 2 * i + 1] for i in range(nu))]
+    other = [e for e in range(2, len(C)) if e not in agree]
+    assert agree == list(range(2, 2 * nu + 1, 2)) and other == list(range(3, 2 * nu, 2))
+    blocks = [np.einsum("i,ixy->xy", part[e], masks) for e in agree + other] + [masks[1]]
+    assert plan.fold.dtype == np.dtype(np.int64) and plan.classes == len(agree)
+    assert (plan.fold[0] == 1).all()
+    assert (plan.fold[1:] == np.vstack(blocks)).all()
+    assert (plan.fold_float == plan.fold).all()
+    assert plan.flat.tolist() == [[C[e, 2 * i] - C[e, 2 * i + 1] for i in range(nu)]
+                                  for e in other]
+    assert not any(a.flags.writeable for a in (plan.fold, plan.fold_float, plan.flat))
+
+
+@pytest.mark.parametrize("key", STANDARD_GRID, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_routes_build_no_relation_table(key, monkeypatch):
+    """battery and batch_verdicts read the class totals and the meeting
+    sums only: with scheme.relation_products and scheme.projections made to
+    raise, a pencil, its complement, a near miss and blocks on both sides
+    of MASK_COLUMNS get the verdicts they get unpatched."""
+    cfg = space_config(*key)
+    sets = [_pencil(cfg), _pencil(cfg).complement(), _near_miss(cfg)]
+    chi = np.stack([fs.chi() for fs in sets], axis=1)
+    blocks = [np.concatenate([chi, random_subset_matrix(cfg, extra, seed=4)], axis=1)
+              for extra in (5, scheme.MASK_COLUMNS)]
+
+    def verdicts():
+        return ([battery(fs) for fs in sets],
+                [{k: v.tolist() for k, v in batch_verdicts(cfg, b).items()} for b in blocks])
+
+    want = verdicts()
+    assert [all(v.values()) for v in want[0]] == [True, True, False]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a relation-count table on the query path")
+
+    for module in (scheme, spreads, cl):
+        for name in ("relation_products", "projections"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert verdicts() == want
+
+
+def test_a_tampered_fold_breaks_the_all_one_identity(s22, monkeypatch, tmp_path, capsys):
+    """A plan whose fold has a wrong all-one row raises AssertionError on a
+    query, and cl test maps it to exit 3 with one internal-error line."""
+    from clflats.cli import run
+    space = ["--case", "symplectic", "--q", "2", "--nu", "2"]
+    setfile = tmp_path / "pencil.json"
+    assert run(["cl", "construct", "--pencil", "0,0,0,0", "--out", str(setfile)] + space) == 0
+    plan = cl.route_plan(s22)
+    fold = plan.fold.copy()
+    fold[0, 0] += 1
+    tampered = dataclasses.replace(plan, fold=fold, fold_float=fold.astype(np.float64))
+    monkeypatch.setattr(cl, "route_plan", lambda config: tampered)
+    with pytest.raises(AssertionError, match="^all-one projection identity violated$"):
+        cl.test_spectrum(_pencil(s22))
+    capsys.readouterr()
+    assert run(["cl", "test", "--method", "spectrum", "--in", str(setfile)] + space) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "clflats: internal error: all-one projection identity violated\n"
+
+
+@pytest.mark.parametrize("key", STANDARD_GRID + (("symplectic", 4, 2), ("orthogonal", 3, 3)),
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_either_i1_law_alone_decides_membership(key):
+    """Relation (1, xi)'s law is A_(1,xi) chi = (-1)^xi a_1 chi plus a
+    multiple of j.  Projected onto an eigenspace e other than (0, 0), it
+    reads p_(1,xi)(e) E_e chi = (-1)^xi a_1 E_e chi.  Members pass, since
+    p_(1,0)(0, 1) = a_1 and p_(1,1)(0, 1) = -a_1.  No eigenvalue of A_(1,0)
+    off the two trivial eigenspaces equals a_1, and none of A_(1,1) equals
+    -a_1, so either law alone forces E_e chi = 0 there: dropping one of
+    the two compared laws from the count route changes no verdict."""
+    cfg = space_config(*key)
+    tables = scheme_tables(cfg)
+    a1 = cl._count_coefficients(cfg, 1)[0]
+    off = [e for e in tables.eigs if e not in ((0, 0), (0, 1))]
+    laws = [((1, 0), a1)] + ([((1, 1), -a1)] if cfg.nu >= 2 else [])
+    for rel, value in laws:
+        assert tables.P[rel, (0, 1)] == value
+        assert all(tables.P[rel, e] != value for e in off), (rel, value)
+
+
 def test_lemma_counts_names_an_unknown_relation(s22):
     """An unknown relation raises a ValueError that names it and lists the
     scheme's relations."""
@@ -523,9 +621,9 @@ def test_lemma_counts_names_an_unknown_relation(s22):
 def test_warm_battery_evaluates_no_closed_form(monkeypatch, key):
     """After one warm-up query on the configuration, a battery calls no
     closed form (e_power, gauss_binomial, set_denominator or the count-law
-    coefficients), makes two exact products (the class-total product and
-    C T; the image route gathers through the membership plan) and builds
-    the set's indicator once, read-only."""
+    coefficients), makes one exact product (the route plan's fold times the
+    class totals; the image route gathers through the membership plan) and
+    builds the set's indicator once, read-only."""
     from clflats import field, geometry
     cfg = space_config(*key)
     battery(_pencil(cfg))  # warm-up
@@ -559,7 +657,7 @@ def test_warm_battery_evaluates_no_closed_form(monkeypatch, key):
     assert "_chi" not in vars(fs)
     assert not any(battery(fs).values())
     assert calls == []
-    assert len(products) == 2
+    assert products == [cl.route_plan(cfg).fold.shape]
     assert indicators and all(v is vars(fs)["_chi"] for v in indicators)
     assert not indicators[0].flags.writeable
 
@@ -631,34 +729,29 @@ def test_warm_battery_allocates_less_than_n_squared_bytes():
                          ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_warm_batch_peaks_below_five_relation_tables(key, monkeypatch):
     """After a warm-up call, one 25-column batch_verdicts call peaks below
-    five int64 (2 nu + 1, n, 25) tables, and past C T, its last product,
-    it grows over what it then holds by less than four panels of
-    LAW_ELEMENTS int64 entries (512 KiB): a law panel makes two such
-    temporaries and a bool one, where a whole-table law comparison would
-    grow by two tables (750 and 900 KiB)."""
+    five int64 (2 nu + 1, n, 25) relation-count tables, and with its
+    meeting sums served ready-made (their coset gathers are scheme's), the
+    routes' own temporaries peak below one such table: no table T and no
+    product C T is formed, where T alone was one table and C T another."""
     cfg = space_config(*key)
     table = (2 * cfg.nu + 1) * len(enumerate_flats(cfg, cfg.nu)) * 25 * 8
     block = random_subset_matrix(cfg, 25, seed=7)
-    batch_verdicts(cfg, block)  # warm
-    held = []
-
-    def product(a, b, real=exact.int_matmul, **kwargs):
-        out = real(a, b, **kwargs)
-        held.append(tracemalloc.get_traced_memory()[0])
-        tracemalloc.reset_peak()
-        return out
-
+    want = batch_verdicts(cfg, block)  # warm
+    meets = {i: scheme.meeting_product(cfg, i, block) for i in range(1, cfg.nu)}
     tracemalloc.start()
     try:
         batch_verdicts(cfg, block)
         peak = tracemalloc.get_traced_memory()[1]
-        monkeypatch.setattr(exact, "int_matmul", product)
-        batch_verdicts(cfg, block)
-        growth = tracemalloc.get_traced_memory()[1] - held[-1]
+        monkeypatch.setattr(cl, "meeting_product", lambda config, i, X: meets[i])
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        got = batch_verdicts(cfg, block)
+        own = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
+    assert {k: v.tolist() for k, v in got.items()} == {k: v.tolist() for k, v in want.items()}
     assert peak < 5 * table, (peak, table)
-    assert growth < 4 * cl.LAW_ELEMENTS * 8, (growth, table)
+    assert own < table, (own, table)
 
 
 @pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint16, np.uint32, np.uint64])
@@ -692,7 +785,7 @@ def test_batch_verdicts_refuse_other_blocks(s22, monkeypatch):
         raise AssertionError("a product before the block was checked")
 
     monkeypatch.setattr(exact, "int_matmul", refuse)
-    monkeypatch.setattr(cl, "relation_products", refuse)
+    monkeypatch.setattr(cl, "meeting_product", refuse)
     for bad in (np.ones((n, 2)), np.ones((n, 2), dtype=np.float32), np.ones((n, 2), dtype=complex),
                 np.full((n, 2), "1"), np.ones(n, dtype=np.int64), np.ones((n, 2, 1), dtype=np.int64),
                 np.ones((n - 1, 2), dtype=np.int64), np.ones((n + 1, 2), dtype=np.uint8),
