@@ -315,13 +315,18 @@ def _block(cols: np.ndarray, n: int) -> np.ndarray:
     return cols
 
 
-def _widened(cols: np.ndarray, bound: int, limit: int) -> np.ndarray:
+def _peak(cols: np.ndarray) -> int:
+    """max|cols| for a block that _block returned, or 0 for an empty or
+    object block, which is never widened."""
+    if cols.dtype == object or not cols.size:
+        return 0
+    return max(-int(cols.min()), int(cols.max()))
+
+
+def _widened(cols: np.ndarray, peak: int, bound: int, limit: int) -> np.ndarray:
     """cols, a block that _block returned, moved to object arithmetic once
-    bound * max|cols| reaches limit."""
-    if cols.dtype != object and cols.size and bound * max(
-            -int(cols.min()), int(cols.max())) >= limit:
-        return cols.astype(object)
-    return cols
+    bound * peak reaches limit, for peak = _peak(cols)."""
+    return cols.astype(object) if bound * peak >= limit else cols
 
 
 def _law_holds(plan: RoutePlan, cols: np.ndarray, sizes: np.ndarray, r: int,
@@ -350,7 +355,7 @@ def _relation_law(config: SpaceConfig, cols: np.ndarray, r: int) -> np.ndarray:
     _block returned, from its factor terms alone (_law_holds): no other
     relation's term is formed."""
     plan = route_plan(config)
-    cols = _widened(cols, plan.bound, 2**62)
+    cols = _widened(cols, _peak(cols), plan.bound, 2**62)
     i = r // 2
     meet = cols if i == 0 else meeting_product(config, i, cols) if i < config.nu else None
     S = cols.reshape(plan.D, plan.n // plan.D, cols.shape[1]).sum(axis=1)
@@ -360,9 +365,11 @@ def _relation_law(config: SpaceConfig, cols: np.ndarray, r: int) -> np.ndarray:
     return _law_holds(plan, cols, S.sum(axis=0), r, meet, classes)
 
 
-def _scheme_routes(config: SpaceConfig, cols: np.ndarray) -> dict[str, np.ndarray]:
+def _scheme_routes(config: SpaceConfig, cols: np.ndarray,
+                   peak: int | None = None) -> dict[str, np.ndarray]:
     """Spectrum, shifted and count verdicts for each column chi of cols,
-    a block that _block returned.
+    a block that _block returned, with peak = _peak(cols) when the caller
+    has it (found here otherwise).
 
     With S the D x c class totals, one exact product fold S
     (route_plan) gives B_(0,0) chi's value, every class row's projection,
@@ -392,7 +399,7 @@ def _scheme_routes(config: SpaceConfig, cols: np.ndarray) -> dict[str, np.ndarra
     stay compared, as the paper's two-relation statement.
     """
     plan = route_plan(config)
-    cols = _widened(cols, plan.bound, 2**62)
+    cols = _widened(cols, _peak(cols) if peak is None else peak, plan.bound, 2**62)
     D, c = plan.D, cols.shape[1]
     view = (D, plan.n // D, c)
     S = cols.reshape(view).sum(axis=1)
@@ -540,12 +547,14 @@ def batch_verdicts(config: SpaceConfig, chi_matrix: np.ndarray) -> dict[str, np.
     the translation-character basis K of ker M (spreads.membership_plan),
     so no batch eliminates M; its sums are of q^nu entries, so the block
     is widened to object arithmetic once q^nu max|chi| reaches 2^63, as
-    the scheme routes widen theirs at 2^62 (_scheme_routes).
+    the scheme routes widen theirs at 2^62 (_scheme_routes); max|chi| is
+    found once for both.
     """
     cols = _block(chi_matrix, scheme_tables(config).size)
     plan = membership_plan(config)
-    image = plan.annihilates(_widened(cols, plan.per, 2**63))
-    return {"image": image, **_scheme_routes(config, cols)}
+    peak = _peak(cols)
+    image = plan.annihilates(_widened(cols, peak, plan.per, 2**63))
+    return {"image": image, **_scheme_routes(config, cols, peak)}
 
 
 def random_subset_matrix(config: SpaceConfig, count: int, seed: int) -> np.ndarray:

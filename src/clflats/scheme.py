@@ -6,16 +6,19 @@ intersection, xi = 0 when the cosets meet and 1 when they are disjoint
 eigenvalue, valency, and multiplicity tables come from closed forms,
 and so does the coefficient table C of the idempotents in the
 adjacency basis, E_e = (1/L_e) sum_r C[e, r] A_r.  The relations are
-factored by direction pairs (pair_factors), read off
+factored by direction groups (pair_factors), read off
 flats.coset_table: the D x D table rd of i, from the points that the
 flats of two directions through the origin share, and, for 0 < i < nu,
-the cosets of da + db that group the meeting flats of each pair.  The
-checks' one product, the relation-count table T[r] = A_r X for every
-relation r, is read from it by relation_products: A_(0,0), A_(0,1) and
-A_(nu,0) need only X and its parallel-class totals, A_(i,0) X for
-0 < i < nu is a sum over cosets, or one 0/1 mask product for many
-columns (meeting_product, which the membership routes read too), and
-A_(i,1) X is the parallel-class part less A_(i,0) X.  Every idempotent
+the cosets that group the meeting flats: at i = 1 those of each
+type-(nu + 1, 2) container da + db, which holds every maximal direction
+at distance 1 from da inside it, and at i >= 2 those of each unordered
+pair's sum.  The checks' one product, the relation-count table
+T[r] = A_r X for every relation r, is read from it by relation_products:
+A_(0,0), A_(0,1) and A_(nu,0) need only X and its parallel-class totals,
+A_(i,0) X for 0 < i < nu is a sum over cosets taken once per group
+(meeting_product, which the membership routes read too; at i >= 2 many
+columns take one 0/1 mask product instead), and A_(i,1) X is the
+parallel-class part less A_(i,0) X.  Every idempotent
 projection is then one exact product C T (projections), which the
 checks read.  relation_matrix, the int8 n x n table, is the expansion of
 the factorisation; only the checks that read its entries build it.
@@ -262,32 +265,43 @@ def relation_of(config: SpaceConfig, f1: Flat, f2: Flat) -> RelIndex:
 
 @dataclass(frozen=True)
 class PairFactors:
-    """The relation table factored by direction pairs; every array read-only.
+    """The relation table factored by direction groups; every array read-only.
 
     rd[da, db] = i, with q^(nu - i) points shared by the flats of da and
-    db through the origin.  For 0 < i < nu, every direction da has the
-    same number v of partners db with rd = i (v is the dual polar
-    valency), in db order, and every pair (da, db) splits the flats of
-    both into the q^(nu - i) cosets of da + db; the pair's cosets are
-    numbered from (da v + j) q^(nu - i) for its j-th partner.
-    keys[i - 1][j, a] is the number of the coset that holds flat a for
-    the j-th partner of its direction, and members[i - 1][:, kappa] are
-    the q^i flats of the partner in coset kappa: the flats of db that meet
-    a flat of da are those of its coset.
+    db through the origin.  For 0 < i < nu the meeting relation (i, 0) is
+    read off groups of directions: at i = 1 a group is the set of maximal
+    directions inside one type-(nu + 1, 2) container W = da + db, every
+    pair of which is at distance 1, and at i >= 2 it is one unordered
+    direction pair.  Every direction lies in the same number m of groups,
+    and every group holds sizes[i - 1] = k directions, ascending, whose
+    sum W splits the flats of each into the q^(nu - i) cosets of W, q^i
+    flats to a coset; the flats met by a flat a of direction d are those
+    of the group's other directions in the coset a + W, for each group of
+    d.  The entries (t, g, lambda) of the G groups, numbered
+    (t G + g) q^(nu - i) + lambda, are the flats of group g's t-th
+    direction in its coset lambda, the cosets of a group numbered in the
+    order of their least flat of its first direction:
+    members[i - 1][:, e] lists the q^i flats of entry e.
+    keys[i - 1][j, a] is the entry of flat a in the j-th group of its
+    direction, its own for k > 2 and its partner's for k = 2 (at i >= 2,
+    and at i = 1 on the orthogonal spaces, whose containers hold two
+    directions).
     """
 
     per: int
     rd: np.ndarray
+    sizes: tuple[int, ...]
     keys: tuple[np.ndarray, ...]
     members: tuple[np.ndarray, ...]
 
 
-PAIR_ELEMENTS = 2**18  # bounds the (directions, partners, q^nu, q^nu) gathers of pair_factors
+PAIR_ELEMENTS = 2**18  # bounds the (pairs, q^nu, q^nu) gathers of pair_factors
 
 
 @lru_cache(maxsize=None)
 def pair_factors(config: SpaceConfig) -> PairFactors:
-    """The direction-pair factorisation of the relations, read off the coset table.
+    """The direction-group factorisation of the relations, read off the
+    coset table.
 
     coset_of[d, x] is the flat of direction d through point x.  The flats
     of da and db through the origin share q^(nu - i) points, counted for
@@ -296,8 +310,14 @@ def pair_factors(config: SpaceConfig) -> PairFactors:
     0 < i < nu, the flats of db through the points of a flat of da are
     the q^i flats of db that meet it, each met in q^(nu - i) points, and
     the flats of da with the same least such flat form one coset of
-    da + db.  Any other pattern is an internal error too.  The gathers
-    hold PAIR_ELEMENTS entries at a time; nothing has n^2 entries.
+    da + db (_coset_split), whose member lists are the cosets of the flats
+    of db, so each pair da < db is split once.  Two distance-1 partners of
+    da lie in one container exactly when they split the flats of da into
+    the same cosets, which groups them (_containers); at i >= 2 the groups
+    are the pairs da < db.  Any other pattern is an internal error too,
+    and so is a direction whose partners fall into containers of unequal
+    sizes.  The gathers hold PAIR_ELEMENTS entries at a time; nothing has
+    n^2 entries.
     """
     coset_of = coset_table(config)
     nu, q, per = config.nu, config.q, config.q**config.nu
@@ -311,34 +331,153 @@ def pair_factors(config: SpaceConfig) -> PairFactors:
                              f"that is no power of q up to q^{nu}")
     rd = (nu - k).astype(np.int8)
     points = flat_point_table(config).reshape(dirs, per, per)
-    keys, members = [], []
+    sizes, keys, members = [], [], []
     for i in range(1, nu):
-        cosets = q ** (nu - i)
         da, db = np.nonzero(rd == i)
         v = len(db) // dirs
         if (np.bincount(da, minlength=dirs) != v).any():
             raise AssertionError(f"the directions of {config.key()} have unequal numbers "
                                  f"of partners at i = {i}")
-        partners = db.reshape(dirs, v)
-        key = np.empty((dirs, v, per), dtype=np.int64)
-        member = np.empty((dirs, v, cosets, q**i), dtype=np.int64)
-        step = max(1, PAIR_ELEMENTS // (v * per * per))
-        for s in range(0, dirs, step):
-            part = partners[s:s + step]
-            through = np.sort(coset_of[part[:, :, None, None], points[s:s + step, None]], axis=3)
-            split = _coset_split(through, per * part[:, :, None], cosets)
-            if split is None:
-                raise AssertionError(f"the meeting flats of two directions of {config.key()} "
-                                     f"do not split into the cosets of their sum")
-            local, member[s:s + step] = split
-            key[s:s + step] = local + cosets * np.arange(s * v, (s + len(part)) * v
-                                                         ).reshape(-1, v, 1)
-        keys.append(key.transpose(1, 0, 2).reshape(v, dirs * per)
-                    .astype(np.min_scalar_type(dirs * v * cosets - 1)))
-        members.append(member.reshape(-1, q**i).T.astype(np.min_scalar_type(dirs * per - 1)))
+        cosets = per // q**i
+        pairs = np.stack([da, db], axis=1)[da < db]
+        splits = _splits(config, coset_of, points, pairs, cosets)
+        groups = pairs
+        if i == 1:
+            groups, splits = _containers(config, pairs, splits, db.reshape(dirs, v))
+        key, member = _group_tables(config, groups, splits, dirs, q**i)
+        sizes.append(groups.shape[1])
+        keys.append(key)
+        members.append(member)
     for a in [rd] + keys + members:
         a.flags.writeable = False
-    return PairFactors(per, rd, tuple(keys), tuple(members))
+    return PairFactors(per, rd, tuple(sizes), tuple(keys), tuple(members))
+
+
+def _splits(config: SpaceConfig, coset_of: np.ndarray, points: np.ndarray, pairs: np.ndarray,
+            cosets: int):
+    """(start, local, member) of _coset_split for the direction pairs
+    pairs[p] = (da, db), in chunks of about PAIR_ELEMENTS gathered entries
+    from p = start on; a pair that does not split is an internal error."""
+    per = points.shape[1]
+    step = max(1, PAIR_ELEMENTS // (per * per))
+    for s in range(0, len(pairs), step):
+        part = pairs[s:s + step]
+        through = np.sort(coset_of[part[:, 1:, None, None], points[part[:, 0], None]], axis=3)
+        split = _coset_split(through, per * part[:, 1:, None], cosets)
+        if split is None:
+            raise AssertionError(f"the meeting flats of two directions of {config.key()} "
+                                 f"do not split into the cosets of their sum")
+        yield s, *split
+
+
+def _coset_names(local: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, least) for local[..., a], the coset of flat a of a base
+    direction among a pair's cosets, size flats to each: first lists the
+    base flats coset by coset, ascending within each, and least[..., kappa]
+    is the least base flat of coset kappa."""
+    first = np.argsort(local, axis=-1, kind="stable")
+    return first, first[..., ::size]
+
+
+def _containers(config: SpaceConfig, pairs: np.ndarray, splits,
+                partners: np.ndarray) -> tuple[np.ndarray, list]:
+    """(groups, splits) at i = 1: the type-(nu + 1, 2) containers as rows
+    of their maximal directions, ascending, and (0, local, met) of
+    _coset_split for the pairs of each row's first direction with the
+    others, for _group_tables.
+
+    splits yields _coset_split's for the pairs da < db at distance 1,
+    rows of pairs, and partners[d] lists the partners of direction d,
+    ascending.  The member lists of the pair (da, db) are the cosets of
+    the flats of db, so each pair splits the flats of both.  The container
+    da + db splits the flats of da into its cosets, and two partners lie
+    in one container exactly when they split them alike, each coset named
+    by its least flat of da.  Every direction's partners must fall into
+    containers of one size k - 1, and each container must be seen from
+    each of its k directions."""
+    dirs, v = partners.shape
+    q = config.q
+    local, met = (np.concatenate(a)[:, 0] for a in zip(*(split[1:] for split in splits)))
+    per = local.shape[1]
+    # the flats of db in coset kappa of the pair (da, db) form its coset kappa of (db, da)
+    back = np.empty_like(local)
+    np.put_along_axis(back, met.reshape(len(met), per) - per * pairs[:, 1:],
+                      np.repeat(np.arange(per // q), q)[None], axis=1)
+    owner = np.repeat(np.arange(dirs), v)
+    codes = owner * dirs + partners.reshape(-1)
+    ordered = np.empty((dirs * v, per), dtype=local.dtype)
+    ordered[np.searchsorted(codes, pairs[:, 0] * dirs + pairs[:, 1])] = local
+    ordered[np.searchsorted(codes, pairs[:, 1] * dirs + pairs[:, 0])] = back
+    least = _coset_names(ordered, q)[1]
+    order, count = _row_runs(np.column_stack([owner, np.take_along_axis(least, ordered, axis=1)]))
+    if (count != count[0]).any():
+        raise AssertionError(f"the distance-1 partners of a direction of {config.key()} "
+                             f"do not fall into containers of one size")
+    # the pairs of each group's owner, its partners ascending
+    order = order.reshape(-1, count[0])
+    rows = np.column_stack([owner[order[:, 0]], partners.reshape(-1)[order]])
+    if (_row_runs(np.sort(rows, axis=1))[1] != count[0] + 1).any():
+        raise AssertionError(f"a container of {config.key()} is not seen alike from each "
+                             f"of its directions")
+    first = rows[:, 0] < rows[:, 1]  # seen from its first direction: its pairs are rows of pairs
+    at = np.searchsorted(pairs[:, 0] * dirs + pairs[:, 1], codes[order[first]])
+    return rows[first], [(0, local[at], met[at])]
+
+
+def _row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, count): the stable lexicographic order of the rows of an
+    integer matrix and the lengths of its runs of equal rows (np.unique
+    imports numpy.ma on first use under numpy 2)."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(order) + 1, dtype=bool)
+    new[1:-1] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, np.diff(np.flatnonzero(new))
+
+
+def _group_tables(config: SpaceConfig, groups: np.ndarray, splits,
+                  dirs: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, members) of one level (see PairFactors) for groups, the rows
+    of k directions, ascending, of the dirs directions, and size = q^i
+    flats to a coset; splits yields (start, local, met), _coset_split's
+    for the pairs (groups[p, 0], groups[p, s]) from p = start on.
+
+    The other directions of a group split its first direction's flats
+    into the same cosets (a pair has one; _containers groups a container's
+    directions so), which are numbered in the order of their least flat of
+    the first direction."""
+    G, k = groups.shape
+    per = config.q**config.nu
+    cosets = per // size
+    m = G * k // dirs
+    if (np.bincount(groups.reshape(-1), minlength=dirs) != m).any():
+        raise AssertionError(f"the directions of {config.key()} lie in unequal numbers "
+                             f"of groups")
+    # slot[g, t]: the place of group g among the groups of its t-th direction
+    order = np.argsort(groups.reshape(-1), kind="stable")
+    slot = np.empty(G * k, dtype=np.int64)
+    slot[order] = np.arange(G * k) % m
+    slot = slot.reshape(G, k)
+    read = np.arange(k) if k > 2 else np.array([1, 0])  # its own entry, or its partner's
+    keys = np.empty((m, dirs, per), dtype=np.min_scalar_type(G * k * cosets - 1))
+    members = np.empty((size, k, G, cosets), dtype=np.min_scalar_type(dirs * per - 1))
+    for s, local, met in splits:
+        c = len(local)
+        first, least = _coset_names(local, size)
+        rank = np.argsort(least, axis=2)  # the coset kappa numbered lambda
+        cells = np.empty((c, k, cosets, size), dtype=np.int64)
+        cells[:, 0] = np.take_along_axis(first[:, 0].reshape(c, cosets, size),
+                                         rank[:, 0, :, None], axis=1)
+        cells[:, 0] += per * groups[s:s + c, :1, None]
+        cells[:, 1:] = np.take_along_axis(met, rank[..., None], axis=2)
+        members[:, :, s:s + c] = cells.transpose(3, 1, 0, 2)
+        # the number lambda of each flat's coset, direction by direction
+        numbered = np.empty((c, k, per), dtype=np.int64)
+        flats = (cells - per * groups[s:s + c, :, None, None]).reshape(c, k, per)
+        np.put_along_axis(numbered, flats, np.repeat(np.arange(cosets), size)[None, None], axis=2)
+        entry = (read * G + np.arange(s, s + c)[:, None]) * cosets
+        keys[slot[s:s + c], groups[s:s + c]] = entry[..., None] + numbered
+    return keys.reshape(m, dirs * per), members.reshape(size, k * G * cosets)
 
 
 def _coset_split(through: np.ndarray, offset: np.ndarray, cosets: int):
@@ -349,9 +488,10 @@ def _coset_split(through: np.ndarray, offset: np.ndarray, cosets: int):
     of flat a of da, and the flats of db have the ids offset[p] + 0..q^nu-1.
     Each of the q^nu / cosets flats met must appear cosets times in a row;
     a coset is named by the least flat it meets, local[p, a] numbers the
-    coset of a among the pair's cosets and member[p, kappa] lists the
-    flats of db in coset kappa, which must partition them: a count per
-    pair of every flat of db over the member lists must read one.
+    coset of a among the pair's cosets, each of which must hold per /
+    cosets flats of da, and member[p, kappa] lists the flats of db in
+    coset kappa, which must partition them: a count per pair of every
+    flat of db over the member lists must read one.
     """
     c, v, per, _ = through.shape
     runs = through.reshape(c, v, per, per // cosets, cosets)
@@ -367,6 +507,9 @@ def _coset_split(through: np.ndarray, offset: np.ndarray, cosets: int):
     if (found.sum(axis=2) != cosets).any():
         return None
     local = (np.cumsum(found, axis=2) - 1).reshape(-1)[pair * per + first]
+    if (np.bincount((pair * cosets + local).ravel(), minlength=c * v * cosets)
+            != per // cosets).any():
+        return None
     # entry j of the member list of a's coset, flat: whole-row fancy indexing is slower
     cells = (pair * cosets + local)[..., None] * (per // cosets) + np.arange(per // cosets)
     member = np.empty(c * v * per, dtype=met.dtype)
@@ -380,10 +523,23 @@ def _coset_split(through: np.ndarray, offset: np.ndarray, cosets: int):
     return local, member.reshape(c, v, cosets, per // cosets)
 
 
+def _partner_entries(factors: PairFactors, i: int) -> np.ndarray:
+    """(m, n, k - 1) entries of the flats that each flat meets in each of
+    its m groups at level i: those of the group's other directions in the
+    flat's coset."""
+    keys, k = factors.keys[i - 1], factors.sizes[i - 1]
+    if k == 2:
+        return keys[..., None]
+    block = factors.members[i - 1].shape[1] // k
+    own = keys.astype(np.int64)
+    t = own // block
+    return (own - t * block)[..., None] + block * ((t[..., None] + np.arange(1, k)) % k)
+
+
 def _meeting_neighbours(factors: PairFactors, i: int) -> np.ndarray:
-    """(n, k) ids of the flats in relation (i, 0) with each flat, 0 < i < nu."""
-    met = np.take(factors.members[i - 1], factors.keys[i - 1], axis=1)  # (q^i, v, n)
-    return met.reshape(-1, met.shape[2]).T
+    """(n, K) ids of the K flats in relation (i, 0) with each flat, 0 < i < nu."""
+    met = np.take(factors.members[i - 1], _partner_entries(factors, i), axis=1)
+    return np.moveaxis(met, 2, 0).reshape(met.shape[2], -1)  # (q^i, m, n, k - 1) to n rows
 
 
 @lru_cache(maxsize=None)
@@ -421,15 +577,28 @@ def distance_masks(config: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 PRODUCT_COLUMNS = 512  # bounds the float64 copies each mask product makes
-MASK_COLUMNS = 32  # above this many columns, the meeting relations take mask products
+MASK_COLUMNS = 32  # above this many columns, the meeting relations at i >= 2 take mask products
+MEETING_ELEMENTS = 2**22  # bounds the gathers of each column block of _meeting_sums
 
 
 def _meeting_sums(factors: PairFactors, i: int, X: np.ndarray) -> np.ndarray:
-    """A_(i,0) X for 0 < i < nu, by coset sums: X summed over the members
-    of every coset, read back at the coset of each flat for each partner
-    direction and summed over the partners."""
+    """A_(i,0) X for 0 < i < nu, by coset sums taken once per group: X
+    summed over the q^i members of every entry (t, g, lambda), then read
+    back at each flat's entry in each of its groups and summed over the
+    groups.  In a group of k = 2 directions (every group at i >= 2, and
+    the containers of the orthogonal spaces) a flat's key is its
+    partner's entry.  In a container of k > 2, with c(d, F) the entry sum
+    of direction d in the container flat F and T(F) = sum_d c(d, F),
+    A_(1,0) X(a) = sum over the containers W of d_a of
+    T(a + W) - c(d_a, a + W), and a flat's key is its own entry of T - c.
+    Each sum is at most n max|X| in size."""
     # np.take copies whole rows; X[index] is several times slower for c > 1
     sums = np.take(X, factors.members[i - 1], axis=0).sum(axis=0)
+    k = factors.sizes[i - 1]
+    if k > 2:
+        # the entries of each direction slot t form one block, so T is a sum of k blocks
+        cells = sums.reshape(k, len(sums) // k, X.shape[1])
+        np.subtract(cells.sum(axis=0), cells, out=cells)
     return np.take(sums, factors.keys[i - 1], axis=0).sum(axis=0)
 
 
@@ -440,30 +609,36 @@ def _mask_product(G: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def meeting_product(config: SpaceConfig, i: int, X: np.ndarray) -> np.ndarray:
     """A_(i,0) X for 0 < i < nu and an n x c matrix X in int64 or object
-    arithmetic: up to MASK_COLUMNS columns from coset sums, beyond from one
-    exact product with the 0/1 mask of relation (i, 0), which is faster
-    there; both give the same integers, each at most n max|X| in size.  No
-    n x n array is built up to MASK_COLUMNS columns."""
+    arithmetic, each entry at most n max|X| in size.  At i = 1 every width
+    takes the container sums of _meeting_sums, in column blocks whose
+    gathers hold about MEETING_ELEMENTS entries; at i >= 2 up to
+    MASK_COLUMNS columns take the pair sums, and more columns one exact
+    product with the 0/1 mask of relation (i, 0), which is faster there.
+    No n x n array is built at i = 1, or up to MASK_COLUMNS columns."""
     factors = pair_factors(config)
-    if X.shape[1] <= MASK_COLUMNS:
+    n, c = X.shape
+    if i > 1 and c > MASK_COLUMNS:
+        mask = np.zeros((n, n), dtype=bool)
+        mask[np.arange(n)[:, None], _meeting_neighbours(factors, i)] = True
+        return _mask_product(mask, X)
+    step = max(1, MEETING_ELEMENTS // (n * len(factors.keys[i - 1])))
+    if c <= step:
         return _meeting_sums(factors, i, X)
-    n = X.shape[0]
-    mask = np.zeros((n, n), dtype=bool)
-    mask[np.arange(n)[:, None], _meeting_neighbours(factors, i)] = True
-    return _mask_product(mask, X)
+    return np.hstack([_meeting_sums(factors, i, X[:, s:s + step]) for s in range(0, c, step)])
 
 
 def relation_products(config: SpaceConfig, X: np.ndarray) -> np.ndarray:
     """The relation-count table T, T[r] = A_r X exactly for every relation
     code r, (2 nu + 1) x n x c for the n x c integer matrix X.
 
-    Every term is read off the direction-pair factorisation.  With S the
+    Every term is read off the direction-group factorisation.  With S the
     class totals of X (the sums over each direction's q^nu cosets), the
     class part (rd = i) S spread over each class is A_(i,0) X + A_(i,1) X
     for i < nu and A_(nu,0) X for i = nu, all from one product with the
     stacked distance masks.  The meeting part is A_(0,0) X = X and, for
     0 < i < nu, A_(i,0) X from meeting_product.  T[2i + 1] is the class
-    part less T[2i].  No n x n array is built up to MASK_COLUMNS columns.
+    part less T[2i].  No n x n array is built at nu = 2, or up to
+    MASK_COLUMNS columns.
 
     Sums run in int64 while 8 nu n max|X| < 2^62, and in object arithmetic
     otherwise.  That bound holds every sum: each class total, distance

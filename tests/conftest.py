@@ -41,6 +41,8 @@ from clflats.geometry import (
 )
 from clflats.scheme import (
     PRODUCT_COLUMNS,
+    _coset_split,
+    pair_factors,
     projections,
     relation_products,
     scheme_tables,
@@ -252,6 +254,49 @@ def type_II_members_oracle(config) -> np.ndarray:
         assert (groups == groups[:, :, :1]).all(), "a row does not cover each point once"
         rows.append(groups[:, :, 0])
     return np.unique(np.concatenate(rows), axis=0)
+
+
+@lru_cache(maxsize=None)
+def ordered_pair_tables(config) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(keys, members) of each level 0 < i < nu, one coset table per
+    ordered direction pair: the layout scheme.pair_factors built before it
+    grouped the directions.  For the j-th partner db of each direction da
+    (db ascending) at distance i, the pair's cosets are numbered from
+    (da v + j) q^(nu - i); keys[j, a] numbers the coset of flat a for the
+    j-th partner of its direction, and members[:, kappa] lists the q^i
+    flats of the partner in coset kappa."""
+    coset_of = coset_table(config)
+    nu, q, per = config.nu, config.q, config.q**config.nu
+    rd = pair_factors(config).rd
+    dirs = len(rd)
+    points = np.argsort(coset_of, axis=1, kind="stable").reshape(dirs, per, per)
+    levels = []
+    for i in range(1, nu):
+        cosets = q ** (nu - i)
+        partners = np.nonzero(rd == i)[1].reshape(dirs, -1)
+        v = partners.shape[1]
+        key = np.empty((dirs, v, per), dtype=np.int64)
+        member = np.empty((dirs, v, cosets, q**i), dtype=np.int64)
+        for da in range(dirs):
+            through = np.sort(coset_of[partners[da][None, :, None, None], points[da][None, None]],
+                              axis=3)
+            split = _coset_split(through, per * partners[da][None, :, None], cosets)
+            assert split is not None
+            local, member[da] = split[0][0], split[1][0]
+            key[da] = local + cosets * np.arange(da * v, (da + 1) * v)[:, None]
+        levels.append((key.transpose(1, 0, 2).reshape(v, dirs * per),
+                       member.reshape(-1, q**i).T))
+    return tuple(levels)
+
+
+def ordered_meeting_sums(config, i: int, X: np.ndarray) -> np.ndarray:
+    """A_(i,0) X from the ordered-pair tables: X summed over the members of
+    every coset, read back at the coset of each flat for each partner
+    direction and summed over the partners (scheme._meeting_sums before
+    the direction groups)."""
+    keys, members = ordered_pair_tables(config)[i - 1]
+    sums = np.take(X, members, axis=0).sum(axis=0)
+    return np.take(sums, keys, axis=0).sum(axis=0)
 
 
 def membership_rows(plan: spreads.MembershipPlan, n: int) -> np.ndarray:

@@ -664,8 +664,9 @@ def test_warm_battery_evaluates_no_closed_form(monkeypatch, key):
 
 def test_membership_routes_build_no_square_arrays(monkeypatch):
     """A query multiplies by no n x n matrix and builds no dense idempotent:
-    the relation products read the direction-pair factorisation, and a
-    block of up to MASK_COLUMNS columns takes no mask product."""
+    the routes read the direction-group factorisation, and at nu = 2, whose
+    one meeting relation is i = 1, a block of any width takes the container
+    sums and no mask product."""
     cfg = space_config("orthogonal", 3, 2)
     n = relation_matrix(cfg).shape[0]
     battery(_pencil(cfg))  # set-up outside the count
@@ -686,9 +687,9 @@ def test_membership_routes_build_no_square_arrays(monkeypatch):
     battery(_near_miss(cfg))
     batch_verdicts(cfg, random_subset_matrix(cfg, scheme.MASK_COLUMNS, seed=1))
     assert square == []
-    # a wider block takes one mask product for the one middle relation at nu = 2
-    batch_verdicts(cfg, random_subset_matrix(cfg, scheme.MASK_COLUMNS + 1, seed=1))
-    assert square == [np.dtype(bool)]
+    for width in (scheme.MASK_COLUMNS + 1, 512):
+        batch_verdicts(cfg, random_subset_matrix(cfg, width, seed=1))
+    assert square == []
 
 
 @pytest.mark.parametrize("key", [("symplectic", 3, 2), ("unitary", 4, 2), ("orthogonal", 3, 2)],

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clflats import exact
+from clflats import exact, scheme
 from clflats.cli import STANDARD_GRID
 from clflats.field import gauss_binomial
 from clflats.flats import enumerate_flats, flat_ids, flat_make
@@ -32,6 +32,7 @@ from clflats.scheme import (
     idempotent_coefficients,
     idempotent_int,
     inner_distribution,
+    meeting_product,
     pair_factors,
     phi_piecewise,
     projections,
@@ -48,7 +49,7 @@ from clflats.scheme import (
     verify_scheme,
 )
 from clflats.spreads import list_type_I, list_type_II
-from conftest import MEDIUM_CONFIGS, unit_vector
+from conftest import MEDIUM_CONFIGS, ordered_meeting_sums, ordered_pair_tables, unit_vector
 
 CASES_Q = (("symplectic", 2), ("symplectic", 3), ("symplectic", 5),
            ("unitary", 4), ("unitary", 9),
@@ -212,16 +213,18 @@ def test_factored_relation_products_are_exact_past_int64(s22):
 
 
 def test_pair_factors_reject_a_coset_table_whose_meetings_do_not_split(monkeypatch):
-    """Two points swapped between two flats of one direction, off its flat
-    through the origin: every origin count still is a power of q, but the
-    meeting flats of that direction no longer group into cosets."""
+    """Two points swapped between two flats of the last direction, off its
+    flat through the origin: every origin count still is a power of q, but
+    the meeting flats of that direction no longer group into cosets.  Each
+    direction pair is split once, from its first direction, so the table
+    of the last direction is read in every pair it is in."""
     import clflats.scheme as scheme_module
     from clflats.flats import coset_table
     cfg = space_config("symplectic", 2, 2)
     broken = np.array(coset_table(cfg))
-    others = [f for f in dict.fromkeys(broken[0].tolist()) if f != broken[0, 0]]
-    x, y = (int(np.flatnonzero(broken[0] == f)[0]) for f in others[:2])
-    broken[0, [x, y]] = broken[0, [y, x]]
+    others = [f for f in dict.fromkeys(broken[-1].tolist()) if f != broken[-1, 0]]
+    x, y = (int(np.flatnonzero(broken[-1] == f)[0]) for f in others[:2])
+    broken[-1, [x, y]] = broken[-1, [y, x]]
     monkeypatch.setattr(scheme_module, "coset_table", lambda c: broken)
     pair_factors.cache_clear()
     try:
@@ -231,12 +234,89 @@ def test_pair_factors_reject_a_coset_table_whose_meetings_do_not_split(monkeypat
         pair_factors.cache_clear()
 
 
+def test_pair_factors_reject_partners_in_containers_of_unequal_sizes(monkeypatch):
+    """One distance-1 pair of symplectic(2,2) reports two flats of its
+    first direction, in different cosets, in each other's coset: every
+    split still reads as one (each coset holds two flats of each
+    direction), but that partner no longer splits the flats as its
+    container's other partner does, so the partners of its direction fall
+    into containers of unequal sizes."""
+    cfg = space_config("symplectic", 2, 2)
+    real = scheme._coset_split
+    calls = []
+
+    def swapped(through, offset, cosets):
+        local, member = real(through, offset, cosets)
+        if not calls:
+            row = local[0, 0]
+            other = int(np.flatnonzero(row != row[0])[0])
+            row[[0, other]] = row[[other, 0]]
+        calls.append(cosets)
+        return local, member
+
+    monkeypatch.setattr(scheme, "_coset_split", swapped)
+    pair_factors.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="do not fall into containers of one size"):
+            pair_factors(cfg)
+    finally:
+        pair_factors.cache_clear()
+    assert calls
+
+
+GROUP_KEYS = tuple(k for k in STANDARD_GRID if k[2] >= 2) + (("symplectic", 4, 2),
+                                                              ("orthogonal", 3, 3))
+
+
+@pytest.mark.parametrize("key", GROUP_KEYS, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_group_tables_match_the_ordered_pair_oracle(key):
+    """The meeting sums read off the direction groups (the containers at
+    i = 1, the unordered pairs at i = 2) equal the ordered-pair coset sums
+    of conftest.ordered_pair_tables, for 0/1, signed and 2^70 object
+    columns at 1, 25, MASK_COLUMNS +- 1 and 512 columns: through
+    meeting_product at i = 1, which takes them at every width in column
+    blocks, and directly at i = 2, where meeting_product takes them up to
+    MASK_COLUMNS columns only, so its slow object columns stop there.  The
+    flats met by each flat are the oracle's.  A container holds q + 1
+    maximal directions in the symplectic, sqrt(q) + 1 in the unitary and 2
+    in the orthogonal spaces."""
+    cfg = space_config(*key)
+    factors = pair_factors(cfg)
+    n = len(factors.rd) * factors.per
+    rng = np.random.default_rng(sum(map(ord, repr(key))))
+    inside = {"symplectic": cfg.q + 1, "unitary": round(cfg.q ** 0.5) + 1, "orthogonal": 2}
+    assert factors.sizes == (inside[cfg.case],) + (2,) * (cfg.nu - 2)
+    for i in range(1, min(cfg.nu, 3)):
+        keys, members = ordered_pair_tables(cfg)[i - 1]
+        want = np.sort(np.take(members, keys, axis=1).reshape(-1, n).T, axis=1)
+        assert (np.sort(scheme._meeting_neighbours(factors, i), axis=1) == want).all()
+        for c in (1, 25, MASK_COLUMNS - 1, MASK_COLUMNS + 1, 512):
+            high, low = rng.integers(-3, 4, (n, c)), rng.integers(-5, 6, (n, c))
+            blocks = [rng.integers(0, 2, (n, c)), low]
+            if i == 1 or c <= MASK_COLUMNS + 1:
+                blocks.append(high.astype(object) * 2**70 + low)
+            for X in blocks:
+                if X.dtype == object:
+                    expected = (ordered_meeting_sums(cfg, i, high).astype(object) * 2**70
+                                + ordered_meeting_sums(cfg, i, low))
+                else:
+                    expected = ordered_meeting_sums(cfg, i, X)
+                if i == 1:
+                    got = meeting_product(cfg, 1, X)
+                else:
+                    got = scheme._meeting_sums(factors, i, X)
+                assert got.dtype == X.dtype and (got == expected).all(), (i, c, X.dtype)
+
+
 def test_coset_split_requires_a_partition():
     """Four flats of da meet two flats each of db (ids 10..13), each in two
     points.  Split into the cosets {10, 11} and {12, 13} it passes; when a
     flat met is shared by both cosets and another is in none, the runs,
     the least flats and the member lists are all consistent, and only the
-    count of each flat of db over the member lists rejects it."""
+    count of each flat of db over the member lists rejects it.  When three
+    flats of da meet {10, 11} and one meets {12, 13}, the flats of db are
+    partitioned, and only the count of the flats of da in each coset, two
+    to a coset, rejects it."""
     from clflats.scheme import _coset_split
     offset = np.full((1, 1, 1), 10)
 
@@ -247,6 +327,7 @@ def test_coset_split_requires_a_partition():
     assert local.tolist() == [[[0, 1, 0, 1]]]
     assert member.tolist() == [[[[10, 11], [12, 13]]]]
     assert _coset_split(through([0, 1], [1, 2], [0, 1], [1, 2]), offset, 2) is None
+    assert _coset_split(through([0, 1], [0, 1], [0, 1], [2, 3]), offset, 2) is None
 
 
 @pytest.mark.parametrize("key", list(STANDARD_GRID) + [("symplectic", 4, 2)],
@@ -263,7 +344,8 @@ def test_pair_factors_are_no_larger_than_the_table(key):
     for key_i, member_i in zip(factors.keys, factors.members):
         assert key_i.dtype == np.min_scalar_type(int(key_i.max()))
         assert member_i.dtype == np.min_scalar_type(n - 1)
-    assert len(factors.keys) == cfg.nu - 1 and not any(a.flags.writeable for a in arrays)
+    assert len(factors.keys) == len(factors.sizes) == cfg.nu - 1
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_dual_polar_spot_values():
