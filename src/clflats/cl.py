@@ -365,11 +365,9 @@ def _relation_law(config: SpaceConfig, cols: np.ndarray, r: int) -> np.ndarray:
     return _law_holds(plan, cols, S.sum(axis=0), r, meet, classes)
 
 
-def _scheme_routes(config: SpaceConfig, cols: np.ndarray,
-                   peak: int | None = None) -> dict[str, np.ndarray]:
+def _scheme_routes(config: SpaceConfig, cols: np.ndarray, peak: int) -> dict[str, np.ndarray]:
     """Spectrum, shifted and count verdicts for each column chi of cols,
-    a block that _block returned, with peak = _peak(cols) when the caller
-    has it (found here otherwise).
+    a block that _block returned, with peak = _peak(cols).
 
     With S the D x c class totals, one exact product fold S
     (route_plan) gives B_(0,0) chi's value, every class row's projection,
@@ -399,7 +397,7 @@ def _scheme_routes(config: SpaceConfig, cols: np.ndarray,
     stay compared, as the paper's two-relation statement.
     """
     plan = route_plan(config)
-    cols = _widened(cols, _peak(cols) if peak is None else peak, plan.bound, 2**62)
+    cols = _widened(cols, peak, plan.bound, 2**62)
     D, c = plan.D, cols.shape[1]
     view = (D, plan.n // D, c)
     S = cols.reshape(view).sum(axis=1)
@@ -426,7 +424,8 @@ def _scheme_routes(config: SpaceConfig, cols: np.ndarray,
 
 
 def _set_routes(flat_set: FlatSet) -> dict[str, np.ndarray]:
-    return _scheme_routes(flat_set.config, flat_set.chi().reshape(-1, 1))
+    chi = flat_set.chi().reshape(-1, 1)
+    return _scheme_routes(flat_set.config, chi, _peak(chi))
 
 
 def test_spectrum(flat_set: FlatSet) -> bool:

@@ -123,6 +123,17 @@ def _unique_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[new], where
 
 
+def row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, count): the stable lexicographic order of the rows of an
+    integer matrix and the lengths of its runs of equal rows, by one
+    lexsort (np.unique(a, axis=0) without numpy.ma; see _unique_inverse)."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(order) + 1, dtype=bool)
+    new[1:-1] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, np.diff(np.flatnonzero(new))
+
+
 def sorted_unique(a) -> np.ndarray:
     """np.unique(a): the sorted distinct entries, by one sort (see _unique_inverse)."""
     ordered = np.sort(np.asarray(a), axis=None)

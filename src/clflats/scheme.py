@@ -409,30 +409,20 @@ def _containers(config: SpaceConfig, pairs: np.ndarray, splits,
     ordered[np.searchsorted(codes, pairs[:, 0] * dirs + pairs[:, 1])] = local
     ordered[np.searchsorted(codes, pairs[:, 1] * dirs + pairs[:, 0])] = back
     least = _coset_names(ordered, q)[1]
-    order, count = _row_runs(np.column_stack([owner, np.take_along_axis(least, ordered, axis=1)]))
+    named = np.column_stack([owner, np.take_along_axis(least, ordered, axis=1)])
+    order, count = exact.row_runs(named)
     if (count != count[0]).any():
         raise AssertionError(f"the distance-1 partners of a direction of {config.key()} "
                              f"do not fall into containers of one size")
     # the pairs of each group's owner, its partners ascending
     order = order.reshape(-1, count[0])
     rows = np.column_stack([owner[order[:, 0]], partners.reshape(-1)[order]])
-    if (_row_runs(np.sort(rows, axis=1))[1] != count[0] + 1).any():
+    if (exact.row_runs(np.sort(rows, axis=1))[1] != count[0] + 1).any():
         raise AssertionError(f"a container of {config.key()} is not seen alike from each "
                              f"of its directions")
     first = rows[:, 0] < rows[:, 1]  # seen from its first direction: its pairs are rows of pairs
     at = np.searchsorted(pairs[:, 0] * dirs + pairs[:, 1], codes[order[first]])
     return rows[first], [(0, local[at], met[at])]
-
-
-def _row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, count): the stable lexicographic order of the rows of an
-    integer matrix and the lengths of its runs of equal rows (np.unique
-    imports numpy.ma on first use under numpy 2)."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    new = np.ones(len(order) + 1, dtype=bool)
-    new[1:-1] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return order, np.diff(np.flatnonzero(new))
 
 
 def _group_tables(config: SpaceConfig, groups: np.ndarray, splits,

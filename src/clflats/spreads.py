@@ -368,12 +368,9 @@ def _type_II_members(config: SpaceConfig) -> np.ndarray:
 
 
 def _unique_rows(a: np.ndarray) -> np.ndarray:
-    """np.unique(a, axis=0) for an integer matrix, by one lexicographic sort
-    (np.unique imports numpy.ma on first use under numpy 2)."""
-    ordered = a[np.lexsort(a.T[::-1])]
-    new = np.ones(len(ordered), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return ordered[new]
+    """np.unique(a, axis=0) for an integer matrix (exact.row_runs)."""
+    order, count = exact.row_runs(a)
+    return a[order[np.cumsum(count) - count]]
 
 
 def _sorted_rows(a: np.ndarray) -> np.ndarray:

@@ -432,7 +432,7 @@ def test_route_plan_matches_the_two_product_routes(key):
         # the routes and the oracle take the block as batch_verdicts passes it on
         block = cl._block(cols, n)
         want, want_laws = _two_product_routes(cfg, block)
-        got = cl._scheme_routes(cfg, block)
+        got = cl._scheme_routes(cfg, block, cl._peak(block))
         assert set(got) == set(want)
         for name in want:
             assert got[name].dtype == np.dtype(bool)
@@ -456,8 +456,8 @@ def test_scheme_routes_are_exact_past_int64(key):
     cols = np.stack([pencil.chi(), pencil.complement().chi(), _near_miss(cfg).chi()], axis=1)
     m = (2**62 - 1) // (8 * cfg.nu * n)
     assert m * int(cols.sum(axis=0).max()) * n >= 2**63
-    want, want_laws = cl._scheme_routes(cfg, cols), _every_law(cfg, cols)
-    got, laws = cl._scheme_routes(cfg, m * cols), _every_law(cfg, m * cols)
+    want, want_laws = cl._scheme_routes(cfg, cols, cl._peak(cols)), _every_law(cfg, cols)
+    got, laws = cl._scheme_routes(cfg, m * cols, cl._peak(m * cols)), _every_law(cfg, m * cols)
     assert {k: v.tolist() for k, v in got.items()} == {k: v.tolist() for k, v in want.items()}
     assert laws.tolist() == want_laws.tolist()
     assert batch_verdicts(cfg, m * cols)["spectrum"].tolist() == [True, True, False]

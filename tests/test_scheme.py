@@ -213,25 +213,29 @@ def test_factored_relation_products_are_exact_past_int64(s22):
 
 
 def test_pair_factors_reject_a_coset_table_whose_meetings_do_not_split(monkeypatch):
-    """Two points swapped between two flats of the last direction, off its
-    flat through the origin: every origin count still is a power of q, but
-    the meeting flats of that direction no longer group into cosets.  Each
-    direction pair is split once, from its first direction, so the table
-    of the last direction is read in every pair it is in."""
+    """Two points swapped between two flats of one direction, off its flat
+    through the origin: every origin count still is a power of q, but the
+    meeting flats of that direction no longer group into cosets.  The
+    point table is patched alike, as it is the argsort of the coset table,
+    so the first direction's broken flats are read through their points
+    and the last direction's through the coset table."""
     import clflats.scheme as scheme_module
     from clflats.flats import coset_table
     cfg = space_config("symplectic", 2, 2)
-    broken = np.array(coset_table(cfg))
-    others = [f for f in dict.fromkeys(broken[-1].tolist()) if f != broken[-1, 0]]
-    x, y = (int(np.flatnonzero(broken[-1] == f)[0]) for f in others[:2])
-    broken[-1, [x, y]] = broken[-1, [y, x]]
-    monkeypatch.setattr(scheme_module, "coset_table", lambda c: broken)
-    pair_factors.cache_clear()
-    try:
-        with pytest.raises(AssertionError, match="do not split into the cosets"):
-            pair_factors(cfg)
-    finally:
+    for row in (0, -1):
+        broken = np.array(coset_table(cfg))
+        others = [f for f in dict.fromkeys(broken[row].tolist()) if f != broken[row, 0]]
+        x, y = (int(np.flatnonzero(broken[row] == f)[0]) for f in others[:2])
+        broken[row, [x, y]] = broken[row, [y, x]]
+        points = np.argsort(broken, axis=1, kind="stable").reshape(-1, cfg.q**cfg.nu)
+        monkeypatch.setattr(scheme_module, "coset_table", lambda c, t=broken: t)
+        monkeypatch.setattr(scheme_module, "flat_point_table", lambda c, t=points: t)
         pair_factors.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="do not split into the cosets"):
+                pair_factors(cfg)
+        finally:
+            pair_factors.cache_clear()
 
 
 def test_pair_factors_reject_partners_in_containers_of_unequal_sizes(monkeypatch):
