@@ -285,7 +285,8 @@ class PairFactors:
     keys[i - 1][j, a] is the entry of flat a in the j-th group of its
     direction, its own for k > 2 and its partner's for k = 2 (at i >= 2,
     and at i = 1 on the orthogonal spaces, whose containers hold two
-    directions).
+    directions).  The i = 1 level also lists the type-II spreads
+    (container_cosets).
     """
 
     per: int
@@ -293,6 +294,15 @@ class PairFactors:
     sizes: tuple[int, ...]
     keys: tuple[np.ndarray, ...]
     members: tuple[np.ndarray, ...]
+
+    def container_cosets(self) -> np.ndarray:
+        """members[0] as a read-only (q, k, G, q^(nu - 1)) view: [:, t, g,
+        lambda] are the q flats of the t-th direction of the type-(nu + 1, 2)
+        container g in its coset lambda, for the G containers of k
+        directions each; nu >= 2."""
+        members = self.members[0]
+        q = members.shape[0]
+        return members.reshape(q, self.sizes[0], -1, self.per // q)
 
 
 PAIR_ELEMENTS = 2**18  # bounds the (pairs, q^nu, q^nu) gathers of pair_factors

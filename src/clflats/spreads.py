@@ -12,19 +12,17 @@ direction, and every type-I fact is read off that layout: their number
 is the number of directions, a set's intersections with them are block
 sums of its indicator, a spread is type I iff its members share one
 block, and their rank is their number, since their supports are
-disjoint.  The containers are the Gram-rank-2 results of one stacked
-F_q reduction (geometry.rref_stack) of every maximal direction extended
-by each of its nonzero coset representatives, and the interior
-directions of a container are those whose bases have syndrome zero
-under its parity check (geometry.syndrome_keys).  The type-II rows are
-read off the flats of the interior directions, each labelled by the
-coset of its container that holds it.  Proof that the labels are exact:
-a direction d inside a container Q puts the flat d + x inside the coset
-x + Q, so every point of the flat has the syndrome key of its first
-point, and each of the q^(nu-1) cosets of Q, q^(nu+1) points, holds q
-flats of d.  The spread of Q, directions (p1, p2) and coset s is the q
-flats of p1 labelled s, which cover s + Q, and the q^nu - q flats of p2
-labelled otherwise, which cover the rest of the space once.
+disjoint.  The type-II rows are one gather from the i = 1 level of
+scheme.pair_factors, which groups the directions at rd = 1 into their
+type-(nu+1, 2) containers Q and lists, by coset of Q, the q flats of
+each interior direction that lie in it (PairFactors.container_cosets):
+a direction d inside Q puts the flat d + x inside the coset x + Q, and
+each of the q^(nu-1) cosets of Q, q^(nu+1) points, holds q flats of d.
+The spread of Q, directions (p1, p2) and coset s is the q flats of p1
+in s, which cover s + Q, and the q^nu - q flats of p2 in the other
+cosets, which cover the rest of the space once.  pair_factors raises on
+any meeting pattern that is not such a coset split, and character_plan
+checks the rows themselves.
 list_type_I and list_type_II wrap the rows as Spreads for the CLI.
 
 The translation characters decide what the family spans
@@ -89,7 +87,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import exact
-from .field import e_power
 from .flats import (
     Flat,
     coset_representatives,
@@ -112,11 +109,7 @@ from .geometry import (
     gram_ranks,
     is_totally_isotropic,
     point_array,
-    rref_stack,
     span_points,
-    subspace_checks,
-    subspaces_contain,
-    syndrome_keys,
     vec_add,
 )
 from .scheme import (
@@ -214,52 +207,6 @@ def list_type_I(config: SpaceConfig) -> tuple[Spread, ...]:
 
 
 @lru_cache(maxsize=None)
-def type_II_components(config: SpaceConfig) -> tuple[tuple[Subspace, tuple[Subspace, ...]], ...]:
-    """All type-(nu+1,2) subspaces with their interior maximal isotropics.
-
-    A container p + <v> depends only on the coset v + p, so each p is
-    extended by its nonzero coset representatives alone (the vectors zero
-    at its pivot columns).  Every [basis of p; v] is reduced by one
-    rref_stack, CHARACTER_ELEMENTS stack entries at a time, and gram_ranks
-    keeps the Gram-rank-2 results; _unique_rows (one lexsort of the
-    flattened bases) dedupes them in Subspace.flat_key order, and each
-    basis row's pivot is its first nonzero column.  A maximal isotropic
-    lies in a container iff its basis has syndrome zero under the
-    container's parity check; one subspaces_contain call tests every pair.
-    """
-    nu, dim, q = config.nu, config.dim, config.q
-    maxes = enumerate_isotropic(config, nu)
-    bases = _bases(config, maxes, nu)
-    pivots = np.array([p.pivots for p in maxes], dtype=np.int64).reshape(len(maxes), nu)
-    # the free columns of each direction, and the base-q digits of 1..q^nu - 1
-    is_pivot = (np.arange(dim) == pivots[:, :, None]).any(axis=1)
-    free = np.argsort(is_pivot, axis=1, kind="stable")[:, :nu]
-    digits = np.arange(1, q**nu)[:, None] // q ** np.arange(nu - 1, -1, -1) % q
-    step = max(1, CHARACTER_ELEMENTS // (len(digits) * (nu + 1) * dim))
-    found = []
-    for s in range(0, len(maxes), step):
-        block = bases[s:s + step]
-        stack = np.zeros((len(block), len(digits), nu + 1, dim), dtype=np.int64)
-        stack[:, :, :nu] = block[:, None]
-        stack[np.arange(len(block))[:, None, None], np.arange(len(digits))[:, None], nu,
-              free[s:s + step, None]] = digits
-        reduced = rref_stack(config.field, stack.reshape(-1, nu + 1, dim))[0]
-        found.append(reduced[gram_ranks(config, reduced) == 2].reshape(-1, (nu + 1) * dim))
-    found = _unique_rows(np.concatenate(found)).reshape(-1, nu + 1, dim)
-    containers = [Subspace(tuple(map(tuple, b)), tuple(p))
-                  for b, p in zip(found.tolist(), (found != 0).argmax(axis=2).tolist())]
-    inside = subspaces_contain(config, containers, maxes)
-    expected_interior = e_power(config, config.e2) + 1
-    counts = inside.sum(axis=1)
-    if (counts != expected_interior).any():
-        raise AssertionError(f"container with {counts[counts != expected_interior][0]} interior "
-                             f"maximals, expected {expected_interior}")
-    interior = np.nonzero(inside)[1].reshape(len(containers), expected_interior)
-    return tuple((q_sub, tuple(maxes[i] for i in row))
-                 for q_sub, row in zip(containers, interior.tolist()))
-
-
-@lru_cache(maxsize=None)
 def list_type_II(config: SpaceConfig) -> tuple[Spread, ...]:
     """Every type-II spread: containers, ordered direction pairs, all shifts.
 
@@ -312,59 +259,24 @@ def family_indicators(config: SpaceConfig, rows=slice(None)) -> np.ndarray:
 
 
 def _type_II_members(config: SpaceConfig) -> np.ndarray:
-    """The sorted, distinct member rows of every type-II spread.
+    """The sorted, distinct member rows of every type-II spread, one gather
+    from the i = 1 level of pair_factors.
 
-    The preconditions of spread_type_II are checked once for all
-    containers (_check_containers) and once for all distinct interior
-    directions (_check_directions), and d inside Q by one syndrome_keys
-    call on every interior basis.  Then each flat of an interior
-    direction d of container Q is labelled by the coset of Q that holds
-    it: the syndrome key of the flat's first point under Q's parity
-    check.  That label is exact because d lies in Q: the flat d + x lies
-    inside x + Q, so all its points share the key.  A coset of Q has
-    q^(nu+1) points, so it holds q flats of d.  The spread from Q,
-    directions (p1, p2) and the shift coset s is the q flats of p1
-    labelled s and the q^nu - q flats of p2 labelled otherwise; flat ids
-    run direction-major, so the row is sorted when the part of the lesser
-    direction comes first.  CHARACTER_ELEMENTS label entries are made at
-    a time; character_plan checks that every row covers each point once.
+    container_cosets lists, for each type-(nu+1, 2) container Q, the q
+    flats of each interior direction in each coset of Q.  The spread of
+    Q, the ordered direction pair (p1, p2) and the shift coset s is the q
+    flats of p1 in s and the q^nu - q flats of p2 in the other cosets;
+    character_plan checks that every row covers each point once.
     """
-    nu, q, per = config.nu, config.q, config.q**config.nu
-    components = type_II_components(config)
-    containers = [q_sub for q_sub, _ in components]
-    _check_containers(config, containers)
-    _check_directions(config, list(dict.fromkeys(p for _, inner in components for p in inner)))
-    checks = subspace_checks(config, containers)
-    interiors = np.array([[p.basis for p in interior] for _, interior in components])
-    if syndrome_keys(config, checks, interiors.reshape(len(checks), -1, config.dim)).any():
-        raise ValueError("directions must lie inside the container")
-    direction_index = {d: k for k, d in enumerate(enumerate_isotropic(config, nu))}
-    interior = np.sort([[direction_index[p] for p in inner] for _, inner in components], axis=1)
-    inner, cosets = interior.shape[1], q ** (nu - 1)
-    firsts = flat_point_table(config)[:, 0].reshape(-1, per)  # by direction
-    powers = q ** np.arange(config.dim - 1, -1, -1)
-    a, b = np.nonzero(~np.eye(inner, dtype=bool))  # the ordered pairs of interior positions
-    lesser = a < b
-    step = max(1, CHARACTER_ELEMENTS // (inner * per * max(config.dim, inner * cosets)))
-    rows = []
-    for s in range(0, len(interior), step):
-        held = interior[s:s + step]
-        coords = firsts[held].reshape(len(held), -1, 1) // powers % q
-        labels = syndrome_keys(config, checks[s:s + step], coords).reshape(len(held), inner, per)
-        order = np.argsort(labels, axis=2, kind="stable")
-        if (np.take_along_axis(labels, order, axis=2) != np.arange(per) // q).any():
-            raise AssertionError(f"a type-II container of {config.key()} does not hold "
-                                 f"q flats of each interior direction in each coset")
-        offset = per * held[:, :, None, None]
-        inside = order.reshape(len(held), inner, cosets, q) + offset
-        off = np.nonzero(labels[:, :, None] != np.arange(cosets)[:, None])[3]
-        off = off.reshape(len(held), inner, cosets, per - q) + offset
-        first, second = inside[:, a], off[:, b]
-        # flat ids run direction-major, so the part of the lesser direction comes first
-        for head, tail in ((first[:, lesser], second[:, lesser]),
-                           (second[:, ~lesser], first[:, ~lesser])):
-            rows.append(np.concatenate([head, tail], axis=3).reshape(-1, per))
-    return _unique_rows(np.concatenate(rows))
+    per = config.q**config.nu
+    cells = pair_factors(config).container_cosets().transpose(2, 1, 3, 0)  # (G, k, cosets, q)
+    G, k, cosets, q = cells.shape
+    first, second = np.nonzero(~np.eye(k, dtype=bool))  # the ordered pairs of interior slots
+    others = np.nonzero(~np.eye(cosets, dtype=bool))[1].reshape(cosets, cosets - 1)
+    outside = cells[:, second][:, :, others].reshape(G, len(first), cosets, per - q)
+    rows = np.concatenate([cells[:, first], outside], axis=3).reshape(-1, per)
+    rows.sort(axis=1)
+    return _unique_rows(rows).astype(np.int64)
 
 
 def _unique_rows(a: np.ndarray) -> np.ndarray:
@@ -384,9 +296,8 @@ def _sorted_rows(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the translation characters
 
-# bounds the (characters, directions, partners) labels of _components, the
-# (pairs, points) values that _check_groups gathers, and the container stacks
-# and coset labels of the type-II family, at a time
+# bounds the (characters, directions, partners) labels of _components and the
+# (pairs, points) values that _check_groups gathers, at a time
 CHARACTER_ELEMENTS = 2**20
 
 

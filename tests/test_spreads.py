@@ -55,7 +55,6 @@ from clflats.spreads import (
     list_type_II,
     spread_type_I,
     spread_type_II,
-    type_II_components,
     typeI_span_check,
     typeII_span_check,
 )
@@ -122,11 +121,12 @@ def test_type_II_spec_example(s22):
 
 
 def test_type_II_interior_count(s22, o32):
+    """Every type-(nu+1, 2) container of pair_factors holds q^(e2/2) + 1
+    maximal directions."""
     for cfg in (s22, o32, space_config("unitary", 4, 2)):
-        comps = type_II_components(cfg)
-        expected = e_power(cfg, cfg.e2) + 1
-        assert comps
-        assert all(len(interior) == expected for _, interior in comps)
+        factors = scheme.pair_factors(cfg)
+        assert factors.container_cosets().shape[2] > 0
+        assert factors.sizes[0] == e_power(cfg, cfg.e2) + 1
 
 
 def test_type_II_guards(s22, s21):
@@ -164,32 +164,27 @@ def _broken_components(cfg, container, interior):
 
 
 @pytest.mark.parametrize("bad", ["outside", "not isotropic", "too small", "container"])
-def test_type_II_family_checks_every_container_and_direction(s22, monkeypatch, bad):
-    """The family build checks each container once and each interior
-    direction once: a bad last direction of the last container is named."""
-    comps = list(type_II_components(s22))
-    comps[-1], message = _broken_components(s22, *comps[-1])[bad]
-    monkeypatch.setattr(spreads, "type_II_components", lambda config: tuple(comps))
+def test_spread_type_II_checks_every_precondition(s22, bad):
+    """spread_type_II names the broken precondition of a component: a
+    direction outside the container, a degenerate or too small direction,
+    or a direction in place of the container."""
+    (container, interior), message = _broken_components(
+        s22, *type_II_components_oracle(s22)[-1])[bad]
     with pytest.raises(ValueError, match=message):
-        spreads._type_II_members(s22)
+        spread_type_II(s22, container, interior[0], interior[-1])
 
 
 @pytest.mark.parametrize("key", [("orthogonal", 3, 2), ("unitary", 4, 2)],
                          ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
-def test_type_II_family_checks_the_gram_rank_of_every_container(key, monkeypatch):
-    """A (nu+1)-dimensional container whose Gram rank is not 2, in place of
-    the last one, is refused by its rank alone, as spread_type_II refuses it."""
+def test_type_II_family_checks_the_gram_rank_of_every_container(key):
+    """A (nu+1)-dimensional container whose Gram rank is not 2 is refused
+    by spread_type_II by its rank alone."""
     cfg = space_config(*key)
-    comps = list(type_II_components(cfg))
-    interior = comps[-1][1]
+    interior = type_II_components_oracle(cfg)[-1][1]
     # a maximal direction plus any vector has Gram rank 2, so extend a hyperbolic pair
     pair = [unit_vector(cfg, 0), unit_vector(cfg, cfg.nu)]
     wrong = next(c for c in (canonicalize(cfg, pair + [v]) for v in all_vectors(cfg))
                  if c.dim == cfg.nu + 1 and gram_rank(cfg, c) != 2)
-    comps[-1] = (wrong, interior)
-    monkeypatch.setattr(spreads, "type_II_components", lambda config: tuple(comps))
-    with pytest.raises(ValueError, match=r"type-\(nu\+1, 2\)"):
-        spreads._type_II_members(cfg)
     with pytest.raises(ValueError, match=r"type-\(nu\+1, 2\)"):
         spread_type_II(cfg, wrong, *interior[:2])
 
@@ -198,10 +193,10 @@ def test_type_II_family_checks_the_gram_rank_of_every_container(key, monkeypatch
                          + [("symplectic", 4, 2), ("orthogonal", 3, 3)],
                          ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
 def test_type_II_family_matches_the_oracles(key):
-    """The stacked containers and the coset-labelled member rows equal the
-    per-vector canonicalize loop and the point-wise gather, byte for byte."""
+    """The member rows gathered from the container table of pair_factors
+    equal the point-wise gather over the canonicalize loop's containers,
+    byte for byte."""
     cfg = space_config(*key)
-    assert type_II_components(cfg) == type_II_components_oracle(cfg)
     want = np.vstack([spreads._type_I_members(cfg), type_II_members_oracle(cfg)])
     members = family_members(cfg)
     assert members.dtype == want.dtype and members.shape == want.shape
@@ -211,22 +206,40 @@ def test_type_II_family_matches_the_oracles(key):
 @pytest.mark.parametrize("key", [("symplectic", 2, 3), ("unitary", 4, 2)],
                          ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
 def test_type_II_family_in_small_chunks_is_the_same(key, monkeypatch):
-    """With CHARACTER_ELEMENTS at 1, one direction's stack and one
-    container's labels at a time, the components and rows do not change."""
+    """With PAIR_ELEMENTS at 1, pair_factors splits one direction pair at a
+    time, and the type-II rows read off its container table do not change."""
     cfg = space_config(*key)
-    comps, rows = type_II_components(cfg), spreads._type_II_members(cfg)
-    monkeypatch.setattr(spreads, "CHARACTER_ELEMENTS", 1)
-    assert spreads.type_II_components.__wrapped__(cfg) == comps
+    rows = spreads._type_II_members(cfg)
+    monkeypatch.setattr(scheme, "PAIR_ELEMENTS", 1)
+    monkeypatch.setattr(spreads, "pair_factors", scheme.pair_factors.__wrapped__)
     assert spreads._type_II_members(cfg).tobytes() == rows.tobytes()
 
 
-def test_type_II_labels_are_checked(s22, monkeypatch):
-    """Flats whose first points do not spread over a container's cosets,
-    q to a coset, make the family build raise AssertionError."""
-    real = flats.flat_point_table
-    monkeypatch.setattr(spreads, "flat_point_table", lambda config: np.zeros_like(real(config)))
-    with pytest.raises(AssertionError, match="q flats of each interior direction"):
-        spreads._type_II_members(s22)
+def test_type_II_labels_are_checked(monkeypatch):
+    """Two flats of one direction swapped between two cosets of one
+    container in the i = 1 table of pair_factors: the rows read off it no
+    longer cover each point once, so character_plan raises AssertionError
+    and the spread route cannot pass on the bad table."""
+    for key in (("symplectic", 2, 2), ("unitary", 4, 2)):
+        cfg = space_config(*key)
+        pencil = construct_pencil(cfg, zero_vector(cfg))
+        real = scheme.pair_factors(cfg)
+        cosets = np.array(real.container_cosets())
+        cosets[0, 0, 0, [0, 1]] = cosets[0, 0, 0, [1, 0]]
+        table = cosets.reshape(real.members[0].shape)
+        tampered = dataclasses.replace(real, members=(table,) + real.members[1:])
+        monkeypatch.setattr(spreads, "pair_factors", lambda config, t=tampered: t)
+        for cached in (spreads._family, character_plan):
+            cached.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="cover each point once"):
+                character_plan(cfg)
+            with pytest.raises(AssertionError, match="cover each point once"):
+                spread_test(pencil)
+        finally:
+            monkeypatch.undo()
+            for cached in (spreads._family, character_plan):
+                cached.cache_clear()
 
 
 def test_shared_point_tables_are_built_once():
@@ -692,7 +705,7 @@ def test_family_members_match_one_spread_at_a_time(key):
     cfg = space_config(*key)
     fld = cfg.field
     seen = set()
-    for q_sub, interior in type_II_components(cfg):
+    for q_sub, interior in type_II_components_oracle(cfg):
         shifts = sorted({reduce_mod(fld, q_sub, v) for v in all_vectors(cfg)})
         for p1 in interior:
             for p2 in interior:
@@ -720,9 +733,12 @@ def test_type_II_components_match_all_vectors_scan(key):
                 q_sub = canonicalize(cfg, list(p.basis) + [v])
                 if gram_rank(cfg, q_sub) == 2:
                     containers.add(q_sub)
-    want = [(q_sub, tuple(p for p in maxes if contains_subspace(fld, q_sub, p)))
-            for q_sub in sorted(containers, key=lambda s: s.flat_key())]
-    assert list(type_II_components(cfg)) == want
+    index = {p: d for d, p in enumerate(maxes)}
+    want = sorted(tuple(index[p] for p in maxes if contains_subspace(fld, q_sub, p))
+                  for q_sub in containers)
+    # the direction of slot t of container g is that of its first flat in its first coset
+    rows = scheme.pair_factors(cfg).container_cosets()[0, :, :, 0].T // cfg.q**cfg.nu
+    assert sorted(map(tuple, rows.tolist())) == want
 
 
 @over_family_configs
