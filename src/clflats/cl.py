@@ -59,6 +59,7 @@ from .flats import (
     Flat,
     container_flats,
     coset_table,
+    direction_distances,
     enumerate_flats,
     flat_ids,
     flat_make,
@@ -78,7 +79,6 @@ from .scheme import (
     distance_masks,
     idempotent_coefficients,
     meeting_product,
-    pair_factors,
     relation_matrix,
     scheme_tables,
 )
@@ -277,7 +277,7 @@ def route_plan(config: SpaceConfig) -> RoutePlan:
     class_rows, flat_rows = 2 + np.flatnonzero(~on_flats), 2 + np.flatnonzero(on_flats)
     distance_one = (np.arange(nu + 1) == 1).astype(np.int64)
     blocks = np.vstack([disjoint[class_rows], disjoint[flat_rows], distance_one])
-    rd = pair_factors(config).rd
+    rd = direction_distances(config)
     # a copy that owns its data, so that exact._bound caches its bound
     fold = np.vstack([disjoint[0][rd[0]], blocks[:, rd].reshape(-1, D)])
     laws = []

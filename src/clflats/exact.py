@@ -212,14 +212,16 @@ def check_null_basis(matrix, N: np.ndarray, free) -> None:
     free must be the columns off the GF(p) pivots of the matrix, so that
     |free| = n - rank_p <= dim ker.  One exact product shows that N lies in
     the nullspace, and a nonzero diagonal N[:, free] that N has rank
-    |free|, so N spans it (and rank_Q = rank_p).
+    |free|, so N spans it (and rank_Q = rank_p).  With no free column the
+    GF(p) rank, a lower bound on the rational rank, is the column count,
+    an upper bound, so the nullspace is zero and no product is taken.
     """
     A = np.asarray(matrix)
     if N.shape != (len(free), A.shape[1]):
         raise AssertionError(f"a null basis of shape {N.shape} for {len(free)} free columns")
     D = N[:, np.asarray(free, dtype=np.int64)]
     d = np.diagonal(D)
-    if not d.all() or (D != np.diag(d)).any() or int_matmul(A, N.T).any():
+    if not d.all() or (D != np.diag(d)).any() or (len(N) and int_matmul(A, N.T).any()):
         raise AssertionError("the null basis fails its exact certificate")
 
 

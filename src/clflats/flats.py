@@ -8,12 +8,17 @@ The flat of direction d through a point x has the id d q^nu plus the
 syndrome key of x under the parity check of d (geometry.syndrome_keys),
 so coset_table and the incidence matrix are one syndrome pass over all
 points, and point_mask, flat_ids_in and flats_through test containment
-by syndromes too.  The point-flat incidence matrix M has a certified
-integer null basis N, from its RREF over GF(p) rebuilt by rational
-reconstruction; it gives the exact rank of M.  The image route, of single
-sets and of batches alike, and the restrictions to container flats read
-the translation-character bases of ker M and of each container's
-incidence (spreads.membership_plan) instead, with no elimination.
+by syndromes too.  The distance i = nu - dim(da meet db) of every pair
+of maximal directions is one exact product of their origin indicators
+in coset_table (direction_distances), and the type-(nu+i, 2i) flats
+through a maximal flat are the sums of its direction with the
+directions at distance i (container_flats).  The point-flat incidence
+matrix M has a certified integer null basis N, from its RREF over GF(p)
+rebuilt by rational reconstruction; it gives the exact rank of M.  The
+image route, of single sets and of batches alike, and the restrictions
+to container flats read the translation-character bases of ker M and of
+each container's incidence (spreads.membership_plan) instead, with no
+elimination.
 """
 
 from __future__ import annotations
@@ -254,31 +259,35 @@ def _check_container(config: SpaceConfig, big: Flat) -> int:
 
 
 def container_flats(config: SpaceConfig, s: Flat, i: int) -> list[Flat]:
-    """All type-(nu+i, 2i) flats containing the maximal flat s."""
+    """All type-(nu+i, 2i) flats containing the maximal flat s, in
+    Subspace.flat_key order of their directions.
+
+    Their directions W are the sums d + d' of the direction d of s with
+    the maximal directions d' at distance i from it (direction_distances).
+    W has a radical R of dimension nu - i, which lies in d by maximality,
+    and d = R + L for a Lagrangian L of a complement H of R in W; H is
+    hyperbolic, so it has a Lagrangian L' with L and L' meeting in 0, and
+    d' = R + L' is maximal with d + d' = W.  Conversely, for d' at
+    distance i, a vector of d orthogonal to d' lies in d', and one of d'
+    orthogonal to d in d, by maximality, so the radical of d + d' is
+    d meet d', of dimension nu - i, and d + d' has Gram rank 2i.  A sum
+    of another Gram rank is an internal error.
+    """
     if not 1 <= i < config.nu:
         raise ValueError(f"i={i} out of range")
     if not is_totally_isotropic_flat(config, s) or s.dim != config.nu:
         raise ValueError("base flat must be maximal totally isotropic")
-    fld = config.field
-    layer = {s.direction}
-    for _ in range(i):
-        nxt = set()
-        for sub in layer:
-            for v in _complement_vectors(config, sub):
-                nxt.add(canonicalize(config, list(sub.basis) + [v]))
-        layer = nxt
-    out = [flat_make(config, sub, s.rep) for sub in sorted(layer, key=Subspace.flat_key)
-           if gram_rank(config, sub) == 2 * i]
-    if not all(flat_contains_flat(config, t, s) for t in out):
-        raise AssertionError("a container flat does not contain the base flat")
+    dirs = enumerate_isotropic(config, config.nu)
+    d = dirs.index(s.direction)
+    sums = {sum_subspace(config, s.direction, dirs[e])
+            for e in np.flatnonzero(direction_distances(config)[d] == i).tolist()}
+    out = []
+    for w in sorted(sums, key=Subspace.flat_key):
+        if gram_rank(config, w) != 2 * i:
+            raise AssertionError(f"a sum of two maximal directions of {config.key()} at "
+                                 f"distance {i} does not have Gram rank {2 * i}")
+        out.append(flat_make(config, w, s.rep))
     return out
-
-
-def _complement_vectors(config: SpaceConfig, sub: Subspace):
-    fld = config.field
-    for v in all_vectors(config):
-        if any(v) and not contains_vector(fld, sub, v):
-            yield v
 
 
 def is_totally_isotropic_flat(config: SpaceConfig, f: Flat) -> bool:
@@ -318,6 +327,30 @@ def coset_table(config: SpaceConfig) -> np.ndarray:
              + per * np.arange(len(dirs), dtype=np.int64)[:, None])
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=None)
+def direction_distances(config: SpaceConfig) -> np.ndarray:
+    """rd[da, db] = i for every pair of maximal directions, with
+    dim(da meet db) = nu - i; int8 (D, D), read-only.
+
+    The flats of da and db through the origin share q^(nu - i) points,
+    counted for every direction pair by one exact product of the origin
+    indicators of coset_table; a count that is no power q^k, k <= nu, is
+    an internal error.
+    """
+    coset_of = coset_table(config)
+    nu, q = config.nu, config.q
+    origin = coset_of == coset_of[:, :1]
+    shared = exact.int_matmul(origin, origin.T)
+    powers = q ** np.arange(nu + 1, dtype=np.int64)
+    k = np.minimum(np.searchsorted(powers, shared), nu)
+    if (powers[k] != shared).any():
+        raise AssertionError(f"two directions of {config.key()} share a number of points "
+                             f"that is no power of q up to q^{nu}")
+    rd = (nu - k).astype(np.int8)
+    rd.flags.writeable = False
+    return rd
 
 
 @lru_cache(maxsize=None)

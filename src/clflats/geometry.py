@@ -249,39 +249,6 @@ def rref(fld: FiniteField, rows: list[list[int]]) -> tuple[tuple[Vector, ...], t
     return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
 
 
-def rref_stack(fld: FiniteField, matrices) -> tuple[np.ndarray, np.ndarray]:
-    """rref over a stack: the RREF of each matrix of an int64 (S, r, c)
-    stack of field codes, with its rank.
-
-    Returns the reduced stack (S, r, c), rows past the rank zero, and the
-    ranks (S,).  One numpy pass per column: each matrix that has a nonzero entry at or below its
-    next pivot row takes the first such row as its pivot, swaps it up,
-    scales it by the inverse of its pivot entry and clears the column
-    from every other row, through the add_flat/mul_flat tables.
-    """
-    A = np.array(matrices, dtype=np.int64)
-    S, r, c = A.shape
-    q = fld.q
-    inv, neg = np.array(fld.inv_table, dtype=np.int64), np.array(fld.neg_table, dtype=np.int64)
-    rank = np.zeros(S, dtype=np.int64)
-    rows = np.arange(r)
-    for j in range(c):
-        candidates = (A[:, :, j] != 0) & (rows >= rank[:, None])
-        s = np.flatnonzero(candidates.any(axis=1))
-        if not s.size:
-            continue
-        t, source = rank[s], candidates[s].argmax(axis=1)
-        pivot = A[s, source]
-        A[s, source] = A[s, t]
-        pivot = fld.mul_flat[inv[pivot[:, j, None]] * q + pivot]
-        A[s, t] = pivot
-        factor = A[s, :, j]
-        factor[np.arange(s.size), t] = 0
-        A[s] = fld.add_flat[A[s] * q + neg[fld.mul_flat[factor[:, :, None] * q + pivot[:, None]]]]
-        rank[s] += 1
-    return A, rank
-
-
 def canonicalize(config: SpaceConfig, rows) -> Subspace:
     """Canonical Subspace for the row space of the given rows."""
     basis, pivots = rref(config.field, [list(r) for r in rows])
@@ -404,19 +371,6 @@ def gram_matrix(config: SpaceConfig, sub: Subspace) -> list[list[int]]:
 def gram_rank(config: SpaceConfig, sub: Subspace) -> int:
     ech, _ = rref(config.field, gram_matrix(config, sub))
     return len(ech)
-
-
-def gram_matrices(config: SpaceConfig, bases) -> np.ndarray:
-    """gram_matrix over a stack: G[s, i, j] = form(b_i, b_j) for each basis
-    of an int64 (S, k, dim) stack, one form_values call."""
-    B = np.asarray(bases, dtype=np.int64)
-    return form_values(config, B[:, :, None], B[:, None])
-
-
-def gram_ranks(config: SpaceConfig, bases) -> np.ndarray:
-    """gram_rank over a stack: the Gram rank of each basis of an int64
-    (S, k, dim) stack, by gram_matrices and one rref_stack."""
-    return rref_stack(config.field, gram_matrices(config, bases))[1]
 
 
 def subspace_type(config: SpaceConfig, sub: Subspace) -> tuple[int, int]:

@@ -6,13 +6,12 @@ intersection, xi = 0 when the cosets meet and 1 when they are disjoint
 eigenvalue, valency, and multiplicity tables come from closed forms,
 and so does the coefficient table C of the idempotents in the
 adjacency basis, E_e = (1/L_e) sum_r C[e, r] A_r.  The relations are
-factored by direction groups (pair_factors), read off
-flats.coset_table: the D x D table rd of i, from the points that the
-flats of two directions through the origin share, and, for 0 < i < nu,
-the cosets that group the meeting flats: at i = 1 those of each
-type-(nu + 1, 2) container da + db, which holds every maximal direction
-at distance 1 from da inside it, and at i >= 2 those of each unordered
-pair's sum.  The checks' one product, the relation-count table
+factored by the D x D table rd of i (flats.direction_distances) and by
+direction groups (pair_factors), read off flats.coset_table: for
+0 < i < nu, the cosets that group the meeting flats, at i = 1 those of
+each type-(nu + 1, 2) container da + db, which holds every maximal
+direction at distance 1 from da inside it, and at i >= 2 those of each
+unordered pair's sum.  The checks' one product, the relation-count table
 T[r] = A_r X for every relation r, is read from it by relation_products:
 A_(0,0), A_(0,1) and A_(nu,0) need only X and its parallel-class totals,
 A_(i,0) X for 0 < i < nu is a sum over cosets taken once per group
@@ -38,7 +37,7 @@ import numpy as np
 
 from . import exact
 from .field import binomial2, e_power, e_power_frac, gauss_binomial
-from .flats import Flat, coset_table, flat_meet, flat_point_table
+from .flats import Flat, coset_table, direction_distances, flat_meet, flat_point_table
 from .geometry import E2, SpaceConfig, is_totally_isotropic, sum_subspace
 
 RelIndex = tuple[int, int]
@@ -267,12 +266,12 @@ def relation_of(config: SpaceConfig, f1: Flat, f2: Flat) -> RelIndex:
 class PairFactors:
     """The relation table factored by direction groups; every array read-only.
 
-    rd[da, db] = i, with q^(nu - i) points shared by the flats of da and
-    db through the origin.  For 0 < i < nu the meeting relation (i, 0) is
-    read off groups of directions: at i = 1 a group is the set of maximal
-    directions inside one type-(nu + 1, 2) container W = da + db, every
-    pair of which is at distance 1, and at i >= 2 it is one unordered
-    direction pair.  Every direction lies in the same number m of groups,
+    The distance i of two directions da and db is
+    flats.direction_distances(config)[da, db].  For 0 < i < nu the
+    meeting relation (i, 0) is read off groups of directions: at i = 1 a
+    group is the set of maximal directions inside one type-(nu + 1, 2)
+    container W = da + db, every pair of which is at distance 1, and at
+    i >= 2 it is one unordered direction pair.  Every direction lies in the same number m of groups,
     and every group holds sizes[i - 1] = k directions, ascending, whose
     sum W splits the flats of each into the q^(nu - i) cosets of W, q^i
     flats to a coset; the flats met by a flat a of direction d are those
@@ -290,7 +289,6 @@ class PairFactors:
     """
 
     per: int
-    rd: np.ndarray
     sizes: tuple[int, ...]
     keys: tuple[np.ndarray, ...]
     members: tuple[np.ndarray, ...]
@@ -313,33 +311,24 @@ def pair_factors(config: SpaceConfig) -> PairFactors:
     """The direction-group factorisation of the relations, read off the
     coset table.
 
-    coset_of[d, x] is the flat of direction d through point x.  The flats
-    of da and db through the origin share q^(nu - i) points, counted for
-    every direction pair by one exact product of the origin indicators; a
-    count that is no power q^k, k <= nu, is an internal error.  For
-    0 < i < nu, the flats of db through the points of a flat of da are
-    the q^i flats of db that meet it, each met in q^(nu - i) points, and
-    the flats of da with the same least such flat form one coset of
-    da + db (_coset_split), whose member lists are the cosets of the flats
-    of db, so each pair da < db is split once.  Two distance-1 partners of
-    da lie in one container exactly when they split the flats of da into
-    the same cosets, which groups them (_containers); at i >= 2 the groups
-    are the pairs da < db.  Any other pattern is an internal error too,
-    and so is a direction whose partners fall into containers of unequal
-    sizes.  The gathers hold PAIR_ELEMENTS entries at a time; nothing has
+    coset_of[d, x] is the flat of direction d through point x, and
+    flats.direction_distances gives the distance i of every direction
+    pair da, db.  For 0 < i < nu, the flats of db through the points of a
+    flat of da are the q^i flats of db that meet it, each met in
+    q^(nu - i) points, and the flats of da with the same least such flat
+    form one coset of da + db (_coset_split), whose member lists are the
+    cosets of the flats of db, so each pair da < db is split once.  Two
+    distance-1 partners of da lie in one container exactly when they
+    split the flats of da into the same cosets, which groups them
+    (_containers); at i >= 2 the groups are the pairs da < db.  Any other
+    pattern is an internal error, and so is a direction whose partners
+    fall into containers of unequal sizes.  The gathers hold PAIR_ELEMENTS entries at a time; nothing has
     n^2 entries.
     """
     coset_of = coset_table(config)
     nu, q, per = config.nu, config.q, config.q**config.nu
-    dirs = coset_of.shape[0]
-    origin = coset_of == coset_of[:, :1]
-    shared = exact.int_matmul(origin, origin.T)
-    powers = q ** np.arange(nu + 1, dtype=np.int64)
-    k = np.minimum(np.searchsorted(powers, shared), nu)
-    if (powers[k] != shared).any():
-        raise AssertionError(f"two directions of {config.key()} share a number of points "
-                             f"that is no power of q up to q^{nu}")
-    rd = (nu - k).astype(np.int8)
+    rd = direction_distances(config)
+    dirs = len(rd)
     points = flat_point_table(config).reshape(dirs, per, per)
     sizes, keys, members = [], [], []
     for i in range(1, nu):
@@ -358,9 +347,9 @@ def pair_factors(config: SpaceConfig) -> PairFactors:
         sizes.append(groups.shape[1])
         keys.append(key)
         members.append(member)
-    for a in [rd] + keys + members:
+    for a in keys + members:
         a.flags.writeable = False
-    return PairFactors(per, rd, tuple(sizes), tuple(keys), tuple(members))
+    return PairFactors(per, tuple(sizes), tuple(keys), tuple(members))
 
 
 def _splits(config: SpaceConfig, coset_of: np.ndarray, points: np.ndarray, pairs: np.ndarray,
@@ -552,9 +541,9 @@ def relation_matrix(config: SpaceConfig) -> np.ndarray:
     i = nu, and at the meeting neighbours for 0 < i < nu.  Only the checks
     that read entries build it.
     """
-    factors = pair_factors(config)
+    factors, rd = pair_factors(config), direction_distances(config)
     nu, per = config.nu, factors.per
-    codes = np.where(factors.rd == nu, 2 * nu, 2 * factors.rd + 1).astype(np.int8)
+    codes = np.where(rd == nu, 2 * nu, 2 * rd + 1).astype(np.int8)
     R = np.repeat(np.repeat(codes, per, axis=0), per, axis=1)
     n = R.shape[0]
     R[np.arange(n), np.arange(n)] = 0
@@ -568,7 +557,7 @@ def relation_matrix(config: SpaceConfig) -> np.ndarray:
 def distance_masks(config: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
     """The 0/1 masks (rd = i), i = 0..nu, stacked into one ((nu + 1) d, d)
     matrix for the d directions, and its float64 copy; both read-only."""
-    rd = pair_factors(config).rd
+    rd = direction_distances(config)
     # a copy that owns its data, so that exact._bound caches its bound
     masks = (rd == np.arange(config.nu + 1)[:, None, None]).reshape(-1, len(rd)).copy()
     masks_float = masks.astype(np.float64)
@@ -651,7 +640,7 @@ def relation_products(config: SpaceConfig, X: np.ndarray) -> np.ndarray:
     wide = X.dtype == object or (X.size and 8 * nu * n
                                  * max(-int(X.min()), int(X.max())) >= 2**62)
     Xw = X.astype(object if wide else np.int64, copy=False)
-    dirs = len(factors.rd)
+    dirs = n // per
     out = np.empty((2 * nu + 1, n, c), dtype=Xw.dtype)
     # (rd = i) S for every distance i in one product, spread over each class
     # into rows 2i + 1 for i < nu and row 2 nu
@@ -720,8 +709,7 @@ def _eigen_checks(config: SpaceConfig, V: np.ndarray, BVs) -> dict[str, bool]:
         ok["idempotent"] &= bool((BBV[k] == Ls[k] * BV).all())
         ok["orthogonal"] &= not np.delete(BBV.any(axis=(1, 2)), k).any()
     # every flat meets itself, in relation (0, 0)
-    factors = pair_factors(config)
-    diagonal = np.repeat(2 * np.diagonal(factors.rd), factors.per)
+    diagonal = np.repeat(2 * np.diagonal(direction_distances(config)), config.q**config.nu)
     ok["trace"] = all(int(C[k][diagonal].sum()) == Ls[k] * tables.multiplicities[e]
                       for k, e in enumerate(rels))
     Lc = lcm(*Ls)

@@ -13,9 +13,10 @@ is the number of directions, a set's intersections with them are block
 sums of its indicator, a spread is type I iff its members share one
 block, and their rank is their number, since their supports are
 disjoint.  The type-II rows are one gather from the i = 1 level of
-scheme.pair_factors, which groups the directions at rd = 1 into their
-type-(nu+1, 2) containers Q and lists, by coset of Q, the q flats of
-each interior direction that lie in it (PairFactors.container_cosets):
+scheme.pair_factors, which groups the directions at distance rd = 1
+(flats.direction_distances) into their type-(nu+1, 2) containers Q and
+lists, by coset of Q, the q flats of each interior direction that lie
+in it (PairFactors.container_cosets):
 a direction d inside Q puts the flat d + x inside the coset x + Q, and
 each of the q^(nu-1) cosets of Q, q^(nu+1) points, holds q flats of d.
 The spread of Q, directions (p1, p2) and coset s is the q flats of p1
@@ -91,6 +92,7 @@ from .flats import (
     Flat,
     coset_representatives,
     coset_table,
+    direction_distances,
     enumerate_flats,
     flat_ids,
     flat_ids_in,
@@ -105,8 +107,7 @@ from .geometry import (
     all_vectors,
     contains_subspace,
     enumerate_isotropic,
-    gram_matrices,
-    gram_ranks,
+    gram_rank,
     is_totally_isotropic,
     point_array,
     span_points,
@@ -144,25 +145,19 @@ def spread_type_I(config: SpaceConfig, direction: Subspace) -> Spread:
 
 def _check_containers(config: SpaceConfig, containers) -> None:
     """The container preconditions of a type-II spread, for a sequence of
-    containers: nu >= 2, and each of type (nu+1, 2), by one gram_ranks."""
+    containers: nu >= 2, and each of type (nu+1, 2), dimension nu + 1 and
+    Gram rank 2 by gram_rank."""
     if config.nu < 2:
         raise ValueError("type-II spreads need nu >= 2")
-    if (any(c.dim != config.nu + 1 for c in containers)
-            or (gram_ranks(config, _bases(config, containers, config.nu + 1)) != 2).any()):
+    if any(c.dim != config.nu + 1 or gram_rank(config, c) != 2 for c in containers):
         raise ValueError("container must be a type-(nu+1, 2) subspace")
 
 
 def _check_directions(config: SpaceConfig, directions) -> None:
     """The directions of type-II spreads must be maximal totally isotropic:
     of dimension nu, with zero Gram matrices."""
-    if (any(p.dim != config.nu for p in directions)
-            or gram_matrices(config, _bases(config, directions, config.nu)).any()):
+    if any(p.dim != config.nu or not is_totally_isotropic(config, p) for p in directions):
         raise ValueError("directions must be maximal totally isotropic")
-
-
-def _bases(config: SpaceConfig, subs, k: int) -> np.ndarray:
-    """The bases of a sequence of k-dimensional subspaces, int64 (S, k, dim)."""
-    return np.array([s.basis for s in subs], dtype=np.int64).reshape(len(subs), k, config.dim)
 
 
 def spread_type_II(config: SpaceConfig, container: Subspace,
@@ -480,7 +475,7 @@ def _type_II_edges(config: SpaceConfig, rows: np.ndarray) -> tuple[bool, np.ndar
     Members are sorted and ids run direction-major, so a row's
     directions are its first and last members' blocks."""
     q, per = config.q, config.q**config.nu
-    rd = pair_factors(config).rd
+    rd = direction_distances(config)
     direction = rows // per
     first, last = direction[:, 0], direction[:, -1]
     count = (direction == first[:, None]).sum(axis=1)
@@ -522,7 +517,7 @@ def character_plan(config: SpaceConfig) -> CharacterPlan:
     if config.nu >= 2:
         pairs_ok, sums = _type_II_edges(config, rows)
         edges_ok = edges_ok and pairs_ok
-        partners = np.nonzero(pair_factors(config).rd == 1)[1].reshape(dirs, -1)
+        partners = np.nonzero(direction_distances(config) == 1)[1].reshape(dirs, -1)
     else:
         edges_ok = edges_ok and not len(rows)
         sums, partners = None, np.empty((dirs, 0), dtype=np.int64)

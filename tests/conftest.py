@@ -14,6 +14,7 @@ from clflats.flats import (
     container_flats,
     coset_representatives,
     coset_table,
+    direction_distances,
     enumerate_flats,
     flat_make,
     flat_points,
@@ -42,7 +43,6 @@ from clflats.geometry import (
 from clflats.scheme import (
     PRODUCT_COLUMNS,
     _coset_split,
-    pair_factors,
     projections,
     relation_products,
     scheme_tables,
@@ -214,7 +214,7 @@ def type_II_components_oracle(config) -> tuple[tuple[Subspace, tuple[Subspace, .
     """The type-(nu+1, 2) subspaces with their interior maximal isotropics,
     one canonicalize per (direction, nonzero coset representative) and one
     gram_rank per new container: the loop spreads.type_II_components made
-    before it reduced the whole stack with geometry.rref_stack."""
+    before it reduced the whole stack with one batched F_q elimination."""
     maxes = enumerate_isotropic(config, config.nu)
     seen: set[Subspace] = set()
     containers = []
@@ -267,7 +267,7 @@ def ordered_pair_tables(config) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     flats of the partner in coset kappa."""
     coset_of = coset_table(config)
     nu, q, per = config.nu, config.q, config.q**config.nu
-    rd = pair_factors(config).rd
+    rd = direction_distances(config)
     dirs = len(rd)
     points = np.argsort(coset_of, axis=1, kind="stable").reshape(dirs, per, per)
     levels = []
@@ -319,6 +319,31 @@ def membership_rows(plan: spreads.MembershipPlan, n: int) -> np.ndarray:
                 np.add.at(row, plan.groups[pair, 0], -sign)
             rows.append(row)
     return np.vstack([trivial] + rows)
+
+
+@lru_cache(maxsize=None)
+def _container_directions_oracle(config, direction: Subspace, i: int) -> tuple[Subspace, ...]:
+    layer = {direction}
+    for _ in range(i):
+        nxt = set()
+        for sub in layer:
+            for v in all_vectors(config):
+                if any(v) and not contains_vector(config.field, sub, v):
+                    nxt.add(canonicalize(config, list(sub.basis) + [v]))
+        layer = nxt
+    return tuple(sub for sub in sorted(layer, key=Subspace.flat_key)
+                 if gram_rank(config, sub) == 2 * i)
+
+
+def container_flats_oracle(config, s, i: int) -> list:
+    """The type-(nu+i, 2i) flats containing the maximal flat s, by the
+    layer growth flats.container_flats made before it read the direction
+    distances: every (nu+i)-space over the direction of s, one canonicalize
+    per (subspace, vector off it) pair, kept when its Gram rank is 2i,
+    through s.rep.  The layers depend on the direction alone, so they are
+    cached per direction."""
+    return [flat_make(config, w, s.rep)
+            for w in _container_directions_oracle(config, s.direction, i)]
 
 
 def distinct_containers(config, levels=None, bases=None) -> list:

@@ -506,23 +506,23 @@ def test_corrupt_origin_counts_exit_3(monkeypatch):
     AssertionError, never KeyError, and verify exits 3 with one line.
     The coset table is corrupted by giving the last point, in every
     direction, the flat through the origin.  relation_matrix expands the
-    cached pair factorisation, so both caches are cleared."""
+    cached direction distances, so both caches are cleared."""
     from clflats import flats, scheme
     cfg = space_config("symplectic", 2, 2)
     broken = np.array(flats.coset_table(cfg))
     broken[:, -1] = broken[:, 0]
-    monkeypatch.setattr(scheme, "coset_table", lambda c: broken)
+    monkeypatch.setattr(flats, "coset_table", lambda c: broken)
     scheme.relation_matrix.cache_clear()
-    scheme.pair_factors.cache_clear()
+    flats.direction_distances.cache_clear()
     try:
         with pytest.raises(AssertionError, match="no power of q"):
             scheme.relation_matrix(cfg)
     finally:
         scheme.relation_matrix.cache_clear()
-        scheme.pair_factors.cache_clear()
+        flats.direction_distances.cache_clear()
     code = ("import sys; import numpy as np; from clflats import flats, scheme; "
             "from clflats.cli import run; real = flats.coset_table; "
-            "scheme.coset_table = lambda c: np.where("
+            "flats.coset_table = lambda c: np.where("
             "np.arange(c.num_points) == c.num_points - 1, real(c)[:, :1], real(c)); "
             "sys.exit(run(sys.argv[1:]))")
     proc = _child(code, ["verify", "--suite", "paper"] + BASE)

@@ -278,6 +278,33 @@ def test_null_basis_certificate_rejects_any_single_change():
         check_null_basis(M, twin, free)
 
 
+def test_null_basis_certificate_takes_no_product_at_full_column_rank(monkeypatch):
+    """A matrix whose every column is a GF(p) pivot has the empty null
+    basis, certified by that rank alone: int_matmul is never called.  A
+    matrix with a null vector still takes the product, and a basis of the
+    wrong shape still raises."""
+    calls = []
+
+    def spy(a, b, a_float=None):
+        calls.append((a.shape, b.shape))
+        return int_matmul(a, b, a_float)
+
+    monkeypatch.setattr(exact, "int_matmul", spy)
+    full = np.array([[1, 2, 0], [0, 1, 3], [1, 0, 5], [4, 4, 4]], dtype=np.int64)
+    assert certified_null_basis(full).matrix().shape == (0, 3)
+    check_null_basis(full, np.zeros((0, 3), dtype=np.int64), [])
+    assert calls == []
+    for N, free in ((np.zeros((0, 4), dtype=np.int64), []),
+                    (np.zeros((1, 3), dtype=np.int64), []),
+                    (np.zeros((0, 3), dtype=np.int64), [2])):
+        with pytest.raises(AssertionError, match="a null basis of shape"):
+            check_null_basis(full, N, free)
+    assert calls == []
+    short = full[:, :2] @ np.array([[1, 0, 1], [0, 1, 1]])
+    assert certified_null_basis(short).matrix().tolist() == [[-1, -1, 1]]
+    assert calls == [((4, 3), (3, 1))]
+
+
 def test_int_matmul_fast_path_matches_object_path():
     rng = random.Random(3)
     a = np.array(_random_matrix(rng, 4, 6, -9, 9), dtype=np.int64)

@@ -41,6 +41,7 @@ from clflats.geometry import (
 )
 from conftest import (
     MEDIUM_CONFIGS,
+    container_flats_oracle,
     distinct_containers,
     incidence_by_flat_points,
     isotropic_oracle,
@@ -252,6 +253,46 @@ def test_container_type_guard(s22):
         flats_in(s22, bad)
     with pytest.raises(ValueError):
         container_flats(s22, base, 2)
+
+
+CONTAINER_KEYS = tuple(k for k in GRID if k[2] >= 2) + (("symplectic", 4, 2),
+                                                       ("orthogonal", 3, 3))
+
+
+@pytest.mark.parametrize("key", CONTAINER_KEYS, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_container_flats_match_the_oracle(key):
+    """At every i, the containers through each flat of the first direction
+    and through the last flat, read off the direction distances, are the
+    layer growth's, gauss_binomial(nu, nu - i, q) of them, each holding
+    the base flat."""
+    cfg = space_config(*key)
+    maximal = enumerate_flats(cfg, cfg.nu)
+    for i in range(1, cfg.nu):
+        for base in maximal[:cfg.q**cfg.nu] + maximal[-1:]:
+            got = container_flats(cfg, base, i)
+            assert got == container_flats_oracle(cfg, base, i)
+            assert len(got) == gauss_binomial(cfg.nu, cfg.nu - i, cfg.q)
+            assert all(flat_contains_flat(cfg, t, base) for t in got)
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 3), ("orthogonal", 3, 2)],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_container_flats_check_the_gram_rank_of_every_sum(key, monkeypatch):
+    """A direction at distance j != i from the base direction, read as at
+    distance i, has a sum with it of Gram rank 2j: container_flats raises
+    AssertionError for every such j, 0 (the base direction) and nu
+    included."""
+    cfg = space_config(*key)
+    base = enumerate_flats(cfg, cfg.nu)[0]
+    real = flats.direction_distances(cfg)
+    for i in range(1, cfg.nu):
+        for j in set(range(cfg.nu + 1)) - {i}:
+            tampered = np.array(real)
+            tampered[0, np.flatnonzero(real[0] == j)[0]] = i
+            monkeypatch.setattr(flats, "direction_distances", lambda c, t=tampered: t)
+            with pytest.raises(AssertionError, match=f"does not have Gram rank {2 * i}"):
+                container_flats(cfg, base, i)
+            monkeypatch.undo()
 
 
 def _incidence_in(config, big):

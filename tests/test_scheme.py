@@ -9,7 +9,7 @@ import pytest
 from clflats import exact, scheme
 from clflats.cli import STANDARD_GRID
 from clflats.field import gauss_binomial
-from clflats.flats import enumerate_flats, flat_ids, flat_make
+from clflats.flats import direction_distances, enumerate_flats, flat_ids, flat_make
 from clflats.geometry import (
     canonicalize,
     enumerate_isotropic,
@@ -286,7 +286,7 @@ def test_group_tables_match_the_ordered_pair_oracle(key):
     in the orthogonal spaces."""
     cfg = space_config(*key)
     factors = pair_factors(cfg)
-    n = len(factors.rd) * factors.per
+    n = len(direction_distances(cfg)) * factors.per
     rng = np.random.default_rng(sum(map(ord, repr(key))))
     inside = {"symplectic": cfg.q + 1, "unitary": round(cfg.q ** 0.5) + 1, "orthogonal": 2}
     assert factors.sizes == (inside[cfg.case],) + (2,) * (cfg.nu - 2)
@@ -342,9 +342,10 @@ def test_pair_factors_are_no_larger_than_the_table(key):
     cfg = space_config(*key)
     factors = pair_factors(cfg)
     n = len(enumerate_flats(cfg, cfg.nu))
-    arrays = (factors.rd,) + factors.keys + factors.members
+    rd = direction_distances(cfg)
+    arrays = (rd,) + factors.keys + factors.members
     assert sum(a.nbytes for a in arrays) <= n * n
-    assert factors.rd.dtype == np.int8
+    assert rd.dtype == np.int8
     for key_i, member_i in zip(factors.keys, factors.members):
         assert key_i.dtype == np.min_scalar_type(int(key_i.max()))
         assert member_i.dtype == np.min_scalar_type(n - 1)
