@@ -15,10 +15,10 @@ value groups of flats, with no elimination of M; a block of columns
 takes one gather for all of them.  The restriction to a container flat
 is decided the same way, by the basis of the kernel of the container's
 own incidence matrix that the characters of the container's direction
-give, from chi gathered at the container's flat ids.  No route reads the
-certified null basis N of M (flats.incidence_kernel), which gives the
-rank of M; the on-demand witness y with M^T y = chi is read off the
-certified null basis of [M^T | -chi] (NullBasis.matrix).  The spread
+give, from chi gathered at the container's flat ids.  No route
+eliminates M.  The on-demand witness y with M^T y = chi is built from
+the certified spectrum of M M^T (flats.gram_spectrum) by column products
+and checked with one exact product (image_certificate).  The spread
 route is conclusive because the differences of the constructive family
 span ker M, which spreads.character_plan certifies from the translation
 characters with no elimination.
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,7 +64,10 @@ from .flats import (
     enumerate_flats,
     flat_ids,
     flat_make,
+    gram_matrix,
+    gram_spectrum,
     incidence_matrix,
+    projector_polynomial,
 )
 from .geometry import (
     Isometry,
@@ -180,21 +184,40 @@ def test_image(flat_set: FlatSet) -> bool:
     return bool(membership_plan(flat_set.config).annihilates(flat_set.chi()))
 
 
-def image_certificate(flat_set: FlatSet) -> tuple[Fraction, ...] | None:
-    """An exact point weighting y with M^T y = chi, or None; solved on demand.
+def image_witness(config: SpaceConfig, chi: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """(Y, L): an integer point weighting Y with M^T Y = L chi, or None
+    when chi is not in the image of M^T.
 
-    N is the certified null basis of [M^T | -chi], so it spans every
-    (y, t) with M^T y = t chi: a row f with t = N[f, -1] != 0 gives
-    y = N[f, :-1] / t, and if that column of N is zero, chi is not in the
-    image of M^T.
+    Y = L G^+ M chi for G = M M^T and G^+ = sum over the nonzero
+    eigenvalues mu_i of the certified spectrum (gram_spectrum) of
+    E_i / mu_i, each projector E_i a polynomial in G
+    (projector_polynomial), so Y takes column products only, and L is the
+    lcm of the polynomial's denominators.  If chi = M^T y0, then
+    M^T G^+ M chi = M^T G^+ G y0 = M^T y0 = chi, since G^+ G projects onto
+    the range of M and M^T kills its orthogonal complement: every member
+    gets a witness.  No witness rests on that derivation: it is returned
+    only if M^T Y = L chi holds, checked by one exact product.
     """
-    M = incidence_matrix(flat_set.config).matrix
-    N = exact.certified_null_basis(np.hstack([M.T, -flat_set.chi()[:, None]])).matrix()
-    rows = np.flatnonzero(N[:, -1])
-    if not rows.size:
-        return None
-    f = N[rows[0]]
-    return tuple(Fraction(int(v), int(f[-1])) for v in f[:-1])
+    mu, _ = gram_spectrum(config)
+    # G^+ as a polynomial in G, lowest degree first
+    coeffs = [sum(terms) for terms in zip(*(
+        [c / e for c in projector_polynomial(mu, i)] for i, e in enumerate(mu) if e))]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    power = exact.int_matmul(incidence_matrix(config).matrix, chi[:, None])
+    Y = 0
+    for k, c in enumerate(coeffs):
+        power = exact.int_matmul(gram_matrix(config), power) if k else power
+        Y = Y + int(c * scale) * power[:, 0].astype(object)
+    Y = Y.astype(np.int64) if np.abs(Y).max() < 2**62 else Y  # a machine tier for the check
+    got = exact.int_matmul(incidence_matrix(config).matrix.T, Y[:, None])[:, 0]
+    return (Y, scale) if (got == scale * chi.astype(object)).all() else None
+
+
+def image_certificate(flat_set: FlatSet) -> tuple[Fraction, ...] | None:
+    """An exact point weighting y with M^T y = chi, or None: Y / L of
+    image_witness."""
+    witness = image_witness(flat_set.config, flat_set.chi())
+    return witness and tuple(Fraction(int(v), witness[1]) for v in witness[0])
 
 
 def _count_coefficients(config: SpaceConfig, i: int) -> tuple[int, int]:

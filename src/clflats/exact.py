@@ -2,15 +2,14 @@
 
 Every integer result is exact.  One GF(p) elimination, modular_echelon,
 keeps the first-come independent rows of a matrix; its rank is a lower
-bound on the Q-rank that callers prove tight with an upper bound.
-certified_null_basis reduces that echelon form to RREF, rebuilds its
-free columns by rational reconstruction and certifies the integer null
-basis N with one exact product.  It returns N as one NullBasis, its
-split at the free columns: the certified diagonal and the pivot block,
-in the narrowest integer type.  It is the only code that builds or
-splits a null basis, and the only exact elimination behind solves and
-exact ranks: a solution of A^T y = b is read off the null basis of
-[A^T | -b] (NullBasis.matrix), and rank A is the number of pivots.
+bound on the Q-rank that callers prove tight with an upper bound, such
+as the column count.  certified_null_basis reduces that echelon form to
+RREF, rebuilds its free columns by rational reconstruction and certifies
+the integer null basis N with one exact product; it is the exact
+fallback of a rank that no pivot count proves, which only a failing
+span check reaches.  The rank of the incidence matrix and the member
+witness take no elimination: they read the certified spectrum of
+M M^T (flats.gram_spectrum).
 Products pick the cheapest tier a proven bound on every partial sum
 allows: float64 BLAS below 2^53, where float64 is only a container for
 integers it holds exactly (BLAS pinned to one thread), int64 below 2^62,
@@ -21,14 +20,13 @@ from __future__ import annotations
 
 import ctypes
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, isqrt
 
 import numpy as np
 
-MODULAR_PRIMES = (10**9 + 7, 10**9 + 9)
+MODULAR_PRIME = 10**9 + 7
 
 
 ELIMINATION_ROWS = 128  # rows widened to int64 at a time by modular_echelon
@@ -103,30 +101,11 @@ def _rational(u: int, p: int) -> Fraction:
     return Fraction(r1, t1)
 
 
-def _distinct(ordered: np.ndarray) -> np.ndarray:
-    """Where each entry of a sorted 1-D array differs from the one before."""
-    new = np.ones(len(ordered), dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    return new
-
-
-def _unique_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(a, return_inverse=True) for the flattened array, by one
-    stable sort: under numpy 2, np.unique imports numpy.ma on first use,
-    which costs a cold process about 14 ms."""
-    flat = a.reshape(-1)
-    order = np.argsort(flat, kind="stable")
-    ordered = flat[order]
-    new = _distinct(ordered)
-    where = np.empty(len(ordered), dtype=np.int64)
-    where[order] = np.cumsum(new) - 1
-    return ordered[new], where
-
-
 def row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, count): the stable lexicographic order of the rows of an
     integer matrix and the lengths of its runs of equal rows, by one
-    lexsort (np.unique(a, axis=0) without numpy.ma; see _unique_inverse)."""
+    lexsort: under numpy 2, np.unique imports numpy.ma on first use, which
+    costs a cold process about 14 ms."""
     order = np.lexsort(rows.T[::-1])
     ordered = rows[order]
     new = np.ones(len(order) + 1, dtype=bool)
@@ -135,75 +114,46 @@ def row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sorted_unique(a) -> np.ndarray:
-    """np.unique(a): the sorted distinct entries, by one sort (see _unique_inverse)."""
+    """np.unique(a): the sorted distinct entries, by one sort (see row_runs)."""
     ordered = np.sort(np.asarray(a), axis=None)
-    return ordered[_distinct(ordered)]
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    return ordered[new]
 
 
-@dataclass(frozen=True)
-class NullBasis:
-    """A certified integer basis N of a right nullspace, split at its free columns.
+def certified_null_basis(matrix) -> np.ndarray:
+    """An integer basis N of the right nullspace, int64, certified exactly.
 
-    free are the columns off the GF(p) pivots, N[:, free] = diag(scale)
-    and block = N[:, pivots] is |free| x |pivots|.  Only the split is
-    kept, block in the narrowest integer type; every array is read-only.
-    """
-
-    free: np.ndarray
-    pivots: np.ndarray
-    scale: np.ndarray
-    block: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        """N itself, int64 and read-only, assembled from the split on each call."""
-        N = np.zeros((len(self.free), len(self.free) + len(self.pivots)), dtype=np.int64)
-        N[np.arange(len(self.free)), self.free] = self.scale
-        N[:, self.pivots] = self.block
-        N.flags.writeable = False
-        return N
-
-
-def certified_null_basis(matrix) -> NullBasis:
-    """An integer basis N of the right nullspace, certified exactly, as its
-    split at the free columns.
-
-    The echelon form of the matrix over GF(p), p = MODULAR_PRIMES[0], is
+    The echelon form of the matrix over GF(p), p = MODULAR_PRIME, is
     reduced to RREF; its free columns hold few distinct values, each
     rebuilt as a small fraction by rational reconstruction.  Row f of N is
     the null vector of free column f times the lcm of its denominators, so
-    N[:, free] is diagonal.  check_null_basis then proves that the N the
-    split stands for spans the nullspace, so no verdict rests on the
-    reconstruction.
+    N[:, free] is diagonal.  check_null_basis then proves that N spans the
+    nullspace, so no verdict rests on the reconstruction.  It is the exact
+    fallback of ranks that no GF(p) pivot count proves
+    (spreads._stack_rank, spreads.character_plan).
     """
-    A = np.asarray(matrix)
-    p = MODULAR_PRIMES[0]
+    A, p = np.asarray(matrix), MODULAR_PRIME
     E, pivots, _ = modular_echelon(A, p)
     r, n = len(pivots), A.shape[1]
-    off_pivot = np.ones(n, dtype=bool)
-    off_pivot[pivots] = False
-    free = np.flatnonzero(off_pivot)
+    free = np.setdiff1d(np.arange(n), pivots)
     # E[:, pivots] is unit upper triangular: back-substitute the free part
     T, F = E[:, pivots], E[:, free]
     for j in range(r - 1, 0, -1):
         hit = np.flatnonzero(T[:j, j])
         if hit.size:
             F[hit] = (F[hit] - np.outer(T[hit, j], F[j])) % p
-    values, where = _unique_inverse(F)
+    values, where = np.unique(F, return_inverse=True)
     fracs = [_rational(int(u), p) for u in values]
     num = np.array([f.numerator for f in fracs], dtype=np.int64)[where].reshape(F.shape)
     den = np.array([f.denominator for f in fracs], dtype=np.int64)[where].reshape(F.shape)
     scale = np.lcm.reduce(den, axis=0) if r else np.ones(len(free), dtype=np.int64)
-    # the echelon rows come in pivot order, which is not always column order
-    block = -(num * (scale // den)).T[:, np.argsort(pivots)]
-    narrow = np.min_scalar_type(-int(np.abs(block).max(initial=0)) - 1)
-    arrays = (free, np.flatnonzero(~off_pivot), scale, block.astype(narrow))
-    # freed before the certificate's product, which sets the peak memory
-    del E, T, F, where, num, den, block
-    for a in arrays:
-        a.flags.writeable = False
-    basis = NullBasis(*arrays)
-    check_null_basis(A, basis.matrix(), free)
-    return basis
+    N = np.zeros((len(free), n), dtype=np.int64)
+    N[np.arange(len(free)), free] = scale
+    # row j of the echelon form holds pivot column pivots[j], in any column order
+    N[:, np.array(pivots, dtype=np.int64)] = -(num * (scale // den)).T
+    check_null_basis(A, N, free)
+    return N
 
 
 def check_null_basis(matrix, N: np.ndarray, free) -> None:
@@ -260,9 +210,9 @@ def _forget(key: int, ref: weakref.ref) -> None:
 def _bound(a: np.ndarray) -> int:
     """An upper bound on max|a|, computed once per read-only array.
 
-    The cached matrices (the incidence matrix, the stacked masks of
-    scheme.relation_products and the fold of cl.route_plan), every
-    NullBasis.matrix() and the dense idempotents of
+    The cached matrices (the incidence matrix, its Gram matrix M M^T, the
+    stacked masks of scheme.relation_products and the fold of
+    cl.route_plan) and the dense idempotents of
     scheme.check_eigen_system are read-only, and so are their views, which
     share the bound of the array that owns the data.  Writeable arrays are
     scanned on every call.  The bound is keyed by identity and checked

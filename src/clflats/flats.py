@@ -12,18 +12,20 @@ by syndromes too.  The distance i = nu - dim(da meet db) of every pair
 of maximal directions is one exact product of their origin indicators
 in coset_table (direction_distances), and the type-(nu+i, 2i) flats
 through a maximal flat are the sums of its direction with the
-directions at distance i (container_flats).  The point-flat incidence
-matrix M has a certified integer null basis N, from its RREF over GF(p)
-rebuilt by rational reconstruction; it gives the exact rank of M.  The
-image route, of single sets and of batches alike, and the restrictions
-to container flats read the translation-character bases of ker M and of
-each container's incidence (spreads.membership_plan) instead, with no
-elimination.
+directions at distance i (container_flats).  The exact rank of the
+point-flat incidence matrix M is read off the certified spectrum of
+G = M M^T (gram_spectrum): G has two or three distinct eigenvalues, each
+proposed by a float and certified by exact products, with no
+elimination.  The image route, of single sets and of batches alike, and
+the restrictions to container flats read the translation-character
+bases of ker M and of each container's incidence
+(spreads.membership_plan).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import prod
@@ -36,7 +38,6 @@ from .geometry import (
     SpaceConfig,
     Subspace,
     Vector,
-    all_vectors,
     canonicalize,
     contains_subspace,
     contains_vector,
@@ -301,8 +302,6 @@ def is_totally_isotropic_flat(config: SpaceConfig, f: Flat) -> bool:
 class IncidenceMatrix:
     """0/1 incidence of points (rows) against flats (columns)."""
 
-    points: tuple[Vector, ...]
-    flats: tuple[Flat, ...]
     matrix: np.ndarray  # int64, read-only
 
     @property
@@ -370,12 +369,11 @@ def incidence_matrix(config: SpaceConfig) -> IncidenceMatrix:
 
     Point x lies on one flat of each direction, coset_table(config)[:, x].
     """
-    flats = enumerate_flats(config, config.nu)
-    pts = all_vectors(config)
-    M = np.zeros((len(pts), len(flats)), dtype=np.int64)
-    M[np.arange(len(pts)), coset_table(config)] = 1
+    n = len(enumerate_flats(config, config.nu))
+    M = np.zeros((config.num_points, n), dtype=np.int64)
+    M[np.arange(config.num_points), coset_table(config)] = 1
     M.flags.writeable = False
-    return IncidenceMatrix(tuple(pts), flats, M)
+    return IncidenceMatrix(M)
 
 
 @lru_cache(maxsize=None)
@@ -386,35 +384,71 @@ def gram_identity_terms(config: SpaceConfig) -> tuple[int, int]:
     return a, b
 
 
+@lru_cache(maxsize=None)
+def gram_matrix(config: SpaceConfig) -> np.ndarray:
+    """G = M M^T, points x points, by one exact product; int64, read-only."""
+    M = incidence_matrix(config).matrix
+    G = exact.int_matmul(M, M.T)
+    G.flags.writeable = False
+    return G
+
+
 def check_gram_identity(config: SpaceConfig) -> bool:
     """M M^T == a*I + b*A exactly, with A the point-graph adjacency."""
-    M = incidence_matrix(config).matrix
     a, b = gram_identity_terms(config)
-    N = exact.int_matmul(M, M.T)
-    A = point_graph(config)
-    expected = a * np.eye(M.shape[0], dtype=np.int64) + b * A
-    return bool((N == expected).all())
+    I = np.eye(config.num_points, dtype=np.int64)
+    return bool((gram_matrix(config) == a * I + b * point_graph(config)).all())
+
+
+def projector_polynomial(mu: tuple[int, ...], i: int) -> list[Fraction]:
+    """The coefficients, lowest degree first, of the Lagrange polynomial
+    prod over j != i of (x - mu_j) / (mu_i - mu_j), which is 1 at mu_i and
+    0 at every other mu_j; at x = G it is the projector E_i onto the
+    mu_i-eigenspace once G has no eigenvalue off mu."""
+    coeffs = [Fraction(1)]
+    for m in mu[:i] + mu[i + 1:]:
+        coeffs = [(low - m * c) / (mu[i] - m) for low, c in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
 
 
 @lru_cache(maxsize=None)
-def incidence_kernel(config: SpaceConfig) -> exact.NullBasis:
-    """The certified integer basis N of ker M.
+def gram_spectrum(config: SpaceConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(mu, m): the distinct eigenvalues of G = M M^T, ascending, and their
+    multiplicities, certified exactly; AssertionError if the certificate
+    fails.
 
-    N is built from the RREF of M over GF(p), rebuilt over Q by rational
-    reconstruction and checked exactly (exact.certified_null_basis).  A
-    flat set chi is in the image of M^T iff N chi = 0, since the image is
-    the orthogonal complement of ker M; this uses no spread.  N backs
-    incidence_rank; the membership routes, single sets and batches,
-    decide by the translation-character basis instead
-    (spreads.membership_plan), and N is their test oracle.
+    A float only proposes: the candidates mu are np.linalg.eigvalsh(G)
+    rounded to integers.  G is symmetric, so prod_i (G - mu_i I) = 0, at
+    most two exact products, proves that every eigenvalue of G is among
+    them; then E_i = projector_polynomial(mu, i) at G is the projector onto
+    the mu_i-eigenspace and m_i = tr E_i, read off tr G^0 = n, tr G and
+    tr G^2 = sum of G_jk^2, with no matrix power.  A candidate that is no
+    eigenvalue has m_i = 0, so the m_i must be positive integers summing
+    to n.  G = a I + b A for the point graph A, complete or strongly
+    regular (check_gram_identity), so at most three candidates are taken.
     """
-    return exact.certified_null_basis(incidence_matrix(config).matrix)
+    G = gram_matrix(config)
+    n, I = len(G), np.eye(len(G), dtype=np.int64)
+    mu = tuple(int(e) for e in exact.sorted_unique(np.rint(np.linalg.eigvalsh(G))))
+    if len(mu) <= 3:
+        product = G - mu[0] * I
+        for e in mu[1:]:
+            product = exact.int_matmul(product, G - e * I)
+        # tr G^0, tr G and tr G^2 = sum of G_jk^2 (G is symmetric), by one guarded product
+        flat = G.reshape(1, -1)
+        tr = (n, np.trace(G).item(), exact.int_matmul(flat, flat.T).item())
+        m = [sum(c * t for c, t in zip(projector_polynomial(mu, i), tr)) for i in range(len(mu))]
+        if not product.any() and all(k.denominator == 1 and k > 0 for k in m) and sum(m) == n:
+            return mu, tuple(int(k) for k in m)
+    raise AssertionError(f"eigenvalue certificate of M M^T fails on {config.key()}: {list(mu)}")
 
 
 @lru_cache(maxsize=None)
 def incidence_rank(config: SpaceConfig) -> int:
-    """Exact rank of the incidence matrix, proven by its certified null basis."""
-    return len(incidence_kernel(config).pivots)
+    """Exact rank of the incidence matrix: rank M = rank M M^T over the
+    reals, the sum of the multiplicities of the nonzero eigenvalues of the
+    certified spectrum (gram_spectrum)."""
+    return sum(k for e, k in zip(*gram_spectrum(config)) if e)
 
 
 def incidence_rank_closed_form(config: SpaceConfig) -> int:

@@ -52,22 +52,24 @@ is 1 on d.  Three facts carry the plan:
   components, since the projection onto V_psi is a combination of
   translations and maps the span into itself.
 So, for translation-closed type-II rows whose direction pairs are the
-rd = 1 pairs, the span's psi component is spanned by u_p1 - u_p2 over the
-rd = 1 edges inside T_psi, of dimension |T_psi| minus the components of
-that graph, and its trivial component by the rows' direction-block
-sums: that is the exact type-II rank.  The type-I rows are the u_d^1,
-whose differences span the trivial part of ker M.  So the differences
-of the family span ker M iff the rd = 1 graph on every T_psi is
-connected.  That certificate makes the constructive spread route of the
-membership test conclusive.  At nu = 1 there are no type-II rows, and
-every |T_psi| <= 1, since two maximal directions span the space.  A
-stack rank with no such proof is read off the stack's certified null
-basis.  The same decomposition gives ker M a basis K with entries in
-{-1, 0, 1}, read off the flats' character values (membership_plan); the
-image route of a single set or a block of sets decides by K chi = 0,
-with no elimination.  The flats inside a container flat s + Q get the
-same basis of the kernel of their own incidence matrix from the
-characters of Q, which are the restrictions of those of G.
+rd = 1 pairs, the span's psi component is spanned by u_p1 - u_p2 over
+the rd = 1 edges inside T_psi, of dimension |T_psi| minus the components
+of that graph, and its trivial component by the rows' direction-block
+sums, whose rank is their GF(p) pivot count when it reaches the D
+columns, an upper bound: that is the exact type-II rank.  The type-I rows
+are the u_d^1, whose differences span the trivial part of ker M.  So the
+differences of the family span ker M iff the rd = 1 graph on every T_psi
+is connected.  That certificate makes the constructive spread route of
+the membership test conclusive.  At nu = 1 there are no type-II rows, and
+every |T_psi| <= 1, since two maximal directions span the space.  A rank
+with no such proof is read off the certified null basis, which only a
+failing check reaches.  The same decomposition gives ker M a basis K with
+entries in {-1, 0, 1}, read off the flats' character values
+(membership_plan); the image route of a single set or a block of sets
+decides by K chi = 0, with no elimination.  The flats inside a container
+flat s + Q get the same basis of the kernel of their own incidence
+matrix from the characters of Q, which are the restrictions of those of
+G.
 
 The span checks decide which eigenspace projections of the family
 vanish from the scheme's own equivalences, with no idempotent product:
@@ -527,8 +529,9 @@ def character_plan(config: SpaceConfig) -> CharacterPlan:
     components = _components(kernels, partners)
     rank = None
     if edges_ok and closed and sums is not None:
-        rank = (len(exact.certified_null_basis(sums).pivots)
-                + conjugates * int((sizes - components).sum()))
+        # a GF(p) pivot count, a lower bound, that reaches the D columns proves the rank
+        kept = len(exact.modular_echelon(sums, exact.MODULAR_PRIME)[1])
+        rank = _stack_rank(sums, dirs, kept)[0] + conjugates * int((sizes - components).sum())
     return CharacterPlan(kernel_dimension, edges_ok, closed, bool((components <= 1).all()), rank)
 
 
@@ -821,12 +824,12 @@ def _stack_rank(stack: np.ndarray, expected: int, kept: int | None) -> tuple[int
     plan's exact rank), where it has also proven the rank at most
     `expected` (the rows lie in a space of that dimension, or there are
     only that many rows), or None when it has no such proof; kept ==
-    expected then certifies the rank.  Otherwise the rank is the pivot
-    count of the stack's certified null basis, so a failing report shows
-    the exact rank (a failed certificate raises)."""
+    expected then certifies the rank.  Otherwise the rank is the column
+    count less the dimension of the stack's certified null basis, so a
+    failing report shows the exact rank (a failed certificate raises)."""
     if kept == expected:
         return expected, "certified"
-    return len(exact.certified_null_basis(stack).pivots), "null-basis"
+    return stack.shape[1] - len(exact.certified_null_basis(stack)), "null-basis"
 
 
 def _nonzero_projections(config: SpaceConfig, eig, stack: np.ndarray) -> bool:

@@ -19,6 +19,7 @@ from clflats.flats import (
     flat_make,
     flat_points,
     flats_in,
+    incidence_matrix,
 )
 from clflats.geometry import (
     Isometry,
@@ -377,6 +378,19 @@ def incidence_by_flat_points(config, big):
     return tuple(pts), tuple(members), M
 
 
+@lru_cache(maxsize=None)
+def incidence_kernel(config) -> np.ndarray:
+    """The certified integer basis N of ker M, int64 and read-only: the
+    oracle of the translation-character bases K and K_F, of the image
+    route and of the spectral rank of M.  N is built from the RREF of M
+    over GF(p), rebuilt over Q by rational reconstruction and checked
+    exactly (exact.certified_null_basis); a flat set chi is in the image
+    of M^T iff N chi = 0."""
+    N = exact.certified_null_basis(incidence_matrix(config).matrix)
+    N.flags.writeable = False
+    return N
+
+
 def in_row_span(N: np.ndarray, free, V: np.ndarray) -> bool:
     """Whether every row of V is a rational combination of the rows of N,
     given that N[:, free] is diagonal: then v = sum_f v[f] / N[f, f] * N[f].
@@ -466,7 +480,7 @@ def spanning_rows_oracle(config) -> list[int]:
     for start in range(0, len(stack), exact.ELIMINATION_ROWS):
         block = order[start:start + exact.ELIMINATION_ROWS]
         echelon, _, rows = exact.modular_echelon(np.vstack([echelon, stack[block]]),
-                                                 exact.MODULAR_PRIMES[0])
+                                                 exact.MODULAR_PRIME)
         kept += [split + block[r - len(kept)] for r in rows[len(kept):]]
         if len(kept) >= target:
             break

@@ -44,7 +44,6 @@ from clflats.flats import (
     flat_ids,
     flat_make,
     flat_points,
-    incidence_kernel,
     incidence_matrix,
     incidence_rank,
     incidence_rank_closed_form,
@@ -65,6 +64,7 @@ from conftest import (
     distinct_containers,
     in_row_span,
     incidence_by_flat_points,
+    incidence_kernel,
     integer_nullspace,
     spanning_rows_oracle,
 )
@@ -841,7 +841,7 @@ def test_batch_image_route_widens_blocks_whose_sums_would_wrap(s22):
     blocks = [wide, cols.astype(object) * 2**70, cols.astype(np.uint64) * np.uint64(2**63)]
     for block in blocks:
         exact_block = np.array([int(v) for v in block.flat], dtype=object).reshape(block.shape)
-        oracle = ~int_matmul(incidence_kernel(s22).matrix(), exact_block).any(axis=0)
+        oracle = ~int_matmul(incidence_kernel(s22), exact_block).any(axis=0)
         got = batch_verdicts(s22, block)["image"]
         assert got.tolist() == oracle.tolist() == \
             batch_verdicts(s22, exact_block)["image"].tolist(), block.dtype
@@ -942,8 +942,8 @@ def test_certified_kernel_basis(key):
     assert len(kept) == n - incidence_rank(cfg) + 1 == n - incidence_rank_closed_form(cfg) + 1
     assert (M @ S.T == 1).all()
     assert min(kept) >= (len(spreads.list_type_I(cfg)) if cfg.nu >= 2 else 0)
-    N = incidence_kernel(cfg).matrix()
-    free = np.setdiff1d(np.arange(n), exact.modular_echelon(M, exact.MODULAR_PRIMES[0])[1])
+    N = incidence_kernel(cfg)
+    free = np.setdiff1d(np.arange(n), exact.modular_echelon(M, exact.MODULAR_PRIME)[1])
     assert in_row_span(N, free, S[1:] - S[0])
 
 
@@ -952,10 +952,10 @@ def test_certified_kernel_basis(key):
                          ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_certified_image_basis(key):
     cfg = space_config(*key)
-    N = incidence_kernel(cfg).matrix()
+    N = incidence_kernel(cfg)
     M = incidence_matrix(cfg).matrix
     free = np.setdiff1d(np.arange(M.shape[1]),
-                        exact.modular_echelon(M, exact.MODULAR_PRIMES[0])[1])
+                        exact.modular_echelon(M, exact.MODULAR_PRIME)[1])
     exact.check_null_basis(M, N, free)
     assert N.dtype == np.int64 and not N.flags.writeable
     assert N.shape[0] == M.shape[1] - incidence_rank_closed_form(cfg) == len(free)
@@ -966,13 +966,12 @@ def test_certified_image_basis(key):
 
 
 def test_queries_and_batches_never_build_or_multiply_by_the_null_basis(monkeypatch):
-    """battery and batch_verdicts never multiply by N or by its pivot block,
-    and never ask for N (the image route reads the membership plan, for a
-    single set and for a block alike); and no (n - rank M) x n matrix is
-    cached: N is assembled from the split only on request."""
+    """battery and batch_verdicts never multiply by N and never ask for it
+    (the image route reads the membership plan, for a single set and for a
+    block alike); and after a paper suite no package cache holds an
+    (n - rank M) x n matrix: N lives only in the test oracle."""
     cfg = space_config("unitary", 4, 2)
-    kernel = incidence_kernel(cfg)
-    N = incidence_kernel(cfg).matrix()
+    N = incidence_kernel(cfg)
     assert exact._bound(N) * N.shape[1] < 2**53  # chi is 0/1: N would take the float64 tier
     calls = incidence_kernel.cache_info()
     seen = []
@@ -983,7 +982,7 @@ def test_queries_and_batches_never_build_or_multiply_by_the_null_basis(monkeypat
     for seed in (3, 4):
         batch_verdicts(cfg, random_subset_matrix(cfg, 5, seed=seed))
     assert incidence_kernel.cache_info() == calls
-    assert not [a for a in seen if a.shape in (N.shape, kernel.block.shape)]
+    assert not [a for a in seen if a.shape == N.shape]
     paper_suite(cfg, 0)
     cached = {fn for module in (cl, spreads, scheme, exact, flats)
               for fn in vars(module).values() if hasattr(fn, "cache_info")}
@@ -996,20 +995,21 @@ def test_queries_and_batches_never_build_or_multiply_by_the_null_basis(monkeypat
 
 @pytest.mark.parametrize("key", KERNEL_KEYS, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_pivot_block_product_matches_the_null_basis(key):
-    """The split is N: N[:, free] = diag(scale), N[:, pivots] = block, with
-    block in the narrowest integer type, and every array read-only."""
+    """The oracle N is the certified null basis of M, read-only: N[:, free]
+    is diagonal on the columns off the GF(p) pivots, and the pivot block
+    N[:, pivots] has rank M columns and entries of at most 10."""
     cfg = space_config(*key)
-    kernel = incidence_kernel(cfg)
     M = incidence_matrix(cfg).matrix
-    N = incidence_kernel(cfg).matrix()
-    assert N.dtype == np.int64 and (N == exact.certified_null_basis(M).matrix()).all()
+    N = incidence_kernel(cfg)
+    assert N.dtype == np.int64 and (N == exact.certified_null_basis(M)).all()
     n = N.shape[1]
     rank = incidence_rank_closed_form(cfg)
-    assert kernel.block.shape == (n - rank, rank) and (kernel.block == N[:, kernel.pivots]).all()
-    assert kernel.block.dtype == np.int8  # max|N| <= 10 here
-    assert (N[:, kernel.free] == np.diag(kernel.scale)).all()
-    assert not any(a.flags.writeable for a in (kernel.block, kernel.scale, kernel.free,
-                                                kernel.pivots, N))
+    pivots = np.sort(exact.modular_echelon(M, exact.MODULAR_PRIME)[1])
+    free = np.setdiff1d(np.arange(n), pivots)
+    block = N[:, pivots]
+    assert block.shape == (n - rank, rank) and np.abs(block).max(initial=0) <= 10
+    assert (N[:, free] == np.diag(np.diagonal(N[:, free]))).all()
+    assert not N.flags.writeable
 
 
 def test_kernel_image_and_nullspace_oracle_agree(medium_config):
@@ -1021,7 +1021,7 @@ def test_kernel_image_and_nullspace_oracle_agree(medium_config):
                           np.stack([_pencil(cfg).chi(), _pencil(cfg).complement().chi(),
                                     _near_miss(cfg).chi()], axis=1)], axis=1)
     by_oracle = ~int_matmul(oracle, chi).any(axis=0)
-    by_image = ~int_matmul(incidence_kernel(cfg).matrix(), chi).any(axis=0)
+    by_image = ~int_matmul(incidence_kernel(cfg), chi).any(axis=0)
     assert (by_oracle == by_image).all()
     assert by_oracle[-3:].tolist() == [True, True, False]
     for col in range(chi.shape[1]):
@@ -1105,7 +1105,7 @@ def _restriction_by_dicts(flat_set, container):
     members = tuple(sorted(set(flat_set.ids) & set(local_of_global)))
     chi_local = np.zeros((len(inside), 1), dtype=np.int64)
     chi_local[[local_of_global[g] for g in members], 0] = 1
-    null = exact.certified_null_basis(M).matrix()
+    null = exact.certified_null_basis(M)
     in_image = not int_matmul(null, chi_local).any()
     x_f = Fraction(len(members), set_denominator(config, i))
     integral = x_f.denominator == 1

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import clflats
-from clflats import cl, spreads
+from clflats import cl, exact, spreads
 from clflats.cli import VALUATION_NU_MAX, run
 from clflats.geometry import ISOTROPIC_ENUM_BOUND, enumerate_isotropic, space_config
 
@@ -32,6 +32,45 @@ def test_space_info(capsys):
     assert data["incidence_rank"] == "16"
     assert data["points"] == "16"
     assert data["set_denominator"] == "15"
+
+
+def test_no_passing_path_reaches_the_certified_null_basis(capsys, monkeypatch):
+    """With exact.certified_null_basis replaced by a function that raises,
+    from cold rank and spread caches: the paper suite passes on every grid
+    configuration, and so do space info and the battery of a pencil and of
+    its complement."""
+    from clflats import flats
+    from clflats.cli import STANDARD_GRID, paper_suite
+
+    def refuse(matrix):
+        raise AssertionError("a certified null basis on a passing path")
+
+    monkeypatch.setattr(exact, "certified_null_basis", refuse)
+    for fn in (flats.gram_spectrum, flats.incidence_rank, spreads.character_plan):
+        fn.cache_clear()
+    for key in STANDARD_GRID:
+        cfg = space_config(*key)
+        assert all(check.passed for check in paper_suite(cfg, 0)), key
+        code, data = run_json(capsys, ["space", "info", "--case", key[0], "--q", str(key[1]),
+                                       "--nu", str(key[2])])
+        assert code == 0 and data["incidence_rank"] == data["incidence_rank_closed_form"]
+        pencil = cl.construct_pencil(cfg, (0,) * cfg.dim)
+        for fs in (pencil, pencil.complement()):
+            assert all(cl.battery(fs).values()), key
+
+
+def test_symplectic_2_4_space_info_within_1_gib():
+    """A cold child process reads the rank of the 256 x 36720 incidence
+    matrix of symplectic(2,4) off the spectrum of M M^T under a 1 GiB
+    address-space cap set on the child only."""
+    cap = ("import resource, sys; from clflats.cli import run; "
+           "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+           "sys.exit(run(sys.argv[1:]))")
+    proc = _child(cap, ["space", "info", "--case", "symplectic", "--q", "2", "--nu", "4"],
+                  timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["incidence_rank"] == data["incidence_rank_closed_form"] == "256"
 
 
 def test_every_number_is_a_string(capsys):
@@ -391,10 +430,11 @@ def test_oversized_isotropic_enumeration_exits_2():
 
 
 def test_failed_image_certificate_exits_3():
-    """A broken reconstruction must fail the certificate and exit 3, not 1 or 2."""
-    broken = ("import sys; from clflats import exact; from clflats.cli import run; "
-              "real = exact._rational; "
-              "exact._rational = lambda u, p: real(u, p) + 1; "
+    """An eigenvalue candidate of M M^T shifted by 1 must fail the spectrum
+    certificate behind the rank of M and exit 3, not 1 or 2."""
+    broken = ("import sys; import numpy as np; from clflats.cli import run; "
+              "real = np.linalg.eigvalsh; "
+              "np.linalg.eigvalsh = lambda a: real(a) + (np.arange(len(a)) == 0); "
               "sys.exit(run(sys.argv[1:]))")
     proc = _child(broken, ["space", "info"] + BASE)
     assert proc.returncode == 3, proc.stderr
@@ -503,10 +543,12 @@ def test_failed_scheme_invariant_exits_3():
 def test_corrupt_origin_counts_exit_3(monkeypatch):
     """Directions whose flats through the origin share a number of points
     that is no power of q are an internal error: relation_matrix raises
-    AssertionError, never KeyError, and verify exits 3 with one line.
-    The coset table is corrupted by giving the last point, in every
+    AssertionError, never KeyError, and scheme verify exits 3 with one
+    line.  The coset table is corrupted by giving the last point, in every
     direction, the flat through the origin.  relation_matrix expands the
-    cached direction distances, so both caches are cleared."""
+    cached direction distances, so both caches are cleared.  The paper
+    suite reads the rank of the corrupted incidence matrix first, so its
+    verify exits 3 on the eigenvalue certificate of M M^T."""
     from clflats import flats, scheme
     cfg = space_config("symplectic", 2, 2)
     broken = np.array(flats.coset_table(cfg))
@@ -525,12 +567,14 @@ def test_corrupt_origin_counts_exit_3(monkeypatch):
             "flats.coset_table = lambda c: np.where("
             "np.arange(c.num_points) == c.num_points - 1, real(c)[:, :1], real(c)); "
             "sys.exit(run(sys.argv[1:]))")
-    proc = _child(code, ["verify", "--suite", "paper"] + BASE)
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1, proc.stderr
-    assert lines[0].startswith("clflats: internal error: ") and "no power of q" in lines[0]
+    for argv, fragment in ((["scheme", "verify"], "no power of q"),
+                           (["verify", "--suite", "paper"], "certificate")):
+        proc = _child(code, argv + BASE)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("clflats: internal error: ") and fragment in lines[0]
 
 
 @pytest.mark.parametrize("exc", ["IndexError('index 7 is out of bounds')",

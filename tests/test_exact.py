@@ -1,6 +1,5 @@
 """Exact linear algebra: GF(p) ranks, the certified null basis, guarded products."""
 
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -12,13 +11,21 @@ import pytest
 from clflats import exact
 from clflats.exact import (
     ELIMINATION_ROWS,
-    MODULAR_PRIMES,
+    MODULAR_PRIME,
     certified_null_basis,
     check_null_basis,
     int_matmul,
     modular_echelon,
 )
-from conftest import in_row_span, integer_nullspace, rational_nullspace, rational_rank
+from conftest import (
+    in_row_span,
+    incidence_kernel,
+    integer_nullspace,
+    rational_nullspace,
+    rational_rank,
+)
+
+PRIMES = (MODULAR_PRIME, 10**9 + 9)  # the GF(p) rank sweeps take a second prime
 
 
 def _random_matrix(rng, m, n, lo=-9, hi=9):
@@ -31,7 +38,7 @@ def test_rank_against_modular_primes():
         m, n = rng.randint(1, 9), rng.randint(1, 9)
         a = _random_matrix(rng, m, n)
         r = rational_rank(a)
-        assert all(len(modular_echelon(a, p)[1]) == r for p in MODULAR_PRIMES)
+        assert all(len(modular_echelon(a, p)[1]) == r for p in PRIMES)
 
 
 def test_nullspace_properties():
@@ -43,13 +50,13 @@ def test_nullspace_properties():
         m, n = rng.randint(1, 6), rng.randint(1, 7)
         a = _random_matrix(rng, m, n, -5, 5)
         basis = rational_nullspace(a)
-        assert all(len(basis) == n - len(modular_echelon(a, p)[1]) for p in MODULAR_PRIMES)
+        assert all(len(basis) == n - len(modular_echelon(a, p)[1]) for p in PRIMES)
         for v in basis:
             assert all(sum(Fraction(c) * x for c, x in zip(row, v)) == 0 for row in a)
         scaled = integer_nullspace(a)
         assert scaled.shape == (len(basis), n)
         if basis:
-            pivots = modular_echelon(scaled.astype(np.int64), MODULAR_PRIMES[0])[1]
+            pivots = modular_echelon(scaled.astype(np.int64), MODULAR_PRIME)[1]
             assert len(pivots) == len(basis)
         assert not int_matmul(np.array(a, dtype=np.int64), scaled.T).any()
         for v, w in zip(basis, scaled.tolist()):
@@ -87,14 +94,14 @@ def test_modular_rank_int64_input():
         a = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8), -9, 9)
         r = rational_rank(a)
         arr = np.array(a, dtype=np.int64)
-        for p in MODULAR_PRIMES:
+        for p in PRIMES:
             assert len(modular_echelon(arr, p)[1]) == r
         # a prefix of the rows keeps the kept rows that lie in it
-        kept = modular_echelon(arr, MODULAR_PRIMES[1])[2]
+        kept = modular_echelon(arr, PRIMES[1])[2]
         for stop in range(len(a) + 1):
-            assert modular_echelon(arr[:stop], MODULAR_PRIMES[1])[2] == [k for k in kept
+            assert modular_echelon(arr[:stop], PRIMES[1])[2] == [k for k in kept
                                                                          if k < stop]
-    assert len(modular_echelon(np.zeros((0, 3), dtype=np.int64), MODULAR_PRIMES[0])[1]) == 0
+    assert len(modular_echelon(np.zeros((0, 3), dtype=np.int64), MODULAR_PRIME)[1]) == 0
     assert len(modular_echelon([[3, 6], [1, 2]], 5)[1]) == 1
 
 
@@ -104,19 +111,19 @@ def test_modular_rank_narrow_integer_input(dtype):
     rng = np.random.default_rng(7)
     deficient = rng.integers(0, 2, (9, 4)) @ rng.integers(0, 3, (4, 12))  # rank <= 4
     for a in (np.eye(3, dtype=np.int64), deficient):
-        for p in MODULAR_PRIMES:
+        for p in PRIMES:
             want = len(modular_echelon(a.astype(np.int64), p)[1])
             assert len(modular_echelon(a.astype(dtype), p)[1]) == want
             head = modular_echelon(a[:2].astype(np.int64), p)[2]
             assert modular_echelon(a[:2].astype(dtype), p)[2] == head
-    pivots = modular_echelon(deficient.astype(dtype), MODULAR_PRIMES[0])[1]
+    pivots = modular_echelon(deficient.astype(dtype), MODULAR_PRIME)[1]
     assert len(pivots) == rational_rank(deficient) == 4
 
 
 def test_modular_echelon_first_come_rows():
     rows = np.array([[1, 1, 0], [0, 0, 0], [2, 2, 0], [0, 1, -1], [1, 0, 1], [0, 0, 1]],
                     dtype=np.int64)
-    p = MODULAR_PRIMES[0]
+    p = MODULAR_PRIME
     E, pivots, kept = modular_echelon(rows, p)
     assert kept == [0, 3, 5] and pivots == [0, 1, 2]
     assert E.tolist() == [[1, 1, 0], [0, 1, p - 1], [0, 0, 1]]
@@ -143,7 +150,7 @@ def _check_echelon(a: np.ndarray, p: int) -> None:
 
 def test_modular_echelon_matches_rational_rank():
     rng = np.random.default_rng(20261018)
-    p = MODULAR_PRIMES[0]
+    p = MODULAR_PRIME
     for _ in range(25):
         m, n = rng.integers(1, 10, size=2)
         _check_echelon(rng.integers(-9, 10, (m, n)), p)
@@ -166,7 +173,7 @@ def test_modular_echelon_matches_rational_rank():
 
 def test_modular_echelon_drops_no_row_across_blocks():
     """Each block is reduced by the pivot rows of the blocks before it."""
-    p = MODULAR_PRIMES[0]
+    p = MODULAR_PRIME
     base = np.eye(6, dtype=np.int64)
     a = np.vstack([base[:3], np.zeros((ELIMINATION_ROWS - 3, 6), dtype=np.int64),
                    base[:3] + base[3:], base[:3]])
@@ -176,13 +183,12 @@ def test_modular_echelon_drops_no_row_across_blocks():
 
 
 def test_image_solver_null_rows_stay_int64():
-    from clflats import flats
     from clflats.flats import enumerate_flats, incidence_rank_closed_form
     from clflats.geometry import space_config
 
     cfg = space_config("symplectic", 3, 2)
     n = len(enumerate_flats(cfg, cfg.nu))
-    null = flats.incidence_kernel(cfg).matrix()
+    null = incidence_kernel(cfg)
     assert null.dtype == np.int64 and not null.flags.writeable
     assert null.shape == (n - incidence_rank_closed_form(cfg), n)
 
@@ -199,12 +205,12 @@ def _small_rref_matrix(rng, m, r, n):
 
 def test_certified_null_basis_matches_oracle():
     rng = np.random.default_rng(5)
-    p = MODULAR_PRIMES[0]
+    p = MODULAR_PRIME
     cases = [_small_rref_matrix(rng, 6, 3, 9), _small_rref_matrix(rng, 4, 4, 4),
              _small_rref_matrix(rng, 2 * ELIMINATION_ROWS + 9, 7, 20),  # three row blocks
              np.zeros((3, 5), dtype=np.int64), np.ones((ELIMINATION_ROWS + 1, 4), dtype=np.int64)]
     for a in cases:
-        N = certified_null_basis(a).matrix()
+        N = certified_null_basis(a)
         oracle = integer_nullspace(a)
         assert N.dtype == np.int64 and N.shape == oracle.shape
         assert not int_matmul(a, N.T).any()
@@ -212,34 +218,24 @@ def test_certified_null_basis_matches_oracle():
         assert in_row_span(N, free, oracle)
 
 
-def test_null_basis_split_is_read_only_and_round_trips():
-    """Every NullBasis array is read-only and the basis is frozen; free and
-    the pivots, ascending, partition the columns, and matrix() is the
-    split: N[:, free] = diag(scale), N[:, pivots] = block.
-    The last case's GF(p) pivots come out as [1, 0], not in column order."""
+def test_null_basis_is_diagonal_at_the_free_columns():
+    """N is int64 with one row per free column, the columns off the GF(p)
+    pivots, and N[:, free] is a nonzero diagonal; the last case's GF(p)
+    pivots come out as [1, 0], not in column order."""
     rng = np.random.default_rng(7)
     late_pivot = np.array([[0, 1, 1]] * ELIMINATION_ROWS + [[1, 0, 2]], dtype=np.int64)
     cases = [_small_rref_matrix(rng, 6, 3, 9), _small_rref_matrix(rng, 2 * ELIMINATION_ROWS + 9, 7, 20),
              np.zeros((3, 5), dtype=np.int64), np.eye(4, dtype=np.int64), late_pivot]
-    assert modular_echelon(late_pivot, MODULAR_PRIMES[0])[1] == [1, 0]
+    assert modular_echelon(late_pivot, MODULAR_PRIME)[1] == [1, 0]
     for a in cases:
-        basis = certified_null_basis(a)
-        N = basis.matrix()
-        arrays = (basis.free, basis.pivots, basis.scale, basis.block, N)
-        assert not any(x.flags.writeable for x in arrays)
-        with pytest.raises(ValueError):
-            basis.block[...] = 0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            basis.block = basis.scale
-        pivots = modular_echelon(a, MODULAR_PRIMES[0])[1]
-        assert basis.pivots.tolist() == sorted(pivots)
-        assert sorted(basis.free.tolist() + pivots) == list(range(a.shape[1]))
-        assert N.dtype == np.int64 and N.shape == (len(basis.free), a.shape[1])
-        assert (N[:, basis.free] == np.diag(basis.scale)).all()
-        assert (N[:, basis.pivots] == basis.block).all()
+        N = certified_null_basis(a)
+        free = np.setdiff1d(np.arange(a.shape[1]), modular_echelon(a, MODULAR_PRIME)[1])
+        assert N.dtype == np.int64 and N.shape == (len(free), a.shape[1])
+        diagonal = np.diagonal(N[:, free])
+        assert diagonal.all() and (N[:, free] == np.diag(diagonal)).all()
         assert N.shape == integer_nullspace(a).shape
-        assert in_row_span(N, basis.free, integer_nullspace(a))
-    assert certified_null_basis(late_pivot).matrix().tolist() == [[-2, -1, 1]]
+        assert in_row_span(N, free, integer_nullspace(a))
+    assert certified_null_basis(late_pivot).tolist() == [[-2, -1, 1]]
 
 
 def test_null_basis_reconstruction_failure_is_an_internal_error():
@@ -253,8 +249,8 @@ def test_null_basis_certificate_rejects_any_single_change():
     from clflats.geometry import space_config
 
     M = incidence_matrix(space_config("orthogonal", 3, 2)).matrix
-    N = certified_null_basis(M).matrix()
-    free = np.setdiff1d(np.arange(M.shape[1]), modular_echelon(M, MODULAR_PRIMES[0])[1])
+    N = certified_null_basis(M)
+    free = np.setdiff1d(np.arange(M.shape[1]), modular_echelon(M, MODULAR_PRIME)[1])
     check_null_basis(M, N, free)
     rng = np.random.default_rng(11)
     spots = [(0, int(free[0])), (0, int(free[1])), (3, int(free[3]))]
@@ -291,7 +287,7 @@ def test_null_basis_certificate_takes_no_product_at_full_column_rank(monkeypatch
 
     monkeypatch.setattr(exact, "int_matmul", spy)
     full = np.array([[1, 2, 0], [0, 1, 3], [1, 0, 5], [4, 4, 4]], dtype=np.int64)
-    assert certified_null_basis(full).matrix().shape == (0, 3)
+    assert certified_null_basis(full).shape == (0, 3)
     check_null_basis(full, np.zeros((0, 3), dtype=np.int64), [])
     assert calls == []
     for N, free in ((np.zeros((0, 4), dtype=np.int64), []),
@@ -301,7 +297,7 @@ def test_null_basis_certificate_takes_no_product_at_full_column_rank(monkeypatch
             check_null_basis(full, N, free)
     assert calls == []
     short = full[:, :2] @ np.array([[1, 0, 1], [0, 1, 1]])
-    assert certified_null_basis(short).matrix().tolist() == [[-1, -1, 1]]
+    assert certified_null_basis(short).tolist() == [[-1, -1, 1]]
     assert calls == [((4, 3), (3, 1))]
 
 
@@ -448,22 +444,20 @@ def test_int_matmul_new_read_only_array_at_a_reused_id():
 
 
 def test_sort_based_unique_matches_np_unique():
-    """sorted_unique and the inverse behind certified_null_basis give
-    np.unique's values, order and inverse; the null basis's free columns
-    are the columns off the GF(p) pivots."""
+    """sorted_unique gives np.unique's values, dtype and order; the null
+    basis's free columns are the columns off the GF(p) pivots."""
     rng = np.random.default_rng(11)
     arrays = [np.array([], dtype=np.int64), np.array([[7]]), rng.integers(-4, 5, (6, 9)),
               rng.integers(0, 10**9, 40), rng.integers(-3, 3, (5, 4)).astype(np.int8)]
     for a in arrays:
-        values, where = exact._unique_inverse(a)
-        want, want_where = np.unique(a, return_inverse=True)
-        assert values.dtype == want.dtype and (values == want).all()
-        assert (where == want_where.reshape(-1)).all()
-        assert (exact.sorted_unique(a) == want).all()
+        want = np.unique(a)
+        got = exact.sorted_unique(a)
+        assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all()
     for _ in range(20):
         M = rng.integers(-2, 3, (rng.integers(1, 6), rng.integers(1, 8)))
-        basis = certified_null_basis(M)
-        N, free = basis.matrix(), basis.free
-        pivots = modular_echelon(M, MODULAR_PRIMES[0])[1]
-        assert (free == np.setdiff1d(np.arange(M.shape[1]), pivots)).all()
-        assert (N == certified_null_basis(M).matrix()).all()
+        N = certified_null_basis(M)
+        pivots = modular_echelon(M, MODULAR_PRIME)[1]
+        free = np.setdiff1d(np.arange(M.shape[1]), pivots)
+        assert N.shape == (len(free), M.shape[1])
+        assert (N[:, free] == np.diag(np.diagonal(N[:, free]))).all()
+        assert (N == certified_null_basis(M)).all()

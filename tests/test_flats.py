@@ -8,6 +8,7 @@ import pytest
 
 from clflats import exact, flats, spreads
 from clflats.cl import set_denominator
+from clflats.cli import STANDARD_GRID
 from clflats.field import e_power, gauss_binomial
 from clflats.flats import (
     Flat,
@@ -27,6 +28,8 @@ from clflats.flats import (
     flats_in,
     flats_through,
     check_gram_identity,
+    gram_matrix,
+    gram_spectrum,
     incidence_matrix,
     incidence_rank,
     incidence_rank_closed_form,
@@ -44,6 +47,7 @@ from conftest import (
     container_flats_oracle,
     distinct_containers,
     incidence_by_flat_points,
+    incidence_kernel,
     isotropic_oracle,
     membership_rows,
     unit_vector,
@@ -197,12 +201,55 @@ def test_incidence_structure(medium_config):
 def test_incidence_rank_spots(case, q, nu, expected):
     cfg = space_config(case, q, nu)
     assert incidence_rank(cfg) == expected == incidence_rank_closed_form(cfg)
-    for p in exact.MODULAR_PRIMES:
+    for p in (exact.MODULAR_PRIME, 10**9 + 9):
         assert len(exact.modular_echelon(incidence_matrix(cfg).matrix, p)[1]) == expected
 
 
 def test_gram_identity(medium_config):
     assert check_gram_identity(medium_config)
+
+
+@pytest.mark.parametrize("key", list(STANDARD_GRID) + [("symplectic", 4, 2), ("orthogonal", 3, 3)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_spectral_rank_matches_the_null_basis_oracle(key):
+    """The rank of M read off the certified spectrum of M M^T equals n minus
+    the dimension of the oracle's certified null basis and the closed form;
+    the multiplicities are positive and sum to the number of points; the
+    spectrum has two eigenvalues in the symplectic case and three
+    otherwise; and G - mu_i I has GF(p) rank (points - m_i), an
+    elimination that shares no step with the spectrum."""
+    cfg = space_config(*key)
+    n = len(enumerate_flats(cfg, cfg.nu))
+    mu, m = gram_spectrum(cfg)
+    assert incidence_rank(cfg) == n - len(incidence_kernel(cfg)) == incidence_rank_closed_form(cfg)
+    assert list(mu) == sorted(set(mu)) and all(k > 0 for k in m)
+    assert sum(m) == cfg.num_points
+    assert len(mu) == (2 if cfg.case == "symplectic" else 3)
+    G = gram_matrix(cfg)
+    assert not G.flags.writeable and G is gram_matrix(cfg)
+    for e, k in zip(mu, m):
+        shifted = G - e * np.eye(len(G), dtype=np.int64)
+        assert len(exact.modular_echelon(shifted, exact.MODULAR_PRIME)[1]) == len(G) - k
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 2)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+@pytest.mark.parametrize("where", [0, -1], ids=["smallest", "largest"])
+def test_a_shifted_eigenvalue_candidate_fails_the_certificate(key, where, monkeypatch):
+    """One float eigenvalue of M M^T moved by 1 makes the spectrum raise:
+    moving one of a repeated eigenvalue adds a candidate of multiplicity 0,
+    moving the simple largest one breaks prod (G - mu_i I) = 0."""
+    cfg = space_config(*key)
+    real = np.linalg.eigvalsh
+
+    def shifted(a):
+        values = real(a)
+        values[where] += 1
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+    with pytest.raises(AssertionError, match="certificate"):
+        flats.gram_spectrum.__wrapped__(cfg)
 
 
 def test_flats_in_counts(s22, o32):
@@ -383,11 +430,11 @@ def test_container_null_bases_match_the_oracle(key, bases):
         K = membership_rows(plan, n)
         assert set(np.unique(K).tolist()) <= {-1, 0, 1}
         assert not exact.int_matmul(M, K.T).any()
-        N = exact.certified_null_basis(M).matrix()
+        N = exact.certified_null_basis(M)
         closed = n - incidence_rank_closed_form(space_config(cfg.case, cfg.q, i))
         assert n == cfg.q**i * set_denominator(cfg, i)
         assert len(K) == len(N) == closed
-        assert len(exact.modular_echelon(K, exact.MODULAR_PRIMES[0])[1]) == len(K)
+        assert len(exact.modular_echelon(K, exact.MODULAR_PRIME)[1]) == len(K)
         assert bool(len(plan.line)) == (i >= 2)
         if len(plan.line):
             groups = plan.groups.copy()

@@ -6,12 +6,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from clflats import exact, flats, scheme, spreads
+from clflats import cl, exact, flats, scheme, spreads
 from clflats.cl import (
     FlatSet,
     batch_verdicts,
     battery,
     construct_pencil,
+    image_witness,
     is_cameron_liebler,
     random_subset_matrix,
     test_image as image_route,
@@ -23,7 +24,6 @@ from clflats.flats import (
     enumerate_flats,
     flat_ids,
     flat_make,
-    incidence_kernel,
     incidence_matrix,
     incidence_rank,
     incidence_rank_closed_form,
@@ -61,6 +61,7 @@ from clflats.spreads import (
 from conftest import (
     MEDIUM_CONFIGS,
     eta1_vanishing_oracle,
+    incidence_kernel,
     membership_rows,
     parallel_vanishing_oracle,
     rational_rank,
@@ -448,9 +449,19 @@ def test_span_rank_without_a_bound_is_exact():
                 tall = np.vstack([stack, np.eye(extra, stack.shape[1], dtype=np.int8)])
                 assert spreads._stack_rank(tall, -1, None) == (rational_rank(tall), "null-basis")
     # rank 2 over Q, rank 1 mod p: the certificate fails rather than answer 1
-    p = exact.MODULAR_PRIMES[0]
+    p = exact.MODULAR_PRIME
     with pytest.raises(AssertionError, match="certificate"):
         spreads._stack_rank(np.array([[1, 1], [1, 1 + p]], dtype=np.int64), 2, None)
+
+
+def test_stack_rank_fallback_with_a_broken_reconstruction_fails_its_certificate(monkeypatch):
+    """A rational reconstruction off by one makes the exact fallback of the
+    span rank raise its certificate's AssertionError rather than answer."""
+    real = exact._rational
+    monkeypatch.setattr(exact, "_rational", lambda u, p: real(u, p) + 1)
+    stack = np.array([[1, 1, 0], [0, 1, 1], [1, 2, 1]], dtype=np.int64)
+    with pytest.raises(AssertionError, match="certificate"):
+        spreads._stack_rank(stack, 3, None)
 
 
 @pytest.fixture
@@ -458,6 +469,33 @@ def fresh_plan():
     character_plan.cache_clear()
     yield
     character_plan.cache_clear()
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 2), ("symplectic", 2, 3)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_character_plan_rank_falls_back_to_the_exact_rank(key, monkeypatch, fresh_plan):
+    """With one GF(p) pivot of the direction-block sums dropped, the count
+    no longer proves the rank: it then comes from the certified null basis
+    of the sums, and it does not change."""
+    cfg = space_config(*key)
+    want = character_plan(cfg).rank
+    character_plan.cache_clear()
+    dirs = len(enumerate_isotropic(cfg, cfg.nu))
+    real_echelon, real_basis = exact.modular_echelon, exact.certified_null_basis
+    dropped, fallback = [], []
+
+    def drop_one(matrix, p):
+        E, pivots, rows = real_echelon(matrix, p)
+        if np.shape(matrix)[1] == dirs and not dropped:
+            dropped.append(len(pivots))
+            return E[:-1], pivots[:-1], rows[:-1]
+        return E, pivots, rows
+
+    monkeypatch.setattr(exact, "modular_echelon", drop_one)
+    monkeypatch.setattr(exact, "certified_null_basis",
+                        lambda matrix: fallback.append(np.shape(matrix)) or real_basis(matrix))
+    assert character_plan(cfg).rank == want
+    assert dropped == [dirs] and len(fallback) == 1 and fallback[0][1] == dirs
 
 
 def _patched_family(cfg, monkeypatch, how):
@@ -894,7 +932,7 @@ def test_membership_plan_is_a_basis_of_ker_M(key):
     assert set(np.unique(K).tolist()) <= {-1, 0, 1}
     assert not exact.int_matmul(incidence_matrix(cfg).matrix, K.T).any()
     assert len(K) == character_plan(cfg).kernel_dimension == n - incidence_rank(cfg)
-    assert len(exact.modular_echelon(K, exact.MODULAR_PRIMES[0])[1]) == len(K)
+    assert len(exact.modular_echelon(K, exact.MODULAR_PRIME)[1]) == len(K)
     assert not any(a.flags.writeable for a in (plan.line, plan.groups, plan.base,
                                                 plan.gather, plan.match))
     assert not spreads.character_kernels(cfg).flags.writeable
@@ -968,11 +1006,11 @@ def test_membership_plan_verdict_matches_the_null_basis(key):
     both."""
     cfg = space_config(*key)
     plan = membership_plan(cfg)
-    kernel = incidence_kernel(cfg)
+    N = incidence_kernel(cfg)
     for seed in (1, 2):
         cols = _membership_columns(cfg, seed)
         assert cols.shape[1] == 25
-        by_n = ~exact.int_matmul(kernel.matrix(), cols).any(axis=0)
+        by_n = ~exact.int_matmul(N, cols).any(axis=0)
         assert by_n[:7].all() and not by_n[7:14].any()  # members, and their bumps
         assert [plan.annihilates(c) for c in cols.T] == by_n.tolist()
         assert plan.annihilates(cols).tolist() == by_n.tolist()
@@ -986,6 +1024,35 @@ def test_membership_plan_verdict_matches_the_null_basis(key):
                 assert image_route(fs) == expected
                 assert {m: is_cameron_liebler(fs, m) for m in ("image", "kernel")} == \
                     dict.fromkeys(("image", "kernel"), bool(expected))
+
+
+@pytest.mark.parametrize("key", list(STANDARD_GRID) + [("symplectic", 4, 2), ("orthogonal", 3, 3)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_image_witness_verdict_matches_the_membership_plan(key, monkeypatch):
+    """A column gets a witness (Y, L) exactly when K chi = 0, on the seeded
+    25-column blocks and 2P - P'; every witness has M^T Y = L chi, checked
+    here in plain int64 within a proven bound.  With one coefficient of a
+    projector polynomial off by one, every witness of a nonzero column
+    fails the check, so every such member gets None."""
+    cfg = space_config(*key)
+    plan = membership_plan(cfg)
+    MT = incidence_matrix(cfg).matrix.T
+    cols = _membership_columns(cfg, 1)
+    cols = np.column_stack([cols, 2 * cols[:, 0] - cols[:, 1]])
+    found = []
+    for chi in cols.T:
+        witness = image_witness(cfg, chi)
+        found.append(witness is not None)
+        assert found[-1] == plan.annihilates(chi)
+        if witness is not None:
+            Y, scale = witness
+            assert Y.dtype == np.int64 and cfg.q**cfg.nu * int(np.abs(Y).max()) < 2**62
+            assert (MT @ Y == scale * chi).all()
+    assert all(found[:7]) and not any(found[7:14]) and found[-1]
+    real = cl.projector_polynomial
+    monkeypatch.setattr(cl, "projector_polynomial",
+                        lambda mu, i: [c + (k == len(mu) - 1) for k, c in enumerate(real(mu, i))])
+    assert not any(image_witness(cfg, chi) for chi in cols.T if chi.any())
 
 
 @pytest.mark.parametrize("key", [("symplectic", 3, 2), ("orthogonal", 3, 2)],
@@ -1002,10 +1069,10 @@ def test_single_set_queries_eliminate_no_incidence_matrix(key, monkeypatch):
     monkeypatch.setattr(exact, "modular_echelon",
                         lambda matrix, *args: seen.append(np.shape(matrix)) or real(matrix, *args))
 
-    def refuse(config):
+    def refuse(matrix):
         raise AssertionError("the null basis of M on a single-set query")
 
-    monkeypatch.setattr(flats, "incidence_kernel", refuse)
+    monkeypatch.setattr(exact, "certified_null_basis", refuse)
     pencil = construct_pencil(cfg, zero_vector(cfg))
     for fs in (pencil, pencil.complement()):
         assert all(battery(fs).values())
