@@ -83,7 +83,7 @@ from .scheme import (
     distance_masks,
     idempotent_coefficients,
     meeting_product,
-    relation_matrix,
+    relation_counts,
     scheme_tables,
 )
 from .spreads import (
@@ -123,7 +123,7 @@ class FlatSet:
 
     @property
     def x(self) -> Fraction:
-        return Fraction(self.size, route_plan(self.config).D)
+        return Fraction(self.size, set_denominator(self.config))
 
     def chi(self) -> np.ndarray:
         """The 0/1 indicator over all flats, built on first use; read-only."""
@@ -685,10 +685,8 @@ def intersecting_check(flat_set: FlatSet) -> IntersectingReport:
     spreads are the blocks of q^nu consecutive flat ids.
     """
     config = flat_set.config
-    R = relation_matrix(config)
-    ids = list(flat_set.ids)
-    sub = R[np.ix_(ids, ids)]
-    intersecting = bool((sub % 2 == 0).all())  # even codes = meeting cosets
+    # even codes = meeting cosets
+    intersecting = not relation_counts(config, flat_set.ids)[1::2].any()
     bound = set_denominator(config)
     pencil = construct_pencil(config, (0,) * config.dim)
     per_spread = pencil.chi().reshape(len(enumerate_isotropic(config, config.nu)), -1).sum(axis=1)

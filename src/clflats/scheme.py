@@ -5,24 +5,26 @@ intersection, xi = 0 when the cosets meet and 1 when they are disjoint
 ((nu, 1) never occurs).  Eigenspaces carry the same index family.  All
 eigenvalue, valency, and multiplicity tables come from closed forms,
 and so does the coefficient table C of the idempotents in the
-adjacency basis, E_e = (1/L_e) sum_r C[e, r] A_r.  The relations are
-factored by the D x D table rd of i (flats.direction_distances) and by
-direction groups (pair_factors), read off flats.coset_table: for
-0 < i < nu, the cosets that group the meeting flats, at i = 1 those of
-each type-(nu + 1, 2) container da + db, which holds every maximal
-direction at distance 1 from da inside it, and at i >= 2 those of each
-unordered pair's sum.  The checks' one product, the relation-count table
-T[r] = A_r X for every relation r, is read from it by relation_products:
-A_(0,0), A_(0,1) and A_(nu,0) need only X and its parallel-class totals,
-A_(i,0) X for 0 < i < nu is a sum over cosets taken once per group
-(meeting_product, which the membership routes read too; at i >= 2 many
-columns take one 0/1 mask product instead), and A_(i,1) X is the
-parallel-class part less A_(i,0) X.  Every idempotent
-projection is then one exact product C T (projections), which the
-checks read.  relation_matrix, the int8 n x n table, is the expansion of
-the factorisation; only the checks that read its entries build it.
-Dense idempotents exist only inside check_eigen_system, where they are
-the object being verified.
+adjacency basis, E_e = (1/L_e) sum_r C[e, r] A_r.  Both facts of a
+relation come from flats.coset_table: i from the D x D table rd of
+direction distances (flats.direction_distances), xi from whether the
+cosets share a point.  relation_rows reads the int8 rows R[ids, :] of
+the relation table straight off them; the axiom check, the inner
+distributions and the intersecting check read blocks of rows, and no
+n x n table is kept.  For products the relations are factored by
+direction groups (pair_factors): for 0 < i < nu, the cosets that group
+the meeting flats, at i = 1 those of each type-(nu + 1, 2) container
+da + db, which holds every maximal direction at distance 1 from da
+inside it, and at i >= 2 those of each unordered pair's sum.  The
+checks' one product, the relation-count table T[r] = A_r X for every
+relation r, is read from it by relation_products: A_(0,0), A_(0,1) and
+A_(nu,0) need only X and its parallel-class totals, A_(i,0) X for
+0 < i < nu is a sum over cosets taken once per group (meeting_product,
+which the membership routes read too), and A_(i,1) X is the
+parallel-class part less A_(i,0) X.  Every idempotent projection is
+then one exact product C T (projections), which the checks read.  Dense
+idempotents exist only inside check_eigen_system, where they are the
+object being verified.
 """
 
 from __future__ import annotations
@@ -512,45 +514,43 @@ def _coset_split(through: np.ndarray, offset: np.ndarray, cosets: int):
     return local, member.reshape(c, v, cosets, per // cosets)
 
 
-def _partner_entries(factors: PairFactors, i: int) -> np.ndarray:
-    """(m, n, k - 1) entries of the flats that each flat meets in each of
-    its m groups at level i: those of the group's other directions in the
-    flat's coset."""
-    keys, k = factors.keys[i - 1], factors.sizes[i - 1]
-    if k == 2:
-        return keys[..., None]
-    block = factors.members[i - 1].shape[1] // k
-    own = keys.astype(np.int64)
-    t = own // block
-    return (own - t * block)[..., None] + block * ((t[..., None] + np.arange(1, k)) % k)
+PAIR_BLOCK = 256  # pairs (or rows) per block of relation_rows in verify_scheme and relation_counts
 
 
-def _meeting_neighbours(factors: PairFactors, i: int) -> np.ndarray:
-    """(n, K) ids of the K flats in relation (i, 0) with each flat, 0 < i < nu."""
-    met = np.take(factors.members[i - 1], _partner_entries(factors, i), axis=1)
-    return np.moveaxis(met, 2, 0).reshape(met.shape[2], -1)  # (q^i, m, n, k - 1) to n rows
+def relation_rows(config: SpaceConfig, ids) -> np.ndarray:
+    """R[ids, :], the relation codes 2i + xi of the flats ids against every
+    flat, int8 (len(ids), n), read off the coset table.
 
-
-@lru_cache(maxsize=None)
-def relation_matrix(config: SpaceConfig) -> np.ndarray:
-    """Relation codes (2i + xi) for all ordered pairs of maximal flats: the
-    expansion of pair_factors, int8 and read-only.
-
-    Each direction pair's q^nu x q^nu block holds 2i + 1 (disjoint), less
-    one where the flats meet: only on the diagonal at i = 0, everywhere at
-    i = nu, and at the meeting neighbours for 0 < i < nu.  Only the checks
-    that read entries build it.
+    A flat x of direction d is in relation (i, 1), code 2i + 1, with every
+    flat of a direction at distance i = rd[d, d'] < nu, and in (nu, 0),
+    code 2 nu, with every flat of an opposite direction, each of which
+    meets x in one point.  The flats that meet x, those of every
+    direction through the points of x, read 2i instead: x itself at
+    i = 0 and the q^i flats met at 0 < i < nu.
     """
-    factors, rd = pair_factors(config), direction_distances(config)
-    nu, per = config.nu, factors.per
+    rd = direction_distances(config)
+    nu, per = config.nu, config.q**config.nu
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    d = ids // per
     codes = np.where(rd == nu, 2 * nu, 2 * rd + 1).astype(np.int8)
-    R = np.repeat(np.repeat(codes, per, axis=0), per, axis=1)
-    n = R.shape[0]
-    R[np.arange(n), np.arange(n)] = 0
-    for i in range(1, nu):
-        R[np.arange(n)[:, None], _meeting_neighbours(factors, i)] = 2 * i
-    R.flags.writeable = False
-    return R
+    rows = np.repeat(codes[d], per, axis=1)
+    n = rows.shape[1]
+    # met[j, d', p]: the flat of direction d' through the p-th point of flat ids[j]
+    met = np.moveaxis(coset_table(config)[:, flat_point_table(config)[ids]], 0, 1)
+    met += n * np.arange(len(ids))[:, None, None]
+    rows.reshape(-1)[met] = 2 * rd[d][:, :, None]
+    return rows
+
+
+def relation_counts(config: SpaceConfig, ids) -> np.ndarray:
+    """How many ordered pairs of the flats ids are in each relation code,
+    (2 nu + 1,) int64: the block R[ids][:, ids], PAIR_BLOCK rows at a time."""
+    ids = np.asarray(ids, dtype=np.int64)
+    counts = np.zeros(2 * config.nu + 1, dtype=np.int64)
+    for s in range(0, len(ids), PAIR_BLOCK):
+        block = relation_rows(config, ids[s:s + PAIR_BLOCK])[:, ids]
+        counts += np.bincount(block.reshape(-1), minlength=len(counts))
+    return counts
 
 
 @lru_cache(maxsize=None)
@@ -565,8 +565,7 @@ def distance_masks(config: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
     return masks, masks_float
 
 
-PRODUCT_COLUMNS = 512  # bounds the float64 copies each mask product makes
-MASK_COLUMNS = 32  # above this many columns, the meeting relations at i >= 2 take mask products
+PRODUCT_COLUMNS = 512  # rows per block of the span checks' products and point gathers
 MEETING_ELEMENTS = 2**22  # bounds the gathers of each column block of _meeting_sums
 
 
@@ -591,25 +590,14 @@ def _meeting_sums(factors: PairFactors, i: int, X: np.ndarray) -> np.ndarray:
     return np.take(sums, factors.keys[i - 1], axis=0).sum(axis=0)
 
 
-def _mask_product(G: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return np.hstack([exact.int_matmul(G, X[:, s:s + PRODUCT_COLUMNS])
-                      for s in range(0, X.shape[1], PRODUCT_COLUMNS)])
-
-
 def meeting_product(config: SpaceConfig, i: int, X: np.ndarray) -> np.ndarray:
     """A_(i,0) X for 0 < i < nu and an n x c matrix X in int64 or object
-    arithmetic, each entry at most n max|X| in size.  At i = 1 every width
-    takes the container sums of _meeting_sums, in column blocks whose
-    gathers hold about MEETING_ELEMENTS entries; at i >= 2 up to
-    MASK_COLUMNS columns take the pair sums, and more columns one exact
-    product with the 0/1 mask of relation (i, 0), which is faster there.
-    No n x n array is built at i = 1, or up to MASK_COLUMNS columns."""
+    arithmetic, each entry at most n max|X| in size: the group sums of
+    _meeting_sums (the containers at i = 1, the direction pairs at
+    i >= 2), at every width, in column blocks whose gathers hold about
+    MEETING_ELEMENTS entries.  No n x n array is built."""
     factors = pair_factors(config)
     n, c = X.shape
-    if i > 1 and c > MASK_COLUMNS:
-        mask = np.zeros((n, n), dtype=bool)
-        mask[np.arange(n)[:, None], _meeting_neighbours(factors, i)] = True
-        return _mask_product(mask, X)
     step = max(1, MEETING_ELEMENTS // (n * len(factors.keys[i - 1])))
     if c <= step:
         return _meeting_sums(factors, i, X)
@@ -626,8 +614,7 @@ def relation_products(config: SpaceConfig, X: np.ndarray) -> np.ndarray:
     for i < nu and A_(nu,0) X for i = nu, all from one product with the
     stacked distance masks.  The meeting part is A_(0,0) X = X and, for
     0 < i < nu, A_(i,0) X from meeting_product.  T[2i + 1] is the class
-    part less T[2i].  No n x n array is built at nu = 2, or up to
-    MASK_COLUMNS columns.
+    part less T[2i].  No n x n array is built.
 
     Sums run in int64 while 8 nu n max|X| < 2^62, and in object arithmetic
     otherwise.  That bound holds every sum: each class total, distance
@@ -683,10 +670,11 @@ def projections(config: SpaceConfig, T: np.ndarray) -> np.ndarray:
 
 
 def idempotent_int(config: SpaceConfig, eig: RelIndex) -> tuple[int, np.ndarray]:
-    """(L, B) with the primitive idempotent equal to B / L exactly, as a dense gather."""
+    """(L, B) with the primitive idempotent equal to B / L exactly, as a
+    dense gather over every relation row."""
     Ls, C = idempotent_coefficients(config)
     k = _code(config.nu, eig)
-    B = C[k][relation_matrix(config)]
+    B = C[k][relation_rows(config, np.arange(scheme_tables(config).size))]
     B.flags.writeable = False
     return Ls[k], B
 
@@ -751,15 +739,9 @@ def inner_distribution(config: SpaceConfig, ids) -> InnerDistribution:
     if not ids:
         raise ValueError("inner distribution of the empty set is undefined")
     tables = scheme_tables(config)
-    R = relation_matrix(config)
-    sub = R[np.ix_(ids, ids)]
-    counts = np.bincount(sub.reshape(-1), minlength=2 * config.nu + 1)
-    u = {}
-    for rel in tables.rels:
-        u[rel] = Fraction(int(counts[_code(config.nu, rel)]), len(ids))
-    uQ = {}
-    for e in tables.rels:
-        uQ[e] = sum((u[r] * tables.Q[e, r] for r in tables.rels), Fraction(0))
+    counts = relation_counts(config, ids)  # in code order, as tables.rels
+    u = {rel: Fraction(int(c), len(ids)) for rel, c in zip(tables.rels, counts)}
+    uQ = {e: sum((u[r] * tables.Q[e, r] for r in tables.rels), Fraction(0)) for e in tables.rels}
     return InnerDistribution(u, uQ)
 
 
@@ -895,7 +877,6 @@ def column_uniqueness(config: SpaceConfig, rel: RelIndex) -> UniquenessResult:
 # axiom verification
 
 EXHAUSTIVE_TRIPLE_BOUND = 120
-PAIR_BLOCK = 256  # pairs per offset bincount in verify_scheme
 
 
 @dataclass(frozen=True)
@@ -915,19 +896,23 @@ class SchemeReport:
 
 
 def verify_scheme(config: SpaceConfig, seed: int = 0, samples: int = 10_000) -> SchemeReport:
-    """Brute-force the scheme axioms on the constructed relations.
+    """Brute-force the scheme axioms on the relation rows.
 
-    The histograms of (R[x, z], R[z, y]) over z must agree on the pairs
-    (x, y) of one relation; a block of pairs takes one offset bincount.
+    The histograms of (R[x, z], R[z, y]) over z must agree on the checked
+    pairs (x, y) of one relation: every ordered pair in exhaustive mode
+    (n <= EXHAUSTIVE_TRIPLE_BOUND), a seeded stream of them in sampled
+    mode.  A block of PAIR_BLOCK pairs reads the rows of its flats once
+    (relation_rows) and takes one offset bincount, R[z, y] read as
+    R[y, z].  On the rows read, every code must lie in 0..2 nu and each
+    must occur (partition_ok), and a row must read 0 at its own flat and
+    nowhere else (diagonal_ok); R[x, y] = R[y, x] at every checked pair
+    and rd = rd^T (symmetry_ok).  relation_rows writes each entry from rd
+    and from whether the two flats share a point, so with rd symmetric R
+    is symmetric off the checked pairs too.
     """
-    R = relation_matrix(config)
-    n = R.shape[0]
     d = 2 * config.nu
-    codes = exact.sorted_unique(R)
-    partition_ok = codes.min() >= 0 and codes.max() <= d and len(codes) == d + 1
-    symmetry_ok = bool((R == R.T).all())
-    diagonal_ok = bool((np.diag(R) == 0).all()) and bool(((R == 0) == np.eye(n, dtype=bool)).all())
-
+    rd = direction_distances(config)
+    n = len(rd) * config.q**config.nu
     if n <= EXHAUSTIVE_TRIPLE_BOUND:
         mode = "exhaustive"
         xs, ys = np.divmod(np.arange(n * n), n)
@@ -938,16 +923,30 @@ def verify_scheme(config: SpaceConfig, seed: int = 0, samples: int = 10_000) -> 
         xs, ys = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     cells = (d + 1) ** 2
     reference: dict[int, np.ndarray] = {}
-    intersection_ok = True
+    codes = np.zeros(256, dtype=np.int64)  # every code of the rows read, a negative one past 127
+    diagonal_ok = intersection_ok = True
+    symmetry_ok = bool((rd == rd.T).all())
     for s in range(0, len(xs), PAIR_BLOCK):
         x, y = xs[s:s + PAIR_BLOCK], ys[s:s + PAIR_BLOCK]
-        keys = (R[x].astype(np.int64) * (d + 1) + R[:, y].T
-                + cells * np.arange(len(x))[:, None])
+        ids, at = np.unique(np.concatenate([x, y]), return_inverse=True)
+        rows = relation_rows(config, ids)
+        counts = np.bincount(rows.reshape(-1).view(np.uint8), minlength=256)
+        codes += counts
+        # one 0 in each row, at its own flat
+        diagonal_ok &= bool(counts[0] == len(ids) and (rows[np.arange(len(ids)), ids] == 0).all())
+        rx, ry = rows[at[:len(x)]], rows[at[len(x):]]
+        rel = rx[np.arange(len(x)), y]
+        symmetry_ok &= bool((rel == ry[np.arange(len(x)), x]).all())
+        if counts[d + 1:].any():
+            continue  # the histograms need codes in 0..2 nu
+        keys = rx.astype(np.int64)
+        keys *= d + 1
+        keys += ry + cells * np.arange(len(x))[:, None]
         hists = np.bincount(keys.reshape(-1), minlength=cells * len(x)).reshape(len(x), cells)
-        rel = R[x, y]
         for k in exact.sorted_unique(rel):
             block = hists[rel == k]
             if not (block == reference.setdefault(int(k), block[0])).all():
                 intersection_ok = False
+    partition_ok = bool(codes[:d + 1].all() and not codes[d + 1:].any())
     return SchemeReport(partition_ok, symmetry_ok, diagonal_ok, intersection_ok,
                         len(xs), mode, seed)

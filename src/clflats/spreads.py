@@ -892,18 +892,26 @@ def typeII_span_check(config: SpaceConfig) -> SpanReport:
     is V_(0,0) + V_(0,1) and ker M is the sum of the other eigenspaces.
     M sends the all-ones vector, which spans V_(0,0), to D times the
     all-ones vector on the points, so M s is constant iff s lies in
-    V_(0,0) + ker M.  The products take PRODUCT_COLUMNS rows at a time, so
-    no float64 copy of the whole stack is made.
+    V_(0,0) + ker M.  M s counts, at each point, the entries of s on the
+    flats through it: one offset bincount of the point table over the
+    nonzero entries of PRODUCT_COLUMNS rows at a time, weighted by the
+    entries (float64 counts, exact: each is at most n max|s| < 2^53).
     """
     if config.nu < 2:
         raise ValueError("type-II span check needs nu >= 2")
     stack = family_indicators(config, slice(len(enumerate_isotropic(config, config.nu)), None))
     tables = scheme_tables(config)
-    M = incidence_matrix(config).matrix
-    # one block of spreads at a time, stopping at the first failing one
-    covers = (exact.int_matmul(M, stack[s:s + PRODUCT_COLUMNS].T)
-              for s in range(0, len(stack), PRODUCT_COLUMNS))
-    vanishing_ok = all((cover == cover[:1]).all() for cover in covers)
+    points_of, P = flat_point_table(config), config.num_points
+    vanishing_ok = True
+    for s in range(0, len(stack), PRODUCT_COLUMNS):  # stopping at the first failing block
+        rows, flats = np.nonzero(stack[s:s + PRODUCT_COLUMNS])
+        weights = np.repeat(stack[s + rows, flats], points_of.shape[1])
+        # the rows past the stack's end, if any, cover nothing: a constant 0
+        cover = np.bincount((points_of[flats] + P * rows[:, None]).reshape(-1), weights,
+                            P * PRODUCT_COLUMNS).reshape(PRODUCT_COLUMNS, P)
+        if not (cover == cover[:, :1]).all():
+            vanishing_ok = False
+            break
     nonvanishing_ok = all(_nonzero_projections(config, eig, stack)
                           for eig in tables.eigs if eig[0] != 0)
     expected = tables.size - tables.multiplicities[(0, 1)]

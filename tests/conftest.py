@@ -44,6 +44,7 @@ from clflats.geometry import (
 from clflats.scheme import (
     PRODUCT_COLUMNS,
     _coset_split,
+    pair_factors,
     projections,
     relation_products,
     scheme_tables,
@@ -298,6 +299,49 @@ def ordered_meeting_sums(config, i: int, X: np.ndarray) -> np.ndarray:
     keys, members = ordered_pair_tables(config)[i - 1]
     sums = np.take(X, members, axis=0).sum(axis=0)
     return np.take(sums, keys, axis=0).sum(axis=0)
+
+
+def _partner_entries(factors, i: int) -> np.ndarray:
+    """(m, n, k - 1) entries of the flats that each flat meets in each of
+    its m groups at level i: those of the group's other directions in the
+    flat's coset."""
+    keys, k = factors.keys[i - 1], factors.sizes[i - 1]
+    if k == 2:
+        return keys[..., None]
+    block = factors.members[i - 1].shape[1] // k
+    own = keys.astype(np.int64)
+    t = own // block
+    return (own - t * block)[..., None] + block * ((t[..., None] + np.arange(1, k)) % k)
+
+
+def meeting_neighbours(factors, i: int) -> np.ndarray:
+    """(n, K) ids of the K flats in relation (i, 0) with each flat, 0 < i < nu,
+    read off the group tables of scheme.pair_factors."""
+    met = np.take(factors.members[i - 1], _partner_entries(factors, i), axis=1)
+    return np.moveaxis(met, 2, 0).reshape(met.shape[2], -1)  # (q^i, m, n, k - 1) to n rows
+
+
+@lru_cache(maxsize=None)
+def relation_matrix(config) -> np.ndarray:
+    """Relation codes (2i + xi) for all ordered pairs of maximal flats, int8
+    and read-only: the expansion of scheme.pair_factors that the package
+    kept before it read rows off the coset table (scheme.relation_rows).
+
+    Each direction pair's q^nu x q^nu block holds 2i + 1 (disjoint), less
+    one where the flats meet: only on the diagonal at i = 0, everywhere at
+    i = nu, and at the meeting neighbours of the group tables for
+    0 < i < nu.
+    """
+    factors, rd = pair_factors(config), direction_distances(config)
+    nu, per = config.nu, factors.per
+    codes = np.where(rd == nu, 2 * nu, 2 * rd + 1).astype(np.int8)
+    R = np.repeat(np.repeat(codes, per, axis=0), per, axis=1)
+    n = R.shape[0]
+    R[np.arange(n), np.arange(n)] = 0
+    for i in range(1, nu):
+        R[np.arange(n)[:, None], meeting_neighbours(factors, i)] = 2 * i
+    R.flags.writeable = False
+    return R
 
 
 def membership_rows(plan: spreads.MembershipPlan, n: int) -> np.ndarray:

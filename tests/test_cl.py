@@ -58,7 +58,7 @@ from clflats.geometry import (
     zero_vector,
 )
 from clflats.cli import STANDARD_GRID, paper_suite
-from clflats.scheme import idempotent_int, relation_matrix, relation_products, scheme_tables
+from clflats.scheme import idempotent_int, relation_products, scheme_tables
 from conftest import (
     MEDIUM_CONFIGS,
     distinct_containers,
@@ -412,8 +412,8 @@ def test_route_plan_matches_the_two_product_routes(key):
     rows, the i = 1 laws on the factor terms) give the verdicts of the
     uncached routes, and each relation's law read off its factor terms
     gives their laws, for 0/1 and signed columns (1, 25, 33 and 100 of
-    them, and one fewer, exactly and one more than MASK_COLUMNS, where the
-    meeting sums switch to a mask product), a uint8 block, an int64 column
+    them, and 31, 32 and 33, where the i >= 2 meeting sums once switched
+    to a mask product), a uint8 block, an int64 column
     that takes relation_products' object path and object entries past
     int64."""
     cfg = space_config(*key)
@@ -424,9 +424,7 @@ def test_route_plan_matches_the_two_product_routes(key):
     huge = rng.integers(-3, 4, (n, 2)).astype(object) * 2**70
     inputs = [edge, huge, _pencil(cfg).chi().reshape(-1, 1),
               rng.integers(0, 2, (n, 25)).astype(np.uint8)]
-    widths = {1, 25, 33, 100, scheme.MASK_COLUMNS - 1, scheme.MASK_COLUMNS,
-              scheme.MASK_COLUMNS + 1}
-    for c in sorted(widths):
+    for c in (1, 25, 31, 32, 33, 100):
         inputs += [rng.integers(0, 2, (n, c)), rng.integers(-5, 6, (n, c))]
     for cols in inputs:
         # the routes and the oracle take the block as batch_verdicts passes it on
@@ -540,12 +538,13 @@ def test_routes_build_no_relation_table(key, monkeypatch):
     """battery and batch_verdicts read the class totals and the meeting
     sums only: with scheme.relation_products and scheme.projections made to
     raise, a pencil, its complement, a near miss and blocks on both sides
-    of MASK_COLUMNS get the verdicts they get unpatched."""
+    of 32 columns (where the i >= 2 meeting sums once switched to a mask
+    product) get the verdicts they get unpatched."""
     cfg = space_config(*key)
     sets = [_pencil(cfg), _pencil(cfg).complement(), _near_miss(cfg)]
     chi = np.stack([fs.chi() for fs in sets], axis=1)
     blocks = [np.concatenate([chi, random_subset_matrix(cfg, extra, seed=4)], axis=1)
-              for extra in (5, scheme.MASK_COLUMNS)]
+              for extra in (5, 32)]
 
     def verdicts():
         return ([battery(fs) for fs in sets],
@@ -668,7 +667,7 @@ def test_membership_routes_build_no_square_arrays(monkeypatch):
     one meeting relation is i = 1, a block of any width takes the container
     sums and no mask product."""
     cfg = space_config("orthogonal", 3, 2)
-    n = relation_matrix(cfg).shape[0]
+    n = len(enumerate_flats(cfg, cfg.nu))
     battery(_pencil(cfg))  # set-up outside the count
     square = []
 
@@ -685,26 +684,31 @@ def test_membership_routes_build_no_square_arrays(monkeypatch):
     monkeypatch.setattr(cl, "idempotent_int", dense, raising=False)
     battery(_pencil(cfg))
     battery(_near_miss(cfg))
-    batch_verdicts(cfg, random_subset_matrix(cfg, scheme.MASK_COLUMNS, seed=1))
+    batch_verdicts(cfg, random_subset_matrix(cfg, 32, seed=1))
     assert square == []
-    for width in (scheme.MASK_COLUMNS + 1, 512):
+    for width in (33, 512):
         batch_verdicts(cfg, random_subset_matrix(cfg, width, seed=1))
     assert square == []
 
 
 @pytest.mark.parametrize("key", [("symplectic", 3, 2), ("unitary", 4, 2), ("orthogonal", 3, 2)],
                          ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
-def test_queries_never_build_the_relation_table(key):
-    """battery and batch_verdicts, set-up included, never call relation_matrix."""
+def test_queries_never_build_the_relation_table(key, monkeypatch):
+    """battery and batch_verdicts, set-up included, never read a relation row."""
     cfg = space_config(key[0], key[1], key[2])
-    scheme.relation_matrix.cache_clear()
     scheme.pair_factors.cache_clear()
+    calls = []
+
+    def spy(config, ids):
+        calls.append(len(ids))
+        raise AssertionError("a relation row on the query path")
+
+    monkeypatch.setattr(scheme, "relation_rows", spy)
     battery(_pencil(cfg))
     battery(_near_miss(cfg))
     batch_verdicts(cfg, random_subset_matrix(cfg, 25, seed=2))
-    batch_verdicts(cfg, random_subset_matrix(cfg, scheme.MASK_COLUMNS + 1, seed=2))
-    info = scheme.relation_matrix.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    batch_verdicts(cfg, random_subset_matrix(cfg, 33, seed=2))
+    assert calls == []
     assert scheme.pair_factors.cache_info().misses == 1
 
 
@@ -724,6 +728,45 @@ def test_warm_battery_allocates_less_than_n_squared_bytes():
         finally:
             tracemalloc.stop()
         assert peak < n * n, (fs.size, peak)
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 3), ("orthogonal", 3, 3)],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_relation_readers_allocate_no_n_by_n_array(key, monkeypatch):
+    """No reader of the relations builds an n x n array: with PAIR_BLOCK
+    at 8 and warm caches, the traced peak of a sampled verify_scheme and
+    of an inner distribution and an intersecting check of a pencil each
+    stays below n^2 / 2 bytes, half of one int8 n x n table.  Only
+    idempotent_int (n <= 500) and the exhaustive verify_scheme (n <= 120)
+    read every row."""
+    cfg = space_config(*key)
+    n = len(enumerate_flats(cfg, cfg.nu))
+    monkeypatch.setattr(scheme, "PAIR_BLOCK", 8)
+    pencil = _pencil(cfg)
+    calls = {"verify_scheme": lambda: scheme.verify_scheme(cfg, samples=64),
+             "inner_distribution": lambda: scheme.inner_distribution(cfg, pencil.ids),
+             "intersecting_check": lambda: cl.intersecting_check(pencil)}
+    for name, call in calls.items():
+        call()  # warm
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2 * peak < n * n, (name, peak, n * n)
+
+
+def test_flat_set_parameter_builds_no_route_plan():
+    """x = |S| / D reads the closed-form set_denominator: on a configuration
+    whose route plan is not cached, the parameters of a pencil and its
+    complement are 1 and q^nu - 1, and no route plan is built."""
+    cfg = space_config("unitary", 4, 2)
+    cl.route_plan.cache_clear()
+    pencil = _pencil(cfg)
+    for fs, want in ((pencil, 1), (pencil.complement(), cfg.q**cfg.nu - 1)):
+        assert fs.x == Fraction(fs.size, cl.set_denominator(cfg)) == want
+    assert cl.route_plan.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("key", [("symplectic", 3, 2), ("unitary", 4, 2)],
@@ -867,11 +910,12 @@ def _cached_arrays(value, seen):
 
 
 def test_paper_suite_caches_no_dense_matrix_but_the_relation_table():
-    """After a whole paper suite, the int8 relation table is the only cached n x n array."""
+    """After a whole paper suite, no cache holds an n x n array: the
+    relation rows are read off the coset table and never kept."""
     cfg = space_config("symplectic", 3, 2)
     paper_suite(cfg, 0)
-    n = relation_matrix(cfg).shape[0]
-    cached = {fn for module in (scheme, spreads, cl) for fn in vars(module).values()
+    n = len(enumerate_flats(cfg, cfg.nu))
+    cached = {fn for module in (scheme, spreads, cl, flats) for fn in vars(module).values()
               if hasattr(fn, "cache_info")}
     found = []
     for fn in sorted(cached, key=lambda f: f.__qualname__):
@@ -881,7 +925,7 @@ def test_paper_suite_caches_no_dense_matrix_but_the_relation_table():
         for cache in caches:
             found += [(fn.__qualname__, a.dtype) for a in _cached_arrays(cache, seen)
                       if a.shape == (n, n)]
-    assert found == [("relation_matrix", np.dtype(np.int8))]
+    assert found == []
 
 
 def test_batch_includes_positives(s22):

@@ -542,11 +542,11 @@ def test_failed_scheme_invariant_exits_3():
 
 def test_corrupt_origin_counts_exit_3(monkeypatch):
     """Directions whose flats through the origin share a number of points
-    that is no power of q are an internal error: relation_matrix raises
+    that is no power of q are an internal error: the relation rows raise
     AssertionError, never KeyError, and scheme verify exits 3 with one
     line.  The coset table is corrupted by giving the last point, in every
-    direction, the flat through the origin.  relation_matrix expands the
-    cached direction distances, so both caches are cleared.  The paper
+    direction, the flat through the origin.  relation_rows reads the
+    cached direction distances, so that cache is cleared.  The paper
     suite reads the rank of the corrupted incidence matrix first, so its
     verify exits 3 on the eigenvalue certificate of M M^T."""
     from clflats import flats, scheme
@@ -554,13 +554,11 @@ def test_corrupt_origin_counts_exit_3(monkeypatch):
     broken = np.array(flats.coset_table(cfg))
     broken[:, -1] = broken[:, 0]
     monkeypatch.setattr(flats, "coset_table", lambda c: broken)
-    scheme.relation_matrix.cache_clear()
     flats.direction_distances.cache_clear()
     try:
         with pytest.raises(AssertionError, match="no power of q"):
-            scheme.relation_matrix(cfg)
+            scheme.relation_rows(cfg, [0])
     finally:
-        scheme.relation_matrix.cache_clear()
         flats.direction_distances.cache_clear()
     code = ("import sys; import numpy as np; from clflats import flats, scheme; "
             "from clflats.cli import run; real = flats.coset_table; "

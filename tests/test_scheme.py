@@ -18,7 +18,6 @@ from clflats.geometry import (
 )
 from clflats.scheme import (
     INFINITY,
-    MASK_COLUMNS,
     PRODUCT_COLUMNS,
     check_column_sums,
     check_eigen_system,
@@ -38,9 +37,9 @@ from clflats.scheme import (
     projections,
     q_valuation,
     relation_indices,
-    relation_matrix,
     relation_of,
     relation_products,
+    relation_rows,
     scheme_eigenvalue,
     scheme_multiplicity,
     scheme_tables,
@@ -49,7 +48,13 @@ from clflats.scheme import (
     verify_scheme,
 )
 from clflats.spreads import list_type_I, list_type_II
-from conftest import MEDIUM_CONFIGS, ordered_meeting_sums, ordered_pair_tables, unit_vector
+from conftest import (
+    MEDIUM_CONFIGS,
+    ordered_meeting_sums,
+    ordered_pair_tables,
+    relation_matrix,
+    unit_vector,
+)
 
 CASES_Q = (("symplectic", 2), ("symplectic", 3), ("symplectic", 5),
            ("unitary", 4), ("unitary", 9),
@@ -83,12 +88,15 @@ ORACLE_SAMPLED = (("symplectic", 3, 2), ("unitary", 4, 2), ("symplectic", 2, 3),
 
 @pytest.mark.parametrize("key", MEDIUM_CONFIGS, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_relation_matrix_matches_relation_of_on_every_pair(key):
+    """The oracle table and the rows read off the coset table both hold
+    relation_of on every pair."""
     cfg = space_config(*key)
     flats = enumerate_flats(cfg, cfg.nu)
     R = relation_matrix(cfg)
     assert R.dtype == np.int8 and R.shape == (len(flats),) * 2
     want = [[2 * i + xi for i, xi in (relation_of(cfg, f, g) for g in flats)] for f in flats]
     assert R.tolist() == want
+    assert relation_rows(cfg, np.arange(len(flats))).tolist() == want
 
 
 @pytest.mark.parametrize("key", ORACLE_SAMPLED, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
@@ -99,15 +107,39 @@ def test_relation_matrix_matches_relation_of_on_seeded_pairs(key):
     flats = enumerate_flats(cfg, cfg.nu)
     R = relation_matrix(cfg)
     rng = random.Random(repr(("relation-oracle", key)))
-    for _ in range(2000):
-        a, b = rng.randrange(len(flats)), rng.randrange(len(flats))
+    pairs = [(rng.randrange(len(flats)), rng.randrange(len(flats))) for _ in range(2000)]
+    rows = relation_rows(cfg, [a for a, _ in pairs])
+    for k, (a, b) in enumerate(pairs):
         i, xi = relation_of(cfg, flats[a], flats[b])
-        assert R[a, b] == 2 * i + xi, (a, b)
+        assert R[a, b] == rows[k, b] == 2 * i + xi, (a, b)
+
+
+ROW_KEYS = tuple(STANDARD_GRID) + (("symplectic", 4, 2), ("orthogonal", 3, 3))
+
+
+@pytest.mark.parametrize("key", ROW_KEYS, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_relation_rows_match_the_oracle_table(key):
+    """relation_rows equals the expansion of the pair factors
+    (conftest.relation_matrix) on the whole table, on shuffled id blocks
+    with repeats, on one row and on no row; its rows are int8 and its own."""
+    cfg = space_config(*key)
+    R = relation_matrix(cfg)
+    n = R.shape[0]
+    full = relation_rows(cfg, np.arange(n))
+    assert full.dtype == np.int8 and full.shape == (n, n) and full.flags.writeable
+    assert (full == R).all()
+    rng = np.random.default_rng(sum(map(ord, repr(key))))
+    for size in (1, 7, 256):
+        ids = rng.integers(n, size=size)
+        assert (relation_rows(cfg, ids) == R[ids]).all(), size
+    shuffled = rng.permutation(n)
+    assert (relation_rows(cfg, shuffled) == R[shuffled]).all()
+    assert relation_rows(cfg, []).shape == (0, n)
 
 
 def _adjacency(cfg):
     """Every A_r, as the relation-count table of I."""
-    n = relation_matrix(cfg).shape[0]
+    n = scheme_tables(cfg).size
     return relation_products(cfg, np.eye(n, dtype=np.int64))
 
 
@@ -164,8 +196,9 @@ def _table_terms(R: np.ndarray, X: np.ndarray) -> np.ndarray:
 def test_factored_relation_products_match_the_table(key):
     """The relation-count table, read off the pair factorisation, equals
     the table product T[r] = (R == r) @ X for every relation of every grid
-    configuration, on both sides of MASK_COLUMNS, for 0/1, signed and
-    object columns past 2^62; so do its combinations W T for unit,
+    configuration, at widths up to 100 (31, 32 and 33 among them, where
+    the i >= 2 meeting relations once switched to a mask product), for
+    0/1, signed and object columns past 2^62; so do its combinations W T for unit,
     identity, idempotent and general integer W rows, and C T is
     projections."""
     cfg = space_config(*key)
@@ -177,7 +210,7 @@ def test_factored_relation_products_match_the_table(key):
     tables = [eye, C, C[1:2], C[1:2 * cfg.nu:2], np.vstack([C[-1], -C[-1]]),
               rng.integers(-3, 4, (3, codes)), eye[[codes - 1, 1]], 2 * eye[[1]],
               np.zeros((1, codes), dtype=np.int64)]
-    for c in sorted({1, 2, 25, MASK_COLUMNS - 1, MASK_COLUMNS, MASK_COLUMNS + 1, 100}):
+    for c in (1, 2, 25, 31, 32, 33, 100):
         for X in (rng.integers(0, 2, (n, c)), rng.integers(-5, 6, (n, c))):
             terms = _table_terms(R, X)
             T = relation_products(cfg, X)
@@ -277,38 +310,33 @@ def test_group_tables_match_the_ordered_pair_oracle(key):
     """The meeting sums read off the direction groups (the containers at
     i = 1, the unordered pairs at i = 2) equal the ordered-pair coset sums
     of conftest.ordered_pair_tables, for 0/1, signed and 2^70 object
-    columns at 1, 25, MASK_COLUMNS +- 1 and 512 columns: through
-    meeting_product at i = 1, which takes them at every width in column
-    blocks, and directly at i = 2, where meeting_product takes them up to
-    MASK_COLUMNS columns only, so its slow object columns stop there.  The
-    flats met by each flat are the oracle's.  A container holds q + 1
-    maximal directions in the symplectic, sqrt(q) + 1 in the unitary and 2
-    in the orthogonal spaces."""
+    columns at 1, 25, 31, 33 and 512 columns, through meeting_product,
+    which takes them at every level and width in column blocks.  The
+    rows of relation_rows read 2i exactly at the flats the oracle meets.
+    A container holds q + 1 maximal directions in the symplectic,
+    sqrt(q) + 1 in the unitary and 2 in the orthogonal spaces."""
     cfg = space_config(*key)
     factors = pair_factors(cfg)
     n = len(direction_distances(cfg)) * factors.per
     rng = np.random.default_rng(sum(map(ord, repr(key))))
     inside = {"symplectic": cfg.q + 1, "unitary": round(cfg.q ** 0.5) + 1, "orthogonal": 2}
     assert factors.sizes == (inside[cfg.case],) + (2,) * (cfg.nu - 2)
+    R = relation_rows(cfg, np.arange(n))
     for i in range(1, min(cfg.nu, 3)):
         keys, members = ordered_pair_tables(cfg)[i - 1]
         want = np.sort(np.take(members, keys, axis=1).reshape(-1, n).T, axis=1)
-        assert (np.sort(scheme._meeting_neighbours(factors, i), axis=1) == want).all()
-        for c in (1, 25, MASK_COLUMNS - 1, MASK_COLUMNS + 1, 512):
+        rows, met = np.nonzero(R == 2 * i)
+        assert (rows == np.repeat(np.arange(n), want.shape[1])).all()
+        assert (met.reshape(n, -1) == want).all()
+        for c in (1, 25, 31, 33, 512):
             high, low = rng.integers(-3, 4, (n, c)), rng.integers(-5, 6, (n, c))
-            blocks = [rng.integers(0, 2, (n, c)), low]
-            if i == 1 or c <= MASK_COLUMNS + 1:
-                blocks.append(high.astype(object) * 2**70 + low)
-            for X in blocks:
+            for X in (rng.integers(0, 2, (n, c)), low, high.astype(object) * 2**70 + low):
                 if X.dtype == object:
                     expected = (ordered_meeting_sums(cfg, i, high).astype(object) * 2**70
                                 + ordered_meeting_sums(cfg, i, low))
                 else:
                     expected = ordered_meeting_sums(cfg, i, X)
-                if i == 1:
-                    got = meeting_product(cfg, 1, X)
-                else:
-                    got = scheme._meeting_sums(factors, i, X)
+                got = meeting_product(cfg, i, X)
                 assert got.dtype == X.dtype and (got == expected).all(), (i, c, X.dtype)
 
 
@@ -652,7 +680,8 @@ def _swap_symmetric_pairs(R):
 
 @pytest.mark.parametrize("key", STANDARD_GRID, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
 def test_verify_scheme_matches_pair_loop(key, monkeypatch):
-    import clflats.scheme as scheme_module
+    """verify_scheme agrees with the per-pair loop on the oracle table, and
+    on a row source whose codes of two symmetric pairs are exchanged."""
     cfg = space_config(*key)
     R = relation_matrix(cfg)
     for seed in (0, 3):
@@ -661,13 +690,62 @@ def test_verify_scheme_matches_pair_loop(key, monkeypatch):
             _verify_scheme_loop(R, cfg, seed)
         assert report.ok
     broken = _swap_symmetric_pairs(R)
-    monkeypatch.setattr(scheme_module, "relation_matrix", lambda config: broken)
+    monkeypatch.setattr(scheme, "relation_rows", lambda config, ids: broken[ids])
     report = verify_scheme(cfg)
     mode, pairs, ok = _verify_scheme_loop(broken, cfg)
     assert (report.mode, report.pairs_checked, report.intersection_ok) == (mode, pairs, ok)
     assert report.symmetry_ok and report.diagonal_ok
     if mode == "exhaustive":
         assert not report.ok
+
+
+def _sampled_pair(cfg, seed=0):
+    """The first pair (x, y), x != y, of verify_scheme's seeded stream."""
+    rng = random.Random(("scheme-axioms", cfg.key(), seed).__repr__())
+    n = scheme_tables(cfg).size
+    while True:
+        x, y = rng.randrange(n), rng.randrange(n)
+        if x != y:
+            return x, y
+
+
+@pytest.mark.parametrize("key", [("symplectic", 3, 2), ("symplectic", 2, 3)],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_sampled_verify_scheme_fails_each_tampered_axiom(key, monkeypatch):
+    """In sampled mode, a row source tampered at a sampled pair (x, y)
+    fails the axiom it breaks and no other: an asymmetric entry at (x, y)
+    fails symmetry_ok, an extra 0 in rows x and y (at (x, y) and (y, x))
+    diagonal_ok, and a code out of range there partition_ok; an
+    asymmetric direction-distance table fails symmetry_ok with the rows
+    read off it.  The mode and pair count stay."""
+    cfg = space_config(*key)
+    assert verify_scheme(cfg).ok
+    x, y = _sampled_pair(cfg)
+    real = scheme.relation_rows
+    code = int(real(cfg, [x])[0, y])
+    other = next(c for c in range(1, 2 * cfg.nu + 1) if c != code)
+    cases = (({(x, y): other}, "symmetry_ok"),
+             ({(x, y): 0, (y, x): 0}, "diagonal_ok"),
+             ({(x, y): 2 * cfg.nu + 1, (y, x): 2 * cfg.nu + 1}, "partition_ok"))
+    for entries, broken in cases:
+        def tampered(config, ids, entries=entries):
+            rows = real(config, ids)
+            for (a, b), value in entries.items():
+                rows[np.asarray(ids) == a, b] = value
+            return rows
+
+        monkeypatch.setattr(scheme, "relation_rows", tampered)
+        report = verify_scheme(cfg)
+        assert (report.mode, report.pairs_checked) == ("sampled", 10_000)
+        assert not getattr(report, broken) and not report.ok, broken
+        for kept in {"partition_ok", "symmetry_ok", "diagonal_ok"} - {broken}:
+            assert getattr(report, kept), (broken, kept)
+    monkeypatch.setattr(scheme, "relation_rows", real)
+    rd = np.array(direction_distances(cfg))
+    a, b = np.argwhere(rd == 1)[0]
+    rd[a, b] = 2
+    monkeypatch.setattr(scheme, "direction_distances", lambda config: rd)
+    assert not verify_scheme(cfg).symmetry_ok
 
 
 def test_eigen_checks_fail_on_a_mixed_block(s22):

@@ -667,22 +667,17 @@ def test_vanishing_checks_match_the_idempotent_oracle(key, monkeypatch):
                          ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
 def test_span_checks_take_no_n_by_n_product(key, monkeypatch):
     """Neither span check multiplies by an n x n matrix: no operand of an
-    exact product or of a relation mask product is n x n."""
+    exact product is n x n."""
     cfg = space_config(*key)
     n = len(enumerate_flats(cfg, cfg.nu))
     shapes = []
-    real_matmul, real_mask = exact.int_matmul, scheme._mask_product
+    real_matmul = exact.int_matmul
 
     def spy_matmul(a, b, a_float=None):
         shapes.extend(x.shape for x in (a, b, a_float) if x is not None)
         return real_matmul(a, b, a_float)
 
-    def spy_mask(G, X):
-        shapes.extend((G.shape, X.shape))
-        return real_mask(G, X)
-
     monkeypatch.setattr(exact, "int_matmul", spy_matmul)
-    monkeypatch.setattr(scheme, "_mask_product", spy_mask)
     assert typeI_span_check(cfg).ok and typeII_span_check(cfg).ok
     assert shapes and (n, n) not in shapes
 
