@@ -203,13 +203,13 @@ def image_witness(config: SpaceConfig, chi: np.ndarray) -> tuple[np.ndarray, int
     coeffs = [sum(terms) for terms in zip(*(
         [c / e for c in projector_polynomial(mu, i)] for i, e in enumerate(mu) if e))]
     scale = math.lcm(*(c.denominator for c in coeffs))
-    power = exact.int_matmul(incidence_matrix(config).matrix, chi[:, None])
+    power = exact.int_matmul(incidence_matrix(config), chi[:, None])
     Y = 0
     for k, c in enumerate(coeffs):
         power = exact.int_matmul(gram_matrix(config), power) if k else power
         Y = Y + int(c * scale) * power[:, 0].astype(object)
     Y = Y.astype(np.int64) if np.abs(Y).max() < 2**62 else Y  # a machine tier for the check
-    got = exact.int_matmul(incidence_matrix(config).matrix.T, Y[:, None])[:, 0]
+    got = exact.int_matmul(incidence_matrix(config).T, Y[:, None])[:, 0]
     return (Y, scale) if (got == scale * chi.astype(object)).all() else None
 
 

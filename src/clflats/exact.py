@@ -212,9 +212,8 @@ def _bound(a: np.ndarray) -> int:
 
     The cached matrices (the incidence matrix, its Gram matrix M M^T, the
     stacked masks of scheme.relation_products and the fold of
-    cl.route_plan) and the dense idempotents of
-    scheme.check_eigen_system are read-only, and so are their views, which
-    share the bound of the array that owns the data.  Writeable arrays are
+    cl.route_plan) are read-only, and so are their views, which share the
+    bound of the array that owns the data.  Writeable arrays are
     scanned on every call.  The bound is keyed by identity and checked
     through a weak reference, so an array made later at a reused id is
     scanned anew.

@@ -14,11 +14,15 @@ in coset_table (direction_distances), and the type-(nu+i, 2i) flats
 through a maximal flat are the sums of its direction with the
 directions at distance i (container_flats).  The exact rank of the
 point-flat incidence matrix M is read off the certified spectrum of
-G = M M^T (gram_spectrum): G has two or three distinct eigenvalues, each
+G = M M^T (gram_spectrum), which counts the flats through each pair of
+points (gram_matrix): G has two or three distinct eigenvalues, each
 proposed by a float and certified by exact products, with no
-elimination.  The image route, of single sets and of batches alike, and
-the restrictions to container flats read the translation-character
-bases of ker M and of each container's incidence
+elimination.  The translation characters, one per F_p-line, and the
+maximal directions each one kills (character_kernels) split the flats'
+functions into blocks: the scheme proves its eigen system on them
+(scheme.character_spectrum), and the image route, of single sets and of
+batches alike, and the restrictions to container flats read the
+translation-character bases of ker M and of each container's incidence
 (spreads.membership_plan).
 """
 
@@ -60,6 +64,7 @@ from .geometry import (
 )
 
 FLAT_ENUM_BOUND = 10**5
+GRAM_PAIRS = 2**22  # bounds the point pairs of each bincount of gram_matrix
 
 
 @dataclass(frozen=True)
@@ -298,17 +303,6 @@ def is_totally_isotropic_flat(config: SpaceConfig, f: Flat) -> bool:
 # ---------------------------------------------------------------------------
 # incidence
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """0/1 incidence of points (rows) against flats (columns)."""
-
-    matrix: np.ndarray  # int64, read-only
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-
 @lru_cache(maxsize=None)
 def coset_table(config: SpaceConfig) -> np.ndarray:
     """coset_of[d, x]: the id of the maximal flat of direction d through point x.
@@ -352,6 +346,49 @@ def direction_distances(config: SpaceConfig) -> np.ndarray:
     return rd
 
 
+def _line_characters(config: SpaceConfig) -> np.ndarray:
+    """One nontrivial character for each F_p-line of F_p^(dim k), as the
+    int64 digits (lines, dim k) of the characters whose first nonzero
+    digit is 1: c a has the kernel of a.  Digit i k + j pairs with the p^j
+    digit of coordinate i."""
+    fld = config.field
+    m = config.dim * fld.k
+    chars = np.arange(1, fld.p**m)[:, None] // fld.p ** np.arange(m) % fld.p
+    return chars[chars[np.arange(len(chars)), (chars != 0).argmax(axis=1)] == 1]
+
+
+def _fp_basis(config: SpaceConfig, bases: np.ndarray) -> np.ndarray:
+    """The base-p digits of the F_p basis t^j b of the F_q span of each
+    stack of rows b of bases, (spans, rows, dim), for the codes p^j of
+    t^j, j < k; int64 (spans, k rows, dim k), in the digit order of
+    _line_characters.
+
+    A vector of field codes is the F_p vector of their base-p digits; F_q
+    adds digit-wise mod p, so this is additive, and a character a is
+    trivial on a span iff a kills the digits of its F_p basis.
+    """
+    fld = config.field
+    scaled = fld.mul_flat[fld.p ** np.arange(fld.k)[:, None, None] * fld.q + bases[:, None]]
+    digits = scaled[..., None] // fld.p ** np.arange(fld.k) % fld.p  # (spans, k, rows, dim, k)
+    return digits.reshape(len(bases), -1, config.dim * fld.k)
+
+
+@lru_cache(maxsize=None)
+def character_kernels(config: SpaceConfig) -> np.ndarray:
+    """T[a, d]: whether maximal direction d lies in the kernel of the
+    character a, for one nontrivial character of each F_p-line; bool,
+    (lines, directions), read-only.  d lies in ker psi_a iff a kills the
+    digits of the F_p basis of d (_fp_basis).
+    """
+    chars = _line_characters(config)
+    basis = np.array([d.basis for d in enumerate_isotropic(config, config.nu)], dtype=np.int64)
+    fp_basis = _fp_basis(config, basis).reshape(-1, chars.shape[1])
+    values = exact.int_matmul(chars, fp_basis.T) % config.field.p
+    kernels = ~values.reshape(len(chars), len(basis), -1).any(axis=2)
+    kernels.flags.writeable = False
+    return kernels
+
+
 @lru_cache(maxsize=None)
 def flat_point_table(config: SpaceConfig) -> np.ndarray:
     """points_of[f]: the point indices of maximal flat f, ascending, in id
@@ -364,8 +401,9 @@ def flat_point_table(config: SpaceConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def incidence_matrix(config: SpaceConfig) -> IncidenceMatrix:
-    """Full point vs maximal-flat incidence (rows in point-index order).
+def incidence_matrix(config: SpaceConfig) -> np.ndarray:
+    """M, the 0/1 incidence of points (rows, in point-index order) against
+    maximal flats (columns); int64, read-only.
 
     Point x lies on one flat of each direction, coset_table(config)[:, x].
     """
@@ -373,7 +411,7 @@ def incidence_matrix(config: SpaceConfig) -> IncidenceMatrix:
     M = np.zeros((config.num_points, n), dtype=np.int64)
     M[np.arange(config.num_points), coset_table(config)] = 1
     M.flags.writeable = False
-    return IncidenceMatrix(M)
+    return M
 
 
 @lru_cache(maxsize=None)
@@ -386,9 +424,16 @@ def gram_identity_terms(config: SpaceConfig) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def gram_matrix(config: SpaceConfig) -> np.ndarray:
-    """G = M M^T, points x points, by one exact product; int64, read-only."""
-    M = incidence_matrix(config).matrix
-    G = exact.int_matmul(M, M.T)
+    """G = M M^T, points x points; int64, read-only.
+
+    G[x, y] is the number of maximal flats through both x and y: one
+    offset bincount of the point pairs of each flat (flat_point_table),
+    GRAM_PAIRS pairs at a time, so M is never read.
+    """
+    points_of, P = flat_point_table(config), config.num_points
+    step = max(1, GRAM_PAIRS // points_of.shape[1] ** 2)
+    G = sum(np.bincount((pts[:, :, None] * P + pts[:, None, :]).reshape(-1), minlength=P * P)
+            for pts in np.split(points_of, range(step, len(points_of), step))).reshape(P, P)
     G.flags.writeable = False
     return G
 

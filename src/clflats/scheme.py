@@ -22,9 +22,12 @@ A_(nu,0) need only X and its parallel-class totals, A_(i,0) X for
 0 < i < nu is a sum over cosets taken once per group (meeting_product,
 which the membership routes read too), and A_(i,1) X is the
 parallel-class part less A_(i,0) X.  Every idempotent projection is
-then one exact product C T (projections), which the checks read.  Dense
-idempotents exist only inside check_eigen_system, where they are the
-object being verified.
+then one exact product C T (projections), which the checks read.  No
+idempotent is ever dense: the eigen system is proven at every size from
+the translation characters (character_spectrum), which split R^n into
+blocks on which each relation acts as a scaled distance matrix of a dual
+polar graph, whose eigenvalues and multiplicities follow exactly from its
+counted intersection numbers.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ import numpy as np
 
 from . import exact
 from .field import binomial2, e_power, e_power_frac, gauss_binomial
-from .flats import Flat, coset_table, direction_distances, flat_meet, flat_point_table
+from .flats import (Flat, character_kernels, coset_table, direction_distances, flat_meet,
+                    flat_point_table)
 from .geometry import E2, SpaceConfig, is_totally_isotropic, sum_subspace
 
 RelIndex = tuple[int, int]
@@ -305,7 +309,8 @@ class PairFactors:
         return members.reshape(q, self.sizes[0], -1, self.per // q)
 
 
-PAIR_ELEMENTS = 2**18  # bounds the (pairs, q^nu, q^nu) gathers of pair_factors
+PAIR_ELEMENTS = 2**18  # bounds the (pairs, q^nu, q^nu) gathers of pair_factors and the
+# neighbour gathers of _intersection_numbers
 
 
 @lru_cache(maxsize=None)
@@ -669,58 +674,125 @@ def projections(config: SpaceConfig, T: np.ndarray) -> np.ndarray:
     return exact.int_matmul(C, T.reshape(len(T), -1)).reshape(T.shape)
 
 
-def idempotent_int(config: SpaceConfig, eig: RelIndex) -> tuple[int, np.ndarray]:
-    """(L, B) with the primitive idempotent equal to B / L exactly, as a
-    dense gather over every relation row."""
-    Ls, C = idempotent_coefficients(config)
-    k = _code(config.nu, eig)
-    B = C[k][relation_rows(config, np.arange(scheme_tables(config).size))]
-    B.flags.writeable = False
-    return Ls[k], B
+def _graph_spectrum(config: SpaceConfig, rank: int, rd: np.ndarray) -> dict:
+    """{j: (v, m_j)} for each eigenvalue theta_j of the dual polar graph of
+    rank `rank` that the closed forms prove on every graph rd == 1 of a
+    stack of distance tables rd, (g, t, t): v[i] =
+    dual_polar_eigenvalue(rank, i, j), the eigenvalue of (rd == i), zero
+    past i = rank, and m_j its multiplicity.
 
+    The intersection numbers (c_i, a_i, b_i) are counted over every pair:
+    for x, y at rd = i, the neighbours of y at rd i - 1, i and i + 1 from
+    x, gathered PAIR_ELEMENTS entries at a time, so no (g, t, t, k) array
+    is held for the valency k.  AssertionError unless rd reads 0 exactly
+    on the diagonal, every neighbour of y lies within 1 of rd[x, y], each
+    count is one number at every pair of a distance i = 0..rank in every
+    graph, and c_i > 0 for i > 0.  Then rd is the path distance of each
+    graph (rd[x, .] changes by at most 1 along an edge, and a pair at
+    rd = i > 0 has a neighbour at i - 1), so each is distance-regular and
+    (rd == i) is its distance-i matrix.
 
-def _eigen_checks(config: SpaceConfig, V: np.ndarray, BVs) -> dict[str, bool]:
-    """A_r B_e V = p_r(e) B_e V, B_a B_e V = [a = e] L_e B_e V, trace B_e =
-    L_e m_e and sum_e (L / L_e) B_e V = L V, exactly, for BVs[e] = B_e V.
-
-    The relation products of B_e V are every A_r B_e V, C applied to them
-    every B_a B_e V, and trace B_e = sum_x C[e, R[x, x]].
+    With theta_j = v_1, a sequence with v_0 = 1 that meets the three-term
+    recurrence theta_j v_i = b_(i-1) v_(i-1) + a_i v_i + c_(i+1) v_(i+1) at
+    every i is the standard sequence of an eigenvalue theta_j, and (rd ==
+    i) acts on its eigenspace as v_i (Brouwer, Cohen and Neumaier 1989,
+    4.1).  A j whose sequence fails, or whose theta_j another j shares, is
+    left out; when none is, the rank + 1 thetas are every eigenvalue.
+    Biggs' formula gives m_j = t / sum_i v_i^2 / k_i exactly, for the k_i
+    vertices at distance i from any one.
     """
-    tables = scheme_tables(config)
-    rels = tables.rels
-    Ls, C = idempotent_coefficients(config)
-    ok = dict.fromkeys(("eigen", "idempotent", "orthogonal"), True)
-    for k, (e, BV) in enumerate(zip(rels, BVs)):
-        S = relation_products(config, BV)
-        ok["eigen"] &= all(bool((ABV == tables.P[r, e] * BV).all()) for r, ABV in zip(rels, S))
-        BBV = projections(config, S)
-        ok["idempotent"] &= bool((BBV[k] == Ls[k] * BV).all())
-        ok["orthogonal"] &= not np.delete(BBV.any(axis=(1, 2)), k).any()
-    # every flat meets itself, in relation (0, 0)
-    diagonal = np.repeat(2 * np.diagonal(direction_distances(config)), config.q**config.nu)
-    ok["trace"] = all(int(C[k][diagonal].sum()) == Ls[k] * tables.multiplicities[e]
-                      for k, e in enumerate(rels))
-    Lc = lcm(*Ls)
-    total = sum((Lc // L) * BV.astype(object) for L, BV in zip(Ls, BVs))
-    ok["sum"] = bool((total == Lc * V).all())
-    return ok
+    g, t, _ = rd.shape
+    k = int((rd[0, 0] == 1).sum())
+    if not ((rd == 0) == np.eye(t, dtype=bool)).all() or ((rd == 1).sum(axis=2) != k).any():
+        raise AssertionError(f"a distance table of {config.key()} is no regular graph's")
+    partners = np.nonzero(rd == 1)[2].reshape(g, t, k)
+    rows, found = rd.reshape(g * t, t).astype(np.int64), set()
+    step = max(1, PAIR_ELEMENTS // max(1, t * k))
+    for s in range(0, g * t, step):
+        x = rows[s:s + step]
+        near = np.take_along_axis(x, partners[np.arange(s, s + len(x)) // t].reshape(len(x), -1),
+                                  axis=1).reshape(len(x), t, k)
+        move = near - x[:, :, None]
+        counts = (x * (k + 1) + (move == -1).sum(axis=2)) * (k + 1) + (move == 1).sum(axis=2)
+        # a pair with a neighbour more than 1 away reads -1, which no distance matches
+        found.update(np.where((np.abs(move) > 1).any(axis=2), -1, counts).ravel().tolist())
+    dist, c, b = zip(*((f // (k + 1)**2, f // (k + 1) % (k + 1), f % (k + 1)) for f in sorted(found)))
+    if dist != tuple(range(rank + 1)) or not all(c[1:]):
+        raise AssertionError(f"{config.key()}: no distance-regular graph of diameter {rank}")
+    a, c, sizes = [k - ci - bi for ci, bi in zip(c, b)], (*c, 0), np.bincount(rd[0, 0])
+    # ws[j][i + 1] = v_i, zero past both ends, so b_(-1) and c_(rank + 1) meet zeros;
+    # theta_j = v_1, or 0 at rank 0
+    ws = [[0, *(dual_polar_eigenvalue(config.case, config.q, rank, i, j)
+                for i in range(rank + 1)), 0] for j in range(rank + 1)]
+    thetas, out = [w[2] for w in ws], {}
+    for j, w in enumerate(ws):
+        if w[1] == 1 and thetas.count(w[2]) == 1 and all(
+                w[2] * w[i + 1] == b[i - 1] * w[i] + a[i] * w[i + 1] + c[i + 1] * w[i + 2]
+                for i in range(rank + 1)):
+            out[j] = w[1:], t / sum(Fraction(x * x, int(n)) for x, n in zip(w[1:], sizes))
+    return out
+
+
+@lru_cache(maxsize=None)
+def character_spectrum(config: SpaceConfig) -> tuple[dict, dict]:
+    """(P, m): the eigenvalues P[rel, eig] and multiplicities m[eig] of the
+    scheme, in the index form of SchemeTables, proven from the translation
+    characters (Delsarte 1973): every eigenspace that the closed forms
+    prove (_graph_spectrum), and none other.
+
+    The translations commute with every relation and split R^n into the
+    trivial block, spanned by the D direction indicators, and one block
+    per nontrivial character psi_a, spanned by one vector per direction of
+    T_a, the directions that a kills (character_kernels); each of the
+    p - 1 characters of an F_p-line has the kernel of its line character,
+    so D + (p - 1) sum_a |T_a| = n.  A flat of direction d meets q^i flats
+    of a direction at distance 0 < i < nu, inside one coset of their sum,
+    on which psi_a is constant for d, d' in T_a, and every flat of an
+    opposite direction; the flats of one direction sum psi_a to 0.  So on
+    the trivial block A_(i,0) acts as q^i (rd == i) and A_(i,1) as
+    (q^nu - q^i) (rd == i), and on the block of psi_a, restricted to T_a,
+    A_(i,0) as q^i (rd == i), A_(i,1) as -q^i (rd == i) and A_(nu,0) as 0:
+    q^i c(xi, eta) (rd == i) for eta = 0 and 1 (complete_graph_eigenvalue).
+    rd == 1 is the dual polar graph of rank nu on the directions and of
+    rank nu - 1 on each nonempty star T_a.  The star blocks hold (p - 1)
+    copies of each nonempty star.  AssertionError if the block dimensions
+    do not add up to n, two stars differ in size or in their counted
+    intersection numbers, or a count fails (_intersection_numbers).
+    """
+    rd, kernels = direction_distances(config), character_kernels(config)
+    nu, q, p = config.nu, config.q, config.field.p
+    stars = kernels[kernels.any(axis=1)]
+    sizes = stars.sum(axis=1)
+    if len(rd) + (p - 1) * int(sizes.sum()) != len(rd) * q**nu or (sizes != sizes[0]).any():
+        raise AssertionError(f"the character blocks of {config.key()} are not stars of one size")
+    members = np.nonzero(stars)[1].reshape(len(stars), -1)
+    blocks = [(_graph_spectrum(config, nu, rd[None]), 1),
+              (_graph_spectrum(config, nu - 1, rd[members[:, :, None], members[:, None, :]]),
+               (p - 1) * len(stars))]
+    P, m = {}, {}
+    for eta, (spectrum, copies) in enumerate(blocks):
+        for j, (v, mult) in spectrum.items():
+            m[j, eta] = copies * mult
+            for i, xi in relation_indices(nu):
+                P[(i, xi), (j, eta)] = q**i * complete_graph_eigenvalue(nu - i, q, xi, eta) * v[i]
+    return P, m
 
 
 def check_eigen_system(config: SpaceConfig) -> dict[str, bool]:
-    """Full exact verification of A E = p E, E^2 = E, orthogonality, traces, sum."""
+    """The closed-form eigen system against its proof (character_spectrum):
+    the proven P equals the closed forms' (eigen); sum_r Q[e, r] P[r, f]
+    is |X| at e = f (idempotent) and 0 elsewhere (orthogonal), for the
+    closed-form Q, so E_e E_f = [e = f] E_f; the proven multiplicities
+    equal the closed forms' (trace) and add up to |X| (sum).  An
+    eigenspace the proof leaves out fails every key that reads it."""
     tables = scheme_tables(config)
-    Bs = [idempotent_int(config, e)[1] for e in tables.rels]
-    return _eigen_checks(config, np.eye(tables.size, dtype=np.int64), Bs)
-
-
-def check_eigen_system_probes(config: SpaceConfig, seed: int = 0,
-                              count: int = 100) -> dict[str, bool]:
-    """Eigen checks against a seeded probe block V, B_e V = sum_r C[e, r] A_r V."""
-    tables = scheme_tables(config)
-    rng = np.random.default_rng(list(repr(("eigenprobe", config.key(), seed)).encode()))
-    V = rng.integers(-4, 5, (tables.size, count))
-    ok = _eigen_checks(config, V, projections(config, relation_products(config, V)))
-    return {key: ok[key] for key in ("eigen", "idempotent", "trace", "sum")}
+    P, m = character_spectrum(config)
+    QP = {(e, f): sum(tables.Q[e, r] * P[r, f] for r in tables.rels) for e in tables.eigs for f in m}
+    return {"eigen": P == tables.P,
+            "idempotent": all(QP.get((e, e)) == tables.size for e in tables.eigs),
+            "orthogonal": all(value == 0 for (e, f), value in QP.items() if e != f),
+            "trace": m == tables.multiplicities,
+            "sum": sum(m.values()) == tables.size}
 
 
 # ---------------------------------------------------------------------------

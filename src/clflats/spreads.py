@@ -92,6 +92,9 @@ import numpy as np
 from . import exact
 from .flats import (
     Flat,
+    _fp_basis,
+    _line_characters,
+    character_kernels,
     coset_representatives,
     coset_table,
     direction_distances,
@@ -330,49 +333,6 @@ class CharacterPlan:
         if not self.connected:
             return "the rd = 1 graph on the directions in a character's kernel is disconnected"
         return None
-
-
-def _line_characters(config: SpaceConfig) -> np.ndarray:
-    """One nontrivial character for each F_p-line of F_p^(dim k), as the
-    int64 digits (lines, dim k) of the characters whose first nonzero
-    digit is 1: c a has the kernel of a.  Digit i k + j pairs with the p^j
-    digit of coordinate i."""
-    fld = config.field
-    m = config.dim * fld.k
-    chars = np.arange(1, fld.p**m)[:, None] // fld.p ** np.arange(m) % fld.p
-    return chars[chars[np.arange(len(chars)), (chars != 0).argmax(axis=1)] == 1]
-
-
-def _fp_basis(config: SpaceConfig, bases: np.ndarray) -> np.ndarray:
-    """The base-p digits of the F_p basis t^j b of the F_q span of each
-    stack of rows b of bases, (spans, rows, dim), for the codes p^j of
-    t^j, j < k; int64 (spans, k rows, dim k), in the digit order of
-    _line_characters.
-
-    A vector of field codes is the F_p vector of their base-p digits; F_q
-    adds digit-wise mod p, so this is additive, and a character a is
-    trivial on a span iff a kills the digits of its F_p basis.
-    """
-    fld = config.field
-    scaled = fld.mul_flat[fld.p ** np.arange(fld.k)[:, None, None] * fld.q + bases[:, None]]
-    digits = scaled[..., None] // fld.p ** np.arange(fld.k) % fld.p  # (spans, k, rows, dim, k)
-    return digits.reshape(len(bases), -1, config.dim * fld.k)
-
-
-@lru_cache(maxsize=None)
-def character_kernels(config: SpaceConfig) -> np.ndarray:
-    """T[a, d]: whether maximal direction d lies in the kernel of the
-    character a, for one nontrivial character of each F_p-line; bool,
-    (lines, directions), read-only.  d lies in ker psi_a iff a kills the
-    digits of the F_p basis of d (_fp_basis).
-    """
-    chars = _line_characters(config)
-    basis = np.array([d.basis for d in enumerate_isotropic(config, config.nu)], dtype=np.int64)
-    fp_basis = _fp_basis(config, basis).reshape(-1, chars.shape[1])
-    values = exact.int_matmul(chars, fp_basis.T) % config.field.p
-    kernels = ~values.reshape(len(chars), len(basis), -1).any(axis=2)
-    kernels.flags.writeable = False
-    return kernels
 
 
 def _restricted_lines(config: SpaceConfig, direction: Subspace) -> np.ndarray:
@@ -748,7 +708,7 @@ def enumerate_spreads(config: SpaceConfig, scope: Flat | None = None) -> SpreadS
         return SpreadSearch(_scope_type_I_family(config, scope, scope_points, candidates),
                             exhaustive=False)
 
-    block = incidence_matrix(config).matrix[np.ix_(scope_points, candidates)]
+    block = incidence_matrix(config)[np.ix_(scope_points, candidates)]
     flat_masks = dict(zip(candidates, (1 << np.arange(len(scope_points), dtype=np.int64))
                           .dot(block).tolist()))
     full_mask = (1 << len(scope_points)) - 1
@@ -860,8 +820,8 @@ def typeI_span_check(config: SpaceConfig) -> SpanReport:
     1 + (q^nu - 1) = q^nu on every V_(j,0) and 1 - 1 = 0 on every V_(j,1),
     so the image of J, the vectors constant on each block, is exactly the
     sum of the V_(j,0).  That rests on the idempotents being the closed
-    forms' eigenspaces, which the eigen_system (or eigen_system_probes)
-    check verifies.
+    forms' eigenspaces, which the character proof of the eigen system
+    (scheme.character_spectrum, read by the eigen_system check) proves.
     Each flat lies in exactly one type-I spread, and rows with disjoint,
     nonempty supports are independent over every field, so their rank is
     their number; only a stack whose supports overlap is eliminated.
@@ -886,8 +846,9 @@ def typeII_span_check(config: SpaceConfig) -> SpanReport:
     rows of M are the pencils, translates of the pencil at the origin;
     translations fix every relation, so they commute with every
     idempotent, and the pencil_battery check puts the pencil in
-    V_(0,0) + V_(0,1), where the eigen_system (or eigen_system_probes)
-    check makes the idempotents the closed forms' eigenspaces.  The
+    V_(0,0) + V_(0,1), where the character proof of the eigen system
+    (scheme.character_spectrum) makes the idempotents the closed forms'
+    eigenspaces.  The
     incidence_rank check gives rank M = 1 + m_(0,1), so the row space of M
     is V_(0,0) + V_(0,1) and ker M is the sum of the other eigenspaces.
     M sends the all-ones vector, which spans V_(0,0), to D times the

@@ -43,10 +43,13 @@ from clflats.geometry import (
 )
 from clflats.scheme import (
     PRODUCT_COLUMNS,
+    _code,
     _coset_split,
+    idempotent_coefficients,
     pair_factors,
     projections,
     relation_products,
+    relation_rows,
     scheme_tables,
 )
 
@@ -422,6 +425,13 @@ def incidence_by_flat_points(config, big):
     return tuple(pts), tuple(members), M
 
 
+def gram_oracle(config) -> np.ndarray:
+    """M M^T for the incidence matrix M, int64, by one float64 product:
+    exact, since each entry is at most the number of flats, below 2^53."""
+    M = incidence_matrix(config).astype(np.float64)
+    return (M @ M.T).astype(np.int64)
+
+
 @lru_cache(maxsize=None)
 def incidence_kernel(config) -> np.ndarray:
     """The certified integer basis N of ker M, int64 and read-only: the
@@ -430,7 +440,7 @@ def incidence_kernel(config) -> np.ndarray:
     over GF(p), rebuilt over Q by rational reconstruction and checked
     exactly (exact.certified_null_basis); a flat set chi is in the image
     of M^T iff N chi = 0."""
-    N = exact.certified_null_basis(incidence_matrix(config).matrix)
+    N = exact.certified_null_basis(incidence_matrix(config))
     N.flags.writeable = False
     return N
 
@@ -547,3 +557,50 @@ def parallel_vanishing_oracle(config, stack) -> bool:
     return not any(
         projections(config, relation_products(config, stack[s:s + PRODUCT_COLUMNS].T))[1].any()
         for s in range(0, len(stack), PRODUCT_COLUMNS))
+
+
+def idempotent_int(config, eig) -> tuple[int, np.ndarray]:
+    """(L, B) with the primitive idempotent equal to B / L exactly, as a
+    dense gather of the coefficients C[e] over every relation row: the
+    n x n idempotent the package built before it proved the eigen system
+    from the translation characters."""
+    Ls, C = idempotent_coefficients(config)
+    k = _code(config.nu, eig)
+    B = C[k][relation_rows(config, np.arange(scheme_tables(config).size))]
+    B.flags.writeable = False
+    return Ls[k], B
+
+
+def dense_eigen_checks(config, V: np.ndarray, BVs) -> dict[str, bool]:
+    """A_r B_e V = p_r(e) B_e V, B_a B_e V = [a = e] L_e B_e V, trace B_e =
+    L_e m_e and sum_e (L / L_e) B_e V = L V, exactly, for BVs[e] = B_e V.
+
+    The relation products of B_e V are every A_r B_e V, C applied to them
+    every B_a B_e V, and trace B_e = sum_x C[e, R[x, x]].
+    """
+    tables = scheme_tables(config)
+    rels = tables.rels
+    Ls, C = idempotent_coefficients(config)
+    ok = dict.fromkeys(("eigen", "idempotent", "orthogonal"), True)
+    for k, (e, BV) in enumerate(zip(rels, BVs)):
+        S = relation_products(config, BV)
+        ok["eigen"] &= all(bool((ABV == tables.P[r, e] * BV).all()) for r, ABV in zip(rels, S))
+        BBV = projections(config, S)
+        ok["idempotent"] &= bool((BBV[k] == Ls[k] * BV).all())
+        ok["orthogonal"] &= not np.delete(BBV.any(axis=(1, 2)), k).any()
+    # every flat meets itself, in relation (0, 0)
+    diagonal = np.repeat(2 * np.diagonal(direction_distances(config)), config.q**config.nu)
+    ok["trace"] = all(int(C[k][diagonal].sum()) == Ls[k] * tables.multiplicities[e]
+                      for k, e in enumerate(rels))
+    Lc = math.lcm(*Ls)
+    total = sum((Lc // L) * BV.astype(object) for L, BV in zip(Ls, BVs))
+    ok["sum"] = bool((total == Lc * V).all())
+    return ok
+
+
+def dense_eigen_system(config) -> dict[str, bool]:
+    """The five eigen-system keys from the dense idempotents, V = I: the
+    check the package ran at n <= 500 before the character proof."""
+    tables = scheme_tables(config)
+    Bs = [idempotent_int(config, e)[1] for e in tables.rels]
+    return dense_eigen_checks(config, np.eye(tables.size, dtype=np.int64), Bs)

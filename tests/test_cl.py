@@ -58,10 +58,11 @@ from clflats.geometry import (
     zero_vector,
 )
 from clflats.cli import STANDARD_GRID, paper_suite
-from clflats.scheme import idempotent_int, relation_products, scheme_tables
+from clflats.scheme import relation_products, scheme_tables
 from conftest import (
     MEDIUM_CONFIGS,
     distinct_containers,
+    idempotent_int,
     in_row_span,
     incidence_by_flat_points,
     incidence_kernel,
@@ -118,7 +119,7 @@ def test_image_certificate_is_exact(s22):
     y = image_certificate(pencil)
     M = np.array([[int(v) for v in row]
                   for row in __import__("clflats.flats", fromlist=["incidence_matrix"])
-                  .incidence_matrix(s22).matrix])
+                  .incidence_matrix(s22)])
     chi = pencil.chi()
     got = [sum(Fraction(int(M[r, c])) * y[r] for r in range(M.shape[0]))
            for c in range(M.shape[1])]
@@ -662,10 +663,11 @@ def test_warm_battery_evaluates_no_closed_form(monkeypatch, key):
 
 
 def test_membership_routes_build_no_square_arrays(monkeypatch):
-    """A query multiplies by no n x n matrix and builds no dense idempotent:
-    the routes read the direction-group factorisation, and at nu = 2, whose
-    one meeting relation is i = 1, a block of any width takes the container
-    sums and no mask product."""
+    """A query multiplies by no n x n matrix and builds no dense idempotent,
+    which would gather every relation row: the routes read the
+    direction-group factorisation, and at nu = 2, whose one meeting
+    relation is i = 1, a block of any width takes the container sums and
+    no mask product."""
     cfg = space_config("orthogonal", 3, 2)
     n = len(enumerate_flats(cfg, cfg.nu))
     battery(_pencil(cfg))  # set-up outside the count
@@ -677,11 +679,10 @@ def test_membership_routes_build_no_square_arrays(monkeypatch):
         return real(a, b, **kwargs)
 
     def dense(*args):
-        raise AssertionError("a dense idempotent on the query path")
+        raise AssertionError("a relation row, which a dense idempotent gathers, on the query path")
 
     monkeypatch.setattr(exact, "int_matmul", spy)
-    monkeypatch.setattr(scheme, "idempotent_int", dense)
-    monkeypatch.setattr(cl, "idempotent_int", dense, raising=False)
+    monkeypatch.setattr(scheme, "relation_rows", dense)
     battery(_pencil(cfg))
     battery(_near_miss(cfg))
     batch_verdicts(cfg, random_subset_matrix(cfg, 32, seed=1))
@@ -736,9 +737,9 @@ def test_relation_readers_allocate_no_n_by_n_array(key, monkeypatch):
     """No reader of the relations builds an n x n array: with PAIR_BLOCK
     at 8 and warm caches, the traced peak of a sampled verify_scheme and
     of an inner distribution and an intersecting check of a pencil each
-    stays below n^2 / 2 bytes, half of one int8 n x n table.  Only
-    idempotent_int (n <= 500) and the exhaustive verify_scheme (n <= 120)
-    read every row."""
+    stays below n^2 / 2 bytes, half of one int8 n x n table.  Only the
+    exhaustive verify_scheme (n <= 120) reads every row; the eigen system
+    is proven from the translation characters with no row at all."""
     cfg = space_config(*key)
     n = len(enumerate_flats(cfg, cfg.nu))
     monkeypatch.setattr(scheme, "PAIR_BLOCK", 8)
@@ -981,7 +982,7 @@ def test_certified_kernel_basis(key):
     assert spreads.character_plan(cfg).failure is None
     kept = spanning_rows_oracle(cfg)
     S = spreads.family_indicators(cfg, kept).astype(np.int64)
-    M = incidence_matrix(cfg).matrix
+    M = incidence_matrix(cfg)
     n = M.shape[1]
     assert len(kept) == n - incidence_rank(cfg) + 1 == n - incidence_rank_closed_form(cfg) + 1
     assert (M @ S.T == 1).all()
@@ -997,7 +998,7 @@ def test_certified_kernel_basis(key):
 def test_certified_image_basis(key):
     cfg = space_config(*key)
     N = incidence_kernel(cfg)
-    M = incidence_matrix(cfg).matrix
+    M = incidence_matrix(cfg)
     free = np.setdiff1d(np.arange(M.shape[1]),
                         exact.modular_echelon(M, exact.MODULAR_PRIME)[1])
     exact.check_null_basis(M, N, free)
@@ -1043,7 +1044,7 @@ def test_pivot_block_product_matches_the_null_basis(key):
     is diagonal on the columns off the GF(p) pivots, and the pivot block
     N[:, pivots] has rank M columns and entries of at most 10."""
     cfg = space_config(*key)
-    M = incidence_matrix(cfg).matrix
+    M = incidence_matrix(cfg)
     N = incidence_kernel(cfg)
     assert N.dtype == np.int64 and (N == exact.certified_null_basis(M)).all()
     n = N.shape[1]
@@ -1060,7 +1061,7 @@ def test_kernel_image_and_nullspace_oracle_agree(medium_config):
     """N, the image route and the conclusive spread route (whose spread
     differences span ker M) agree with the Fraction nullspace oracle."""
     cfg = medium_config
-    oracle = integer_nullspace(incidence_matrix(cfg).matrix)
+    oracle = integer_nullspace(incidence_matrix(cfg))
     chi = np.concatenate([random_subset_matrix(cfg, 20, seed=17),
                           np.stack([_pencil(cfg).chi(), _pencil(cfg).complement().chi(),
                                     _near_miss(cfg).chi()], axis=1)], axis=1)
@@ -1079,7 +1080,7 @@ def _exact_witness(cfg, fs, y) -> bool:
     """M^T y = chi, checked in integers after clearing y's denominators."""
     scale = math.lcm(*(v.denominator for v in y))
     Y = np.array([int(v * scale) for v in y], dtype=object)
-    MT = incidence_matrix(cfg).matrix.T.astype(object)
+    MT = incidence_matrix(cfg).T.astype(object)
     return bool((np.dot(MT, Y) == scale * fs.chi().astype(object)).all())
 
 

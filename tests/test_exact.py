@@ -74,7 +74,7 @@ def test_no_solution_iff_rank_jump():
     for key in (("symplectic", 2, 1), ("orthogonal", 3, 1), ("unitary", 4, 1),
                 ("symplectic", 2, 2)):
         cfg = space_config(*key)
-        MT = incidence_matrix(cfg).matrix.T
+        MT = incidence_matrix(cfg).T
         base = rational_rank(MT)
         cols = random_subset_matrix(cfg, 6, seed=99)
         sets = [FlatSet(cfg, tuple(int(i) for i in np.flatnonzero(c))) for c in cols.T]
@@ -248,7 +248,7 @@ def test_null_basis_certificate_rejects_any_single_change():
     from clflats.flats import incidence_matrix
     from clflats.geometry import space_config
 
-    M = incidence_matrix(space_config("orthogonal", 3, 2)).matrix
+    M = incidence_matrix(space_config("orthogonal", 3, 2))
     N = certified_null_basis(M)
     free = np.setdiff1d(np.arange(M.shape[1]), modular_echelon(M, MODULAR_PRIME)[1])
     check_null_basis(M, N, free)

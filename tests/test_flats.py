@@ -46,6 +46,7 @@ from conftest import (
     MEDIUM_CONFIGS,
     container_flats_oracle,
     distinct_containers,
+    gram_oracle,
     incidence_by_flat_points,
     incidence_kernel,
     isotropic_oracle,
@@ -191,9 +192,9 @@ def test_incidence_structure(medium_config):
     inc = incidence_matrix(cfg)
     q, nu = cfg.q, cfg.nu
     assert inc.shape == (q ** (2 * nu), count_flats(cfg, nu))
-    assert set(inc.matrix.sum(axis=0).tolist()) == {q**nu}
+    assert set(inc.sum(axis=0).tolist()) == {q**nu}
     pencil_size = count_flats_through(cfg, 0, nu)
-    assert set(inc.matrix.sum(axis=1).tolist()) == {pencil_size}
+    assert set(inc.sum(axis=1).tolist()) == {pencil_size}
 
 
 @pytest.mark.parametrize("case,q,nu,expected", [
@@ -202,11 +203,28 @@ def test_incidence_rank_spots(case, q, nu, expected):
     cfg = space_config(case, q, nu)
     assert incidence_rank(cfg) == expected == incidence_rank_closed_form(cfg)
     for p in (exact.MODULAR_PRIME, 10**9 + 9):
-        assert len(exact.modular_echelon(incidence_matrix(cfg).matrix, p)[1]) == expected
+        assert len(exact.modular_echelon(incidence_matrix(cfg), p)[1]) == expected
 
 
 def test_gram_identity(medium_config):
     assert check_gram_identity(medium_config)
+
+
+@pytest.mark.parametrize("key", list(STANDARD_GRID) + [("symplectic", 4, 2), ("orthogonal", 3, 3)],
+                         ids=lambda k: f"{k[0][:4]}-q{k[1]}-nu{k[2]}")
+def test_gram_matrix_counts_the_flats_through_each_point_pair(key, monkeypatch):
+    """G, read off the point pairs of each flat, equals M M^T (gram_oracle),
+    int64 and read-only, and is built with no incidence matrix."""
+    cfg = space_config(*key)
+    G = gram_matrix(cfg)
+    assert G.dtype == np.int64 and not G.flags.writeable
+    assert (G == gram_oracle(cfg)).all()
+
+    def refuse(config):
+        raise AssertionError("the incidence matrix read by gram_matrix")
+
+    monkeypatch.setattr(flats, "incidence_matrix", refuse)
+    assert (gram_matrix.__wrapped__(cfg) == G).all()
 
 
 @pytest.mark.parametrize("key", list(STANDARD_GRID) + [("symplectic", 4, 2), ("orthogonal", 3, 3)],
@@ -288,7 +306,7 @@ def test_incidence_matrix_matches_flat_points_loop(key):
     for col, f in enumerate(flats):
         for p in flat_points(cfg, f):
             want[point_index(cfg, p), col] = 1
-    M = incidence_matrix(cfg).matrix
+    M = incidence_matrix(cfg)
     assert M.dtype == np.int64 and not M.flags.writeable
     assert (M == want).all()
 
@@ -345,7 +363,7 @@ def test_container_flats_check_the_gram_rank_of_every_sum(key, monkeypatch):
 def _incidence_in(config, big):
     """A container's incidence read off the global one: the rows of its
     points (point_mask) and the columns of its flats (flat_ids_in)."""
-    M = incidence_matrix(config).matrix
+    M = incidence_matrix(config)
     return M[point_mask(config, big)][:, flat_ids_in(config, big)]
 
 

@@ -1,13 +1,18 @@
 """Scheme relations, closed-form eigen tables, valuations, uniqueness."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from clflats import exact, scheme
-from clflats.cli import STANDARD_GRID
+from clflats.cli import FULL_MATRIX_BOUND, STANDARD_GRID
 from clflats.field import gauss_binomial
 from clflats.flats import direction_distances, enumerate_flats, flat_ids, flat_make
 from clflats.geometry import (
@@ -19,9 +24,9 @@ from clflats.geometry import (
 from clflats.scheme import (
     INFINITY,
     PRODUCT_COLUMNS,
+    character_spectrum,
     check_column_sums,
     check_eigen_system,
-    check_eigen_system_probes,
     check_pq_identity,
     column_uniqueness,
     dual_polar_eigenvalue,
@@ -29,7 +34,6 @@ from clflats.scheme import (
     dual_polar_size,
     dual_polar_valency,
     idempotent_coefficients,
-    idempotent_int,
     inner_distribution,
     meeting_product,
     pair_factors,
@@ -50,6 +54,9 @@ from clflats.scheme import (
 from clflats.spreads import list_type_I, list_type_II
 from conftest import (
     MEDIUM_CONFIGS,
+    dense_eigen_checks,
+    dense_eigen_system,
+    idempotent_int,
     ordered_meeting_sums,
     ordered_pair_tables,
     relation_matrix,
@@ -749,19 +756,109 @@ def test_sampled_verify_scheme_fails_each_tampered_axiom(key, monkeypatch):
 
 
 def test_eigen_checks_fail_on_a_mixed_block(s22):
-    """B_1 V replaced by (B_1 + B_2) V breaks the eigen, idempotent and orthogonal identities."""
-    from clflats.scheme import _eigen_checks
+    """B_1 V replaced by (B_1 + B_2) V breaks the eigen, idempotent and
+    orthogonal identities of the dense oracle."""
     tables = scheme_tables(s22)
     V = np.eye(tables.size, dtype=np.int64)
     Bs = [idempotent_int(s22, e)[1] for e in tables.eigs]
-    assert all(_eigen_checks(s22, V, Bs).values())
+    assert all(dense_eigen_checks(s22, V, Bs).values())
     Bs[1] = Bs[1] + Bs[2]
-    ok = _eigen_checks(s22, V, Bs)
+    ok = dense_eigen_checks(s22, V, Bs)
     assert not (ok["eigen"] or ok["idempotent"] or ok["orthogonal"])
     assert ok["trace"]
 
 
-def test_probe_checks_match_full(s22):
-    full = check_eigen_system(s22)
-    probes = check_eigen_system_probes(s22, seed=1, count=10)
-    assert all(full.values()) and all(probes.values())
+@pytest.mark.parametrize("case,q,nu", [key for key in GRID if scheme_tables(space_config(*key)).size
+                                       <= FULL_MATRIX_BOUND])
+def test_character_proof_matches_the_dense_oracle(case, q, nu):
+    """At every grid size the paper suite once checked densely, the
+    character proof reads the five keys of the dense idempotents, all
+    true."""
+    cfg = space_config(case, q, nu)
+    proof = check_eigen_system(cfg)
+    assert proof == dense_eigen_system(cfg) and all(proof.values()), proof
+
+
+@pytest.mark.parametrize("key", GRID + (("symplectic", 4, 2), ("orthogonal", 3, 3)),
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_character_spectrum_equals_the_closed_forms(key):
+    """The proven P and m are every eigenvalue and multiplicity of
+    scheme_tables, and each key of the check holds."""
+    cfg = space_config(*key)
+    tables = scheme_tables(cfg)
+    P, m = character_spectrum(cfg)
+    assert P == tables.P and m == tables.multiplicities
+    assert all(check_eigen_system(cfg).values())
+
+
+@pytest.fixture
+def fresh_proof():
+    """Clears the proof's caches before and after a tampered run."""
+    scheme.character_spectrum.cache_clear()
+    scheme.scheme_tables.cache_clear()
+    yield
+    scheme.character_spectrum.cache_clear()
+    scheme.scheme_tables.cache_clear()
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("orthogonal", 3, 3)],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_character_proof_raises_on_a_tampered_distance_pair(key, monkeypatch, fresh_proof):
+    """One symmetric pair of direction distances moved from 1 to 2 breaks
+    the counted intersection numbers, and the proof raises."""
+    cfg = space_config(*key)
+    rd = np.array(direction_distances(cfg))
+    a, b = np.argwhere(rd == 1)[0]
+    rd[a, b] = rd[b, a] = 2
+    monkeypatch.setattr(scheme, "direction_distances", lambda config: rd)
+    with pytest.raises(AssertionError):
+        check_eigen_system(cfg)
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("unitary", 4, 2), ("orthogonal", 3, 3)],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_character_proof_raises_on_a_star_missing_a_direction(key, monkeypatch, fresh_proof):
+    """A character kernel with one direction dropped leaves the blocks
+    short of n, and the proof raises."""
+    cfg = space_config(*key)
+    kernels = np.array(scheme.character_kernels(cfg))
+    a, d = np.argwhere(kernels)[0]
+    kernels[a, d] = False
+    monkeypatch.setattr(scheme, "character_kernels", lambda config: kernels)
+    with pytest.raises(AssertionError, match="character blocks"):
+        character_spectrum(cfg)
+
+
+def test_a_tampered_closed_eigenvalue_fails_the_eigen_key(s22, monkeypatch, fresh_proof):
+    """dual_polar_eigenvalue off by one at any one cell (rank, i, j) of the
+    full graph (rank nu) or a star (rank nu - 1) fails its recurrence, and
+    check_eigen_system reads eigen False, with no exception."""
+    real = dual_polar_eigenvalue
+    for rank in (s22.nu, s22.nu - 1):
+        for i in range(rank + 1):
+            for j in range(rank + 1):
+                monkeypatch.setattr(scheme, "dual_polar_eigenvalue",
+                                    lambda case, q, nu2, i2, j2, cell=(rank, i, j):
+                                    real(case, q, nu2, i2, j2) + ((nu2, i2, j2) == cell))
+                scheme.character_spectrum.cache_clear()
+                scheme.scheme_tables.cache_clear()
+                assert check_eigen_system(s22)["eigen"] is False, (rank, i, j)
+
+
+def test_a_tampered_star_eigenvalue_exits_1_from_the_paper_suite():
+    """With the rank-1 eigenvalue theta_0 off by one, verify --suite paper
+    reports the eigen system failed and exits 1.  (Most cells of the full
+    graph exit 3 before the report instead: the membership routes' plan
+    asserts the closed-form idempotent coefficients.)"""
+    code = ("import sys; from clflats import scheme; from clflats.cli import run; "
+            "real = scheme.dual_polar_eigenvalue; "
+            "scheme.dual_polar_eigenvalue = lambda case, q, nu2, i, j: "
+            "real(case, q, nu2, i, j) + ((nu2, i, j) == (1, 1, 0)); "
+            "sys.exit(run(sys.argv[1:]))")
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code, "verify", "--suite", "paper", "--case",
+                           "symplectic", "--q", "2", "--nu", "2"], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=str(root / "src")), cwd=root)
+    assert proc.returncode == 1, proc.stderr
+    checks = {c["name"]: c for c in json.loads(proc.stdout)["reports"][0]["checks"]}
+    assert checks["eigen_system"]["actual"]["eigen"] is False

@@ -279,7 +279,7 @@ def test_classify_and_switching(s22):
     assert is_switching_pair(s22, a, b)
     assert not is_switching_pair(s22, a, a)
     assert not is_switching_pair(s22, pencil.ids[:2], pencil.ids[2:4])
-    M = incidence_matrix(s22).matrix
+    M = incidence_matrix(s22)
     for ids in ((), (5,), pencil.ids, a, list(pencil.ids[:3]) * 2):
         got = coverage(s22, ids)
         assert got.dtype == np.int64 and (got == M[:, sorted(ids)].sum(axis=1)).all()
@@ -356,7 +356,7 @@ def test_scope_type_I_family_beyond_the_bound(key):
 
 
 def test_spread_differences_in_kernel(s22):
-    M = incidence_matrix(s22).matrix
+    M = incidence_matrix(s22)
     spreads = enumerate_spreads(s22).spreads[:20]
     chi = np.zeros((M.shape[1], len(spreads)), dtype=np.int64)
     for c, s in enumerate(spreads):
@@ -777,7 +777,7 @@ def test_type_II_components_match_all_vectors_scan(key):
 @over_family_configs
 def test_family_rows_cover_each_point_once(key):
     cfg = space_config(*key)
-    M = incidence_matrix(cfg).matrix
+    M = incidence_matrix(cfg)
     members = family_members(cfg)
     assert len({tuple(row) for row in members.tolist()}) == members.shape[0]
     chi = np.zeros((M.shape[1], members.shape[0]), dtype=np.int64)
@@ -925,7 +925,7 @@ def test_membership_plan_is_a_basis_of_ker_M(key):
     n = len(enumerate_flats(cfg, cfg.nu))
     K = membership_rows(plan, n)
     assert set(np.unique(K).tolist()) <= {-1, 0, 1}
-    assert not exact.int_matmul(incidence_matrix(cfg).matrix, K.T).any()
+    assert not exact.int_matmul(incidence_matrix(cfg), K.T).any()
     assert len(K) == character_plan(cfg).kernel_dimension == n - incidence_rank(cfg)
     assert len(exact.modular_echelon(K, exact.MODULAR_PRIME)[1]) == len(K)
     assert not any(a.flags.writeable for a in (plan.line, plan.groups, plan.base,
@@ -951,7 +951,7 @@ def test_a_moved_flat_fails_both_checks(key):
     cfg = space_config(*key)
     plan = membership_plan(cfg)
     n = len(enumerate_flats(cfg, cfg.nu))
-    M = incidence_matrix(cfg).matrix
+    M = incidence_matrix(cfg)
     spreads._check_groups(cfg, plan)
     for pair in (0, 1):
         moved = _moved(plan, pair)
@@ -1031,7 +1031,7 @@ def test_image_witness_verdict_matches_the_membership_plan(key, monkeypatch):
     fails the check, so every such member gets None."""
     cfg = space_config(*key)
     plan = membership_plan(cfg)
-    MT = incidence_matrix(cfg).matrix.T
+    MT = incidence_matrix(cfg).T
     cols = _membership_columns(cfg, 1)
     cols = np.column_stack([cols, 2 * cols[:, 0] - cols[:, 1]])
     found = []
