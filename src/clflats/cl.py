@@ -32,13 +32,18 @@ C, folds their coefficients into the distance masks once per
 configuration, and one exact product of that fold with S gives every
 such projection, the all-one identity, the class part of the few (j, 1)
 rows and the rd = 1 class sums.  The (j, 1) rows add chi and the
-meeting sums on (D, q^nu, c) views, and the two i = 1 count laws read
-the same terms.  No relation-count table
-T[r] = A_r chi and no product C T is formed; scheme.relation_products
-and scheme.projections serve the checks.  The shifted verdict is read
-off the spectrum verdict: by linearity the projections of the shifted
-vector are n B_e chi - (C k)[e] |S| j, with n = q^nu D, and the route
-plan certifies C k = (L_0, 0, ..., 0) for the valencies k once per
+meeting sums on (D, q^nu, c) views.  The count route compares the (1, 0)
+law at every flat, on chi and M_1, and reads the (1, 1) law as its
+difference from the (1, 0) law: the two relations' counts sum to the
+rd = 1 class sums and their chi coefficients cancel, so where the (1, 0)
+law holds the (1, 1) law is one identity on the D x c class sums, which
+the same product gives.  No relation-count table T[r] = A_r chi and no
+product C T is formed; scheme.relation_products and scheme.projections
+serve the checks.  The shifted verdict is read off the spectrum verdict:
+by linearity the projections of the shifted vector are
+n B_e chi - (C k)[e] |S| j, with n = q^nu D, and the route plan
+certifies C k = (L_0, 0, ..., 0) for the valencies k and the
+cancellation of the two i = 1 laws' chi coefficients once per
 configuration.
 """
 
@@ -253,13 +258,15 @@ class RoutePlan:
     row e >= 2 and for the rd = 1 class sums the count laws read.
     flat[k] holds the other rows' coefficients C[e, 2i] - C[e, 2i + 1] on
     M_0 .. M_(nu - 1).  Relation r's neighbour-count law reads
-    D T[r] = law_chi[r] chi + law_size[r] |S| for T[r] = A_r chi.
+    D T[r] = law_chi[r] chi + law_size[r] |S| for T[r] = A_r chi; at
+    nu >= 2, law_chi[2] + law_chi[3] = 0 (route_plan asserts it).
 
     Every term the routes form, for m = max|chi|, is at most bound m:
     |S| and every class total, class sum and M_i is at most n m, n |S| at
     most n^2 m and L0 |S| at most L0 n m, each partial sum of a row off
     the class rows at most (2 nu + 1) max|C| n m, a law's D T[r] at most
-    2 D n m and its right side (|law_chi| + |law_size|) n m.  So while
+    2 D n m and its right side (|law_chi| + |law_size|) n m, which also
+    bounds the class identity's (law_size[2] + law_size[3]) |S|.  So while
     bound m < 2^62 int64 holds every term and every sum of two exactly;
     the product by fold picks its own tier (exact.int_matmul).
     """
@@ -284,7 +291,9 @@ def route_plan(config: SpaceConfig) -> RoutePlan:
     distance masks, sum_i c_i (rd = i) = c[rd], one gather of the D x D
     distance table.  Raises AssertionError unless C k = (L_0, 0, ..., 0)
     for the valencies k, the closed form that lets the shifted route read
-    the spectrum's zero rows (see _scheme_routes)."""
+    the spectrum's zero rows, or unless the (1, 0) and (1, 1) laws' chi
+    coefficients cancel, the closed form that lets the count route read
+    the (1, 1) law off the class sums (see _scheme_routes)."""
     tables = scheme_tables(config)
     Ls, C = idempotent_coefficients(config)
     n, D, nu = tables.size, set_denominator(config), config.nu
@@ -309,6 +318,9 @@ def route_plan(config: SpaceConfig) -> RoutePlan:
         # xi = 0: D T = D a chi + b |S|;  xi = 1: D T = a |S| - D a chi
         laws.append((D * a, b) if xi == 0 else (-D * a, a))
     law_chi, law_size = zip(*laws)
+    if nu >= 2 and law_chi[2] + law_chi[3]:
+        raise AssertionError(f"law_chi[(1, 0)] + law_chi[(1, 1)] = {law_chi[2] + law_chi[3]} "
+                             f"is not 0 for {config.key()}")
     widest = max(abs(c) for row in rows for c in row)
     bound = n * max(n, Ls[0], (2 * nu + 1) * widest, 2 * D,
                     max(map(abs, law_chi)) + max(map(abs, law_size)))
@@ -410,9 +422,18 @@ def _scheme_routes(config: SpaceConfig, cols: np.ndarray, peak: int) -> dict[str
     e >= 2 is n B_e chi, zero exactly when B_e chi is.  So the shifted
     verdict is the spectrum verdict.
 
-    The count verdict compares the laws of the two i = 1 relations
-    (_law_holds on M_1 and the rd = 1 class sums; at nu = 1 the one
-    relation (1, 0) = (nu, 0)).  Either law alone decides membership:
+    The count verdict is the paper's two-relation statement, the laws of
+    (1, 0) and (1, 1); at nu = 1 it is the one relation (1, 0) = (nu, 0),
+    read off the rd = 1 class sums alone.  At nu >= 2 the (1, 0) law is
+    compared at every flat (_law_holds on chi and M_1).  The two
+    relations' counts sum to the class sums, T[(1, 0)] + T[(1, 1)] =
+    (rd = 1) S spread over each class, and their chi coefficients cancel,
+    D a_1 - D a_1 = 0 (route_plan asserts it).  So the difference of the
+    two laws is the class identity D (rd = 1) S = (law_size[(1, 0)] +
+    law_size[(1, 1)]) |S| on the D x c class sums, the fold's last block:
+    where the (1, 0) law holds at every flat, the (1, 1) law holds exactly
+    when the class identity does, and together they are both laws.
+    Either law alone decides membership:
     projected onto an eigenspace e off the two trivial ones, the (1, 0)
     law reads p_(1,0)(e) E_e chi = a_1 E_e chi and the (1, 1) law
     p_(1,1)(e) E_e chi = -a_1 E_e chi, and on every configuration tested
@@ -442,13 +463,15 @@ def _scheme_routes(config: SpaceConfig, cols: np.ndarray, peak: int) -> dict[str
     meet, distance_one = meets[0] if meets else None, blocks[split]
     counts = _law_holds(plan, cols, sizes, 2, meet, distance_one)
     if meets:
-        counts &= _law_holds(plan, cols, sizes, 3, meet, distance_one)
+        # the (1, 1) law less the (1, 0) law, on the class sums
+        counts &= (D * distance_one
+                   == int(plan.law_size[2] + plan.law_size[3]) * sizes).all(axis=0)
     return {"spectrum": spectrum, "shifted": spectrum.copy(), "counts": counts}
 
 
 def _set_routes(flat_set: FlatSet) -> dict[str, np.ndarray]:
-    chi = flat_set.chi().reshape(-1, 1)
-    return _scheme_routes(flat_set.config, chi, _peak(chi))
+    # chi is a 0/1 indicator: its peak is 1 unless the set is empty
+    return _scheme_routes(flat_set.config, flat_set.chi().reshape(-1, 1), int(bool(flat_set.ids)))
 
 
 def test_spectrum(flat_set: FlatSet) -> bool:
@@ -489,18 +512,10 @@ class SpreadTestReport:
         return self.constant and self.value_matches
 
 
-def test_spreads(flat_set: FlatSet, family: str = "auto") -> SpreadTestReport:
-    """Intersection counts against a spread family.
-
-    family: 'constructive' (= 'auto': type I, plus type II when nu >= 2),
-    its parts 'typeI' and 'typeII', or 'exhaustive' (small spaces only).
-    The constructive family is conclusive: its differences are certified
-    to span ker M by the translation characters (spreads.character_plan:
-    the type-II direction pairs are the rd = 1 pairs, the rows are closed
-    under translation, and the rd = 1 graph on the directions in each
-    character's kernel is connected), so constant intersection is
-    membership; a failed certificate raises AssertionError.
-    """
+def _spread_counts(flat_set: FlatSet, family: str) -> tuple[np.ndarray, bool, str]:
+    """(counts, conclusive, family) for test_spreads: the set's intersection
+    with each spread of the family, one int64 per spread, whether the
+    family is certified to decide membership, and the family's name."""
     config = flat_set.config
     family = "constructive" if family == "auto" else family
     conclusive = family == "constructive"
@@ -520,11 +535,33 @@ def test_spreads(flat_set: FlatSet, family: str = "auto") -> SpreadTestReport:
     else:
         raise ValueError(f"unknown family {family!r} for nu = {config.nu}")
     # members holds one spread per column: the family has about n spreads of q^nu members
-    counts = flat_set.chi()[members].sum(axis=0)
+    return flat_set.chi()[members].sum(axis=0), conclusive, family
+
+
+def _spread_verdict(flat_set: FlatSet, counts: np.ndarray) -> tuple[bool, bool]:
+    """(constant, value_matches) of test_spreads for the counts that
+    _spread_counts returns: the counts are all equal, and equal to the
+    parameter, counts[0] D = |L|."""
     constant = not counts.size or bool((counts == counts[0]).all())
-    inter = tuple(counts.tolist())
-    value_matches = constant and (not inter or Fraction(inter[0]) == flat_set.x)
-    return SpreadTestReport(constant, value_matches, conclusive, family, inter)
+    return constant, constant and (
+        not counts.size or int(counts[0]) * set_denominator(flat_set.config) == flat_set.size)
+
+
+def test_spreads(flat_set: FlatSet, family: str = "auto") -> SpreadTestReport:
+    """Intersection counts against a spread family.
+
+    family: 'constructive' (= 'auto': type I, plus type II when nu >= 2),
+    its parts 'typeI' and 'typeII', or 'exhaustive' (small spaces only).
+    The constructive family is conclusive: its differences are certified
+    to span ker M by the translation characters (spreads.character_plan:
+    the type-II direction pairs are the rd = 1 pairs, the rows are closed
+    under translation, and the rd = 1 graph on the directions in each
+    character's kernel is connected), so constant intersection is
+    membership; a failed certificate raises AssertionError.
+    """
+    counts, conclusive, family = _spread_counts(flat_set, family)
+    return SpreadTestReport(*_spread_verdict(flat_set, counts), conclusive, family,
+                            tuple(counts.tolist()))
 
 
 def is_cameron_liebler(flat_set: FlatSet, method: str = "auto") -> bool:
@@ -540,12 +577,15 @@ def is_cameron_liebler(flat_set: FlatSet, method: str = "auto") -> bool:
 
 
 def battery(flat_set: FlatSet) -> dict[str, bool]:
-    """All routes at once; the equivalent ones must agree."""
+    """All routes at once; the equivalent ones must agree.
+
+    The spread verdict is test_spreads(flat_set).passed, read off the
+    constructive family's counts with no report built."""
     routes = _set_routes(flat_set)
     verdicts = {
         "image": test_image(flat_set),
         **{name: bool(ok[0]) for name, ok in routes.items()},
-        "spreads": test_spreads(flat_set).passed,
+        "spreads": all(_spread_verdict(flat_set, _spread_counts(flat_set, "constructive")[0])),
     }
     if len(set(verdicts.values())) != 1:
         raise AssertionError(f"equivalent membership routes disagree: {verdicts}")

@@ -2,11 +2,15 @@
 
 import dataclasses
 import gc
+import hashlib
+import importlib.util
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -603,6 +607,150 @@ def test_either_i1_law_alone_decides_membership(key):
     for rel, value in laws:
         assert tables.P[rel, (0, 1)] == value
         assert all(tables.P[rel, e] != value for e in off), (rel, value)
+
+
+@pytest.mark.parametrize("key", STANDARD_GRID + (("symplectic", 4, 2), ("orthogonal", 3, 3)),
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_count_verdict_is_the_two_relation_laws(key):
+    """The count route reads law (1, 0) at every flat and law (1, 1) as
+    the class identity D (rd = 1) S = (law_size[2] + law_size[3]) |S|; its
+    verdict equals the two laws, each read off its own factor terms
+    (_relation_law), on pencils, complements, near misses, seeded random
+    0/1 and small signed columns, the 0/1 columns scaled to the largest
+    peak the routes keep in int64 and to one more, where they widen to
+    object arithmetic, and scaled by 2^70 as Python ints.  Every scaled
+    pencil and complement still passes: no product wraps."""
+    cfg = space_config(*key)
+    plan = cl.route_plan(cfg)
+    rng = np.random.default_rng(sum(map(ord, repr(key))))
+    seeded = _seeded_columns(cfg, seed=sum(map(ord, repr(key))))
+    edge = (2**62 - 1) // plan.bound
+    scaled = [(seeded * edge, np.int64), (seeded * (edge + 1), object),
+              (seeded.astype(object) * 2**70, object)]
+    for cols, tier in scaled:
+        block = cl._block(cols, plan.n)
+        assert cl._widened(block, cl._peak(block), plan.bound, 2**62).dtype == np.dtype(tier)
+    for cols in [seeded, rng.integers(-3, 4, (plan.n, 6))] + [cols for cols, _ in scaled]:
+        block = cl._block(cols, plan.n)
+        want = cl._relation_law(cfg, block, 2)
+        if cfg.nu >= 2:
+            want = want & cl._relation_law(cfg, block, 3)
+        got = cl._scheme_routes(cfg, block, cl._peak(block))["counts"]
+        assert got.tolist() == want.tolist(), (cols.shape, cols.dtype)
+        assert batch_verdicts(cfg, cols)["counts"].tolist() == want.tolist()
+        if cols.shape[1] == seeded.shape[1]:
+            assert got[:12].tolist() == [True, True, False] * 4, cols.dtype
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("unitary", 4, 2), ("symplectic", 2, 3)],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_a_tampered_class_identity_breaks_the_count_route(key, monkeypatch, tmp_path, capsys):
+    """The count route reads law (1, 1) off law_size[3] alone, so a plan
+    with law_size[3] off by one fails a pencil's count verdict, battery
+    raises on the disagreement and cl test --method auto exits 3; the
+    other routes keep their verdicts.  Dropping the class identity from
+    the count route would let the pencil pass."""
+    from clflats.cli import run
+    cfg = space_config(*key)
+    pencil = _pencil(cfg)
+    setfile = tmp_path / "pencil.json"
+    space = ["--case", key[0], "--q", str(key[1]), "--nu", str(key[2])]
+    point = ",".join("0" * cfg.dim)
+    assert run(["cl", "construct", "--pencil", point, "--out", str(setfile)] + space) == 0
+    assert all(battery(pencil).values())
+    plan = cl.route_plan(cfg)
+    law_size = plan.law_size.copy()
+    law_size[3] += 1
+    tampered = dataclasses.replace(plan, law_size=cl._read_only(law_size))
+    monkeypatch.setattr(cl, "route_plan", lambda config: tampered)
+    assert cl.test_counts(pencil) is False
+    assert cl.test_spectrum(pencil) and cl.test_shifted_spectrum(pencil)
+    with pytest.raises(AssertionError, match=r"^equivalent membership routes disagree: "
+                                             r".*'counts': False"):
+        battery(pencil)
+    capsys.readouterr()
+    assert run(["cl", "test", "--method", "auto", "--in", str(setfile)] + space) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("clflats: internal error: equivalent membership routes "
+                                   "disagree")
+
+
+@pytest.mark.parametrize("key", [("symplectic", 2, 2), ("symplectic", 2, 3)],
+                         ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_route_plan_refuses_i1_laws_whose_chi_coefficients_do_not_cancel(key, monkeypatch):
+    """The class identity is the difference of the two i = 1 laws only
+    because law_chi[(1, 0)] + law_chi[(1, 1)] = D a_1 - D a_1 = 0: a plan
+    built from an a_1 that differs between the two relations raises
+    AssertionError naming that closed form."""
+    cfg = space_config(*key)
+    real, seen = cl._count_coefficients, []
+
+    def skewed(config, i):
+        a, b = real(config, i)
+        seen.append(i)
+        # relation (1, 1) takes the second call at i = 1, after (1, 0)
+        return (a + 1, b) if seen.count(1) == 2 and i == 1 else (a, b)
+
+    monkeypatch.setattr(cl, "_count_coefficients", skewed)
+    with pytest.raises(AssertionError, match=r"^law_chi\[\(1, 0\)\] \+ law_chi\[\(1, 1\)\] = "
+                                             r"-\d+ is not 0 for "):
+        cl.route_plan.__wrapped__(cfg)
+    monkeypatch.undo()
+    assert cl.route_plan.__wrapped__(cfg).bound == cl.route_plan(cfg).bound
+
+
+def _benchmark_inputs():
+    """The seeded input module of the benchmark, loaded by path once (its
+    dataclasses look their module up in sys.modules)."""
+    name = "benchmark_inputs"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("key", STANDARD_GRID, ids=lambda t: f"{t[0][:4]}-q{t[1]}-nu{t[2]}")
+def test_battery_spread_verdict_is_the_spread_report(key):
+    """battery reads the spread verdict off the constructive family's
+    counts; it equals test_spreads(...).passed, and the set's expected
+    verdict, on every seeded kind the benchmark draws (pencil, complement,
+    isometric image, union or isometric complement, random and near
+    misses), and on the empty and the full set."""
+    cfg = space_config(*key)
+    sets = _benchmark_inputs().config_sets(key, random.Random(f"spreads/{key}"))
+    kinds = {s.kind for s in sets}
+    assert {"pencil", "complement", "isometry_image", "random", "near_miss_pencil",
+            "near_miss_complement"} <= kinds and kinds & {"union", "isometry_complement"}
+    cases = [(FlatSet(cfg, s.ids), s.expected) for s in sets]
+    cases += [(empty_set(cfg), True), (full_set(cfg), True)]
+    for fs, expected in cases:
+        assert battery(fs)["spreads"] == spread_test(fs).passed == expected
+
+
+# sha256 of `cl test --method spreads` stdout on the symplectic(3,2) pencil at the origin
+S32_SPREADS_STDOUT_SHA256 = "e15bcf4c6513afd00c7974220ad77a49cadf6a6a1926f98809a19d3949af49cb"
+
+
+def test_spread_report_and_cli_output_are_unchanged(tmp_path, capsys):
+    """The symplectic(3,2) pencil meets each of the 1480 constructive
+    spreads once: test_spreads reports every field, the intersections
+    included, and cl test --method spreads prints the same bytes as
+    before battery read its verdict off the counts."""
+    from clflats.cli import run
+    cfg = space_config("symplectic", 3, 2)
+    pencil = _pencil(cfg)
+    assert spread_test(pencil) == cl.SpreadTestReport(True, True, True, "constructive",
+                                                      (1,) * 1480)
+    space = ["--case", "symplectic", "--q", "3", "--nu", "2"]
+    setfile = tmp_path / "pencil.json"
+    assert run(["cl", "construct", "--pencil", "0,0,0,0", "--out", str(setfile)] + space) == 0
+    capsys.readouterr()
+    assert run(["cl", "test", "--method", "spreads", "--in", str(setfile)] + space) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == S32_SPREADS_STDOUT_SHA256, out
 
 
 def test_lemma_counts_names_an_unknown_relation(s22):
